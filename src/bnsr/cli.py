@@ -79,6 +79,16 @@ def _parse_char(group, text: str) -> Character:
     return Character(group, [Fraction(x) for x in text.split(",")])
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _group_arg(spec: str):
     if spec.endswith(".json"):
         return group_from_dict(_load_json(spec))
@@ -469,22 +479,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--char", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", type=int, required=True)
-    p.add_argument("--lambda-max", type=int, required=True)
-    p.add_argument("--t-samples", type=int, default=0)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p.add_argument("--window", type=_nonnegative_int, required=True)
+    p.add_argument("--lambda-max", type=_nonnegative_int, required=True)
+    p.add_argument("--t-samples", type=_nonnegative_int, default=0, help="thresholds to sample; 0 takes every window value")
     p = psub.add_parser("eta", parents=[common])
     p.add_argument("--group", required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--char", required=True)
     p.add_argument("--cycle", required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_nonnegative_int, required=True)
     p = psub.add_parser("gap", parents=[common])
     p.add_argument("--group", required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--char", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_nonnegative_int, required=True)
 
     witness = sub.add_parser("witness", help="splitter decomposition pipeline")
     wsub = witness.add_subparsers(dest="witness_cmd", required=True)
@@ -524,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--directions", required=True, help="semicolon-separated integer vectors")
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--lambda-max", type=int, default=4)
+    p.add_argument("--window", type=_nonnegative_int, default=4)
+    p.add_argument("--lambda-max", type=_nonnegative_int, default=4)
     p.add_argument("--records", default=None)
     p.add_argument("--shadow", action="store_true")
 

@@ -11,6 +11,7 @@ fillings), which is what the reports record.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -63,6 +64,8 @@ def window_for(F: Resolution, radius) -> Window:
     radii = (radius,) * nfac if isinstance(radius, int) else tuple(radius)
     if len(radii) != nfac:
         raise ValueError("need one radius per group factor")
+    if any(r < 0 for r in radii):
+        raise ValueError(f"window radii must be nonnegative, got {radii}")
     return Window(radii)
 
 
@@ -167,6 +170,135 @@ class FiniteComplex:
         return out
 
 
+class _WindowInventory:
+    """Admitted window keys of one (F, W, v), enumerated once per call.
+
+    Each degree is built on first use: its admitted keys in enumeration
+    order (cell by cell, ball order) and in ``(cell, g)`` order, each key's
+    value, and each key's boundary translated once with ``Group.multiply``.
+    Every threshold truncation is then a slice of these lists.  An inventory
+    lives only as long as the call that builds it.
+    """
+
+    def __init__(self, F: Resolution, W: Window, v: Valuation):
+        self.F = F
+        self.W = W
+        self.v = v
+        self._keys: dict = {}
+        self._values: dict = {}
+        self._terms: dict = {}
+        self._sorted: dict = {}
+        self._cols: dict = {}
+
+    def keys(self, d: int) -> list:
+        """Admitted keys of degree d in enumeration order."""
+        got = self._keys.get(d)
+        if got is None:
+            F, W = self.F, self.W
+            got = [(g, cell) for cell in F.cells(d) for g in window_cell_elements(F, W, cell)]
+            self._keys[d] = got
+        return got
+
+    def values(self, d: int) -> list:
+        """Value of each key of ``keys(d)``."""
+        got = self._values.get(d)
+        if got is None:
+            of_key = self.v.of_key
+            got = [of_key(g, cell) for (g, cell) in self.keys(d)]
+            self._values[d] = got
+        return got
+
+    def distinct_values(self, degrees: Sequence[int]) -> list:
+        """Sorted distinct values of the admitted keys in the given degrees."""
+        vals = set()
+        for d in degrees:
+            vals.update(self.values(d))
+        return sorted(vals)
+
+    def terms(self, d: int) -> list:
+        """Translated boundary terms ``[((g*h, y), c), ...]`` of each key of ``keys(d)``."""
+        got = self._terms.get(d)
+        if got is None:
+            mul = self.F.group.multiply
+            table = self.F.boundary_table
+            got = [[((mul(g, h), y), c) for (h, y), c in table[cell].items()] for (g, cell) in self.keys(d)]
+            self._terms[d] = got
+        return got
+
+    def _sorted_view(self, d: int):
+        """Keys of degree d in ``(cell, g)`` order, with enumeration positions,
+        value levels (sorted distinct values) and each sorted key's level."""
+        got = self._sorted.get(d)
+        if got is None:
+            keys = self.keys(d)
+            values = self.values(d)
+            order = sorted(range(len(keys)), key=lambda i: (keys[i][1], keys[i][0]))
+            levels = sorted(set(values))
+            level_of = {val: k for k, val in enumerate(levels)}
+            got = ([keys[i] for i in order], order, levels, [level_of[values[i]] for i in order])
+            self._sorted[d] = got
+        return got
+
+    def _columns(self, d: int) -> list:
+        """Boundary columns ``[(row, c), ...]`` of the sorted keys of degree d,
+        with rows indexing the sorted keys of degree d - 1."""
+        got = self._cols.get(d)
+        if got is None:
+            ring = self.F.ring
+            idx = {key: i for i, key in enumerate(self._sorted_view(d - 1)[0])}
+            terms = self.terms(d)
+            got = []
+            for i in self._sorted_view(d)[1]:
+                col: dict = {}
+                for key, c in terms[i]:
+                    r = idx.get(key)
+                    if r is None:
+                        raise ValueError(f"boundary term {key} escapes the window; window is not boundary-closed")
+                    col[r] = ring.add(col.get(r, ring.zero()), c)
+                got.append([(r, c) for r, c in col.items() if not ring.is_zero(c)])
+            self._cols[d] = got
+        return got
+
+    def truncate(self, t, degrees: Sequence[int], augmented: bool = False) -> FiniteComplex:
+        """The window complex of the keys with value at least t, in the given degrees."""
+        degs = sorted(set(degrees))
+        basis: dict = {}
+        picked: dict = {}
+        for d in degs:
+            sorted_keys, _, levels, level = self._sorted_view(d)
+            k = bisect_left(levels, t)
+            picked[d] = pos = [j for j, lv in enumerate(level) if lv >= k]
+            basis[d] = [sorted_keys[j] for j in pos]
+        columns: dict = {}
+        for d in degs:
+            if d - 1 not in basis:
+                continue
+            cols_all = self._columns(d)
+            row_keys = self._sorted_view(d - 1)[0]
+            remap = [-1] * len(row_keys)
+            for i, j in enumerate(picked[d - 1]):
+                remap[j] = i
+            cols = []
+            for j in picked[d]:
+                col = {}
+                for r, c in cols_all[j]:
+                    i = remap[r]
+                    if i < 0:
+                        raise ValueError(
+                            f"boundary term {row_keys[r]} escapes the window/threshold; "
+                            "window is not boundary-closed for this valuation"
+                        )
+                    col[i] = c
+                cols.append(col)
+            columns[d] = cols
+        if augmented:
+            basis[-1] = [("aug",)]
+            if 0 in basis:
+                aug = self.F.augmentation_table
+                columns[0] = [{0: aug[cell]} for (_, cell) in basis[0]]
+        return FiniteComplex(self.F.ring, basis, columns, augmented=augmented)
+
+
 def truncate(
     F: Resolution,
     v: Valuation,
@@ -181,42 +313,8 @@ def truncate(
     the result a subcomplex; a boundary term falling below the threshold or
     outside the window is reported as an error.
     """
-    degs = sorted(set(degrees if degrees is not None else F.degrees()))
-    basis: dict = {}
-    for d in degs:
-        items = []
-        for cell in F.cells(d):
-            for g in window_cell_elements(F, W, cell):
-                if v.of_key(g, cell) >= t:
-                    items.append((g, cell))
-        items.sort(key=lambda key: (key[1], key[0]))
-        basis[d] = items
-    columns: dict = {}
-    mul = F.group.multiply
-    ring = F.ring
-    for d in degs:
-        if d - 1 not in basis:
-            continue
-        idx = {key: i for i, key in enumerate(basis[d - 1])}
-        cols = []
-        for (g, cell) in basis[d]:
-            col: dict = {}
-            for (h, cell2), c in F.boundary_table[cell].items():
-                key = (mul(g, h), cell2)
-                i = idx.get(key)
-                if i is None:
-                    raise ValueError(
-                        f"boundary term {key} escapes the window/threshold; "
-                        "window is not boundary-closed for this valuation"
-                    )
-                col[i] = ring.add(col.get(i, ring.zero()), c)
-            cols.append({i: c for i, c in col.items() if not ring.is_zero(c)})
-        columns[d] = cols
-    if augmented:
-        basis[-1] = [("aug",)]
-        if 0 in basis:
-            columns[0] = [{0: F.augmentation_table[cell]} for (_, cell) in basis[0]]
-    return FiniteComplex(ring, basis, columns, augmented=augmented)
+    degs = degrees if degrees is not None else F.degrees()
+    return _WindowInventory(F, W, v).truncate(t, degs, augmented=augmented)
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +504,19 @@ def _augmented_cycles(C_t: FiniteComplex):
 
 
 def window_values(F: Resolution, v: Valuation, W: Window, degrees: Sequence[int]) -> list[Fraction]:
-    vals = set()
-    for d in degrees:
-        if d not in F.cells_by_degree:
-            continue
-        for cell in F.cells(d):
-            for g in window_cell_elements(F, W, cell):
-                vals.add(v.of_key(g, cell))
-    return sorted(vals)
+    return _WindowInventory(F, W, v).distinct_values(degrees)
+
+
+def _sample_thresholds(values: list, t_samples: int) -> list:
+    """``t_samples`` thresholds spread evenly over the sorted ``values``, picked exactly."""
+    if t_samples < 1:
+        raise ValueError("t_samples must be at least 1")
+    if t_samples >= len(values):
+        return values
+    if t_samples == 1:
+        return [values[0]]
+    last = len(values) - 1
+    return sorted({values[round(Fraction(i * last, t_samples - 1))] for i in range(t_samples)})
 
 
 @dataclass
@@ -475,6 +578,8 @@ def ca_probe(
     A uniform lag within the grid is a positive window certificate; a grid
     with no uniform lag is window evidence against (the report says which).
     """
+    if v.character.is_zero:
+        raise ValueError("the zero character is not a point of the character sphere")
     window_info = {"radii": list(W.radii)}
     report = CAProbeReport(
         group=F.group.to_dict(),
@@ -492,15 +597,14 @@ def ca_probe(
         return report
 
     lams = list(lambda_grid) if lambda_grid is not None else list(range(lambda_max + 1))
-    values = window_values(F, v, W, range(min(n, F.max_degree) + 1))
+    if not lams or any(lam < 0 for lam in lams):
+        raise ValueError("the lag grid must be nonempty and nonnegative")
+    inv = _WindowInventory(F, W, v)
+    values = inv.distinct_values(range(min(n, F.max_degree) + 1))
     if t_samples is None:
         ts = values
     elif isinstance(t_samples, int):
-        if t_samples >= len(values):
-            ts = values
-        else:
-            step = (len(values) - 1) / (t_samples - 1) if t_samples > 1 else 0
-            ts = sorted({values[round(i * step)] for i in range(t_samples)})
+        ts = _sample_thresholds(values, t_samples)
     else:
         ts = sorted(Fraction(x) for x in t_samples)
     report.lambda_grid = lams
@@ -512,7 +616,7 @@ def ca_probe(
         key = (t_val, tuple(degs), aug)
         got = cache.get(key)
         if got is None:
-            got = truncate(F, v, t_val, W, augmented=aug, degrees=degs)
+            got = inv.truncate(t_val, degs, augmented=aug)
             cache[key] = got
         return got
 
@@ -552,15 +656,12 @@ def ca_probe(
 
 
 def _filling_columns(F: Resolution, v: Valuation, degree: int, W: Window):
-    """Candidate filling columns (key, boundary vector, value) at a degree."""
-    cols = []
-    mul = F.group.multiply
-    for cell in F.cells(degree):
-        bd = F.boundary_table[cell]
-        for g in window_cell_elements(F, W, cell):
-            col = {(mul(g, h), y): c for (h, y), c in bd.items()}
-            cols.append(((g, cell), col, v.of_key(g, cell)))
-    return cols
+    """Candidate filling columns (key, boundary vector, value) at a degree, in enumeration order."""
+    inv = _WindowInventory(F, W, v)
+    return [
+        (key, dict(terms), val)
+        for key, terms, val in zip(inv.keys(degree), inv.terms(degree), inv.values(degree))
+    ]
 
 
 def max_filling_value(

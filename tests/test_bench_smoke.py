@@ -1,0 +1,26 @@
+"""Smoke test of the benchmark harness: one short probe run must check out.
+
+Only correctness is asserted; timings depend on the host and are not read.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_probe_run_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "probe", "--seed", "0", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
+    result = json.loads(lines[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -279,3 +279,31 @@ def test_valuation_roundtrip_through_obj():
     back = valuation_from_obj(K2, valuation_to_obj(v))
     assert back.cell_values == v.cell_values
     assert back.character == v.character and back.basic
+
+
+PROBE_CA = ["probe", "ca", "--group", "abelian:2", "--char", "1,0", "--format", "structured"]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--n", "1", "--window", "-2", "--lambda-max", "2"],
+        ["--n", "1", "--window", "3", "--lambda-max", "2", "--t-samples", "-3"],
+        ["--n", "1", "--window", "3", "--lambda-max", "-1"],
+        ["--n", "-1", "--window", "3", "--lambda-max", "2"],
+    ],
+    ids=["window", "t-samples", "lambda-max", "n"],
+)
+def test_probe_ca_negative_arguments_are_usage_errors(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(PROBE_CA + bad)
+    assert exc.value.code == 2
+    assert "negative" in capsys.readouterr().err
+
+
+def test_probe_ca_zero_character_is_an_input_error(capsys):
+    code, out, err = run_cli(
+        ["probe", "ca", "--group", "abelian:2", "--char=0,0", "--n", "1", "--window", "3", "--lambda-max", "2"],
+        capsys,
+    )
+    assert code == 3 and out == "" and "zero character" in err

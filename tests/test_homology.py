@@ -30,7 +30,7 @@ from bnsr import (
     window_for,
 )
 import bnsr.linalg as linalg
-from bnsr.homology import NEG_INF, cell_footprint, window_cell_elements, window_values
+from bnsr.homology import NEG_INF, _sample_thresholds, cell_footprint, window_cell_elements, window_values
 from bnsr.resolutions import tensor_chain
 
 K1 = koszul_resolution(1, RATIONALS)
@@ -530,3 +530,35 @@ def test_window_values_discrete():
     vals = window_values(K1, V_K1, W, [0, 1])
     assert vals == sorted(set(vals))
     assert Fraction(0) in vals and Fraction(3) in vals
+
+
+def test_window_for_rejects_negative_radii():
+    with pytest.raises(ValueError):
+        window_for(K1, -2)
+    T = tensor_resolution(K1, FR2)
+    with pytest.raises(ValueError):
+        window_for(T, (3, -1))
+    assert window_for(T, (0, 2)).radii == (0, 2)
+
+
+def test_ca_probe_rejects_zero_character_and_bad_grids():
+    W = window_for(K2, 3)
+    v0 = basic_valuation(K2, Character(K2.group, [0, 0]))
+    with pytest.raises(ValueError, match="zero character"):
+        ca_probe(K2, v0, 1, W, 2)
+    for t_samples in (0, -3):
+        with pytest.raises(ValueError, match="t_samples"):
+            ca_probe(K2, V_K2_10, 1, W, 2, t_samples=t_samples)
+    with pytest.raises(ValueError, match="lag grid"):
+        ca_probe(K2, V_K2_10, 1, W, -1)
+
+
+def test_threshold_samples_are_picked_exactly():
+    # 26 values, 23 samples: sample 11 sits at exactly 11 * 25 / 22 = 12.5,
+    # which rounds to even (12); a float step lands just above 12.5 and picks 13
+    values = [Fraction(k) for k in range(26)]
+    ts = _sample_thresholds(values, 23)
+    assert Fraction(12) in ts and Fraction(13) not in ts
+    assert ts[0] == values[0] and ts[-1] == values[-1]
+    assert _sample_thresholds(values, 1) == [values[0]]
+    assert _sample_thresholds(values, 26) == values
