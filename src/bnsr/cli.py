@@ -353,9 +353,9 @@ def _cmd_witness(args) -> int:
 
 def _catalog_from_args(args):
     cat = catalog_mod.builtin_catalog()
-    if getattr(args, "records", None):
+    if args.records:
         extra = [catalog_mod.SigmaRecord.from_dict(item) for item in _load_json(args.records)]
-        cat = cat.merge(extra, shadow=getattr(args, "shadow", False))
+        cat = cat.merge(extra, shadow=args.shadow)
     return cat
 
 
@@ -503,41 +503,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     cat = sub.add_parser("catalog", help="curated invariant data and theorem checks")
     csub = cat.add_subparsers(dest="catalog_cmd", required=True)
-    p = csub.add_parser("list", parents=[common])
-    p.add_argument("--records", default=None)
-    p.add_argument("--shadow", action="store_true")
-    p = csub.add_parser("lookup", parents=[common])
+    records = argparse.ArgumentParser(add_help=False, parents=[common])
+    records.add_argument("--records", default=None, help="JSON list of extra catalog records")
+    records.add_argument("--shadow", action="store_true", help="let the extra records replace built-in ones")
+    csub.add_parser("list", parents=[records])
+    p = csub.add_parser("lookup", parents=[records])
     p.add_argument("--group", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--ring", default="Q")
-    p.add_argument("--records", default=None)
-    p.add_argument("--shadow", action="store_true")
-    p = csub.add_parser("validate", parents=[common])
-    p.add_argument("--records", default=None)
-    p.add_argument("--shadow", action="store_true")
-    p = csub.add_parser("product-check", parents=[common])
+    csub.add_parser("validate", parents=[records])
+    p = csub.add_parser("product-check", parents=[records])
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ring", default="Q")
-    p.add_argument("--records", default=None)
-    p.add_argument("--shadow", action="store_true")
     for name in ("theorem2", "theorem3"):
-        p = csub.add_parser(name, parents=[common])
+        p = csub.add_parser(name, parents=[records])
         p.add_argument("--left", required=True)
         p.add_argument("--right", required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--records", default=None)
-        p.add_argument("--shadow", action="store_true")
-    p = csub.add_parser("cross-validate", parents=[common])
+    p = csub.add_parser("cross-validate", parents=[records])
     p.add_argument("--group", required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--directions", required=True, help="semicolon-separated integer vectors")
     p.add_argument("--window", type=_nonnegative_int, default=4)
     p.add_argument("--lambda-max", type=_nonnegative_int, default=4)
-    p.add_argument("--records", default=None)
-    p.add_argument("--shadow", action="store_true")
 
     return parser
 

@@ -362,19 +362,7 @@ def _primed(labels: Iterable[str], taken: set[str]) -> list[str]:
 
 
 def _relabel(g: Group, taken: set[str]) -> Group:
-    labels = _primed(g.generators, taken)
-    if isinstance(g, FreeAbelian):
-        return FreeAbelian(g.rank, labels)
-    if isinstance(g, Free):
-        return Free(g.rank, labels)
-    if isinstance(g, Product):
-        parts = []
-        pos = 0
-        for p in g.parts:
-            parts.append(_relabel_with(p, labels[pos : pos + p.char_dim]))
-            pos += p.char_dim
-        return Product(parts)
-    raise TypeError(f"unsupported group {g!r}")
+    return _relabel_with(g, _primed(g.generators, taken))
 
 
 def _relabel_with(g: Group, labels: Sequence[str]) -> Group:

@@ -123,6 +123,7 @@ class FiniteComplex:
         self.columns = columns
         self.augmented = augmented
         self.index = {d: {key: i for i, key in enumerate(b)} for d, b in basis.items()}
+        self._ranks: dict = {}
 
     def degrees(self):
         return sorted(self.basis)
@@ -134,10 +135,13 @@ class FiniteComplex:
         return list(enumerate(self.columns.get(d, ())))
 
     def boundary_rank(self, d: int) -> int:
-        cols = self.columns.get(d)
-        if not cols:
-            return 0
-        return linalg.rank_columns(list(enumerate(cols)), self.ring)
+        """Rank of the degree-d boundary (over Q for integer complexes), computed once."""
+        got = self._ranks.get(d)
+        if got is None:
+            cols = self.columns.get(d)
+            got = linalg.rank_columns(list(enumerate(cols)), self.ring) if cols else 0
+            self._ranks[d] = got
+        return got
 
     def compose_is_zero(self) -> bool:
         ring = self.ring
@@ -379,32 +383,16 @@ def class_order(z: Chain, C: FiniteComplex):
 
 
 def _cycles_of(C: FiniteComplex, p: int):
-    """Cycle-space basis at degree p, as sparse vectors over basis[p] keys."""
+    """Integer cycle-lattice basis at degree p, as sparse vectors over basis[p] keys."""
     ncells = C.dim(p)
     cols = C.columns.get(p)
     if cols is None:
-        combos = [{j: C.ring.one()} for j in range(ncells)]
-    elif C.ring == INTEGERS:
-        M = dense_boundary(C, p)
-        basis = linalg.integer_kernel_basis(M)
-        combos = [{j: vec[j] for j in range(ncells) if vec[j] != 0} for vec in basis]
+        combos = [{j: 1} for j in range(ncells)]
     else:
-        combos = linalg.kernel_columns(list(enumerate(cols)), C.ring)
+        basis = linalg.integer_kernel_basis(dense_boundary(C, p))
+        combos = [{j: vec[j] for j in range(ncells) if vec[j] != 0} for vec in basis]
     keys = C.basis[p]
     return [{keys[j]: c for j, c in combo.items()} for combo in combos]
-
-
-def _is_unit_incidence(cols, ring) -> bool:
-    one = ring.one()
-    minus = ring.neg(one)
-    for col in cols:
-        if len(col) > 2 or any(v != one and v != minus for v in col.values()):
-            return False
-        if len(col) == 2:
-            a, b = col.values()
-            if not ((a == one and b == minus) or (a == minus and b == one)):
-                return False
-    return True
 
 
 def inclusion_map_is_zero(
@@ -430,52 +418,59 @@ def inclusion_map_is_zero(
 
 
 def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) -> bool:
-    ring = C_tl.ring
-    cols_fill = C_tl.columns.get(p + 1, [])
-    two_entry = all(len(col) == 2 for col in cols_fill)
-    if p == 0 and augmented and two_entry and _is_unit_incidence(cols_fill, ring):
-        # augmented H_0 is governed by graph components: a difference of
-        # window vertices bounds iff they are connected at the lower level
-        verts = C_t.basis.get(0, [])
-        if len(verts) <= 1:
-            return True
-        uf = linalg._UnionFind()
-        keys = C_tl.basis[p]
-        for col in cols_fill:
-            i1, i2 = col.keys()
-            uf.union(keys[i1], keys[i2])
-        root = uf.find(verts[0])
-        return all(uf.find(vk) == root for vk in verts[1:])
+    """Whether every degree-p cycle of ``C_t`` bounds in ``C_tl``.
 
-    cycles = _cycles_of(C_t, p) if not (p == 0 and augmented) else _augmented_cycles(C_t)
+    Let B be the (p+1)-boundary of C_tl and D the p-boundary of C_t (the
+    augmentation row when C_t is augmented and p = 0).  M holds the columns
+    of B and, for each p-cell x of C_t, the column (-x, Dx), with the rows
+    of Dx placed after the p-rows of C_tl.  (y, x) is in the kernel of M
+    exactly when Dx = 0 and x = By, so rank M = rank B + rank D iff every
+    p-cycle of C_t bounds in C_tl.  With an incidence B and a unit
+    augmentation, M is again an incidence system.
+
+    Over Z the identity is used only when B is a signed incidence matrix:
+    B is then totally unimodular, so an integer cycle bounds over Z iff it
+    bounds over Q.  Every other integer case solves each cycle of a lattice
+    basis with the Smith normal form.  A p-cell of C_t outside C_tl is an
+    error (on the Smith path, when it lies in the support of a cycle).
+    """
+    ring = C_tl.ring
+    fill = C_tl.column_items(p + 1)
+    if ring == INTEGERS and linalg._as_edges(fill, ring) is None:
+        return _zero_map_integral(C_t, C_tl, p, augmented)
+    idx = C_tl.index.get(p, {})
+    offset = C_tl.dim(p)
+    bd = C_t.columns.get(p)
+    minus = ring.neg(ring.one())
+    cols = fill
+    for j, key in enumerate(C_t.basis.get(p, ())):
+        i = idx.get(key)
+        if i is None:
+            raise ValueError("cycle support escapes the lower window complex")
+        col = {i: minus}
+        if bd is not None:
+            for r, c in bd[j].items():
+                col[offset + r] = c
+        cols.append((len(cols), col))
+    return linalg.rank_columns(cols, ring) == C_tl.boundary_rank(p + 1) + C_t.boundary_rank(p)
+
+
+def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) -> bool:
+    cycles = _augmented_cycles(C_t) if p == 0 and augmented else _cycles_of(C_t, p)
     if not cycles:
         return True
     idx = C_tl.index.get(p, {})
-    remapped = []
+    vectors = []
     for cyc in cycles:
-        vec = {}
+        z = [0] * C_tl.dim(p)
         for key, c in cyc.items():
             i = idx.get(key)
             if i is None:
                 raise ValueError("cycle support escapes the lower window complex")
-            vec[i] = c
-        remapped.append(vec)
-    if ring == INTEGERS:
-        M = dense_boundary(C_tl, p + 1)
-        for vec in remapped:
-            z = [0] * C_tl.dim(p)
-            for i, c in vec.items():
-                z[i] = c
-            if not M or not M[0]:
-                if any(x != 0 for x in z):
-                    return False
-            elif not linalg.integer_solvable(M, z):
-                return False
-        return True
-    base = list(enumerate(cols_fill))
-    r0 = linalg.rank_columns(base, ring)
-    aug = base + [(("cycle", i), vec) for i, vec in enumerate(remapped)]
-    return linalg.rank_columns(aug, ring) == r0
+            z[i] = c
+        vectors.append(z)
+    M = dense_boundary(C_tl, p + 1)
+    return all(linalg.integer_solvable(M, z) for z in vectors)
 
 
 def _augmented_cycles(C_t: FiniteComplex):

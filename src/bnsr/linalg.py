@@ -2,37 +2,24 @@
 
 Systems arrive column-wise: a column is a sparse dict mapping row keys to
 nonzero ring elements.  Boundary maps of group-ring resolutions are signed
-incidence matrices in low degrees, so solvability gets a union-find fast
-path; everything else goes through sparse Gaussian elimination with
-min-degree pivoting.  Integer-only questions (torsion, class orders) use a
-dense Smith normal form.
+incidence matrices in low degrees, so rank and solvability get a union-find
+fast path; everything else goes through one sparse fraction-free
+elimination with min-degree pivoting, on denominator-cleared integers over
+Q and on residues over F_p.  The rank of integer columns is read over Q,
+where it is the same.  Integer-only questions (solvability, torsion, class
+orders) use a dense Smith normal form.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .rings import CoefficientRing
+from .rings import INTEGERS, RATIONALS, CoefficientRing
 
 GROUND = object()  # virtual vertex for single-entry incidence columns
-
-
-def _field_ops(ring: CoefficientRing):
-    if ring.tag == "Q":
-        zero = Fraction(0)
-        return zero, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b
-    if ring.is_field:
-        p = ring.p
-        return (
-            0,
-            lambda a, b: (a - b) % p,
-            lambda a, b: (a * b) % p,
-            lambda a, b: (a * pow(b, p - 2, p)) % p,
-        )
-    raise ValueError(f"{ring} is not a field")
 
 
 def _as_edges(cols, ring):
@@ -42,11 +29,12 @@ def _as_edges(cols, ring):
     entries +1 and -1 (edge tail -> head).  Such systems are solvable over Z
     exactly when solvable over Q, so the fast path also serves ring Z.
     """
-    one = ring.one()
-    minus = ring.neg(one)
+    # every ring's one and minus one are integral; plain ints compare fastest
+    one = 1
+    minus = int(ring.neg(ring.one()))
     edges = []
     for key, col in cols:
-        items = [(r, v) for r, v in col.items()]
+        items = list(col.items())
         if len(items) == 1:
             r, v = items[0]
             if v == one:
@@ -166,7 +154,7 @@ def solve_columns(cols, rhs: dict, ring: CoefficientRing):
 
 
 def rank_columns(cols, ring: CoefficientRing) -> int:
-    """Rank of the column family over a field (or incidence rank over Z)."""
+    """Rank of the column family over a field; over Z, its rank over Q."""
     items = list(cols.items()) if isinstance(cols, dict) else list(cols)
     edges = _as_edges(items, ring)
     if edges is not None:
@@ -176,30 +164,40 @@ def rank_columns(cols, ring: CoefficientRing) -> int:
             if uf.union(tail, head):
                 rank += 1
         return rank
-    pivots, _, _ = _eliminate(items, None, ring, want_solution=False)
+    pivots, _, _ = _eliminate(items, None, RATIONALS if ring == INTEGERS else ring, want_solution=False)
     return pivots
 
 
 def _eliminate(items, rhs, ring, want_solution: bool):
-    """Sparse Gaussian elimination with lazy min-degree row pivoting.
+    """Sparse fraction-free elimination with lazy min-degree row pivoting.
 
     Returns (pivot count, solution dict or None, infeasible flag).  When
-    ``rhs`` is None only the rank is computed.  Over Q the elimination runs
-    fraction-free on integers (columns and rhs are denominator-cleared, rows
-    are gcd-normalized) and only the back substitution produces Fractions.
+    ``rhs`` is None only the rank is computed.  Entries are integers: over Q
+    each column and the rhs are denominator-cleared, over F_p they are
+    residues mod p.  A row r meeting the pivot row at a becomes
+    ``(pivot/g) * r - (a/g) * pivot row``, with g = gcd(a, pivot) signed
+    like the pivot, reduced mod p over F_p, and is then divided by the gcd
+    of its entries.  Both rescale rows by units, so zero patterns, pivots
+    and the solution do not depend on them.  Only the back substitution
+    divides.
     """
     if ring.tag == "Q":
-        return _eliminate_int(items, rhs, want_solution)
-    if ring.is_field:
-        return _eliminate_modp(items, rhs, ring, want_solution)
-    raise ValueError(f"generic elimination needs a field, got {ring}")
+        mod = 0
+    elif ring.is_field:
+        mod = ring.p
+    else:
+        raise ValueError(f"generic elimination needs a field, got {ring}")
 
+    def scaled(entries):
+        """Nonzero integer entries and the denominator that cleared them."""
+        if mod:
+            return [(r, v % mod) for r, v in entries if v % mod], 1
+        fracs = [(r, Fraction(v)) for r, v in entries if v != 0]
+        scale = 1
+        for _, f in fracs:
+            scale = lcm(scale, f.denominator)
+        return [(r, int(f * scale)) for r, f in fracs], scale
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _eliminate_int(items, rhs, want_solution: bool):
     rows: dict[int, dict[int, int]] = {}
     colindex: dict[int, set] = {}
     row_ids: dict = {}
@@ -216,29 +214,20 @@ def _eliminate_int(items, rhs, want_solution: bool):
     for key, col in items:
         cid = len(col_keys)
         col_keys.append(key)
-        scale = 1
-        vals = []
-        for r, v in col.items():
-            f = Fraction(v)
-            if f == 0:
-                continue
-            vals.append((r, f))
-            scale = _lcm(scale, f.denominator)
+        vals, scale = scaled(col.items())
         col_scale.append(scale)
-        for r, f in vals:
+        colindex[cid] = set()
+        for r, v in vals:
             rid = row_id(r)
-            rows.setdefault(rid, {})[cid] = int(f * scale)
-            colindex.setdefault(cid, set()).add(rid)
-        colindex.setdefault(cid, set())
+            rows.setdefault(rid, {})[cid] = v
+            colindex[cid].add(rid)
 
     b: dict[int, int] = {}
     rhs_scale = 1
     if rhs is not None:
-        cleaned = [(r, Fraction(v)) for r, v in rhs.items() if Fraction(v) != 0]
-        for _, f in cleaned:
-            rhs_scale = _lcm(rhs_scale, f.denominator)
-        for r, f in cleaned:
-            b[row_id(r)] = int(f * rhs_scale)
+        vals, rhs_scale = scaled(rhs.items())
+        for r, v in vals:
+            b[row_id(r)] = v
         for rid in b:
             rows.setdefault(rid, {})
 
@@ -265,12 +254,14 @@ def _eliminate_int(items, rhs, want_solution: bool):
         for r2 in victims:
             row2 = rows[r2]
             a = row2[cid]
-            g0 = gcd(a, pval)
+            g0 = gcd(a, pval) if pval > 0 else -gcd(a, pval)
             ml, mr = pval // g0, a // g0
             g = 0
             for c2, v2 in row.items():
                 cur = row2.get(c2)
                 nv = (ml * cur - mr * v2) if cur is not None else -mr * v2
+                if mod:
+                    nv %= mod
                 if nv == 0:
                     if cur is not None:
                         del row2[c2]
@@ -280,14 +271,19 @@ def _eliminate_int(items, rhs, want_solution: bool):
                         colindex[c2].add(r2)
                     row2[c2] = nv
                     g = gcd(g, nv)
-            for c2 in row2:
-                if c2 not in row:
-                    nv = ml * row2[c2]
-                    row2[c2] = nv
-                    g = gcd(g, nv)
+            if ml != 1 or g != 1:  # otherwise the other entries keep their values and g stays 1
+                for c2 in row2:
+                    if c2 not in row:
+                        nv = ml * row2[c2]
+                        if mod:
+                            nv %= mod
+                        row2[c2] = nv
+                        g = gcd(g, nv)
             nb = 0
             if rhs is not None:
                 nb = ml * b.get(r2, 0) - mr * brow
+                if mod:
+                    nb %= mod
                 g = gcd(g, nb)
             if not row2:
                 if nb != 0:
@@ -321,174 +317,21 @@ def _eliminate_int(items, rhs, want_solution: bool):
     if not want_solution:
         return npivots, None, False
 
-    y: dict[int, Fraction] = {}
+    y: dict = {}
     for rid, cid, row, brow in reversed(pivot_trail):
-        acc = Fraction(brow)
+        acc = brow if mod else Fraction(brow)
         for c2, v2 in row.items():
             if c2 != cid and c2 in y:
                 acc -= v2 * y[c2]
-        if acc != 0:
+        if mod:
+            acc %= mod
+            if acc:
+                y[cid] = acc * pow(row[cid], mod - 2, mod) % mod
+        elif acc != 0:
             y[cid] = acc / row[cid]
-    solution = {}
-    for c, val in y.items():
-        adjusted = val * col_scale[c] / rhs_scale
-        if adjusted != 0:
-            solution[col_keys[c]] = adjusted
-    return npivots, solution, False
-
-
-def _eliminate_modp(items, rhs, ring, want_solution: bool):
-    zero, sub, mul, div = _field_ops(ring)
-    rows: dict[int, dict[int, object]] = {}
-    colindex: dict[int, set] = {}
-    row_ids: dict = {}
-    col_keys = []
-
-    def row_id(r):
-        rid = row_ids.get(r)
-        if rid is None:
-            rid = len(row_ids)
-            row_ids[r] = rid
-        return rid
-
-    for key, col in items:
-        cid = len(col_keys)
-        col_keys.append(key)
-        for r, v in col.items():
-            v = ring.normalize(v)
-            if v == zero:
-                continue
-            rid = row_id(r)
-            rows.setdefault(rid, {})[cid] = v
-            colindex.setdefault(cid, set()).add(rid)
-        colindex.setdefault(cid, set())
-
-    b = {}
-    if rhs is not None:
-        for r, v in rhs.items():
-            v = ring.normalize(v)
-            if v != zero:
-                b[row_id(r)] = v
-        for rid in b:
-            rows.setdefault(rid, {})
-
-    heap = [(len(support), rid) for rid, support in rows.items()]
-    heapq.heapify(heap)
-    pivot_trail = []
-    npivots = 0
-
-    while heap:
-        ln, rid = heapq.heappop(heap)
-        row = rows.get(rid)
-        if row is None or len(row) != ln:
-            continue
-        if ln == 0:
-            if b.get(rid, zero) != zero:
-                return npivots, None, True
-            del rows[rid]
-            continue
-        cid = min(row, key=lambda c: (len(colindex[c]), c))
-        pval = row[cid]
-        victims = [r2 for r2 in colindex[cid] if r2 != rid]
-        for r2 in victims:
-            row2 = rows[r2]
-            factor = div(row2[cid], pval)
-            for c2, v2 in row.items():
-                cur = row2.get(c2)
-                if cur is None:
-                    nv = sub(zero, mul(factor, v2))
-                    if nv != zero:
-                        row2[c2] = nv
-                        colindex[c2].add(r2)
-                else:
-                    nv = sub(cur, mul(factor, v2))
-                    if nv == zero:
-                        del row2[c2]
-                        colindex[c2].discard(r2)
-                    else:
-                        row2[c2] = nv
-            if rhs is not None:
-                nb = sub(b.get(r2, zero), mul(factor, b.get(rid, zero)))
-                if nb == zero:
-                    b.pop(r2, None)
-                else:
-                    b[r2] = nb
-            if not row2:
-                if b.get(r2, zero) != zero:
-                    return npivots, None, True
-                del rows[r2]
-            else:
-                heapq.heappush(heap, (len(row2), r2))
-        for c2 in row:
-            colindex[c2].discard(rid)
-        del rows[rid]
-        npivots += 1
-        if want_solution:
-            pivot_trail.append((rid, cid, row, b.pop(rid, zero)))
-
-    if rhs is not None:
-        for rid, row in rows.items():
-            if not row and b.get(rid, zero) != zero:
-                return npivots, None, True
-
-    if not want_solution:
-        return npivots, None, False
-
-    y: dict[int, object] = {}
-    for rid, cid, row, brow in reversed(pivot_trail):
-        acc = brow
-        for c2, v2 in row.items():
-            if c2 != cid and c2 in y:
-                acc = sub(acc, mul(v2, y[c2]))
-        if acc != zero:
-            y[cid] = div(acc, row[cid])
-    return npivots, {col_keys[c]: v for c, v in y.items()}, False
-
-
-def kernel_columns(cols, ring: CoefficientRing):
-    """Basis of the null space: combinations of column keys summing to zero."""
-    items = list(cols.items()) if isinstance(cols, dict) else list(cols)
-    zero, sub, mul, div = _field_ops(ring)
-    pivots: dict = {}  # row -> (creation index, vector, combo)
-    kernel = []
-    for key, col in items:
-        vec = {r: ring.normalize(v) for r, v in col.items() if not ring.is_zero(v)}
-        combo = {key: ring.one()}
-        while True:
-            hit = None
-            for r in vec:
-                p = pivots.get(r)
-                if p is not None and (hit is None or p[0] < hit[1][0]):
-                    hit = (r, p)
-            if hit is None:
-                break
-            r, (_, pvec, pcombo) = hit
-            factor = vec[r]  # pivot vectors are normalized to 1 at their row
-            for r2, v2 in pvec.items():
-                nv = sub(vec.get(r2, zero), mul(factor, v2))
-                if nv == zero:
-                    vec.pop(r2, None)
-                else:
-                    vec[r2] = nv
-            for k2, v2 in pcombo.items():
-                nv = sub(combo.get(k2, zero), mul(factor, v2))
-                if nv == zero:
-                    combo.pop(k2, None)
-                else:
-                    combo[k2] = nv
-        if not vec:
-            kernel.append(combo)
-        else:
-            r = min(vec, key=_row_sort_key)
-            pval = vec[r]
-            vec = {r2: div(v2, pval) for r2, v2 in vec.items()}
-            combo = {k2: div(v2, pval) for k2, v2 in combo.items()}
-            pivots[r] = (len(pivots), vec, combo)
-    return kernel
-
-
-def _row_sort_key(r):
-    return (str(type(r)), repr(r))
+    if mod:
+        return npivots, {col_keys[c]: val for c, val in y.items()}, False
+    return npivots, {col_keys[c]: val * col_scale[c] / rhs_scale for c, val in y.items()}, False
 
 
 # ---------------------------------------------------------------------------

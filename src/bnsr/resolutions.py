@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .groups import Free, FreeAbelian, Group, Product, pair_element, product, split_element
 from .rings import CoefficientRing
@@ -388,22 +388,15 @@ def resolution_for(group: Group, ring: CoefficientRing) -> Resolution:
     if isinstance(group, Free):
         return free_group_resolution(group.rank, ring, group)
     if isinstance(group, Product):
+        # products are flattened, so every part is a free or free abelian factor
         parts = group.parts
-        res = _resolution_for_part(parts[0], ring)
+        res = resolution_for(parts[0], ring)
         for p in parts[1:]:
-            res = tensor_resolution(res, _resolution_for_part(p, ring))
+            res = tensor_resolution(res, resolution_for(p, ring))
         if res.group != group:
             raise ValueError("resolution group does not match the given product")
         return res
     raise ValueError(f"unsupported group kind: {group!r}")
-
-
-def _resolution_for_part(group: Group, ring: CoefficientRing) -> Resolution:
-    if isinstance(group, FreeAbelian):
-        return koszul_resolution(group.rank, ring, group)
-    if isinstance(group, Free):
-        return free_group_resolution(group.rank, ring, group)
-    raise ValueError(f"unsupported product factor: {group!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +484,20 @@ def chain_to_obj(F: Resolution, chain: Chain) -> list:
     return out
 
 
-def chain_from_obj(F: Resolution, data: Iterable[dict]) -> Chain:
+def chain_from_obj(F: Resolution, data: list) -> Chain:
+    """Parse a chain from a list of ``{"g", "cell", "coeff"}`` objects; malformed data raises ValueError."""
+    if not isinstance(data, list):
+        raise ValueError(f"a chain is a list of terms, got {type(data).__name__}")
     terms = []
     for item in data:
-        g = F.group.element_from_obj(item["g"])
+        if not isinstance(item, dict) or not {"g", "cell", "coeff"} <= item.keys():
+            raise ValueError(f"chain term {item!r} is not an object with keys g, cell and coeff")
+        if not isinstance(item["cell"], str) or not isinstance(item["coeff"], (str, int)):
+            raise ValueError(f"chain term {item!r} needs a string cell label and a string or integer coeff")
+        try:
+            g = F.group.element_from_obj(item["g"])
+        except (TypeError, AttributeError):
+            raise ValueError(f"chain term {item!r}: g is not a group element") from None
         cell = F.cell_by_label[item["cell"]]
         terms.append(((g, cell), F.ring.parse(item["coeff"])))
     return Chain(F.ring, terms)

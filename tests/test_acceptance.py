@@ -15,7 +15,6 @@ import bnsr.linalg as linalg
 from bnsr import (
     Chain,
     Character,
-    FiniteComplex,
     Free,
     FreeAbelian,
     PrimeField,
@@ -58,7 +57,7 @@ from bnsr.groups import product
 from bnsr.valuations import domination_constant
 from bnsr.witness import composite_valuation, extreme_case_transfer, retraction_maps
 
-from conftest import random_chain, random_cone_set
+from conftest import random_chain, random_cone_set, random_field_complex
 
 
 import conftest
@@ -297,8 +296,8 @@ def test_criterion_09_kunneth_and_class_orders():
         rng = random.Random(909)
         for ring in (RATIONALS, PrimeField(5)):
             for _ in range(100):
-                C = _random_field_complex(rng, ring, [rng.randint(1, 4) for _ in range(3)])
-                Cp = _random_field_complex(rng, ring, [rng.randint(1, 4) for _ in range(3)])
+                C = random_field_complex(rng, ring, [rng.randint(1, 4) for _ in range(3)])
+                Cp = random_field_complex(rng, ring, [rng.randint(1, 4) for _ in range(3)])
                 assert kunneth_dims_check(C, Cp)
     with criterion(9, "class orders against multiple-search oracles on 500 random integer complexes", 60):
         rng = random.Random(919)
@@ -333,36 +332,6 @@ def test_criterion_09_kunneth_and_class_orders():
                     assert sum(M[i][j] * y[j] for j in range(cols)) == k * zv[i]
             wide += 1
         assert narrow + wide == 500
-
-
-def _random_field_complex(rng, ring, sizes):
-    basis = {d: list(range(sizes[d])) for d in range(len(sizes))}
-    columns = {}
-    prev = None
-    for d in range(1, len(sizes)):
-        cols = []
-        if prev is None:
-            for _ in range(sizes[d]):
-                col = {}
-                for i in range(sizes[d - 1]):
-                    val = rng.choice([0, 0, 1, -1, 2])
-                    if val:
-                        col[i] = ring.from_int(val)
-                cols.append(col)
-        else:
-            ker = linalg.kernel_columns(list(enumerate(prev)), ring)
-            for _ in range(sizes[d]):
-                col = {}
-                for vec in (rng.sample(ker, k=min(len(ker), 2)) if ker else []):
-                    s = ring.from_int(rng.choice([1, -1, 2]))
-                    for kk, vv in vec.items():
-                        col[kk] = ring.add(col.get(kk, ring.zero()), ring.mul(s, vv))
-                cols.append({k: v for k, v in col.items() if not ring.is_zero(v)})
-        columns[d] = cols
-        prev = cols
-    C = FiniteComplex(ring, basis, columns)
-    assert C.compose_is_zero()
-    return C
 
 
 def test_criterion_10_retraction():

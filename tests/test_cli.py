@@ -307,3 +307,47 @@ def test_probe_ca_zero_character_is_an_input_error(capsys):
         capsys,
     )
     assert code == 3 and out == "" and "zero character" in err
+
+
+@pytest.mark.parametrize("resolution", ["koszul:2", "free:2"])
+@pytest.mark.parametrize(
+    "chain,message",
+    [
+        ([{"g": 5, "cell": "e1", "coeff": "1"}], "not a group element"),
+        ({"g": 1}, "list of terms"),
+        ([5], "not an object"),
+        ([{"g": [0, 0], "cell": "e1"}], "keys g, cell and coeff"),
+    ],
+    ids=["g-not-a-list", "not-a-list", "term-not-an-object", "missing-key"],
+)
+def test_malformed_chain_file_is_an_input_error(resolution, chain, message, tmp_path, capsys):
+    path = write_json(tmp_path / "chain.json", chain)
+    code, out, err = run_cli(["resolution", "boundary", "--resolution", resolution, "--chain", path], capsys)
+    assert code == 3 and out == "" and message in err
+
+
+CATALOG_COMMANDS = [
+    ["list"],
+    ["lookup", "--group", "free:2", "--degree", "1"],
+    ["validate"],
+    ["product-check", "--left", "free:2", "--right", "free:2", "--n", "2"],
+    ["theorem2", "--left", "free:2", "--right", "free:2", "--n", "2"],
+    ["theorem3", "--left", "abelian:2", "--right", "free:2", "--n", "2"],
+    ["cross-validate", "--group", "product:free:2,free:2", "--degree", "1", "--directions", "1,0,0,0",
+     "--window", "1", "--lambda-max", "1"],
+]
+
+
+@pytest.mark.parametrize("command", CATALOG_COMMANDS, ids=[c[0] for c in CATALOG_COMMANDS])
+def test_catalog_commands_accept_records_and_shadow(command, tmp_path, capsys):
+    # a copy of a built-in record: shadowing it changes no answer, adding it
+    # without --shadow is refused
+    code, out, _ = run_cli(["catalog", "lookup", "--group", "free:2", "--degree", "1", "--format", "structured"], capsys)
+    assert code == 0
+    records = write_json(tmp_path / "records.json", [json.loads(out)])
+    base = ["catalog"] + command + ["--format", "structured"]
+    want = run_cli(base, capsys)
+    assert want[0] in (0, 1) and want[1]
+    assert run_cli(base + ["--records", records, "--shadow"], capsys) == want
+    code, out, err = run_cli(base + ["--records", records], capsys)
+    assert code == 3 and "already exists" in err

@@ -33,6 +33,8 @@ import bnsr.linalg as linalg
 from bnsr.homology import NEG_INF, _sample_thresholds, cell_footprint, window_cell_elements, window_values
 from bnsr.resolutions import tensor_chain
 
+from conftest import random_field_complex
+
 K1 = koszul_resolution(1, RATIONALS)
 K2 = koszul_resolution(2, RATIONALS)
 FR2 = free_group_resolution(2, RATIONALS)
@@ -438,36 +440,6 @@ def test_gap_lower_bound_examples():
 # Kunneth and tensor complexes
 
 
-def _random_field_complex(rng, ring, sizes):
-    basis = {d: list(range(sizes[d])) for d in range(len(sizes))}
-    columns = {}
-    prev = None
-    for d in range(1, len(sizes)):
-        cols = []
-        if prev is None:
-            for _ in range(sizes[d]):
-                col = {}
-                for i in range(sizes[d - 1]):
-                    val = rng.choice([0, 0, 1, -1, 2])
-                    if val:
-                        col[i] = ring.from_int(val)
-                cols.append(col)
-        else:
-            ker = linalg.kernel_columns(list(enumerate(prev)), ring)
-            for _ in range(sizes[d]):
-                col: dict = {}
-                for vec in (rng.sample(ker, k=min(len(ker), 2)) if ker else []):
-                    s = ring.from_int(rng.choice([1, -1, 2]))
-                    for kk, vv in vec.items():
-                        col[kk] = ring.add(col.get(kk, ring.zero()), ring.mul(s, vv))
-                cols.append({k: v for k, v in col.items() if not ring.is_zero(v)})
-        columns[d] = cols
-        prev = cols
-    C = FiniteComplex(ring, basis, columns)
-    assert C.compose_is_zero()
-    return C
-
-
 def test_kunneth_simple_dims():
     ring = RATIONALS
     C = FiniteComplex(ring, {0: [0], 1: [0]}, {1: [{}]})
@@ -490,15 +462,15 @@ def test_kunneth_acyclic_factor():
 def test_kunneth_random_fields(rng):
     for ring in (RATIONALS, PrimeField(5)):
         for _ in range(25):
-            C = _random_field_complex(rng, ring, [rng.randint(1, 4) for _ in range(3)])
-            Cp = _random_field_complex(rng, ring, [rng.randint(1, 4) for _ in range(3)])
+            C = random_field_complex(rng, ring, [rng.randint(1, 4) for _ in range(3)])
+            Cp = random_field_complex(rng, ring, [rng.randint(1, 4) for _ in range(3)])
             assert kunneth_dims_check(C, Cp)
 
 
 def test_field_dims_agree_with_integer_free_ranks(rng):
     for _ in range(25):
         sizes = [rng.randint(1, 4) for _ in range(3)]
-        Ci = _random_field_complex(rng, RATIONALS, sizes)
+        Ci = random_field_complex(rng, RATIONALS, sizes)
         # same integer matrices, Q-dims equal free ranks computed from SNF
         for p in Ci.degrees():
             n = Ci.dim(p)
