@@ -11,9 +11,7 @@ from .groups import (
     Group,
     Product,
     direction_of,
-    evaluate_character,
     monoid_member,
-    multiply,
     product,
     sum_character,
     zero_character,
@@ -61,7 +59,6 @@ from .valuations import (
     product_valuation,
     split_bottom,
     split_left,
-    value,
 )
 from .homology import (
     CAProbeReport,

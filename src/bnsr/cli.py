@@ -52,7 +52,6 @@ from .valuations import (
     split_bottom,
     split_left,
     valuation_to_obj,
-    value,
 )
 from .witness import witness_pipeline
 
@@ -242,7 +241,7 @@ def _cmd_valuation(args) -> int:
     if args.valuation_cmd == "value":
         v = basic_valuation(F, _parse_char(F.group, args.char))
         chain = chain_from_obj(F, _load_json(args.chain))
-        val = value(v, chain)
+        val = v.value(chain)
         _emit(args, {"value": _fmt_val(val)}, [f"value: {_fmt_val(val)}"])
         return 0
     if args.valuation_cmd == "split":

@@ -476,10 +476,6 @@ def zero_character(group: Group) -> Character:
     return Character(group, (Fraction(0),) * group.char_dim)
 
 
-def evaluate_character(chi: Character, g) -> Fraction:
-    return chi.evaluate(g)
-
-
 def monoid_member(chi: Character, g) -> bool:
     """Whether ``g`` lies in the monoid of elements with nonnegative value."""
     return chi.evaluate(g) >= 0
@@ -526,8 +522,3 @@ def direction_of(chi: Character) -> Direction:
     for v in ints:
         g = gcd(g, abs(v))
     return Direction(chi.group, tuple(v // g for v in ints))
-
-
-def multiply(g, h, group: Group):
-    """Normal form of the product gh in ``group``."""
-    return group.multiply(g, h)

@@ -469,8 +469,8 @@ def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmente
                 raise ValueError("cycle support escapes the lower window complex")
             z[i] = c
         vectors.append(z)
-    M = dense_boundary(C_tl, p + 1)
-    return all(linalg.integer_solvable(M, z) for z in vectors)
+    factors, U, _ = linalg.smith_normal_form(dense_boundary(C_tl, p + 1))
+    return all(linalg.snf_class_order(factors, U, z)[0] == "zero" for z in vectors)
 
 
 def _augmented_cycles(C_t: FiniteComplex):

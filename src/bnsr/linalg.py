@@ -499,7 +499,16 @@ def class_order(M: Sequence[Sequence[int]], z: Sequence[int]):
     m = len(M)
     if m == 0:
         return ("zero", 1) if all(x == 0 for x in z) else ("infinite", 0)
-    factors, U, V = smith_normal_form(M)
+    factors, U, _ = smith_normal_form(M)
+    return snf_class_order(factors, U, z)
+
+
+def snf_class_order(factors: Sequence[int], U: Sequence[Sequence[int]], z: Sequence[int]):
+    """:func:`class_order` from a Smith normal form (factors, U, V) of M.
+
+    Factoring M once serves every z tested against the same span.
+    """
+    m = len(U)
     w = [sum(U[i][j] * z[j] for j in range(m)) for i in range(m)]
     k = 1
     for i in range(m):

@@ -4,10 +4,15 @@ Subsets of the sphere of nonzero-character classes are represented as
 finite unions of relatively open rational polyhedral cones ("cells"): each
 cell is a list of homogeneous integer linear forms with relation = or >,
 the origin being excluded implicitly.  All decisions (nonemptiness, set
-equality, inclusion) are exact: strict feasibility goes through rational
+equality, inclusion) are exact: strict feasibility goes through
 Fourier-Motzkin elimination with witness reconstruction, and set equality
 refines both operands over the common hyperplane arrangement and compares
 cell membership at interior witness points.
+
+Forms and witness points are primitive integer tuples.  Equations are
+solved on an integer kernel basis from ``linalg``'s Smith normal form;
+``Fraction`` is used only in the Fourier-Motzkin back substitution and
+when parsing rational input.
 """
 
 from __future__ import annotations
@@ -15,25 +20,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from . import linalg
 from .groups import Direction, Group
 
 Form = tuple[int, ...]
 
 
 def _normalize_form(vec: Sequence) -> Form:
-    fracs = [Fraction(v) for v in vec]
-    if all(f == 0 for f in fracs):
+    """Primitive integer multiple of a nonzero rational vector; ints stay ints."""
+    vals = [v if isinstance(v, int) else Fraction(v) for v in vec]
+    denom = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (denom // v.denominator) for v in vals]
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero linear form")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
     return tuple(v // g for v in ints)
 
 
@@ -49,8 +52,8 @@ def _neg(form: Form) -> Form:
     return tuple(-x for x in form)
 
 
-def _dot(form: Form, point) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(form, point)), Fraction(0))
+def _dot(form: Form, point):
+    return sum(a * b for a, b in zip(form, point))
 
 
 @dataclass(frozen=True)
@@ -74,43 +77,6 @@ def make_cell(eqs: Iterable, gts: Iterable) -> Cell:
 
 # ---------------------------------------------------------------------------
 # strict feasibility by exact elimination
-
-
-def _rref(rows: list[list[Fraction]], width: int):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _kernel_basis(eqs: Sequence[Form], dim: int) -> list[tuple[Fraction, ...]]:
-    rows = [[Fraction(v) for v in f] for f in eqs]
-    red, pivots = _rref(rows, dim)
-    free = [c for c in range(dim) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            vec[pc] = -row[fc]
-        basis.append(tuple(vec))
-    return basis
 
 
 def _fm_witness(constraints: list[Form], nvars: int):
@@ -165,25 +131,16 @@ def _fm_witness(constraints: list[Form], nvars: int):
     return tuple(point)
 
 
-def _primitive_point(point: Sequence[Fraction]) -> tuple[int, ...]:
-    denom = 1
-    for f in point:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in point]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(v // g for v in ints)
-
-
 @lru_cache(maxsize=1 << 15)
 def _feasible_cached(dim: int, eqs: tuple[Form, ...], gts: tuple[Form, ...]):
-    kernel = _kernel_basis(eqs, dim) if eqs else None
+    # Integer kernel basis from the Smith normal form; scaling the FM point
+    # by a positive rational keeps every strict homogeneous inequality.
     if eqs:
+        kernel = linalg.integer_kernel_basis(eqs)
         if not kernel:
             return None
         if not gts:
-            return _primitive_point(kernel[0])
+            return _normalize_form(kernel[0])
         projected = []
         for f in gts:
             row = tuple(_dot(f, vec) for vec in kernel)
@@ -193,14 +150,14 @@ def _feasible_cached(dim: int, eqs: tuple[Form, ...], gts: tuple[Form, ...]):
         y = _fm_witness(projected, len(kernel))
         if y is None:
             return None
-        point = [sum((vec[i] * yi for vec, yi in zip(kernel, y)), Fraction(0)) for i in range(dim)]
-        return _primitive_point(point)
+        y = _normalize_form(y)
+        return _normalize_form([sum(vec[i] * yi for vec, yi in zip(kernel, y)) for i in range(dim)])
     if not gts:
         if dim == 0:
             return None
         return tuple(1 if i == 0 else 0 for i in range(dim))
     y = _fm_witness(list(gts), dim)
-    return None if y is None else _primitive_point(y)
+    return None if y is None else _normalize_form(y)
 
 
 def cell_witness(dim: int, cell: Cell):
@@ -500,14 +457,37 @@ def cone_set_to_obj(A: ConeSet) -> dict:
     }
 
 
-def cone_set_from_obj(data: dict) -> ConeSet:
-    dim = int(data["dim"])
-    cells = []
-    for item in data.get("cells", []):
-        cells.append(
-            make_cell(
-                [[Fraction(v) for v in f] for f in item.get("eq", [])],
-                [[Fraction(v) for v in f] for f in item.get("gt", [])],
-            )
-        )
+def _parse_entry(v):
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"form entry {v!r} is neither an integer nor a rational string")
+    if isinstance(v, int):
+        return v
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"form entry {v!r} has a zero denominator") from None
+
+
+def _parse_forms(item: dict, key: str) -> list:
+    forms = item.get(key, [])
+    if not isinstance(forms, list) or not all(isinstance(f, list) for f in forms):
+        raise ValueError(f"cell {key!r} must be a list of forms, each a list of entries")
+    return [[_parse_entry(v) for v in f] for f in forms]
+
+
+def cone_set_from_obj(data) -> ConeSet:
+    """Parse a serialized cone set into primitive integer forms.
+
+    Entries are JSON integers or strings of rationals; any other shape
+    raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a cone set must be a JSON object")
+    dim = data.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+        raise ValueError(f"cone set dimension must be a nonnegative integer, got {dim!r}")
+    items = data.get("cells", [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError("cone set cells must be a list of objects")
+    cells = [make_cell(_parse_forms(item, "eq"), _parse_forms(item, "gt")) for item in items]
     return cone_set(dim, cells, validate=True)

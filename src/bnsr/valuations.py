@@ -74,10 +74,6 @@ def basic_valuation(F: Resolution, chi: Character) -> Valuation:
     return v
 
 
-def value(v: Valuation, chain: Chain):
-    return v.value(chain)
-
-
 @dataclass
 class AxiomReport:
     ok: bool

@@ -65,6 +65,83 @@ def test_structured_output_deterministic(sphere_files, tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+SPHERE_GOLDEN_INPUTS = {
+    "A": {"dim": 3, "cells": [{"eq": [["1", "0", "-1"]], "gt": [["0", "1", "2"]]}]},
+    "P": {"dim": 2, "cells": [{"eq": [], "gt": [["1", "-1"], ["0", "1"]]}, {"eq": [["1", "1"]], "gt": [["1", "0"]]}]},
+    "Q": {"dim": 1, "cells": [{"eq": [], "gt": [["-1"]]}]},
+    "R": {
+        "g_complements": {
+            "0": {"dim": 2, "cells": []},
+            "1": {"dim": 2, "cells": [{"eq": [], "gt": [["1", "2"]]}]},
+            "2": {"dim": 2, "cells": [{"eq": [["0", "1"]], "gt": [["1", "0"]]}]},
+        },
+        "h_complements": {
+            "0": {"dim": 1, "cells": []},
+            "1": {"dim": 1, "cells": [{"eq": [], "gt": [["1"]]}]},
+            "2": {"dim": 1, "cells": [{"eq": [], "gt": [["-1"]]}]},
+        },
+    },
+}
+
+# Structured output of the rational-kernel implementation on the inputs above.
+SPHERE_GOLDEN = [
+    (
+        ["sphere", "complement", "--set", "A"],
+        '{"cells":[{"eq":[["0","1","2"],["1","0","-1"]],"gt":[]},{"eq":[["0","1","2"]],"gt":[["1","0","-1"]]},'
+        '{"eq":[["0","1","2"]],"gt":[["-1","0","1"]]},{"eq":[],"gt":[["0","1","2"],["1","0","-1"]]},'
+        '{"eq":[],"gt":[["-1","0","1"],["0","1","2"]]},{"eq":[["1","0","-1"]],"gt":[["0","-1","-2"]]},'
+        '{"eq":[],"gt":[["0","-1","-2"],["1","0","-1"]]},{"eq":[],"gt":[["-1","0","1"],["0","-1","-2"]]}],"dim":3}\n',
+    ),
+    (
+        ["sphere", "join", "--left", "P", "--right", "Q"],
+        '{"cells":[{"eq":[],"gt":[["0","0","-1"],["0","1","0"],["1","-1","0"]]},'
+        '{"eq":[["1","1","0"]],"gt":[["0","0","-1"],["1","0","0"]]},{"eq":[["0","0","1"]],"gt":[["0","1","0"],["1","-1","0"]]},'
+        '{"eq":[["0","0","1"],["1","1","0"]],"gt":[["1","0","0"]]},{"eq":[["0","1","0"],["1","0","0"]],"gt":[["0","0","-1"]]}],"dim":3}\n',
+    ),
+    (
+        ["sphere", "product-rhs", "--inputs", "R", "--n", "2"],
+        '{"cells":[{"eq":[["0","1","0"],["1","0","0"]],"gt":[["0","0","-1"]]},{"eq":[],"gt":[["0","0","1"],["1","2","0"]]},'
+        '{"eq":[["0","0","1"]],"gt":[["1","2","0"]]},{"eq":[["0","1","0"],["1","0","0"]],"gt":[["0","0","1"]]},'
+        '{"eq":[["0","0","1"],["0","1","0"]],"gt":[["1","0","0"]]}],"dim":3}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expected", SPHERE_GOLDEN, ids=["complement", "join", "product-rhs"])
+def test_sphere_structured_output_is_pinned(argv, expected, tmp_path, capsys):
+    paths = {name: write_json(tmp_path / f"{name}.json", obj) for name, obj in SPHERE_GOLDEN_INPUTS.items()}
+    argv = [paths.get(arg, arg) for arg in argv]
+    code, out, _ = run_cli(argv + ["--format", "structured"], capsys)
+    assert code == 0
+    assert out == expected
+
+
+MALFORMED_CONE_SETS = {
+    "form-is-a-string": {"dim": 2, "cells": [{"eq": [], "gt": ["10"]}]},
+    "negative-dim": {"dim": -1, "cells": []},
+    "fractional-dim": {"dim": 2.5, "cells": [{"eq": [], "gt": [["1", "0"]]}]},
+    "missing-dim": {"cells": []},
+    "float-entry": {"dim": 2, "cells": [{"eq": [], "gt": [[0.1, 1]]}]},
+    "bool-entry": {"dim": 2, "cells": [{"eq": [], "gt": [[True, 1]]}]},
+    "null-entry": {"dim": 2, "cells": [{"eq": [], "gt": [[None, "1"]]}]},
+    "cells-not-a-list": {"dim": 2, "cells": 5},
+    "cell-not-an-object": {"dim": 2, "cells": [5]},
+    "null-cell": {"dim": 2, "cells": [None]},
+    "top-level-list": [{"dim": 2, "cells": []}],
+    "zero-denominator": {"dim": 2, "cells": [{"eq": [], "gt": [["1/0", "1"]]}]},
+    "not-a-number": {"dim": 2, "cells": [{"eq": [], "gt": [["one", "1"]]}]},
+    "zero-form": {"dim": 2, "cells": [{"eq": [], "gt": [["0", "0"]]}]},
+    "wrong-length": {"dim": 2, "cells": [{"eq": [], "gt": [["1", "0", "0"]]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONE_SETS))
+def test_malformed_cone_set_is_an_input_error(name, tmp_path, capsys):
+    path = write_json(tmp_path / "set.json", MALFORMED_CONE_SETS[name])
+    code, out, err = run_cli(["sphere", "complement", "--set", path], capsys)
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
 def test_resolution_build_and_check(capsys):
     code, out, _ = run_cli(
         ["resolution", "build", "--resolution", "koszul:2", "--ring", "Q", "--format", "structured"],

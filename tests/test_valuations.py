@@ -18,7 +18,6 @@ from bnsr import (
     split_left,
     tensor_chain,
     tensor_resolution,
-    value,
     zero_character,
 )
 from bnsr.valuations import Valuation
@@ -53,9 +52,9 @@ def test_value_min_over_support():
     v = basic_valuation(K1, Character(K1.group, [1]))
     x0 = K1.cells(0)[0]
     c = Chain(RATIONALS, [(((3,), x0), 1), (((1,), x0), -1)])
-    assert value(v, c) == 1
-    assert value(v, K1.zero_chain()) == INF
-    assert value(v, c.scale(5)) == value(v, c)
+    assert v.value(c) == 1
+    assert v.value(K1.zero_chain()) == INF
+    assert v.value(c.scale(5)) == v.value(c)
 
 
 def test_check_axioms_pass(rng):
