@@ -69,13 +69,13 @@ class SigmaRecord:
 
     @staticmethod
     def from_dict(data: dict) -> "SigmaRecord":
-        return SigmaRecord(
-            group_from_dict(data["group"]),
-            int(data["degree"]),
-            data["ring"],
-            cone_set_from_obj(data["complement"]),
-            data.get("provenance", "user supplied"),
-        )
+        """Parse ``to_dict`` output; malformed data raises ValueError."""
+        if not (isinstance(data, dict) and {"group", "degree", "ring", "complement"} <= data.keys()):
+            raise ValueError(f"catalog record {data!r} is not an object with keys group, degree, ring and complement")
+        degree, ring_tag, provenance = data["degree"], data["ring"], data.get("provenance", "user supplied")
+        if type(degree) is not int or degree < 0 or not isinstance(ring_tag, str) or not isinstance(provenance, str):
+            raise ValueError("a catalog record needs a nonnegative integer degree and a string ring and provenance")
+        return SigmaRecord(group_from_dict(data["group"]), degree, ring_tag, cone_set_from_obj(data["complement"]), provenance)
 
 
 class Catalog:

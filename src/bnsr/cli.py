@@ -57,8 +57,11 @@ from .witness import witness_pipeline
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _emit(args, payload, human_lines=None) -> None:
@@ -74,8 +77,18 @@ def _emit(args, payload, human_lines=None) -> None:
         sys.stdout.write(text)
 
 
+def _fraction(x) -> Fraction:
+    """An exact rational from a string or an integer; anything else raises ValueError."""
+    if type(x) is not int and not isinstance(x, str):
+        raise ValueError(f"{x!r} is not a rational number")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
+
+
 def _parse_char(group, text: str) -> Character:
-    return Character(group, [Fraction(x) for x in text.split(",")])
+    return Character(group, [_fraction(x) for x in text.split(",")])
 
 
 def _nonnegative_int(text: str) -> int:
@@ -106,6 +119,14 @@ def _fmt_val(x) -> str:
 # sphere commands
 
 
+def _complements_from_obj(data, key: str) -> dict:
+    """The degree -> cone set table ``data[key]`` of a formula input file."""
+    table = data.get(key) if isinstance(data, dict) else None
+    if not (isinstance(table, dict) and all(k.isdecimal() for k in table)):
+        raise ValueError(f"formula inputs need an object {key!r} from degrees to cone sets")
+    return {int(k): cone_set_from_obj(v) for k, v in table.items()}
+
+
 def _cmd_sphere(args) -> int:
     if args.sphere_cmd in ("join", "union", "equals", "subset"):
         A = cone_set_from_obj(_load_json(args.left))
@@ -132,10 +153,7 @@ def _cmd_sphere(args) -> int:
         return 0
     if args.sphere_cmd == "product-rhs":
         data = _load_json(args.inputs)
-        inputs = SigmaFormulaInput(
-            {int(k): cone_set_from_obj(v) for k, v in data["g_complements"].items()},
-            {int(k): cone_set_from_obj(v) for k, v in data["h_complements"].items()},
-        )
+        inputs = SigmaFormulaInput(_complements_from_obj(data, "g_complements"), _complements_from_obj(data, "h_complements"))
         out = product_formula_rhs(inputs, args.n)
         _emit(args, cone_set_to_obj(out), [f"formula rhs: {len(out.cells)} cells"])
         return 0
@@ -248,7 +266,7 @@ def _cmd_valuation(args) -> int:
         if F.kind != "tensor":
             raise ValueError("split needs a tensor resolution")
         chain = chain_from_obj(F, _load_json(args.chain))
-        u = Fraction(args.u)
+        u = _fraction(args.u)
         if args.side == "left":
             v = basic_valuation(F.left, _parse_char(F.left.group, args.char))
             low, high = split_left(F, chain, u, v)
@@ -325,12 +343,12 @@ def _cmd_witness(args) -> int:
     F = resolution_for(left_group, ring)
     G = resolution_for(right_group, ring)
     T = tensor_resolution(F, G)
-    v = basic_valuation(F, Character(F.group, [Fraction(x) for x in cfg["char_left"]]))
-    vprime = basic_valuation(G, Character(G.group, [Fraction(x) for x in cfg["char_right"]]))
+    v = basic_valuation(F, Character(F.group, [_fraction(x) for x in cfg["char_left"]]))
+    vprime = basic_valuation(G, Character(G.group, [_fraction(x) for x in cfg["char_right"]]))
     z = chain_from_obj(F, cfg["z"])
     zp = chain_from_obj(G, cfg["z_prime"])
-    mu = Fraction(cfg["mu"])
-    mup = Fraction(cfg["mu_prime"])
+    mu = _fraction(cfg["mu"])
+    mup = _fraction(cfg["mu_prime"])
     W = window_for(T, int(cfg["window"]))
     if "c" in cfg:
         c = chain_from_obj(F, cfg["c"])
@@ -353,7 +371,10 @@ def _cmd_witness(args) -> int:
 def _catalog_from_args(args):
     cat = catalog_mod.builtin_catalog()
     if args.records:
-        extra = [catalog_mod.SigmaRecord.from_dict(item) for item in _load_json(args.records)]
+        data = _load_json(args.records)
+        if not isinstance(data, list):
+            raise ValueError(f"{args.records} does not hold a list of catalog records")
+        extra = [catalog_mod.SigmaRecord.from_dict(item) for item in data]
         cat = cat.merge(extra, shadow=args.shadow)
     return cat
 

@@ -5,6 +5,11 @@ integer exponent vectors), free groups (elements are freely reduced words,
 stored as tuples of signed 1-based generator indices), and finite direct
 products of these (elements are tuples of factor normal forms, aligned with
 the flattened factor list).
+
+Elements are validated once, where they enter: ``check_element`` runs in every
+``element_from_obj``, in ``fox_filling``, ``Resolution.chain`` and
+``Resolution.basis_chain``.  Group arithmetic trusts its operands to be normal
+forms; ``multiply`` still refuses abelian or product operands of unequal length.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ class Group:
         raise NotImplementedError
 
     def check_element(self, g) -> None:
+        """Raise ValueError unless ``g`` is a normal form of this group."""
         raise NotImplementedError
 
     def multiply(self, g, h):
@@ -99,20 +105,16 @@ class FreeAbelian(Group):
         return (0,) * self.rank
 
     def check_element(self, g) -> None:
-        if not (isinstance(g, tuple) and len(g) == self.rank and all(isinstance(e, int) for e in g)):
+        if not (isinstance(g, tuple) and len(g) == self.rank and all(type(e) is int for e in g)):
             raise ValueError(f"{g!r} is not an exponent vector of length {self.rank}")
 
     def multiply(self, g, h):
-        self.check_element(g)
-        self.check_element(h)
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(a + b for a, b in zip(g, h, strict=True))
 
     def inverse(self, g):
-        self.check_element(g)
         return tuple(-a for a in g)
 
     def exponents(self, g):
-        self.check_element(g)
         return g
 
     def generator_element(self, i: int):
@@ -124,20 +126,17 @@ class FreeAbelian(Group):
     def ball(self, radius) -> tuple:
         return _abelian_ball(self.rank, radius)
 
+    def ball_size(self, radius) -> int:
+        """``len(self.ball(radius))`` in closed form."""
+        return (2 * radius + 1) ** self.rank
+
     def element_to_obj(self, g):
         return list(g)
 
     def element_from_obj(self, obj):
-        g = tuple(int(e) for e in obj)
+        g = tuple(obj) if isinstance(obj, list) else obj
         self.check_element(g)
         return g
-
-    def element_str(self, g) -> str:
-        if all(e == 0 for e in g):
-            return "1"
-        return "*".join(
-            lab if e == 1 else f"{lab}^{e}" for lab, e in zip(self.generators, g) if e != 0
-        )
 
     def to_dict(self):
         return {"kind": "free_abelian", "rank": self.rank, "generators": list(self.generators)}
@@ -168,7 +167,7 @@ class Free(Group):
         if not isinstance(g, tuple):
             raise ValueError(f"{g!r} is not a word tuple")
         for x in g:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
+            if type(x) is not int or x == 0 or abs(x) > self.rank:
                 raise ValueError(f"letter {x!r} out of range for rank {self.rank}")
         for a, b in zip(g, g[1:]):
             if a == -b:
@@ -184,16 +183,12 @@ class Free(Group):
         return tuple(out)
 
     def multiply(self, g, h):
-        self.check_element(g)
-        self.check_element(h)
         return self.reduce_word(itertools.chain(g, h))
 
     def inverse(self, g):
-        self.check_element(g)
         return tuple(-x for x in reversed(g))
 
     def exponents(self, g):
-        self.check_element(g)
         counts = [0] * self.rank
         for x in g:
             counts[abs(x) - 1] += 1 if x > 0 else -1
@@ -207,6 +202,13 @@ class Free(Group):
 
     def ball(self, radius) -> tuple:
         return _free_ball(self.rank, radius)
+
+    def ball_size(self, radius) -> int:
+        """``len(self.ball(radius))`` in closed form."""
+        k = self.rank
+        if k <= 1:
+            return 1 + 2 * radius * k
+        return 1 + k * ((2 * k - 1) ** radius - 1) // (k - 1)
 
     def word(self, text: str) -> tuple[int, ...]:
         """Parse a word like "a b^-1 a^2" or "ab" over single-letter generators."""
@@ -236,21 +238,19 @@ class Free(Group):
         return out
 
     def element_from_obj(self, obj):
+        if not isinstance(obj, list):
+            raise ValueError(f"{obj!r} is not a list of generator letters")
         index = {lab: i + 1 for i, lab in enumerate(self.generators)}
         letters = []
         for item in obj:
-            if item.endswith("^-1"):
-                letters.append(-index[item[:-3]])
-            else:
-                letters.append(index[item])
+            inverted = isinstance(item, str) and item.endswith("^-1")
+            letter = index.get(item[:-3] if inverted else item) if isinstance(item, str) else None
+            if letter is None:
+                raise ValueError(f"{item!r} is not one of the generators {list(self.generators)} or an inverse")
+            letters.append(-letter if inverted else letter)
         g = self.reduce_word(letters)
         self.check_element(g)
         return g
-
-    def element_str(self, g) -> str:
-        if not g:
-            return "1"
-        return "*".join(self.element_to_obj(g)).replace("*", " ")
 
     def to_dict(self):
         return {"kind": "free", "rank": self.rank, "generators": list(self.generators)}
@@ -308,16 +308,12 @@ class Product(Group):
             p.check_element(comp)
 
     def multiply(self, g, h):
-        self.check_element(g)
-        self.check_element(h)
-        return tuple(p.multiply(a, b) for p, a, b in zip(self.parts, g, h))
+        return tuple(p.multiply(a, b) for p, a, b in zip(self.parts, g, h, strict=True))
 
     def inverse(self, g):
-        self.check_element(g)
         return tuple(p.inverse(a) for p, a in zip(self.parts, g))
 
     def exponents(self, g):
-        self.check_element(g)
         out: list[int] = []
         for p, comp in zip(self.parts, g):
             out.extend(p.exponents(comp))
@@ -339,12 +335,9 @@ class Product(Group):
         return [p.element_to_obj(comp) for p, comp in zip(self.parts, g)]
 
     def element_from_obj(self, obj):
-        g = tuple(p.element_from_obj(item) for p, item in zip(self.parts, obj))
-        self.check_element(g)
-        return g
-
-    def element_str(self, g) -> str:
-        return "(" + ", ".join(p.element_str(comp) for p, comp in zip(self.parts, g)) + ")"
+        if not (isinstance(obj, list) and len(obj) == len(self.parts)):
+            raise ValueError(f"{obj!r} is not a list of {len(self.parts)} factor elements")
+        return tuple(p.element_from_obj(item) for p, item in zip(self.parts, obj))
 
     def to_dict(self):
         return {"kind": "product", "factors": [p.to_dict() for p in self.parts]}
@@ -402,14 +395,21 @@ def split_element(left: Group, right: Group, gh):
 
 
 def group_from_dict(data: dict) -> Group:
-    kind = data["kind"]
-    if kind == "free_abelian":
-        return FreeAbelian(data["rank"], data.get("generators"))
-    if kind == "free":
-        return Free(data["rank"], data.get("generators"))
+    """Parse ``Group.to_dict`` output; malformed data raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a group is an object with a kind, got {type(data).__name__}")
+    kind, rank, labels = data.get("kind"), data.get("rank"), data.get("generators")
     if kind == "product":
+        if not isinstance(data.get("factors"), list):
+            raise ValueError("a product group needs a list of factors")
         return Product([group_from_dict(f) for f in data["factors"]])
-    raise ValueError(f"unknown group kind {kind!r}")
+    if kind not in ("free_abelian", "free"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    if type(rank) is not int:
+        raise ValueError(f"group rank {rank!r} is not an integer")
+    if labels is not None and not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+        raise ValueError(f"generators {labels!r} are not a list of strings")
+    return (FreeAbelian if kind == "free_abelian" else Free)(rank, labels)
 
 
 def parse_group(spec: str) -> Group:

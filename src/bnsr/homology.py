@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from . import linalg
@@ -59,6 +60,13 @@ class Window:
         )
 
 
+# Largest group ball a window may enumerate, about ten times the largest
+# window in use: the F2 x F2 ball of radius (5, 5), 235225 elements, in the
+# benchmark's widest witness jobs.  Larger windows are refused before
+# anything is enumerated.
+MAX_WINDOW_BALL = 2_500_000
+
+
 def window_for(F: Resolution, radius) -> Window:
     nfac = len(F.group.factors())
     radii = (radius,) * nfac if isinstance(radius, int) else tuple(radius)
@@ -66,6 +74,13 @@ def window_for(F: Resolution, radius) -> Window:
         raise ValueError("need one radius per group factor")
     if any(r < 0 for r in radii):
         raise ValueError(f"window radii must be nonnegative, got {radii}")
+    # a ball holds more elements than its radius, and a free ball's size is
+    # exponential in the radius, so a radius above the limit is refused first
+    if max(radii) > MAX_WINDOW_BALL:
+        raise ValueError(f"window radius {max(radii)} is above the ball limit of {MAX_WINDOW_BALL} elements")
+    size = prod(f.ball_size(r) for f, r in zip(F.group.factors(), radii))
+    if size > MAX_WINDOW_BALL:
+        raise ValueError(f"window radii {radii} give a ball of {size} group elements, above the limit of {MAX_WINDOW_BALL}")
     return Window(radii)
 
 

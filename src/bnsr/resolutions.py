@@ -91,10 +91,6 @@ class Chain:
         r = ring.normalize(r)
         return Chain(ring, {key: ring.mul(r, c) for key, c in self.terms.items()})
 
-    def restrict(self, keep: Callable) -> "Chain":
-        """Subchain of the terms whose (g, cell) key satisfies ``keep``."""
-        return Chain(self.ring, {key: c for key, c in self.terms.items() if keep(key)})
-
     def __eq__(self, other):
         return isinstance(other, Chain) and self.ring == other.ring and self.terms == other.terms
 
@@ -147,21 +143,22 @@ class Resolution:
     def cells(self, degree: int) -> tuple[BasisCell, ...]:
         return self.cells_by_degree.get(degree, ())
 
-    def all_cells(self):
-        for d in self.degrees():
-            yield from self.cells_by_degree[d]
-
     # -- chain constructors --------------------------------------------------
 
     def zero_chain(self) -> Chain:
         return Chain(self.ring)
 
     def chain(self, terms) -> Chain:
+        """Chain from raw ``((g, cell), coeff)`` terms; each ``g`` is checked."""
+        terms = list(terms.items() if isinstance(terms, dict) else terms)
+        for (g, _), _ in terms:
+            self.group.check_element(g)
         return Chain(self.ring, terms)
 
     def basis_chain(self, cell: BasisCell, g=None, coeff=1) -> Chain:
         if g is None:
             g = self.group.identity()
+        self.group.check_element(g)
         return Chain(self.ring, [((g, cell), self.ring.from_int(coeff) if isinstance(coeff, int) else coeff)])
 
     def translate(self, g, chain: Chain) -> Chain:
@@ -196,14 +193,6 @@ class Resolution:
         for (_, cell), c in chain.items():
             total = ring.add(total, ring.mul(c, self.augmentation_table[cell]))
         return total
-
-    def boundary_translation_reach(self) -> int:
-        """Largest window distance moved by any boundary-table translation."""
-        reach = 0
-        for chain in self.boundary_table.values():
-            for (h, _), _ in chain.items():
-                reach = max(reach, self.group.distance(h))
-        return reach
 
     def __repr__(self):
         counts = ",".join(str(len(self.cells_by_degree[d])) for d in self.degrees())
@@ -496,10 +485,14 @@ def chain_from_obj(F: Resolution, data: list) -> Chain:
             raise ValueError(f"chain term {item!r} needs a string cell label and a string or integer coeff")
         try:
             g = F.group.element_from_obj(item["g"])
-        except (TypeError, AttributeError):
-            raise ValueError(f"chain term {item!r}: g is not a group element") from None
+        except ValueError as exc:
+            raise ValueError(f"chain term {item!r}: g is not a group element: {exc}") from None
         cell = F.cell_by_label[item["cell"]]
-        terms.append(((g, cell), F.ring.parse(item["coeff"])))
+        try:
+            coeff = F.ring.parse(item["coeff"])
+        except ZeroDivisionError:
+            raise ValueError(f"chain term {item!r}: coeff is not an element of {F.ring.tag}") from None
+        terms.append(((g, cell), coeff))
     return Chain(F.ring, terms)
 
 

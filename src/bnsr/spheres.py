@@ -180,10 +180,6 @@ class ConeSet:
     dim: int
     cells: tuple[Cell, ...]
 
-    @property
-    def is_empty_presentation(self) -> bool:
-        return not self.cells
-
 
 def cone_set(dim: int, cells: Iterable[Cell], validate: bool = True) -> ConeSet:
     out = []

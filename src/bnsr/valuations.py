@@ -26,9 +26,6 @@ class Valuation:
     cell_values: dict
     basic: bool = False
 
-    def of_cell(self, cell: BasisCell):
-        return self.cell_values[cell]
-
     def of_key(self, g, cell: BasisCell):
         cv = self.cell_values[cell]
         if cv == INF:

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +116,61 @@ def test_sphere_structured_output_is_pinned(argv, expected, tmp_path, capsys):
     code, out, _ = run_cli(argv + ["--format", "structured"], capsys)
     assert code == 0
     assert out == expected
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+PROBE_GOLDEN_INPUTS = {
+    "CYCLE": [
+        {"g": ["b", "a", "a"], "cell": "x0", "coeff": "1"},
+        {"g": ["a", "a"], "cell": "x0", "coeff": "-1"},
+    ],
+    "TARGET": [
+        {"g": [[1], [0]], "cell": "e⊗e", "coeff": "1"},
+        {"g": [[0], [0]], "cell": "e⊗e", "coeff": "-1"},
+    ],
+    # no "c" or "c_prime": the filling search picks the chains
+    "CONFIG": {
+        "left_group": "free:2",
+        "right_group": "free:2",
+        "ring": "Q",
+        "char_left": ["1", "0"],
+        "char_right": ["1", "0"],
+        "z": [
+            {"g": ["b", "a", "a", "a"], "cell": "x0", "coeff": "1"},
+            {"g": ["a", "a", "a"], "cell": "x0", "coeff": "-1"},
+        ],
+        "z_prime": [
+            {"g": ["b", "a", "a", "a"], "cell": "x0", "coeff": "1"},
+            {"g": ["a", "a", "a"], "cell": "x0", "coeff": "-1"},
+        ],
+        "mu": "5/2",
+        "mu_prime": "5/2",
+        "window": 4,
+    },
+}
+
+# (golden file in tests/golden, argv, exit code) of runs whose structured
+# output must stay byte-identical.
+PROBE_GOLDEN = [
+    ("probe-ca-f2", ["probe", "ca", "--group", "free:2", "--char", "2,-1", "--n", "1",
+                     "--window", "4", "--lambda-max", "2"], 1),
+    ("probe-ca-z2-integral", ["probe", "ca", "--group", "abelian:2", "--ring", "Z", "--char", "1,-1",
+                              "--n", "2", "--window", "3", "--lambda-max", "2"], 0),
+    ("probe-eta", ["probe", "eta", "--group", "free:2", "--char", "1,0", "--cycle", "CYCLE", "--window", "5"], 0),
+    ("probe-gap", ["probe", "gap", "--group", "product:abelian:1,abelian:1", "--char", "1,1",
+                   "--target", "TARGET", "--window", "3"], 0),
+    ("witness-run", ["witness", "run", "--config", "CONFIG"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,want_code", PROBE_GOLDEN, ids=[g[0] for g in PROBE_GOLDEN])
+def test_probe_and_witness_structured_output_is_pinned(name, argv, want_code, tmp_path, capsys):
+    paths = {key: write_json(tmp_path / f"{key}.json", obj) for key, obj in PROBE_GOLDEN_INPUTS.items()}
+    argv = [paths.get(arg, arg) for arg in argv]
+    code, out, _ = run_cli(argv + ["--format", "structured"], capsys)
+    assert code == want_code
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
 MALFORMED_CONE_SETS = {
@@ -428,3 +485,95 @@ def test_catalog_commands_accept_records_and_shadow(command, tmp_path, capsys):
     assert run_cli(base + ["--records", records, "--shadow"], capsys) == want
     code, out, err = run_cli(base + ["--records", records], capsys)
     assert code == 3 and "already exists" in err
+
+
+@pytest.mark.parametrize(
+    "resolution,g",
+    [
+        ("koszul:1", [1.5]),
+        ("koszul:1", [True]),
+        ("koszul:1", ["1"]),
+        ("koszul:1", [None]),
+        ("koszul:1", [1, 0]),
+        ("free:2", ["c"]),
+        ("free:2", [1]),
+        ("free:2", "ab"),
+        ("tensor:koszul:1,free:2", [[1], ["a"], []]),
+        ("tensor:koszul:1,free:2", [[1]]),
+    ],
+    ids=["float", "bool", "string", "null", "too-long", "unknown-letter", "int-letter", "word-string",
+         "extra-factor", "missing-factor"],
+)
+def test_malformed_group_element_is_an_input_error(resolution, g, tmp_path, capsys):
+    cell = {"koszul:1": "e_{1}", "free:2": "x_a", "tensor:koszul:1,free:2": "e⊗x0"}[resolution]
+    path = write_json(tmp_path / "chain.json", [{"g": g, "cell": cell, "coeff": "1"}])
+    code, out, err = run_cli(["resolution", "boundary", "--resolution", resolution, "--chain", path], capsys)
+    assert code == 3 and out == "" and "not a group element" in err
+
+
+MALFORMED_INPUTS = {
+    "formula-inputs-not-objects": (
+        lambda f: ["sphere", "product-rhs", "--inputs", f({"g_complements": 5, "h_complements": {}}), "--n", "1"],
+        "g_complements",
+    ),
+    "formula-degree-not-an-integer": (
+        lambda f: ["sphere", "product-rhs", "--inputs",
+                   f({"g_complements": {"one": {"dim": 1, "cells": []}}, "h_complements": {}}), "--n", "1"],
+        "g_complements",
+    ),
+    "group-file-holds-a-list": (
+        lambda f: ["probe", "ca", "--group", f([{"kind": "free", "rank": 2}]), "--char", "1,0", "--n", "1",
+                   "--window", "2", "--lambda-max", "1"],
+        "a group is an object",
+    ),
+    "group-rank-not-an-integer": (
+        lambda f: ["catalog", "lookup", "--group", f({"kind": "free", "rank": "2"}), "--degree", "1"],
+        "rank",
+    ),
+    "coeff-zero-denominator": (
+        lambda f: ["resolution", "boundary", "--resolution", "koszul:1", "--chain",
+                   f([{"g": [0], "cell": "e_{1}", "coeff": "1/0"}])],
+        "coeff",
+    ),
+    "char-zero-denominator": (
+        lambda f: ["probe", "ca", "--group", "abelian:2", "--char", "1/0,1", "--n", "1", "--window", "2",
+                   "--lambda-max", "1"],
+        "zero denominator",
+    ),
+    "records-file-holds-an-object": (
+        lambda f: ["catalog", "list", "--records", f({"group": {"kind": "free", "rank": 2}})],
+        "list of catalog records",
+    ),
+    "records-file-holds-ints": (
+        lambda f: ["catalog", "list", "--records", f([1, 2])],
+        "catalog record",
+    ),
+    "record-degree-not-an-integer": (
+        lambda f: ["catalog", "list", "--records",
+                   f([{"group": {"kind": "free", "rank": 2}, "degree": "1", "ring": "Q",
+                       "complement": {"dim": 2, "cells": []}}])],
+        "degree",
+    ),
+    "input-path-is-a-directory": (
+        lambda f: ["sphere", "complement", "--set", str(Path(f({})).parent)],
+        "cannot read",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_an_input_error(name, tmp_path, capsys):
+    build, message = MALFORMED_INPUTS[name]
+    argv = build(lambda obj: write_json(tmp_path / "input.json", obj))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == "" and err.startswith("error:") and message in err
+
+
+def test_oversized_window_is_refused_before_enumeration(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["probe", "ca", "--group", "free:2", "--char", "1,1", "--n", "1", "--window", "200", "--lambda-max", "1"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "limit" in err

@@ -175,3 +175,54 @@ def test_parse_group():
 def test_character_dimension_checked():
     with pytest.raises(ValueError):
         Character(Z2, [1])
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_ball_size_is_the_ball_length(rank):
+    for G in (FreeAbelian(rank), Free(rank)):
+        for radius in range(5):
+            assert G.ball_size(radius) == len(G.ball(radius))
+
+
+def test_check_element_takes_only_int_entries():
+    for bad in [(True, 0), (1.0, 0), (1, 0, 0), [1, 0]]:
+        with pytest.raises(ValueError):
+            Z2.check_element(bad)
+    for bad in [(True,), (3,), (1, -1), [1]]:
+        with pytest.raises(ValueError):
+            F2.check_element(bad)
+
+
+@pytest.mark.parametrize(
+    "group,obj",
+    [
+        (Z2, [1.5, 0]),
+        (Z2, [True, 0]),
+        (Z2, ["1", "0"]),
+        (Z2, 5),
+        (F2, ["c"]),
+        (F2, [1]),
+        (F2, "ab"),
+        (product(Z2, F2), [[1, 0]]),
+    ],
+)
+def test_element_from_obj_refuses_malformed_elements(group, obj):
+    with pytest.raises(ValueError):
+        group.element_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [{"kind": "free", "rank": 2}],
+        {"kind": "free", "rank": "2"},
+        {"kind": "free_abelian", "rank": True},
+        {"kind": "torus", "rank": 2},
+        {"rank": 2},
+        {"kind": "product", "factors": 3},
+        {"kind": "free", "rank": 2, "generators": "ab"},
+    ],
+)
+def test_group_from_dict_refuses_malformed_data(data):
+    with pytest.raises(ValueError):
+        group_from_dict(data)

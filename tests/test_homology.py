@@ -513,6 +513,17 @@ def test_window_for_rejects_negative_radii():
     assert window_for(T, (0, 2)).radii == (0, 2)
 
 
+def test_window_for_refuses_balls_above_the_limit():
+    # F2 x F2 balls of radius (6, 6) and (6, 7) hold 1457^2 and 1457 * 4373
+    # elements; the size is computed, never enumerated
+    T = tensor_resolution(FR2, free_group_resolution(2, RATIONALS))
+    assert window_for(T, (6, 6)).radii == (6, 6)
+    with pytest.raises(ValueError, match="6371461"):
+        window_for(T, (6, 7))
+    with pytest.raises(ValueError, match="limit"):
+        window_for(K2, 10**9)
+
+
 def test_ca_probe_rejects_zero_character_and_bad_grids():
     W = window_for(K2, 3)
     v0 = basic_valuation(K2, Character(K2.group, [0, 0]))

@@ -261,3 +261,16 @@ def test_chain_homogeneity_enforced():
     x1 = K1.cells(1)[0]
     with pytest.raises(ValueError):
         Chain(RATIONALS, [(((0,), x0), 1), (((0,), x1), 1)])
+
+
+def test_chain_constructors_check_group_elements():
+    e = K2.cells(0)[0]
+    assert K2.chain({((1, 0), e): 1}) == K2.basis_chain(e, (1, 0))
+    assert FR2.chain([((F2.word("a b"), FR2.cells(0)[0]), 2)]).coeff(F2.word("a b"), FR2.cells(0)[0]) == 2
+    for bad in [(1,), (1.5, 0), (True, 0), [1, 0]]:
+        with pytest.raises(ValueError):
+            K2.basis_chain(e, bad)
+        with pytest.raises(ValueError):
+            K2.chain([((bad, e), 1)])
+    with pytest.raises(ValueError):
+        FR2.basis_chain(FR2.cells(0)[0], (1, -1))
