@@ -331,37 +331,66 @@ def _cmd_probe(args) -> int:
     raise ValueError(f"unknown probe subcommand {args.probe_cmd}")
 
 
+_WITNESS_KEYS = ("left_group", "right_group", "char_left", "char_right", "z", "z_prime", "mu", "mu_prime", "window")
+
+
+def _config_group(spec):
+    if isinstance(spec, dict):
+        return group_from_dict(spec)
+    if isinstance(spec, str):
+        return parse_group(spec)
+    raise ValueError(f"a group is a spec string or an object, got {spec!r}")
+
+
+def _config_char(group, coeffs) -> Character:
+    if not isinstance(coeffs, list):
+        raise ValueError(f"a character is a list of rationals, got {coeffs!r}")
+    return Character(group, [_fraction(x) for x in coeffs])
+
+
+def _check_witness_config(cfg) -> None:
+    """Refuse a ``witness run`` config of the wrong shape with a ValueError."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a witness config is an object, got {type(cfg).__name__}")
+    missing = [key for key in _WITNESS_KEYS if key not in cfg]
+    if missing:
+        raise ValueError(f"witness config lacks {', '.join(missing)}")
+    if not isinstance(cfg.get("ring", "Q"), str):
+        raise ValueError(f"a ring is a tag such as \"Q\", got {cfg['ring']!r}")
+    window = cfg["window"]
+    if type(window) is not int or window < 0:
+        raise ValueError(f"window {window!r} is not a nonnegative integer")
+
+
 def _cmd_witness(args) -> int:
     cfg = _load_json(args.config)
+    _check_witness_config(cfg)
     ring = ring_from_tag(cfg.get("ring", "Q"))
-    left_group = (
-        group_from_dict(cfg["left_group"]) if isinstance(cfg["left_group"], dict) else parse_group(cfg["left_group"])
-    )
-    right_group = (
-        group_from_dict(cfg["right_group"]) if isinstance(cfg["right_group"], dict) else parse_group(cfg["right_group"])
-    )
-    F = resolution_for(left_group, ring)
-    G = resolution_for(right_group, ring)
+    F = resolution_for(_config_group(cfg["left_group"]), ring)
+    G = resolution_for(_config_group(cfg["right_group"]), ring)
     T = tensor_resolution(F, G)
-    v = basic_valuation(F, Character(F.group, [_fraction(x) for x in cfg["char_left"]]))
-    vprime = basic_valuation(G, Character(G.group, [_fraction(x) for x in cfg["char_right"]]))
+    v = basic_valuation(F, _config_char(F.group, cfg["char_left"]))
+    vprime = basic_valuation(G, _config_char(G.group, cfg["char_right"]))
     z = chain_from_obj(F, cfg["z"])
     zp = chain_from_obj(G, cfg["z_prime"])
     mu = _fraction(cfg["mu"])
     mup = _fraction(cfg["mu_prime"])
-    W = window_for(T, int(cfg["window"]))
-    if "c" in cfg:
-        c = chain_from_obj(F, cfg["c"])
-    else:
-        _, c = max_filling_value(F, v, z, window_for(F, int(cfg["window"])), return_chain=True)
-    if "c_prime" in cfg:
-        cp = chain_from_obj(G, cfg["c_prime"])
-    else:
-        _, cp = max_filling_value(G, vprime, zp, window_for(G, int(cfg["window"])), return_chain=True)
+    window = cfg["window"]
+    W = window_for(T, window)
+    c = chain_from_obj(F, cfg["c"]) if "c" in cfg else _best_chain(F, v, z, window, "z")
+    cp = chain_from_obj(G, cfg["c_prime"]) if "c_prime" in cfg else _best_chain(G, vprime, zp, window, "z_prime")
     d = chain_from_obj(T, cfg["d"]) if "d" in cfg else None
     report = witness_pipeline(T, v, vprime, z, zp, mu, mup, c, cp, d, W)
     _emit(args, report.to_dict(), [f"witness conclusion: {report.conclusion}"] + report.notes)
     return 0 if report.conclusion else 1
+
+
+def _best_chain(F, v, z, window: int, name: str):
+    """A best window filling of the cycle ``name``, for a config that leaves it out."""
+    _, c = max_filling_value(F, v, z, window_for(F, window), return_chain=True)
+    if c is None:
+        raise ValueError(f"{name} does not bound inside the window, so its filling must be given")
+    return c
 
 
 # ---------------------------------------------------------------------------

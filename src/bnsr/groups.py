@@ -10,6 +10,9 @@ Elements are validated once, where they enter: ``check_element`` runs in every
 ``element_from_obj``, in ``fox_filling``, ``Resolution.chain`` and
 ``Resolution.basis_chain``.  Group arithmetic trusts its operands to be normal
 forms; ``multiply`` still refuses abelian or product operands of unequal length.
+``Free.multiply`` trusts reduced words: it cancels only at the junction of its
+two operands, so a word that is not freely reduced gives a product that is not
+either.
 """
 
 from __future__ import annotations
@@ -183,7 +186,11 @@ class Free(Group):
         return tuple(out)
 
     def multiply(self, g, h):
-        return self.reduce_word(itertools.chain(g, h))
+        # both words are reduced, so only letters at the junction cancel
+        k, n = 0, min(len(g), len(h))
+        while k < n and g[-1 - k] == -h[k]:
+            k += 1
+        return g[: len(g) - k] + h[k:]
 
     def inverse(self, g):
         return tuple(-x for x in reversed(g))
@@ -308,7 +315,7 @@ class Product(Group):
             p.check_element(comp)
 
     def multiply(self, g, h):
-        return tuple(p.multiply(a, b) for p, a, b in zip(self.parts, g, h, strict=True))
+        return tuple([p.multiply(a, b) for p, a, b in zip(self.parts, g, h, strict=True)])
 
     def inverse(self, g):
         return tuple(p.inverse(a) for p, a in zip(self.parts, g))

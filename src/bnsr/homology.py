@@ -3,22 +3,23 @@
 Infinite group-ring complexes are probed through explicit finite windows: a
 per-factor radius with a per-degree margin so that boundaries stay inside.
 On the windows everything is exact: rank computations over fields, Smith
-normal form over the integers, threshold searches for extremal filling
-values, and grid probes for the controlled-acyclicity condition.  Negative
-verdicts are window evidence (a larger window can only reveal more
-fillings), which is what the reports record.
+normal form over the integers, one descending sweep of the value filtration
+for extremal filling values, and grid probes for the controlled-acyclicity
+condition.  Negative verdicts are window evidence (a larger window can only
+reveal more fillings), which is what the reports record.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
 from . import linalg
-from .groups import Group
+from .groups import Group, Product
 from .linalg import smith_normal_form  # re-exported
 from .resolutions import BasisCell, Chain, Resolution
 from .rings import CoefficientRing, INTEGERS
@@ -111,9 +112,23 @@ def window_admits(F: Resolution, W: Window, g, cell: BasisCell) -> bool:
 
 
 def window_cell_elements(F: Resolution, W: Window, cell: BasisCell):
-    for g in F.group.ball(W.ball_arg(F.group)):
-        if window_admits(F, W, g, cell):
-            yield g
+    """The elements g whose translate g*cell the window admits, in ball order.
+
+    Multiplication and the window's distance both act factor by factor, so
+    g is admitted exactly when each factor component g_i keeps the
+    footprint's projection onto factor i within radius r_i.  The admitted
+    elements are then the product of the per-factor lists, which is again
+    in ball order.
+    """
+    group = F.group
+    W.ball_arg(group)  # checks the factor count
+    footprint = [group.element_parts(p) for p in cell_footprint(F, cell)]
+    lists = []
+    for i, (factor, r) in enumerate(zip(group.factors(), W.radii)):
+        shifts = {parts[i] for parts in footprint}
+        mul, dist = factor.multiply, factor.distance
+        lists.append([g for g in factor.ball(r) if all(dist(mul(g, q)) <= r for q in shifts)])
+    yield from (itertools.product(*lists) if isinstance(group, Product) else lists[0])
 
 
 def window_chain_supported(F: Resolution, W: Window, chain: Chain) -> bool:
@@ -139,6 +154,7 @@ class FiniteComplex:
         self.augmented = augmented
         self.index = {d: {key: i for i, key in enumerate(b)} for d, b in basis.items()}
         self._ranks: dict = {}
+        self._roots: dict = {}
 
     def degrees(self):
         return sorted(self.basis)
@@ -157,6 +173,15 @@ class FiniteComplex:
             got = linalg.rank_columns(list(enumerate(cols)), self.ring) if cols else 0
             self._ranks[d] = got
         return got
+
+    def incidence_roots(self, d: int):
+        """The component root of each row the degree-d boundary touches, when
+        that boundary is a signed incidence system (``linalg._as_edges``), and
+        None otherwise; decided once."""
+        if d not in self._roots:
+            edges = linalg._as_edges(self.column_items(d), self.ring)
+            self._roots[d] = None if edges is None else linalg.edge_roots(edges)
+        return self._roots[d]
 
     def compose_is_zero(self) -> bool:
         ring = self.ring
@@ -195,35 +220,76 @@ class _WindowInventory:
     Each degree is built on first use: its admitted keys in enumeration
     order (cell by cell, ball order) and in ``(cell, g)`` order, each key's
     value, and each key's boundary translated once with ``Group.multiply``.
-    Every threshold truncation is then a slice of these lists.  An inventory
-    lives only as long as the call that builds it.
+    The character is evaluated once per group element and shared by every
+    cell.  Every threshold truncation is then a slice of these lists.  An
+    inventory lives only as long as the call that builds it.
     """
 
     def __init__(self, F: Resolution, W: Window, v: Valuation):
         self.F = F
         self.W = W
         self.v = v
+        self._elements: dict = {}
+        self._scale = None
+        self._chi: dict = {}  # group element -> its character value times _scale
+        self._shared: dict = {}  # value times _scale -> the value
         self._keys: dict = {}
         self._values: dict = {}
         self._terms: dict = {}
         self._sorted: dict = {}
         self._cols: dict = {}
 
+    def _cell_elements(self, d: int) -> list:
+        """``(cell, admitted elements)`` for each cell of degree d."""
+        got = self._elements.get(d)
+        if got is None:
+            F, W = self.F, self.W
+            got = [(cell, list(window_cell_elements(F, W, cell))) for cell in F.cells(d)]
+            self._elements[d] = got
+        return got
+
     def keys(self, d: int) -> list:
         """Admitted keys of degree d in enumeration order."""
         got = self._keys.get(d)
         if got is None:
-            F, W = self.F, self.W
-            got = [(g, cell) for cell in F.cells(d) for g in window_cell_elements(F, W, cell)]
+            got = [(g, cell) for cell, elements in self._cell_elements(d) for g in elements]
             self._keys[d] = got
         return got
 
     def values(self, d: int) -> list:
-        """Value of each key of ``keys(d)``."""
+        """Value of each key of ``keys(d)``.
+
+        Values are computed in integers over one common denominator: the
+        character's coefficients and the finite cell values all become
+        integers once scaled by it.  Keys of equal value share one Fraction.
+        """
         got = self._values.get(d)
         if got is None:
-            of_key = self.v.of_key
-            got = [of_key(g, cell) for (g, cell) in self.keys(d)]
+            v = self.v
+            if self._scale is None:
+                dens = [Fraction(x).denominator for x in v.character.coeffs]
+                dens += [Fraction(x).denominator for x in v.cell_values.values() if x != INF]
+                self._scale = lcm(*dens)
+            scale = self._scale
+            weights = [int(c * scale) for c in v.character.coeffs]
+            exponents = self.F.group.exponents
+            chi, shared = self._chi, self._shared
+            got = []
+            for cell, elements in self._cell_elements(d):
+                cv = v.cell_values[cell]
+                if cv == INF:
+                    got.extend([INF] * len(elements))
+                    continue
+                base = int(cv * scale)
+                for g in elements:
+                    n = chi.get(g)
+                    if n is None:  # the character, scaled, once per element
+                        n = chi[g] = sum(w * e for w, e in zip(weights, exponents(g)))
+                    n += base
+                    val = shared.get(n)
+                    if val is None:
+                        val = shared[n] = Fraction(n, scale)
+                    got.append(val)
             self._values[d] = got
         return got
 
@@ -440,8 +506,10 @@ def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) 
     of B and, for each p-cell x of C_t, the column (-x, Dx), with the rows
     of Dx placed after the p-rows of C_tl.  (y, x) is in the kernel of M
     exactly when Dx = 0 and x = By, so rank M = rank B + rank D iff every
-    p-cycle of C_t bounds in C_tl.  With an incidence B and a unit
-    augmentation, M is again an incidence system.
+    p-cycle of C_t bounds in C_tl.  Whether B is an incidence system, and
+    its components, are decided once per complex; with an incidence B and a
+    unit augmentation, M is again an incidence system, and its rank is rank
+    B plus the rank of the new edges on B's contracted components.
 
     Over Z the identity is used only when B is a signed incidence matrix:
     B is then totally unimodular, so an integer cycle bounds over Z iff it
@@ -450,14 +518,15 @@ def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) 
     error (on the Smith path, when it lies in the support of a cycle).
     """
     ring = C_tl.ring
-    fill = C_tl.column_items(p + 1)
-    if ring == INTEGERS and linalg._as_edges(fill, ring) is None:
+    roots = C_tl.incidence_roots(p + 1)
+    if ring == INTEGERS and roots is None:
         return _zero_map_integral(C_t, C_tl, p, augmented)
     idx = C_tl.index.get(p, {})
     offset = C_tl.dim(p)
     bd = C_t.columns.get(p)
     minus = ring.neg(ring.one())
-    cols = fill
+    nfill = len(C_tl.columns.get(p + 1, ()))
+    cols = []
     for j, key in enumerate(C_t.basis.get(p, ())):
         i = idx.get(key)
         if i is None:
@@ -466,8 +535,14 @@ def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) 
         if bd is not None:
             for r, c in bd[j].items():
                 col[offset + r] = c
-        cols.append((len(cols), col))
-    return linalg.rank_columns(cols, ring) == C_tl.boundary_rank(p + 1) + C_t.boundary_rank(p)
+        cols.append((nfill + j, col))
+    extra = linalg._as_edges(cols, ring) if roots is not None else None
+    if extra is not None:
+        # rank M - rank B is the rank of the new edges on B's contracted components
+        contracted = [(k, roots.get(a, a), roots.get(b, b)) for k, a, b in extra]
+        return linalg.edge_rank(contracted) == C_t.boundary_rank(p)
+    rank = linalg.rank_columns(C_tl.column_items(p + 1) + cols, ring)
+    return rank == C_tl.boundary_rank(p + 1) + C_t.boundary_rank(p)
 
 
 def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) -> bool:
@@ -684,10 +759,14 @@ def max_filling_value(
 ):
     """Highest value of a window filling of ``target`` (-inf when none exists).
 
-    Descending threshold search over the finite set of basis values: a
-    binary search locates the largest threshold at which the restricted
-    linear system stays solvable.  A ``known_filling`` (checked) seeds the
-    search from its value, saving the initial existence solve.
+    One descending sweep of the value filtration: the filling columns enter
+    level by level, from the highest value down, and the first level whose
+    columns span the target is the answer (``linalg.first_spanning_batch``:
+    union-find on incidence columns, incremental elimination otherwise; over
+    Z only incidence fillings are accepted).  A chain, when asked for, is
+    one solve at that level: a valid ``known_filling`` of that value is
+    returned as it is, and otherwise ``solve_columns`` runs on the columns
+    of value at least that level, in enumeration order.
     """
     if target.is_zero:
         return (INF, Chain(F.ring)) if return_chain else INF
@@ -697,38 +776,39 @@ def max_filling_value(
     if not window_chain_supported(F, W, target):
         raise ValueError("target chain is not supported in the window")
     cols = _filling_columns(F, v, p + 1, W)
-    values = sorted({val for (_, _, val) in cols})
-    rhs = dict(target.terms)
+    levels = sorted({val for (_, _, val) in cols}, reverse=True)
+    # integer rows: the translation and the cell's index within degree p
+    rows: dict = {}
+    rhs = {rows.setdefault((g, cell.index), len(rows)): c for (g, cell), c in target.items()}
+    batch_of = {val: k for k, val in enumerate(levels)}
+    batches: list = [[] for _ in levels]
+    for _, col, val in cols:
+        batches[batch_of[val]].append(col)
+    for batch in batches:
+        batch[:] = [{rows.setdefault((g, cell.index), len(rows)): c for (g, cell), c in col.items()} for col in batch]
+    k = linalg.first_spanning_batch(batches, rhs, F.ring)
+    if k is None:
+        return (NEG_INF, None) if return_chain else NEG_INF
+    best = levels[k]
+    if not return_chain:
+        return best
+    if (
+        known_filling is not None
+        and not known_filling.is_zero
+        and F.boundary(known_filling) == target
+        and window_chain_supported(F, W, known_filling)
+        and v.value(known_filling) == best
+    ):
+        return best, Chain(F.ring, dict(known_filling.terms))
+    usable = [(key, col) for (key, col, val) in cols if val >= best]
+    return best, Chain(F.ring, dict(linalg.solve_columns(usable, dict(target.terms), F.ring)))
 
-    def solve_at(threshold):
-        usable = [(key, col) for (key, col, val) in cols if val >= threshold]
-        return linalg.solve_columns(usable, rhs, F.ring)
 
-    best_sol = None
-    lo = 0
-    if known_filling is not None and not known_filling.is_zero:
-        if F.boundary(known_filling) == target and window_chain_supported(F, W, known_filling):
-            # every term of a window filling is an admitted column, so its
-            # value sits in the threshold list
-            best_sol = dict(known_filling.terms)
-            lo = values.index(v.value(known_filling))
-    if best_sol is None:
-        if not values:
-            return (NEG_INF, None) if return_chain else NEG_INF
-        best_sol = solve_at(values[0])
-        if best_sol is None:
-            return (NEG_INF, None) if return_chain else NEG_INF
-    hi = len(values) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        sol = solve_at(values[mid])
-        if sol is not None:
-            lo, best_sol = mid, sol
-        else:
-            hi = mid - 1
-    if return_chain:
-        return values[lo], Chain(F.ring, dict(best_sol))
-    return values[lo]
+def _check_cycle(F: Resolution, z: Chain) -> None:
+    if z.is_zero:
+        raise ValueError("eta needs a nonzero cycle")
+    if z.degree > 0 and not F.boundary(z).is_zero:
+        raise ValueError("eta needs a cycle")
 
 
 def eta(F: Resolution, v: Valuation, z: Chain, W: Window):
@@ -737,14 +817,16 @@ def eta(F: Resolution, v: Valuation, z: Chain, W: Window):
     Window-restricted version of the infimum over all fillings; within the
     window the extremum is attained since value sets are finite.
     """
-    if z.is_zero:
-        raise ValueError("eta needs a nonzero cycle")
-    if z.degree > 0 and not F.boundary(z).is_zero:
-        raise ValueError("eta needs a cycle")
-    mv = max_filling_value(F, v, z, W)
-    if mv == NEG_INF:
+    _check_cycle(F, z)
+    return eta_from_filling(F, v, z, max_filling_value(F, v, z, W))
+
+
+def eta_from_filling(F: Resolution, v: Valuation, z: Chain, best):
+    """:func:`eta` from the best window filling value ``best`` of ``z``."""
+    _check_cycle(F, z)
+    if best == NEG_INF:
         raise ValueError("cycle does not bound inside the window")
-    return v.value(z) - mv
+    return v.value(z) - best
 
 
 def gap_lower_bound(F: Resolution, w: Valuation, target: Chain, W: Window, known_filling: Chain | None = None):

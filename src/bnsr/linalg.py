@@ -158,14 +158,188 @@ def rank_columns(cols, ring: CoefficientRing) -> int:
     items = list(cols.items()) if isinstance(cols, dict) else list(cols)
     edges = _as_edges(items, ring)
     if edges is not None:
-        uf = _UnionFind()
-        rank = 0
-        for _, tail, head in edges:
-            if uf.union(tail, head):
-                rank += 1
-        return rank
+        return edge_rank(edges)
     pivots, _, _ = _eliminate(items, None, RATIONALS if ring == INTEGERS else ring, want_solution=False)
     return pivots
+
+
+def edge_rank(edges) -> int:
+    """Rank of an incidence system given by its ``_as_edges`` edge list."""
+    uf = _UnionFind()
+    rank = 0
+    for _, tail, head in edges:
+        if uf.union(tail, head):
+            rank += 1
+    return rank
+
+
+def edge_roots(edges) -> dict:
+    """The component root of every vertex of an ``_as_edges`` edge list."""
+    uf = _UnionFind()
+    for _, tail, head in edges:
+        uf.union(tail, head)
+    return {x: uf.find(x) for x in uf.parent}
+
+
+def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
+    """One sweep of a column filtration: the index of the first batch whose
+    columns, with those of every earlier batch, span ``rhs``; None if none does.
+
+    ``batches`` is a list of lists of sparse columns (dicts from integer rows
+    to ring elements), in the order the filtration adds them.  When every
+    column is a signed incidence column, the sweep is Kruskal's: ``rhs`` is
+    in the span of the edges exactly when its entries sum to zero on every
+    component that does not reach the ground vertex, so each component
+    carries its rhs sum and whether it is grounded.  Those systems span over
+    Z exactly when they span over Q.  Otherwise, over Q and F_p, each column
+    is reduced fraction-free (:func:`_row_update`) against the pivots so far
+    until it is zero or its largest row is a new pivot, and the rhs, reduced
+    the same way, is spanned once it is zero.
+    """
+    b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
+    if not b:
+        return 0 if batches else None
+    edges = _as_edges([(k, col) for k, batch in enumerate(batches) for col in batch], ring)
+    if edges is not None:
+        return _sweep_edges(edges, b, ring)
+    return _sweep_reduce(batches, b, _field_modulus(ring))
+
+
+def _sweep_edges(edges, b: dict, ring):
+    """Kruskal's sweep of ``first_spanning_batch`` over ``(batch, tail, head)`` edges."""
+    add, is_zero = ring.add, ring.is_zero
+    parent: dict = {}
+    total = dict(b)  # component root -> nonzero rhs sum
+    grounded = {GROUND}  # component roots that reach the ground vertex
+    unbalanced = len(total)  # ungrounded components with a nonzero sum
+
+    def find(x):
+        root = x
+        while True:
+            up = parent.get(root)
+            if up is None:
+                break
+            root = up
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for k, tail, head in edges:
+        ra, rb = find(tail), find(head)
+        if ra == rb:
+            continue
+        ga, gb = ra in grounded, rb in grounded
+        before = (not ga and ra in total) + (not gb and rb in total)
+        parent[rb] = ra
+        s = total.pop(rb, None)
+        if s is not None:
+            s = add(total[ra], s) if ra in total else s
+            if is_zero(s):
+                del total[ra]
+            else:
+                total[ra] = s
+        if gb:
+            grounded.add(ra)
+        unbalanced -= before - (not (ga or gb) and ra in total)
+        if not unbalanced:
+            return k
+    return None
+
+
+def _sweep_reduce(batches, b: dict, mod: int):
+    """Incremental column reduction of ``first_spanning_batch`` over Q or F_p."""
+    pivots: dict = {}  # largest row -> reduced column
+
+    def reduce(vec):
+        # clear the largest row while it is a pivot; it is then a new pivot or vec is zero
+        while vec:
+            low = max(vec)
+            piv = pivots.get(low)
+            if piv is None:
+                return low
+            _, _, g, _, _ = _row_update(vec, piv, low, mod)
+            if g > 1:
+                for r in vec:
+                    vec[r] //= g
+        return None
+
+    target = dict(_scaled(b.items(), mod)[0])
+    target_low = reduce(target)
+    for k, batch in enumerate(batches):
+        for col in batch:
+            vec = dict(_scaled(col.items(), mod)[0])
+            low = reduce(vec)
+            if low is None:
+                continue
+            pivots[low] = vec
+            if low == target_low:
+                target_low = reduce(target)
+                if target_low is None:
+                    return k
+    return None
+
+
+def _field_modulus(ring) -> int:
+    """0 over Q, p over F_p; elimination over any other ring is refused."""
+    if ring.tag == "Q":
+        return 0
+    if ring.is_field:
+        return ring.p
+    raise ValueError(f"generic elimination needs a field, got {ring}")
+
+
+def _scaled(entries, mod: int):
+    """Nonzero integer entries and the denominator that cleared them."""
+    if mod:
+        return [(r, v % mod) for r, v in entries if v % mod], 1
+    fracs = [(r, v) for r, v in entries if v]
+    scale = 1
+    for _, f in fracs:
+        if f.denominator != 1:
+            scale = lcm(scale, f.denominator)
+    return [(r, f.numerator * (scale // f.denominator)) for r, f in fracs], scale
+
+
+def _row_update(row2, row, cid, mod: int):
+    """The fraction-free update of ``row2`` by the pivot ``row`` at ``cid``.
+
+    ``row2`` becomes ``(pivot/g) * row2 - (a/g) * row`` in place, where a and
+    pivot are the two entries at ``cid`` and g = gcd(a, pivot) is signed like
+    the pivot; entries are reduced mod p over F_p.  Returns (ml, mr, g, fill,
+    cleared): the multipliers pivot/g and a/g, the gcd of the new entries,
+    and the keys that became nonzero and zero.  Dividing by that gcd is left
+    to the caller, which may carry more entries (a right-hand side).
+    """
+    pval = row[cid]
+    a = row2[cid]
+    g0 = gcd(a, pval) if pval > 0 else -gcd(a, pval)
+    ml, mr = pval // g0, a // g0
+    g = 0
+    fill = []
+    cleared = []
+    for c2, v2 in row.items():
+        cur = row2.get(c2)
+        nv = (ml * cur - mr * v2) if cur is not None else -mr * v2
+        if mod:
+            nv %= mod
+        if nv == 0:
+            if cur is not None:
+                del row2[c2]
+                cleared.append(c2)
+        else:
+            if cur is None:
+                fill.append(c2)
+            row2[c2] = nv
+            g = gcd(g, nv)
+    if ml != 1 or g != 1:  # otherwise the other entries keep their values and g stays 1
+        for c2 in row2:
+            if c2 not in row:
+                nv = ml * row2[c2]
+                if mod:
+                    nv %= mod
+                row2[c2] = nv
+                g = gcd(g, nv)
+    return ml, mr, g, fill, cleared
 
 
 def _eliminate(items, rhs, ring, want_solution: bool):
@@ -174,30 +348,12 @@ def _eliminate(items, rhs, ring, want_solution: bool):
     Returns (pivot count, solution dict or None, infeasible flag).  When
     ``rhs`` is None only the rank is computed.  Entries are integers: over Q
     each column and the rhs are denominator-cleared, over F_p they are
-    residues mod p.  A row r meeting the pivot row at a becomes
-    ``(pivot/g) * r - (a/g) * pivot row``, with g = gcd(a, pivot) signed
-    like the pivot, reduced mod p over F_p, and is then divided by the gcd
-    of its entries.  Both rescale rows by units, so zero patterns, pivots
-    and the solution do not depend on them.  Only the back substitution
-    divides.
+    residues mod p.  Each row meeting the pivot row takes
+    :func:`_row_update` and is then divided by the gcd of its entries.  Both
+    rescale rows by units, so zero patterns, pivots and the solution do not
+    depend on them.  Only the back substitution divides.
     """
-    if ring.tag == "Q":
-        mod = 0
-    elif ring.is_field:
-        mod = ring.p
-    else:
-        raise ValueError(f"generic elimination needs a field, got {ring}")
-
-    def scaled(entries):
-        """Nonzero integer entries and the denominator that cleared them."""
-        if mod:
-            return [(r, v % mod) for r, v in entries if v % mod], 1
-        fracs = [(r, Fraction(v)) for r, v in entries if v != 0]
-        scale = 1
-        for _, f in fracs:
-            scale = lcm(scale, f.denominator)
-        return [(r, int(f * scale)) for r, f in fracs], scale
-
+    mod = _field_modulus(ring)
     rows: dict[int, dict[int, int]] = {}
     colindex: dict[int, set] = {}
     row_ids: dict = {}
@@ -214,7 +370,7 @@ def _eliminate(items, rhs, ring, want_solution: bool):
     for key, col in items:
         cid = len(col_keys)
         col_keys.append(key)
-        vals, scale = scaled(col.items())
+        vals, scale = _scaled(col.items(), mod)
         col_scale.append(scale)
         colindex[cid] = set()
         for r, v in vals:
@@ -225,7 +381,7 @@ def _eliminate(items, rhs, ring, want_solution: bool):
     b: dict[int, int] = {}
     rhs_scale = 1
     if rhs is not None:
-        vals, rhs_scale = scaled(rhs.items())
+        vals, rhs_scale = _scaled(rhs.items(), mod)
         for r, v in vals:
             b[row_id(r)] = v
         for rid in b:
@@ -248,37 +404,15 @@ def _eliminate(items, rhs, ring, want_solution: bool):
             continue
         # pivot column: fewest other rows touched, then stable order
         cid = min(row, key=lambda c: (len(colindex[c]), c))
-        pval = row[cid]
         brow = b.get(rid, 0)
         victims = [r2 for r2 in colindex[cid] if r2 != rid]
         for r2 in victims:
             row2 = rows[r2]
-            a = row2[cid]
-            g0 = gcd(a, pval) if pval > 0 else -gcd(a, pval)
-            ml, mr = pval // g0, a // g0
-            g = 0
-            for c2, v2 in row.items():
-                cur = row2.get(c2)
-                nv = (ml * cur - mr * v2) if cur is not None else -mr * v2
-                if mod:
-                    nv %= mod
-                if nv == 0:
-                    if cur is not None:
-                        del row2[c2]
-                        colindex[c2].discard(r2)
-                else:
-                    if cur is None:
-                        colindex[c2].add(r2)
-                    row2[c2] = nv
-                    g = gcd(g, nv)
-            if ml != 1 or g != 1:  # otherwise the other entries keep their values and g stays 1
-                for c2 in row2:
-                    if c2 not in row:
-                        nv = ml * row2[c2]
-                        if mod:
-                            nv %= mod
-                        row2[c2] = nv
-                        g = gcd(g, nv)
+            ml, mr, g, fill, cleared = _row_update(row2, row, cid, mod)
+            for c2 in fill:
+                colindex[c2].add(r2)
+            for c2 in cleared:
+                colindex[c2].discard(r2)
             nb = 0
             if rhs is not None:
                 nb = ml * b.get(r2, 0) - mr * brow

@@ -21,6 +21,7 @@ from .homology import (
     NEG_INF,
     Window,
     class_order,
+    eta_from_filling,
     max_filling_value,
     truncate,
     window_chain_supported,
@@ -221,8 +222,6 @@ def witness_pipeline(
     corner cycle and z tensor z', factor-class nonvanishing (over a field
     via filling search, over Z via class order), and the value gap.
     """
-    from .homology import eta as eta_fn
-
     F, G = T.left, T.right
     Wl, Wr = factor_windows(T, W)
     mu = Fraction(mu)
@@ -242,20 +241,20 @@ def witness_pipeline(
     pre["zp_cycle"] = zp.degree == 0 or G.boundary(zp).is_zero
     pre["mu_positive"] = mu > 0
     pre["mup_positive"] = mup > 0
-    try:
-        eta_z = eta_fn(F, v, z, Wl)
-        pre["mu_below_eta"] = mu < eta_z
-        report.values["eta(z)"] = eta_z
-    except ValueError as exc:
-        pre["mu_below_eta"] = False
-        report.notes.append(f"eta(z) failed: {exc}")
-    try:
-        eta_zp = eta_fn(G, vp, zp, Wr)
-        pre["mup_below_eta"] = mup < eta_zp
-        report.values["eta(z')"] = eta_zp
-    except ValueError as exc:
-        pre["mup_below_eta"] = False
-        report.notes.append(f"eta(z') failed: {exc}")
+    # one filling search per factor cycle serves eta and the class tests below
+    best_l = max_filling_value(F, v, z, Wl)
+    best_r = max_filling_value(G, vp, zp, Wr)
+    for tag, key, Fx, vx, zx, best, m in (
+        ("z", "mu_below_eta", F, v, z, best_l, mu),
+        ("z'", "mup_below_eta", G, vp, zp, best_r, mup),
+    ):
+        try:
+            eta_x = eta_from_filling(Fx, vx, zx, best)
+            pre[key] = m < eta_x
+            report.values[f"eta({tag})"] = eta_x
+        except ValueError as exc:
+            pre[key] = False
+            report.notes.append(f"eta({tag}) failed: {exc}")
 
     vz = v.value(z)
     vzp = vp.value(zp)
@@ -313,18 +312,20 @@ def witness_pipeline(
     report.claim4 = not split_bottom(T, d_lam, up, vp)[0].is_zero
 
     if T.ring == INTEGERS:
-        report.left_class_nonvanishing, note_l = _integral_nonvanishing(F, v, z, u, Wl, report.class_orders, "z")
-        report.right_class_nonvanishing, note_r = _integral_nonvanishing(G, vp, zp, up, Wr, report.class_orders, "z'")
+        report.left_class_nonvanishing, note_l = _integral_nonvanishing(
+            F, v, z, best_l, u, Wl, report.class_orders, "z"
+        )
+        report.right_class_nonvanishing, note_r = _integral_nonvanishing(
+            G, vp, zp, best_r, up, Wr, report.class_orders, "z'"
+        )
         for nt in (note_l, note_r):
             if nt:
                 report.notes.append(nt)
     else:
-        mfl = max_filling_value(F, v, z, Wl)
-        mfr = max_filling_value(G, vp, zp, Wr)
-        report.left_class_nonvanishing = mfl < u
-        report.right_class_nonvanishing = mfr < up
-        report.values["best_left_filling"] = mfl
-        report.values["best_right_filling"] = mfr
+        report.left_class_nonvanishing = best_l < u
+        report.right_class_nonvanishing = best_r < up
+        report.values["best_left_filling"] = best_l
+        report.values["best_right_filling"] = best_r
 
     w_d = w.value(d)
     w_target = w.value(bd)
@@ -353,13 +354,13 @@ def witness_pipeline(
     return report
 
 
-def _integral_nonvanishing(F, v, z, threshold, W, orders: dict, tag: str):
+def _integral_nonvanishing(F, v, z, mf, threshold, W, orders: dict, tag: str):
     """Infinite-order test for the class of z in the thresholded window.
 
-    Rational non-bounding already forces infinite order; only when z bounds
-    rationally is the dense Smith normal form consulted.
+    ``mf`` is the best window filling value of z.  Rational non-bounding
+    already forces infinite order; only when z bounds rationally is the
+    dense Smith normal form consulted.
     """
-    mf = max_filling_value(F, v, z, W)
     if mf == NEG_INF or mf < threshold:
         orders[tag] = "infinite"
         return True, None

@@ -577,3 +577,46 @@ def test_oversized_window_is_refused_before_enumeration(capsys):
     )
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == "" and "limit" in err
+
+
+def _witness_config(**changes):
+    cfg = {key: val for key, val in PROBE_GOLDEN_INPUTS["CONFIG"].items() if key not in changes}
+    cfg.update({key: val for key, val in changes.items() if val is not _DROP})
+    return cfg
+
+
+_DROP = object()
+
+# (config, a phrase of the error) for every malformed shape of a witness config
+MALFORMED_WITNESS_CONFIGS = {
+    "config-is-a-list": ([PROBE_GOLDEN_INPUTS["CONFIG"]], "object"),
+    "config-is-a-number": (5, "object"),
+    "key-missing": (_witness_config(mu=_DROP), "lacks mu"),
+    "left-group-is-an-int": (_witness_config(left_group=5), "group"),
+    "right-group-is-a-list": (_witness_config(right_group=["free:2"]), "group"),
+    "group-spec-unknown": (_witness_config(left_group="free:x"), "group spec"),
+    "ring-is-an-int": (_witness_config(ring=5), "ring"),
+    "ring-tag-unknown": (_witness_config(ring="R"), "ring tag"),
+    "char-is-a-string": (_witness_config(char_left="1,0"), "character"),
+    "char-entry-is-a-float": (_witness_config(char_right=[1.5, 0]), "rational"),
+    "char-too-short": (_witness_config(char_left=["1"]), "coefficients"),
+    "window-is-a-float": (_witness_config(window=4.5), "not a nonnegative integer"),
+    "window-is-a-bool": (_witness_config(window=True), "not a nonnegative integer"),
+    "window-is-negative": (_witness_config(window=-1), "not a nonnegative integer"),
+    "window-is-a-string": (_witness_config(window="4"), "not a nonnegative integer"),
+    "window-too-large": (_witness_config(window=40), "limit"),
+    "cycle-is-an-object": (_witness_config(z={"g": [], "cell": "x0", "coeff": "1"}), "list of terms"),
+    "mu-is-a-list": (_witness_config(mu_prime=[1]), "rational"),
+    "filling-is-a-number": (_witness_config(c=5), "list of terms"),
+    "product-filling-is-a-string": (_witness_config(d="x"), "list of terms"),
+    "cycle-without-filling-does-not-bound": (
+        _witness_config(z=[{"g": [], "cell": "x0", "coeff": "1"}]), "does not bound"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_WITNESS_CONFIGS))
+def test_malformed_witness_config_is_an_input_error(name, tmp_path, capsys):
+    cfg, message = MALFORMED_WITNESS_CONFIGS[name]
+    path = write_json(tmp_path / "config.json", cfg)
+    code, out, err = run_cli(["witness", "run", "--config", path], capsys)
+    assert code == 3 and out == "" and err.startswith("error:") and message in err

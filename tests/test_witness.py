@@ -216,3 +216,39 @@ def test_factor_windows_split():
 def test_retraction_requires_unit_augmentation():
     with pytest.raises(ValueError):
         retraction_maps(K2)
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS], ids=["Q", "Z"])
+def test_witness_searches_each_factor_filling_once(ring, monkeypatch):
+    import bnsr.homology as homology_mod
+    import bnsr.witness as witness_mod
+    from bnsr import eta
+    from bnsr.homology import NEG_INF
+
+    T, v, vp, z, _, c, cp = f2_instance(ring, m=1)
+    F, G = T.left, T.right
+    # a vertex has augmentation 1, so it never bounds: eta(z') is undefined
+    vertex = Chain(ring, [((G.group.identity(), G.cells(0)[0]), ring.one())])
+    W = window_for(T, 3)
+    Wl, _ = factor_windows(T, W)
+    searched = []
+    real = witness_mod.max_filling_value
+
+    def counting(*args, **kwargs):
+        searched.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(witness_mod, "max_filling_value", counting)
+    monkeypatch.setattr(homology_mod, "max_filling_value", counting)
+    rep = witness_pipeline(T, v, vp, z, vertex, Fraction(1, 2), Fraction(1, 2), c, cp, None, W)
+    assert searched == [z, vertex]
+    monkeypatch.undo()
+    assert rep.values["eta(z)"] == eta(F, v, z, Wl)
+    assert "eta(z') failed: cycle does not bound inside the window" in rep.notes
+    assert rep.preconditions["mu_below_eta"] and not rep.preconditions["mup_below_eta"]
+    assert rep.right_class_nonvanishing
+    if ring == INTEGERS:
+        assert rep.class_orders["z'"] == "infinite"
+    else:
+        assert rep.values["best_right_filling"] == NEG_INF
+        assert rep.values["best_left_filling"] == real(F, v, z, Wl)
