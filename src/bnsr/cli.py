@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p = ssub.add_parser("product-rhs", parents=[common])
     p.add_argument("--inputs", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p = ssub.add_parser("homotopical", parents=[common])
     p.add_argument("--sigma-gh", required=True)
     p.add_argument("--sigma-g", required=True)
@@ -513,14 +513,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--char", required=True)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_nonnegative_int, default=100)
     p = vsub.add_parser("prop41", parents=[common])
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--char-left", required=True)
     p.add_argument("--char-right", required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_nonnegative_int, default=200)
 
     probe = sub.add_parser("probe", help="window probes for controlled acyclicity")
     psub = probe.add_subparsers(dest="probe_cmd", required=True)
@@ -558,22 +558,22 @@ def build_parser() -> argparse.ArgumentParser:
     csub.add_parser("list", parents=[records])
     p = csub.add_parser("lookup", parents=[records])
     p.add_argument("--group", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nonnegative_int, required=True)
     p.add_argument("--ring", default="Q")
     csub.add_parser("validate", parents=[records])
     p = csub.add_parser("product-check", parents=[records])
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--ring", default="Q")
     for name in ("theorem2", "theorem3"):
         p = csub.add_parser(name, parents=[records])
         p.add_argument("--left", required=True)
         p.add_argument("--right", required=True)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=_nonnegative_int, required=True)
     p = csub.add_parser("cross-validate", parents=[records])
     p.add_argument("--group", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_nonnegative_int, required=True)
     p.add_argument("--ring", default="Q")
     p.add_argument("--directions", required=True, help="semicolon-separated integer vectors")
     p.add_argument("--window", type=_nonnegative_int, default=4)

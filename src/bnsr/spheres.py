@@ -136,7 +136,7 @@ def _feasible_cached(dim: int, eqs: tuple[Form, ...], gts: tuple[Form, ...]):
     # Integer kernel basis from the Smith normal form; scaling the FM point
     # by a positive rational keeps every strict homogeneous inequality.
     if eqs:
-        kernel = linalg.integer_kernel_basis(eqs)
+        kernel = linalg.SmithForm(eqs, dim).kernel()
         if not kernel:
             return None
         if not gts:

@@ -308,7 +308,7 @@ def test_criterion_09_kunneth_and_class_orders():
             rows, cols = rng.randint(1, 6), rng.randint(1, 2)
             M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
             zv = [rng.randint(-2, 2) for _ in range(rows)]
-            got = linalg.class_order(M, zv)
+            got = linalg.SmithForm(M, cols).order(zv)
             expect = elementary_order_oracle(M, zv)
             if expect == 0:
                 assert got == ("infinite", 0)
@@ -322,11 +322,12 @@ def test_criterion_09_kunneth_and_class_orders():
             rows, cols = rng.randint(1, 6), rng.randint(3, 6)
             M = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
             zv = [rng.randint(-2, 2) for _ in range(rows)]
-            kind, k = linalg.class_order(M, zv)
+            S = linalg.SmithForm(M, cols)
+            kind, k = S.order(zv)
             if kind == "infinite":
-                assert linalg.integer_solve(M, [11 * x for x in zv]) is None
+                assert S.solve([11 * x for x in zv]) is None
             else:
-                y = linalg.integer_solve(M, [k * x for x in zv])
+                y = S.solve([k * x for x in zv])
                 assert y is not None
                 for i in range(rows):
                     assert sum(M[i][j] * y[j] for j in range(cols)) == k * zv[i]

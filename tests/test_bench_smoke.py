@@ -1,4 +1,5 @@
-"""Smoke test of the benchmark harness: one short probe run must check out.
+"""Smoke test of the benchmark harness: one short run of the probe workload
+and one of the integral workload (the Smith normal form path) must check out.
 
 Only correctness is asserted; timings depend on the host and are not read.
 """
@@ -8,12 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_bench_probe_run_is_correct():
+@pytest.mark.parametrize("workload", ["probe", "integral"])
+def test_bench_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "probe", "--seed", "0", "--seconds", "1", "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "0"],
         cwd=ROOT,
         capture_output=True,
         text=True,

@@ -620,3 +620,68 @@ def test_malformed_witness_config_is_an_input_error(name, tmp_path, capsys):
     path = write_json(tmp_path / "config.json", cfg)
     code, out, err = run_cli(["witness", "run", "--config", path], capsys)
     assert code == 3 and out == "" and err.startswith("error:") and message in err
+
+
+NEGATIVE_COUNTS = {
+    "sphere-product-rhs-n": ["sphere", "product-rhs", "--inputs", "in.json", "--n", "-1"],
+    "catalog-product-check-n": ["catalog", "product-check", "--left", "free:1", "--right", "free:1", "--n", "-1"],
+    "catalog-theorem2-n": ["catalog", "theorem2", "--left", "free:1", "--right", "free:1", "--n", "-1"],
+    "catalog-theorem3-n": ["catalog", "theorem3", "--left", "free:1", "--right", "free:1", "--n", "-1"],
+    "catalog-lookup-degree": ["catalog", "lookup", "--group", "free:2", "--degree", "-1"],
+    "catalog-cross-validate-degree": ["catalog", "cross-validate", "--group", "free:2", "--degree", "-1", "--directions", "1,0"],
+    "check-axioms-samples": ["valuation", "check-axioms", "--resolution", "free:2", "--char", "1,0", "--samples", "-5"],
+    "prop41-samples": [
+        "valuation", "prop41", "--left", "free:1", "--right", "free:1",
+        "--char-left", "1", "--char-right", "1", "--samples", "-5",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_COUNTS))
+def test_negative_counts_are_usage_errors(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(NEGATIVE_COUNTS[name])
+    assert exc.value.code == 2
+    assert "negative" in capsys.readouterr().err
+
+
+HUGE_RANKS = {
+    "koszul": lambda write: ["resolution", "build", "--resolution", "koszul:99999999"],
+    "free-resolution": lambda write: ["resolution", "build", "--resolution", "free:99999999"],
+    "abelian-group": lambda write: ["probe", "ca", "--group", "abelian:99999999", "--char", "1", "--n", "1", "--window", "1", "--lambda-max", "1"],
+    "group-file": lambda write: [
+        "probe", "ca", "--group", write({"kind": "free", "rank": 99999999}),
+        "--char", "1", "--n", "1", "--window", "1", "--lambda-max", "1",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_RANKS))
+def test_huge_rank_is_refused_before_labels_are_built(name, tmp_path, capsys, monkeypatch):
+    import bnsr.groups as groups
+
+    def labels(rank):
+        raise AssertionError(f"built labels for rank {rank}")
+
+    # without the guard the command fails here, before it can allocate anything
+    monkeypatch.setattr(groups, "_default_abelian_labels", labels)
+    monkeypatch.setattr(groups, "_default_free_labels", labels)
+    start = time.perf_counter()
+    code, out, err = run_cli(HUGE_RANKS[name](lambda obj: write_json(tmp_path / "group.json", obj)), capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and f"limit of {groups.MAX_RANK}" in err
+
+
+def test_oversized_smith_normal_form_is_an_input_error(tmp_path, capsys, monkeypatch):
+    import bnsr.linalg as linalg
+
+    def factor(M):
+        raise AssertionError("factored an oversized matrix")
+
+    monkeypatch.setattr(linalg, "smith_normal_form", factor)
+    form = [1, -1] + [0] * 998  # one equation in dimension 1000: a 1 x 1000 kernel problem
+    path = write_json(tmp_path / "big.json", {"dim": 1000, "cells": [{"eq": [form], "gt": []}]})
+    start = time.perf_counter()
+    code, out, err = run_cli(["sphere", "equals", "--left", path, "--right", path], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and f"limit of {linalg.MAX_SMITH_ENTRIES}" in err

@@ -416,4 +416,4 @@ def test_zero_map_matches_fresh_recognition(kind, tag, radius, p):
             C_tl_all = [inv.truncate(t - lam, [p, p + 1]) for lam in range(3)]
             for C_tl in C_tl_all:
                 for _ in range(2):  # the second call reads the memoized edge list
-                    assert _zero_map(C_t, C_tl, p, True) == oracle_zero_map(C_t, C_tl, p, True)
+                    assert _zero_map(C_t, C_tl, p) == oracle_zero_map(C_t, C_tl, p, True)

@@ -27,9 +27,10 @@ from bnsr import (
     tensor_resolution,
     window_for,
 )
-from bnsr.homology import _augmented_cycles, _WindowInventory, _zero_map, dense_boundary
+from bnsr.homology import _WindowInventory, _zero_map, dense_boundary
 
 from conftest import kernel_columns, random_field_complex
+from smith_oracle import _augmented_cycles, integer_kernel_basis, integer_solvable
 
 GF5 = PrimeField(5)
 
@@ -41,7 +42,7 @@ def oracle_cycles_of(C, p):
         combos = [{j: C.ring.one()} for j in range(ncells)]
     elif C.ring == INTEGERS:
         M = dense_boundary(C, p)
-        basis = linalg.integer_kernel_basis(M)
+        basis = integer_kernel_basis(M)
         combos = [{j: vec[j] for j in range(ncells) if vec[j] != 0} for vec in basis]
     else:
         combos = kernel_columns(list(enumerate(cols)), C.ring)
@@ -100,7 +101,7 @@ def oracle_zero_map(C_t, C_tl, p, augmented):
             if not M or not M[0]:
                 if any(x != 0 for x in z):
                     return False
-            elif not linalg.integer_solvable(M, z):
+            elif not integer_solvable(M, z):
                 return False
         return True
     base = list(enumerate(cols_fill))
@@ -146,7 +147,7 @@ def test_window_verdicts_match_cycle_basis_oracle(ring, name, F, radius):
                     for lam in range(3):
                         C_tl = inv.truncate(t - lam, [p, p + 1])
                         want = oracle_zero_map(C_t, C_tl, p, augmented)
-                        assert _zero_map(C_t, C_tl, p, augmented) == want, (p, t, lam, augmented)
+                        assert _zero_map(C_t, C_tl, p) == want, (p, t, lam, augmented)
                         checked += 1
         assert checked
 
@@ -182,7 +183,7 @@ def test_random_field_subcomplexes_match_cycle_basis_oracle(rng):
             for augmented in (False, True) if p == 0 else (False,):
                 C_t = _restrict(R, [p] if p == 0 else [p - 1, p], keep, augmented=augmented)
                 want = oracle_zero_map(C_t, C_tl, p, augmented)
-                assert _zero_map(C_t, C_tl, p, augmented) == want
+                assert _zero_map(C_t, C_tl, p) == want
                 seen[want] += 1
     assert seen[True] and seen[False]
 
@@ -194,13 +195,14 @@ def test_cycle_escaping_the_lower_complex_is_an_error():
         with pytest.raises(ValueError, match="escapes the lower window complex"):
             oracle_zero_map(C_t, C_tl, 0, augmented=False)
         with pytest.raises(ValueError, match="escapes the lower window complex"):
-            _zero_map(C_t, C_tl, 0, augmented=False)
+            _zero_map(C_t, C_tl, 0)
     # over Z with a filling that is not an incidence system (the Smith normal form path)
     C_tl = FiniteComplex(INTEGERS, {1: ["x"], 2: ["f"]}, {2: [{0: 2}]})
     C_t = FiniteComplex(INTEGERS, {0: ["v"], 1: ["x", "y"]}, {1: [{}, {}]})
-    for zero_map in (oracle_zero_map, _zero_map):
-        with pytest.raises(ValueError, match="escapes the lower window complex"):
-            zero_map(C_t, C_tl, 1, augmented=False)
+    with pytest.raises(ValueError, match="escapes the lower window complex"):
+        oracle_zero_map(C_t, C_tl, 1, augmented=False)
+    with pytest.raises(ValueError, match="escapes the lower window complex"):
+        _zero_map(C_t, C_tl, 1)
 
 
 def test_torsion_filling_bounds_over_q_but_not_over_z():
@@ -209,4 +211,4 @@ def test_torsion_filling_bounds_over_q_but_not_over_z():
         C_tl = FiniteComplex(ring, {1: ["x"], 2: ["f"]}, {2: [{0: ring.from_int(2)}]})
         C_t = FiniteComplex(ring, {0: ["v"], 1: ["x"]}, {1: [{}]})
         assert oracle_zero_map(C_t, C_tl, 1, augmented=False) is want
-        assert _zero_map(C_t, C_tl, 1, augmented=False) is want
+        assert _zero_map(C_t, C_tl, 1) is want
