@@ -31,7 +31,6 @@ from .spheres import (
     intersect,
     join,
     make_cell,
-    meinert_check,
     member,
     product_formula_rhs,
     subset,

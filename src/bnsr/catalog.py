@@ -93,16 +93,6 @@ class Catalog:
             raise KeyError(f"no catalog record for {group.to_dict()}, degree {degree}, ring {ring_tag}")
         return rec
 
-    def has(self, group: Group, degree: int, ring_tag: str) -> bool:
-        return (group, degree, ring_tag) in self._by_key
-
-    def groups(self):
-        seen = []
-        for rec in self.records:
-            if rec.group not in seen:
-                seen.append(rec.group)
-        return seen
-
     def merge(self, extra, shadow: bool = False) -> "Catalog":
         """Add user records; replacing a builtin needs the explicit flag."""
         merged = {rec.key: rec for rec in self.records}
@@ -268,12 +258,16 @@ def formula_inputs(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> S
     )
 
 
+def _formula_sides(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> tuple[ConeSet, ConeSet]:
+    """The stored product complement and the union of joins of the factor complements."""
+    lhs = cat.lookup(product(G, H), n, ring_tag).complement
+    return lhs, product_formula_rhs(formula_inputs(cat, G, H, n, ring_tag), n)
+
+
 def verify_product_formula(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> FormulaReport:
     """Exact cone-set equality of the stored product complement against the
     union of joins of the factor complements."""
-    P = product(G, H)
-    lhs = cat.lookup(P, n, ring_tag).complement
-    rhs = product_formula_rhs(formula_inputs(cat, G, H, n, ring_tag), n)
+    lhs, rhs = _formula_sides(cat, G, H, n, ring_tag)
     return FormulaReport(
         G.to_dict(), H.to_dict(), n, ring_tag, equals(lhs, rhs), len(lhs.cells), len(rhs.cells)
     )
@@ -281,10 +275,7 @@ def verify_product_formula(cat: Catalog, G: Group, H: Group, n: int, ring_tag: s
 
 def meinert_report(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> bool:
     """The inclusion that always holds: product complement inside the joins."""
-    P = product(G, H)
-    lhs = cat.lookup(P, n, ring_tag).complement
-    rhs = product_formula_rhs(formula_inputs(cat, G, H, n, ring_tag), n)
-    return subset(lhs, rhs)
+    return subset(*_formula_sides(cat, G, H, n, ring_tag))
 
 
 @dataclass

@@ -22,7 +22,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -524,15 +524,19 @@ class Direction:
         return Character(self.group, self.vector)
 
 
+def primitive_vector(vec: Sequence) -> tuple[int, ...]:
+    """Primitive integer multiple of a nonzero rational vector; ints stay ints."""
+    vals = [v if isinstance(v, int) else Fraction(v) for v in vec]
+    denom = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (denom // v.denominator) for v in vals]
+    g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero linear form")
+    return tuple(v // g for v in ints)
+
+
 def direction_of(chi: Character) -> Direction:
     """Canonical primitive integer vector of a nonzero character class."""
     if chi.is_zero:
         raise ValueError("the zero character has no direction")
-    denom_lcm = 1
-    for c in chi.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in chi.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return Direction(chi.group, tuple(v // g for v in ints))
+    return Direction(chi.group, primitive_vector(chi.coeffs))

@@ -291,15 +291,16 @@ def fox_filling(w, F: Resolution) -> Chain:
     return Chain(ring, terms)
 
 
-def tensor_resolution(F: Resolution, G: Resolution) -> Resolution:
-    """Tensor product resolution over the direct product group."""
-    if F.ring != G.ring:
-        raise ValueError(f"ring mismatch: {F.ring} vs {G.ring}")
-    ring = F.ring
-    amb = product(F.group, G.group)
+# A tensor product has the product of its factors' cell counts.  The tests reach
+# at most 16 (koszul:2 with koszul:2) and the benchmark workloads 12; the limit
+# is ten times the larger.
+MAX_TENSOR_CELLS = 160
+
+
+def _tensor_cells(F: Resolution, G: Resolution):
+    """The cells of F ⊗ G by degree, and the factor pair of each cell."""
     cells_by_degree: dict[int, list[BasisCell]] = {}
     cell_pairs: dict[BasisCell, tuple[BasisCell, BasisCell]] = {}
-    pair_cell: dict[tuple[BasisCell, BasisCell], BasisCell] = {}
     for d in range(F.max_degree + G.max_degree + 1):
         bucket: list[BasisCell] = []
         for dl in range(d + 1):
@@ -309,9 +310,22 @@ def tensor_resolution(F: Resolution, G: Resolution) -> Resolution:
                     cell = BasisCell(d, len(bucket), f"{x.label}⊗{y.label}")
                     bucket.append(cell)
                     cell_pairs[cell] = (x, y)
-                    pair_cell[(x, y)] = cell
         if bucket:
             cells_by_degree[d] = bucket
+    return cells_by_degree, cell_pairs
+
+
+def tensor_resolution(F: Resolution, G: Resolution) -> Resolution:
+    """Tensor product resolution over the direct product group."""
+    if F.ring != G.ring:
+        raise ValueError(f"ring mismatch: {F.ring} vs {G.ring}")
+    count = len(F.cell_by_label) * len(G.cell_by_label)
+    if count > MAX_TENSOR_CELLS:
+        raise ValueError(f"a tensor product of {count} cells is above the limit of {MAX_TENSOR_CELLS}")
+    ring = F.ring
+    amb = product(F.group, G.group)
+    cells_by_degree, cell_pairs = _tensor_cells(F, G)
+    pair_cell = {pair: cell for cell, pair in cell_pairs.items()}
 
     ident_l = F.group.identity()
     ident_r = G.group.identity()

@@ -13,6 +13,13 @@ Forms and witness points are primitive integer tuples.  Equations are
 solved on an integer kernel basis from ``linalg``'s Smith normal form;
 ``Fraction`` is used only in the Fourier-Motzkin back substitution and
 when parsing rational input.
+
+Every form in a cell is a primitive integer tuple, and every equation is
+sign-canonical (its first nonzero entry is positive).  Forms are made
+canonical only where they enter, in :func:`make_cell` and
+:func:`cone_set_from_obj`; the set operations build their cells from forms
+that already are, and only dedupe and sort them.  ``Cell(...)`` is the raw
+constructor: it trusts its caller to keep the invariant.
 """
 
 from __future__ import annotations
@@ -20,24 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from . import linalg
-from .groups import Direction, Group
+from .groups import Direction, Group, primitive_vector
 
 Form = tuple[int, ...]
-
-
-def _normalize_form(vec: Sequence) -> Form:
-    """Primitive integer multiple of a nonzero rational vector; ints stay ints."""
-    vals = [v if isinstance(v, int) else Fraction(v) for v in vec]
-    denom = lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (denom // v.denominator) for v in vals]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero linear form")
-    return tuple(v // g for v in ints)
 
 
 def _hyperplane_form(form: Form) -> Form:
@@ -70,13 +66,21 @@ class Cell:
 
 
 def make_cell(eqs: Iterable, gts: Iterable) -> Cell:
-    e = tuple(sorted({_hyperplane_form(_normalize_form(f)) for f in eqs}))
-    g = tuple(sorted({_normalize_form(f) for f in gts}))
-    return Cell(e, g)
+    """A cell from arbitrary nonzero rational forms, made canonical here."""
+    return _cell([_hyperplane_form(primitive_vector(f)) for f in eqs], [primitive_vector(f) for f in gts])
+
+
+def _cell(eqs: Iterable[Form], gts: Iterable[Form]) -> Cell:
+    """A cell from forms that are already canonical: dedupe and sort only."""
+    return Cell(tuple(sorted(set(eqs))), tuple(sorted(set(gts))))
 
 
 # ---------------------------------------------------------------------------
 # strict feasibility by exact elimination
+
+# Largest lowers x uppers pairing of one elimination step.  The tests reach at
+# most 50 and the benchmark workloads 12; the limit is ten times the larger.
+MAX_FM_PAIRS = 500
 
 
 def _fm_witness(constraints: list[Form], nvars: int):
@@ -93,6 +97,11 @@ def _fm_witness(constraints: list[Form], nvars: int):
                 uppers.append(c)
             else:
                 passthrough.append(c)
+        if len(lowers) * len(uppers) > MAX_FM_PAIRS:
+            raise ValueError(
+                f"a Fourier-Motzkin step pairs {len(lowers)} x {len(uppers)} constraints, "
+                f"above the limit of {MAX_FM_PAIRS}"
+            )
         derived = set(passthrough)
         for lo in lowers:
             for up in uppers:
@@ -140,24 +149,24 @@ def _feasible_cached(dim: int, eqs: tuple[Form, ...], gts: tuple[Form, ...]):
         if not kernel:
             return None
         if not gts:
-            return _normalize_form(kernel[0])
+            return primitive_vector(kernel[0])
         projected = []
         for f in gts:
             row = tuple(_dot(f, vec) for vec in kernel)
             if all(x == 0 for x in row):
                 return None
-            projected.append(_normalize_form(row))
+            projected.append(primitive_vector(row))
         y = _fm_witness(projected, len(kernel))
         if y is None:
             return None
-        y = _normalize_form(y)
-        return _normalize_form([sum(vec[i] * yi for vec, yi in zip(kernel, y)) for i in range(dim)])
+        y = primitive_vector(y)
+        return primitive_vector([sum(vec[i] * yi for vec, yi in zip(kernel, y)) for i in range(dim)])
     if not gts:
         if dim == 0:
             return None
         return tuple(1 if i == 0 else 0 for i in range(dim))
     y = _fm_witness(list(gts), dim)
-    return None if y is None else _normalize_form(y)
+    return None if y is None else primitive_vector(y)
 
 
 def cell_witness(dim: int, cell: Cell):
@@ -216,8 +225,8 @@ def full_sphere_dim(dim: int) -> ConeSet:
     for i in range(dim):
         eqs = [tuple(1 if j == k else 0 for j in range(dim)) for k in range(i)]
         axis = tuple(1 if j == i else 0 for j in range(dim))
-        cells.append(make_cell(eqs, [axis]))
-        cells.append(make_cell(eqs, [_neg(axis)]))
+        cells.append(_cell(eqs, [axis]))
+        cells.append(_cell(eqs, [_neg(axis)]))
     return ConeSet(dim, tuple(cells))
 
 
@@ -243,31 +252,27 @@ def _check_same_dim(A: ConeSet, B: ConeSet):
 
 def union(A: ConeSet, B: ConeSet) -> ConeSet:
     _check_same_dim(A, B)
-    return cone_set(A.dim, A.cells + B.cells, validate=False)
+    return ConeSet(A.dim, tuple(dict.fromkeys(A.cells + B.cells)))
 
 
 def intersect(A: ConeSet, B: ConeSet) -> ConeSet:
     _check_same_dim(A, B)
-    cells = []
-    for a in A.cells:
-        for b in B.cells:
-            cells.append(make_cell(a.eqs + b.eqs, a.gts + b.gts))
-    return cone_set(A.dim, cells, validate=True)
+    cells = dict.fromkeys(_cell(a.eqs + b.eqs, a.gts + b.gts) for a in A.cells for b in B.cells)
+    return ConeSet(A.dim, tuple(cell for cell in cells if cell_witness(A.dim, cell) is not None))
 
 
 def _forms_of(sets: Iterable[ConeSet]) -> tuple[Form, ...]:
     forms = set()
     for s in sets:
         for cell in s.cells:
-            for f in cell.eqs:
-                forms.add(_hyperplane_form(f))
-            for f in cell.gts:
-                forms.add(_hyperplane_form(f))
+            forms.update(cell.eqs)
+            forms.update(_hyperplane_form(f) for f in cell.gts)
     return tuple(sorted(forms))
 
 
 def arrangement_cells(dim: int, forms: Sequence[Form]):
-    """All nonempty sign cells of the hyperplane arrangement, with witnesses.
+    """All nonempty sign cells of the arrangement of sign-canonical primitive
+    forms, with witnesses.
 
     Cells are built incrementally, one hyperplane at a time; the side
     containing the previous witness is free, the other two sides cost one
@@ -281,9 +286,9 @@ def arrangement_cells(dim: int, forms: Sequence[Form]):
         nxt = []
         for cell, w in cells:
             s = _dot(h, w)
-            zero_cell = make_cell(cell.eqs + (h,), cell.gts)
-            plus_cell = make_cell(cell.eqs, cell.gts + (h,))
-            minus_cell = make_cell(cell.eqs, cell.gts + (_neg(h),))
+            zero_cell = _cell(cell.eqs + (h,), cell.gts)
+            plus_cell = _cell(cell.eqs, cell.gts + (h,))
+            minus_cell = _cell(cell.eqs, cell.gts + (_neg(h),))
             for cand, has_w in ((zero_cell, s == 0), (plus_cell, s > 0), (minus_cell, s < 0)):
                 if has_w:
                     nxt.append((cand, w))
@@ -299,40 +304,28 @@ def _contains_point(A: ConeSet, point) -> bool:
     return any(cell.contains(point) for cell in A.cells)
 
 
+def _refine(A: ConeSet, B: ConeSet):
+    """(cell, in A, in B) for every cell of the common arrangement of A and B."""
+    _check_same_dim(A, B)
+    for cell, w in arrangement_cells(A.dim, _forms_of([A, B])):
+        yield cell, _contains_point(A, w), _contains_point(B, w)
+
+
 def complement(A: ConeSet) -> ConeSet:
     """Complement within the sphere, refined over A's own arrangement."""
-    cells = [
-        cell
-        for cell, w in arrangement_cells(A.dim, _forms_of([A]))
-        if not _contains_point(A, w)
-    ]
-    return ConeSet(A.dim, tuple(cells))
+    return ConeSet(A.dim, tuple(cell for cell, in_a, _ in _refine(A, empty_set(A.dim)) if not in_a))
 
 
 def subset(A: ConeSet, B: ConeSet) -> bool:
-    _check_same_dim(A, B)
-    for cell, w in arrangement_cells(A.dim, _forms_of([A, B])):
-        if _contains_point(A, w) and not _contains_point(B, w):
-            return False
-    return True
+    return all(in_b for _, in_a, in_b in _refine(A, B) if in_a)
 
 
 def equals(A: ConeSet, B: ConeSet) -> bool:
-    _check_same_dim(A, B)
-    for cell, w in arrangement_cells(A.dim, _forms_of([A, B])):
-        if _contains_point(A, w) != _contains_point(B, w):
-            return False
-    return True
+    return all(in_a == in_b for _, in_a, in_b in _refine(A, B))
 
 
 def difference(A: ConeSet, B: ConeSet) -> ConeSet:
-    _check_same_dim(A, B)
-    cells = [
-        cell
-        for cell, w in arrangement_cells(A.dim, _forms_of([A, B]))
-        if _contains_point(A, w) and not _contains_point(B, w)
-    ]
-    return ConeSet(A.dim, tuple(cells))
+    return ConeSet(A.dim, tuple(cell for cell, in_a, in_b in _refine(A, B) if in_a and not in_b))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +342,7 @@ def _embed_cells(A: ConeSet, offset: int, total: int):
     other = [i for i in range(total) if not (offset <= i < offset + A.dim)]
     zero_eqs = [tuple(1 if j == i else 0 for j in range(total)) for i in other]
     for cell in A.cells:
-        yield make_cell(
+        yield _cell(
             [_pad_form(f, offset, total) for f in cell.eqs] + zero_eqs,
             [_pad_form(f, offset, total) for f in cell.gts],
         )
@@ -381,18 +374,17 @@ def join(P: ConeSet, Q: ConeSet) -> ConeSet:
     the points with one vanishing half land in the embedded copies.
     """
     total = P.dim + Q.dim
-    cells = []
-    for p in P.cells:
-        for q in Q.cells:
-            cells.append(
-                Cell(
-                    tuple(sorted({_pad_form(f, 0, total) for f in p.eqs} | {_pad_form(f, P.dim, total) for f in q.eqs})),
-                    tuple(sorted({_pad_form(f, 0, total) for f in p.gts} | {_pad_form(f, P.dim, total) for f in q.gts})),
-                )
-            )
+    cells = [
+        _cell(
+            [_pad_form(f, 0, total) for f in p.eqs] + [_pad_form(f, P.dim, total) for f in q.eqs],
+            [_pad_form(f, 0, total) for f in p.gts] + [_pad_form(f, P.dim, total) for f in q.gts],
+        )
+        for p in P.cells
+        for q in Q.cells
+    ]
     cells.extend(_embed_cells(P, 0, total))
     cells.extend(_embed_cells(Q, P.dim, total))
-    return cone_set(total, cells, validate=False)
+    return ConeSet(total, tuple(dict.fromkeys(cells)))
 
 
 @dataclass
@@ -420,11 +412,6 @@ def product_formula_rhs(inputs: SigmaFormulaInput, n: int) -> ConeSet:
     for p in range(n + 1):
         out = union(out, join(inputs.g_complements[p], inputs.h_complements[n - p]))
     return out
-
-
-def meinert_check(lhs_complement: ConeSet, rhs: ConeSet) -> bool:
-    """The inclusion direction that always holds: lhs complement inside rhs."""
-    return subset(lhs_complement, rhs)
 
 
 def homotopical_combine(

@@ -685,3 +685,40 @@ def test_oversized_smith_normal_form_is_an_input_error(tmp_path, capsys, monkeyp
     code, out, err = run_cli(["sphere", "equals", "--left", path, "--right", path], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == "" and f"limit of {linalg.MAX_SMITH_ENTRIES}" in err
+
+
+def test_oversized_fourier_motzkin_step_is_an_input_error(tmp_path, capsys):
+    from bnsr.spheres import MAX_FM_PAIRS
+
+    # 23 forms rising and 23 falling in the last coordinate: one step pairs 529 of them
+    k = 23
+    assert k * k > MAX_FM_PAIRS
+    gts = [[str(i), "1"] for i in range(k)] + [[str(i), "-1"] for i in range(k)]
+    path = write_json(tmp_path / "wide.json", {"dim": 2, "cells": [{"eq": [], "gt": gts}]})
+    start = time.perf_counter()
+    code, out, err = run_cli(["sphere", "complement", "--set", path], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and f"limit of {MAX_FM_PAIRS}" in err
+
+
+OVERSIZED_TENSORS = {
+    "resolution-spec": ["resolution", "build", "--resolution", "tensor:koszul:12,koszul:12"],
+    "product-group": ["probe", "ca", "--group", "product:abelian:12,abelian:12", "--char", ",".join(["1"] * 24),
+                      "--n", "1", "--window", "1", "--lambda-max", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_TENSORS))
+def test_oversized_tensor_product_is_refused_before_its_cells_are_built(name, capsys, monkeypatch):
+    import bnsr.resolutions as resolutions
+
+    def cells(F, G):
+        raise AssertionError(f"built the cells of a {len(F.cell_by_label)} x {len(G.cell_by_label)} tensor product")
+
+    # without the guard the command fails here, before it can allocate 2^24 cells
+    monkeypatch.setattr(resolutions, "_tensor_cells", cells)
+    start = time.perf_counter()
+    code, out, err = run_cli(OVERSIZED_TENSORS[name], capsys)
+    # both rank-12 factors (4096 cells each) are built before the guard runs
+    assert time.perf_counter() - start < 3.0
+    assert code == 3 and out == "" and f"limit of {resolutions.MAX_TENSOR_CELLS}" in err
