@@ -499,9 +499,12 @@ def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
     of Dx placed after the p-rows of C_tl.  (y, x) is in the kernel of M
     exactly when Dx = 0 and x = By, so rank M = rank B + rank D iff every
     p-cycle of C_t bounds in C_tl.  Whether B is an incidence system, and
-    its components, are decided once per complex; with an incidence B and a
-    unit augmentation, M is again an incidence system, and its rank is rank
-    B plus the rank of the new edges on B's contracted components.
+    its components, are decided once per complex.  In degree 0 with an
+    incidence B the new columns are edges too, and the verdict is read off
+    B's components: without augmentation, -x joins x to the ground vertex,
+    so every vertex of C_t must lie in the ground's component; with a unit
+    augmentation, (-x, 1) joins x to the augmentation row, so all vertices
+    of C_t must share one component.
 
     Over Z the identity is used only when B is a signed incidence matrix:
     B is then totally unimodular, so an integer cycle bounds over Z iff it
@@ -516,25 +519,27 @@ def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
     if ring == INTEGERS and roots is None:
         return _zero_map_integral(C_t, C_tl, p)
     idx = C_tl.index.get(p, {})
-    offset = C_tl.dim(p)
+    rows = [idx.get(key) for key in C_t.basis.get(p, ())]
+    if None in rows:
+        raise ValueError("cycle support escapes the lower window complex")
     bd = C_t.columns.get(p)
+    if p == 0 and roots is not None:
+        components = {roots.get(i, i) for i in rows}
+        if bd is None:
+            return components <= {roots.get(linalg.GROUND, linalg.GROUND)}
+        one = ring.one()
+        if all(col == {0: one} for col in bd):
+            return len(components) <= 1
+    offset = C_tl.dim(p)
     minus = ring.neg(ring.one())
     nfill = len(C_tl.columns.get(p + 1, ()))
     cols = []
-    for j, key in enumerate(C_t.basis.get(p, ())):
-        i = idx.get(key)
-        if i is None:
-            raise ValueError("cycle support escapes the lower window complex")
+    for j, i in enumerate(rows):
         col = {i: minus}
         if bd is not None:
             for r, c in bd[j].items():
                 col[offset + r] = c
         cols.append((nfill + j, col))
-    extra = linalg._as_edges(cols, ring) if roots is not None else None
-    if extra is not None:
-        # rank M - rank B is the rank of the new edges on B's contracted components
-        contracted = [(k, roots.get(a, a), roots.get(b, b)) for k, a, b in extra]
-        return linalg.edge_rank(contracted) == C_t.boundary_rank(p)
     rank = linalg.rank_columns(C_tl.column_items(p + 1) + cols, ring)
     return rank == C_tl.boundary_rank(p + 1) + C_t.boundary_rank(p)
 

@@ -2,11 +2,12 @@
 
 Systems arrive column-wise: a column is a sparse dict mapping row keys to
 nonzero ring elements.  Boundary maps of group-ring resolutions are signed
-incidence matrices in low degrees, so rank and solvability get a union-find
-fast path; everything else goes through one sparse fraction-free
-elimination with min-degree pivoting, on denominator-cleared integers over
-Q and on residues over F_p.  The rank of integer columns is read over Q,
-where it is the same.  Every other integer question goes through one
+incidence matrices in low degrees, so rank, solvability and the filtration
+sweep get a union-find fast path; everything else goes through one sparse
+fraction-free column reduction (:class:`_Reduction`), with the largest row
+of each column as its pivot, on denominator-cleared integers over Q and on
+residues over F_p.  The rank of integer columns is read over Q, where it is
+the same.  Every other integer question goes through one
 :class:`SmithForm`: a dense Smith normal form U M V = D, computed once,
 answers the kernel lattice, integer solvability and class orders.
 Factorizations above ``MAX_SMITH_ENTRIES`` are refused.
@@ -14,7 +15,6 @@ Factorizations above ``MAX_SMITH_ENTRIES`` are refused.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -146,13 +146,11 @@ def solve_columns(cols, rhs: dict, ring: CoefficientRing):
     prime fields; incidence systems are also accepted over Z.
     """
     items = list(cols.items()) if isinstance(cols, dict) else list(cols)
-    zero = ring.zero()
     b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
     edges = _as_edges(items, ring)
     if edges is not None:
         return _solve_edges(edges, b, ring)
-    pivots, solution, _ = _eliminate(items, b, ring, want_solution=True)
-    return solution
+    return _eliminate(items, b, ring, want_solution=True)[1]
 
 
 def rank_columns(cols, ring: CoefficientRing) -> int:
@@ -160,19 +158,9 @@ def rank_columns(cols, ring: CoefficientRing) -> int:
     items = list(cols.items()) if isinstance(cols, dict) else list(cols)
     edges = _as_edges(items, ring)
     if edges is not None:
-        return edge_rank(edges)
-    pivots, _, _ = _eliminate(items, None, RATIONALS if ring == INTEGERS else ring, want_solution=False)
-    return pivots
-
-
-def edge_rank(edges) -> int:
-    """Rank of an incidence system given by its ``_as_edges`` edge list."""
-    uf = _UnionFind()
-    rank = 0
-    for _, tail, head in edges:
-        if uf.union(tail, head):
-            rank += 1
-    return rank
+        uf = _UnionFind()
+        return sum(uf.union(tail, head) for _, tail, head in edges)
+    return _eliminate(items, None, RATIONALS if ring == INTEGERS else ring, want_solution=False)[0]
 
 
 def edge_roots(edges) -> dict:
@@ -193,10 +181,8 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     in the span of the edges exactly when its entries sum to zero on every
     component that does not reach the ground vertex, so each component
     carries its rhs sum and whether it is grounded.  Those systems span over
-    Z exactly when they span over Q.  Otherwise, over Q and F_p, each column
-    is reduced fraction-free (:func:`_row_update`) against the pivots so far
-    until it is zero or its largest row is a new pivot, and the rhs, reduced
-    the same way, is spanned once it is zero.
+    Z exactly when they span over Q.  Otherwise, over Q and F_p, the columns
+    go one by one into a :class:`_Reduction` whose target is ``rhs``.
     """
     b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
     if not b:
@@ -204,35 +190,29 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     edges = _as_edges([(k, col) for k, batch in enumerate(batches) for col in batch], ring)
     if edges is not None:
         return _sweep_edges(edges, b, ring)
-    return _sweep_reduce(batches, b, _field_modulus(ring))
+    mod = _field_modulus(ring)
+    red = _Reduction(mod, dict(_scaled(b.items(), mod)[0]))
+    for k, batch in enumerate(batches):
+        for col in batch:
+            red.add(dict(_scaled(col.items(), mod)[0]))
+            if red.spanned:
+                return k
+    return None
 
 
 def _sweep_edges(edges, b: dict, ring):
     """Kruskal's sweep of ``first_spanning_batch`` over ``(batch, tail, head)`` edges."""
     add, is_zero = ring.add, ring.is_zero
-    parent: dict = {}
+    uf = _UnionFind()
     total = dict(b)  # component root -> nonzero rhs sum
     grounded = {GROUND}  # component roots that reach the ground vertex
     unbalanced = len(total)  # ungrounded components with a nonzero sum
-
-    def find(x):
-        root = x
-        while True:
-            up = parent.get(root)
-            if up is None:
-                break
-            root = up
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
     for k, tail, head in edges:
-        ra, rb = find(tail), find(head)
-        if ra == rb:
+        ra, rb = uf.find(tail), uf.find(head)
+        if not uf.union(ra, rb):
             continue
         ga, gb = ra in grounded, rb in grounded
         before = (not ga and ra in total) + (not gb and rb in total)
-        parent[rb] = ra
         s = total.pop(rb, None)
         if s is not None:
             s = add(total[ra], s) if ra in total else s
@@ -245,39 +225,6 @@ def _sweep_edges(edges, b: dict, ring):
         unbalanced -= before - (not (ga or gb) and ra in total)
         if not unbalanced:
             return k
-    return None
-
-
-def _sweep_reduce(batches, b: dict, mod: int):
-    """Incremental column reduction of ``first_spanning_batch`` over Q or F_p."""
-    pivots: dict = {}  # largest row -> reduced column
-
-    def reduce(vec):
-        # clear the largest row while it is a pivot; it is then a new pivot or vec is zero
-        while vec:
-            low = max(vec)
-            piv = pivots.get(low)
-            if piv is None:
-                return low
-            _, _, g, _, _ = _row_update(vec, piv, low, mod)
-            if g > 1:
-                for r in vec:
-                    vec[r] //= g
-        return None
-
-    target = dict(_scaled(b.items(), mod)[0])
-    target_low = reduce(target)
-    for k, batch in enumerate(batches):
-        for col in batch:
-            vec = dict(_scaled(col.items(), mod)[0])
-            low = reduce(vec)
-            if low is None:
-                continue
-            pivots[low] = vec
-            if low == target_low:
-                target_low = reduce(target)
-                if target_low is None:
-                    return k
     return None
 
 
@@ -302,23 +249,19 @@ def _scaled(entries, mod: int):
     return [(r, f.numerator * (scale // f.denominator)) for r, f in fracs], scale
 
 
-def _row_update(row2, row, cid, mod: int):
+def _row_update(row2, row, cid, mod: int) -> int:
     """The fraction-free update of ``row2`` by the pivot ``row`` at ``cid``.
 
     ``row2`` becomes ``(pivot/g) * row2 - (a/g) * row`` in place, where a and
     pivot are the two entries at ``cid`` and g = gcd(a, pivot) is signed like
-    the pivot; entries are reduced mod p over F_p.  Returns (ml, mr, g, fill,
-    cleared): the multipliers pivot/g and a/g, the gcd of the new entries,
-    and the keys that became nonzero and zero.  Dividing by that gcd is left
-    to the caller, which may carry more entries (a right-hand side).
+    the pivot; entries are reduced mod p over F_p.  Returns the gcd of the
+    new entries; dividing by it is left to the caller.
     """
     pval = row[cid]
     a = row2[cid]
     g0 = gcd(a, pval) if pval > 0 else -gcd(a, pval)
     ml, mr = pval // g0, a // g0
     g = 0
-    fill = []
-    cleared = []
     for c2, v2 in row.items():
         cur = row2.get(c2)
         nv = (ml * cur - mr * v2) if cur is not None else -mr * v2
@@ -327,10 +270,7 @@ def _row_update(row2, row, cid, mod: int):
         if nv == 0:
             if cur is not None:
                 del row2[c2]
-                cleared.append(c2)
         else:
-            if cur is None:
-                fill.append(c2)
             row2[c2] = nv
             g = gcd(g, nv)
     if ml != 1 or g != 1:  # otherwise the other entries keep their values and g stays 1
@@ -341,133 +281,94 @@ def _row_update(row2, row, cid, mod: int):
                     nv %= mod
                 row2[c2] = nv
                 g = gcd(g, nv)
-    return ml, mr, g, fill, cleared
+    return g
+
+
+class _Reduction:
+    """The one field elimination: a column reduction over Q (``mod`` 0) or F_p.
+
+    Columns are dicts from integer rows to integers (residues mod p over
+    F_p).  Each added column is reduced fraction-free (:func:`_row_update`)
+    against the pivots so far, and divided by the gcd of its entries, until
+    it is zero or its largest row is a new pivot.  Both steps rescale by
+    units, so the rank does not depend on them.  Rows below zero are never
+    pivots: a column that carries its combination of the column keys, one
+    unit entry on a row of its own below zero, keeps it there, and it is
+    zero once only those rows are left.  The ``target`` is reduced whenever
+    a new pivot lands on its largest row; it is ``spanned`` once zero.
+    """
+
+    def __init__(self, mod: int, target: dict | None = None):
+        self.mod = mod
+        self.pivots: dict = {}  # largest row -> reduced column
+        self.target = {} if target is None else target
+        self.target_low = self._reduce(self.target)
+
+    @property
+    def spanned(self) -> bool:
+        return self.target_low is None
+
+    def _reduce(self, vec):
+        """Clear the largest row while it is a pivot; return it, or None once vec is zero."""
+        pivots, mod = self.pivots, self.mod
+        while vec:
+            low = max(vec)
+            if low < 0:
+                return None
+            piv = pivots.get(low)
+            if piv is None:
+                return low
+            g = _row_update(vec, piv, low, mod)
+            if g > 1:
+                for r in vec:
+                    vec[r] //= g
+        return None
+
+    def add(self, vec: dict) -> None:
+        low = self._reduce(vec)
+        if low is not None:
+            self.pivots[low] = vec
+            if low == self.target_low:
+                self.target_low = self._reduce(self.target)
 
 
 def _eliminate(items, rhs, ring, want_solution: bool):
-    """Sparse fraction-free elimination with lazy min-degree row pivoting.
+    """Rank of the columns ``items`` over Q or F_p, and whether they span ``rhs``.
 
-    Returns (pivot count, solution dict or None, infeasible flag).  When
-    ``rhs`` is None only the rank is computed.  Entries are integers: over Q
-    each column and the rhs are denominator-cleared, over F_p they are
-    residues mod p.  Each row meeting the pivot row takes
-    :func:`_row_update` and is then divided by the gcd of its entries.  Both
-    rescale rows by units, so zero patterns, pivots and the solution do not
-    depend on them.  Only the back substitution divides.
+    Returns (rank, solution dict or None, infeasible flag).  When ``rhs`` is
+    None only the rank is computed.  Rows are numbered in order of first
+    appearance; over Q each column and the rhs are denominator-cleared, over
+    F_p they are residues mod p, and all go into one :class:`_Reduction`
+    with the rhs as its target.  With ``want_solution`` column k carries its
+    combination on row -2 - k and the rhs on row -1, so once the rhs is
+    zero, s * rhs + sum_k c_k * col_k = 0 gives y_k = -c_k / s.
     """
     mod = _field_modulus(ring)
-    rows: dict[int, dict[int, int]] = {}
-    colindex: dict[int, set] = {}
     row_ids: dict = {}
-    col_keys = []
-    col_scale = []
 
-    def row_id(r):
-        rid = row_ids.get(r)
-        if rid is None:
-            rid = len(row_ids)
-            row_ids[r] = rid
-        return rid
-
-    for key, col in items:
-        cid = len(col_keys)
-        col_keys.append(key)
-        vals, scale = _scaled(col.items(), mod)
-        col_scale.append(scale)
-        colindex[cid] = set()
-        for r, v in vals:
-            rid = row_id(r)
-            rows.setdefault(rid, {})[cid] = v
-            colindex[cid].add(rid)
-
-    b: dict[int, int] = {}
-    rhs_scale = 1
-    if rhs is not None:
-        vals, rhs_scale = _scaled(rhs.items(), mod)
-        for r, v in vals:
-            b[row_id(r)] = v
-        for rid in b:
-            rows.setdefault(rid, {})
-
-    heap = [(len(support), rid) for rid, support in rows.items()]
-    heapq.heapify(heap)
-    pivot_trail = []
-    npivots = 0
-
-    while heap:
-        ln, rid = heapq.heappop(heap)
-        row = rows.get(rid)
-        if row is None or len(row) != ln:
-            continue
-        if ln == 0:
-            if b.get(rid, 0) != 0:
-                return npivots, None, True
-            del rows[rid]
-            continue
-        # pivot column: fewest other rows touched, then stable order
-        cid = min(row, key=lambda c: (len(colindex[c]), c))
-        brow = b.get(rid, 0)
-        victims = [r2 for r2 in colindex[cid] if r2 != rid]
-        for r2 in victims:
-            row2 = rows[r2]
-            ml, mr, g, fill, cleared = _row_update(row2, row, cid, mod)
-            for c2 in fill:
-                colindex[c2].add(r2)
-            for c2 in cleared:
-                colindex[c2].discard(r2)
-            nb = 0
-            if rhs is not None:
-                nb = ml * b.get(r2, 0) - mr * brow
-                if mod:
-                    nb %= mod
-                g = gcd(g, nb)
-            if not row2:
-                if nb != 0:
-                    return npivots, None, True
-                b.pop(r2, None)
-                del rows[r2]
-            else:
-                if g > 1:
-                    for c2 in row2:
-                        row2[c2] //= g
-                    nb //= g
-                if rhs is not None:
-                    if nb == 0:
-                        b.pop(r2, None)
-                    else:
-                        b[r2] = nb
-                heapq.heappush(heap, (len(row2), r2))
-        for c2 in row:
-            colindex[c2].discard(rid)
-        del rows[rid]
-        npivots += 1
+    def numbered(entries, tag):
+        vals, scale = _scaled(entries, mod)
+        vec = {row_ids.setdefault(r, len(row_ids)): v for r, v in vals}
         if want_solution:
-            pivot_trail.append((rid, cid, row, brow))
-            b.pop(rid, None)
+            vec[tag] = 1
+        return vec, scale
 
-    if rhs is not None:
-        for rid, row in rows.items():
-            if not row and b.get(rid, 0) != 0:
-                return npivots, None, True
-
-    if not want_solution:
-        return npivots, None, False
-
-    y: dict = {}
-    for rid, cid, row, brow in reversed(pivot_trail):
-        acc = brow if mod else Fraction(brow)
-        for c2, v2 in row.items():
-            if c2 != cid and c2 in y:
-                acc -= v2 * y[c2]
-        if mod:
-            acc %= mod
-            if acc:
-                y[cid] = acc * pow(row[cid], mod - 2, mod) % mod
-        elif acc != 0:
-            y[cid] = acc / row[cid]
+    target, rhs_scale = numbered(rhs.items(), -1) if rhs is not None else (None, 1)
+    red = _Reduction(mod, target)
+    col_scale = []
+    for k, (_, col) in enumerate(items):
+        vec, scale = numbered(col.items(), -2 - k)
+        col_scale.append(scale)
+        red.add(vec)
+    rank = len(red.pivots)
+    if rhs is None or not want_solution or not red.spanned:
+        return rank, None, rhs is not None and not red.spanned
+    s = target.pop(-1)
+    combo = sorted((-2 - r, c) for r, c in target.items())
     if mod:
-        return npivots, {col_keys[c]: val for c, val in y.items()}, False
-    return npivots, {col_keys[c]: val * col_scale[c] / rhs_scale for c, val in y.items()}, False
+        inv = pow(-s, mod - 2, mod)
+        return rank, {items[k][0]: c * inv % mod for k, c in combo}, False
+    return rank, {items[k][0]: Fraction(-c * col_scale[k], s * rhs_scale) for k, c in combo}, False
 
 
 # ---------------------------------------------------------------------------

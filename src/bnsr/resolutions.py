@@ -495,15 +495,18 @@ def chain_from_obj(F: Resolution, data: list) -> Chain:
     for item in data:
         if not isinstance(item, dict) or not {"g", "cell", "coeff"} <= item.keys():
             raise ValueError(f"chain term {item!r} is not an object with keys g, cell and coeff")
-        if not isinstance(item["cell"], str) or not isinstance(item["coeff"], (str, int)):
+        coeff = item["coeff"]
+        if not isinstance(item["cell"], str) or isinstance(coeff, bool) or not isinstance(coeff, (str, int)):
             raise ValueError(f"chain term {item!r} needs a string cell label and a string or integer coeff")
         try:
             g = F.group.element_from_obj(item["g"])
         except ValueError as exc:
             raise ValueError(f"chain term {item!r}: g is not a group element: {exc}") from None
-        cell = F.cell_by_label[item["cell"]]
+        cell = F.cell_by_label.get(item["cell"])
+        if cell is None:
+            raise ValueError(f"chain term {item!r}: no cell is labelled {item['cell']!r}")
         try:
-            coeff = F.ring.parse(item["coeff"])
+            coeff = F.ring.parse(coeff)
         except ZeroDivisionError:
             raise ValueError(f"chain term {item!r}: coeff is not an element of {F.ring.tag}") from None
         terms.append(((g, cell), coeff))

@@ -458,17 +458,26 @@ def _parse_forms(item: dict, key: str) -> list:
     return [[_parse_entry(v) for v in f] for f in forms]
 
 
+# Joins embed every cell with (total - dim) unit equations of length total, so
+# their time and memory grow with the square of the dimension.  The tests and
+# the benchmark workloads parse cone sets of dimension at most 4, apart from
+# the dimension-1000 set that must reach the Smith normal form size guard.
+MAX_SPHERE_DIM = 1000
+
+
 def cone_set_from_obj(data) -> ConeSet:
     """Parse a serialized cone set into primitive integer forms.
 
-    Entries are JSON integers or strings of rationals; any other shape
-    raises ValueError.
+    Entries are JSON integers or strings of rationals; any other shape, and
+    a dimension above ``MAX_SPHERE_DIM``, raises ValueError.
     """
     if not isinstance(data, dict):
         raise ValueError("a cone set must be a JSON object")
     dim = data.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise ValueError(f"cone set dimension must be a nonnegative integer, got {dim!r}")
+    if dim > MAX_SPHERE_DIM:
+        raise ValueError(f"cone set dimension {dim} is above the limit of {MAX_SPHERE_DIM}")
     items = data.get("cells", [])
     if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise ValueError("cone set cells must be a list of objects")

@@ -451,10 +451,16 @@ def test_probe_ca_zero_character_is_an_input_error(capsys):
         ({"g": 1}, "list of terms"),
         ([5], "not an object"),
         ([{"g": [0, 0], "cell": "e1"}], "keys g, cell and coeff"),
+        ([{"g": [0, 0], "cell": "e1", "coeff": True}], "string or integer coeff"),
+        ([{"cell": "zz", "coeff": "1"}], "no cell is labelled 'zz'"),
     ],
-    ids=["g-not-a-list", "not-a-list", "term-not-an-object", "missing-key"],
+    ids=["g-not-a-list", "not-a-list", "term-not-an-object", "missing-key", "bool-coeff", "unknown-cell"],
 )
 def test_malformed_chain_file_is_an_input_error(resolution, chain, message, tmp_path, capsys):
+    # a term given without g gets a valid element of the resolution's group
+    if isinstance(chain, list):
+        g = {"koszul:2": [1, 2], "free:2": ["a", "b"]}[resolution]
+        chain = [{"g": g, **t} if isinstance(t, dict) and "g" not in t else t for t in chain]
     path = write_json(tmp_path / "chain.json", chain)
     code, out, err = run_cli(["resolution", "boundary", "--resolution", resolution, "--chain", path], capsys)
     assert code == 3 and out == "" and message in err
@@ -685,6 +691,17 @@ def test_oversized_smith_normal_form_is_an_input_error(tmp_path, capsys, monkeyp
     code, out, err = run_cli(["sphere", "equals", "--left", path, "--right", path], capsys)
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == "" and f"limit of {linalg.MAX_SMITH_ENTRIES}" in err
+
+
+def test_oversized_cone_set_dimension_is_an_input_error(tmp_path, capsys):
+    from bnsr.spheres import MAX_SPHERE_DIM
+
+    big = write_json(tmp_path / "big.json", {"dim": 2000, "cells": []})
+    line = write_json(tmp_path / "line.json", {"dim": 1, "cells": [{"eq": [], "gt": [[1]]}]})
+    start = time.perf_counter()
+    code, out, err = run_cli(["sphere", "join", "--left", big, "--right", line], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and f"limit of {MAX_SPHERE_DIM}" in err
 
 
 def test_oversized_fourier_motzkin_step_is_an_input_error(tmp_path, capsys):

@@ -275,6 +275,31 @@ def test_target_bounding_only_at_the_lowest_level(tag):
         assert got[1] == c
 
 
+@pytest.mark.parametrize("tag", ["Q", "F5"])
+@pytest.mark.parametrize("kind,radius", [("Z2", 2), ("Z3", 1), ("F2xF2", (2, 1))])
+def test_non_incidence_filling_chain_bounds_the_target_at_the_best_value(kind, radius, tag):
+    # fillings of degree 2 and up are not incidence columns: the chain comes
+    # from the column reduction, and only its boundary, support and value are fixed
+    rng = random.Random(f"filling-chain:{kind}:{tag}")
+    F = resolution(kind, tag)
+    W = window_for(F, radius)
+    checked = 0
+    for p in range(1, F.max_degree):
+        fill_keys = oracle_keys(F, W, p + 1)
+        for _ in range(4):
+            v = random_valuation(F, rng)
+            z = F.boundary(random_window_chain(F, rng, fill_keys, rng.randint(1, 3)))
+            if z.is_zero:
+                continue
+            best, chain = max_filling_value(F, v, z, W, return_chain=True)
+            assert best == oracle_max_filling_value(F, v, z, W)
+            assert F.boundary(chain) == z
+            assert window_chain_supported(F, W, chain)
+            assert v.value(chain) == best
+            checked += 1
+    assert checked
+
+
 def test_non_incidence_filling_over_z_raises():
     F = resolution("Z2", "Z")
     v = basic_valuation(F, Character(F.group, [1, 0]))

@@ -2,10 +2,12 @@
 
 The references below are the two eliminations the library had before they
 were merged: a fraction-free integer loop for Q and a field loop for F_p.
-The merged ``_eliminate`` must give the same rank, the same solution values
-and the same solution key order.  Ranks are also checked against the Smith
-normal form, across rings, and between the incidence fast path and the
-general elimination.
+The merged row elimination, kept in ``linalg_oracle``, gives the same rank,
+the same solution values and the same solution key order.  The column
+reduction that replaced it gives that oracle's rank and feasibility verdict,
+and a solution that solves the system exactly.  Ranks are also checked
+against the Smith normal form, across rings, and between the incidence fast
+path and the general elimination.
 """
 
 import heapq
@@ -14,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 import bnsr.linalg as linalg
+import linalg_oracle
 from bnsr.rings import INTEGERS, PrimeField, RATIONALS
 
 from conftest import _field_ops
@@ -317,13 +320,42 @@ def test_merged_elimination_matches_the_two_reference_loops():
         for _ in range(1000):
             items, rhs = random_system(rng, ring)
             for b, want_solution in ((None, False), (rhs, False), (rhs, True)):
-                got = linalg._eliminate(items, b, ring, want_solution)
+                got = linalg_oracle._eliminate(items, b, ring, want_solution)
                 ref = reference_eliminate(items, b, ring, want_solution)
                 assert got[0] == ref[0] and got[2] == ref[2]
                 if ref[1] is None:
                     assert got[1] is None
                 else:
                     assert list(got[1].items()) == list(ref[1].items())
+
+
+def apply_solution(items, y, ring):
+    acc = {}
+    for key, col in items:
+        for i, v in col.items():
+            acc[i] = ring.add(acc.get(i, ring.zero()), ring.mul(y.get(key, ring.zero()), v))
+    return {i: v for i, v in acc.items() if not ring.is_zero(v)}
+
+
+def test_column_reduction_matches_the_row_elimination_oracle():
+    rng = random.Random(20261019)
+    solved = infeasible = 0
+    for ring in FIELDS:
+        for _ in range(1000):
+            items, rhs = random_system(rng, ring)
+            rank = linalg_oracle._eliminate(items, None, ring, False)[0]
+            assert linalg._eliminate(items, None, ring, False) == (rank, None, False)
+            ref = linalg_oracle._eliminate(items, rhs, ring, True)
+            for want_solution in (False, True):
+                got = linalg._eliminate(items, rhs, ring, want_solution)
+                assert got[0] == rank and got[2] == ref[2]
+                assert (got[1] is None) == (ref[2] or not want_solution)
+            if got[1] is not None:
+                assert all(not ring.is_zero(v) for v in got[1].values())
+                assert apply_solution(items, got[1], ring) == rhs
+                solved += 1
+            infeasible += ref[2]
+    assert solved > 2000 and infeasible > 500
 
 
 def test_sparse_rank_equals_smith_rank_and_bounds_prime_field_ranks():

@@ -212,3 +212,16 @@ def test_torsion_filling_bounds_over_q_but_not_over_z():
         C_t = FiniteComplex(ring, {0: ["v"], 1: ["x"]}, {1: [{}]})
         assert oracle_zero_map(C_t, C_tl, 1, augmented=False) is want
         assert _zero_map(C_t, C_tl, 1) is want
+
+
+def test_degree_zero_without_augmentation_needs_the_ground_component():
+    # e is a grounded edge (a = de), f joins b and c: a bounds, b, c and b + c
+    # do not, although b and c share a component
+    for ring in (RATIONALS, GF5, INTEGERS):
+        one, minus = ring.one(), ring.neg(ring.one())
+        C_tl = FiniteComplex(ring, {0: ["a", "b", "c"], 1: ["e", "f"]}, {1: [{0: one}, {1: minus, 2: one}]})
+        assert C_tl.incidence_roots(1) is not None
+        for verts, want in (([], True), (["a"], True), (["b"], False), (["b", "c"], False), (["a", "c"], False)):
+            C_t = FiniteComplex(ring, {0: verts}, {})
+            assert oracle_zero_map(C_t, C_tl, 0, augmented=False) is want
+            assert _zero_map(C_t, C_tl, 0) is want, (ring, verts)
