@@ -4,9 +4,10 @@ Infinite group-ring complexes are probed through explicit finite windows: a
 per-factor radius with a per-degree margin so that boundaries stay inside.
 On the windows everything is exact: rank computations over fields, Smith
 normal form over the integers, one descending sweep of the value filtration
-for extremal filling values, and grid probes for the controlled-acyclicity
-condition.  Negative verdicts are window evidence (a larger window can only
-reveal more fillings), which is what the reports record.
+for extremal filling values, and one persistence sweep per degree for the
+(t, lambda) verdicts of the controlled-acyclicity probe.  Negative verdicts
+are window evidence (a larger window can only reveal more fillings), which
+is what the reports record.
 """
 
 from __future__ import annotations
@@ -238,6 +239,8 @@ class _WindowInventory:
         self._terms: dict = {}
         self._sorted: dict = {}
         self._cols: dict = {}
+        self._filtered: dict = {}
+        self._unclosed: dict = {}
 
     def _cell_elements(self, d: int) -> list:
         """``(cell, admitted elements)`` for each cell of degree d."""
@@ -326,22 +329,69 @@ class _WindowInventory:
 
     def _columns(self, d: int) -> list:
         """Boundary columns ``[(row, c), ...]`` of the sorted keys of degree d,
-        with rows indexing the sorted keys of degree d - 1."""
+        with rows indexing the sorted keys of degree d - 1.
+
+        A boundary chain's terms are nonzero and distinct, and translating
+        them by one element keeps them distinct, so each row occurs once.
+        """
         got = self._cols.get(d)
         if got is None:
-            ring = self.F.ring
             idx = {key: i for i, key in enumerate(self._sorted_view(d - 1)[0])}
             terms = self.terms(d)
             got = []
             for i in self._sorted_view(d)[1]:
-                col: dict = {}
+                col = []
                 for key, c in terms[i]:
                     r = idx.get(key)
                     if r is None:
                         raise ValueError(f"boundary term {key} escapes the window; window is not boundary-closed")
-                    col[r] = ring.add(col.get(r, ring.zero()), c)
-                got.append([(r, c) for r, c in col.items() if not ring.is_zero(c)])
+                    col.append((r, c))
+                got.append(col)
             self._cols[d] = got
+        return got
+
+    def filtration(self, d: int):
+        """Degree d in filtration order: descending value, ties in ``(cell, g)`` order.
+
+        Returns each sorted key's position in that order, the value level of
+        each key in that order, its boundary columns as dicts keyed by the
+        positions of degree d - 1 (None in degree 0), and their
+        ``linalg._as_edges`` reading (None unless a signed incidence system).
+        Every superlevel truncation is a prefix of this order.
+        """
+        got = self._filtered.get(d)
+        if got is None:
+            level = self._sorted_view(d)[3]
+            order = sorted(range(len(level)), key=level.__getitem__, reverse=True)
+            position = [0] * len(order)
+            for k, j in enumerate(order):
+                position[j] = k
+            cols = edges = None
+            if d > 0:
+                rows = self.filtration(d - 1)[0]
+                by_key = self._columns(d)
+                cols = [{rows[r]: c for r, c in by_key[j]} for j in order]
+                edges = linalg._as_edges(list(enumerate(cols)), self.F.ring)
+            got = self._filtered[d] = (position, [level[j] for j in order], cols, edges)
+        return got
+
+    def unclosed(self, d: int) -> list:
+        """Intervals (lo, hi] of the thresholds whose truncation in degrees
+        d - 1 and d is not a subcomplex: a d-cell of value hi has a face of
+        value lo < hi.  Empty for basic valuations; computed once."""
+        got = self._unclosed.get(d)
+        if got is None:
+            got = self._unclosed[d] = []
+            if d > 0:
+                _, level, cols, _ = self.filtration(d)
+                row_level = self.filtration(d - 1)[1]
+                values, row_values = self._sorted_view(d)[2], self._sorted_view(d - 1)[2]
+                for col, lev in zip(cols, level):
+                    if col:
+                        # the largest filtration position is the face of lowest value
+                        lo = row_values[row_level[max(col)]]
+                        if lo < values[lev]:
+                            got.append((lo, values[lev]))
         return got
 
     def truncate(self, t, degrees: Sequence[int], augmented: bool = False) -> FiniteComplex:
@@ -624,6 +674,92 @@ class CAProbeReport:
         return None
 
 
+class _LagSweep:
+    """Every (t, lam) verdict of one degree p of a window inventory, from one sweep.
+
+    Superlevel truncations of the window form a filtration, and every
+    p-cycle above t bounds above t - lam exactly when every p-class born at
+    a value of at least t dies at a value of at least t - lam.  The
+    (p+1)-boundary in filtration order pairs each class with the (p+1)-cell
+    that kills it (``linalg.persistence_lows``); the p-boundary, or the
+    augmentation row in degree 0, tells which p-cells give birth: those
+    whose column reduces to zero, the p-cells just paired being cleared.
+    Without augmentation every 0-cell gives birth; with it the oldest one
+    does not (its class is the essential one).  ``m[k]`` is the lowest
+    death value of a class born at level k or above: -inf when one never
+    dies, None when none is born.  So (t, lam) holds iff t - lam <= m(t).
+
+    Over Z the sweep runs over Q on the same integer columns.  A cycle that
+    does not bound over Q does not bound over Z, and an incidence
+    (p+1)-boundary is totally unimodular, so there the Q verdict is the Z
+    verdict.  A pair that holds over Q on any other boundary is confirmed by
+    ``_zero_map_integral`` on its two truncations.  A threshold at which a
+    truncation is not a subcomplex (a valuation that is not basic) raises
+    the ValueError of ``truncate``, as building that truncation does.
+    """
+
+    def __init__(self, inv: _WindowInventory, p: int, augmented: bool):
+        self.inv, self.p, self.augmented = inv, p, augmented
+        ring = inv.F.ring
+        self.levels = inv._sorted_view(p)[2]
+        position, born_level, down, down_edges = inv.filtration(p)
+        _, up_level, up, up_edges = inv.filtration(p + 1)
+        up_values = inv._sorted_view(p + 1)[2]
+        death = {}  # filtration position of a p-cell -> value of the (p+1)-cell killing its class
+        for k, low in enumerate(linalg.persistence_lows(up, up_edges, ring)):
+            if low is not None:
+                death[low] = up_values[up_level[k]]
+        if p > 0:
+            lows = linalg.persistence_lows(down, down_edges, ring, skip=death)
+            births = [k for k, low in enumerate(lows) if low is None]
+        else:
+            births = list(range(len(position)))
+            if augmented:
+                aug = inv.F.augmentation_table
+                keys = inv._sorted_view(0)[0]
+                units = [position[j] for j, (_, cell) in enumerate(keys) if not ring.is_zero(aug[cell])]
+                if units:
+                    births.remove(min(units))
+        m: list = [None] * (len(self.levels) + 1)
+        for k in births:
+            lev, dies = born_level[k], death.get(k, NEG_INF)
+            if m[lev] is None or dies < m[lev]:
+                m[lev] = dies
+        for k in range(len(self.levels) - 1, -1, -1):
+            if m[k + 1] is not None and (m[k] is None or m[k + 1] < m[k]):
+                m[k] = m[k + 1]
+        self.m = m
+        self.exact = ring != INTEGERS or up_edges is not None
+        self.unclosed = {d: inv.unclosed(d) for d in (p, p + 1)}
+        self._above = None  # (t, the truncation above t) for the integral confirmation
+
+    def holds(self, t, lam) -> bool:
+        """Whether every degree-p cycle above t bounds above t - lam."""
+        inv, p = self.inv, self.p
+        s = t - lam
+        for d, x in ((p, t), (p + 1, s)):
+            if any(lo < x <= hi for lo, hi in self.unclosed[d]):
+                inv.truncate(x, [d - 1, d])  # raises: not a subcomplex at x
+        m = self.m[bisect_left(self.levels, t)]
+        if m is None:
+            return True
+        if not s <= m:
+            return False
+        if self.exact:
+            return True
+        if self._above is None or self._above[0] != t:
+            self._above = (t, inv.truncate(t, [p] if p == 0 else [p - 1, p], augmented=self.augmented))
+        return _zero_map_integral(self._above[1], inv.truncate(s, [p, p + 1]), p)
+
+
+# Largest lag grid and degree bound a probe takes, ten times the largest in
+# the tests and the benchmark workloads: 7 lags (criterion 7, lags 0..6) and
+# n = 2.  Larger ones are refused before the window is enumerated, since the
+# report holds a verdict per degree, threshold and lag.
+MAX_PROBE_LAGS = 70
+MAX_PROBE_DEGREE = 20
+
+
 def ca_probe(
     F: Resolution,
     v: Valuation,
@@ -634,13 +770,26 @@ def ca_probe(
     lambda_grid=None,
     augmented: bool = True,
 ) -> CAProbeReport:
-    """Grid evaluation of the zero-map condition for all degrees below n.
+    """The zero-map condition for all degrees below n, on a (t, lam) grid.
 
-    A uniform lag within the grid is a positive window certificate; a grid
-    with no uniform lag is window evidence against (the report says which).
+    The thresholds t are every window value (or ``t_samples`` of them, or
+    the given list); the lags are 0..``lambda_max`` (or ``lambda_grid``, in
+    its own order).  For each degree p one persistence sweep of the window's
+    value filtration (:class:`_LagSweep`) answers every pair; the report
+    records, for each (p, t), the verdicts along the lag grid up to the
+    first lag that holds, exactly as testing each pair with
+    :func:`inclusion_map_is_zero` would.  A uniform lag within the grid is
+    a positive window certificate; a grid with no uniform lag is window
+    evidence against (the report says which).  A lag grid longer than
+    ``MAX_PROBE_LAGS`` or an n above ``MAX_PROBE_DEGREE`` is refused.
     """
     if v.character.is_zero:
         raise ValueError("the zero character is not a point of the character sphere")
+    lams = list(lambda_grid) if lambda_grid is not None else range(lambda_max + 1)
+    if len(lams) > MAX_PROBE_LAGS:
+        raise ValueError(f"a lag grid of {len(lams)} lags is above the limit of {MAX_PROBE_LAGS}")
+    if n > MAX_PROBE_DEGREE:
+        raise ValueError(f"probe degree bound {n} is above the limit of {MAX_PROBE_DEGREE}")
     window_info = {"radii": list(W.radii)}
     report = CAProbeReport(
         group=F.group.to_dict(),
@@ -657,7 +806,7 @@ def ca_probe(
         report.note = "vacuous: degree -1 control always holds"
         return report
 
-    lams = list(lambda_grid) if lambda_grid is not None else list(range(lambda_max + 1))
+    lams = list(lams)
     if not lams or any(lam < 0 for lam in lams):
         raise ValueError("the lag grid must be nonempty and nonnegative")
     inv = _WindowInventory(F, W, v)
@@ -671,24 +820,12 @@ def ca_probe(
     report.lambda_grid = lams
     report.t_samples = ts
 
-    cache: dict = {}
-
-    def trunc(t_val, degs, aug):
-        key = (t_val, tuple(degs), aug)
-        got = cache.get(key)
-        if got is None:
-            got = inv.truncate(t_val, degs, augmented=aug)
-            cache[key] = got
-        return got
-
     for p in range(0, n):
+        sweep = _LagSweep(inv, p, augmented and p == 0)
         for t in ts:
-            degs_t = [p] if p == 0 else [p - 1, p]
-            C_t = trunc(t, degs_t, augmented and p == 0)
             found = None
             for lam in lams:
-                C_tl = trunc(t - lam, [p, p + 1], False)
-                ok = _zero_map(C_t, C_tl, p)
+                ok = sweep.holds(t, lam)
                 report.verdicts.append((p, t, lam, ok))
                 if ok:
                     found = lam

@@ -324,12 +324,52 @@ class _Reduction:
                     vec[r] //= g
         return None
 
-    def add(self, vec: dict) -> None:
+    def add(self, vec: dict):
+        """Reduce ``vec`` in; return the row of the pivot it creates, or None."""
         low = self._reduce(vec)
         if low is not None:
             self.pivots[low] = vec
             if low == self.target_low:
                 self.target_low = self._reduce(self.target)
+        return low
+
+
+def persistence_lows(cols, edges, ring: CoefficientRing, skip=frozenset()) -> list:
+    """The standard persistence reduction of columns taken in filtration order.
+
+    ``cols`` are sparse columns (dicts from integer rows to ring elements)
+    whose rows, too, are numbered in filtration order, so the largest row of
+    a reduced column is its youngest face.  Returns, for each column, the
+    row of the pivot it creates (its "low"), or None when it reduces to zero
+    or its index is in ``skip`` (clearing: the caller knows it reduces to
+    zero).  On a signed incidence system (``edges``, the :func:`_as_edges`
+    reading of ``cols``) this is union-find with the elder rule: an edge
+    joining two components kills the younger root, and the ground vertex is
+    older than every row.  Otherwise the columns go one by one into a
+    :class:`_Reduction`, over Q for integer columns.  References:
+    Zomorodian-Carlsson, "Computing persistent homology" (2005);
+    Chen-Kerber, "Persistent homology computation with a twist" (2011).
+    """
+    lows: list = [None] * len(cols)
+    if edges is not None:
+        uf = _UnionFind()
+        for k, tail, head in edges:
+            if k in skip:
+                continue
+            ra = uf.find(-1 if tail is GROUND else tail)
+            rb = uf.find(-1 if head is GROUND else head)
+            if ra != rb:
+                if rb < ra:
+                    ra, rb = rb, ra
+                uf.parent[rb] = ra  # every root stays the oldest row of its component
+                lows[k] = rb
+        return lows
+    mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
+    red = _Reduction(mod)
+    for k, col in enumerate(cols):
+        if k not in skip:
+            lows[k] = red.add(dict(_scaled(col.items(), mod)[0]))
+    return lows
 
 
 def _eliminate(items, rhs, ring, want_solution: bool):

@@ -338,14 +338,31 @@ def _pad_form(f: Form, offset: int, total: int) -> Form:
     return tuple(out)
 
 
-def _embed_cells(A: ConeSet, offset: int, total: int):
+# An embedded cell carries (total - dim) unit equations of length total, so
+# embedding costs cells x (total - dim) x total entries, about 100 bytes each.
+# The tests and the benchmark workloads embed at most 144; the limit keeps
+# an embedding near 100 MB.
+MAX_EMBED_ENTRIES = 1_000_000
+
+
+def _embed_cells(A: ConeSet, offset: int, total: int) -> list:
+    """A's cells padded to dimension total, the other block set to zero;
+    refused before any cell is built above ``MAX_EMBED_ENTRIES``."""
     other = [i for i in range(total) if not (offset <= i < offset + A.dim)]
+    entries = len(A.cells) * len(other) * total
+    if entries > MAX_EMBED_ENTRIES:
+        raise ValueError(
+            f"embedding {len(A.cells)} cells into dimension {total} takes {entries} entries, "
+            f"above the limit of {MAX_EMBED_ENTRIES}"
+        )
     zero_eqs = [tuple(1 if j == i else 0 for j in range(total)) for i in other]
-    for cell in A.cells:
-        yield _cell(
+    return [
+        _cell(
             [_pad_form(f, offset, total) for f in cell.eqs] + zero_eqs,
             [_pad_form(f, offset, total) for f in cell.gts],
         )
+        for cell in A.cells
+    ]
 
 
 def embed(A: ConeSet, side: str, left: Group, right: Group) -> ConeSet:
@@ -374,6 +391,7 @@ def join(P: ConeSet, Q: ConeSet) -> ConeSet:
     the points with one vanishing half land in the embedded copies.
     """
     total = P.dim + Q.dim
+    embedded = _embed_cells(P, 0, total) + _embed_cells(Q, P.dim, total)
     cells = [
         _cell(
             [_pad_form(f, 0, total) for f in p.eqs] + [_pad_form(f, P.dim, total) for f in q.eqs],
@@ -382,9 +400,7 @@ def join(P: ConeSet, Q: ConeSet) -> ConeSet:
         for p in P.cells
         for q in Q.cells
     ]
-    cells.extend(_embed_cells(P, 0, total))
-    cells.extend(_embed_cells(Q, P.dim, total))
-    return ConeSet(total, tuple(dict.fromkeys(cells)))
+    return ConeSet(total, tuple(dict.fromkeys(cells + embedded)))
 
 
 @dataclass

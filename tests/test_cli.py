@@ -739,3 +739,44 @@ def test_oversized_tensor_product_is_refused_before_its_cells_are_built(name, ca
     # both rank-12 factors (4096 cells each) are built before the guard runs
     assert time.perf_counter() - start < 3.0
     assert code == 3 and out == "" and f"limit of {resolutions.MAX_TENSOR_CELLS}" in err
+
+
+def test_oversized_join_embedding_is_refused_before_its_cells_are_built(tmp_path, capsys, monkeypatch):
+    import bnsr.spheres as spheres
+
+    unit = [1] + [0] * 999
+    one_cell = {"dim": 1000, "cells": [{"eq": [], "gt": [unit]}]}
+    left = write_json(tmp_path / "left.json", one_cell)
+    right = write_json(tmp_path / "right.json", one_cell)
+
+    def pad(f, offset, total):
+        raise AssertionError("built a cell of the join")
+
+    # every cell of a join, product or embedded, pads its forms first
+    monkeypatch.setattr(spheres, "_pad_form", pad)
+    start = time.perf_counter()
+    # each embedded cell would carry 1000 unit equations of length 2000
+    code, out, err = run_cli(["sphere", "join", "--left", left, "--right", right], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and f"limit of {spheres.MAX_EMBED_ENTRIES}" in err
+
+
+OVERSIZED_PROBES = {
+    "lambda-max": (["--n", "1", "--lambda-max", "2000000"], "MAX_PROBE_LAGS"),
+    "n": (["--n", "10000", "--lambda-max", "2"], "MAX_PROBE_DEGREE"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_PROBES))
+def test_oversized_probe_grid_is_refused_before_the_window_is_enumerated(name, capsys, monkeypatch):
+    import bnsr.homology as homology
+
+    def elements(F, W, cell):
+        raise AssertionError("enumerated the window")
+
+    monkeypatch.setattr(homology, "window_cell_elements", elements)
+    flags, limit = OVERSIZED_PROBES[name]
+    start = time.perf_counter()
+    code, out, err = run_cli(["probe", "ca", "--group", "free:2", "--char=1,2", "--window", "2", *flags], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and f"limit of {getattr(homology, limit)}" in err

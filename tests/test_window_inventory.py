@@ -1,9 +1,11 @@
-"""Differential tests: window truncations sliced from one inventory against
-a fresh enumeration of the window per threshold.
+"""Differential tests: window truncations sliced from one inventory, and the
+probe's persistence sweep, against a fresh enumeration of the window per
+threshold.
 
 The oracle below is the direct construction: enumerate the ball, test each
 translated cell with ``window_admits``, value it with ``of_key`` and keep it
-when the value clears the threshold, all again for every threshold.
+when the value clears the threshold, all again for every threshold; each
+(t, lambda) verdict is one ``inclusion_map_is_zero`` on two such truncations.
 """
 
 import random
@@ -12,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from bnsr import (
+    INTEGERS,
     RATIONALS,
     CAProbeReport,
     Character,
@@ -27,7 +30,16 @@ from bnsr import (
     truncate,
     window_for,
 )
-from bnsr.homology import NEG_INF, _filling_columns, window_admits, window_values
+from bnsr.homology import (
+    NEG_INF,
+    _LagSweep,
+    _WindowInventory,
+    _filling_columns,
+    _sample_thresholds,
+    window_admits,
+    window_values,
+)
+from bnsr.valuations import valuation_from_obj, valuation_to_obj
 
 GF5 = PrimeField(5)
 K2 = koszul_resolution(2, RATIONALS)
@@ -36,6 +48,9 @@ FR2 = free_group_resolution(2, RATIONALS)
 FR2_P = free_group_resolution(2, GF5)
 FF = tensor_resolution(FR2, FR2)
 ZF = tensor_resolution(K2, FR2)
+K2_P, K3_P, FF_P = koszul_resolution(2, GF5), koszul_resolution(3, GF5), tensor_resolution(FR2_P, FR2_P)
+FR2_Z = free_group_resolution(2, INTEGERS)
+K2_Z, K3_Z, FF_Z = koszul_resolution(2, INTEGERS), koszul_resolution(3, INTEGERS), tensor_resolution(FR2_Z, FR2_Z)
 
 # (name, resolution, window radius, random characters): Z^2, Z^3, F2,
 # F2 x F2, Z^2 (x) F2; the oracle re-enumerates the window per threshold, so
@@ -109,10 +124,14 @@ def oracle_filling_columns(F, v, degree, W):
     return out
 
 
-def oracle_probe(F, v, n, W, lambda_max):
-    """The ca_probe grid over every window value, one fresh truncation per threshold."""
-    lams = list(range(lambda_max + 1))
+def oracle_probe(F, v, n, W, lambda_max, t_samples=None, lambda_grid=None, augmented=True):
+    """The ca_probe grid, one fresh truncation per threshold and one zero-map test per pair."""
+    lams = list(lambda_grid) if lambda_grid is not None else list(range(lambda_max + 1))
     ts = oracle_values(F, v, W, range(min(n, F.max_degree) + 1))
+    if isinstance(t_samples, int):
+        ts = _sample_thresholds(ts, t_samples)
+    elif t_samples is not None:
+        ts = sorted(Fraction(x) for x in t_samples)
     rep = CAProbeReport(
         group=F.group.to_dict(),
         character=[str(c) for c in v.character.coeffs],
@@ -124,11 +143,12 @@ def oracle_probe(F, v, n, W, lambda_max):
     )
     for p in range(n):
         for t in ts:
-            C_t = oracle_truncate(F, v, t, W, augmented=p == 0, degrees=[p] if p == 0 else [p - 1, p])
+            aug = augmented and p == 0
+            C_t = oracle_truncate(F, v, t, W, augmented=aug, degrees=[p] if p == 0 else [p - 1, p])
             found = None
             for lam in lams:
                 C_tl = oracle_truncate(F, v, t - lam, W, degrees=[p, p + 1])
-                ok = inclusion_map_is_zero(F, v, t, lam, p, W, _complexes=(C_t, C_tl))
+                ok = inclusion_map_is_zero(F, v, t, lam, p, W, augmented=aug, _complexes=(C_t, C_tl))
                 rep.verdicts.append((p, t, lam, ok))
                 if ok:
                     found = lam
@@ -183,18 +203,97 @@ def test_truncations_match_fresh_enumeration(name, F, radius, chars):
             assert_same_complex(truncate(F, v, t, W, degrees=degs), oracle_truncate(F, v, t, W, degrees=degs))
 
 
-@pytest.mark.parametrize(
-    "name,F,radius,n,lambda_max",
-    [("Z2", K2, 3, 2, 2), ("F2", FR2, 4, 1, 3), ("F2/F5", FR2_P, 3, 1, 2), ("Z2xF2", ZF, (2, 1), 1, 2)],
-    ids=["Z2", "F2", "F2/F5", "Z2xF2"],
-)
-def test_ca_probe_matches_oracle_grid(name, F, radius, n, lambda_max):
+# (name, resolution, window radius, n, lambda_max, further ca_probe arguments);
+# the Z^2, Z^3 and F2 x F2 cases over Z have a non-incidence 2-boundary, so
+# their pairs that hold over Q go on to the Smith normal form confirmation
+PROBE_CASES = [
+    ("Z2", K2, 3, 2, 2, {}),
+    ("F2", FR2, 4, 1, 3, {}),
+    ("F2/F5", FR2_P, 3, 1, 2, {}),
+    ("Z2xF2", ZF, (2, 1), 1, 2, {}),
+    ("Z2/F5", K2_P, 2, 2, 2, {}),
+    ("Z2/Z", K2_Z, 2, 2, 2, {}),
+    ("Z3", K3, 1, 2, 2, {}),
+    ("Z3/F5", K3_P, 1, 2, 2, {}),
+    ("Z3/Z", K3_Z, 1, 2, 2, {}),
+    ("F2xF2", FF, (1, 1), 2, 2, {}),
+    ("F2xF2/F5", FF_P, (1, 1), 2, 2, {}),
+    ("F2xF2/Z", FF_Z, (1, 1), 2, 2, {}),
+    ("Z2/int-t", K2, 3, 2, 2, {"t_samples": 4}),
+    ("Z2/Z/list-t", K2_Z, 2, 2, 2, {"t_samples": ["-3", "1/2", 0, 7]}),
+    ("Z3/lag-grid", K3, 1, 2, 0, {"lambda_grid": [2, 0, 1, 0, 2]}),
+    ("Z2/Z/lag-grid", K2_Z, 2, 2, 0, {"lambda_grid": [1, 1, 0, 3]}),
+    ("F2/unaugmented", FR2, 3, 1, 2, {"augmented": False}),
+    ("Z2/Z/unaugmented", K2_Z, 2, 2, 2, {"augmented": False}),
+    ("F2xF2/unaugmented", FF, (1, 1), 2, 1, {"augmented": False}),
+]
+
+
+@pytest.mark.parametrize("name,F,radius,n,lambda_max,kwargs", PROBE_CASES, ids=[c[0] for c in PROBE_CASES])
+def test_ca_probe_matches_oracle_grid(name, F, radius, n, lambda_max, kwargs, monkeypatch):
+    import bnsr.homology as homology
+
+    confirmations = []
+    snf_test = homology._zero_map_integral
+
+    def counted(*args):
+        confirmations.append(args)
+        return snf_test(*args)
+
+    monkeypatch.setattr(homology, "_zero_map_integral", counted)
     rng = random.Random(f"probe:{name}")
     W = window_for(F, radius)
+    swept = 0  # confirmations made by ca_probe, not by the oracle
     for _ in range(2):
         v = random_valuation(F, rng)
-        got = ca_probe(F, v, n, W, lambda_max)
-        assert got.to_dict() == oracle_probe(F, v, n, W, lambda_max).to_dict()
+        before = len(confirmations)
+        got = ca_probe(F, v, n, W, lambda_max, **kwargs)
+        swept += len(confirmations) - before
+        want = oracle_probe(F, v, n, W, lambda_max, **kwargs)
+        assert got.to_dict() == want.to_dict()
+    if F.ring == INTEGERS and n == 2 and "t_samples" not in kwargs:
+        # the sweep reached the Smith normal form confirmation
+        assert swept
+
+
+# small windows for the every-lag comparison: (name, resolution, radius)
+SWEEP_WINDOWS = [
+    ("Z2", K2, 2),
+    ("Z2/Z", K2_Z, 2),
+    ("Z3/F5", K3_P, 1),
+    ("Z3/Z", K3_Z, 1),
+    ("F2", FR2, 3),
+    ("F2/Z", FR2_Z, 3),
+    ("F2xF2", FF, (1, 1)),
+    ("F2xF2/Z", FF_Z, (1, 1)),
+    ("Z2xF2", ZF, (1, 1)),
+]
+
+
+@pytest.mark.parametrize("name,F,radius", SWEEP_WINDOWS, ids=[w[0] for w in SWEEP_WINDOWS])
+def test_sweep_verdict_matches_zero_map_at_every_lag(name, F, radius):
+    """Every (p, t, lambda) with lambda in 0..span by halves, not only where the grid stops."""
+    rng = random.Random(f"sweep:{name}")
+    W = window_for(F, radius)
+    v = random_valuation(F, rng)
+    inv = _WindowInventory(F, W, v)
+    held = set()
+    for p in range(F.max_degree + 1):
+        values = window_values(F, v, W, [p])
+        lams = [Fraction(k, 2) for k in range(2 * int(values[-1] - values[0]) + 3)]
+        lower: dict = {}  # threshold -> fresh truncation in degrees p, p + 1
+        for augmented in (True, False) if p == 0 else (False,):
+            sweep = _LagSweep(inv, p, augmented)
+            for t in values:
+                C_t = oracle_truncate(F, v, t, W, augmented=augmented, degrees=[p] if p == 0 else [p - 1, p])
+                for lam in lams:
+                    s = t - lam
+                    if s not in lower:
+                        lower[s] = oracle_truncate(F, v, s, W, degrees=[p, p + 1])
+                    want = inclusion_map_is_zero(F, v, t, lam, p, W, augmented=augmented, _complexes=(C_t, lower[s]))
+                    assert sweep.holds(t, lam) == want, (p, t, lam, augmented)
+                    held.add(want)
+    assert held == {False, True}
 
 
 @pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
@@ -221,3 +320,55 @@ def test_threshold_escape_is_reported_like_the_oracle():
         oracle_truncate(K1, v, 5, W)
     with pytest.raises(ValueError, match="escapes the window/threshold"):
         truncate(K1, v, 5, W)
+
+
+def _raised(F, v, raise_by):
+    """``v`` with the given cells' values raised by the given amounts ("inf" sets it infinite)."""
+    obj = valuation_to_obj(v)
+    for label, extra in raise_by.items():
+        obj["cells"][label] = "inf" if extra == "inf" else str(Fraction(obj["cells"][label]) + Fraction(extra))
+    obj["basic"] = False
+    return valuation_from_obj(F, obj)
+
+
+def _probe_or_error(probe, *args, **kwargs):
+    try:
+        return probe(*args, **kwargs).to_dict()
+    except ValueError as exc:
+        assert "escapes the window/threshold" in str(exc)
+        return "not a subcomplex"
+
+
+def test_non_basic_valuation_probe_matches_oracle():
+    """Raised cell values and infinite cells: the truncations at some
+    thresholds are not subcomplexes.  The probe raises exactly when the grid
+    meets such a threshold, and otherwise reports the grid's verdicts."""
+    outcomes = []
+    for name, F, radius in [("Z2", K2, 2), ("Z2/Z", K2_Z, 2), ("F2", FR2, 3), ("Z3/F5", K3_P, 1)]:
+        rng = random.Random(f"non-basic:{name}")
+        W = window_for(F, radius)
+        labels = [cell.label for d in F.degrees() if d > 0 for cell in F.cells(d)]
+        for _ in range(6):
+            v = random_valuation(F, rng)
+            raise_by = {label: rng.choice(("1/2", "2", "inf")) for label in rng.sample(labels, rng.randint(1, 2))}
+            w = _raised(F, v, raise_by)
+            n = rng.randint(1, min(2, F.max_degree))
+            kwargs = rng.choice(({}, {"t_samples": 2}, {"t_samples": ["-1", "0", "3/2"]}, {"lambda_grid": [0, 3, 1]}))
+            got = _probe_or_error(ca_probe, F, w, n, W, 2, **kwargs)
+            want = _probe_or_error(oracle_probe, F, w, n, W, 2, **kwargs)
+            assert got == want, (name, raise_by, n, kwargs)
+            outcomes.append(got == "not a subcomplex")
+    # both outcomes occur
+    assert set(outcomes) == {False, True}
+
+
+def test_lag_grid_above_the_limit_is_refused():
+    from bnsr.homology import MAX_PROBE_LAGS
+
+    v = basic_valuation(K2, Character(K2.group, [1, 0]))
+    W = window_for(K2, 2)
+    assert ca_probe(K2, v, 1, W, 0, lambda_grid=[0] * MAX_PROBE_LAGS).passed
+    with pytest.raises(ValueError, match=f"above the limit of {MAX_PROBE_LAGS}"):
+        ca_probe(K2, v, 1, W, 0, lambda_grid=[0] * (MAX_PROBE_LAGS + 1))
+    with pytest.raises(ValueError, match=f"above the limit of {MAX_PROBE_LAGS}"):
+        ca_probe(K2, v, 1, W, MAX_PROBE_LAGS)
