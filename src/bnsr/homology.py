@@ -2,10 +2,13 @@
 
 Infinite group-ring complexes are probed through explicit finite windows: a
 per-factor radius with a per-degree margin so that boundaries stay inside.
-On the windows everything is exact: rank computations over fields, Smith
-normal form over the integers, one descending sweep of the value filtration
-for extremal filling values, and one persistence sweep per degree for the
-(t, lambda) verdicts of the controlled-acyclicity probe.  Negative verdicts
+On the windows everything is exact: rank computations over fields, one
+descending sweep of the value filtration for extremal filling values, and
+one persistence sweep per degree for the (t, lambda) verdicts of the
+controlled-acyclicity probe.  Over the integers the same sweeps run over Q,
+and a unit-pivot reduction of the boundary (``linalg.UnitReduction``) tells
+where its cokernel is free, so that the Q answer is the Z answer; the Smith
+normal form decides only where that certificate fails.  Negative verdicts
 are window evidence (a larger window can only reveal more fillings), which
 is what the reports record.
 """
@@ -492,7 +495,11 @@ def _smith(C: FiniteComplex, d: int) -> linalg.SmithForm:
 def class_order(z: Chain, C: FiniteComplex):
     """Order of the homology class of a cycle in an integer window complex.
 
-    Returns ("zero", 1), ("torsion", k) or ("infinite", 0).
+    Returns ("zero", 1), ("torsion", k) or ("infinite", 0).  The
+    (p+1)-boundary first goes through ``linalg.UnitReduction``: when every
+    column reduces with ±1 pivots, its cokernel is free, so the class has no
+    torsion, and it is zero exactly when the residual of z is.  Otherwise
+    the Smith normal form of that boundary decides.
     """
     if C.ring != INTEGERS:
         raise ValueError("class_order works over integer coefficients")
@@ -508,6 +515,9 @@ def class_order(z: Chain, C: FiniteComplex):
                 acc[i2] = acc.get(i2, 0) + c * c2
         if any(val != 0 for val in acc.values()):
             raise ValueError("chain is not a cycle in the window complex")
+    red = linalg.UnitReduction(C.columns.get(p + 1, ()))
+    if red.failed is None:
+        return ("infinite", 0) if red.residual(vec) else ("zero", 1)
     zvec = [0] * C.dim(p)
     for i, c in vec.items():
         zvec[i] = c
@@ -692,10 +702,16 @@ class _LagSweep:
     Over Z the sweep runs over Q on the same integer columns.  A cycle that
     does not bound over Q does not bound over Z, and an incidence
     (p+1)-boundary is totally unimodular, so there the Q verdict is the Z
-    verdict.  A pair that holds over Q on any other boundary is confirmed by
-    ``_zero_map_integral`` on its two truncations.  A threshold at which a
-    truncation is not a subcomplex (a valuation that is not basic) raises
-    the ValueError of ``truncate``, as building that truncation does.
+    verdict.  Any other (p+1)-boundary goes once, in filtration order,
+    through ``linalg.UnitReduction``; ``free_above`` is the value of the
+    first column it cannot reduce with ±1 pivots (-inf when there is none).
+    For s above it the boundary of C_s is a prefix with free cokernel, so
+    H_p(C_s; Z) is torsion-free and a cycle that bounds over Q bounds over
+    Z: the Q verdict stands.  A pair that holds over Q with s at or below it
+    is confirmed by ``_zero_map_integral`` on its two truncations.  A
+    threshold at which a truncation is not a subcomplex (a valuation that is
+    not basic) raises the ValueError of ``truncate``, as building that
+    truncation does.
     """
 
     def __init__(self, inv: _WindowInventory, p: int, augmented: bool):
@@ -730,6 +746,10 @@ class _LagSweep:
                 m[k] = m[k + 1]
         self.m = m
         self.exact = ring != INTEGERS or up_edges is not None
+        self.free_above = None
+        if not self.exact:
+            failed = linalg.UnitReduction(up).failed
+            self.free_above = NEG_INF if failed is None else up_values[up_level[failed]]
         self.unclosed = {d: inv.unclosed(d) for d in (p, p + 1)}
         self._above = None  # (t, the truncation above t) for the integral confirmation
 
@@ -745,11 +765,16 @@ class _LagSweep:
             return True
         if not s <= m:
             return False
-        if self.exact:
+        return self.exact or self._integral_holds(t, s)
+
+    def _integral_holds(self, t, s) -> bool:
+        """The Z verdict of a pair that holds over Q on a non-incidence boundary."""
+        if s > self.free_above:
             return True
+        p = self.p
         if self._above is None or self._above[0] != t:
-            self._above = (t, inv.truncate(t, [p] if p == 0 else [p - 1, p], augmented=self.augmented))
-        return _zero_map_integral(self._above[1], inv.truncate(s, [p, p + 1]), p)
+            self._above = (t, self.inv.truncate(t, [p] if p == 0 else [p - 1, p], augmented=self.augmented))
+        return _zero_map_integral(self._above[1], self.inv.truncate(s, [p, p + 1]), p)
 
 
 # Largest lag grid and degree bound a probe takes, ten times the largest in
@@ -875,11 +900,14 @@ def max_filling_value(
     One descending sweep of the value filtration: the filling columns enter
     level by level, from the highest value down, and the first level whose
     columns span the target is the answer (``linalg.first_spanning_batch``:
-    union-find on incidence columns, incremental elimination otherwise; over
-    Z only incidence fillings are accepted).  A chain, when asked for, is
-    one solve at that level: a valid ``known_filling`` of that value is
-    returned as it is, and otherwise ``solve_columns`` runs on the columns
-    of value at least that level, in enumeration order.
+    union-find on incidence columns, incremental elimination otherwise).
+    Over Z any other filling is swept over Q, and that level stands when
+    the columns of value at least that level pass the unit-pivot
+    certificate; otherwise it is refused.  A chain, when asked for, is one
+    solve at that level: a valid ``known_filling`` of that value is returned
+    as it is, and otherwise ``solve_columns`` runs on the columns of value
+    at least that level, in enumeration order (over Z on incidence columns
+    only).
     """
     if target.is_zero:
         return (INF, Chain(F.ring)) if return_chain else INF

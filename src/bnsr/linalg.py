@@ -7,14 +7,18 @@ sweep get a union-find fast path; everything else goes through one sparse
 fraction-free column reduction (:class:`_Reduction`), with the largest row
 of each column as its pivot, on denominator-cleared integers over Q and on
 residues over F_p.  The rank of integer columns is read over Q, where it is
-the same.  Every other integer question goes through one
-:class:`SmithForm`: a dense Smith normal form U M V = D, computed once,
-answers the kernel lattice, integer solvability and class orders.
-Factorizations above ``MAX_SMITH_ENTRIES`` are refused.
+the same.  Integer questions on a column span first try the sparse
+:class:`UnitReduction`, which uses only ±1 pivots: where it reduces every
+column, the cokernel is free and the answer over Q is the answer over Z.
+Everything else over Z goes through one :class:`SmithForm`: a dense Smith
+normal form U M V = D, computed once, answers the kernel lattice, integer
+solvability and class orders.  Factorizations above ``MAX_SMITH_ENTRIES``
+are refused.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -181,8 +185,13 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     in the span of the edges exactly when its entries sum to zero on every
     component that does not reach the ground vertex, so each component
     carries its rhs sum and whether it is grounded.  Those systems span over
-    Z exactly when they span over Q.  Otherwise, over Q and F_p, the columns
-    go one by one into a :class:`_Reduction` whose target is ``rhs``.
+    Z exactly when they span over Q.  Otherwise the columns go one by one
+    into a :class:`_Reduction` whose target is ``rhs``, over Q for integer
+    columns.  Over Z the batch found stands when :class:`UnitReduction`
+    reduces every column up to it: the cokernel is then free, so a target
+    in the Q-span is in the Z-span (and no earlier batch spans it even over
+    Q).  Otherwise the field error is raised, as elimination over Z is not
+    attempted.
     """
     b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
     if not b:
@@ -190,12 +199,14 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     edges = _as_edges([(k, col) for k, batch in enumerate(batches) for col in batch], ring)
     if edges is not None:
         return _sweep_edges(edges, b, ring)
-    mod = _field_modulus(ring)
+    mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
     red = _Reduction(mod, dict(_scaled(b.items(), mod)[0]))
     for k, batch in enumerate(batches):
         for col in batch:
             red.add(dict(_scaled(col.items(), mod)[0]))
             if red.spanned:
+                if ring == INTEGERS and UnitReduction(c for bt in batches[: k + 1] for c in bt).failed is not None:
+                    raise ValueError(f"generic elimination needs a field, got {ring}")
                 return k
     return None
 
@@ -573,3 +584,61 @@ class SmithForm:
             elif w % d != 0:
                 k = lcm(k, d // gcd(d, w))
         return ("zero", 1) if k == 1 else ("torsion", k)
+
+
+class UnitReduction:
+    """Integer columns reduced over Z with ±1 pivots only: the certificate
+    that the dense Smith form is not needed.
+
+    ``cols`` are sparse columns (dicts from integer rows to integers),
+    reduced in the order given.  Each column is cleared on every pivot row,
+    in the order the pivots were made (the pivots are ±1, so the arithmetic
+    stays integral); the largest row holding ±1 in what is left becomes a
+    new pivot.  ``failed`` is the index of the first column left nonzero
+    with no ±1 entry, where the reduction stops, or None.
+
+    Every column before ``failed`` ended at zero or at a new pivot.  Pivot
+    j is zero on the rows of the pivots made before it, so on the pivot rows
+    the pivots form a triangle with ±1 diagonal: that prefix of k columns of
+    rank k has a unit k x k minor, every elementary divisor is 1 and the
+    cokernel is free.  There an integer vector in the Q-span of the columns
+    is in their Z-span, and it is exactly when its :meth:`residual` is zero.
+    Reference: Dumas-Saunders-Villard, "On efficient sparse integer matrix
+    Smith normal form computations" (J. Symbolic Comput. 32, 2001).
+    """
+
+    def __init__(self, cols):
+        self.pivots: dict = {}  # pivot row -> (creation index, reduced column)
+        self.failed = None
+        for k, col in enumerate(cols):
+            vec = self.residual(col)
+            if vec:
+                row = max((r for r, c in vec.items() if c == 1 or c == -1), default=None)
+                if row is None:
+                    self.failed = k
+                    return
+                self.pivots[row] = (len(self.pivots), vec)
+
+    def residual(self, col: dict) -> dict:
+        """``col`` minus an integer combination of the pivots, zero on every pivot row."""
+        pivots = self.pivots
+        vec = {r: c for r, c in col.items() if c}
+        heap = [(pivots[r][0], r) for r in vec if r in pivots]
+        heapq.heapify(heap)
+        while heap:
+            _, r = heapq.heappop(heap)
+            c = vec.get(r)
+            if c is None:  # cancelled since it was pushed
+                continue
+            piv = pivots[r][1]
+            q = c * piv[r]  # c / piv[r], as piv[r] is ±1
+            for r2, c2 in piv.items():
+                cur = vec.get(r2)
+                nv = (cur or 0) - q * c2
+                if nv:
+                    vec[r2] = nv
+                    if cur is None and r2 in pivots:
+                        heapq.heappush(heap, (pivots[r2][0], r2))
+                elif cur is not None:
+                    del vec[r2]
+        return vec

@@ -177,12 +177,21 @@ RATIONALS = RationalField()
 INTEGERS = IntegerRing()
 
 
+# Largest prime a ring tag may name.  The primality test tries divisors up to
+# the square root, 46341 at this limit (a few ms); at 10^18 it would take
+# about a day.  The tests and the benchmark use F2, F3, F5 and F7.
+MAX_PRIME = 2**31 - 1
+
+
 def ring_from_tag(tag: str) -> CoefficientRing:
-    """Resolve a ring tag such as "Q", "Z" or "F5"."""
+    """Resolve a ring tag such as "Q", "Z" or "F5"; primes above ``MAX_PRIME`` are refused."""
     if tag == "Q":
         return RATIONALS
     if tag == "Z":
         return INTEGERS
     if tag.startswith("F") and tag[1:].isdigit():
-        return PrimeField(int(tag[1:]))
+        p = int(tag[1:])
+        if p > MAX_PRIME:
+            raise ValueError(f"a prime field tag above F{MAX_PRIME} is refused")
+        return PrimeField(p)
     raise ValueError(f"unknown ring tag {tag!r}")

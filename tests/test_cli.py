@@ -305,6 +305,28 @@ def test_probe_eta(tmp_path, capsys):
     assert code == 0 and json.loads(out)["eta"] == "2"
 
 
+@pytest.mark.parametrize("cmd,flag", [("eta", "--cycle"), ("gap", "--target")])
+def test_probe_eta_and_gap_over_z_match_q_on_a_non_incidence_filling(cmd, flag, tmp_path, capsys):
+    # the boundary of the 2-cell of Z^2: its fillings are 2-cells, not edges
+    square = [
+        {"g": [0, 0], "cell": "e_{1}", "coeff": "1"},
+        {"g": [0, 1], "cell": "e_{1}", "coeff": "-1"},
+        {"g": [0, 0], "cell": "e_{2}", "coeff": "-1"},
+        {"g": [1, 0], "cell": "e_{2}", "coeff": "1"},
+    ]
+    path = write_json(tmp_path / "z.json", square)
+    outs = {}
+    for ring in ("Q", "Z"):
+        code, out, err = run_cli(
+            ["probe", cmd, "--group", "abelian:2", "--ring", ring, "--char", "2,-1", flag, path, "--window", "3",
+             "--format", "structured"],
+            capsys,
+        )
+        assert code == 0 and err == "", err
+        outs[ring] = out
+    assert outs["Z"] == outs["Q"]
+
+
 def test_witness_run(tmp_path, capsys):
     cfg = {
         "left_group": "free:2",

@@ -301,6 +301,8 @@ def test_non_incidence_filling_chain_bounds_the_target_at_the_best_value(kind, r
 
 
 def test_non_incidence_filling_over_z_raises():
+    # over Z a filling value is answered where the unit-pivot certificate
+    # holds; a filling chain is not computed, and torsion is refused
     F = resolution("Z2", "Z")
     v = basic_valuation(F, Character(F.group, [1, 0]))
     W = window_for(F, 2)
@@ -308,7 +310,50 @@ def test_non_incidence_filling_over_z_raises():
     with pytest.raises(ValueError, match="needs a field"):
         oracle_max_filling_value(F, v, z, W)
     with pytest.raises(ValueError, match="needs a field"):
-        max_filling_value(F, v, z, W)
+        max_filling_value(F, v, z, W, return_chain=True)
+    # e1 is half the sum of e1 + e2 and e1 - e2: in their Q-span, not their Z-span
+    with pytest.raises(ValueError, match="needs a field"):
+        linalg.first_spanning_batch([[{0: 1, 1: 1}], [{0: 1, 1: -1}]], {0: 1}, INTEGERS)
+
+
+# the systems whose fillings are not incidence columns, over Z
+Z_SYSTEMS = [(name, kind, p, radius) for name, kind, p, radius, incidence in SYSTEMS if not incidence]
+
+
+@pytest.mark.parametrize("name,kind,p,radius", Z_SYSTEMS, ids=[s[0] for s in Z_SYSTEMS])
+def test_non_incidence_filling_values_over_z_match_q(name, kind, p, radius):
+    rng = random.Random(f"filling-z:{name}")
+    FZ, FQ = resolution(kind, "Z"), resolution(kind, "Q")
+    W = window_for(FZ, radius)
+    fill_keys, cycle_keys = oracle_keys(FZ, W, p + 1), oracle_keys(FZ, W, p)
+    seen = set()
+    for _ in range(2):
+        vz = random_valuation(FZ, rng)
+        vq = basic_valuation(FQ, Character(FQ.group, vz.character.coeffs))
+        cols = oracle_filling_columns(FZ, vz, p + 1, W)
+        rows = {key: i for i, key in enumerate(cycle_keys)}
+        for _ in range(3):
+            c = random_window_chain(FZ, rng, fill_keys, rng.randint(1, 3))
+            z = FZ.boundary(c)
+            if z.is_zero:
+                continue
+            for target in (z, z.add(random_window_chain(FZ, rng, cycle_keys, 1))):
+                want = max_filling_value(FQ, vq, Chain(RATIONALS, dict(target.terms)), W)
+                for kf in (None, c):
+                    assert max_filling_value(FZ, vz, target, W, known_filling=kf) == want
+                seen.add(want)
+                if want != NEG_INF:
+                    # an integer filling of that value exists
+                    usable = [col for _, col, val in cols if val >= want]
+                    M = [[0] * len(usable) for _ in rows]
+                    for j, col in enumerate(usable):
+                        for key, coeff in col.items():
+                            M[rows[key]][j] = coeff
+                    zvec = [0] * len(rows)
+                    for key, coeff in target.items():
+                        zvec[rows[key]] = coeff
+                    assert linalg.SmithForm(M, len(usable)).solve(zvec) is not None
+    assert NEG_INF in seen and len(seen) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +378,7 @@ def random_batches(rng, ring, nrows, incidence):
     return batches
 
 
-# over Z only incidence columns are accepted
+# over Z the general columns are compared with the Smith form below
 BATCH_CASES = [("Q", True), ("F2", True), ("F5", True), ("Z", True), ("Q", False), ("F2", False), ("F5", False)]
 
 
@@ -355,6 +400,40 @@ def test_first_spanning_batch_matches_prefix_solves(tag, incidence):
                 want = k
                 break
         assert linalg.first_spanning_batch(batches, rhs, ring) == want
+
+
+def test_first_spanning_batch_over_z_answers_where_the_certificate_holds():
+    rng = random.Random("batches:Z:general")
+    answered = refused = 0
+    for _ in range(300):
+        nrows = rng.randint(1, 6)
+        batches = random_batches(rng, INTEGERS, nrows, False)
+        rhs = {r: rng.randint(-2, 2) for r in rng.sample(range(nrows), rng.randint(1, nrows))}
+        if not any(rhs.values()):
+            continue
+        z = [rhs.get(r, 0) for r in range(nrows)]
+        over_q = over_z = None
+        prefix = []
+        for k, batch in enumerate(batches):
+            prefix.extend(batch)
+            if over_q is None and linalg.solve_columns(list(enumerate(prefix)), rhs, RATIONALS) is not None:
+                over_q = k
+            M = [[col.get(r, 0) for col in prefix] for r in range(nrows)]
+            if linalg.SmithForm(M, len(prefix)).solve(z) is not None:
+                over_z = k
+                break
+        try:
+            got = linalg.first_spanning_batch(batches, rhs, INTEGERS)
+        except ValueError as exc:
+            assert "needs a field" in str(exc)
+            # refused only where the certificate fails on the Q answer's prefix
+            cols = [col for batch in batches[: over_q + 1] for col in batch]
+            assert linalg.UnitReduction(cols).failed is not None
+            refused += 1
+            continue
+        assert got == over_z == over_q
+        answered += 1
+    assert answered >= 100 and refused >= 20, (answered, refused)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ exit 1 only with ``"passed": false`` in the output; exit 3 with ``error:``
 on standard error and no output; and two runs write the same structured
 bytes.
 
-The groups are those whose probes over Z stay cheap at radius 2 (the
-Smith normal form confirmation of a rank-3 lattice takes seconds there), so
-the whole test runs in a few seconds.
+Over Z the unit-pivot certificate decides the probes of these groups at
+radius 2, Z^3 among them, without a dense Smith normal form, so the whole
+test runs in a few seconds.
 """
 
 import contextlib
@@ -29,6 +29,7 @@ from bnsr.cli import main
 GROUPS = (
     ("abelian:1", 1),
     ("abelian:2", 2),
+    ("abelian:3", 3),
     ("free:1", 1),
     ("free:2", 2),
     ("free:3", 3),

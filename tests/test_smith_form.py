@@ -1,9 +1,14 @@
-"""``linalg.SmithForm`` against the separate integer routines it replaced.
+"""``linalg.SmithForm`` against the separate integer routines it replaced,
+and the unit-pivot certificate (``linalg.UnitReduction``) against
+``SmithForm``.
 
 The oracles in ``smith_oracle`` each factor their matrix afresh.  One
 factorization must give the same kernel vectors in the same order, the same
 class orders, and solutions exactly when the oracle finds one, on seeded
-matrices with torsion and on the degenerate shapes.
+matrices with torsion and on the degenerate shapes.  Where the certificate
+holds on a prefix of columns, every elementary divisor of that prefix must
+be 1, and ``class_order``, which tries the certificate first, must agree
+with ``SmithForm.order``.
 """
 
 import random
@@ -11,9 +16,9 @@ import random
 import pytest
 
 import bnsr.linalg as linalg
-from bnsr import INTEGERS, RATIONALS, FiniteComplex
+from bnsr import INTEGERS, RATIONALS, Chain, FiniteComplex, class_order as window_class_order, koszul_resolution
 from bnsr.homology import _smith, _zero_map, dense_boundary
-from bnsr.linalg import MAX_SMITH_ENTRIES, SmithForm, check_smith_size
+from bnsr.linalg import MAX_SMITH_ENTRIES, SmithForm, UnitReduction, check_smith_size
 
 from smith_oracle import class_order, integer_kernel_basis, integer_solve, mat_mul
 from test_zero_map import oracle_zero_map
@@ -83,6 +88,65 @@ def test_smith_form_agrees_with_the_separate_routines():
                 assert len(y) == n
                 assert [sum(M[i][j] * y[j] for j in range(n)) for i in range(m)] == z
     assert min(seen.values()) >= 100 and solved >= 1000, (seen, solved)
+
+
+K1 = koszul_resolution(1, INTEGERS)
+
+
+def _matrix_class_order(M, z, n):
+    """``class_order`` of z modulo the columns of M, through a two-degree window complex."""
+    x0, e = K1.cells(0)[0], K1.cells(1)[0]
+    basis = {0: [((i,), x0) for i in range(len(M))], 1: [((j,), e) for j in range(n)]}
+    C = FiniteComplex(INTEGERS, basis, {1: _columns(M, n)})
+    chain = Chain(INTEGERS, [(basis[0][i], c) for i, c in enumerate(z) if c])
+    return window_class_order(chain, C)
+
+
+def _columns(M, n):
+    return [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(n)]
+
+
+def test_unit_certificate_agrees_with_the_smith_form():
+    rng = random.Random(1101)
+    held = failed = 0
+    seen = {"zero": 0, "torsion": 0, "infinite": 0}
+    for case in range(1200):
+        m, n = _shape(rng, case)
+        M = _matrix(rng, m, n)
+        red = UnitReduction(_columns(M, n))
+        # every column before the first failure reduced with unit pivots:
+        # that prefix has only unit elementary divisors
+        k = n if red.failed is None else red.failed
+        held += red.failed is None
+        failed += red.failed is not None
+        prefix = [row[:k] for row in M]
+        assert all(d in (0, 1) for d in SmithForm(prefix, k).factors), (M, k)
+        S = SmithForm(M, n)
+        for z in _targets(rng, M, m, n):
+            if not any(z):
+                continue
+            order = _matrix_class_order(M, z, n)
+            assert order == S.order(z), (M, z)
+            seen[order[0]] += 1
+            if red.failed is None:
+                assert (not red.residual(dict(enumerate(z)))) == (order[0] == "zero")
+    assert held >= 200 and failed >= 200, (held, failed)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_two_torsion_fails_the_certificate_and_the_smith_form_decides():
+    # e1 + e2 and e1 - e2 span a lattice of index 2: 2 e1 is their sum
+    cols = [{0: 1, 1: 1}, {0: 1, 1: -1}]
+    red = UnitReduction(cols)
+    assert red.failed == 1
+    M = [[1, 1], [1, -1]]
+    assert SmithForm(M, 2).factors == [1, 2]
+    assert _matrix_class_order(M, [1, 0], 2) == ("torsion", 2)
+    assert _matrix_class_order(M, [2, 0], 2) == ("zero", 1)
+    assert _matrix_class_order(M, [1, 1], 2) == ("zero", 1)
+    # the first column alone carries the certificate
+    assert UnitReduction(cols[:1]).failed is None
+    assert _matrix_class_order([[1], [1]], [1, 0], 1) == ("infinite", 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 4])
