@@ -20,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
+from operator import getitem
 from typing import Sequence
 
 from . import linalg
@@ -218,15 +219,63 @@ class FiniteComplex:
         return out
 
 
+class _ShiftTable(dict):
+    """Right translation by one shift in one group factor: ``a -> a * shift``,
+    each product multiplied on first use."""
+
+    __slots__ = ("mul", "shift")
+
+    def __init__(self, mul, shift):
+        super().__init__()
+        self.mul = mul
+        self.shift = shift
+
+    def __missing__(self, a):
+        got = self[a] = self.mul(a, self.shift)
+        return got
+
+
+def _boundary_translator(F: Resolution, d: int):
+    """``translate(g, cell)``: the boundary terms ``[(g*h, y, c), ...]`` of
+    the degree-d key ``(g, cell)``.
+
+    ``g * h`` is read factor by factor through per-factor translation
+    tables: one :class:`_ShiftTable` per (factor, factor component of a
+    shift), shared by every boundary term whose shift has that component,
+    so each (factor component, factor shift) pair is multiplied once per
+    translator.
+    """
+    group = F.group
+    factors = group.factors()
+    tables: list = [{} for _ in factors]
+    product = isinstance(group, Product)
+    plan = {}
+    for cell in F.cells(d):
+        terms = []
+        for (h, y), c in F.boundary_table[cell].items():
+            tabs = []
+            for i, part in enumerate(group.element_parts(h)):
+                tab = tables[i].get(part)
+                if tab is None:
+                    tab = tables[i][part] = _ShiftTable(factors[i].multiply, part)
+                tabs.append(tab)
+            terms.append((tuple(tabs) if product else tabs[0], y, c))
+        plan[cell] = terms
+    if product:
+        return lambda g, cell: [(tuple(map(getitem, tabs, g)), y, c) for tabs, y, c in plan[cell]]
+    return lambda g, cell: [(tab[g], y, c) for tab, y, c in plan[cell]]
+
+
 class _WindowInventory:
     """Admitted window keys of one (F, W, v), enumerated once per call.
 
     Each degree is built on first use: its admitted keys in enumeration
     order (cell by cell, ball order) and in ``(cell, g)`` order, each key's
-    value, and each key's boundary translated once with ``Group.multiply``.
-    The character is evaluated once per group element and shared by every
-    cell.  Every threshold truncation is then a slice of these lists.  An
-    inventory lives only as long as the call that builds it.
+    value, the keys grouped by value, and each key's boundary translated
+    once through :func:`_boundary_translator`.  The character is evaluated once per group
+    element and shared by every cell.  Every threshold truncation is then a
+    slice of these lists.  An inventory lives only as long as the call that
+    builds it.
     """
 
     def __init__(self, F: Resolution, W: Window, v: Valuation):
@@ -239,6 +288,8 @@ class _WindowInventory:
         self._shared: dict = {}  # value times _scale -> the value
         self._keys: dict = {}
         self._values: dict = {}
+        self._scaled_values: dict = {}  # each key's value times _scale (INF stays INF)
+        self._levels: dict = {}
         self._terms: dict = {}
         self._sorted: dict = {}
         self._cols: dict = {}
@@ -280,11 +331,12 @@ class _WindowInventory:
             weights = [int(c * scale) for c in v.character.coeffs]
             exponents = self.F.group.exponents
             chi, shared = self._chi, self._shared
-            got = []
+            got, scaled = [], []
             for cell, elements in self._cell_elements(d):
                 cv = v.cell_values[cell]
                 if cv == INF:
                     got.extend([INF] * len(elements))
+                    scaled.extend([INF] * len(elements))
                     continue
                 base = int(cv * scale)
                 for g in elements:
@@ -296,23 +348,37 @@ class _WindowInventory:
                     if val is None:
                         val = shared[n] = Fraction(n, scale)
                     got.append(val)
+                    scaled.append(n)
             self._values[d] = got
+            self._scaled_values[d] = scaled
+        return got
+
+    def levels(self, d: int) -> list:
+        """The distinct values of degree d in ascending order, each with the
+        enumeration positions of its keys.
+
+        Keys are grouped on their scaled integer values, which hash far
+        faster than Fractions; computed once.
+        """
+        got = self._levels.get(d)
+        if got is None:
+            values = self.values(d)
+            groups: dict = {}
+            for i, n in enumerate(self._scaled_values[d]):
+                groups.setdefault(n, []).append(i)
+            got = self._levels[d] = [(values[pos[0]], pos) for _, pos in sorted(groups.items())]
         return got
 
     def distinct_values(self, degrees: Sequence[int]) -> list:
         """Sorted distinct values of the admitted keys in the given degrees."""
-        vals = set()
-        for d in degrees:
-            vals.update(self.values(d))
-        return sorted(vals)
+        return sorted({val for d in degrees for val, _ in self.levels(d)})
 
     def terms(self, d: int) -> list:
         """Translated boundary terms ``[((g*h, y), c), ...]`` of each key of ``keys(d)``."""
         got = self._terms.get(d)
         if got is None:
-            mul = self.F.group.multiply
-            table = self.F.boundary_table
-            got = [[((mul(g, h), y), c) for (h, y), c in table[cell].items()] for (g, cell) in self.keys(d)]
+            translate = _boundary_translator(self.F, d)
+            got = [[((gh, y), c) for gh, y, c in translate(g, cell)] for g, cell in self.keys(d)]
             self._terms[d] = got
         return got
 
@@ -322,11 +388,13 @@ class _WindowInventory:
         got = self._sorted.get(d)
         if got is None:
             keys = self.keys(d)
-            values = self.values(d)
+            levels = self.levels(d)
             order = sorted(range(len(keys)), key=lambda i: (keys[i][1], keys[i][0]))
-            levels = sorted(set(values))
-            level_of = {val: k for k, val in enumerate(levels)}
-            got = ([keys[i] for i in order], order, levels, [level_of[values[i]] for i in order])
+            level_of = [0] * len(keys)
+            for k, (_, positions) in enumerate(levels):
+                for i in positions:
+                    level_of[i] = k
+            got = ([keys[i] for i in order], order, [val for val, _ in levels], [level_of[i] for i in order])
             self._sorted[d] = got
         return got
 
@@ -878,15 +946,6 @@ def ca_probe(
 # extremal fillings
 
 
-def _filling_columns(F: Resolution, v: Valuation, degree: int, W: Window):
-    """Candidate filling columns (key, boundary vector, value) at a degree, in enumeration order."""
-    inv = _WindowInventory(F, W, v)
-    return [
-        (key, dict(terms), val)
-        for key, terms, val in zip(inv.keys(degree), inv.terms(degree), inv.values(degree))
-    ]
-
-
 def max_filling_value(
     F: Resolution,
     v: Valuation,
@@ -897,17 +956,21 @@ def max_filling_value(
 ):
     """Highest value of a window filling of ``target`` (-inf when none exists).
 
-    One descending sweep of the value filtration: the filling columns enter
-    level by level, from the highest value down, and the first level whose
-    columns span the target is the answer (``linalg.first_spanning_batch``:
-    union-find on incidence columns, incremental elimination otherwise).
-    Over Z any other filling is swept over Q, and that level stands when
-    the columns of value at least that level pass the unit-pivot
-    certificate; otherwise it is refused.  A chain, when asked for, is one
-    solve at that level: a valid ``known_filling`` of that value is returned
-    as it is, and otherwise ``solve_columns`` runs on the columns of value
-    at least that level, in enumeration order (over Z on incidence columns
-    only).
+    One descending sweep of the value filtration: the filling keys are
+    grouped by value, and ``linalg.first_spanning_batch`` (union-find on
+    incidence columns, incremental elimination otherwise) reads one level's
+    columns at a time, from the highest value down, until they span the
+    target; that level is the answer.  A level's columns are built only when
+    the sweep reads it: each boundary term is translated through per-factor
+    translation tables (:func:`_boundary_translator`) straight onto integer
+    rows, numbered in order of first appearance, so the levels below the
+    answer are never translated.  Over Z any other filling is swept over Q,
+    and that level stands when the columns of value at least that level
+    pass the unit-pivot certificate; otherwise it is refused.  A chain, when
+    asked for, is one solve at that level: a valid ``known_filling`` of that
+    value is returned as it is, and otherwise ``solve_columns`` runs on the
+    columns already built for the levels read, in enumeration order (over Z
+    on incidence columns only).
     """
     if target.is_zero:
         return (INF, Chain(F.ring)) if return_chain else INF
@@ -916,21 +979,29 @@ def max_filling_value(
         return (NEG_INF, None) if return_chain else NEG_INF
     if not window_chain_supported(F, W, target):
         raise ValueError("target chain is not supported in the window")
-    cols = _filling_columns(F, v, p + 1, W)
-    levels = sorted({val for (_, _, val) in cols}, reverse=True)
+    inv = _WindowInventory(F, W, v)
+    keys = inv.keys(p + 1)
+    levels = inv.levels(p + 1)[::-1]
     # integer rows: the translation and the cell's index within degree p
     rows: dict = {}
-    rhs = {rows.setdefault((g, cell.index), len(rows)): c for (g, cell), c in target.items()}
-    batch_of = {val: k for k, val in enumerate(levels)}
-    batches: list = [[] for _ in levels]
-    for _, col, val in cols:
-        batches[batch_of[val]].append(col)
-    for batch in batches:
-        batch[:] = [{rows.setdefault((g, cell.index), len(rows)): c for (g, cell), c in col.items()} for col in batch]
-    k = linalg.first_spanning_batch(batches, rhs, F.ring)
+    number = rows.setdefault
+    rhs = {number((g, cell.index), len(rows)): c for (g, cell), c in target.items()}
+    translate = _boundary_translator(F, p + 1)
+    built: dict = {}  # enumeration position -> column, for each key translated
+
+    def batches():
+        for _, positions in levels:
+            batch = []
+            for i in positions:
+                col = {number((gh, y.index), len(rows)): c for gh, y, c in translate(*keys[i])}
+                batch.append(col)
+                built[i] = col
+            yield batch
+
+    k = linalg.first_spanning_batch(batches(), rhs, F.ring)
     if k is None:
         return (NEG_INF, None) if return_chain else NEG_INF
-    best = levels[k]
+    best = levels[k][0]
     if not return_chain:
         return best
     if (
@@ -941,8 +1012,9 @@ def max_filling_value(
         and v.value(known_filling) == best
     ):
         return best, Chain(F.ring, dict(known_filling.terms))
-    usable = [(key, col) for (key, col, val) in cols if val >= best]
-    return best, Chain(F.ring, dict(linalg.solve_columns(usable, dict(target.terms), F.ring)))
+    # the sweep read no level below the answer, so the columns built are those of value at least best
+    usable = [(keys[i], built[i]) for i in sorted(built)]
+    return best, Chain(F.ring, dict(linalg.solve_columns(usable, rhs, F.ring)))
 
 
 def _check_cycle(F: Resolution, z: Chain) -> None:

@@ -19,6 +19,7 @@ are refused.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -179,64 +180,90 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     """One sweep of a column filtration: the index of the first batch whose
     columns, with those of every earlier batch, span ``rhs``; None if none does.
 
-    ``batches`` is a list of lists of sparse columns (dicts from integer rows
-    to ring elements), in the order the filtration adds them.  When every
-    column is a signed incidence column, the sweep is Kruskal's: ``rhs`` is
-    in the span of the edges exactly when its entries sum to zero on every
-    component that does not reach the ground vertex, so each component
-    carries its rhs sum and whether it is grounded.  Those systems span over
-    Z exactly when they span over Q.  Otherwise the columns go one by one
-    into a :class:`_Reduction` whose target is ``rhs``, over Q for integer
-    columns.  Over Z the batch found stands when :class:`UnitReduction`
-    reduces every column up to it: the cokernel is then free, so a target
-    in the Q-span is in the Z-span (and no earlier batch spans it even over
-    Q).  Otherwise the field error is raised, as elimination over Z is not
+    ``batches`` is any iterable of lists of sparse columns (dicts from
+    integer rows to ring elements), in the order the filtration adds them.
+    It is read lazily: no batch past the one returned is taken from it, so a
+    generator that builds each batch on demand builds only those the sweep
+    needs.  While the batches are signed incidence columns the sweep is
+    Kruskal's (:class:`_EdgeSweep`): ``rhs`` is in the span of the edges
+    exactly when its entries sum to zero on every component that does not
+    reach the ground vertex.  Those systems span over Z exactly when they
+    span over Q.  At the first batch that is not, the batches read so far
+    are replayed into a :class:`_Reduction` whose target is ``rhs``, over Q
+    for integer columns, and the sweep goes on there column by column.
+    Over Z the batch found there stands when :class:`UnitReduction` reduces
+    every column read: the cokernel is then free, so a target in the Q-span
+    is in the Z-span (and no earlier batch spans it even over Q).
+    Otherwise the field error is raised, as elimination over Z is not
     attempted.
     """
     b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
     if not b:
-        return 0 if batches else None
-    edges = _as_edges([(k, col) for k, batch in enumerate(batches) for col in batch], ring)
-    if edges is not None:
-        return _sweep_edges(edges, b, ring)
-    mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
-    red = _Reduction(mod, dict(_scaled(b.items(), mod)[0]))
+        return 0 if next(iter(batches), None) is not None else None
+    read: list = []
+    sweep = _EdgeSweep(b, ring)
+    red = None
     for k, batch in enumerate(batches):
+        read.append(batch)
+        if red is None:
+            edges = _as_edges(enumerate(batch), ring)
+            if edges is not None:
+                if sweep.spans_with(edges):
+                    return k
+                continue
+            mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
+            red = _Reduction(mod, dict(_scaled(b.items(), mod)[0]))
+            for col in itertools.chain.from_iterable(read[:-1]):  # the incidence batches, which do not span rhs
+                red.add(dict(_scaled(col.items(), mod)[0]))
         for col in batch:
             red.add(dict(_scaled(col.items(), mod)[0]))
             if red.spanned:
-                if ring == INTEGERS and UnitReduction(c for bt in batches[: k + 1] for c in bt).failed is not None:
+                if ring == INTEGERS and UnitReduction(itertools.chain.from_iterable(read)).failed is not None:
                     raise ValueError(f"generic elimination needs a field, got {ring}")
                 return k
     return None
 
 
-def _sweep_edges(edges, b: dict, ring):
-    """Kruskal's sweep of ``first_spanning_batch`` over ``(batch, tail, head)`` edges."""
-    add, is_zero = ring.add, ring.is_zero
-    uf = _UnionFind()
-    total = dict(b)  # component root -> nonzero rhs sum
-    grounded = {GROUND}  # component roots that reach the ground vertex
-    unbalanced = len(total)  # ungrounded components with a nonzero sum
-    for k, tail, head in edges:
-        ra, rb = uf.find(tail), uf.find(head)
-        if not uf.union(ra, rb):
-            continue
-        ga, gb = ra in grounded, rb in grounded
-        before = (not ga and ra in total) + (not gb and rb in total)
-        s = total.pop(rb, None)
-        if s is not None:
-            s = add(total[ra], s) if ra in total else s
-            if is_zero(s):
-                del total[ra]
-            else:
-                total[ra] = s
-        if gb:
-            grounded.add(ra)
-        unbalanced -= before - (not (ga or gb) and ra in total)
-        if not unbalanced:
-            return k
-    return None
+class _EdgeSweep:
+    """Kruskal's sweep of :func:`first_spanning_batch`, fed edges batch by batch.
+
+    Each component carries its nonzero rhs sum and whether it reaches the
+    ground vertex; the rhs is spanned once no ungrounded component has a
+    nonzero sum.
+    """
+
+    def __init__(self, b: dict, ring):
+        self.ring = ring
+        self.uf = _UnionFind()
+        self.total = dict(b)  # component root -> nonzero rhs sum
+        self.grounded = {GROUND}  # component roots that reach the ground vertex
+        self.unbalanced = len(self.total)  # ungrounded components with a nonzero sum
+
+    def spans_with(self, edges) -> bool:
+        """Add ``(key, tail, head)`` edges; whether the rhs is now spanned."""
+        add, is_zero = self.ring.add, self.ring.is_zero
+        uf, total, grounded = self.uf, self.total, self.grounded
+        unbalanced = self.unbalanced
+        for _, tail, head in edges:
+            ra, rb = uf.find(tail), uf.find(head)
+            if not uf.union(ra, rb):
+                continue
+            ga, gb = ra in grounded, rb in grounded
+            before = (not ga and ra in total) + (not gb and rb in total)
+            s = total.pop(rb, None)
+            if s is not None:
+                s = add(total[ra], s) if ra in total else s
+                if is_zero(s):
+                    del total[ra]
+                else:
+                    total[ra] = s
+            if gb:
+                grounded.add(ra)
+            unbalanced -= before - (not (ga or gb) and ra in total)
+            if not unbalanced:
+                break
+        self.unbalanced = unbalanced
+        return not unbalanced
 
 
 def _field_modulus(ring) -> int:

@@ -10,6 +10,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# Largest prime a prime field may have.  The primality test tries divisors up
+# to the square root, 46341 at this limit (a few ms); a prime near 10^18 would
+# need 10^9 of them, minutes of work.  The tests and the benchmark use F2, F3,
+# F5 and F7.
+MAX_PRIME = 2**31 - 1
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -142,6 +149,8 @@ class PrimeField(CoefficientRing):
     is_field = True
 
     def __init__(self, p: int):
+        if p > MAX_PRIME:  # before the primality test, whose time grows with sqrt(p)
+            raise ValueError(f"a prime field above F{MAX_PRIME} is refused, got F{p}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -177,21 +186,12 @@ RATIONALS = RationalField()
 INTEGERS = IntegerRing()
 
 
-# Largest prime a ring tag may name.  The primality test tries divisors up to
-# the square root, 46341 at this limit (a few ms); at 10^18 it would take
-# about a day.  The tests and the benchmark use F2, F3, F5 and F7.
-MAX_PRIME = 2**31 - 1
-
-
 def ring_from_tag(tag: str) -> CoefficientRing:
-    """Resolve a ring tag such as "Q", "Z" or "F5"; primes above ``MAX_PRIME`` are refused."""
+    """Resolve a ring tag such as "Q", "Z" or "F5"; ``PrimeField`` refuses primes above ``MAX_PRIME``."""
     if tag == "Q":
         return RATIONALS
     if tag == "Z":
         return INTEGERS
     if tag.startswith("F") and tag[1:].isdigit():
-        p = int(tag[1:])
-        if p > MAX_PRIME:
-            raise ValueError(f"a prime field tag above F{MAX_PRIME} is refused")
-        return PrimeField(p)
+        return PrimeField(int(tag[1:]))
     raise ValueError(f"unknown ring tag {tag!r}")

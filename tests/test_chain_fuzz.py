@@ -16,6 +16,7 @@ in a few seconds.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -30,7 +31,13 @@ from bnsr.rings import RATIONALS
 
 # (resolution spec, group spec of the same resolution)
 SETTINGS = (("koszul:1", "abelian:1"), ("koszul:2", "abelian:2"), ("free:2", "free:2"))
-RESOLUTIONS = {spec: parse_resolution(spec, RATIONALS) for spec, _ in SETTINGS}
+
+
+@functools.cache
+def resolution(spec):
+    """The resolution of a spec over Q, built once; chain files do not depend on the ring."""
+    return parse_resolution(spec, RATIONALS)
+
 
 COEFF = st.one_of(st.integers(-3, 3), st.sampled_from(("1", "-2", "1/2", "2/3", "3")))
 
@@ -52,7 +59,7 @@ DAMAGE = ("top", "term", "key", "g", "cell", "coeff", "degrees")
 def chain_obj(draw, spec, degree=None, damaged=True):
     """A serialized chain of one degree; if ``damaged``, about a quarter are
     damaged in one place."""
-    F = RESOLUTIONS[spec]
+    F = resolution(spec)
     if degree is None:
         degree = draw(st.sampled_from(F.degrees()))
     ball = F.group.ball(draw(st.integers(0, 2)))
@@ -89,7 +96,7 @@ def chain_obj(draw, spec, degree=None, damaged=True):
 def chain_run(draw):
     """(argv without the chain file and its flag, flag, chain file content)."""
     spec, group = draw(st.sampled_from(SETTINGS))
-    F = RESOLUTIONS[spec]
+    F = resolution(spec)
     ring = draw(st.sampled_from(("Q", "F3", "Z")))
     char = ",".join(str(draw(st.integers(-2, 2))) for _ in range(F.group.char_dim))
     cmd = draw(st.sampled_from(("boundary", "value", "eta", "gap")))

@@ -6,7 +6,11 @@ the threshold list that ``max_filling_value`` ran before the sweep.  Its
 columns come from ``oracle_filling_columns``, which admits a translated cell
 by testing every point of its footprint in the product window, multiplies
 free words with ``reduce_word`` over the whole concatenation and values each
-key with ``Valuation.of_key``.
+key with ``Valuation.of_key``.  ``eager_max_filling_value`` is the sweep as
+it ran before its columns were built lazily: every filling column of the
+window translated up front, one ``first_spanning_batch`` over all levels and,
+for a chain, ``solve_columns`` on the columns of value at least the answer,
+in enumeration order.
 """
 
 import itertools
@@ -26,11 +30,16 @@ from bnsr import (
     PrimeField,
     Product,
     basic_valuation,
+    fox_filling,
     free_group_resolution,
     koszul_resolution,
     max_filling_value,
+    product_valuation,
+    retraction_maps,
+    tensor_chain,
     tensor_resolution,
     window_for,
+    zero_character,
 )
 import bnsr.linalg as linalg
 from bnsr.homology import NEG_INF, _WindowInventory, _zero_map, window_chain_supported
@@ -125,6 +134,42 @@ def oracle_max_filling_value(F, v, target, W, return_chain=False, known_filling=
     if return_chain:
         return values[lo], Chain(F.ring, dict(best_sol))
     return values[lo]
+
+
+def eager_max_filling_value(F, v, target, W, return_chain=False, known_filling=None):
+    """The filling sweep over columns all translated before it starts."""
+    if target.is_zero:
+        return (INF, Chain(F.ring)) if return_chain else INF
+    p = target.degree
+    if p + 1 not in F.cells_by_degree:
+        return (NEG_INF, None) if return_chain else NEG_INF
+    if not window_chain_supported(F, W, target):
+        raise ValueError("target chain is not supported in the window")
+    cols = oracle_filling_columns(F, v, p + 1, W)
+    levels = sorted({val for (_, _, val) in cols}, reverse=True)
+    rows: dict = {}
+    rhs = {rows.setdefault((g, cell.index), len(rows)): c for (g, cell), c in target.items()}
+    batches: list = [[] for _ in levels]
+    for _, col, val in cols:
+        batches[levels.index(val)].append(col)
+    for batch in batches:
+        batch[:] = [{rows.setdefault((g, cell.index), len(rows)): c for (g, cell), c in col.items()} for col in batch]
+    k = linalg.first_spanning_batch(batches, rhs, F.ring)
+    if k is None:
+        return (NEG_INF, None) if return_chain else NEG_INF
+    best = levels[k]
+    if not return_chain:
+        return best
+    if (
+        known_filling is not None
+        and not known_filling.is_zero
+        and F.boundary(known_filling) == target
+        and window_chain_supported(F, W, known_filling)
+        and v.value(known_filling) == best
+    ):
+        return best, Chain(F.ring, dict(known_filling.terms))
+    usable = [(key, col) for (key, col, val) in cols if val >= best]
+    return best, Chain(F.ring, dict(linalg.solve_columns(usable, dict(target.terms), F.ring)))
 
 
 def oracle_zero_map(C_t, C_tl, p, augmented):
@@ -357,15 +402,122 @@ def test_non_incidence_filling_values_over_z_match_q(name, kind, p, radius):
 
 
 # ---------------------------------------------------------------------------
+# the lazily built sweep against the eager columns
+
+
+def outcome(search, *args):
+    """The answer of a filling search, or the message it is refused with."""
+    try:
+        got = search(*args)
+    except ValueError as exc:
+        return ("refused", str(exc))
+    return got if not isinstance(got, tuple) else (got[0], None if got[1] is None else list(got[1].terms.items()))
+
+
+def assert_lazy_matches_eager(F, v, target, W, known):
+    """Both searches agree, with and without a chain and a known filling; returns the values seen."""
+    seen = set()
+    for kf in (None, known):
+        for return_chain in (False, True):
+            args = (F, v, target, W, return_chain, kf)
+            got = outcome(max_filling_value, *args)
+            assert got == outcome(eager_max_filling_value, *args)
+            seen.add(got[0] if isinstance(got, tuple) else got)
+    return seen
+
+
+LAZY_CASES = CASES + [(name, kind, p, radius, "Z") for name, kind, p, radius, incidence in SYSTEMS if not incidence]
+
+
+@pytest.mark.parametrize("name,kind,p,radius,tag", LAZY_CASES, ids=[f"{c[0]}/{c[4]}" for c in LAZY_CASES])
+def test_lazy_sweep_matches_eager_columns(name, kind, p, radius, tag):
+    rng = random.Random(f"lazy:{name}:{tag}")
+    F = resolution(kind, tag)
+    W = window_for(F, radius)
+    fill_keys, cycle_keys = oracle_keys(F, W, p + 1), oracle_keys(F, W, p)
+    seen: set = set()
+    for _ in range(2):
+        v = random_valuation(F, rng)
+        for _ in range(3):
+            c = random_window_chain(F, rng, fill_keys, rng.randint(1, 3))
+            z = F.boundary(c)
+            if z.is_zero:
+                continue
+            for target in (z, z.add(random_window_chain(F, rng, cycle_keys, 1))):
+                seen |= assert_lazy_matches_eager(F, v, target, W, c)
+    # a best value occurs
+    assert seen - {NEG_INF, "refused"}
+
+
+def test_lazy_sweep_matches_eager_columns_on_retraction_fillings():
+    # criterion-10 fillings on Z^2 (x) F2: the image of an edge boundary of
+    # Z^2 under the retraction's section, valued by chi on the Z^2 factor only
+    rng = random.Random("lazy:retraction")
+    T = resolution("Z2xF2", "Q")
+    K2, FR = T.left, T.right
+    i_map, _ = retraction_maps(T)
+    W = window_for(T, (3, 2))
+    seen: set = set()
+    for _ in range(6):
+        chi = [rng.randint(-3, 3) for _ in range(2)]
+        if not any(chi):
+            continue
+        v = basic_valuation(K2, Character(K2.group, chi))
+        w = product_valuation(T, v, basic_valuation(FR, zero_character(FR.group)))
+        edge = K2.basis_chain(rng.choice(K2.cells(1)), tuple(rng.randint(-1, 1) for _ in range(2)))
+        seen |= assert_lazy_matches_eager(T, w, i_map.apply(K2.boundary(edge)), W, i_map.apply(edge))
+    assert NEG_INF not in seen and "refused" not in seen and len(seen) > 1
+
+
+def gap_instance(T, rng, m_max):
+    """A splitter target on F2 x F2: the boundary of c (x) c', each c filling y x^e - x^e, |e| <= m_max."""
+    halves = []
+    for F in (T.left, T.right):
+        G = F.group
+        x = rng.choice("ab")
+        y = "b" if x == "a" else "a"
+        e = rng.choice((1, -1)) * rng.randint(1, m_max)
+        c = F.translate(G.word(f"{x}^{e}"), fox_filling(G.word(f"{x}^{-e} {y} {x}^{e}"), F))
+        chi = [0, 0]
+        chi["ab".index(x)] = rng.choice((1, 2)) * (1 if e > 0 else -1)
+        halves.append((basic_valuation(F, Character(G, chi)), c))
+    (v, c), (vp, cp) = halves
+    cc = tensor_chain(T, c, cp)
+    return product_valuation(T, v, vp), T.boundary(cc), cc
+
+
+@pytest.mark.parametrize("radius", [(3, 3), (3, 2)], ids=["3x3", "3x2"])
+@pytest.mark.parametrize("tag", ["Q", "F5"])
+def test_lazy_sweep_matches_eager_columns_on_gap_fillings(radius, tag):
+    rng = random.Random(f"lazy:gap:{radius}:{tag}")
+    T = resolution("F2xF2", tag)
+    W = window_for(T, radius)
+    seen: set = set()
+    for _ in range(3):
+        w, target, known = gap_instance(T, rng, min(radius) - 1)
+        seen |= assert_lazy_matches_eager(T, w, target, W, known)
+    assert NEG_INF not in seen and "refused" not in seen
+
+
+# ---------------------------------------------------------------------------
 # the sweep itself against a solve of every prefix
 
 
 def random_batches(rng, ring, nrows, incidence):
+    """Up to five batches of random columns; ``incidence`` is True (signed
+    incidence columns only), False (general columns) or a pair ``(first,
+    then)``: batches of kind ``first``, then batches of kind ``then``."""
+    count = rng.randint(0, 5)
+    if isinstance(incidence, tuple):
+        cut = rng.randint(0, count)
+        kinds = [incidence[0]] * cut + [incidence[1]] * (count - cut)
+    else:
+        kinds = [incidence] * count
     batches = []
-    for _ in range(rng.randint(0, 5)):
+    for kind in kinds:
         batch = []
         for _ in range(rng.randint(0, 4)):
-            if incidence:
+            if kind:
                 rows = rng.sample(range(nrows), min(nrows, rng.choice((1, 2, 2))))
                 signs = [1, -1] if len(rows) == 2 else [rng.choice((1, -1))]
                 col = {r: ring.from_int(s) for r, s in zip(rows, signs)}
@@ -378,28 +530,99 @@ def random_batches(rng, ring, nrows, incidence):
     return batches
 
 
+def prefix_answers(batches, rhs, ring):
+    """The first batch whose prefix spans ``rhs`` over ``ring`` and, over Z,
+    over Q; each None when no prefix does.  Over Z general columns are
+    solved with the Smith form."""
+    nrows = 1 + max([r for batch in batches for col in batch for r in col] + list(rhs))
+    z = [rhs.get(r, 0) for r in range(nrows)]
+    first = over_q = None
+    prefix = []
+    for k, batch in enumerate(batches):
+        prefix.extend(batch)
+        if over_q is None and linalg.solve_columns(list(enumerate(prefix)), rhs, RATIONALS) is not None:
+            over_q = k
+        if ring != INTEGERS:
+            spans = linalg.solve_columns(list(enumerate(prefix)), rhs, ring) is not None
+        else:
+            M = [[col.get(r, 0) for col in prefix] for r in range(nrows)]
+            spans = linalg.SmithForm(M, len(prefix)).solve(z) is not None
+        if spans:
+            first = k
+            break
+    return first, over_q
+
+
+MIXES = [(True, False), (False, True)]
 # over Z the general columns are compared with the Smith form below
-BATCH_CASES = [("Q", True), ("F2", True), ("F5", True), ("Z", True), ("Q", False), ("F2", False), ("F5", False)]
+BATCH_CASES = (
+    [("Q", True), ("F2", True), ("F5", True), ("Z", True), ("Q", False), ("F2", False), ("F5", False)]
+    + [(tag, mix) for mix in MIXES for tag in ("Q", "F2", "F5", "Z")]
+)
 
 
-@pytest.mark.parametrize("tag,incidence", BATCH_CASES, ids=[f"{t}/{'incidence' if i else 'general'}" for t, i in BATCH_CASES])
+def batch_case_id(tag, incidence):
+    kind = {True: "incidence", False: "general"}
+    if isinstance(incidence, tuple):
+        return f"{tag}/{kind[incidence[0]]}-then-{kind[incidence[1]]}"
+    return f"{tag}/{kind[incidence]}"
+
+
+@pytest.mark.parametrize("tag,incidence", BATCH_CASES, ids=[batch_case_id(*c) for c in BATCH_CASES])
 def test_first_spanning_batch_matches_prefix_solves(tag, incidence):
     ring = RINGS[tag]
     rng = random.Random(f"batches:{tag}:{incidence}")
+    refused = 0
     for _ in range(300):
         nrows = rng.randint(1, 6)
         batches = random_batches(rng, ring, nrows, incidence)
         rhs = {r: ring.from_int(rng.randint(-2, 2)) for r in rng.sample(range(nrows), rng.randint(1, nrows))}
         if all(ring.is_zero(c) for c in rhs.values()):
             continue
-        want = None
-        prefix = []
-        for k, batch in enumerate(batches):
-            prefix.extend(batch)
-            if linalg.solve_columns(list(enumerate(prefix)), rhs, ring) is not None:
-                want = k
-                break
-        assert linalg.first_spanning_batch(batches, rhs, ring) == want
+        want, over_q = prefix_answers(batches, rhs, ring)
+        for given in (batches, iter(batches)):
+            try:
+                got = linalg.first_spanning_batch(given, rhs, ring)
+            except ValueError as exc:
+                # over Z, refused only where the certificate fails on the Q answer's prefix
+                assert ring == INTEGERS and "needs a field" in str(exc)
+                assert linalg.UnitReduction(col for batch in batches[: over_q + 1] for col in batch).failed is not None
+                refused += 1
+                continue
+            assert got == want
+    if incidence is True:
+        assert refused == 0  # incidence columns are totally unimodular
+
+
+def counted(batches, pulled):
+    """The batches as a generator that records the index of each batch it hands out."""
+    for k, batch in enumerate(batches):
+        pulled.append(k)
+        yield batch
+
+
+@pytest.mark.parametrize("tag", ["Q", "F2", "F5", "Z"])
+def test_first_spanning_batch_reads_no_batch_past_its_answer(tag):
+    ring = RINGS[tag]
+    rng = random.Random(f"lazy-batches:{tag}")
+    answered = 0
+    for incidence in (True, False) + tuple(MIXES):
+        for _ in range(100):
+            nrows = rng.randint(1, 6)
+            batches = random_batches(rng, ring, nrows, incidence)
+            rhs = {r: ring.from_int(rng.randint(-2, 2)) for r in rng.sample(range(nrows), rng.randint(1, nrows))}
+            pulled: list = []
+            try:
+                got = linalg.first_spanning_batch(counted(batches, pulled), rhs, ring)
+            except ValueError:
+                continue  # over Z, refused where the certificate fails
+            if got is None:
+                assert pulled == list(range(len(batches)))
+            else:
+                # a zero rhs is spanned by the first batch, which is read to know it exists
+                assert pulled == list(range(got + 1))
+                answered += got < len(batches) - 1
+    assert answered >= 20
 
 
 def test_first_spanning_batch_over_z_answers_where_the_certificate_holds():

@@ -1,8 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
+import pytest
+
 import bnsr.linalg as linalg
-from bnsr.rings import INTEGERS, PrimeField, RATIONALS
+from bnsr.rings import INTEGERS, MAX_PRIME, PrimeField, RATIONALS, ring_from_tag
 
 from smith_oracle import mat_mul
 
@@ -139,3 +142,16 @@ def test_smith_normal_form_divisibility(rng):
         for a, b in zip(nonzero, nonzero[1:]):
             assert b % a == 0
         assert all(f >= 0 for f in fac)
+
+
+def test_prime_field_above_the_limit_is_refused_before_the_primality_test():
+    # trial division up to sqrt(10**18 + 9) would take minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above F2147483647"):
+        PrimeField(10**18 + 9)
+    with pytest.raises(ValueError, match="above F2147483647"):
+        ring_from_tag(f"F{10**18 + 9}")
+    assert time.perf_counter() - start < 1.0
+    assert ring_from_tag(f"F{MAX_PRIME}").p == MAX_PRIME
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeField(MAX_PRIME - 1)

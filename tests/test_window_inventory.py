@@ -27,15 +27,17 @@ from bnsr import (
     free_group_resolution,
     inclusion_map_is_zero,
     koszul_resolution,
+    max_filling_value,
     tensor_resolution,
     truncate,
     window_for,
 )
+import bnsr.linalg as linalg
 from bnsr.homology import (
     NEG_INF,
+    Window,
     _LagSweep,
     _WindowInventory,
-    _filling_columns,
     _sample_thresholds,
     window_admits,
     window_values,
@@ -137,6 +139,15 @@ def oracle_filling_columns(F, v, degree, W):
             col = {(mul(g, h), y): c for (h, y), c in F.boundary_table[cell].items()}
             out.append(((g, cell), col, v.of_key(g, cell)))
     return out
+
+
+def _filling_columns(F: Resolution, v: Valuation, degree: int, W: Window):
+    """Candidate filling columns (key, boundary vector, value) at a degree, in enumeration order."""
+    inv = _WindowInventory(F, W, v)
+    return [
+        (key, dict(terms), val)
+        for key, terms, val in zip(inv.keys(degree), inv.terms(degree), inv.values(degree))
+    ]
 
 
 def oracle_probe(F, v, n, W, lambda_max, t_samples=None, lambda_grid=None, augmented=True):
@@ -310,10 +321,22 @@ def test_sweep_verdict_matches_zero_map_at_every_lag(name, F, radius):
 
 
 @pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
-def test_filling_columns_keep_enumeration_order(name, F, radius, chars):
+def test_filling_columns_keep_enumeration_order(name, F, radius, chars, monkeypatch):
+    # the eager columns of the inventory match the oracle's, and the chain
+    # solve of max_filling_value gets the columns of value at least the best
+    # one in that order, on integer rows that relabel the same boundaries
     rng = random.Random(f"filling:{name}")
     W = window_for(F, radius)
     v = random_valuation(F, rng)
+    solves = []
+    solve = linalg.solve_columns
+
+    def recording(cols, rhs, ring):
+        solves.append((list(cols), dict(rhs)))
+        return solve(cols, rhs, ring)
+
+    monkeypatch.setattr(linalg, "solve_columns", recording)
+    checked = 0
     for d in F.degrees():
         if d == 0:
             continue
@@ -321,6 +344,24 @@ def test_filling_columns_keep_enumeration_order(name, F, radius, chars):
         want = oracle_filling_columns(F, v, d, W)
         assert [key for key, _, _ in got] == [key for key, _, _ in want]
         assert [(list(col.items()), val) for _, col, val in got] == [(list(col.items()), val) for _, col, val in want]
+        keys = [key for key, _, _ in got]
+        for _ in range(3):
+            z = F.boundary(Chain(F.ring, [(rng.choice(keys), F.ring.one()) for _ in range(rng.randint(1, 3))]))
+            if z.is_zero:
+                continue
+            solves.clear()
+            best, _ = max_filling_value(F, v, z, W, return_chain=True)
+            (cols, rhs), = solves
+            usable = [(key, col) for key, col, val in got if val >= best]
+            assert [key for key, _ in cols] == [key for key, _ in usable]
+            label: dict = {}  # integer row -> the (g, cell) key it stands for
+            for vec, want_vec in [(rhs, dict(z.terms))] + [(col, w) for (_, col), (_, w) in zip(cols, usable)]:
+                assert list(vec.values()) == list(want_vec.values())
+                for r, key in zip(vec, want_vec):
+                    assert label.setdefault(r, key) == key
+            assert len(set(label.values())) == len(label)
+            checked += 1
+    assert checked
 
 
 def test_threshold_escape_is_reported_like_the_oracle():
