@@ -159,16 +159,12 @@ class FiniteComplex:
         self.augmented = augmented
         self.index = {d: {key: i for i, key in enumerate(b)} for d, b in basis.items()}
         self._ranks: dict = {}
-        self._roots: dict = {}
 
     def degrees(self):
         return sorted(self.basis)
 
     def dim(self, d: int) -> int:
         return len(self.basis.get(d, ()))
-
-    def column_items(self, d: int):
-        return list(enumerate(self.columns.get(d, ())))
 
     def boundary_rank(self, d: int) -> int:
         """Rank of the degree-d boundary (over Q for integer complexes), computed once."""
@@ -178,15 +174,6 @@ class FiniteComplex:
             got = linalg.rank_columns(list(enumerate(cols)), self.ring) if cols else 0
             self._ranks[d] = got
         return got
-
-    def incidence_roots(self, d: int):
-        """The component root of each row the degree-d boundary touches, when
-        that boundary is a signed incidence system (``linalg._as_edges``), and
-        None otherwise; decided once."""
-        if d not in self._roots:
-            edges = linalg._as_edges(self.column_items(d), self.ring)
-            self._roots[d] = None if edges is None else linalg.edge_roots(edges)
-        return self._roots[d]
 
     def compose_is_zero(self) -> bool:
         ring = self.ring
@@ -604,75 +591,21 @@ def inclusion_map_is_zero(
     p: int,
     W: Window,
     augmented: bool = True,
-    _complexes=None,
 ) -> bool:
-    """Whether every degree-p cycle above level t bounds above level t - lam."""
+    """Whether every degree-p cycle above level t bounds above level t - lam.
+
+    One pair read off the persistence sweep of :class:`_LagSweep`, on a
+    window inventory built for this call.
+    """
     if lam < 0:
         raise ValueError("lag must be nonnegative")
-    if _complexes is not None:
-        C_t, C_tl = _complexes
-    else:
-        degs_t = [p] if (p == 0) else [p - 1, p]
-        C_t = truncate(F, v, t, W, augmented=augmented and p == 0, degrees=degs_t)
-        C_tl = truncate(F, v, t - lam, W, degrees=[p, p + 1])
-    return _zero_map(C_t, C_tl, p)
-
-
-def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
-    """Whether every degree-p cycle of ``C_t`` bounds in ``C_tl``.
-
-    Let B be the (p+1)-boundary of C_tl and D the p-boundary of C_t (the
-    augmentation row when C_t is augmented and p = 0).  M holds the columns
-    of B and, for each p-cell x of C_t, the column (-x, Dx), with the rows
-    of Dx placed after the p-rows of C_tl.  (y, x) is in the kernel of M
-    exactly when Dx = 0 and x = By, so rank M = rank B + rank D iff every
-    p-cycle of C_t bounds in C_tl.  Whether B is an incidence system, and
-    its components, are decided once per complex.  In degree 0 with an
-    incidence B the new columns are edges too, and the verdict is read off
-    B's components: without augmentation, -x joins x to the ground vertex,
-    so every vertex of C_t must lie in the ground's component; with a unit
-    augmentation, (-x, 1) joins x to the augmentation row, so all vertices
-    of C_t must share one component.
-
-    Over Z the identity is used only when B is a signed incidence matrix:
-    B is then totally unimodular, so an integer cycle bounds over Z iff it
-    bounds over Q.  Every other integer case takes a basis of the cycle
-    lattice, ker D, from the Smith normal form of D, and asks one Smith
-    normal form of B whether each basis cycle bounds.  A p-cell of C_t
-    outside C_tl is an error (on the Smith path, when it lies in the
-    support of a cycle).
-    """
-    ring = C_tl.ring
-    roots = C_tl.incidence_roots(p + 1)
-    if ring == INTEGERS and roots is None:
-        return _zero_map_integral(C_t, C_tl, p)
-    idx = C_tl.index.get(p, {})
-    rows = [idx.get(key) for key in C_t.basis.get(p, ())]
-    if None in rows:
-        raise ValueError("cycle support escapes the lower window complex")
-    bd = C_t.columns.get(p)
-    if p == 0 and roots is not None:
-        components = {roots.get(i, i) for i in rows}
-        if bd is None:
-            return components <= {roots.get(linalg.GROUND, linalg.GROUND)}
-        one = ring.one()
-        if all(col == {0: one} for col in bd):
-            return len(components) <= 1
-    offset = C_tl.dim(p)
-    minus = ring.neg(ring.one())
-    nfill = len(C_tl.columns.get(p + 1, ()))
-    cols = []
-    for j, i in enumerate(rows):
-        col = {i: minus}
-        if bd is not None:
-            for r, c in bd[j].items():
-                col[offset + r] = c
-        cols.append((nfill + j, col))
-    rank = linalg.rank_columns(C_tl.column_items(p + 1) + cols, ring)
-    return rank == C_tl.boundary_rank(p + 1) + C_t.boundary_rank(p)
+    return _LagSweep(_WindowInventory(F, W, v), p, augmented and p == 0).holds(t, lam)
 
 
 def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
+    """Whether every degree-p cycle of ``C_t`` bounds over Z in ``C_tl``: each
+    basis cycle of ker D (Smith normal form of the p-boundary D, or the
+    augmentation row) against one Smith normal form of the filling boundary."""
     cycles = _smith(C_t, p).kernel()
     if not cycles:
         return True
@@ -870,10 +803,10 @@ def ca_probe(
     its own order).  For each degree p one persistence sweep of the window's
     value filtration (:class:`_LagSweep`) answers every pair; the report
     records, for each (p, t), the verdicts along the lag grid up to the
-    first lag that holds, exactly as testing each pair with
-    :func:`inclusion_map_is_zero` would.  A uniform lag within the grid is
-    a positive window certificate; a grid with no uniform lag is window
-    evidence against (the report says which).  A lag grid longer than
+    first lag that holds (:func:`inclusion_map_is_zero` reads one pair of
+    the same sweep).  A uniform lag within the grid is a positive window
+    certificate; a grid with no uniform lag is window evidence against (the
+    report says which).  A lag grid longer than
     ``MAX_PROBE_LAGS`` or an n above ``MAX_PROBE_DEGREE`` is refused.
     """
     if v.character.is_zero:

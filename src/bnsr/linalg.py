@@ -168,14 +168,6 @@ def rank_columns(cols, ring: CoefficientRing) -> int:
     return _eliminate(items, None, RATIONALS if ring == INTEGERS else ring, want_solution=False)[0]
 
 
-def edge_roots(edges) -> dict:
-    """The component root of every vertex of an ``_as_edges`` edge list."""
-    uf = _UnionFind()
-    for _, tail, head in edges:
-        uf.union(tail, head)
-    return {x: uf.find(x) for x in uf.parent}
-
-
 def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     """One sweep of a column filtration: the index of the first batch whose
     columns, with those of every earlier batch, span ``rhs``; None if none does.

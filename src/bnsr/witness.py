@@ -364,9 +364,11 @@ def _integral_nonvanishing(F, v, z, mf, threshold, W, orders: dict, tag: str):
     if mf == NEG_INF or mf < threshold:
         orders[tag] = "infinite"
         return True, None
-    dz = z.degree
-    C = truncate(F, v, threshold, W, degrees=[dz, dz + 1])
-    kind, k = class_order(z, C)
+    if z.is_zero:  # its class is zero, and it has no degree to truncate in
+        kind, k = "zero", 1
+    else:
+        C = truncate(F, v, threshold, W, degrees=[z.degree, z.degree + 1])
+        kind, k = class_order(z, C)
     orders[tag] = kind if kind != "torsion" else f"torsion({k})"
     if kind == "infinite":
         return True, None

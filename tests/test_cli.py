@@ -353,6 +353,21 @@ def test_witness_run(tmp_path, capsys):
     assert data["conclusion"] and data["gap"] == "3"
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q"])
+def test_witness_run_on_zero_cycles_is_a_check_that_fails(ring, tmp_path, capsys):
+    # a zero cycle's class is zero: the report says so over Z, with no
+    # truncation in a degree the zero chain does not have
+    cfg = {"ring": ring, "left_group": "free:1", "right_group": "free:1", "char_left": [1], "char_right": [1],
+           "z": [], "z_prime": [], "mu": "1/2", "mu_prime": "1/2", "window": 1}
+    path = write_json(tmp_path / "config.json", cfg)
+    code, out, err = run_cli(["witness", "run", "--config", path, "--format", "structured"], capsys)
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["conclusion"] is False
+    assert data["left_class_nonvanishing"] is False and data["right_class_nonvanishing"] is False
+    assert data["class_orders"] == ({"z": "zero", "z'": "zero"} if ring == "Z" else {})
+
+
 def test_catalog_commands(capsys):
     code, out, _ = run_cli(["catalog", "list", "--format", "structured"], capsys)
     assert code == 0 and len(json.loads(out)) > 20

@@ -5,7 +5,8 @@ threshold.
 The oracle below is the direct construction: enumerate the ball, test each
 translated cell with ``window_admits``, value it with ``of_key`` and keep it
 when the value clears the threshold, all again for every threshold; each
-(t, lambda) verdict is one ``inclusion_map_is_zero`` on two such truncations.
+(t, lambda) verdict is one per-pair rank identity (``zero_map_oracle``) on
+two such truncations.
 """
 
 import random
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from bnsr import (
+    INF,
     INTEGERS,
     RATIONALS,
     CAProbeReport,
@@ -44,6 +46,8 @@ from bnsr.homology import (
 )
 from bnsr.resolutions import Resolution
 from bnsr.valuations import valuation_from_obj, valuation_to_obj
+
+from zero_map_oracle import _zero_map
 
 GF5 = PrimeField(5)
 K2 = koszul_resolution(2, RATIONALS)
@@ -174,7 +178,7 @@ def oracle_probe(F, v, n, W, lambda_max, t_samples=None, lambda_grid=None, augme
             found = None
             for lam in lams:
                 C_tl = oracle_truncate(F, v, t - lam, W, degrees=[p, p + 1])
-                ok = inclusion_map_is_zero(F, v, t, lam, p, W, augmented=aug, _complexes=(C_t, C_tl))
+                ok = _zero_map(C_t, C_tl, p)
                 rep.verdicts.append((p, t, lam, ok))
                 if ok:
                     found = lam
@@ -314,10 +318,35 @@ def test_sweep_verdict_matches_zero_map_at_every_lag(name, F, radius):
                     s = t - lam
                     if s not in lower:
                         lower[s] = oracle_truncate(F, v, s, W, degrees=[p, p + 1])
-                    want = inclusion_map_is_zero(F, v, t, lam, p, W, augmented=augmented, _complexes=(C_t, lower[s]))
+                    want = _zero_map(C_t, lower[s], p)
                     assert sweep.holds(t, lam) == want, (p, t, lam, augmented)
                     held.add(want)
     assert held == {False, True}
+
+
+@pytest.mark.parametrize("name,F,radius", SWEEP_WINDOWS, ids=[w[0] for w in SWEEP_WINDOWS])
+def test_inclusion_map_is_zero_matches_the_oracle_pair(name, F, radius):
+    """The one-pair read of the sweep against the rank identity on fresh
+    truncations, at a seeded sample of (p, t, lambda) with and without
+    augmentation (which acts in degree 0 only).  Each call builds its own
+    inventory, so the sample is small."""
+    rng = random.Random(f"one-pair:{name}")
+    W = window_for(F, radius)
+    v = random_valuation(F, rng)
+    held = set()
+    for p in range(F.max_degree + 1):
+        values = window_values(F, v, W, [p])
+        span = 2 * int(values[-1] - values[0]) + 2
+        for augmented in (True, False):
+            for _ in range(3):
+                t, lam = rng.choice(values), Fraction(rng.randint(0, span), 2)
+                C_t = oracle_truncate(F, v, t, W, augmented=augmented and p == 0, degrees=[p] if p == 0 else [p - 1, p])
+                want = _zero_map(C_t, oracle_truncate(F, v, t - lam, W, degrees=[p, p + 1]), p)
+                assert inclusion_map_is_zero(F, v, t, lam, p, W, augmented=augmented) == want, (p, t, lam, augmented)
+                held.add(want)
+    assert held == {False, True}
+    with pytest.raises(ValueError, match="lag must be nonnegative"):
+        inclusion_map_is_zero(F, v, values[0], Fraction(-1, 2), 0, W)
 
 
 @pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
@@ -385,12 +414,17 @@ def _raised(F, v, raise_by):
     return valuation_from_obj(F, obj)
 
 
-def _probe_or_error(probe, *args, **kwargs):
+def _or_escape(run):
+    """``run()``, or "not a subcomplex" when it raises the threshold escape."""
     try:
-        return probe(*args, **kwargs).to_dict()
+        return run()
     except ValueError as exc:
         assert "escapes the window/threshold" in str(exc)
         return "not a subcomplex"
+
+
+def _probe_or_error(probe, *args, **kwargs):
+    return _or_escape(lambda: probe(*args, **kwargs).to_dict())
 
 
 def test_non_basic_valuation_probe_matches_oracle():
@@ -414,6 +448,34 @@ def test_non_basic_valuation_probe_matches_oracle():
             outcomes.append(got == "not a subcomplex")
     # both outcomes occur
     assert set(outcomes) == {False, True}
+
+
+def test_inclusion_map_is_zero_escapes_where_the_oracle_truncation_does():
+    """Non-basic valuations: one pair raises the threshold escape exactly when
+    one of the oracle's two fresh truncations does, and otherwise gives the
+    oracle's verdict."""
+    outcomes = set()
+    for name, F, radius in [("Z2", K2, 2), ("Z2/Z", K2_Z, 2), ("F2", FR2, 3), ("Z3/F5", K3_P, 1)]:
+        rng = random.Random(f"one-pair-non-basic:{name}")
+        W = window_for(F, radius)
+        labels = [cell.label for d in F.degrees() if d > 0 for cell in F.cells(d)]
+        for _ in range(3):
+            raise_by = {label: rng.choice(("1/2", "2", "inf")) for label in rng.sample(labels, rng.randint(1, 2))}
+            w = _raised(F, random_valuation(F, rng), raise_by)
+            for _ in range(4):
+                p = rng.randint(0, F.max_degree - 1)
+                t = rng.choice([x for x in window_values(F, w, W, [p]) if x != INF])
+                lam, augmented = rng.randint(0, 2), rng.random() < 0.5
+                degs_t = [p] if p == 0 else [p - 1, p]
+                got = _or_escape(lambda: inclusion_map_is_zero(F, w, t, lam, p, W, augmented=augmented))
+                want = _or_escape(lambda: _zero_map(
+                    oracle_truncate(F, w, t, W, augmented=augmented and p == 0, degrees=degs_t),
+                    oracle_truncate(F, w, t - lam, W, degrees=[p, p + 1]),
+                    p,
+                ))
+                assert got == want, (name, raise_by, p, t, lam, augmented)
+                outcomes.add(got)
+    assert outcomes == {True, False, "not a subcomplex"}
 
 
 def test_lag_grid_above_the_limit_is_refused():
