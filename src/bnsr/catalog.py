@@ -10,6 +10,7 @@ cross-validation never compares the formula against itself.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -99,7 +100,9 @@ class Catalog:
         for rec in extra:
             if rec.key in merged and not shadow:
                 raise ValueError(
-                    f"record {rec.key} already exists; pass shadow=True to replace it"
+                    f"a record for group {json.dumps(rec.group.to_dict(), sort_keys=True)}, degree {rec.degree}, ring "
+                    f"{rec.ring_tag} already exists; to replace it, pass --shadow on the command line "
+                    "or shadow=True in Python"
                 )
             merged[rec.key] = rec
         return Catalog(merged.values())

@@ -101,6 +101,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _directions(text: str) -> list[tuple[int, ...]]:
+    """Semicolon-separated integer vectors, as ``--directions`` takes them."""
+    out = []
+    for entry in text.split(";"):
+        try:
+            out.append(tuple(int(x) for x in entry.split(",")))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"direction {entry!r} is not a comma-separated list of integers") from None
+    return out
+
+
 def _group_arg(spec: str):
     if spec.endswith(".json"):
         return group_from_dict(_load_json(spec))
@@ -445,8 +456,7 @@ def _cmd_catalog(args) -> int:
         return 0 if rep.equal else 1
     if args.catalog_cmd == "cross-validate":
         rec = cat.lookup(_group_arg(args.group), args.degree, args.ring)
-        directions = [tuple(int(x) for x in d.split(",")) for d in args.directions.split(";")]
-        rep = catalog_mod.cross_validate(rec, directions, args.window, args.lambda_max)
+        rep = catalog_mod.cross_validate(rec, args.directions, args.window, args.lambda_max)
         _emit(args, rep.to_dict(), [f"consistent: {rep.consistent}"])
         return 0 if rep.consistent else 1
     raise ValueError(f"unknown catalog subcommand {args.catalog_cmd}")
@@ -575,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--degree", type=_nonnegative_int, required=True)
     p.add_argument("--ring", default="Q")
-    p.add_argument("--directions", required=True, help="semicolon-separated integer vectors")
+    p.add_argument("--directions", type=_directions, required=True, help="semicolon-separated integer vectors")
     p.add_argument("--window", type=_nonnegative_int, default=4)
     p.add_argument("--lambda-max", type=_nonnegative_int, default=4)
 

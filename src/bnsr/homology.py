@@ -16,11 +16,11 @@ is what the reports record.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from operator import getitem
+from operator import getitem, neg
 from typing import Sequence
 
 from . import linalg
@@ -257,12 +257,12 @@ class _WindowInventory:
     """Admitted window keys of one (F, W, v), enumerated once per call.
 
     Each degree is built on first use: its admitted keys in enumeration
-    order (cell by cell, ball order) and in ``(cell, g)`` order, each key's
-    value, the keys grouped by value, and each key's boundary translated
-    once through :func:`_boundary_translator`.  The character is evaluated once per group
-    element and shared by every cell.  Every threshold truncation is then a
-    slice of these lists.  An inventory lives only as long as the call that
-    builds it.
+    order (cell by cell, ball order) and in ``(cell, g)`` order, the keys
+    grouped by value, and the boundary columns, each translated once through
+    :func:`_boundary_translator` onto the rows of the degree below.  The
+    character is evaluated once per group element and shared by every cell.
+    Every threshold truncation is then a slice of these lists.  An inventory
+    lives only as long as the call that builds it.
     """
 
     def __init__(self, F: Resolution, W: Window, v: Valuation):
@@ -272,12 +272,8 @@ class _WindowInventory:
         self._elements: dict = {}
         self._scale = None
         self._chi: dict = {}  # group element -> its character value times _scale
-        self._shared: dict = {}  # value times _scale -> the value
         self._keys: dict = {}
-        self._values: dict = {}
-        self._scaled_values: dict = {}  # each key's value times _scale (INF stays INF)
         self._levels: dict = {}
-        self._terms: dict = {}
         self._sorted: dict = {}
         self._cols: dict = {}
         self._filtered: dict = {}
@@ -300,14 +296,17 @@ class _WindowInventory:
             self._keys[d] = got
         return got
 
-    def values(self, d: int) -> list:
-        """Value of each key of ``keys(d)``.
+    def levels(self, d: int) -> list:
+        """The distinct values of degree d in ascending order, each with the
+        enumeration positions of its keys.
 
         Values are computed in integers over one common denominator: the
         character's coefficients and the finite cell values all become
-        integers once scaled by it.  Keys of equal value share one Fraction.
+        integers once scaled by it.  Keys are grouped on these integers,
+        which hash far faster than Fractions, and one Fraction is made per
+        distinct value; computed once.
         """
-        got = self._values.get(d)
+        got = self._levels.get(d)
         if got is None:
             v = self.v
             if self._scale is None:
@@ -317,57 +316,30 @@ class _WindowInventory:
             scale = self._scale
             weights = [int(c * scale) for c in v.character.coeffs]
             exponents = self.F.group.exponents
-            chi, shared = self._chi, self._shared
-            got, scaled = [], []
+            chi = self._chi
+            groups: dict = {}
+            i = 0
             for cell, elements in self._cell_elements(d):
                 cv = v.cell_values[cell]
                 if cv == INF:
-                    got.extend([INF] * len(elements))
-                    scaled.extend([INF] * len(elements))
+                    groups.setdefault(INF, []).extend(range(i, i + len(elements)))
+                    i += len(elements)
                     continue
                 base = int(cv * scale)
                 for g in elements:
                     n = chi.get(g)
                     if n is None:  # the character, scaled, once per element
                         n = chi[g] = sum(w * e for w, e in zip(weights, exponents(g)))
-                    n += base
-                    val = shared.get(n)
-                    if val is None:
-                        val = shared[n] = Fraction(n, scale)
-                    got.append(val)
-                    scaled.append(n)
-            self._values[d] = got
-            self._scaled_values[d] = scaled
-        return got
-
-    def levels(self, d: int) -> list:
-        """The distinct values of degree d in ascending order, each with the
-        enumeration positions of its keys.
-
-        Keys are grouped on their scaled integer values, which hash far
-        faster than Fractions; computed once.
-        """
-        got = self._levels.get(d)
-        if got is None:
-            values = self.values(d)
-            groups: dict = {}
-            for i, n in enumerate(self._scaled_values[d]):
-                groups.setdefault(n, []).append(i)
-            got = self._levels[d] = [(values[pos[0]], pos) for _, pos in sorted(groups.items())]
+                    groups.setdefault(n + base, []).append(i)
+                    i += 1
+            got = self._levels[d] = [
+                (n if n == INF else Fraction(n, scale), pos) for n, pos in sorted(groups.items())
+            ]
         return got
 
     def distinct_values(self, degrees: Sequence[int]) -> list:
         """Sorted distinct values of the admitted keys in the given degrees."""
         return sorted({val for d in degrees for val, _ in self.levels(d)})
-
-    def terms(self, d: int) -> list:
-        """Translated boundary terms ``[((g*h, y), c), ...]`` of each key of ``keys(d)``."""
-        got = self._terms.get(d)
-        if got is None:
-            translate = _boundary_translator(self.F, d)
-            got = [[((gh, y), c) for gh, y, c in translate(g, cell)] for g, cell in self.keys(d)]
-            self._terms[d] = got
-        return got
 
     def _sorted_view(self, d: int):
         """Keys of degree d in ``(cell, g)`` order, with enumeration positions,
@@ -387,7 +359,8 @@ class _WindowInventory:
 
     def _columns(self, d: int) -> list:
         """Boundary columns ``[(row, c), ...]`` of the sorted keys of degree d,
-        with rows indexing the sorted keys of degree d - 1.
+        with rows indexing the sorted keys of degree d - 1, each translated
+        through :func:`_boundary_translator` straight onto those rows.
 
         A boundary chain's terms are nonzero and distinct, and translating
         them by one element keeps them distinct, so each row occurs once.
@@ -395,11 +368,12 @@ class _WindowInventory:
         got = self._cols.get(d)
         if got is None:
             idx = {key: i for i, key in enumerate(self._sorted_view(d - 1)[0])}
-            terms = self.terms(d)
+            translate = _boundary_translator(self.F, d)
             got = []
-            for i in self._sorted_view(d)[1]:
+            for g, cell in self._sorted_view(d)[0]:
                 col = []
-                for key, c in terms[i]:
+                for gh, y, c in translate(g, cell):
+                    key = (gh, y)
                     r = idx.get(key)
                     if r is None:
                         raise ValueError(f"boundary term {key} escapes the window; window is not boundary-closed")
@@ -529,24 +503,6 @@ def homology_dims(C: FiniteComplex) -> list[int]:
     return out
 
 
-def dense_boundary(C: FiniteComplex, d: int) -> list[list]:
-    """The degree-d boundary of C as a dense integer matrix, one column per
-    d-cell (zero columns when C stores no d-boundary), refused before it is
-    built when its Smith normal form would be too large."""
-    rows, ncols = C.dim(d - 1), C.dim(d)
-    linalg.check_smith_size(rows, ncols)
-    M = [[0] * ncols for _ in range(rows)]
-    for j, col in enumerate(C.columns.get(d, ())):
-        for i, c in col.items():
-            M[i][j] = c
-    return M
-
-
-def _smith(C: FiniteComplex, d: int) -> linalg.SmithForm:
-    """The Smith normal form of the degree-d boundary of C."""
-    return linalg.SmithForm(dense_boundary(C, d), C.dim(d))
-
-
 def class_order(z: Chain, C: FiniteComplex):
     """Order of the homology class of a cycle in an integer window complex.
 
@@ -554,7 +510,8 @@ def class_order(z: Chain, C: FiniteComplex):
     (p+1)-boundary first goes through ``linalg.UnitReduction``: when every
     column reduces with ±1 pivots, its cokernel is free, so the class has no
     torsion, and it is zero exactly when the residual of z is.  Otherwise
-    the Smith normal form of that boundary decides.
+    the Smith normal form of that boundary decides, through
+    ``linalg.SmithForm.from_columns``.
     """
     if C.ring != INTEGERS:
         raise ValueError("class_order works over integer coefficients")
@@ -576,7 +533,7 @@ def class_order(z: Chain, C: FiniteComplex):
     zvec = [0] * C.dim(p)
     for i, c in vec.items():
         zvec[i] = c
-    return _smith(C, p + 1).order(zvec)
+    return linalg.SmithForm.from_columns(C.columns.get(p + 1, ()), C.dim(p)).order(zvec)
 
 
 # ---------------------------------------------------------------------------
@@ -600,29 +557,6 @@ def inclusion_map_is_zero(
     if lam < 0:
         raise ValueError("lag must be nonnegative")
     return _LagSweep(_WindowInventory(F, W, v), p, augmented and p == 0).holds(t, lam)
-
-
-def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
-    """Whether every degree-p cycle of ``C_t`` bounds over Z in ``C_tl``: each
-    basis cycle of ker D (Smith normal form of the p-boundary D, or the
-    augmentation row) against one Smith normal form of the filling boundary."""
-    cycles = _smith(C_t, p).kernel()
-    if not cycles:
-        return True
-    keys = C_t.basis[p]
-    idx = C_tl.index.get(p, {})
-    vectors = []
-    for cycle in cycles:
-        z = [0] * C_tl.dim(p)
-        for j, c in enumerate(cycle):
-            if c:
-                i = idx.get(keys[j])
-                if i is None:
-                    raise ValueError("cycle support escapes the lower window complex")
-                z[i] = c
-        vectors.append(z)
-    fill = _smith(C_tl, p + 1)
-    return all(fill.order(z)[0] == "zero" for z in vectors)
 
 
 def window_values(F: Resolution, v: Valuation, W: Window, degrees: Sequence[int]) -> list[Fraction]:
@@ -709,10 +643,14 @@ class _LagSweep:
     For s above it the boundary of C_s is a prefix with free cokernel, so
     H_p(C_s; Z) is torsion-free and a cycle that bounds over Q bounds over
     Z: the Q verdict stands.  A pair that holds over Q with s at or below it
-    is confirmed by ``_zero_map_integral`` on its two truncations.  A
-    threshold at which a truncation is not a subcomplex (a valuation that is
-    not basic) raises the ValueError of ``truncate``, as building that
-    truncation does.
+    is confirmed on prefixes of the filtration, which holds the cells above
+    any threshold as a prefix of each degree.  As s <= t, a basis of the
+    cycle lattice of the p-boundary prefix above t (the augmentation row in
+    degree 0, or no row) is already written on the rows of the
+    (p+1)-boundary prefix above s: one Smith kernel per t and one Smith
+    ``order`` per basis cycle decide.  A threshold at which the cells above
+    it are not a subcomplex (a valuation that is not basic) raises the
+    ValueError that truncating there raises.
     """
 
     def __init__(self, inv: _WindowInventory, p: int, augmented: bool):
@@ -752,15 +690,19 @@ class _LagSweep:
             failed = linalg.UnitReduction(up).failed
             self.free_above = NEG_INF if failed is None else up_values[up_level[failed]]
         self.unclosed = {d: inv.unclosed(d) for d in (p, p + 1)}
-        self._above = None  # (t, the truncation above t) for the integral confirmation
+        self._cycles = None  # (t, a basis of the cycle lattice above t) for the integral confirmation
 
     def holds(self, t, lam) -> bool:
         """Whether every degree-p cycle above t bounds above t - lam."""
-        inv, p = self.inv, self.p
+        p = self.p
         s = t - lam
         for d, x in ((p, t), (p + 1, s)):
-            if any(lo < x <= hi for lo, hi in self.unclosed[d]):
-                inv.truncate(x, [d - 1, d])  # raises: not a subcomplex at x
+            for lo, hi in self.unclosed[d]:
+                if lo < x <= hi:
+                    raise ValueError(
+                        f"a degree-{d} cell of value {hi} has a boundary term of value {lo}, which escapes "
+                        f"the window/threshold at {x}; window is not boundary-closed for this valuation"
+                    )
         m = self.m[bisect_left(self.levels, t)]
         if m is None:
             return True
@@ -768,14 +710,36 @@ class _LagSweep:
             return False
         return self.exact or self._integral_holds(t, s)
 
+    def _prefix(self, d: int, x) -> int:
+        """How many cells of degree d have value at least x: the length of
+        that prefix of ``inv.filtration(d)``, whose levels descend."""
+        k = bisect_left(self.inv._sorted_view(d)[2], x)
+        return bisect_right(self.inv.filtration(d)[1], -k, key=neg)
+
     def _integral_holds(self, t, s) -> bool:
         """The Z verdict of a pair that holds over Q on a non-incidence boundary."""
         if s > self.free_above:
             return True
-        p = self.p
-        if self._above is None or self._above[0] != t:
-            self._above = (t, self.inv.truncate(t, [p] if p == 0 else [p - 1, p], augmented=self.augmented))
-        return _zero_map_integral(self._above[1], self.inv.truncate(s, [p, p + 1]), p)
+        inv, p = self.inv, self.p
+        if self._cycles is None or self._cycles[0] != t:
+            n = self._prefix(p, t)
+            if p > 0:
+                down, nrows = inv.filtration(p)[2][:n], self._prefix(p - 1, t)
+            elif self.augmented:
+                position, aug = inv.filtration(0)[0], inv.F.augmentation_table
+                down, nrows = [None] * n, 1
+                for j, (_, cell) in enumerate(inv._sorted_view(0)[0]):
+                    if position[j] < n:
+                        down[position[j]] = {0: aug[cell]}
+            else:
+                down, nrows = [{}] * n, 0
+            self._cycles = (t, linalg.SmithForm.from_columns(down, nrows).kernel())
+        cycles = self._cycles[1]
+        if not cycles:
+            return True
+        rows = self._prefix(p, s)
+        fill = linalg.SmithForm.from_columns(inv.filtration(p + 1)[2][: self._prefix(p + 1, s)], rows)
+        return all(fill.order(z + [0] * (rows - len(z)))[0] == "zero" for z in cycles)
 
 
 # Largest lag grid and degree bound a probe takes, ten times the largest in
@@ -885,7 +849,6 @@ def max_filling_value(
     target: Chain,
     W: Window,
     return_chain: bool = False,
-    known_filling: Chain | None = None,
 ):
     """Highest value of a window filling of ``target`` (-inf when none exists).
 
@@ -900,10 +863,9 @@ def max_filling_value(
     answer are never translated.  Over Z any other filling is swept over Q,
     and that level stands when the columns of value at least that level
     pass the unit-pivot certificate; otherwise it is refused.  A chain, when
-    asked for, is one solve at that level: a valid ``known_filling`` of that
-    value is returned as it is, and otherwise ``solve_columns`` runs on the
-    columns already built for the levels read, in enumeration order (over Z
-    on incidence columns only).
+    asked for, is one ``solve_columns`` at that level, on the columns already
+    built for the levels read, in enumeration order (over Z on incidence
+    columns only).
     """
     if target.is_zero:
         return (INF, Chain(F.ring)) if return_chain else INF
@@ -937,14 +899,6 @@ def max_filling_value(
     best = levels[k][0]
     if not return_chain:
         return best
-    if (
-        known_filling is not None
-        and not known_filling.is_zero
-        and F.boundary(known_filling) == target
-        and window_chain_supported(F, W, known_filling)
-        and v.value(known_filling) == best
-    ):
-        return best, Chain(F.ring, dict(known_filling.terms))
     # the sweep read no level below the answer, so the columns built are those of value at least best
     usable = [(keys[i], built[i]) for i in sorted(built)]
     return best, Chain(F.ring, dict(linalg.solve_columns(usable, rhs, F.ring)))
@@ -976,10 +930,14 @@ def eta_from_filling(F: Resolution, v: Valuation, z: Chain, best):
 
 
 def gap_lower_bound(F: Resolution, w: Valuation, target: Chain, W: Window, known_filling: Chain | None = None):
-    """Exact minimal boundary-value gap over every window filling of target."""
+    """Exact minimal boundary-value gap over every window filling of target.
+
+    ``known_filling`` is accepted and not used: the filling sweep finds the
+    best value on its own.
+    """
     if target.is_zero:
         return INF
-    mv = max_filling_value(F, w, target, W, known_filling=known_filling)
+    mv = max_filling_value(F, w, target, W)
     if mv == NEG_INF:
         raise ValueError("target does not bound inside the window")
     return w.value(target) - mv

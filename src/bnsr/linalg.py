@@ -570,6 +570,18 @@ class SmithForm:
         else:
             self.factors, self.U, self.V = [], _identity(m), _identity(ncols)
 
+    @classmethod
+    def from_columns(cls, cols: Sequence[dict], nrows: int) -> "SmithForm":
+        """The factorization of sparse integer columns (dicts from rows below
+        ``nrows`` to integers), one matrix column per column given; an
+        oversized shape is refused before the dense matrix is built."""
+        check_smith_size(nrows, len(cols))
+        M = [[0] * len(cols) for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, c in col.items():
+                M[i][j] = c
+        return cls(M, len(cols))
+
     def kernel(self) -> list[list[int]]:
         """A basis of {y : M y = 0}: the columns of V at the zero diagonal entries, in order."""
         V, factors = self.V, self.factors

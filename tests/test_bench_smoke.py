@@ -1,5 +1,6 @@
-"""Smoke test of the benchmark harness: one short run of the probe workload
-and one of the integral workload (the Smith normal form path) must check out.
+"""Smoke test of the benchmark harness: one short run of each workload
+(probe, fill, sphere and integral, the last one the Smith normal form path)
+must check out, so every call the benchmark makes into bnsr runs here.
 
 Only correctness is asserted; timings depend on the host and are not read.
 """
@@ -14,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["probe", "integral"])
+@pytest.mark.parametrize("workload", ["probe", "fill", "sphere", "integral"])
 def test_bench_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "0"],

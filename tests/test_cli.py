@@ -441,6 +441,17 @@ def test_catalog_cross_validate_cli(capsys):
     assert code == 0 and json.loads(out)["consistent"]
 
 
+@pytest.mark.parametrize("directions,bad", [("1,x", "'1,x'"), ("1/2,1", "'1/2,1'"), ("1,0;;0,1", "''")],
+                         ids=["letter", "fraction", "empty"])
+def test_catalog_cross_validate_malformed_directions_are_usage_errors(directions, bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "cross-validate", "--group", "abelian:2", "--degree", "1", "--ring", "Q",
+              "--directions", directions])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--directions" in err and bad in err
+
+
 def test_valuation_roundtrip_through_obj():
     from bnsr import RATIONALS, Character, basic_valuation, koszul_resolution
     from bnsr.valuations import valuation_from_obj, valuation_to_obj
@@ -521,13 +532,17 @@ def test_catalog_commands_accept_records_and_shadow(command, tmp_path, capsys):
     # without --shadow is refused
     code, out, _ = run_cli(["catalog", "lookup", "--group", "free:2", "--degree", "1", "--format", "structured"], capsys)
     assert code == 0
-    records = write_json(tmp_path / "records.json", [json.loads(out)])
+    record = json.loads(out)
+    records = write_json(tmp_path / "records.json", [record])
     base = ["catalog"] + command + ["--format", "structured"]
     want = run_cli(base, capsys)
     assert want[0] in (0, 1) and want[1]
     assert run_cli(base + ["--records", records, "--shadow"], capsys) == want
     code, out, err = run_cli(base + ["--records", records], capsys)
     assert code == 3 and "already exists" in err
+    # the message names the group by its JSON spec and the CLI flag, not reprs
+    assert json.dumps(record["group"], sort_keys=True) in err
+    assert "--shadow" in err and "FreeAbelian(" not in err and "Free(" not in err
 
 
 @pytest.mark.parametrize(

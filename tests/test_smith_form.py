@@ -17,12 +17,11 @@ import pytest
 
 import bnsr.linalg as linalg
 from bnsr import INTEGERS, RATIONALS, Chain, FiniteComplex, class_order as window_class_order, koszul_resolution
-from bnsr.homology import _smith, dense_boundary
 from bnsr.linalg import MAX_SMITH_ENTRIES, SmithForm, UnitReduction, check_smith_size
 
 from smith_oracle import class_order, integer_kernel_basis, integer_solve, mat_mul
 from test_zero_map import oracle_zero_map
-from zero_map_oracle import _zero_map, incidence_roots
+from zero_map_oracle import _smith, _zero_map, dense_boundary, incidence_roots
 
 
 def _unimodular(rng, n):
@@ -169,7 +168,10 @@ def test_oversized_factorization_is_refused_before_factoring(monkeypatch):
         check_smith_size(517, 516)
     with pytest.raises(ValueError, match=f"1 x 1000 matrix holds 1001001 entries, above the limit of {MAX_SMITH_ENTRIES}"):
         SmithForm([[1] * 1000], 1000)
-    # dense_boundary refuses the shape before it allocates the matrix
+    # from_columns refuses the shape before it allocates the matrix, as the
+    # oracle's dense_boundary does
+    with pytest.raises(ValueError, match="900 x 900"):
+        SmithForm.from_columns([{}] * 900, 900)
     C = FiniteComplex(INTEGERS, {0: list(range(900)), 1: list(range(900))}, {1: [{}] * 900})
     with pytest.raises(ValueError, match="900 x 900"):
         dense_boundary(C, 1)
@@ -218,8 +220,10 @@ def test_augmented_degree_zero_over_z_takes_the_smith_path(cols, over_q, over_z)
 
 
 def test_degree_zero_without_a_stored_boundary_keeps_every_vertex_as_a_cycle():
-    # dense_boundary sizes the matrix by cells, so a complex with vertices and
-    # no 0-boundary gives the identity kernel, not an empty one
+    # columns with no rows keep their width, so vertices with no 0-boundary
+    # give the identity kernel, not an empty one; the oracle's dense_boundary
+    # sizes the matrix by cells and agrees
+    assert SmithForm.from_columns([{}, {}], 0).kernel() == [[1, 0], [0, 1]]
     C_t = FiniteComplex(INTEGERS, {0: ["a", "b"]}, {})
     assert dense_boundary(C_t, 0) == []
     assert _smith(C_t, 0).kernel() == [[1, 0], [0, 1]]

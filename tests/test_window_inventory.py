@@ -37,16 +37,16 @@ from bnsr import (
 import bnsr.linalg as linalg
 from bnsr.homology import (
     NEG_INF,
-    Window,
     _LagSweep,
     _WindowInventory,
     _sample_thresholds,
     window_admits,
     window_values,
 )
-from bnsr.resolutions import Resolution
+from bnsr.resolutions import BasisCell, Resolution
 from bnsr.valuations import valuation_from_obj, valuation_to_obj
 
+from inventory_oracle import filling_columns
 from zero_map_oracle import _zero_map
 
 GF5 = PrimeField(5)
@@ -71,7 +71,23 @@ def _doubled_square(K):
     return Resolution(K.group, ring, "koszul", K.cells_by_degree, table, K.augmentation_table)
 
 
+def _with_doubled_diagonal(F):
+    """The F2 resolution with one more edge, from x0 to ab*x0 with twice the
+    boundary: the 1-boundary is no longer an incidence system."""
+    ring, (x0,) = F.ring, F.cells(0)
+    edge = BasisCell(1, len(F.cells(1)), "x_ab")
+    table = dict(F.boundary_table)
+    table[edge] = Chain(ring, [((F.group.word("a b"), x0), ring.from_int(2)), ((F.group.identity(), x0), ring.from_int(-2))])
+    cells = dict(F.cells_by_degree)
+    cells[1] = F.cells(1) + (edge,)
+    return Resolution(F.group, ring, F.kind, cells, table, F.augmentation_table)
+
+
 K2_Z2 = _doubled_square(K2_Z)
+# the doubled diagonal takes degree 0 to the Smith confirmation: a doubled
+# edge bounds only twice the difference of its ends, and the vertices above
+# t may be joined by unit edges only through vertices below t
+FR2_Z2D = _with_doubled_diagonal(FR2_Z)
 
 # (name, resolution, window radius, random characters): Z^2, Z^3, F2,
 # F2 x F2, Z^2 (x) F2; the oracle re-enumerates the window per threshold, so
@@ -143,15 +159,6 @@ def oracle_filling_columns(F, v, degree, W):
             col = {(mul(g, h), y): c for (h, y), c in F.boundary_table[cell].items()}
             out.append(((g, cell), col, v.of_key(g, cell)))
     return out
-
-
-def _filling_columns(F: Resolution, v: Valuation, degree: int, W: Window):
-    """Candidate filling columns (key, boundary vector, value) at a degree, in enumeration order."""
-    inv = _WindowInventory(F, W, v)
-    return [
-        (key, dict(terms), val)
-        for key, terms, val in zip(inv.keys(degree), inv.terms(degree), inv.values(degree))
-    ]
 
 
 def oracle_probe(F, v, n, W, lambda_max, t_samples=None, lambda_grid=None, augmented=True):
@@ -284,6 +291,33 @@ def test_ca_probe_matches_oracle_grid(name, F, radius, n, lambda_max, kwargs, mo
         assert decisions
 
 
+def test_integer_confirmation_reads_the_filtration_without_truncating(monkeypatch):
+    """A torsion probe over Z reaches the Smith confirmation and answers it
+    from prefixes of the sweep's filtration: no truncation is built, and the
+    grid still matches the oracle's fresh truncations."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a truncation")
+
+    factored = []
+    from_columns = linalg.SmithForm.from_columns.__func__
+
+    def counted(cls, cols, nrows):
+        factored.append((len(cols), nrows))
+        return from_columns(cls, cols, nrows)
+
+    monkeypatch.setattr(_WindowInventory, "truncate", refuse)
+    monkeypatch.setattr(linalg.SmithForm, "from_columns", classmethod(counted))
+    rng = random.Random("torsion-prefixes")
+    W = window_for(K2_Z2, 2)
+    for _ in range(2):
+        v = random_valuation(K2_Z2, rng)
+        got = ca_probe(K2_Z2, v, 2, W, 2)
+        assert got.to_dict() == oracle_probe(K2_Z2, v, 2, W, 2).to_dict()
+        assert not got.passed  # the order-2 classes never bound over Z
+    assert factored
+
+
 # small windows for the every-lag comparison: (name, resolution, radius)
 SWEEP_WINDOWS = [
     ("Z2", K2, 2),
@@ -295,6 +329,8 @@ SWEEP_WINDOWS = [
     ("F2xF2", FF, (1, 1)),
     ("F2xF2/Z", FF_Z, (1, 1)),
     ("Z2xF2", ZF, (1, 1)),
+    ("Z2-doubled/Z", K2_Z2, 2),
+    ("F2-doubled-diagonal/Z", FR2_Z2D, 2),
 ]
 
 
@@ -369,7 +405,7 @@ def test_filling_columns_keep_enumeration_order(name, F, radius, chars, monkeypa
     for d in F.degrees():
         if d == 0:
             continue
-        got = _filling_columns(F, v, d, W)
+        got = filling_columns(F, v, d, W)
         want = oracle_filling_columns(F, v, d, W)
         assert [key for key, _, _ in got] == [key for key, _, _ in want]
         assert [(list(col.items()), val) for _, col, val in got] == [(list(col.items()), val) for _, col, val in want]

@@ -140,7 +140,7 @@ def test_witness_pipeline_window_search_filling():
     W = window_for(T, 4)
     w = product_valuation(T, v, vp)
     target = T.boundary(tensor_chain(T, c, cp))
-    val, d = max_filling_value(T, w, target, W, return_chain=True, known_filling=tensor_chain(T, c, cp))
+    val, d = max_filling_value(T, w, target, W, return_chain=True)
     rep = witness_pipeline(T, v, vp, z, zp, Fraction(5, 2), Fraction(5, 2), c, cp, d, W)
     assert rep.conclusion, rep.to_dict()
 

@@ -1,5 +1,5 @@
 """Differential tests: the per-pair zero-map test of ``zero_map_oracle``
-(one rank identity, and ``_zero_map_integral`` over Z off incidence
+(one rank identity, and its ``_zero_map_integral`` over Z off incidence
 fillings) against an explicit cycle basis.
 
 The oracle below is the earlier construction: compute a basis of the
@@ -28,11 +28,11 @@ from bnsr import (
     tensor_resolution,
     window_for,
 )
-from bnsr.homology import _WindowInventory, dense_boundary
+from bnsr.homology import _WindowInventory
 
 from conftest import kernel_columns, random_field_complex
 from smith_oracle import _augmented_cycles, integer_kernel_basis, integer_solvable
-from zero_map_oracle import _zero_map, incidence_roots
+from zero_map_oracle import _zero_map, dense_boundary, incidence_roots
 
 GF5 = PrimeField(5)
 

@@ -1,14 +1,61 @@
-"""The per-pair zero-map test that the persistence sweep (``_LagSweep``)
-replaced, kept as a test oracle: one rank identity per (t, lambda) pair on
-two truncations, with the incidence reading of the filling boundary
-decided afresh for each call.  Over Z a filling that is not an incidence
-system goes to ``bnsr.homology._zero_map_integral``, which the sweep uses
-for its own integer confirmations.
+"""The integer and per-pair zero-map tests that the persistence sweep
+(``_LagSweep``) replaced, kept as a test oracle.
+
+``_zero_map`` is one rank identity per (t, lambda) pair on two truncations,
+with the incidence reading of the filling boundary decided afresh for each
+call.  Over Z a filling that is not an incidence system goes to
+``_zero_map_integral``: a basis of the cycle lattice from the Smith normal
+form of the p-boundary of the upper truncation (``_smith`` on
+``dense_boundary``), each basis cycle tested against one Smith normal form
+of the filling boundary of the lower truncation.  The sweep answers the same
+question from prefixes of its own filtration, so no integer code here is
+shared with it beyond ``linalg.SmithForm``.
 """
 
 from bnsr import linalg
-from bnsr.homology import FiniteComplex, _zero_map_integral
+from bnsr.homology import FiniteComplex
 from bnsr.rings import INTEGERS
+
+
+def dense_boundary(C: FiniteComplex, d: int) -> list[list]:
+    """The degree-d boundary of C as a dense integer matrix, one column per
+    d-cell (zero columns when C stores no d-boundary), refused before it is
+    built when its Smith normal form would be too large."""
+    rows, ncols = C.dim(d - 1), C.dim(d)
+    linalg.check_smith_size(rows, ncols)
+    M = [[0] * ncols for _ in range(rows)]
+    for j, col in enumerate(C.columns.get(d, ())):
+        for i, c in col.items():
+            M[i][j] = c
+    return M
+
+
+def _smith(C: FiniteComplex, d: int) -> linalg.SmithForm:
+    """The Smith normal form of the degree-d boundary of C."""
+    return linalg.SmithForm(dense_boundary(C, d), C.dim(d))
+
+
+def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
+    """Whether every degree-p cycle of ``C_t`` bounds over Z in ``C_tl``: each
+    basis cycle of ker D (Smith normal form of the p-boundary D, or the
+    augmentation row) against one Smith normal form of the filling boundary."""
+    cycles = _smith(C_t, p).kernel()
+    if not cycles:
+        return True
+    keys = C_t.basis[p]
+    idx = C_tl.index.get(p, {})
+    vectors = []
+    for cycle in cycles:
+        z = [0] * C_tl.dim(p)
+        for j, c in enumerate(cycle):
+            if c:
+                i = idx.get(keys[j])
+                if i is None:
+                    raise ValueError("cycle support escapes the lower window complex")
+                z[i] = c
+        vectors.append(z)
+    fill = _smith(C_tl, p + 1)
+    return all(fill.order(z)[0] == "zero" for z in vectors)
 
 
 def edge_roots(edges) -> dict:
