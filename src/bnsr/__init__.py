@@ -17,6 +17,7 @@ from .groups import (
     zero_character,
 )
 from .rings import INTEGERS, RATIONALS, CoefficientRing, PrimeField, ring_from_tag
+from .linalg import smith_normal_form
 from .spheres import (
     Cell,
     ConeSet,
@@ -71,7 +72,6 @@ from .homology import (
     inclusion_map_is_zero,
     kunneth_dims_check,
     max_filling_value,
-    smith_normal_form,
     tensor_complex,
     truncate,
     window_for,

@@ -85,10 +85,16 @@ def _fraction(x) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"{x!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"{x!r} is not a rational number") from None
 
 
-def _parse_char(group, text: str) -> Character:
-    return Character(group, [_fraction(x) for x in text.split(",")])
+def _parse_char(group, text: str, option: str) -> Character:
+    """The character given to ``option`` as comma-separated rationals; errors name the option."""
+    try:
+        return Character(group, [_fraction(x) for x in text.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"{option}: {exc}") from None
 
 
 def _nonnegative_int(text: str) -> int:
@@ -241,8 +247,8 @@ def _cmd_valuation(args) -> int:
         left = parse_resolution(args.left, ring)
         right = parse_resolution(args.right, ring)
         T = tensor_resolution(left, right)
-        v = basic_valuation(left, _parse_char(left.group, args.char_left))
-        vprime = basic_valuation(right, _parse_char(right.group, args.char_right))
+        v = basic_valuation(left, _parse_char(left.group, args.char_left, "--char-left"))
+        vprime = basic_valuation(right, _parse_char(right.group, args.char_right, "--char-right"))
         w = product_valuation(T, v, vprime)
         rng = random.Random(args.seed)
         failures = 0
@@ -264,11 +270,11 @@ def _cmd_valuation(args) -> int:
 
     F = parse_resolution(args.resolution, ring)
     if args.valuation_cmd == "basic":
-        v = basic_valuation(F, _parse_char(F.group, args.char))
+        v = basic_valuation(F, _parse_char(F.group, args.char, "--char"))
         _emit(args, valuation_to_obj(v), [f"{cell}: {val}" for cell, val in sorted(valuation_to_obj(v)["cells"].items())])
         return 0
     if args.valuation_cmd == "value":
-        v = basic_valuation(F, _parse_char(F.group, args.char))
+        v = basic_valuation(F, _parse_char(F.group, args.char, "--char"))
         chain = chain_from_obj(F, _load_json(args.chain))
         val = v.value(chain)
         _emit(args, {"value": _fmt_val(val)}, [f"value: {_fmt_val(val)}"])
@@ -279,11 +285,11 @@ def _cmd_valuation(args) -> int:
         chain = chain_from_obj(F, _load_json(args.chain))
         u = _fraction(args.u)
         if args.side == "left":
-            v = basic_valuation(F.left, _parse_char(F.left.group, args.char))
+            v = basic_valuation(F.left, _parse_char(F.left.group, args.char, "--char"))
             low, high = split_left(F, chain, u, v)
             names = ("lambda", "rho")
         else:
-            v = basic_valuation(F.right, _parse_char(F.right.group, args.char))
+            v = basic_valuation(F.right, _parse_char(F.right.group, args.char, "--char"))
             low, high = split_bottom(F, chain, u, v)
             names = ("beta", "tau")
         _emit(
@@ -293,7 +299,7 @@ def _cmd_valuation(args) -> int:
         )
         return 0
     if args.valuation_cmd == "check-axioms":
-        v = basic_valuation(F, _parse_char(F.group, args.char))
+        v = basic_valuation(F, _parse_char(F.group, args.char, "--char"))
         rng = random.Random(args.seed)
         samples = []
         degs = F.degrees()
@@ -321,7 +327,7 @@ def _cmd_probe(args) -> int:
     ring = ring_from_tag(args.ring)
     group = _group_arg(args.group)
     F = resolution_for(group, ring)
-    chi = _parse_char(F.group, args.char)
+    chi = _parse_char(F.group, args.char, "--char")
     v = basic_valuation(F, chi)
     W = window_for(F, args.window)
     if args.probe_cmd == "ca":

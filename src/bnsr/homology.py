@@ -25,7 +25,6 @@ from typing import Sequence
 
 from . import linalg
 from .groups import Group, Product
-from .linalg import smith_normal_form  # re-exported
 from .resolutions import BasisCell, Chain, Resolution
 from .rings import CoefficientRing, INTEGERS
 from .valuations import INF, Valuation
@@ -256,13 +255,15 @@ def _boundary_translator(F: Resolution, d: int):
 class _WindowInventory:
     """Admitted window keys of one (F, W, v), enumerated once per call.
 
-    Each degree is built on first use: its admitted keys in enumeration
-    order (cell by cell, ball order) and in ``(cell, g)`` order, the keys
-    grouped by value, and the boundary columns, each translated once through
-    :func:`_boundary_translator` onto the rows of the degree below.  The
-    character is evaluated once per group element and shared by every cell.
-    Every threshold truncation is then a slice of these lists.  An inventory
-    lives only as long as the call that builds it.
+    Each degree is built on first use, and every list of it is in one key
+    order, the enumeration order (cell by cell, ball order): the admitted
+    keys, the keys grouped by value, and the boundary columns, each
+    translated once through :func:`_boundary_translator` onto the
+    enumeration positions of the degree below.  The character is evaluated
+    once per group element and shared by every cell.  The filtration reads
+    the value levels from the highest down, ties in enumeration order, and
+    every threshold truncation is a prefix of it.  An inventory lives only
+    as long as the call that builds it.
     """
 
     def __init__(self, F: Resolution, W: Window, v: Valuation):
@@ -274,7 +275,6 @@ class _WindowInventory:
         self._chi: dict = {}  # group element -> its character value times _scale
         self._keys: dict = {}
         self._levels: dict = {}
-        self._sorted: dict = {}
         self._cols: dict = {}
         self._filtered: dict = {}
         self._unclosed: dict = {}
@@ -298,7 +298,7 @@ class _WindowInventory:
 
     def levels(self, d: int) -> list:
         """The distinct values of degree d in ascending order, each with the
-        enumeration positions of its keys.
+        enumeration positions of its keys, ascending.
 
         Values are computed in integers over one common denominator: the
         character's coefficients and the finite cell values all become
@@ -337,40 +337,29 @@ class _WindowInventory:
             ]
         return got
 
+    def values(self, d: int) -> list:
+        """The distinct values of degree d in ascending order."""
+        return [val for val, _ in self.levels(d)]
+
     def distinct_values(self, degrees: Sequence[int]) -> list:
         """Sorted distinct values of the admitted keys in the given degrees."""
         return sorted({val for d in degrees for val, _ in self.levels(d)})
 
-    def _sorted_view(self, d: int):
-        """Keys of degree d in ``(cell, g)`` order, with enumeration positions,
-        value levels (sorted distinct values) and each sorted key's level."""
-        got = self._sorted.get(d)
-        if got is None:
-            keys = self.keys(d)
-            levels = self.levels(d)
-            order = sorted(range(len(keys)), key=lambda i: (keys[i][1], keys[i][0]))
-            level_of = [0] * len(keys)
-            for k, (_, positions) in enumerate(levels):
-                for i in positions:
-                    level_of[i] = k
-            got = ([keys[i] for i in order], order, [val for val, _ in levels], [level_of[i] for i in order])
-            self._sorted[d] = got
-        return got
-
     def _columns(self, d: int) -> list:
-        """Boundary columns ``[(row, c), ...]`` of the sorted keys of degree d,
-        with rows indexing the sorted keys of degree d - 1, each translated
-        through :func:`_boundary_translator` straight onto those rows.
+        """Boundary columns ``[(row, c), ...]`` of the keys of degree d, with
+        rows the enumeration positions of degree d - 1, each translated
+        through :func:`_boundary_translator` straight onto those rows.  They
+        depend on (F, W) only, not on the character.
 
         A boundary chain's terms are nonzero and distinct, and translating
         them by one element keeps them distinct, so each row occurs once.
         """
         got = self._cols.get(d)
         if got is None:
-            idx = {key: i for i, key in enumerate(self._sorted_view(d - 1)[0])}
+            idx = {key: i for i, key in enumerate(self.keys(d - 1))}
             translate = _boundary_translator(self.F, d)
             got = []
-            for g, cell in self._sorted_view(d)[0]:
+            for g, cell in self.keys(d):
                 col = []
                 for gh, y, c in translate(g, cell):
                     key = (gh, y)
@@ -383,29 +372,34 @@ class _WindowInventory:
         return got
 
     def filtration(self, d: int):
-        """Degree d in filtration order: descending value, ties in ``(cell, g)`` order.
+        """Degree d in filtration order: the levels from the highest value
+        down, ties in enumeration order.
 
-        Returns each sorted key's position in that order, the value level of
-        each key in that order, its boundary columns as dicts keyed by the
-        positions of degree d - 1 (None in degree 0), and their
-        ``linalg._as_edges`` reading (None unless a signed incidence system).
-        Every superlevel truncation is a prefix of this order.
+        Returns the enumeration position of each filtration slot, the level
+        of each slot, the boundary columns as dicts keyed by the slots of
+        degree d - 1 (None in degree 0), and their ``linalg._as_edges``
+        reading (None unless a signed incidence system).  Every superlevel
+        truncation is a prefix of this order (:meth:`prefix`).
         """
         got = self._filtered.get(d)
         if got is None:
-            level = self._sorted_view(d)[3]
-            order = sorted(range(len(level)), key=level.__getitem__, reverse=True)
-            position = [0] * len(order)
-            for k, j in enumerate(order):
-                position[j] = k
+            levels = self.levels(d)
+            order = [i for _, positions in reversed(levels) for i in positions]
+            level = [k for k in range(len(levels) - 1, -1, -1) for _ in levels[k][1]]
             cols = edges = None
             if d > 0:
-                rows = self.filtration(d - 1)[0]
+                slot = {i: k for k, i in enumerate(self.filtration(d - 1)[0])}
                 by_key = self._columns(d)
-                cols = [{rows[r]: c for r, c in by_key[j]} for j in order]
+                cols = [{slot[r]: c for r, c in by_key[i]} for i in order]
                 edges = linalg._as_edges(list(enumerate(cols)), self.F.ring)
-            got = self._filtered[d] = (position, [level[j] for j in order], cols, edges)
+            got = self._filtered[d] = (order, level, cols, edges)
         return got
+
+    def prefix(self, d: int, x) -> int:
+        """How many cells of degree d have value at least x: the length of
+        that prefix of :meth:`filtration`, whose levels descend."""
+        k = bisect_left(self.values(d), x)
+        return bisect_right(self.filtration(d)[1], -k, key=neg)
 
     def unclosed(self, d: int) -> list:
         """Intervals (lo, hi] of the thresholds whose truncation in degrees
@@ -417,40 +411,39 @@ class _WindowInventory:
             if d > 0:
                 _, level, cols, _ = self.filtration(d)
                 row_level = self.filtration(d - 1)[1]
-                values, row_values = self._sorted_view(d)[2], self._sorted_view(d - 1)[2]
+                values, row_values = self.values(d), self.values(d - 1)
                 for col, lev in zip(cols, level):
                     if col:
-                        # the largest filtration position is the face of lowest value
+                        # the largest filtration slot is the face of lowest value
                         lo = row_values[row_level[max(col)]]
                         if lo < values[lev]:
                             got.append((lo, values[lev]))
         return got
 
     def truncate(self, t, degrees: Sequence[int], augmented: bool = False) -> FiniteComplex:
-        """The window complex of the keys with value at least t, in the given degrees."""
+        """The window complex of the keys with value at least t (the levels of
+        the filtration's prefix) in the given degrees, in ``(cell, g)`` order."""
         degs = sorted(set(degrees))
         basis: dict = {}
         picked: dict = {}
         for d in degs:
-            sorted_keys, _, levels, level = self._sorted_view(d)
-            k = bisect_left(levels, t)
-            picked[d] = pos = [j for j, lv in enumerate(level) if lv >= k]
-            basis[d] = [sorted_keys[j] for j in pos]
+            keys = self.keys(d)
+            above = [i for _, positions in self.levels(d)[bisect_left(self.values(d), t):] for i in positions]
+            picked[d] = pos = sorted(above, key=lambda i: (keys[i][1], keys[i][0]))
+            basis[d] = [keys[i] for i in pos]
         columns: dict = {}
         for d in degs:
             if d - 1 not in basis:
                 continue
             cols_all = self._columns(d)
-            row_keys = self._sorted_view(d - 1)[0]
-            remap = [-1] * len(row_keys)
-            for i, j in enumerate(picked[d - 1]):
-                remap[j] = i
+            row_keys = self.keys(d - 1)
+            remap = {j: i for i, j in enumerate(picked[d - 1])}
             cols = []
             for j in picked[d]:
                 col = {}
                 for r, c in cols_all[j]:
-                    i = remap[r]
-                    if i < 0:
+                    i = remap.get(r)
+                    if i is None:
                         raise ValueError(
                             f"boundary term {row_keys[r]} escapes the window/threshold; "
                             "window is not boundary-closed for this valuation"
@@ -625,14 +618,16 @@ class _LagSweep:
     Superlevel truncations of the window form a filtration, and every
     p-cycle above t bounds above t - lam exactly when every p-class born at
     a value of at least t dies at a value of at least t - lam.  The
-    (p+1)-boundary in filtration order pairs each class with the (p+1)-cell
+    (p+1)-boundary in filtration order (``inv.filtration``: descending
+    value, ties in enumeration order) pairs each class with the (p+1)-cell
     that kills it (``linalg.persistence_lows``); the p-boundary, or the
     augmentation row in degree 0, tells which p-cells give birth: those
     whose column reduces to zero, the p-cells just paired being cleared.
-    Without augmentation every 0-cell gives birth; with it the oldest one
-    does not (its class is the essential one).  ``m[k]`` is the lowest
-    death value of a class born at level k or above: -inf when one never
-    dies, None when none is born.  So (t, lam) holds iff t - lam <= m(t).
+    Without augmentation every 0-cell gives birth; with it the first one in
+    filtration order with a nonzero augmentation does not (its class is the
+    essential one).  ``m[k]`` is the lowest death value of a class born at
+    level k or above: -inf when one never dies, None when none is born.  So
+    (t, lam) holds iff t - lam <= m(t), whatever the order of ties.
 
     Over Z the sweep runs over Q on the same integer columns.  A cycle that
     does not bound over Q does not bound over Z, and an incidence
@@ -643,24 +638,25 @@ class _LagSweep:
     For s above it the boundary of C_s is a prefix with free cokernel, so
     H_p(C_s; Z) is torsion-free and a cycle that bounds over Q bounds over
     Z: the Q verdict stands.  A pair that holds over Q with s at or below it
-    is confirmed on prefixes of the filtration, which holds the cells above
-    any threshold as a prefix of each degree.  As s <= t, a basis of the
-    cycle lattice of the p-boundary prefix above t (the augmentation row in
-    degree 0, or no row) is already written on the rows of the
-    (p+1)-boundary prefix above s: one Smith kernel per t and one Smith
-    ``order`` per basis cycle decide.  A threshold at which the cells above
-    it are not a subcomplex (a valuation that is not basic) raises the
-    ValueError that truncating there raises.
+    is confirmed on prefixes of the filtration (``inv.prefix``), which holds
+    the cells above any threshold as a prefix of each degree.  As s <= t, a
+    basis of the cycle lattice of the p-boundary prefix above t (the
+    augmentation row in degree 0, or no row) is already written on the rows
+    of the (p+1)-boundary prefix above s: one Smith kernel per t and one
+    Smith ``order`` per basis cycle decide, each filling prefix factored
+    once per sweep.  A threshold at which the cells above it are not a
+    subcomplex (a valuation that is not basic) raises the ValueError that
+    truncating there raises.
     """
 
     def __init__(self, inv: _WindowInventory, p: int, augmented: bool):
         self.inv, self.p, self.augmented = inv, p, augmented
         ring = inv.F.ring
-        self.levels = inv._sorted_view(p)[2]
-        position, born_level, down, down_edges = inv.filtration(p)
+        self.levels = inv.values(p)
+        order, born_level, down, down_edges = inv.filtration(p)
         _, up_level, up, up_edges = inv.filtration(p + 1)
-        up_values = inv._sorted_view(p + 1)[2]
-        death = {}  # filtration position of a p-cell -> value of the (p+1)-cell killing its class
+        up_values = inv.values(p + 1)
+        death = {}  # filtration slot of a p-cell -> value of the (p+1)-cell killing its class
         for k, low in enumerate(linalg.persistence_lows(up, up_edges, ring)):
             if low is not None:
                 death[low] = up_values[up_level[k]]
@@ -668,13 +664,12 @@ class _LagSweep:
             lows = linalg.persistence_lows(down, down_edges, ring, skip=death)
             births = [k for k, low in enumerate(lows) if low is None]
         else:
-            births = list(range(len(position)))
+            births = list(range(len(order)))
             if augmented:
-                aug = inv.F.augmentation_table
-                keys = inv._sorted_view(0)[0]
-                units = [position[j] for j, (_, cell) in enumerate(keys) if not ring.is_zero(aug[cell])]
-                if units:
-                    births.remove(min(units))
+                aug, keys = inv.F.augmentation_table, inv.keys(0)
+                essential = next((k for k, i in enumerate(order) if not ring.is_zero(aug[keys[i][1]])), None)
+                if essential is not None:
+                    del births[essential]
         m: list = [None] * (len(self.levels) + 1)
         for k in births:
             lev, dies = born_level[k], death.get(k, NEG_INF)
@@ -691,6 +686,7 @@ class _LagSweep:
             self.free_above = NEG_INF if failed is None else up_values[up_level[failed]]
         self.unclosed = {d: inv.unclosed(d) for d in (p, p + 1)}
         self._cycles = None  # (t, a basis of the cycle lattice above t) for the integral confirmation
+        self._fills: dict = {}  # (column prefix, row prefix) -> Smith form of that (p+1)-boundary prefix
 
     def holds(self, t, lam) -> bool:
         """Whether every degree-p cycle above t bounds above t - lam."""
@@ -710,35 +706,28 @@ class _LagSweep:
             return False
         return self.exact or self._integral_holds(t, s)
 
-    def _prefix(self, d: int, x) -> int:
-        """How many cells of degree d have value at least x: the length of
-        that prefix of ``inv.filtration(d)``, whose levels descend."""
-        k = bisect_left(self.inv._sorted_view(d)[2], x)
-        return bisect_right(self.inv.filtration(d)[1], -k, key=neg)
-
     def _integral_holds(self, t, s) -> bool:
         """The Z verdict of a pair that holds over Q on a non-incidence boundary."""
         if s > self.free_above:
             return True
         inv, p = self.inv, self.p
         if self._cycles is None or self._cycles[0] != t:
-            n = self._prefix(p, t)
+            n = inv.prefix(p, t)
             if p > 0:
-                down, nrows = inv.filtration(p)[2][:n], self._prefix(p - 1, t)
+                down, nrows = inv.filtration(p)[2][:n], inv.prefix(p - 1, t)
             elif self.augmented:
-                position, aug = inv.filtration(0)[0], inv.F.augmentation_table
-                down, nrows = [None] * n, 1
-                for j, (_, cell) in enumerate(inv._sorted_view(0)[0]):
-                    if position[j] < n:
-                        down[position[j]] = {0: aug[cell]}
+                aug, keys = inv.F.augmentation_table, inv.keys(0)
+                down, nrows = [{0: aug[keys[i][1]]} for i in inv.filtration(0)[0][:n]], 1
             else:
                 down, nrows = [{}] * n, 0
             self._cycles = (t, linalg.SmithForm.from_columns(down, nrows).kernel())
         cycles = self._cycles[1]
         if not cycles:
             return True
-        rows = self._prefix(p, s)
-        fill = linalg.SmithForm.from_columns(inv.filtration(p + 1)[2][: self._prefix(p + 1, s)], rows)
+        ncols, rows = inv.prefix(p + 1, s), inv.prefix(p, s)
+        fill = self._fills.get((ncols, rows))
+        if fill is None:
+            fill = self._fills[ncols, rows] = linalg.SmithForm.from_columns(inv.filtration(p + 1)[2][:ncols], rows)
         return all(fill.order(z + [0] * (rows - len(z)))[0] == "zero" for z in cycles)
 
 

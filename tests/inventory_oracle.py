@@ -18,13 +18,10 @@ def inventory_values(inv: _WindowInventory, d: int) -> list:
 
 def inventory_terms(inv: _WindowInventory, d: int) -> list:
     """The translated boundary terms ``[((g*h, y), c), ...]`` of each key of
-    ``inv.keys(d)``, read off ``inv._columns(d)`` through the sorted keys of
-    degree d - 1."""
-    rows = inv._sorted_view(d - 1)[0]
-    out = [None] * len(inv.keys(d))
-    for i, col in zip(inv._sorted_view(d)[1], inv._columns(d)):
-        out[i] = [(rows[r], c) for r, c in col]
-    return out
+    ``inv.keys(d)``, read off ``inv._columns(d)`` through the keys of degree
+    d - 1."""
+    rows = inv.keys(d - 1)
+    return [[(rows[r], c) for r, c in col] for col in inv._columns(d)]
 
 
 def filling_columns(F, v, degree: int, W) -> list:

@@ -491,6 +491,23 @@ def test_probe_ca_zero_character_is_an_input_error(capsys):
     assert code == 3 and out == "" and "zero character" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["probe", "ca", "--group", "abelian:2", "--char=1,x", "--n", "1", "--window", "2", "--lambda-max", "1"],
+         "error: --char: 'x' is not a rational number"),
+        (["valuation", "prop41", "--left", "koszul:1", "--right", "koszul:2", "--char-left", "1/2/3",
+          "--char-right", "1,0"], "error: --char-left: '1/2/3' is not a rational number"),
+        (["valuation", "prop41", "--left", "koszul:1", "--right", "koszul:2", "--char-left", "1",
+          "--char-right", "1,"], "error: --char-right: '' is not a rational number"),
+    ],
+    ids=["char", "char-left", "char-right"],
+)
+def test_malformed_character_entry_names_its_option(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == "" and err == message + "\n"
+
+
 @pytest.mark.parametrize("resolution", ["koszul:2", "free:2"])
 @pytest.mark.parametrize(
     "chain,message",

@@ -9,6 +9,7 @@ when the value clears the threshold, all again for every threshold; each
 two such truncations.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -291,6 +292,24 @@ def test_ca_probe_matches_oracle_grid(name, F, radius, n, lambda_max, kwargs, mo
         assert decisions
 
 
+@pytest.mark.parametrize("name,F,radius,n,lambda_max,kwargs", PROBE_CASES, ids=[c[0] for c in PROBE_CASES])
+def test_ca_probe_report_does_not_depend_on_the_tie_order(name, F, radius, n, lambda_max, kwargs, monkeypatch):
+    """The filtration breaks ties of value in enumeration order; reversing
+    the keys within every value level moves persistence pairs only within a
+    level, so every report stays byte-equal."""
+    rng = random.Random(f"ties:{name}")
+    W = window_for(F, radius)
+    chars = [random_valuation(F, rng) for _ in range(2)]
+
+    def reports():
+        return [json.dumps(ca_probe(F, v, n, W, lambda_max, **kwargs).to_dict(), sort_keys=True) for v in chars]
+
+    want = reports()
+    levels = _WindowInventory.levels
+    monkeypatch.setattr(_WindowInventory, "levels", lambda self, d: [(val, pos[::-1]) for val, pos in levels(self, d)])
+    assert reports() == want
+
+
 def test_integer_confirmation_reads_the_filtration_without_truncating(monkeypatch):
     """A torsion probe over Z reaches the Smith confirmation and answers it
     from prefixes of the sweep's filtration: no truncation is built, and the
@@ -316,6 +335,26 @@ def test_integer_confirmation_reads_the_filtration_without_truncating(monkeypatc
         assert got.to_dict() == oracle_probe(K2_Z2, v, 2, W, 2).to_dict()
         assert not got.passed  # the order-2 classes never bound over Z
     assert factored
+
+
+def test_integer_confirmation_factors_each_prefix_once(monkeypatch):
+    """The Smith confirmations of one probe share their factorizations: on
+    the doubled square, where many (t, lambda) pairs reach the same filling
+    prefix, no matrix is factored twice."""
+    factored = []
+    from_columns = linalg.SmithForm.from_columns.__func__
+
+    def counted(cls, cols, nrows):
+        factored.append((tuple(tuple(sorted(col.items())) for col in cols), nrows))
+        return from_columns(cls, cols, nrows)
+
+    monkeypatch.setattr(linalg.SmithForm, "from_columns", classmethod(counted))
+    rng = random.Random("factor-once")
+    W = window_for(K2_Z2, 3)
+    for _ in range(3):
+        factored.clear()
+        ca_probe(K2_Z2, random_valuation(K2_Z2, rng), 2, W, 3)
+        assert factored and len(set(factored)) == len(factored)
 
 
 # small windows for the every-lag comparison: (name, resolution, radius)
