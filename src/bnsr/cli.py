@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import catalog as catalog_mod
@@ -89,12 +90,18 @@ def _fraction(x) -> Fraction:
         raise ValueError(f"{x!r} is not a rational number") from None
 
 
+@contextmanager
+def _source(name: str):
+    """Prefix a ValueError raised inside with ``name``, the option or config key being read."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _parse_char(group, text: str, option: str) -> Character:
     """The character given to ``option`` as comma-separated rationals; errors name the option."""
-    try:
-        return Character(group, [_fraction(x) for x in text.split(",")])
-    except ValueError as exc:
-        raise ValueError(f"{option}: {exc}") from None
+    return _config_char(group, text.split(","), option)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -283,7 +290,8 @@ def _cmd_valuation(args) -> int:
         if F.kind != "tensor":
             raise ValueError("split needs a tensor resolution")
         chain = chain_from_obj(F, _load_json(args.chain))
-        u = _fraction(args.u)
+        with _source("--u"):
+            u = _fraction(args.u)
         if args.side == "left":
             v = basic_valuation(F.left, _parse_char(F.left.group, args.char, "--char"))
             low, high = split_left(F, chain, u, v)
@@ -359,10 +367,13 @@ def _config_group(spec):
     raise ValueError(f"a group is a spec string or an object, got {spec!r}")
 
 
-def _config_char(group, coeffs) -> Character:
-    if not isinstance(coeffs, list):
-        raise ValueError(f"a character is a list of rationals, got {coeffs!r}")
-    return Character(group, [_fraction(x) for x in coeffs])
+def _config_char(group, coeffs, source: str) -> Character:
+    """The character with the rationals ``coeffs``, read from the option or
+    config key ``source``; errors name it."""
+    with _source(source):
+        if not isinstance(coeffs, list):
+            raise ValueError(f"a character is a list of rationals, got {coeffs!r}")
+        return Character(group, [_fraction(x) for x in coeffs])
 
 
 def _check_witness_config(cfg) -> None:
@@ -386,12 +397,14 @@ def _cmd_witness(args) -> int:
     F = resolution_for(_config_group(cfg["left_group"]), ring)
     G = resolution_for(_config_group(cfg["right_group"]), ring)
     T = tensor_resolution(F, G)
-    v = basic_valuation(F, _config_char(F.group, cfg["char_left"]))
-    vprime = basic_valuation(G, _config_char(G.group, cfg["char_right"]))
+    v = basic_valuation(F, _config_char(F.group, cfg["char_left"], "char_left"))
+    vprime = basic_valuation(G, _config_char(G.group, cfg["char_right"], "char_right"))
     z = chain_from_obj(F, cfg["z"])
     zp = chain_from_obj(G, cfg["z_prime"])
-    mu = _fraction(cfg["mu"])
-    mup = _fraction(cfg["mu_prime"])
+    with _source("mu"):
+        mu = _fraction(cfg["mu"])
+    with _source("mu_prime"):
+        mup = _fraction(cfg["mu_prime"])
     window = cfg["window"]
     W = window_for(T, window)
     c = chain_from_obj(F, cfg["c"]) if "c" in cfg else _best_chain(F, v, z, window, "z")

@@ -1,19 +1,22 @@
 """Exact sparse linear algebra over Q, prime fields and Z.
 
 Systems arrive column-wise: a column is a sparse dict mapping row keys to
-nonzero ring elements.  Boundary maps of group-ring resolutions are signed
-incidence matrices in low degrees, so rank, solvability and the filtration
-sweep get a union-find fast path; everything else goes through one sparse
-fraction-free column reduction (:class:`_Reduction`), with the largest row
-of each column as its pivot, on denominator-cleared integers over Q and on
-residues over F_p.  The rank of integer columns is read over Q, where it is
-the same.  Integer questions on a column span first try the sparse
-:class:`UnitReduction`, which uses only ±1 pivots: where it reduces every
-column, the cokernel is free and the answer over Q is the answer over Z.
-Everything else over Z goes through one :class:`SmithForm`: a dense Smith
-normal form U M V = D, computed once, answers the kernel lattice, integer
-solvability and class orders.  Factorizations above ``MAX_SMITH_ENTRIES``
-are refused.
+nonzero ring elements.  :func:`solve_columns` and :func:`rank_columns`
+number hashable row keys 0, 1, ... once, at entry; below them every row is
+an integer.  Boundary maps of group-ring resolutions are signed incidence
+matrices in low degrees, so rank, solvability and the filtration sweeps
+read those off one union-find with the elder rule (:class:`_Forest`),
+whose ground vertex, the far end of a single-entry column, is row -1.
+Everything else goes through one sparse fraction-free column reduction
+(:class:`_Reduction`), with the largest row of each column as its pivot, on
+denominator-cleared integers over Q and on residues over F_p.  The rank of
+integer columns is read over Q, where it is the same.  Integer questions on
+a column span first try the sparse :class:`UnitReduction`, which uses only
+±1 pivots: where it reduces every column, the cokernel is free and the
+answer over Q is the answer over Z.  Everything else over Z goes through
+one :class:`SmithForm`: a dense Smith normal form U M V = D, computed once,
+answers the kernel lattice, integer solvability and class orders.
+Factorizations above ``MAX_SMITH_ENTRIES`` are refused.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ from typing import Sequence
 
 from .rings import INTEGERS, RATIONALS, CoefficientRing
 
-GROUND = object()  # virtual vertex for single-entry incidence columns
-
 
 def _as_edges(cols, ring):
-    """Interpret columns as signed graph edges, or return None.
+    """Interpret (key, column) pairs on integer rows >= 0 as signed graph
+    edges ``(key, tail, head)``, or return None.
 
-    A usable column has one entry +1/-1 (edge to the virtual ground) or two
-    entries +1 and -1 (edge tail -> head).  Such systems are solvable over Z
-    exactly when solvable over Q, so the fast path also serves ring Z.
+    A usable column has one entry +1/-1 (an edge from or to the ground
+    vertex, row -1) or two entries +1 and -1 (edge tail -> head).  Such
+    systems are solvable over Z exactly when solvable over Q, so the fast
+    path also serves ring Z.
     """
     # every ring's one and minus one are integral; plain ints compare fastest
     one = 1
@@ -45,9 +48,9 @@ def _as_edges(cols, ring):
         if len(items) == 1:
             r, v = items[0]
             if v == one:
-                edges.append((key, GROUND, r))
+                edges.append((key, -1, r))
             elif v == minus:
-                edges.append((key, r, GROUND))
+                edges.append((key, r, -1))
             else:
                 return None
         elif len(items) == 2:
@@ -58,85 +61,85 @@ def _as_edges(cols, ring):
                 edges.append((key, r1, r2))
             else:
                 return None
-        elif len(items) == 0:
-            continue
-        else:
+        elif items:
             return None
     return edges
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+class _Forest:
+    """Union-find on integer rows >= 0 and the ground vertex, row -1, with
+    the elder rule: a component's root is its oldest (smallest) row, so a
+    component reaches ground exactly when its root is -1.
+
+    Given an ``rhs`` (a dict from rows to nonzero ring elements), ``total``
+    holds the nonzero rhs sum of each component that does not reach ground,
+    keyed by its root: the rhs is in the span of the edges joined so far
+    exactly when ``total`` is empty.  References: Tarjan, "Efficiency of a
+    good but not linear set union algorithm" (J. ACM 22, 1975);
+    Zomorodian-Carlsson, "Computing persistent homology" (2005).
+    """
+
+    def __init__(self, rhs: dict | None = None, ring: CoefficientRing | None = None):
+        self.parent: dict = {}  # row -> parent row, for every row that is not a root
+        self.total = dict(rhs) if rhs else {}
+        self.ring = ring
 
     def find(self, x):
         parent = self.parent
-        if x not in parent:
-            parent[x] = x
-            return x
         root = x
-        while parent[root] != root:
+        while root in parent:
             root = parent[root]
-        while parent[x] != root:
+        while x != root:
             parent[x], x = root, parent[x]
         return root
 
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra is rb or ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
+    def join(self, tail, head):
+        """Join the components of two rows; return the younger root, or None
+        when the rows are already joined."""
+        a, b = self.find(tail), self.find(head)
+        if a == b:
+            return None
+        if b < a:
+            a, b = b, a
+        self.parent[b] = a
+        total = self.total
+        s = total.pop(b, None)
+        if s is not None and a != -1:
+            s = self.ring.add(total.pop(a), s) if a in total else s
+            if not self.ring.is_zero(s):
+                total[a] = s
+        return b
 
 
 def _solve_edges(edges, rhs, ring):
-    """Solve an incidence system via spanning-forest flows.
+    """Solve an incidence system via spanning-forest flows, or return None.
 
     A column with tail u and head v is the vector e_head - e_tail (the
-    ground vertex contributes nothing).  Setting non-tree flows to zero, the
-    flow on each tree edge is forced by the rhs sum over the subtree it
-    separates, and a component is consistent iff its total rhs vanishes
-    (unless it touches ground, which has no equation).
+    ground row -1 has no equation).  The system is solvable exactly when no
+    component that misses ground has a nonzero rhs sum (``_Forest.total``).
+    Setting non-tree flows to zero, the flow on each tree edge is forced by
+    the rhs sum over the subtree it separates, so only the components that
+    hold rhs rows are walked, each from its root.
     """
-    zero = ring.zero()
-    uf = _UnionFind()
-    adj: dict = {}  # node -> list of (key, neighbor, sign of column at node)
+    forest = _Forest(rhs, ring)
+    adj: dict = {}  # row -> list of (key, neighbor, sign of column at row)
     for key, tail, head in edges:
-        if uf.union(tail, head):
+        if forest.join(tail, head) is not None:
             adj.setdefault(tail, []).append((key, head, -1))
             adj.setdefault(head, []).append((key, tail, 1))
-    for r in rhs:
-        uf.find(r)
-
-    components: dict = {}
-    for v in uf.parent:
-        components.setdefault(uf.find(v), []).append(v)
-
+    if forest.total:
+        return None
+    zero = ring.zero()
     solution = {}
-    for members in components.values():
-        root = members[0]
-        for v in members:
-            if v is GROUND:
-                root = GROUND
-                break
-        order = []
-        parent_link: dict = {root: None}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
+    for root in dict.fromkeys(forest.find(r) for r in rhs):
+        subtree = {root: rhs.get(root, zero)}  # row -> rhs sum over its subtree, once its children are added
+        tree = [(root, None, None, None)]  # (row, key of its tree edge, parent, sign of that column at row), parents first
+        for node, *_ in tree:
             for key, other, sign in adj.get(node, ()):
-                if other not in parent_link:
-                    parent_link[other] = (key, node, -sign)  # sign at the child
-                    stack.append(other)
-        subtree = {node: rhs.get(node, zero) for node in order}
-        for node in reversed(order):
-            link = parent_link[node]
-            if link is None:
-                if node is not GROUND and subtree[node] != zero:
-                    return None
-                continue
-            key, parent, sign_at_node = link
+                if other not in subtree:
+                    subtree[other] = rhs.get(other, zero)
+                    tree.append((other, key, node, -sign))
+        for node, key, parent, sign_at_node in reversed(tree[1:]):
             flow = subtree[node] if sign_at_node == 1 else ring.neg(subtree[node])
             if flow != zero:
                 solution[key] = flow
@@ -144,28 +147,36 @@ def _solve_edges(edges, rhs, ring):
     return solution
 
 
+def _numbered(cols, rhs: dict):
+    """``cols`` (a dict or list of (key, column)) and ``rhs`` on integer rows:
+    each row key numbered 0, 1, ... by first appearance, the rhs's first."""
+    rows: dict = {}
+    number = rows.setdefault
+    b = {number(r, len(rows)): v for r, v in rhs.items()}
+    items = cols.items() if isinstance(cols, dict) else cols
+    return [(key, {number(r, len(rows)): v for r, v in col.items()}) for key, col in items], b
+
+
 def solve_columns(cols, rhs: dict, ring: CoefficientRing):
     """Find y with sum_k y[k] * col_k = rhs, or None if infeasible.
 
-    ``cols`` is a dict or list of (key, sparse column).  Exact over Q and
-    prime fields; incidence systems are also accepted over Z.
+    ``cols`` is a dict or list of (key, sparse column), on any hashable
+    rows.  Exact over Q and prime fields; incidence systems are also
+    accepted over Z.
     """
-    items = list(cols.items()) if isinstance(cols, dict) else list(cols)
-    b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
+    items, b = _numbered(cols, {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)})
     edges = _as_edges(items, ring)
     if edges is not None:
         return _solve_edges(edges, b, ring)
-    return _eliminate(items, b, ring, want_solution=True)[1]
+    return _eliminate(items, b, ring)
 
 
 def rank_columns(cols, ring: CoefficientRing) -> int:
-    """Rank of the column family over a field; over Z, its rank over Q."""
-    items = list(cols.items()) if isinstance(cols, dict) else list(cols)
-    edges = _as_edges(items, ring)
-    if edges is not None:
-        uf = _UnionFind()
-        return sum(uf.union(tail, head) for _, tail, head in edges)
-    return _eliminate(items, None, RATIONALS if ring == INTEGERS else ring, want_solution=False)[0]
+    """Rank of the column family over a field; over Z, its rank over Q: the
+    pivots :func:`persistence_lows` finds, on any hashable rows."""
+    vecs = [col for _, col in _numbered(cols, {})[0]]
+    lows = persistence_lows(vecs, _as_edges(enumerate(vecs), ring), ring)
+    return len(lows) - lows.count(None)
 
 
 def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
@@ -173,34 +184,35 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     columns, with those of every earlier batch, span ``rhs``; None if none does.
 
     ``batches`` is any iterable of lists of sparse columns (dicts from
-    integer rows to ring elements), in the order the filtration adds them.
-    It is read lazily: no batch past the one returned is taken from it, so a
-    generator that builds each batch on demand builds only those the sweep
-    needs.  While the batches are signed incidence columns the sweep is
-    Kruskal's (:class:`_EdgeSweep`): ``rhs`` is in the span of the edges
-    exactly when its entries sum to zero on every component that does not
-    reach the ground vertex.  Those systems span over Z exactly when they
-    span over Q.  At the first batch that is not, the batches read so far
-    are replayed into a :class:`_Reduction` whose target is ``rhs``, over Q
-    for integer columns, and the sweep goes on there column by column.
-    Over Z the batch found there stands when :class:`UnitReduction` reduces
-    every column read: the cokernel is then free, so a target in the Q-span
-    is in the Z-span (and no earlier batch spans it even over Q).
-    Otherwise the field error is raised, as elimination over Z is not
-    attempted.
+    integer rows >= 0 to ring elements), in the order the filtration adds
+    them.  It is read lazily: no batch past the one returned is taken from
+    it, so a generator that builds each batch on demand builds only those
+    the sweep needs.  While the batches are signed incidence columns the
+    sweep is Kruskal's, on a :class:`_Forest` that carries ``rhs``: it is
+    spanned after the first batch that leaves ``total`` empty.  Those
+    systems span over Z exactly when they span over Q.  At the first batch
+    that is not, the batches read so far are replayed into a
+    :class:`_Reduction` whose target is ``rhs``, over Q for integer columns,
+    and the sweep goes on there column by column.  Over Z the batch found
+    there stands when :class:`UnitReduction` reduces every column read: the
+    cokernel is then free, so a target in the Q-span is in the Z-span (and
+    no earlier batch spans it even over Q).  Otherwise the field error is
+    raised, as elimination over Z is not attempted.
     """
     b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
     if not b:
         return 0 if next(iter(batches), None) is not None else None
     read: list = []
-    sweep = _EdgeSweep(b, ring)
+    forest = _Forest(b, ring)
     red = None
     for k, batch in enumerate(batches):
         read.append(batch)
         if red is None:
             edges = _as_edges(enumerate(batch), ring)
             if edges is not None:
-                if sweep.spans_with(edges):
+                for _, tail, head in edges:
+                    forest.join(tail, head)
+                if not forest.total:
                     return k
                 continue
             mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
@@ -214,48 +226,6 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
                     raise ValueError(f"generic elimination needs a field, got {ring}")
                 return k
     return None
-
-
-class _EdgeSweep:
-    """Kruskal's sweep of :func:`first_spanning_batch`, fed edges batch by batch.
-
-    Each component carries its nonzero rhs sum and whether it reaches the
-    ground vertex; the rhs is spanned once no ungrounded component has a
-    nonzero sum.
-    """
-
-    def __init__(self, b: dict, ring):
-        self.ring = ring
-        self.uf = _UnionFind()
-        self.total = dict(b)  # component root -> nonzero rhs sum
-        self.grounded = {GROUND}  # component roots that reach the ground vertex
-        self.unbalanced = len(self.total)  # ungrounded components with a nonzero sum
-
-    def spans_with(self, edges) -> bool:
-        """Add ``(key, tail, head)`` edges; whether the rhs is now spanned."""
-        add, is_zero = self.ring.add, self.ring.is_zero
-        uf, total, grounded = self.uf, self.total, self.grounded
-        unbalanced = self.unbalanced
-        for _, tail, head in edges:
-            ra, rb = uf.find(tail), uf.find(head)
-            if not uf.union(ra, rb):
-                continue
-            ga, gb = ra in grounded, rb in grounded
-            before = (not ga and ra in total) + (not gb and rb in total)
-            s = total.pop(rb, None)
-            if s is not None:
-                s = add(total[ra], s) if ra in total else s
-                if is_zero(s):
-                    del total[ra]
-                else:
-                    total[ra] = s
-            if gb:
-                grounded.add(ra)
-            unbalanced -= before - (not (ga or gb) and ra in total)
-            if not unbalanced:
-                break
-        self.unbalanced = unbalanced
-        return not unbalanced
 
 
 def _field_modulus(ring) -> int:
@@ -367,14 +337,14 @@ class _Reduction:
 def persistence_lows(cols, edges, ring: CoefficientRing, skip=frozenset()) -> list:
     """The standard persistence reduction of columns taken in filtration order.
 
-    ``cols`` are sparse columns (dicts from integer rows to ring elements)
-    whose rows, too, are numbered in filtration order, so the largest row of
-    a reduced column is its youngest face.  Returns, for each column, the
-    row of the pivot it creates (its "low"), or None when it reduces to zero
-    or its index is in ``skip`` (clearing: the caller knows it reduces to
-    zero).  On a signed incidence system (``edges``, the :func:`_as_edges`
-    reading of ``cols``) this is union-find with the elder rule: an edge
-    joining two components kills the younger root, and the ground vertex is
+    ``cols`` are sparse columns (dicts from integer rows >= 0 to ring
+    elements) whose rows, too, are numbered in filtration order, so the
+    largest row of a reduced column is its youngest face.  Returns, for
+    each column, the row of the pivot it creates (its "low"), or None when
+    it reduces to zero or its index is in ``skip`` (clearing: the caller
+    knows it reduces to zero).  On a signed incidence system (``edges``,
+    the :func:`_as_edges` reading of ``cols``) the low of an edge is the
+    younger root that :meth:`_Forest.join` kills, the ground row -1 being
     older than every row.  Otherwise the columns go one by one into a
     :class:`_Reduction`, over Q for integer columns.  References:
     Zomorodian-Carlsson, "Computing persistent homology" (2005);
@@ -382,17 +352,10 @@ def persistence_lows(cols, edges, ring: CoefficientRing, skip=frozenset()) -> li
     """
     lows: list = [None] * len(cols)
     if edges is not None:
-        uf = _UnionFind()
+        join = _Forest().join
         for k, tail, head in edges:
-            if k in skip:
-                continue
-            ra = uf.find(-1 if tail is GROUND else tail)
-            rb = uf.find(-1 if head is GROUND else head)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                uf.parent[rb] = ra  # every root stays the oldest row of its component
-                lows[k] = rb
+            if k not in skip:
+                lows[k] = join(tail, head)
         return lows
     mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
     red = _Reduction(mod)
@@ -402,43 +365,36 @@ def persistence_lows(cols, edges, ring: CoefficientRing, skip=frozenset()) -> li
     return lows
 
 
-def _eliminate(items, rhs, ring, want_solution: bool):
-    """Rank of the columns ``items`` over Q or F_p, and whether they span ``rhs``.
+def _eliminate(items, rhs, ring):
+    """A solution y of sum_k y[k] * col_k = rhs over Q or F_p, or None.
 
-    Returns (rank, solution dict or None, infeasible flag).  When ``rhs`` is
-    None only the rank is computed.  Rows are numbered in order of first
-    appearance; over Q each column and the rhs are denominator-cleared, over
-    F_p they are residues mod p, and all go into one :class:`_Reduction`
-    with the rhs as its target.  With ``want_solution`` column k carries its
-    combination on row -2 - k and the rhs on row -1, so once the rhs is
-    zero, s * rhs + sum_k c_k * col_k = 0 gives y_k = -c_k / s.
+    ``items`` are (key, column) pairs and ``rhs`` a dict, on integer rows
+    >= 0.  Over Q each column and the rhs are denominator-cleared, over F_p
+    they are residues mod p, and all go into one :class:`_Reduction` with
+    the rhs as its target.  Column k carries its combination on row -2 - k
+    and the rhs on row -1, so once the rhs is zero, s * rhs + sum_k c_k *
+    col_k = 0 gives y_k = -c_k / s.
     """
     mod = _field_modulus(ring)
-    row_ids: dict = {}
-
-    def numbered(entries, tag):
-        vals, scale = _scaled(entries, mod)
-        vec = {row_ids.setdefault(r, len(row_ids)): v for r, v in vals}
-        if want_solution:
-            vec[tag] = 1
-        return vec, scale
-
-    target, rhs_scale = numbered(rhs.items(), -1) if rhs is not None else (None, 1)
+    vals, rhs_scale = _scaled(rhs.items(), mod)
+    target = dict(vals)
+    target[-1] = 1
     red = _Reduction(mod, target)
     col_scale = []
     for k, (_, col) in enumerate(items):
-        vec, scale = numbered(col.items(), -2 - k)
+        vals, scale = _scaled(col.items(), mod)
+        vec = dict(vals)
+        vec[-2 - k] = 1
         col_scale.append(scale)
         red.add(vec)
-    rank = len(red.pivots)
-    if rhs is None or not want_solution or not red.spanned:
-        return rank, None, rhs is not None and not red.spanned
+    if not red.spanned:
+        return None
     s = target.pop(-1)
     combo = sorted((-2 - r, c) for r, c in target.items())
     if mod:
         inv = pow(-s, mod - 2, mod)
-        return rank, {items[k][0]: c * inv % mod for k, c in combo}, False
-    return rank, {items[k][0]: Fraction(-c * col_scale[k], s * rhs_scale) for k, c in combo}, False
+        return {items[k][0]: c * inv % mod for k, c in combo}
+    return {items[k][0]: Fraction(-c * col_scale[k], s * rhs_scale) for k, c in combo}
 
 
 # ---------------------------------------------------------------------------

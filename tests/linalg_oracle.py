@@ -2,12 +2,37 @@
 :mod:`bnsr.linalg` replaced, kept verbatim as test oracles: ``_eliminate``, a
 sparse fraction-free row elimination with lazy min-degree pivoting and back
 substitution, and ``_sweep_reduce``, the column reduction behind the
-non-incidence ``first_spanning_batch``, with the helpers they share.
+non-incidence ``first_spanning_batch``, with the helpers they share.  Beside
+them, ``UnionFind`` is a plain union-find for the oracles that read graph
+components, so that none of them reuses the forest of ``bnsr.linalg``.
 """
 
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
+
+
+class UnionFind:
+    """Union-find on hashable vertices with path halving; any root may win."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        """Join the components of a and b; whether they were apart."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
 
 
 def _sweep_reduce(batches, b: dict, mod: int):

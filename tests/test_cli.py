@@ -491,20 +491,35 @@ def test_probe_ca_zero_character_is_an_input_error(capsys):
     assert code == 3 and out == "" and "zero character" in err
 
 
+SPLIT_CHAIN = [{"g": [[2], [0]], "cell": "e⊗e", "coeff": "1"}]
+
+
 @pytest.mark.parametrize(
-    "argv,message",
+    "argv,files,message",
     [
         (["probe", "ca", "--group", "abelian:2", "--char=1,x", "--n", "1", "--window", "2", "--lambda-max", "1"],
-         "error: --char: 'x' is not a rational number"),
+         {}, "error: --char: 'x' is not a rational number"),
         (["valuation", "prop41", "--left", "koszul:1", "--right", "koszul:2", "--char-left", "1/2/3",
-          "--char-right", "1,0"], "error: --char-left: '1/2/3' is not a rational number"),
+          "--char-right", "1,0"], {}, "error: --char-left: '1/2/3' is not a rational number"),
         (["valuation", "prop41", "--left", "koszul:1", "--right", "koszul:2", "--char-left", "1",
-          "--char-right", "1,"], "error: --char-right: '' is not a rational number"),
+          "--char-right", "1,"], {}, "error: --char-right: '' is not a rational number"),
+        (["witness", "run", "--config", "config.json"],
+         {"config.json": {**PROBE_GOLDEN_INPUTS["CONFIG"], "char_left": ["1", "x"]}},
+         "error: char_left: 'x' is not a rational number"),
+        (["witness", "run", "--config", "config.json"],
+         {"config.json": {**PROBE_GOLDEN_INPUTS["CONFIG"], "mu": "q"}},
+         "error: mu: 'q' is not a rational number"),
+        (["valuation", "split", "--resolution", "tensor:koszul:1,koszul:1", "--char", "1", "--u", "x",
+          "--side", "left", "--chain", "y.json"], {"y.json": SPLIT_CHAIN},
+         "error: --u: 'x' is not a rational number"),
     ],
-    ids=["char", "char-left", "char-right"],
+    ids=["char", "char-left", "char-right", "config-char-left", "config-mu", "split-u"],
 )
-def test_malformed_character_entry_names_its_option(argv, message, capsys):
-    code, out, err = run_cli(argv, capsys)
+def test_malformed_character_entry_names_its_option(argv, files, message, tmp_path, capsys):
+    # a rational read from an option or a config key names it; ``files`` are
+    # written to tmp_path under the names that argv gives them
+    paths = {name: write_json(tmp_path / name, obj) for name, obj in files.items()}
+    code, out, err = run_cli([paths.get(a, a) for a in argv], capsys)
     assert code == 3 and out == "" and err == message + "\n"
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import bnsr.linalg as linalg
+import linalg_oracle
 from bnsr.rings import INTEGERS, MAX_PRIME, PrimeField, RATIONALS, ring_from_tag
 
 from smith_oracle import mat_mul
@@ -19,14 +20,15 @@ def dense_to_columns(M, ring):
     ]
 
 
-def apply_columns(cols, y, rows, ring):
-    out = {i: ring.zero() for i in range(rows)}
+def apply_columns(cols, y, ring):
+    """sum_k y[k] * col_k, without its zero entries."""
+    out = {}
     for key, col in cols:
         coeff = y.get(key)
         if coeff is None:
             continue
         for i, v in col.items():
-            out[i] = ring.add(out[i], ring.mul(coeff, v))
+            out[i] = ring.add(out.get(i, ring.zero()), ring.mul(coeff, v))
     return {i: v for i, v in out.items() if not ring.is_zero(v)}
 
 
@@ -35,7 +37,7 @@ def test_solve_simple_system():
     cols = dense_to_columns(M, RATIONALS)
     sol = linalg.solve_columns(cols, {0: Fraction(3), 1: Fraction(1)}, RATIONALS)
     assert sol is not None
-    assert apply_columns(cols, sol, 2, RATIONALS) == {0: Fraction(3), 1: Fraction(1)}
+    assert apply_columns(cols, sol, RATIONALS) == {0: Fraction(3), 1: Fraction(1)}
 
 
 def test_solve_infeasible():
@@ -51,10 +53,10 @@ def test_solve_random_consistent_systems(rng):
             M = [[rng.randint(-3, 3) for _ in range(cols_n)] for _ in range(rows)]
             y_true = {j: ring.from_int(rng.randint(-2, 2)) for j in range(cols_n)}
             cols = dense_to_columns(M, ring)
-            rhs = apply_columns(cols, y_true, rows, ring)
+            rhs = apply_columns(cols, y_true, ring)
             sol = linalg.solve_columns(cols, rhs, ring)
             assert sol is not None
-            assert apply_columns(cols, sol, rows, ring) == rhs
+            assert apply_columns(cols, sol, ring) == rhs
 
 
 def test_solve_fractional_columns():
@@ -67,21 +69,38 @@ def test_solve_fractional_columns():
 
 
 def test_incidence_fast_path_matches_generic(rng):
-    # random signed edges on a small vertex set; compare against the generic
-    # eliminator by perturbing one column so the fast path is refused
-    for _ in range(30):
-        nverts = rng.randint(2, 8)
-        edges = []
-        for j in range(rng.randint(1, 12)):
-            a, b = rng.sample(range(nverts), 2)
-            edges.append((j, {a: Fraction(-1), b: Fraction(1)}))
-        rhs_vec = {i: Fraction(rng.randint(-2, 2)) for i in range(nverts)}
-        rhs_vec = {i: v for i, v in rhs_vec.items() if v}
-        fast = linalg.solve_columns(edges, rhs_vec, RATIONALS)
-        generic = linalg._eliminate(edges, rhs_vec, RATIONALS, True)[1]
-        assert (fast is None) == (generic is None)
-        if fast is not None:
-            assert apply_columns(edges, fast, nverts, RATIONALS) == rhs_vec
+    # random signed incidence systems with ground (single-entry) columns, a
+    # rhs row that no column touches, tuple rows on odd trials and dict input
+    # on every third; the row elimination oracle decides rank and feasibility
+    solved = infeasible = 0
+    for ring in (RATIONALS, INTEGERS, PrimeField(2)):
+        field = RATIONALS if ring == INTEGERS else ring
+        one, minus = ring.one(), ring.neg(ring.one())
+        for trial in range(60):
+            row = (lambda i: ("v", i)) if trial % 2 else (lambda i: i)
+            nverts = rng.randint(2, 8)
+            cols = []
+            for j in range(rng.randint(1, 12)):
+                a, b = rng.sample(range(nverts + 1), 2)  # vertex nverts stands for ground
+                cols.append((j, {row(v): s for v, s in ((a, minus), (b, one)) if v != nverts}))
+            if rng.random() < 0.5:  # a combination of the columns
+                rhs = apply_columns(cols, {j: ring.from_int(rng.randint(-2, 2)) for j, _ in cols}, ring)
+            else:  # row nverts + 1 is touched by no column
+                rhs = {row(i): ring.from_int(rng.randint(-2, 2)) for i in range(nverts + 2) if i != nverts}
+                rhs = {r: v for r, v in rhs.items() if not ring.is_zero(v)}
+            given = dict(cols) if trial % 3 == 0 else cols
+            assert linalg._as_edges(linalg._numbered(given, {})[0], ring) is not None
+            assert linalg.rank_columns(given, ring) == linalg_oracle._eliminate(cols, None, field, False)[0]
+            fast = linalg.solve_columns(given, rhs, ring)
+            assert (fast is None) == linalg_oracle._eliminate(cols, rhs, field, True)[2]
+            if fast is None:
+                infeasible += 1
+                continue
+            solved += 1
+            assert apply_columns(cols, fast, ring) == rhs
+            if ring == INTEGERS:
+                assert all(type(v) is int for v in fast.values())
+    assert solved > 60 and infeasible > 30
 
 
 def test_incidence_solution_is_integral_over_z():

@@ -7,7 +7,8 @@ the same solution values and the same solution key order.  The column
 reduction that replaced it gives that oracle's rank and feasibility verdict,
 and a solution that solves the system exactly.  Ranks are also checked
 against the Smith normal form, across rings, and between the incidence fast
-path and the general elimination.
+path and the general elimination; the persistence pairs of the elder-rule
+forest are checked against those of the column reduction.
 """
 
 import heapq
@@ -344,15 +345,14 @@ def test_column_reduction_matches_the_row_elimination_oracle():
         for _ in range(1000):
             items, rhs = random_system(rng, ring)
             rank = linalg_oracle._eliminate(items, None, ring, False)[0]
-            assert linalg._eliminate(items, None, ring, False) == (rank, None, False)
+            assert linalg.rank_columns(items, ring) == rank
             ref = linalg_oracle._eliminate(items, rhs, ring, True)
-            for want_solution in (False, True):
-                got = linalg._eliminate(items, rhs, ring, want_solution)
-                assert got[0] == rank and got[2] == ref[2]
-                assert (got[1] is None) == (ref[2] or not want_solution)
-            if got[1] is not None:
-                assert all(not ring.is_zero(v) for v in got[1].values())
-                assert apply_solution(items, got[1], ring) == rhs
+            got = linalg._eliminate(items, rhs, ring)
+            assert (got is None) == ref[2]
+            assert (linalg.solve_columns(items, rhs, ring) is None) == ref[2]
+            if got is not None:
+                assert all(not ring.is_zero(v) for v in got.values())
+                assert apply_solution(items, got, ring) == rhs
                 solved += 1
             infeasible += ref[2]
     assert solved > 2000 and infeasible > 500
@@ -382,11 +382,11 @@ def test_incidence_fast_path_agrees_with_elimination():
                 col = {v: s for v, s in ((a, minus), (b, one)) if v != nverts}
                 items.append((j, col))
             assert linalg._as_edges(items, ring) is not None
-            assert linalg.rank_columns(items, ring) == linalg._eliminate(items, None, field, False)[0]
+            assert linalg.rank_columns(items, ring) == linalg_oracle._eliminate(items, None, field, False)[0]
             rhs = {i: ring.from_int(rng.randint(-2, 2)) for i in range(nverts)}
             rhs = {i: v for i, v in rhs.items() if not ring.is_zero(v)}
             fast = linalg.solve_columns(items, rhs, ring)
-            general = linalg._eliminate(items, rhs, field, True)[1]
+            general = linalg._eliminate(items, rhs, field)
             assert (fast is None) == (general is None)
             if fast is not None:
                 acc = {}
@@ -394,3 +394,26 @@ def test_incidence_fast_path_agrees_with_elimination():
                     for i, v in col.items():
                         acc[i] = ring.add(acc.get(i, ring.zero()), ring.mul(fast.get(key, ring.zero()), v))
                 assert {i: v for i, v in acc.items() if not ring.is_zero(v)} == rhs
+
+
+def test_persistence_lows_on_incidence_columns_match_the_reduction():
+    # the elder-rule forest against the column reduction, on random signed
+    # incidence columns with ground edges and random skip sets
+    rng = random.Random(16)
+    for ring in (RATIONALS, INTEGERS, PrimeField(2), PrimeField(5)):
+        one, minus = ring.one(), ring.neg(ring.one())
+        paired = 0
+        for _ in range(300):
+            nverts = rng.randint(1, 8)
+            cols = []
+            for _ in range(rng.randint(0, 14)):
+                a, b = rng.sample(range(nverts + 1), 2)  # vertex nverts stands for ground
+                cols.append({v: s for v, s in ((a, minus), (b, one)) if v != nverts})
+            skip = frozenset(k for k in range(len(cols)) if rng.random() < 0.25)
+            edges = linalg._as_edges(enumerate(cols), ring)
+            assert edges is not None
+            lows = linalg.persistence_lows(cols, edges, ring, skip)
+            assert lows == linalg.persistence_lows(cols, None, ring, skip)
+            assert all(lows[k] is None for k in skip)
+            paired += len(lows) - lows.count(None)
+        assert paired > 600

@@ -31,6 +31,7 @@ from bnsr import (
 from bnsr.homology import _WindowInventory
 
 from conftest import kernel_columns, random_field_complex
+from linalg_oracle import UnionFind
 from smith_oracle import _augmented_cycles, integer_kernel_basis, integer_solvable
 from zero_map_oracle import _zero_map, dense_boundary, incidence_roots
 
@@ -73,7 +74,7 @@ def oracle_zero_map(C_t, C_tl, p, augmented):
         verts = C_t.basis.get(0, [])
         if len(verts) <= 1:
             return True
-        uf = linalg._UnionFind()
+        uf = UnionFind()
         keys = C_tl.basis[p]
         for col in cols_fill:
             i1, i2 = col.keys()

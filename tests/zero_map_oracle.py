@@ -15,6 +15,7 @@ shared with it beyond ``linalg.SmithForm``.
 from bnsr import linalg
 from bnsr.homology import FiniteComplex
 from bnsr.rings import INTEGERS
+from linalg_oracle import UnionFind
 
 
 def dense_boundary(C: FiniteComplex, d: int) -> list[list]:
@@ -59,8 +60,9 @@ def _zero_map_integral(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
 
 
 def edge_roots(edges) -> dict:
-    """The component root of every vertex of an ``_as_edges`` edge list."""
-    uf = linalg._UnionFind()
+    """The component root of every vertex of an ``_as_edges`` edge list, the
+    ground vertex (row -1) included when an edge reaches it."""
+    uf = UnionFind()
     for _, tail, head in edges:
         uf.union(tail, head)
     return {x: uf.find(x) for x in uf.parent}
@@ -109,7 +111,7 @@ def _zero_map(C_t: FiniteComplex, C_tl: FiniteComplex, p: int) -> bool:
     if p == 0 and roots is not None:
         components = {roots.get(i, i) for i in rows}
         if bd is None:
-            return components <= {roots.get(linalg.GROUND, linalg.GROUND)}
+            return components <= {roots.get(-1, -1)}
         one = ring.one()
         if all(col == {0: one} for col in bd):
             return len(components) <= 1
