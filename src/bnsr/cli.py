@@ -8,6 +8,7 @@ byte-stable for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -485,7 +486,9 @@ def _cmd_catalog(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="bnsr", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "structured"), default="human")

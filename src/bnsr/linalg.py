@@ -2,11 +2,12 @@
 
 Systems arrive column-wise: a column is a sparse dict mapping row keys to
 nonzero ring elements.  :func:`solve_columns` and :func:`rank_columns`
-number hashable row keys 0, 1, ... once, at entry; below them every row is
-an integer.  Boundary maps of group-ring resolutions are signed incidence
-matrices in low degrees, so rank, solvability and the filtration sweeps
-read those off one union-find with the elder rule (:class:`_Forest`),
-whose ground vertex, the far end of a single-entry column, is row -1.
+number hashable row keys 0, 1, ... once, at entry (rank skips this when
+the rows already are integers >= 0); below them every row is an integer.
+Boundary maps of group-ring resolutions are signed incidence matrices in
+low degrees, so rank, solvability and the filtration sweeps read those off
+one union-find with the elder rule (:class:`_Forest`), whose ground
+vertex, the far end of a single-entry column, is row -1.
 Everything else goes through one sparse fraction-free column reduction
 (:class:`_Reduction`), with the largest row of each column as its pivot, on
 denominator-cleared integers over Q and on residues over F_p.  The rank of
@@ -173,8 +174,12 @@ def solve_columns(cols, rhs: dict, ring: CoefficientRing):
 
 def rank_columns(cols, ring: CoefficientRing) -> int:
     """Rank of the column family over a field; over Z, its rank over Q: the
-    pivots :func:`persistence_lows` finds, on any hashable rows."""
-    vecs = [col for _, col in _numbered(cols, {})[0]]
+    pivots :func:`persistence_lows` finds, on any hashable rows.  The rank
+    does not depend on the order of the rows, so columns already on integer
+    rows >= 0 are read as they are."""
+    vecs = [col for _, col in (cols.items() if isinstance(cols, dict) else cols)]
+    if not all(type(r) is int and r >= 0 for col in vecs for r in col):
+        vecs = [col for _, col in _numbered(enumerate(vecs), {})[0]]
     lows = persistence_lows(vecs, _as_edges(enumerate(vecs), ring), ring)
     return len(lows) - lows.count(None)
 

@@ -6,13 +6,15 @@ cell is a list of homogeneous integer linear forms with relation = or >,
 the origin being excluded implicitly.  All decisions (nonemptiness, set
 equality, inclusion) are exact: strict feasibility goes through
 Fourier-Motzkin elimination with witness reconstruction, and set equality
-refines both operands over the common hyperplane arrangement and compares
-cell membership at interior witness points.
+refines both operands over the common hyperplane arrangement and reads each
+operand's membership off the sign vector (covector) of every arrangement
+cell: an operand cell contains an arrangement cell exactly when its eqs and
+gts are among the arrangement cell's.
 
 Forms and witness points are primitive integer tuples.  Equations are
-solved on an integer kernel basis from ``linalg``'s Smith normal form;
-``Fraction`` is used only in the Fourier-Motzkin back substitution and
-when parsing rational input.
+solved on an integer kernel basis from ``linalg``'s Smith normal form,
+factored once per equation set; ``Fraction`` is used only in the
+Fourier-Motzkin back substitution and when parsing rational input.
 
 Every form in a cell is a primitive integer tuple, and every equation is
 sign-canonical (its first nonzero entry is positive).  Forms are made
@@ -141,11 +143,17 @@ def _fm_witness(constraints: list[Form], nvars: int):
 
 
 @lru_cache(maxsize=1 << 15)
+def _kernel(dim: int, eqs: tuple[Form, ...]) -> tuple[Form, ...]:
+    """Integer kernel basis of the equations, from one Smith normal form."""
+    return tuple(map(tuple, linalg.SmithForm(eqs, dim).kernel()))
+
+
+@lru_cache(maxsize=1 << 15)
 def _feasible_cached(dim: int, eqs: tuple[Form, ...], gts: tuple[Form, ...]):
-    # Integer kernel basis from the Smith normal form; scaling the FM point
-    # by a positive rational keeps every strict homogeneous inequality.
+    # Scaling the FM point on the kernel basis by a positive rational keeps
+    # every strict homogeneous inequality.
     if eqs:
-        kernel = linalg.SmithForm(eqs, dim).kernel()
+        kernel = _kernel(dim, eqs)
         if not kernel:
             return None
         if not gts:
@@ -300,15 +308,20 @@ def arrangement_cells(dim: int, forms: Sequence[Form]):
     return cells
 
 
-def _contains_point(A: ConeSet, point) -> bool:
-    return any(cell.contains(point) for cell in A.cells)
-
-
 def _refine(A: ConeSet, B: ConeSet):
-    """(cell, in A, in B) for every cell of the common arrangement of A and B."""
+    """(cell, in A, in B) for every cell of the common arrangement of A and B.
+
+    An arrangement cell gives every form h of the arrangement one sign: h is
+    among its eqs, or h or -h among its gts.  Each eq of an operand cell is
+    such an h and each gt is h or -h, so the operand cell contains the
+    arrangement cell exactly when its eqs and gts are subsets of the
+    arrangement cell's.
+    """
     _check_same_dim(A, B)
-    for cell, w in arrangement_cells(A.dim, _forms_of([A, B])):
-        yield cell, _contains_point(A, w), _contains_point(B, w)
+    sides = [[(frozenset(c.eqs), frozenset(c.gts)) for c in S.cells] for S in (A, B)]
+    for cell, _ in arrangement_cells(A.dim, _forms_of([A, B])):
+        eqs, gts = frozenset(cell.eqs), frozenset(cell.gts)
+        yield cell, *(any(e <= eqs and g <= gts for e, g in side) for side in sides)
 
 
 def complement(A: ConeSet) -> ConeSet:

@@ -400,6 +400,46 @@ def test_missing_file_exit_code(capsys):
     assert code == 3
 
 
+def test_one_parser_serves_a_sequence_of_commands(sphere_files, tmp_path, capsys):
+    # the parser is built once per process; a sequence of calls across
+    # subcommands must answer as fresh parsers do, usage and input errors included
+    from bnsr.cli import build_parser
+
+    full, half, _ = sphere_files
+    usage = ["sphere", "equals", "--left", full]
+    sequence = [
+        ["probe", "ca", "--group", "free:2", "--char", "1,0", "--n", "1", "--window", "5", "--lambda-max", "3"],
+        ["sphere", "equals", "--left", full, "--right", half, "--format", "structured"],
+        usage,
+        ["catalog", "lookup", "--group", "free:2", "--degree", "1", "--format", "structured"],
+        ["sphere", "complement", "--set", str(tmp_path / "missing.json")],
+        ["valuation", "basic", "--resolution", "koszul:1", "--char", "-3", "--seed", "5"],
+        ["sphere", "complement", "--set", half, "--format", "structured"],
+        ["resolution", "build", "--resolution", "free:2"],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    build_parser.cache_clear()
+    assert [call(argv) for argv in sequence] == fresh
+    assert [code for code, _, _ in fresh] == [1, 1, 2, 0, 3, 0, 0, 0]
+    for argv in sequence:
+        if argv is not usage:
+            assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+    names = vars(build_parser().parse_args(sequence[1]))
+    assert not {"ring", "group", "window", "resolution", "char"} & set(names) and names["seed"] == 0
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bnsr.cli", "catalog", "validate"],

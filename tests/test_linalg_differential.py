@@ -417,3 +417,38 @@ def test_persistence_lows_on_incidence_columns_match_the_reduction():
             assert all(lows[k] is None for k in skip)
             paired += len(lows) - lows.count(None)
         assert paired > 600
+
+
+def test_rank_reads_integer_rows_as_they_are_and_renumbers_the_rest(monkeypatch):
+    # columns on integer rows >= 0 skip the renumbering; the rank is the same
+    # on any relabelling of the rows, including tuple rows and negative rows
+    numbered = []
+    real = linalg._numbered
+    monkeypatch.setattr(linalg, "_numbered", lambda *a: numbered.append(1) or real(*a))
+    rng = random.Random(17)
+    for ring in (RATIONALS, PrimeField(5), INTEGERS):
+        one, minus = ring.one(), ring.neg(ring.one())
+        field = RATIONALS if ring == INTEGERS else ring
+        ranks = set()
+        for trial in range(300):
+            rows = rng.sample(range(1000), rng.randint(1, 8))
+            cols = []
+            for _ in range(rng.randint(0, 10)):
+                if trial % 2:  # signed incidence columns, ground among them
+                    a, b = rng.sample(rows + [None], 2)
+                    cols.append({r: s for r, s in ((a, minus), (b, one)) if r is not None})
+                else:
+                    cols.append({r: ring.from_int(rng.choice((-3, -1, 1, 2))) for r in rows if rng.random() < 0.4})
+            items = list(enumerate(cols))
+            assert (linalg._as_edges(items, ring) is not None) or trial % 2 == 0
+            want = linalg_oracle._eliminate(items, None, field, False)[0]
+            del numbered[:]
+            assert linalg.rank_columns(items, ring) == want
+            assert not numbered
+            perm = dict(zip(rows, rng.sample(rows, len(rows))))
+            for label in (lambda r: perm[r], lambda r: ("row", r), lambda r: -1 - r):
+                relabelled = [(k, {label(r): v for r, v in col.items()}) for k, col in items]
+                assert linalg.rank_columns(relabelled, ring) == want
+            assert numbered or not any(cols)  # the tuple and negative rows were renumbered
+            ranks.add(want)
+        assert len(ranks) > 4
