@@ -526,6 +526,11 @@ class Direction:
 
 def primitive_vector(vec: Sequence) -> tuple[int, ...]:
     """Primitive integer multiple of a nonzero rational vector; ints stay ints."""
+    if all(isinstance(v, int) for v in vec):
+        g = gcd(*vec)
+        if g == 0:
+            raise ValueError("zero linear form")
+        return tuple(v // g for v in vec)
     vals = [v if isinstance(v, int) else Fraction(v) for v in vec]
     denom = lcm(*(v.denominator for v in vals))
     ints = [v.numerator * (denom // v.denominator) for v in vals]

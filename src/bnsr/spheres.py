@@ -13,8 +13,9 @@ gts are among the arrangement cell's.
 
 Forms and witness points are primitive integer tuples.  Equations are
 solved on an integer kernel basis from ``linalg``'s Smith normal form,
-factored once per equation set; ``Fraction`` is used only in the
-Fourier-Motzkin back substitution and when parsing rational input.
+factored once per equation set, and the Fourier-Motzkin back substitution
+keeps its point as integer numerators over one common denominator;
+``Fraction`` is used only when parsing rational input.
 
 Every form in a cell is a primitive integer tuple, and every equation is
 sign-canonical (its first nonzero entry is positive).  Forms are made
@@ -86,7 +87,13 @@ MAX_FM_PAIRS = 500
 
 
 def _fm_witness(constraints: list[Form], nvars: int):
-    """A rational point with f . y > 0 for all homogeneous f, or None."""
+    """An integer point with f . y > 0 for all homogeneous f, or None.
+
+    The back substitution keeps the rational point as an integer numerator
+    vector over one positive denominator.  Each level sets its coordinate to
+    the midpoint of the tightest bounds, one past a lone bound, or 0, and the
+    returned integers are that rational point times its denominator.
+    """
     levels = []
     current = [tuple(c) for c in constraints]
     for var in reversed(range(nvars)):
@@ -119,27 +126,41 @@ def _fm_witness(constraints: list[Form], nvars: int):
         for c in current:
             if all(x == 0 for x in c):
                 return None
-    point = [Fraction(0)] * nvars
+    # The point is num / den with den > 0.  A constraint c bounds y[var] by
+    # a / (b * den) with b = |c[var]| > 0, so two bounds of a level compare
+    # by cross-multiplying their (a, b).  Coordinates var and above of num
+    # are still 0, so c . num reads only the coordinates below var.
+    num = [0] * nvars
+    den = 1
     for var, lowers, uppers in reversed(levels):
-        lo_vals = []
+        lo = hi = None
         for c in lowers:
-            rest = sum((Fraction(c[i]) * point[i] for i in range(var)), Fraction(0))
-            lo_vals.append(-rest / c[var])
-        hi_vals = []
+            a, b = -_dot(c, num), c[var]
+            if lo is None or a * lo[1] > lo[0] * b:
+                lo = (a, b)
         for c in uppers:
-            rest = sum((Fraction(c[i]) * point[i] for i in range(var)), Fraction(0))
-            hi_vals.append(rest / -c[var])
-        lo = max(lo_vals) if lo_vals else None
-        hi = min(hi_vals) if hi_vals else None
+            a, b = _dot(c, num), -c[var]
+            if hi is None or a * hi[1] < hi[0] * b:
+                hi = (a, b)
+        # y[var] = top / (scale * den)
         if lo is not None and hi is not None:
-            point[var] = (lo + hi) / 2
+            top, scale = lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
         elif lo is not None:
-            point[var] = lo + 1
+            top, scale = lo[0] + lo[1] * den, lo[1]
         elif hi is not None:
-            point[var] = hi - 1
+            top, scale = hi[0] - hi[1] * den, hi[1]
         else:
-            point[var] = Fraction(0)
-    return tuple(point)
+            top, scale = 0, 1
+        if scale != 1:
+            for i in range(var):
+                num[i] *= scale
+            den *= scale
+        num[var] = top
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return tuple(num)
 
 
 @lru_cache(maxsize=1 << 15)

@@ -5,13 +5,17 @@ form's dimension, and ``complement``, ``subset``, ``equals`` and
 ``difference`` each run their own refine-and-test loop.  They build the
 package's own ``Cell`` and ``ConeSet`` and use its ``cell_witness``, so
 their results compare with ``==`` against the package's.
+
+``fm_witness`` is the Fourier-Motzkin feasibility test as it stood with a
+``Fraction`` back substitution; it returns the rational point that the
+package's integer back substitution must reproduce up to a positive factor.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from bnsr.spheres import Cell, ConeSet, cell_witness
+from bnsr.spheres import MAX_FM_PAIRS, Cell, ConeSet, cell_witness
 
 Form = tuple[int, ...]
 
@@ -25,6 +29,63 @@ def _normalize_form(vec: Sequence) -> Form:
     if g == 0:
         raise ValueError("zero linear form")
     return tuple(v // g for v in ints)
+
+
+def fm_witness(constraints: list[Form], nvars: int):
+    """A rational point with f . y > 0 for all homogeneous f, or None."""
+    levels = []
+    current = [tuple(c) for c in constraints]
+    for var in reversed(range(nvars)):
+        lowers, uppers, passthrough = [], [], []
+        for c in current:
+            cv = c[var]
+            if cv > 0:
+                lowers.append(c)
+            elif cv < 0:
+                uppers.append(c)
+            else:
+                passthrough.append(c)
+        if len(lowers) * len(uppers) > MAX_FM_PAIRS:
+            raise ValueError(
+                f"a Fourier-Motzkin step pairs {len(lowers)} x {len(uppers)} constraints, "
+                f"above the limit of {MAX_FM_PAIRS}"
+            )
+        derived = set(passthrough)
+        for lo in lowers:
+            for up in uppers:
+                combo = tuple(lo[var] * up[i] - up[var] * lo[i] for i in range(var))
+                if all(x == 0 for x in combo):
+                    return None
+                g = 0
+                for x in combo:
+                    g = gcd(g, abs(x))
+                derived.add(tuple(x // g for x in combo))
+        levels.append((var, lowers, uppers))
+        current = [c[:var] for c in derived]
+        for c in current:
+            if all(x == 0 for x in c):
+                return None
+    point = [Fraction(0)] * nvars
+    for var, lowers, uppers in reversed(levels):
+        lo_vals = []
+        for c in lowers:
+            rest = sum((Fraction(c[i]) * point[i] for i in range(var)), Fraction(0))
+            lo_vals.append(-rest / c[var])
+        hi_vals = []
+        for c in uppers:
+            rest = sum((Fraction(c[i]) * point[i] for i in range(var)), Fraction(0))
+            hi_vals.append(rest / -c[var])
+        lo = max(lo_vals) if lo_vals else None
+        hi = min(hi_vals) if hi_vals else None
+        if lo is not None and hi is not None:
+            point[var] = (lo + hi) / 2
+        elif lo is not None:
+            point[var] = lo + 1
+        elif hi is not None:
+            point[var] = hi - 1
+        else:
+            point[var] = Fraction(0)
+    return tuple(point)
 
 
 def _hyperplane_form(form: Form) -> Form:

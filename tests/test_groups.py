@@ -17,7 +17,8 @@ from bnsr import (
     sum_character,
     zero_character,
 )
-from bnsr.groups import group_from_dict, pair_element, parse_group, split_element
+from bnsr.groups import group_from_dict, pair_element, parse_group, primitive_vector, split_element
+from spheres_oracle import _normalize_form
 
 Z2 = FreeAbelian(2)
 F2 = Free(2)
@@ -226,3 +227,42 @@ def test_element_from_obj_refuses_malformed_elements(group, obj):
 def test_group_from_dict_refuses_malformed_data(data):
     with pytest.raises(ValueError):
         group_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "vec",
+    [
+        (3,),
+        (-4,),
+        (2, 4, 6),
+        (-2, -4, -6),
+        (0, -3, 6, 0),
+        (5, -7, 0, 35),
+        (12, -18, 30, -42, 0, 6),
+        (Fraction(1, 2), Fraction(-1, 3)),
+        (Fraction(-4, 6), Fraction(0), Fraction(8, 3)),
+        ("1/2", "-3/4", "5"),
+        ("-2", "0", "6/9"),
+        (2, Fraction(1, 3), -1),
+        (0, Fraction(-5, 2), 10, 0),
+        (4, "3/2", Fraction(-2, 7)),
+    ],
+)
+def test_primitive_vector_matches_rational_normalization(vec):
+    got = primitive_vector(vec)
+    assert got == _normalize_form(vec)
+    assert all(type(x) is int for x in got)
+
+
+@given(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=8).filter(any))
+@settings(max_examples=200, deadline=None)
+def test_primitive_vector_matches_rational_normalization_on_ints(vec):
+    assert primitive_vector(vec) == _normalize_form(vec)
+
+
+@pytest.mark.parametrize("vec", [(), [], (0,), (0, 0, 0), (Fraction(0), 0), ("0", "0/5")])
+def test_primitive_vector_refuses_the_zero_form(vec):
+    with pytest.raises(ValueError, match="^zero linear form$"):
+        primitive_vector(vec)
+    with pytest.raises(ValueError, match="^zero linear form$"):
+        _normalize_form(vec)

@@ -2,10 +2,12 @@
 
 The oracle below is the earlier construction: a dense ``Fraction`` reduced
 row echelon form gives a rational kernel basis of the equations, the strict
-forms are projected onto it, and the Fourier-Motzkin point is lifted back
+forms are projected onto it, the ``Fraction`` Fourier-Motzkin of
+``spheres_oracle.fm_witness`` finds a point, and the point is lifted back
 with rational arithmetic.  The integer path must reach the same emptiness
-decision on every cell, and its witness must be a primitive integer tuple
-inside the cell.
+decision on every cell.  A witness depends on the kernel basis it is found
+on, so the exact comparison runs the same oracle on the package's integer
+kernel basis: there the integer witness must equal the rational one.
 """
 
 import random
@@ -14,7 +16,8 @@ from math import gcd
 
 import pytest
 
-from bnsr.spheres import _fm_witness, cell_witness, make_cell
+from bnsr.spheres import _fm_witness, _kernel, cell_witness, make_cell
+from spheres_oracle import fm_witness
 
 
 def oracle_normalize_form(vec):
@@ -82,8 +85,8 @@ def oracle_primitive_point(point):
     return tuple(v // g for v in ints)
 
 
-def oracle_feasible(dim, eqs, gts):
-    kernel = oracle_kernel_basis(eqs, dim) if eqs else None
+def oracle_feasible(dim, eqs, gts, kernel_basis=oracle_kernel_basis):
+    kernel = kernel_basis(eqs, dim) if eqs else None
     if eqs:
         if not kernel:
             return None
@@ -95,7 +98,7 @@ def oracle_feasible(dim, eqs, gts):
             if all(x == 0 for x in row):
                 return None
             projected.append(oracle_normalize_form(row))
-        y = _fm_witness(projected, len(kernel))
+        y = fm_witness(projected, len(kernel))
         if y is None:
             return None
         point = [sum((vec[i] * yi for vec, yi in zip(kernel, y)), Fraction(0)) for i in range(dim)]
@@ -104,7 +107,7 @@ def oracle_feasible(dim, eqs, gts):
         if dim == 0:
             return None
         return tuple(1 if i == 0 else 0 for i in range(dim))
-    y = _fm_witness(list(gts), dim)
+    y = fm_witness(list(gts), dim)
     return None if y is None else oracle_primitive_point(y)
 
 
@@ -128,6 +131,10 @@ def _random_cell(rng, dim):
     return make_cell(eqs, gts)
 
 
+def _package_kernel(eqs, dim):
+    return [tuple(map(Fraction, vec)) for vec in _kernel(dim, tuple(eqs))]
+
+
 def _is_primitive_int_tuple(w):
     return isinstance(w, tuple) and all(type(x) is int for x in w) and gcd(*w) == 1
 
@@ -146,8 +153,54 @@ def test_integer_witness_agrees_with_rational_oracle(dim):
             assert _is_primitive_int_tuple(got), got
             assert len(got) == dim and cell.contains(got), (cell, got)
             assert cell.contains(expected)
+            assert got == oracle_feasible(dim, cell.eqs, cell.gts, _package_kernel), cell
     # both decisions occur in every dimension, so the comparison is not vacuous
     assert decided[True] > 0 and decided[False] > 0
+
+
+def _raw_system(rng, dim, last):
+    """Strict forms whose last column is mixed, positive, negative or zero.
+
+    The last variable is eliminated first and set last, so its level has
+    lower and upper bounds, only lower bounds, only upper bounds or neither.
+    """
+    bound = rng.choice((1, 2, 5))
+    system = []
+    for _ in range(rng.randint(1, 5)):
+        vec = [rng.randint(-bound, bound) for _ in range(dim)]
+        if last == "lower":
+            vec[-1] = rng.randint(1, bound)
+        elif last == "upper":
+            vec[-1] = -rng.randint(1, bound)
+        elif last == "neither":
+            vec[-1] = 0
+        if any(vec):
+            system.append(tuple(vec))
+    return system or [tuple(1 if i == dim - 1 else 0 for i in range(dim))]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_integer_back_substitution_matches_fraction_oracle(dim):
+    rng = random.Random(2000 + dim)
+    decided = {}
+    for i in range(1200):
+        last = ("mixed", "lower", "upper", "neither")[i % 4]
+        if dim == 1 and last == "neither":
+            continue
+        system = _raw_system(rng, dim, last)
+        expected = fm_witness(system, dim)
+        got = _fm_witness(system, dim)
+        assert (got is None) == (expected is None), system
+        decided[last, got is None] = decided.get((last, got is None), 0) + 1
+        if got is not None:
+            assert len(got) == dim and all(type(x) is int for x in got), got
+            assert oracle_primitive_point(expected) == oracle_normalize_form(got), (system, got)
+            assert all(sum(a * b for a, b in zip(f, got)) > 0 for f in system), (system, got)
+    # every kind of level is reached with a feasible system, and infeasible
+    # systems occur too, so neither branch of the comparison is vacuous
+    kinds = ("mixed", "lower", "upper") + (("neither",) if dim > 1 else ())
+    assert all(decided.get((last, False), 0) > 0 for last in kinds), decided
+    assert sum(n for (_, empty), n in decided.items() if empty) > 0, decided
 
 
 def test_dimension_zero_cell_is_empty():
