@@ -83,7 +83,15 @@ class Group:
         raise NotImplementedError
 
     def distance(self, g) -> int:
-        """Window distance from the identity (box norm / word length)."""
+        """Window distance from the identity (box norm / word length).
+
+        Every group kind meets this contract: the identity has distance 0,
+        ``ball(r)`` holds exactly the elements of distance at most r, and
+        ``distance(multiply(g, q)) <= distance(g) + distance(q)``.  Window
+        admission relies on the last inequality: a ball element g with
+        ``distance(g) <= r - distance(q)`` keeps ``g * q`` in the ball of
+        radius r, so admission checks only the elements farther out.
+        """
         raise NotImplementedError
 
     def ball(self, radius) -> tuple:

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
-from operator import getitem, neg
+from operator import mul, neg
 from typing import Sequence
 
 from . import linalg
@@ -115,24 +115,81 @@ def window_admits(F: Resolution, W: Window, g, cell: BasisCell) -> bool:
     return all(W.fits(F.group, mul(g, p)) for p in cell_footprint(F, cell))
 
 
-def window_cell_elements(F: Resolution, W: Window, cell: BasisCell):
-    """The elements g whose translate g*cell the window admits, in ball order.
+class _FactorBall:
+    """One group factor's ball of a window, read by position.
+
+    ``elements`` is the ball in ball order, and a position is an index into
+    it.  :meth:`table` gives, for a shift q of this factor, the position of
+    ``elements[j] * q`` for each position j (-1 outside the ball), each
+    table multiplied once, on first use.  :meth:`admitted` reads these
+    tables for the positions a set of shifts keeps inside the ball.
+    """
+
+    def __init__(self, factor: Group, radius: int):
+        self.factor = factor
+        self.radius = radius
+        self.elements = factor.ball(radius)
+        self.dist = [factor.distance(g) for g in self.elements]
+        self.position = {g: j for j, g in enumerate(self.elements)}
+        self._tables: dict = {}
+        self._admitted: dict = {}
+
+    def table(self, q) -> list:
+        got = self._tables.get(q)
+        if got is None:
+            if q == self.factor.identity():
+                got = list(range(len(self.elements)))
+            else:
+                multiply, at = self.factor.multiply, self.position.get
+                got = [at(multiply(g, q), -1) for g in self.elements]
+            self._tables[q] = got
+        return got
+
+    def admitted(self, shifts: frozenset) -> list:
+        """The positions j with ``elements[j] * q`` in the ball for every
+        shift q, ascending; computed once per shift set.
+
+        By the contract of :meth:`Group.distance`, ``g * q`` is within
+        ``dist(g) + dist(q)`` of the identity, so only the positions farther
+        out than ``radius - dist(q)`` read the table of q.
+        """
+        got = self._admitted.get(shifts)
+        if got is None:
+            out: set = set()
+            for q in shifts:
+                lim = self.radius - self.factor.distance(q)
+                if lim < self.radius:
+                    tab = self.table(q)
+                    out.update(j for j, d in enumerate(self.dist) if d > lim and tab[j] < 0)
+            n = len(self.elements)
+            got = self._admitted[shifts] = [j for j in range(n) if j not in out] if out else range(n)
+        return got
+
+
+def _factor_balls(group: Group, W: Window) -> list:
+    """One :class:`_FactorBall` per factor of the group, at the window's radii."""
+    W.ball_arg(group)  # checks the factor count
+    return [_FactorBall(f, r) for f, r in zip(group.factors(), W.radii)]
+
+
+def _admitted_positions(F: Resolution, balls: list, cell: BasisCell) -> list:
+    """Per factor, the ball positions g_i whose translate g*cell the window
+    admits, ascending.
 
     Multiplication and the window's distance both act factor by factor, so
     g is admitted exactly when each factor component g_i keeps the
-    footprint's projection onto factor i within radius r_i.  The admitted
-    elements are then the product of the per-factor lists, which is again
-    in ball order.
+    footprint's projection onto factor i within radius r_i: the admitted
+    elements are the product of the per-factor lists, again in ball order.
     """
-    group = F.group
-    W.ball_arg(group)  # checks the factor count
-    footprint = [group.element_parts(p) for p in cell_footprint(F, cell)]
-    lists = []
-    for i, (factor, r) in enumerate(zip(group.factors(), W.radii)):
-        shifts = {parts[i] for parts in footprint}
-        mul, dist = factor.multiply, factor.distance
-        lists.append([g for g in factor.ball(r) if all(dist(mul(g, q)) <= r for q in shifts)])
-    yield from (itertools.product(*lists) if isinstance(group, Product) else lists[0])
+    parts = [F.group.element_parts(p) for p in cell_footprint(F, cell)]
+    return [ball.admitted(frozenset(ps[i] for ps in parts)) for i, ball in enumerate(balls)]
+
+
+def window_cell_elements(F: Resolution, W: Window, cell: BasisCell):
+    """The elements g whose translate g*cell the window admits, in ball order."""
+    balls = _factor_balls(F.group, W)
+    lists = [[ball.elements[j] for j in pos] for ball, pos in zip(balls, _admitted_positions(F, balls, cell))]
+    yield from (itertools.product(*lists) if isinstance(F.group, Product) else lists[0])
 
 
 def window_chain_supported(F: Resolution, W: Window, chain: Chain) -> bool:
@@ -205,135 +262,147 @@ class FiniteComplex:
         return out
 
 
-class _ShiftTable(dict):
-    """Right translation by one shift in one group factor: ``a -> a * shift``,
-    each product multiplied on first use."""
-
-    __slots__ = ("mul", "shift")
-
-    def __init__(self, mul, shift):
-        super().__init__()
-        self.mul = mul
-        self.shift = shift
-
-    def __missing__(self, a):
-        got = self[a] = self.mul(a, self.shift)
-        return got
-
-
-def _boundary_translator(F: Resolution, d: int):
-    """``translate(g, cell)``: the boundary terms ``[(g*h, y, c), ...]`` of
-    the degree-d key ``(g, cell)``.
-
-    ``g * h`` is read factor by factor through per-factor translation
-    tables: one :class:`_ShiftTable` per (factor, factor component of a
-    shift), shared by every boundary term whose shift has that component,
-    so each (factor component, factor shift) pair is multiplied once per
-    translator.
-    """
-    group = F.group
-    factors = group.factors()
-    tables: list = [{} for _ in factors]
-    product = isinstance(group, Product)
-    plan = {}
-    for cell in F.cells(d):
-        terms = []
-        for (h, y), c in F.boundary_table[cell].items():
-            tabs = []
-            for i, part in enumerate(group.element_parts(h)):
-                tab = tables[i].get(part)
-                if tab is None:
-                    tab = tables[i][part] = _ShiftTable(factors[i].multiply, part)
-                tabs.append(tab)
-            terms.append((tuple(tabs) if product else tabs[0], y, c))
-        plan[cell] = terms
-    if product:
-        return lambda g, cell: [(tuple(map(getitem, tabs, g)), y, c) for tabs, y, c in plan[cell]]
-    return lambda g, cell: [(tab[g], y, c) for tab, y, c in plan[cell]]
+def _outer_sum(base, lists: list) -> list:
+    """``base + x_1 + ... + x_k`` for every (x_1, ..., x_k) in the product
+    of the lists, in product order."""
+    acc = [base]
+    for xs in lists:
+        acc = [a + x for a in acc for x in xs]
+    return acc
 
 
 class _WindowInventory:
     """Admitted window keys of one (F, W, v), enumerated once per call.
 
-    Each degree is built on first use, and every list of it is in one key
-    order, the enumeration order (cell by cell, ball order): the admitted
-    keys, the keys grouped by value, and the boundary columns, each
-    translated once through :func:`_boundary_translator` onto the
-    enumeration positions of the degree below.  The character is evaluated
-    once per group element and shared by every cell.  The filtration reads
-    the value levels from the highest down, ties in enumeration order, and
-    every threshold truncation is a prefix of it.  An inventory lives only
-    as long as the call that builds it.
+    The window is a product of per-factor balls (:class:`_FactorBall`), and
+    each admitted key is held as its cell and its per-factor ball positions.
+    The keys of a degree are in one order, the enumeration order: cell by
+    cell, each cell's keys in ball order, so the key with local positions
+    (l_1, ..., l_k) in the cell's admitted lists sits at the cell's offset
+    plus the sum of l_i * stride_i.  Each degree is built on first use, and
+    every list of it is in this order: the admitted keys, the keys grouped
+    by value, and the boundary columns.  Nothing is hashed per key: a key's
+    value is its cell's value plus, per factor, the character value of its
+    ball position, and a boundary term's row is the face cell's offset plus,
+    per factor, the local position of the shifted ball position (read off
+    the factor's shift table) times its stride.  The filtration reads the
+    value levels from the highest down, ties in enumeration order, and every
+    threshold truncation is a prefix of it.  An inventory, with the tables
+    it reads, lives only as long as the call that builds it.
     """
 
     def __init__(self, F: Resolution, W: Window, v: Valuation):
         self.F = F
-        self.W = W
         self.v = v
-        self._elements: dict = {}
+        self._balls = _factor_balls(F.group, W)
+        self._cells: dict = {}
+        self._places: dict = {}
         self._scale = None
-        self._chi: dict = {}  # group element -> its character value times _scale
+        self._weights = None  # per factor, each ball position's character value times _scale
         self._keys: dict = {}
         self._levels: dict = {}
         self._cols: dict = {}
         self._filtered: dict = {}
         self._unclosed: dict = {}
 
-    def _cell_elements(self, d: int) -> list:
-        """``(cell, admitted elements)`` for each cell of degree d."""
-        got = self._elements.get(d)
+    def _cell_positions(self, d: int) -> list:
+        """``(cell, offset, admitted ball positions per factor)`` for each cell
+        of degree d, the offset being the enumeration position of the cell's
+        first key."""
+        got = self._cells.get(d)
         if got is None:
-            F, W = self.F, self.W
-            got = [(cell, list(window_cell_elements(F, W, cell))) for cell in F.cells(d)]
-            self._elements[d] = got
+            got, offset = [], 0
+            for cell in self.F.cells(d):
+                lists = _admitted_positions(self.F, self._balls, cell)
+                got.append((cell, offset, lists))
+                offset += prod(map(len, lists))
+            self._cells[d] = got
         return got
 
+    def _place(self, d: int) -> dict:
+        """For each cell of degree d, its offset and, per factor, a list from
+        ball position to local position times the factor's stride (None where
+        the window does not admit the position), with one more None at the
+        end for the position -1 of the shift tables."""
+        got = self._places.get(d)
+        if got is None:
+            got = {}
+            for cell, offset, lists in self._cell_positions(d):
+                locs, stride = [], 1
+                for ball, pos in zip(reversed(self._balls), reversed(lists)):
+                    loc = [None] * (len(ball.elements) + 1)
+                    for local, j in enumerate(pos):
+                        loc[j] = local * stride
+                    locs.append(loc)
+                    stride *= len(pos)
+                got[cell] = (offset, locs[::-1])
+            self._places[d] = got
+        return got
+
+    def position(self, d: int, g, cell: BasisCell):
+        """The enumeration position of the key (g, cell) of degree d, or None
+        when the window does not admit it."""
+        offset, locs = self._place(d)[cell]
+        for ball, loc, part in zip(self._balls, locs, self.F.group.element_parts(g)):
+            x = loc[ball.position.get(part, -1)]
+            if x is None:
+                return None
+            offset += x
+        return offset
+
     def keys(self, d: int) -> list:
-        """Admitted keys of degree d in enumeration order."""
+        """Admitted keys ``(g, cell)`` of degree d in enumeration order."""
         got = self._keys.get(d)
         if got is None:
-            got = [(g, cell) for cell, elements in self._cell_elements(d) for g in elements]
+            product = isinstance(self.F.group, Product)
+            got = []
+            for cell, _, lists in self._cell_positions(d):
+                elems = [[ball.elements[j] for j in pos] for ball, pos in zip(self._balls, lists)]
+                got += [(g, cell) for g in (itertools.product(*elems) if product else elems[0])]
             self._keys[d] = got
         return got
+
+    def _factor_values(self) -> list:
+        """Per factor, the character value of each ball position, in integers
+        over one common denominator, ``_scale``: the character's coefficients
+        and the finite cell values all become integers once scaled by it."""
+        if self._weights is None:
+            v = self.v
+            dens = [Fraction(x).denominator for x in v.character.coeffs]
+            dens += [Fraction(x).denominator for x in v.cell_values.values() if x != INF]
+            self._scale = scale = lcm(*dens)
+            weights = [int(c * scale) for c in v.character.coeffs]
+            self._weights, start = [], 0
+            for ball in self._balls:
+                ws = weights[start : start + ball.factor.char_dim]
+                start += len(ws)
+                exponents = ball.factor.exponents
+                self._weights.append([sum(map(mul, ws, exponents(g))) for g in ball.elements])
+        return self._weights
 
     def levels(self, d: int) -> list:
         """The distinct values of degree d in ascending order, each with the
         enumeration positions of its keys, ascending.
 
-        Values are computed in integers over one common denominator: the
-        character's coefficients and the finite cell values all become
-        integers once scaled by it.  Keys are grouped on these integers,
-        which hash far faster than Fractions, and one Fraction is made per
-        distinct value; computed once.
+        Keys are grouped on their scaled integer values, which sort far
+        faster than Fractions, and one Fraction is made per distinct value;
+        computed once.
         """
         got = self._levels.get(d)
         if got is None:
-            v = self.v
-            if self._scale is None:
-                dens = [Fraction(x).denominator for x in v.character.coeffs]
-                dens += [Fraction(x).denominator for x in v.cell_values.values() if x != INF]
-                self._scale = lcm(*dens)
-            scale = self._scale
-            weights = [int(c * scale) for c in v.character.coeffs]
-            exponents = self.F.group.exponents
-            chi = self._chi
-            groups: dict = {}
-            i = 0
-            for cell, elements in self._cell_elements(d):
-                cv = v.cell_values[cell]
+            weights = self._factor_values()
+            scale, cell_values = self._scale, self.v.cell_values
+            flat: list = []  # the scaled value of each key, in enumeration order
+            for cell, _, lists in self._cell_positions(d):
+                cv = cell_values[cell]
                 if cv == INF:
-                    groups.setdefault(INF, []).extend(range(i, i + len(elements)))
-                    i += len(elements)
-                    continue
-                base = int(cv * scale)
-                for g in elements:
-                    n = chi.get(g)
-                    if n is None:  # the character, scaled, once per element
-                        n = chi[g] = sum(w * e for w, e in zip(weights, exponents(g)))
-                    groups.setdefault(n + base, []).append(i)
-                    i += 1
+                    flat += [INF] * prod(map(len, lists))
+                else:
+                    flat += _outer_sum(int(cv * scale), [[w[j] for j in pos] for w, pos in zip(weights, lists)])
+            value = flat.__getitem__
             got = self._levels[d] = [
-                (n if n == INF else Fraction(n, scale), pos) for n, pos in sorted(groups.items())
+                (n if n == INF else Fraction(n, scale), list(pos))
+                for n, pos in itertools.groupby(sorted(range(len(flat)), key=value), key=value)
             ]
         return got
 
@@ -347,29 +416,45 @@ class _WindowInventory:
 
     def _columns(self, d: int) -> list:
         """Boundary columns ``[(row, c), ...]`` of the keys of degree d, with
-        rows the enumeration positions of degree d - 1, each translated
-        through :func:`_boundary_translator` straight onto those rows.  They
-        depend on (F, W) only, not on the character.
+        rows the enumeration positions of degree d - 1.  They depend on
+        (F, W) only, not on the character.
 
-        A boundary chain's terms are nonzero and distinct, and translating
-        them by one element keeps them distinct, so each row occurs once.
+        The rows of one boundary term are read for all keys of a cell at
+        once: per factor, the shift table of the term's factor shift takes
+        each admitted ball position to the shifted one, and the face cell's
+        place (:meth:`_place`) to its local position times stride.  A
+        boundary chain's terms are nonzero and distinct, and translating them
+        by one element keeps them distinct, so each row occurs once.
         """
         got = self._cols.get(d)
         if got is None:
-            idx = {key: i for i, key in enumerate(self.keys(d - 1))}
-            translate = _boundary_translator(self.F, d)
+            place, parts = self._place(d - 1), self.F.group.element_parts
             got = []
-            for g, cell in self.keys(d):
-                col = []
-                for gh, y, c in translate(g, cell):
-                    key = (gh, y)
-                    r = idx.get(key)
-                    if r is None:
-                        raise ValueError(f"boundary term {key} escapes the window; window is not boundary-closed")
-                    col.append((r, c))
-                got.append(col)
+            for cell, _, lists in self._cell_positions(d):
+                boundary = list(self.F.boundary_table[cell].items())
+                pers = []  # per term and factor, the face's local position times stride at each admitted position
+                for (h, y), _ in boundary:
+                    tabs = [ball.table(q) for ball, q in zip(self._balls, parts(h))]
+                    pers.append([[loc[tab[j]] for j in pos] for loc, tab, pos in zip(place[y][1], tabs, lists)])
+                if any(None in xs for per in pers for xs in per):
+                    raise self._escape(lists, boundary, pers)
+                rows = [_outer_sum(place[y][0], per) for ((_, y), _), per in zip(boundary, pers)]
+                coeffs = [c for _, c in boundary]
+                got += [list(zip(rs, coeffs)) for rs in zip(*rows)] if rows else [[] for _ in range(prod(map(len, lists)))]
             self._cols[d] = got
         return got
+
+    def _escape(self, lists: list, boundary: list, pers: list) -> ValueError:
+        """The error for the first key of a cell, in enumeration order, with a
+        boundary term outside the window."""
+        group = self.F.group
+        for local in itertools.product(*(range(len(pos)) for pos in lists)):
+            for ((h, y), _), per in zip(boundary, pers):
+                if any(xs[k] is None for xs, k in zip(per, local)):
+                    parts = [ball.elements[pos[k]] for ball, pos, k in zip(self._balls, lists, local)]
+                    key = (group.multiply(tuple(parts) if isinstance(group, Product) else parts[0], h), y)
+                    return ValueError(f"boundary term {key} escapes the window; window is not boundary-closed")
+        raise AssertionError("no boundary term escapes")
 
     def filtration(self, d: int):
         """Degree d in filtration order: the levels from the highest value
@@ -388,7 +473,10 @@ class _WindowInventory:
             level = [k for k in range(len(levels) - 1, -1, -1) for _ in levels[k][1]]
             cols = edges = None
             if d > 0:
-                slot = {i: k for k, i in enumerate(self.filtration(d - 1)[0])}
+                below = self.filtration(d - 1)[0]
+                slot = [0] * len(below)
+                for k, i in enumerate(below):
+                    slot[i] = k
                 by_key = self._columns(d)
                 cols = [{slot[r]: c for r, c in by_key[i]} for i in order]
                 edges = linalg._as_edges(list(enumerate(cols)), self.F.ring)
@@ -845,41 +933,40 @@ def max_filling_value(
     grouped by value, and ``linalg.first_spanning_batch`` (union-find on
     incidence columns, incremental elimination otherwise) reads one level's
     columns at a time, from the highest value down, until they span the
-    target; that level is the answer.  A level's columns are built only when
-    the sweep reads it: each boundary term is translated through per-factor
-    translation tables (:func:`_boundary_translator`) straight onto integer
-    rows, numbered in order of first appearance, so the levels below the
-    answer are never translated.  Over Z any other filling is swept over Q,
-    and that level stands when the columns of value at least that level
-    pass the unit-pivot certificate; otherwise it is refused.  A chain, when
-    asked for, is one ``solve_columns`` at that level, on the columns already
-    built for the levels read, in enumeration order (over Z on incidence
-    columns only).
+    target; that level is the answer.  The columns are the window
+    inventory's boundary columns of degree p + 1, whose rows are the
+    enumeration positions of degree p, read off per-factor ball-position
+    tables; the target's rows are its terms' enumeration positions, and a
+    term the window does not admit is refused.  A level's column dicts are
+    made only when the sweep reads it.  Over Z any other filling is swept
+    over Q, and that level stands when the columns of value at least that
+    level pass the unit-pivot certificate; otherwise it is refused.  A
+    chain, when asked for, is one ``solve_columns`` at that level, on the
+    columns read for the levels read, in enumeration order (over Z on
+    incidence columns only).
     """
     if target.is_zero:
         return (INF, Chain(F.ring)) if return_chain else INF
     p = target.degree
     if p + 1 not in F.cells_by_degree:
         return (NEG_INF, None) if return_chain else NEG_INF
-    if not window_chain_supported(F, W, target):
-        raise ValueError("target chain is not supported in the window")
     inv = _WindowInventory(F, W, v)
-    keys = inv.keys(p + 1)
+    rhs = {}
+    for (g, cell), c in target.items():
+        i = inv.position(p, g, cell)
+        if i is None:
+            raise ValueError("target chain is not supported in the window")
+        rhs[i] = c
+    keys, cols = inv.keys(p + 1), inv._columns(p + 1)
     levels = inv.levels(p + 1)[::-1]
-    # integer rows: the translation and the cell's index within degree p
-    rows: dict = {}
-    number = rows.setdefault
-    rhs = {number((g, cell.index), len(rows)): c for (g, cell), c in target.items()}
-    translate = _boundary_translator(F, p + 1)
-    built: dict = {}  # enumeration position -> column, for each key translated
+    built: dict = {}  # enumeration position -> column, for each key read
 
     def batches():
         for _, positions in levels:
             batch = []
             for i in positions:
-                col = {number((gh, y.index), len(rows)): c for gh, y, c in translate(*keys[i])}
+                col = built[i] = dict(cols[i])
                 batch.append(col)
-                built[i] = col
             yield batch
 
     k = linalg.first_spanning_batch(batches(), rhs, F.ring)

@@ -496,9 +496,11 @@ def _parse_entry(v):
     if isinstance(v, int):
         return v
     try:
-        return Fraction(v)
+        x = Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"form entry {v!r} has a zero denominator") from None
+    # an integral entry stays an int, so that its form takes primitive_vector's integer path
+    return x.numerator if x.denominator == 1 else x
 
 
 def _parse_forms(item: dict, key: str) -> list:

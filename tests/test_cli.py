@@ -895,10 +895,11 @@ OVERSIZED_PROBES = {
 def test_oversized_probe_grid_is_refused_before_the_window_is_enumerated(name, capsys, monkeypatch):
     import bnsr.homology as homology
 
-    def elements(F, W, cell):
+    def balls(group, W):
         raise AssertionError("enumerated the window")
 
-    monkeypatch.setattr(homology, "window_cell_elements", elements)
+    # every window enumeration, of the inventory or of window_cell_elements, starts with the factor balls
+    monkeypatch.setattr(homology, "_factor_balls", balls)
     flags, limit = OVERSIZED_PROBES[name]
     start = time.perf_counter()
     code, out, err = run_cli(["probe", "ca", "--group", "free:2", "--char=1,2", "--window", "2", *flags], capsys)

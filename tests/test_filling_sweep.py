@@ -32,6 +32,7 @@ from bnsr import (
     PrimeField,
     Product,
     basic_valuation,
+    ca_probe,
     fox_filling,
     free_group_resolution,
     koszul_resolution,
@@ -40,11 +41,12 @@ from bnsr import (
     retraction_maps,
     tensor_chain,
     tensor_resolution,
+    truncate,
     window_for,
     zero_character,
 )
 import bnsr.linalg as linalg
-from bnsr.homology import NEG_INF, _WindowInventory, inclusion_map_is_zero, window_chain_supported
+from bnsr.homology import NEG_INF, _WindowInventory, cell_footprint, inclusion_map_is_zero, window_chain_supported
 
 from inventory_oracle import inventory_terms, inventory_values
 
@@ -197,6 +199,7 @@ def resolution(kind, tag):
             "Z3": lambda: koszul_resolution(3, ring),
             "F2xF2": lambda: tensor_resolution(free2(), free2()),
             "Z2xF2": lambda: tensor_resolution(koszul_resolution(2, ring), free2()),
+            "Z1xF2xF2": lambda: tensor_resolution(tensor_resolution(koszul_resolution(1, ring), free2()), free2()),
         }[kind]()
     return _RESOLUTIONS[key]
 
@@ -653,6 +656,10 @@ INVENTORY_WINDOWS = [
     ("Z3", "Z3", 3),
     ("F2xF2", "F2xF2", (3, 4)),
     ("Z2xF2", "Z2xF2", (3, 3)),
+    # unequal radii give each factor its own stride within a cell
+    ("F2xF2/(3,2)", "F2xF2", (3, 2)),
+    ("Z2xF2/(3,2)", "Z2xF2", (3, 2)),
+    ("Z1xF2xF2", "Z1xF2xF2", (2, 2, 1)),
 ]
 
 
@@ -668,6 +675,65 @@ def test_inventory_keys_values_and_terms_match_oracles(name, kind, radius):
         assert inventory_values(inv, d) == [v.of_key(g, cell) for g, cell in want]
         if d > 0:
             assert inventory_terms(inv, d) == [oracle_terms(F, key) for key in want]
+
+
+@pytest.mark.parametrize("name,kind,radius", INVENTORY_WINDOWS, ids=[w[0] for w in INVENTORY_WINDOWS])
+def test_inventory_values_and_positions_match_oracles(name, kind, radius):
+    """The distinct values of each degree, and the enumeration position of
+    each key read back from its per-factor ball positions: every admitted
+    key at its index, every other key of the ball one larger at None."""
+    F = resolution(kind, "Q")
+    W = window_for(F, radius)
+    v = random_valuation(F, random.Random(f"positions:{name}"))
+    inv = _WindowInventory(F, W, v)
+    group = F.group
+    wider = group.ball(tuple(r + 1 for r in W.radii) if len(W.radii) > 1 else W.radii[0] + 1)
+    for d in F.degrees():
+        keys = oracle_keys(F, W, d)
+        assert inv.values(d) == sorted({v.of_key(g, cell) for g, cell in keys})
+        assert [inv.position(d, g, cell) for g, cell in keys] == list(range(len(keys)))
+        admitted = set(keys)
+        outside = [(g, cell) for cell in F.cells(d) for g in wider if (g, cell) not in admitted]
+        assert outside and all(inv.position(d, g, cell) is None for g, cell in outside)
+
+
+def _without_first_factor_shifts(kind):
+    """A fresh resolution whose last top cell has a footprint without the
+    shifts that move the first group factor: the window then admits
+    translates of that cell whose faces lie outside."""
+    F = resolution(kind, "Q")
+    F = type(F)(F.group, F.ring, F.kind, F.cells_by_degree, F.boundary_table, F.augmentation_table)
+    cell = F.cells(F.max_degree)[-1]
+    first, parts = F.group.factors()[0], F.group.element_parts
+    footprint = cell_footprint(F, cell)
+    F._footprints[cell] = tuple(q for q in footprint if parts(q)[0] == first.identity())
+    assert F._footprints[cell] != footprint
+    return F
+
+
+@pytest.mark.parametrize(
+    "kind,radius", [("F2", 3), ("Z2", 2), ("F2xF2", (2, 1)), ("Z2xF2", (1, 2)), ("Z1xF2xF2", (1, 2, 1))]
+)
+def test_a_face_outside_the_window_is_refused(kind, radius):
+    F = _without_first_factor_shifts(kind)
+    W = window_for(F, radius)
+    v = random_valuation(F, random.Random(f"escape:{kind}"))
+    top = F.max_degree
+    inv = _WindowInventory(F, W, v)
+    # the first boundary term outside the faces the window admits, in enumeration order
+    faces = set(inv.keys(top - 1))
+    escaping = next(
+        (gh, y)
+        for g, c in inv.keys(top)
+        for (gh, y), _ in oracle_terms(F, (g, c))
+        if (gh, y) not in faces
+    )
+    message = f"boundary term {escaping} escapes the window; window is not boundary-closed"
+    with pytest.raises(ValueError) as err:
+        truncate(F, v, NEG_INF, W)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="not boundary-closed"):
+        ca_probe(F, v, top, W, 1)
 
 
 def test_largest_test_window_admits_like_the_oracle():

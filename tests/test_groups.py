@@ -266,3 +266,24 @@ def test_primitive_vector_refuses_the_zero_form(vec):
         primitive_vector(vec)
     with pytest.raises(ValueError, match="^zero linear form$"):
         _normalize_form(vec)
+
+
+# (name, group, ball radius) for the distance contract of Group.distance
+DISTANCE_BALLS = [
+    ("Free2", Free(2), 3),
+    ("Free3", Free(3), 2),
+    ("FreeAbelian2", FreeAbelian(2), 2),
+    ("FreeAbelian3", FreeAbelian(3), 1),
+    ("Free2xFreeAbelian1", Product([Free(2), FreeAbelian(1)]), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("name,G,radius", DISTANCE_BALLS, ids=[b[0] for b in DISTANCE_BALLS])
+def test_distance_is_subadditive_on_small_balls(name, G, radius):
+    """The contract window admission relies on: a product is no farther
+    from the identity than its two operands' distances added."""
+    ball = G.ball(radius)
+    assert G.distance(G.identity()) == 0
+    for g in ball:
+        for q in ball:
+            assert G.distance(G.multiply(g, q)) <= G.distance(g) + G.distance(q)

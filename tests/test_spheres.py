@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from bnsr import (
     sum_character,
     union,
 )
-from bnsr.spheres import Cell, arrangement_cells, cell_witness, cone_set_from_obj, cone_set_to_obj
+from bnsr.spheres import Cell, _parse_entry, arrangement_cells, cell_witness, cone_set_from_obj, cone_set_to_obj
 
 from conftest import random_cone_set
 
@@ -284,3 +285,14 @@ def test_serialization_roundtrip(rng):
     data = {"dim": 2, "cells": [{"eq": [], "gt": [["1/2", "-1/3"]]}]}
     A = cone_set_from_obj(data)
     assert member(A, (2, -1)) and member(A, (1, 0))
+
+
+def test_integral_form_entries_parse_to_ints():
+    # an integral entry, integer or string, parses to an int, so that
+    # primitive_vector takes its integer path; any other string to a Fraction
+    for entry, want in [(3, 3), ("3", 3), ("-4/2", -2), (" 7 ", 7), ("0", 0)]:
+        got = _parse_entry(entry)
+        assert type(got) is int and got == want
+    for entry, want in [("1/2", Fraction(1, 2)), ("-3/4", Fraction(-3, 4)), ("0.5", Fraction(1, 2))]:
+        got = _parse_entry(entry)
+        assert type(got) is Fraction and got == want
