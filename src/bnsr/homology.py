@@ -19,7 +19,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul, neg
 from typing import Sequence
 
@@ -282,13 +282,15 @@ class _WindowInventory:
     plus the sum of l_i * stride_i.  Each degree is built on first use, and
     every list of it is in this order: the admitted keys, the keys grouped
     by value, and the boundary columns.  Nothing is hashed per key: a key's
-    value is its cell's value plus, per factor, the character value of its
-    ball position, and a boundary term's row is the face cell's offset plus,
-    per factor, the local position of the shifted ball position (read off
-    the factor's shift table) times its stride.  The filtration reads the
-    value levels from the highest down, ties in enumeration order, and every
-    threshold truncation is a prefix of it.  An inventory, with the tables
-    it reads, lives only as long as the call that builds it.
+    value, an integer over the valuation's denominator ``v.scale``, is its
+    cell's scaled value (``v.scaled_cells``) plus, per factor, the scaled
+    character value of its ball position, and a boundary term's row is the
+    face cell's offset plus, per factor, the local position of the shifted
+    ball position (read off the factor's shift table) times its stride.
+    The filtration reads the value levels from the highest down, ties in
+    enumeration order, and every threshold truncation is a prefix of it.
+    An inventory, with the tables it reads, lives only as long as the call
+    that builds it.
     """
 
     def __init__(self, F: Resolution, W: Window, v: Valuation):
@@ -297,8 +299,7 @@ class _WindowInventory:
         self._balls = _factor_balls(F.group, W)
         self._cells: dict = {}
         self._places: dict = {}
-        self._scale = None
-        self._weights = None  # per factor, each ball position's character value times _scale
+        self._weights = None  # per factor, each ball position's character value times v.scale
         self._keys: dict = {}
         self._levels: dict = {}
         self._cols: dict = {}
@@ -364,15 +365,10 @@ class _WindowInventory:
 
     def _factor_values(self) -> list:
         """Per factor, the character value of each ball position, in integers
-        over one common denominator, ``_scale``: the character's coefficients
-        and the finite cell values all become integers once scaled by it."""
+        over the valuation's denominator ``v.scale`` (read off ``v.weights``)."""
         if self._weights is None:
-            v = self.v
-            dens = [Fraction(x).denominator for x in v.character.coeffs]
-            dens += [Fraction(x).denominator for x in v.cell_values.values() if x != INF]
-            self._scale = scale = lcm(*dens)
-            weights = [int(c * scale) for c in v.character.coeffs]
-            self._weights, start = [], 0
+            weights, start = self.v.weights, 0
+            self._weights = []
             for ball in self._balls:
                 ws = weights[start : start + ball.factor.char_dim]
                 start += len(ws)
@@ -391,14 +387,14 @@ class _WindowInventory:
         got = self._levels.get(d)
         if got is None:
             weights = self._factor_values()
-            scale, cell_values = self._scale, self.v.cell_values
+            scale, cell_values = self.v.scale, self.v.scaled_cells
             flat: list = []  # the scaled value of each key, in enumeration order
             for cell, _, lists in self._cell_positions(d):
                 cv = cell_values[cell]
                 if cv == INF:
                     flat += [INF] * prod(map(len, lists))
                 else:
-                    flat += _outer_sum(int(cv * scale), [[w[j] for j in pos] for w, pos in zip(weights, lists)])
+                    flat += _outer_sum(cv, [[w[j] for j in pos] for w, pos in zip(weights, lists)])
             value = flat.__getitem__
             got = self._levels[d] = [
                 (n if n == INF else Fraction(n, scale), list(pos))
@@ -500,12 +496,14 @@ class _WindowInventory:
                 _, level, cols, _ = self.filtration(d)
                 row_level = self.filtration(d - 1)[1]
                 values, row_values = self.values(d), self.values(d - 1)
+                # per row level, the first level of degree d above its value
+                above = [bisect_right(values, x) for x in row_values]
                 for col, lev in zip(cols, level):
                     if col:
                         # the largest filtration slot is the face of lowest value
-                        lo = row_values[row_level[max(col)]]
-                        if lo < values[lev]:
-                            got.append((lo, values[lev]))
+                        k = row_level[max(col)]
+                        if above[k] <= lev:
+                            got.append((row_values[k], values[lev]))
         return got
 
     def truncate(self, t, degrees: Sequence[int], augmented: bool = False) -> FiniteComplex:
@@ -713,9 +711,11 @@ class _LagSweep:
     whose column reduces to zero, the p-cells just paired being cleared.
     Without augmentation every 0-cell gives birth; with it the first one in
     filtration order with a nonzero augmentation does not (its class is the
-    essential one).  ``m[k]`` is the lowest death value of a class born at
-    level k or above: -inf when one never dies, None when none is born.  So
-    (t, lam) holds iff t - lam <= m(t), whatever the order of ties.
+    essential one).  ``m[k]`` is the lowest death level (an index into the
+    values of degree p + 1) of a class born at level k or above: -1 when one
+    never dies, None when none is born.  Levels are compared as integers;
+    :meth:`holds` reads the value of one.  So (t, lam) holds iff
+    t - lam <= m(t), whatever the order of ties.
 
     Over Z the sweep runs over Q on the same integer columns.  A cycle that
     does not bound over Q does not bound over Z, and an incidence
@@ -744,10 +744,10 @@ class _LagSweep:
         order, born_level, down, down_edges = inv.filtration(p)
         _, up_level, up, up_edges = inv.filtration(p + 1)
         up_values = inv.values(p + 1)
-        death = {}  # filtration slot of a p-cell -> value of the (p+1)-cell killing its class
+        death = {}  # filtration slot of a p-cell -> level of the (p+1)-cell killing its class
         for k, low in enumerate(linalg.persistence_lows(up, up_edges, ring)):
             if low is not None:
-                death[low] = up_values[up_level[k]]
+                death[low] = up_level[k]
         if p > 0:
             lows = linalg.persistence_lows(down, down_edges, ring, skip=death)
             births = [k for k, low in enumerate(lows) if low is None]
@@ -758,15 +758,15 @@ class _LagSweep:
                 essential = next((k for k, i in enumerate(order) if not ring.is_zero(aug[keys[i][1]])), None)
                 if essential is not None:
                     del births[essential]
-        m: list = [None] * (len(self.levels) + 1)
+        m: list = [None] * (len(self.levels) + 1)  # death levels of degree p + 1, -1 for never
         for k in births:
-            lev, dies = born_level[k], death.get(k, NEG_INF)
+            lev, dies = born_level[k], death.get(k, -1)
             if m[lev] is None or dies < m[lev]:
                 m[lev] = dies
         for k in range(len(self.levels) - 1, -1, -1):
             if m[k + 1] is not None and (m[k] is None or m[k + 1] < m[k]):
                 m[k] = m[k + 1]
-        self.m = m
+        self.m, self.up_values = m, up_values
         self.exact = ring != INTEGERS or up_edges is not None
         self.free_above = None
         if not self.exact:
@@ -790,7 +790,7 @@ class _LagSweep:
         m = self.m[bisect_left(self.levels, t)]
         if m is None:
             return True
-        if not s <= m:
+        if not s <= (NEG_INF if m < 0 else self.up_values[m]):
             return False
         return self.exact or self._integral_holds(t, s)
 
@@ -994,12 +994,17 @@ def eta(F: Resolution, v: Valuation, z: Chain, W: Window):
     window the extremum is attained since value sets are finite.
     """
     _check_cycle(F, z)
-    return eta_from_filling(F, v, z, max_filling_value(F, v, z, W))
+    return _defect(v, z, max_filling_value(F, v, z, W))
 
 
 def eta_from_filling(F: Resolution, v: Valuation, z: Chain, best):
     """:func:`eta` from the best window filling value ``best`` of ``z``."""
     _check_cycle(F, z)
+    return _defect(v, z, best)
+
+
+def _defect(v: Valuation, z: Chain, best):
+    """v(z) - best for a checked cycle z, whose best filling value is ``best``."""
     if best == NEG_INF:
         raise ValueError("cycle does not bound inside the window")
     return v.value(z) - best

@@ -30,13 +30,18 @@ class Chain:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: CoefficientRing, terms=()):
-        data = terms.items() if isinstance(terms, dict) else terms
+        """The chain of ``((g, cell), coeff)`` terms, or of a dict of them.
+
+        This is where chains are summed: coefficients are normalized, the
+        coefficients of a repeated key are added, and zero sums are dropped.
+        """
+        normalize, add, is_zero = ring.normalize, ring.add, ring.is_zero
         acc: dict = {}
-        for key, coeff in data:
-            coeff = ring.normalize(coeff)
+        for key, coeff in terms.items() if isinstance(terms, dict) else terms:
+            coeff = normalize(coeff)
             if key in acc:
-                coeff = ring.add(acc[key], coeff)
-            if ring.is_zero(coeff):
+                coeff = add(acc[key], coeff)
+            if is_zero(coeff):
                 acc.pop(key, None)
             else:
                 acc[key] = coeff
@@ -69,15 +74,7 @@ class Chain:
         return self.terms.get((g, cell), self.ring.zero())
 
     def add(self, other: "Chain") -> "Chain":
-        out = dict(self.terms)
-        ring = self.ring
-        for key, c in other.terms.items():
-            s = ring.add(out.get(key, ring.zero()), c)
-            if ring.is_zero(s):
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Chain(ring, out)
+        return Chain(self.ring, [*self.terms.items(), *other.terms.items()])
 
     def neg(self) -> "Chain":
         ring = self.ring
@@ -172,18 +169,11 @@ class Resolution:
             return chain
         if chain.degree == 0:
             raise ValueError("boundary of a degree-0 chain is not defined here")
-        ring = self.ring
-        acc: dict = {}
-        mul = self.group.multiply
-        for (g, cell), c in chain.items():
-            for (h, cell2), c2 in self.boundary_table[cell].items():
-                key = (mul(g, h), cell2)
-                s = ring.add(acc.get(key, ring.zero()), ring.mul(c, c2))
-                if ring.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return Chain(ring, acc)
+        ring, mul, table = self.ring, self.group.multiply, self.boundary_table
+        terms = [
+            ((mul(g, h), face), ring.mul(c, c2)) for (g, cell), c in chain.items() for (h, face), c2 in table[cell].items()
+        ]
+        return Chain(ring, terms)
 
     def augmentation(self, chain: Chain):
         if not chain.is_zero and chain.degree != 0:
@@ -454,14 +444,12 @@ class ChainMap:
         self.cell_images = cell_images
 
     def apply(self, chain: Chain) -> Chain:
-        ring = self.target.ring
-        out = Chain(ring)
+        ring, mul = self.target.ring, self.target.group.multiply
+        terms: list = []
         for (g, cell), c in chain.items():
-            img = self.cell_images[cell]
-            if img.is_zero:
-                continue
-            out = out.add(self.target.translate(self.group_map(g), img).scale(c))
-        return out
+            x = self.group_map(g)
+            terms += [((mul(x, h), y), ring.mul(c, c2)) for (h, y), c2 in self.cell_images[cell].items()]
+        return Chain(ring, terms)
 
     def commutes_with_boundary(self) -> bool:
         for d in self.source.degrees():

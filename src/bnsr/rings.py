@@ -104,11 +104,14 @@ class RationalField(CoefficientRing):
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / Fraction(a)
 
+    def is_zero(self, a):
+        return a == 0
+
     def is_unit(self, a):
         return a != 0
 
     def normalize(self, a):
-        return Fraction(a)
+        return a if type(a) is Fraction else Fraction(a)
 
     def parse(self, s):
         return Fraction(s)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable
 
 from .groups import Character, sum_character
@@ -21,16 +23,36 @@ INF = float("inf")
 
 @dataclass
 class Valuation:
+    """Cell values extended to keys by the character: v(g, cell) = chi(g) + v(cell).
+
+    Values are computed as integers over one denominator, ``scale``: the lcm
+    of the denominators of the character's coefficients and of the finite
+    cell values.  ``weights`` are the coefficients times ``scale`` and
+    ``scaled_cells`` the cell values times ``scale`` (INF stays INF); both
+    are fixed when the valuation is built.
+    """
+
     resolution: Resolution
     character: Character
     cell_values: dict
     basic: bool = False
+    scale: int = field(init=False, repr=False, compare=False)
+    weights: list = field(init=False, repr=False, compare=False)
+    scaled_cells: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coeffs, values = self.character.coeffs, self.cell_values
+        self.scale = scale = lcm(*(x.denominator for x in (*coeffs, *values.values()) if x != INF))
+        self.weights = [c.numerator * (scale // c.denominator) for c in coeffs]
+        self.scaled_cells = {
+            cell: x if x == INF else x.numerator * (scale // x.denominator) for cell, x in values.items()
+        }
 
     def of_key(self, g, cell: BasisCell):
-        cv = self.cell_values[cell]
-        if cv == INF:
+        n = self.scaled_cells[cell]
+        if n == INF:
             return INF
-        return self.character.evaluate(g) + cv
+        return Fraction(sum(map(mul, self.weights, self.character.group.exponents(g)), n), self.scale)
 
     def value(self, chain: Chain):
         if chain.is_zero:
@@ -47,27 +69,23 @@ class Valuation:
 
 
 def basic_valuation(F: Resolution, chi: Character) -> Valuation:
-    """Cell values 0 in degree 0 and the boundary value inductively above."""
+    """Cell values 0 in degree 0 and the boundary value inductively above:
+    each degree is valued by the valuation of the degrees below it."""
     if chi.group != F.group:
         raise ValueError("character group does not match the resolution")
-    cell_values: dict = {}
+    v = Valuation(F, chi, {cell: Fraction(0) for cell in F.cells(0)}, basic=True)
     for d in F.degrees():
+        if d == 0:
+            continue
+        cell_values = dict(v.cell_values)
         for cell in F.cells(d):
-            if d == 0:
-                cell_values[cell] = Fraction(0)
-                continue
             bd = F.boundary_table.get(cell)
             if bd is None or bd.is_zero:
                 raise ValueError(
                     f"cell {cell.label} has zero boundary; basic valuation undefined"
                 )
-            best = None
-            for (g, cell2) in bd.terms:
-                v = chi.evaluate(g) + cell_values[cell2]
-                if best is None or v < best:
-                    best = v
-            cell_values[cell] = best
-    v = Valuation(F, chi, cell_values, basic=True)
+            cell_values[cell] = v.value(bd)
+        v = Valuation(F, chi, cell_values, basic=True)
     return v
 
 
@@ -143,44 +161,26 @@ def product_valuation(T: Resolution, v: Valuation, vp: Valuation) -> Valuation:
     return basic_valuation(T, sum_character(v.character, vp.character))
 
 
-def _left_value(T: Resolution, v: Valuation, gh, cell: BasisCell):
-    g, _ = split_tensor_element(T, gh)
-    x, _ = T.cell_pairs[cell]
-    return v.of_key(g, x)
-
-
-def _right_value(T: Resolution, vp: Valuation, gh, cell: BasisCell):
-    _, h = split_tensor_element(T, gh)
-    _, y = T.cell_pairs[cell]
-    return vp.of_key(h, y)
+def _split(T: Resolution, y: Chain, u, v: Valuation, side: int, name: str) -> tuple[Chain, Chain]:
+    """The terms of y whose ``side`` factor (0 left, 1 right) has v-value below u, then the rest."""
+    if T.kind != "tensor":
+        raise ValueError(f"{name} needs a chain in a tensor resolution")
+    low, high = [], []
+    for (gh, cell), c in y.items():
+        g = split_tensor_element(T, gh)[side]
+        x = T.cell_pairs[cell][side]
+        (high if v.of_key(g, x) >= u else low).append(((gh, cell), c))
+    return Chain(y.ring, low), Chain(y.ring, high)
 
 
 def split_left(T: Resolution, y: Chain, u, v: Valuation) -> tuple[Chain, Chain]:
     """Split by the left-factor value: terms below the splitter u, then >= u."""
-    if T.kind != "tensor":
-        raise ValueError("split_left needs a chain in a tensor resolution")
-    lam = {}
-    rho = {}
-    for (gh, cell), c in y.items():
-        if _left_value(T, v, gh, cell) >= u:
-            rho[(gh, cell)] = c
-        else:
-            lam[(gh, cell)] = c
-    return Chain(y.ring, lam), Chain(y.ring, rho)
+    return _split(T, y, u, v, 0, "split_left")
 
 
 def split_bottom(T: Resolution, y: Chain, u, vp: Valuation) -> tuple[Chain, Chain]:
     """Split by the right-factor value: terms below the splitter u', then >= u'."""
-    if T.kind != "tensor":
-        raise ValueError("split_bottom needs a chain in a tensor resolution")
-    beta = {}
-    tau = {}
-    for (gh, cell), c in y.items():
-        if _right_value(T, vp, gh, cell) >= u:
-            tau[(gh, cell)] = c
-        else:
-            beta[(gh, cell)] = c
-    return Chain(y.ring, beta), Chain(y.ring, tau)
+    return _split(T, y, u, vp, 1, "split_bottom")
 
 
 def valuation_to_obj(v: Valuation) -> dict:

@@ -21,6 +21,7 @@ from bnsr import (
     zero_character,
 )
 from bnsr.valuations import Valuation
+from bnsr.witness import composite_valuation, retraction_maps
 
 from conftest import random_chain
 
@@ -254,3 +255,41 @@ def test_splits_commute_and_partition(rng):
         assert lb == bl and lt == tl and rb == br and rt == tr
         total = lb.add(lt).add(rb).add(rt)
         assert total == y
+
+
+def _ball(F, radius):
+    n = len(F.group.factors())
+    return F.group.ball(radius if n == 1 else (radius,) * n)
+
+
+def test_of_key_matches_character_plus_cell_value():
+    # of_key computes in integers over the valuation's scale; the oracle is
+    # chi(g) + v(cell) in Fractions, on characters with denominators 2 and 3,
+    # a product valuation, a non-basic valuation and a composite with INF cells
+    chi = Character(K2.group, [Fraction(1, 2), Fraction(-2, 3)])
+    psi = Character(FR2.group, [Fraction(-1, 3), Fraction(3, 2)])
+    T = tensor_resolution(K2, FR2)
+    v, vp = basic_valuation(K2, chi), basic_valuation(FR2, psi)
+    lowered = Valuation(K2, chi, {cell: val - Fraction(cell.degree, 4) for cell, val in v.cell_values.items()})
+    composite = composite_valuation(T, retraction_maps(T)[1], v)
+    assert INF in composite.cell_values.values()
+    for val in (v, vp, lowered, product_valuation(T, v, vp), composite):
+        F = val.resolution
+        assert all(x == INF or (x * val.scale).denominator == 1 for x in (*val.character.coeffs, *val.cell_values.values()))
+        for cell in F.cell_by_label.values():
+            for g in _ball(F, 1):
+                cv = val.cell_values[cell]
+                expect = INF if cv == INF else val.character.evaluate(g) + cv
+                assert val.of_key(g, cell) == expect
+    assert lowered.scale == 12 and v.scale == 6
+
+
+def test_check_axioms_detects_broken_translation_with_fractional_values():
+    chi = Character(K2.group, [Fraction(1, 2), Fraction(-1, 3)])
+    good = basic_valuation(K2, chi)
+    x0 = K2.cells(0)[0]
+    samples = [(K2.basis_chain(x0, (0, 0)), K2.basis_chain(x0, (1, 0)), (1, -1), Fraction(1))]
+    assert check_axioms(good, samples).ok
+    rep = check_axioms(_BrokenTranslationValuation(K2, chi, dict(good.cell_values)), samples)
+    assert not rep.ok
+    assert any("translation" in msg for msg in rep.failures)

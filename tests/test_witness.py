@@ -22,6 +22,7 @@ from bnsr import (
     witness_pipeline,
     zero_character,
 )
+from bnsr.homology import class_order, truncate
 from bnsr.witness import composite_valuation, extreme_case_transfer, factor_windows, retraction_maps
 from bnsr.valuations import INF
 
@@ -252,3 +253,59 @@ def test_witness_searches_each_factor_filling_once(ring, monkeypatch):
     else:
         assert rep.values["best_right_filling"] == NEG_INF
         assert rep.values["best_left_filling"] == real(F, v, z, Wl)
+
+
+def _class_kind_oracle(F, v, z, threshold, W):
+    """The class of z above the threshold from a truncated complex and its class order."""
+    if z.is_zero:
+        return "zero"
+    kind, k = class_order(z, truncate(F, v, threshold, W, degrees=[z.degree, z.degree + 1]))
+    return kind if kind != "torsion" else f"torsion({k})"
+
+
+def test_integer_class_orders_match_truncated_class_order():
+    # over Z the pipeline reads each factor class off its filling value; the
+    # oracle builds the truncated window complex and takes the class order
+    rng = random.Random(20)
+    factories = (
+        lambda: free_group_resolution(1, INTEGERS),
+        lambda: free_group_resolution(2, INTEGERS),
+        lambda: koszul_resolution(1, INTEGERS),
+        lambda: koszul_resolution(2, INTEGERS),
+    )
+    # on F2 x F2 the cycles of f2_instance have eta = m: z is of infinite
+    # order above u = v(z) - mu when mu < m, and z' bounds above u' when mu' >= m
+    configs = [
+        (f2_instance(INTEGERS, m), Fraction(mu), Fraction(mup))
+        for m, mu, mup in ((1, "1/2", "5/2"), (2, "3/2", "2"), (3, "5/2", "7/2"))
+    ]
+    for _ in range(12):
+        F, G = rng.choice(factories)(), rng.choice(factories)()
+        T = tensor_resolution(F, G)
+        chars = []
+        for R in (F, G):
+            coeffs = [Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 2])) for _ in range(R.group.char_dim)]
+            chars.append(basic_valuation(R, Character(R.group, coeffs)))
+        cycles = []
+        for R in (F, G):
+            c = random_chain(R, rng, 1, radius=1, terms=2)
+            if rng.random() < 0.5:
+                z = R.boundary(c)
+            else:  # a difference of two vertices, whose best filling may dip far below both
+                g, h = rng.sample(R.group.ball(3), 2)
+                z = R.basis_chain(R.cells(0)[0], g).sub(R.basis_chain(R.cells(0)[0], h))
+            cycles.append((z, c))
+        (z, c), (zp, cp) = cycles
+        mus = [Fraction(rng.choice([1, 2, 3, 4, 8]), 4) for _ in range(2)]
+        configs.append(((T, chars[0], chars[1], z, zp, c, cp), *mus))
+    kinds = []
+    for (T, v, vp, z, zp, c, cp), mu, mup in configs:
+        W = window_for(T, 4)
+        rep = witness_pipeline(T, v, vp, z, zp, mu, mup, c, cp, None, W)
+        Wl, Wr = factor_windows(T, W)
+        for tag, F, val, cyc, u in (("z", T.left, v, z, rep.values["u"]), ("z'", T.right, vp, zp, rep.values["u'"])):
+            assert rep.class_orders[tag] == _class_kind_oracle(F, val, cyc, u, Wl if tag == "z" else Wr)
+            kinds.append(rep.class_orders[tag])
+        assert rep.left_class_nonvanishing == (rep.class_orders["z"] == "infinite")
+        assert rep.right_class_nonvanishing == (rep.class_orders["z'"] == "infinite")
+    assert {"zero", "infinite"} <= set(kinds), kinds
