@@ -40,12 +40,16 @@ NEG_INF = float("-inf")
 class Window:
     """Per-factor radius; basis elements are clipped so boundaries stay inside.
 
-    A translated cell g*x is admitted when the whole boundary itinerary of x
-    (its footprint of translations, computed recursively from the boundary
-    table) stays inside the per-factor balls.  Degree-0 windows are the full
-    balls, and the admitted set in each degree is closed under taking
-    boundaries, so every truncation is a subcomplex and the untruncated
-    window complex is the contractible ball complex.
+    The window is a product of per-factor balls, and admission has one rule,
+    read factor by factor: a translated cell g*x is admitted when, for each
+    factor i, ``g_i * q`` lies in the ball of radius r_i for every q in the
+    shift set S_i(x), the factor-i parts of the translations reachable from
+    x through iterated boundaries (:func:`_factor_shifts`).  The window
+    inventory keeps the ball positions that pass; :func:`window_supported`
+    tests a chain's terms.  Degree-0 windows are the full balls, and the
+    admitted set in each degree is closed under taking boundaries, so every
+    truncation is a subcomplex and the untruncated window complex is the
+    contractible ball complex.
     """
 
     radii: tuple[int, ...]
@@ -57,12 +61,6 @@ class Window:
                 f"window has {len(self.radii)} factor radii, group has {len(factors)}"
             )
         return self.radii if len(self.radii) > 1 else self.radii[0]
-
-    def fits(self, group: Group, g) -> bool:
-        parts = group.element_parts(g)
-        return all(
-            f.distance(part) <= r for f, part, r in zip(group.factors(), parts, self.radii)
-        )
 
 
 # Largest group ball a window may enumerate, about ten times the largest
@@ -89,30 +87,43 @@ def window_for(F: Resolution, radius) -> Window:
     return Window(radii)
 
 
-def cell_footprint(F: Resolution, cell: BasisCell) -> tuple:
-    """Translations reachable from a cell through iterated boundaries."""
-    memo = getattr(F, "_footprints", None)
-    if memo is None:
-        memo = {}
-        F._footprints = memo
+def _factor_shifts(F: Resolution, cell: BasisCell) -> tuple:
+    """Per group factor i, the shift set S_i of a cell: the identity and
+    h_i * S_i(y) for each boundary term (h, y), memoized on F.
+
+    S_i is the projection onto factor i of the translations reachable from
+    the cell through iterated boundaries: multiplication acts factor by
+    factor, so the product set never has to be formed.
+    """
+    memo = F.__dict__.setdefault("_shifts", {})
     got = memo.get(cell)
-    if got is not None:
-        return got
-    if cell.degree == 0:
-        fp = (F.group.identity(),)
-    else:
-        acc = {F.group.identity()}
-        for (h, y), _ in F.boundary_table[cell].items():
-            for p in cell_footprint(F, y):
-                acc.add(F.group.multiply(h, p))
-        fp = tuple(sorted(acc))
-    memo[cell] = fp
-    return fp
+    if got is None:
+        factors = F.group.factors()
+        acc = [{f.identity()} for f in factors]
+        if cell.degree > 0:
+            for (h, y), _ in F.boundary_table[cell].items():
+                for f, shifts, hi, sub in zip(factors, acc, F.group.element_parts(h), _factor_shifts(F, y)):
+                    shifts.update(f.multiply(hi, q) for q in sub)
+        got = memo[cell] = tuple(map(frozenset, acc))
+    return got
 
 
-def window_admits(F: Resolution, W: Window, g, cell: BasisCell) -> bool:
-    mul = F.group.multiply
-    return all(W.fits(F.group, mul(g, p)) for p in cell_footprint(F, cell))
+def window_supported(F: Resolution, W: Window, chain: Chain) -> bool:
+    """Whether the window admits every term of the chain.
+
+    A term (g, cell) is admitted when ``g_i * q`` is within radius r_i for
+    each factor i and each q in the cell's shift set S_i
+    (:func:`_factor_shifts`), the rule by which the window inventory admits
+    its keys; no ball is built.
+    """
+    factors, parts = F.group.factors(), F.group.element_parts
+    W.ball_arg(F.group)  # checks the factor count
+    return all(
+        f.distance(f.multiply(gi, q)) <= r
+        for g, cell in chain.terms
+        for f, gi, r, shifts in zip(factors, parts(g), W.radii, _factor_shifts(F, cell))
+        for q in shifts
+    )
 
 
 class _FactorBall:
@@ -174,26 +185,11 @@ def _factor_balls(group: Group, W: Window) -> list:
 
 def _admitted_positions(F: Resolution, balls: list, cell: BasisCell) -> list:
     """Per factor, the ball positions g_i whose translate g*cell the window
-    admits, ascending.
-
-    Multiplication and the window's distance both act factor by factor, so
-    g is admitted exactly when each factor component g_i keeps the
-    footprint's projection onto factor i within radius r_i: the admitted
-    elements are the product of the per-factor lists, again in ball order.
+    admits, ascending: those that keep the cell's shift set S_i
+    (:func:`_factor_shifts`) within radius r_i.  The admitted elements are
+    the product of the per-factor lists, again in ball order.
     """
-    parts = [F.group.element_parts(p) for p in cell_footprint(F, cell)]
-    return [ball.admitted(frozenset(ps[i] for ps in parts)) for i, ball in enumerate(balls)]
-
-
-def window_cell_elements(F: Resolution, W: Window, cell: BasisCell):
-    """The elements g whose translate g*cell the window admits, in ball order."""
-    balls = _factor_balls(F.group, W)
-    lists = [[ball.elements[j] for j in pos] for ball, pos in zip(balls, _admitted_positions(F, balls, cell))]
-    yield from (itertools.product(*lists) if isinstance(F.group, Product) else lists[0])
-
-
-def window_chain_supported(F: Resolution, W: Window, chain: Chain) -> bool:
-    return all(window_admits(F, W, g, cell) for (g, cell) in chain.terms)
+    return [ball.admitted(shifts) for ball, shifts in zip(balls, _factor_shifts(F, cell))]
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +226,6 @@ class FiniteComplex:
             got = linalg.rank_columns(list(enumerate(cols)), self.ring) if cols else 0
             self._ranks[d] = got
         return got
-
-    def compose_is_zero(self) -> bool:
-        ring = self.ring
-        for d, cols in self.columns.items():
-            lower = self.columns.get(d - 1)
-            if lower is None:
-                continue
-            for col in cols:
-                acc: dict = {}
-                for i, c in col.items():
-                    for i2, c2 in lower[i].items():
-                        s = ring.add(acc.get(i2, ring.zero()), ring.mul(c, c2))
-                        if ring.is_zero(s):
-                            acc.pop(i2, None)
-                        else:
-                            acc[i2] = s
-                if acc:
-                    return False
-        return True
 
     def chain_vector(self, chain: Chain, degree: int) -> dict:
         """Sparse row-index vector of a chain inside this complex."""
@@ -638,10 +615,6 @@ def inclusion_map_is_zero(
     return _LagSweep(_WindowInventory(F, W, v), p, augmented and p == 0).holds(t, lam)
 
 
-def window_values(F: Resolution, v: Valuation, W: Window, degrees: Sequence[int]) -> list[Fraction]:
-    return _WindowInventory(F, W, v).distinct_values(degrees)
-
-
 def _sample_thresholds(values: list, t_samples: int) -> list:
     """``t_samples`` thresholds spread evenly over the sorted ``values``, picked exactly."""
     if t_samples < 1:
@@ -995,12 +968,6 @@ def eta(F: Resolution, v: Valuation, z: Chain, W: Window):
     """
     _check_cycle(F, z)
     return _defect(v, z, max_filling_value(F, v, z, W))
-
-
-def eta_from_filling(F: Resolution, v: Valuation, z: Chain, best):
-    """:func:`eta` from the best window filling value ``best`` of ``z``."""
-    _check_cycle(F, z)
-    return _defect(v, z, best)
 
 
 def _defect(v: Valuation, z: Chain, best):

@@ -8,9 +8,15 @@ elementary tensor, decomposes everything by two valuation thresholds,
 verifies the four support-level claims plus the explicit homology between
 the corner cycle and the product cycle, and checks the resulting gap bound.
 It works on the sparse chains of :mod:`bnsr.resolutions` and the key values
-of :class:`bnsr.valuations.Valuation`; its only window work is one filling
-search per factor cycle.  All verdicts are recorded per-field in a report;
-nothing is thrown for a failed check.
+of :class:`bnsr.valuations.Valuation`; its only window work is the support
+test of its chains and one filling search per supported factor cycle.  The
+support test (:func:`bnsr.homology.window_supported`) admits a term by the
+window's one rule, the rule of the window inventory: each factor part of
+the term's element, times each shift of its cell's per-factor shift set,
+stays within that factor's radius.  All verdicts are recorded per-field in
+a report; nothing is thrown for a failed check, and a factor cycle the
+window does not support is reported (no filling search, no eta, no class
+order), not thrown.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groups import pair_element, split_element, sum_character, zero_character
-from .homology import Window, eta_from_filling, max_filling_value, window_chain_supported
+from .homology import NEG_INF, Window, max_filling_value, window_supported
 from .resolutions import Chain, ChainMap, Resolution, tensor_chain
 from .rings import INTEGERS
 from .valuations import (
@@ -216,9 +222,10 @@ def witness_pipeline(
     corner cycle and z tensor z', factor-class nonvanishing, and the value
     gap.  One filling search per factor cycle decides its class: the class
     vanishes above the splitter exactly when the best filling value reaches
-    it, over a field and over Z alike (:func:`_integral_nonvanishing`), so
-    no truncated complex is built.  Each boundary and split is computed
-    once.
+    it, over a field and over Z alike (:func:`_class_nonvanishing`), so
+    no truncated complex is built.  A factor cycle the window does not
+    support is not searched: its eta fails and its class is not found
+    nonvanishing.  Each boundary and split is computed once.
     """
     F, G = T.left, T.right
     Wl, Wr = factor_windows(T, W)
@@ -241,20 +248,29 @@ def witness_pipeline(
     pre["zp_cycle"] = zp.degree == 0 or G.boundary(zp).is_zero
     pre["mu_positive"] = mu > 0
     pre["mup_positive"] = mup > 0
-    # one filling search per factor cycle serves eta and the class tests below
-    best_l = max_filling_value(F, v, z, Wl)
-    best_r = max_filling_value(G, vp, zp, Wr)
-    for tag, key, Fx, vx, zx, best, m in (
-        ("z", "mu_below_eta", F, v, z, best_l, mu),
-        ("z'", "mup_below_eta", G, vp, zp, best_r, mup),
+    # one filling search per supported factor cycle serves eta and the class tests below
+    sup_l, sup_r = window_supported(F, Wl, z), window_supported(G, Wr, zp)
+    best_l = max_filling_value(F, v, z, Wl) if sup_l else None
+    best_r = max_filling_value(G, vp, zp, Wr) if sup_r else None
+    for tag, key, is_cycle, vx, zx, best, m in (
+        ("z", "mu_below_eta", pre["z_cycle"], v, z, best_l, mu),
+        ("z'", "mup_below_eta", pre["zp_cycle"], vp, zp, best_r, mup),
     ):
-        try:
-            eta_x = eta_from_filling(Fx, vx, zx, best)
+        if best is None:
+            failure = "target chain is not supported in the window"
+        elif zx.is_zero:
+            failure = "eta needs a nonzero cycle"
+        elif not is_cycle:
+            failure = "eta needs a cycle"
+        elif best == NEG_INF:
+            failure = "cycle does not bound inside the window"
+        else:
+            eta_x = vx.value(zx) - best
             pre[key] = m < eta_x
             report.values[f"eta({tag})"] = eta_x
-        except ValueError as exc:
-            pre[key] = False
-            report.notes.append(f"eta({tag}) failed: {exc}")
+            continue
+        pre[key] = False
+        report.notes.append(f"eta({tag}) failed: {failure}")
 
     vz = v.value(z)
     vzp = vp.value(zp)
@@ -268,9 +284,7 @@ def witness_pipeline(
     pre["c_value_in_range"] = vz - mu - 1 < vc <= vz - mu
     pre["cp_value_in_range"] = vzp - mup - 1 < vcp <= vzp - mup
     pre["d_fills_target"] = bd == target
-    pre["window_supported"] = all(
-        window_chain_supported(T, W, ch) for ch in (d, cc, target)
-    ) and window_chain_supported(F, Wl, z) and window_chain_supported(G, Wr, zp)
+    pre["window_supported"] = sup_l and sup_r and all(window_supported(T, W, ch) for ch in (d, cc, target))
 
     deg_c = c.degree if not c.is_zero else 0
     sigma = 1 if deg_c % 2 == 0 else -1
@@ -311,17 +325,9 @@ def witness_pipeline(
     report.corner_cycle_nonzero = not e.is_zero
     report.claim4 = not split_bottom(T, d_lam, up, vp)[0].is_zero
 
-    if T.ring == INTEGERS:
-        report.left_class_nonvanishing, note_l = _integral_nonvanishing(best_l, u, report.class_orders, "z")
-        report.right_class_nonvanishing, note_r = _integral_nonvanishing(best_r, up, report.class_orders, "z'")
-        for nt in (note_l, note_r):
-            if nt:
-                report.notes.append(nt)
-    else:
-        report.left_class_nonvanishing = best_l < u
-        report.right_class_nonvanishing = best_r < up
-        report.values["best_left_filling"] = best_l
-        report.values["best_right_filling"] = best_r
+    integral = T.ring == INTEGERS
+    report.left_class_nonvanishing = _class_nonvanishing(report, "z", "left", best_l, u, integral)
+    report.right_class_nonvanishing = _class_nonvanishing(report, "z'", "right", best_r, up, integral)
 
     w_d = w.value(d)
     w_target = w.value(bd)
@@ -350,19 +356,28 @@ def witness_pipeline(
     return report
 
 
-def _integral_nonvanishing(best, threshold, orders: dict, tag: str):
-    """Infinite-order test for the class of z in the thresholded window over Z.
+def _class_nonvanishing(report: WitnessReport, tag: str, side: str, best, threshold, integral: bool) -> bool:
+    """Whether the class of the factor cycle ``tag`` is nonzero in the
+    thresholded window, read off its best window filling value ``best``.
 
-    ``best`` is the best window filling value of z from
-    :func:`max_filling_value`, which over Z is exact or raises: incidence
-    columns are totally unimodular, and on any other columns a level is
-    returned only when the unit-pivot certificate frees the cokernel of the
-    columns of value at least that level.  So the class is zero when
-    ``best`` reaches the threshold and of infinite order otherwise; it is
-    never torsion.
+    The class vanishes exactly when ``best`` reaches the threshold.  Over Z
+    this holds too, and the class is never torsion: :func:`max_filling_value`
+    is exact there or raises (incidence columns are totally unimodular, and
+    on any other columns a level is returned only when the unit-pivot
+    certificate frees the cokernel of the columns of value at least that
+    level), so the class order recorded is "zero" or "infinite".  Over a
+    field the best value is recorded instead.  ``best`` is None for a cycle
+    the window does not support, which was not searched: nothing is
+    recorded, and the class is not found nonvanishing.
     """
-    if best < threshold:
-        orders[tag] = "infinite"
-        return True, None
-    orders[tag] = "zero"
-    return False, f"class of {tag} has zero order in the window complex"
+    if best is None:
+        return False
+    nonvanishing = best < threshold
+    if not integral:
+        report.values[f"best_{side}_filling"] = best
+    elif nonvanishing:
+        report.class_orders[tag] = "infinite"
+    else:
+        report.class_orders[tag] = "zero"
+        report.notes.append(f"class of {tag} has zero order in the window complex")
+    return nonvanishing

@@ -1,10 +1,74 @@
 """Readings of a window inventory (``_WindowInventory``) key by key, in
 enumeration order, for the tests that compare it with a fresh enumeration:
 each key's value from ``levels`` and each key's translated boundary from
-``_columns``.
+``_columns``; and the inventory's admitted elements of one cell and
+distinct values of some degrees.
+
+Also the direct window admission the tests compare the library with: a
+translated cell is admitted when every element of its footprint (the
+product-group translations reachable through iterated boundaries), moved
+by the translation, lies in the window, tested one element at a time
+(``window_admits``); and the check that a finite complex's boundary
+squares to zero.
 """
 
-from bnsr.homology import _WindowInventory
+import functools
+import itertools
+
+from bnsr.groups import Product
+from bnsr.homology import _WindowInventory, _admitted_positions, _factor_balls
+
+
+def fits(group, W, g) -> bool:
+    """Whether each factor part of ``g`` lies within its window radius."""
+    return all(f.distance(part) <= r for f, part, r in zip(group.factors(), group.element_parts(g), W.radii))
+
+
+@functools.cache
+def footprint(F, cell) -> frozenset:
+    """The product-group translations reachable from a cell through iterated boundaries."""
+    out = {F.group.identity()}
+    if cell.degree > 0:
+        for (h, y), _ in F.boundary_table[cell].items():
+            out.update(F.group.multiply(h, p) for p in footprint(F, y))
+    return frozenset(out)
+
+
+def window_admits(F, W, g, cell) -> bool:
+    return all(fits(F.group, W, F.group.multiply(g, p)) for p in footprint(F, cell))
+
+
+def window_chain_supported(F, W, chain) -> bool:
+    return all(window_admits(F, W, g, cell) for (g, cell) in chain.terms)
+
+
+def window_cell_elements(F, W, cell):
+    """The elements g whose translate g*cell the window inventory admits, in ball order."""
+    balls = _factor_balls(F.group, W)
+    lists = [[ball.elements[j] for j in pos] for ball, pos in zip(balls, _admitted_positions(F, balls, cell))]
+    yield from (itertools.product(*lists) if isinstance(F.group, Product) else lists[0])
+
+
+def window_values(F, v, W, degrees) -> list:
+    """Sorted distinct values of the window inventory's keys in the given degrees."""
+    return _WindowInventory(F, W, v).distinct_values(degrees)
+
+
+def compose_is_zero(C) -> bool:
+    """Whether every boundary of the finite complex ``C`` composes to zero with the one below."""
+    ring = C.ring
+    for d, cols in C.columns.items():
+        lower = C.columns.get(d - 1)
+        if lower is None:
+            continue
+        for col in cols:
+            acc: dict = {}
+            for i, c in col.items():
+                for i2, c2 in lower[i].items():
+                    acc[i2] = ring.add(acc.get(i2, ring.zero()), ring.mul(c, c2))
+            if any(not ring.is_zero(x) for x in acc.values()):
+                return False
+    return True
 
 
 def inventory_values(inv: _WindowInventory, d: int) -> list:

@@ -368,6 +368,31 @@ def test_witness_run_on_zero_cycles_is_a_check_that_fails(ring, tmp_path, capsys
     assert data["class_orders"] == ({"z": "zero", "z'": "zero"} if ring == "Z" else {})
 
 
+def test_witness_run_reports_cycles_outside_the_window(tmp_path, capsys):
+    # b a^3 lies outside the radius-3 window: with both factor fillings
+    # given, the report says so and the check fails; left out, a filling
+    # cannot be searched for, and the config is refused
+    from bnsr import RATIONALS, fox_filling, free_group_resolution
+    from bnsr.resolutions import chain_to_obj
+
+    F = free_group_resolution(2, RATIONALS)
+    c = chain_to_obj(F, F.translate(F.group.word("a^3"), fox_filling(F.group.word("a^-3 b a^3"), F)))
+    path = write_json(tmp_path / "config.json", _witness_config(window=3, c=c, c_prime=c))
+    code, out, err = run_cli(["witness", "run", "--config", path, "--format", "structured"], capsys)
+    assert code == 1 and err == ""
+    data = json.loads(out)
+    assert data["conclusion"] is False and data["preconditions"]["window_supported"] is False
+    assert data["preconditions"]["mu_below_eta"] is False and data["preconditions"]["mup_below_eta"] is False
+    assert data["notes"][:2] == [
+        "eta(z) failed: target chain is not supported in the window",
+        "eta(z') failed: target chain is not supported in the window",
+    ]
+    assert data["left_class_nonvanishing"] is False and data["class_orders"] == {}
+    path = write_json(tmp_path / "config.json", _witness_config(window=3, c_prime=c))
+    code, out, err = run_cli(["witness", "run", "--config", path], capsys)
+    assert code == 3 and out == "" and "target chain is not supported in the window" in err
+
+
 def test_catalog_commands(capsys):
     code, out, _ = run_cli(["catalog", "list", "--format", "structured"], capsys)
     assert code == 0 and len(json.loads(out)) > 20
@@ -898,7 +923,7 @@ def test_oversized_probe_grid_is_refused_before_the_window_is_enumerated(name, c
     def balls(group, W):
         raise AssertionError("enumerated the window")
 
-    # every window enumeration, of the inventory or of window_cell_elements, starts with the factor balls
+    # every window enumeration starts with the factor balls
     monkeypatch.setattr(homology, "_factor_balls", balls)
     flags, limit = OVERSIZED_PROBES[name]
     start = time.perf_counter()

@@ -46,9 +46,9 @@ from bnsr import (
     zero_character,
 )
 import bnsr.linalg as linalg
-from bnsr.homology import NEG_INF, _WindowInventory, cell_footprint, inclusion_map_is_zero, window_chain_supported
+from bnsr.homology import NEG_INF, _WindowInventory, _factor_shifts, inclusion_map_is_zero, window_supported
 
-from inventory_oracle import inventory_terms, inventory_values
+from inventory_oracle import fits, inventory_terms, inventory_values, window_admits, window_chain_supported
 
 RINGS = {"Q": RATIONALS, "F2": PrimeField(2), "F5": PrimeField(5), "Z": INTEGERS}
 
@@ -85,7 +85,7 @@ def oracle_keys(F, W, d):
         for cell in F.cells(d):
             fp = oracle_footprint(F, cell)
             for g in group.ball(W.ball_arg(group)):
-                if all(W.fits(group, oracle_multiply(group, g, p)) for p in fp):
+                if all(fits(group, W, oracle_multiply(group, g, p)) for p in fp):
                     out.append((g, cell))
         _ORACLE_KEYS[memo] = (F, out)  # F is kept so that its id stays unique
     return _ORACLE_KEYS[memo][1]
@@ -697,17 +697,35 @@ def test_inventory_values_and_positions_match_oracles(name, kind, radius):
         assert outside and all(inv.position(d, g, cell) is None for g, cell in outside)
 
 
+@pytest.mark.parametrize("name,kind,radius", INVENTORY_WINDOWS, ids=[w[0] for w in INVENTORY_WINDOWS])
+def test_shift_sets_and_window_support_match_the_oracle(name, kind, radius):
+    """The one admission rule against the product footprint: each cell's
+    shift sets are the per-factor projections of its footprint, and
+    ``window_supported`` on a single term agrees with ``window_admits`` on
+    every element of the ball one larger, which holds both answers."""
+    F = resolution(kind, "Q")
+    W = window_for(F, radius)
+    group, one = F.group, F.ring.one()
+    wider = group.ball(tuple(r + 1 for r in W.radii) if len(W.radii) > 1 else W.radii[0] + 1)
+    for d in F.degrees():
+        for cell in F.cells(d):
+            parts = [group.element_parts(p) for p in oracle_footprint(F, cell)]
+            assert _factor_shifts(F, cell) == tuple(frozenset(ps[i] for ps in parts) for i in range(len(W.radii)))
+            got = [window_supported(F, W, Chain(F.ring, [((g, cell), one)])) for g in wider]
+            assert got == [window_admits(F, W, g, cell) for g in wider]
+            assert set(got) == {False, True}
+
+
 def _without_first_factor_shifts(kind):
-    """A fresh resolution whose last top cell has a footprint without the
-    shifts that move the first group factor: the window then admits
-    translates of that cell whose faces lie outside."""
+    """A fresh resolution whose last top cell has no shift that moves the
+    first group factor (its first shift set is the identity alone): the
+    window then admits translates of that cell whose faces lie outside."""
     F = resolution(kind, "Q")
     F = type(F)(F.group, F.ring, F.kind, F.cells_by_degree, F.boundary_table, F.augmentation_table)
     cell = F.cells(F.max_degree)[-1]
-    first, parts = F.group.factors()[0], F.group.element_parts
-    footprint = cell_footprint(F, cell)
-    F._footprints[cell] = tuple(q for q in footprint if parts(q)[0] == first.identity())
-    assert F._footprints[cell] != footprint
+    shifts = _factor_shifts(F, cell)
+    F._shifts[cell] = (frozenset({F.group.factors()[0].identity()}),) + shifts[1:]
+    assert F._shifts[cell] != shifts
     return F
 
 

@@ -30,10 +30,11 @@ from bnsr import (
     window_for,
 )
 import bnsr.linalg as linalg
-from bnsr.homology import NEG_INF, _sample_thresholds, cell_footprint, window_cell_elements, window_values
+from bnsr.homology import NEG_INF, _factor_shifts, _sample_thresholds
 from bnsr.resolutions import tensor_chain
 
 from conftest import random_field_complex
+from inventory_oracle import compose_is_zero, window_cell_elements, window_values
 from smith_oracle import mat_mul
 
 K1 = koszul_resolution(1, RATIONALS)
@@ -56,10 +57,15 @@ def z_free(m: int) -> Chain:
 
 
 def test_footprints():
-    assert cell_footprint(K1, K1.cells(1)[0]) == ((0,), (1,))
+    # one shift set per group factor; a lattice is one factor
+    assert _factor_shifts(K1, K1.cells(1)[0]) == (frozenset({(0,), (1,)}),)
     e12 = K2.cells(2)[0]
-    fp = set(cell_footprint(K2, e12))
-    assert fp == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert _factor_shifts(K2, e12) == (frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}),)
+    # on a product each factor gets its own projection: the square x_a (x) x_a of F2 x F2
+    FF = tensor_resolution(FR2, FR2)
+    square = FF.pair_index[(FR2.cells(1)[0], FR2.cells(1)[0])]
+    a = F2.word("a")
+    assert _factor_shifts(FF, square) == (frozenset({(), a}), frozenset({(), a}))
 
 
 def test_window_elements_clip_boundaries():
@@ -89,7 +95,7 @@ def test_truncations_are_subcomplexes():
     W = window_for(K2, 4)
     for t in (-2, 0, 1):
         C = truncate(K2, V_K2_10, t, W)  # raises if a boundary escapes
-        assert C.compose_is_zero()
+        assert compose_is_zero(C)
 
 
 # ---------------------------------------------------------------------------

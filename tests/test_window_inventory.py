@@ -41,13 +41,11 @@ from bnsr.homology import (
     _LagSweep,
     _WindowInventory,
     _sample_thresholds,
-    window_admits,
-    window_values,
 )
 from bnsr.resolutions import BasisCell, Resolution
 from bnsr.valuations import valuation_from_obj, valuation_to_obj
 
-from inventory_oracle import filling_columns
+from inventory_oracle import filling_columns, window_admits, window_values
 from zero_map_oracle import _zero_map
 
 GF5 = PrimeField(5)

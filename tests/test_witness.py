@@ -131,6 +131,7 @@ def test_witness_pipeline_elementary_filling():
     W = window_for(T, 4)
     rep = witness_pipeline(T, v, vp, z, zp, Fraction(5, 2), Fraction(5, 2), c, cp, None, W)
     assert rep.conclusion, rep.to_dict()
+    assert rep.preconditions["window_supported"]
     assert rep.sign == -1
     assert rep.gap == 3 and rep.gap >= Fraction(5, 2)
     assert rep.values["u"] == Fraction(1, 2)
@@ -153,6 +154,63 @@ def test_witness_pipeline_precondition_reporting():
     rep = witness_pipeline(T, v, vp, z, zp, Fraction(7, 2), Fraction(5, 2), c, cp, None, W)
     assert not rep.conclusion
     assert not rep.preconditions["mu_below_eta"] or not rep.preconditions["c_value_in_range"]
+
+
+def test_witness_pipeline_reports_a_filling_outside_the_window():
+    # one more square at (a^5, a) leaves the radius-4 window; it is not a
+    # cycle, so d no longer fills the target either
+    T, v, vp, z, zp, c, cp = f2_instance()
+    W = window_for(T, 4)
+    a = T.left.group.word("a")
+    far = T.basis_chain(T.cells(2)[0], (T.left.group.word("a^5"), a))
+    d = tensor_chain(T, c, cp).add(far)
+    rep = witness_pipeline(T, v, vp, z, zp, Fraction(5, 2), Fraction(5, 2), c, cp, d, W)
+    assert not rep.preconditions["window_supported"]
+    assert not rep.preconditions["d_fills_target"]
+    assert not rep.conclusion
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS], ids=["Q", "Z"])
+def test_witness_pipeline_reports_factor_cycles_outside_the_window(ring, monkeypatch):
+    # b a^3 has length 4: neither z nor z' fits the radius-3 window, so
+    # neither is searched, and the report says so instead of raising
+    import bnsr.witness as witness_mod
+
+    T, v, vp, z, zp, c, cp = f2_instance(ring)
+    W = window_for(T, 3)
+    searched = []
+    real = witness_mod.max_filling_value
+
+    def counting(*args, **kwargs):
+        searched.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(witness_mod, "max_filling_value", counting)
+    rep = witness_pipeline(T, v, vp, z, zp, Fraction(5, 2), Fraction(5, 2), c, cp, None, W)
+    assert searched == []
+    pre = rep.preconditions
+    assert not pre["window_supported"]
+    assert not pre["mu_below_eta"] and not pre["mup_below_eta"]
+    assert "eta(z)" not in rep.values and "eta(z')" not in rep.values
+    assert rep.notes[:2] == [
+        "eta(z) failed: target chain is not supported in the window",
+        "eta(z') failed: target chain is not supported in the window",
+    ]
+    assert not rep.left_class_nonvanishing and not rep.right_class_nonvanishing
+    assert rep.class_orders == {}
+    assert "best_left_filling" not in rep.values and "best_right_filling" not in rep.values
+    assert not rep.conclusion
+    # the checks that need no window still run
+    assert pre["boundary_c_is_z"] and pre["d_fills_target"] and rep.claim1
+    # one supported cycle is searched, the other is still reported
+    W_wide_left = window_for(T, (4, 3))
+    searched.clear()
+    rep = witness_pipeline(T, v, vp, z, zp, Fraction(5, 2), Fraction(5, 2), c, cp, None, W_wide_left)
+    assert searched == [z]
+    assert rep.preconditions["mu_below_eta"] and not rep.preconditions["mup_below_eta"]
+    assert rep.notes[0] == "eta(z') failed: target chain is not supported in the window"
+    assert rep.left_class_nonvanishing and not rep.right_class_nonvanishing
+    assert rep.class_orders == ({"z": "infinite"} if ring == INTEGERS else {})
 
 
 def test_witness_pipeline_perturbed_fillings_koszul():
