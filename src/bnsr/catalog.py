@@ -112,11 +112,11 @@ def _anchor_note() -> str:
     return "degree-0 invariant is the whole sphere, so the complement is empty"
 
 
-def _records_for_group(group: Group, complements: dict[int, ConeSet], note: str, tags=HOMOLOGICAL_TAGS, homotopical=True):
+def _records_for_group(group: Group, complements: dict[int, ConeSet], note: str, homotopical=True):
     recs = []
     for n, comp in complements.items():
         prov = _anchor_note() if n == 0 else note
-        for tag in tags:
+        for tag in HOMOLOGICAL_TAGS:
             recs.append(SigmaRecord(group, n, tag, comp, prov))
         if homotopical:
             recs.append(SigmaRecord(group, n, "homotopical", comp, prov))
@@ -349,13 +349,12 @@ def cross_validate(
     directions,
     radius,
     lambda_max: int = 4,
-    t_samples=None,
 ) -> CrossValidationReport:
     """Probe sampled directions and compare with stored membership.
 
     Directions inside the stored complement must fail the window probe;
-    directions outside must produce a uniform-lag certificate.  The default
-    threshold grid is every distinct window value (sparse grids can miss
+    directions outside must produce a uniform-lag certificate.  The threshold
+    grid is every distinct window value (sparse grids can miss
     the informative region near the top of the window and report a false
     pass).  Records whose provenance is the product formula are still
     probed against the resolution, never against the formula again.
@@ -372,7 +371,7 @@ def cross_validate(
         vec = direction.vector if isinstance(direction, Direction) else tuple(direction)
         chi = Character(record.group, [Fraction(x) for x in vec])
         v = basic_valuation(F, chi)
-        probe = ca_probe(F, v, record.degree, W, lambda_max, t_samples=t_samples)
+        probe = ca_probe(F, v, record.degree, W, lambda_max)
         in_complement = member(record.complement, vec)
         consistent = probe.passed == (not in_complement)
         report.entries.append(

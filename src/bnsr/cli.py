@@ -408,17 +408,22 @@ def _cmd_witness(args) -> int:
         mup = _fraction(cfg["mu_prime"])
     window = cfg["window"]
     W = window_for(T, window)
-    c = chain_from_obj(F, cfg["c"]) if "c" in cfg else _best_chain(F, v, z, window, "z")
-    cp = chain_from_obj(G, cfg["c_prime"]) if "c_prime" in cfg else _best_chain(G, vprime, zp, window, "z_prime")
+    c = chain_from_obj(F, cfg["c"]) if "c" in cfg else _best_chain(F, v, z, window, "z", "c")
+    cp = chain_from_obj(G, cfg["c_prime"]) if "c_prime" in cfg else _best_chain(G, vprime, zp, window, "z_prime", "c_prime")
     d = chain_from_obj(T, cfg["d"]) if "d" in cfg else None
     report = witness_pipeline(T, v, vprime, z, zp, mu, mup, c, cp, d, W)
     _emit(args, report.to_dict(), [f"witness conclusion: {report.conclusion}"] + report.notes)
     return 0 if report.conclusion else 1
 
 
-def _best_chain(F, v, z, window: int, name: str):
-    """A best window filling of the cycle ``name``, for a config that leaves it out."""
-    _, c = max_filling_value(F, v, z, window_for(F, window), return_chain=True)
+def _best_chain(F, v, z, window: int, name: str, key: str):
+    """A best window filling of the cycle ``name``, for a config that leaves
+    out its filling ``key``."""
+    W = window_for(F, window)
+    try:
+        _, c = max_filling_value(F, v, z, W, return_chain=True)
+    except ValueError as exc:  # the search cannot run: a cycle outside the window, or over Z
+        raise ValueError(f"cycle {name}: {exc}; give its filling as {key} to run the check") from None
     if c is None:
         raise ValueError(f"{name} does not bound inside the window, so its filling must be given")
     return c

@@ -435,8 +435,9 @@ class _WindowInventory:
 
         Returns the enumeration position of each filtration slot, the level
         of each slot, the boundary columns as dicts keyed by the slots of
-        degree d - 1 (None in degree 0), and their ``linalg._as_edges``
-        reading (None unless a signed incidence system).  Every superlevel
+        degree d - 1 (in degree 0, the augmentation row, slot 0), their
+        persistence lows (``linalg.persistence_lows``) and whether they form
+        a signed incidence system; computed once.  Every superlevel
         truncation is a prefix of this order (:meth:`prefix`).
         """
         got = self._filtered.get(d)
@@ -444,7 +445,6 @@ class _WindowInventory:
             levels = self.levels(d)
             order = [i for _, positions in reversed(levels) for i in positions]
             level = [k for k in range(len(levels) - 1, -1, -1) for _ in levels[k][1]]
-            cols = edges = None
             if d > 0:
                 below = self.filtration(d - 1)[0]
                 slot = [0] * len(below)
@@ -452,8 +452,12 @@ class _WindowInventory:
                     slot[i] = k
                 by_key = self._columns(d)
                 cols = [{slot[r]: c for r, c in by_key[i]} for i in order]
-                edges = linalg._as_edges(list(enumerate(cols)), self.F.ring)
-            got = self._filtered[d] = (order, level, cols, edges)
+            else:
+                aug, keys = self.F.augmentation_table, self.keys(0)
+                cols = [{0: aug[keys[i][1]]} for i in order]
+            ring = self.F.ring
+            edges = linalg._as_edges(list(enumerate(cols)), ring)
+            got = self._filtered[d] = (order, level, cols, linalg.persistence_lows(cols, edges, ring), edges is not None)
         return got
 
     def prefix(self, d: int, x) -> int:
@@ -470,7 +474,7 @@ class _WindowInventory:
         if got is None:
             got = self._unclosed[d] = []
             if d > 0:
-                _, level, cols, _ = self.filtration(d)
+                _, level, cols, _, _ = self.filtration(d)
                 row_level = self.filtration(d - 1)[1]
                 values, row_values = self.values(d), self.values(d - 1)
                 # per row level, the first level of degree d above its value
@@ -603,16 +607,16 @@ def inclusion_map_is_zero(
     lam,
     p: int,
     W: Window,
-    augmented: bool = True,
 ) -> bool:
-    """Whether every degree-p cycle above level t bounds above level t - lam.
+    """Whether every degree-p cycle above level t bounds above level t - lam
+    (in degree 0, every reduced cycle: one of augmentation zero).
 
     One pair read off the persistence sweep of :class:`_LagSweep`, on a
     window inventory built for this call.
     """
     if lam < 0:
         raise ValueError("lag must be nonnegative")
-    return _LagSweep(_WindowInventory(F, W, v), p, augmented and p == 0).holds(t, lam)
+    return _LagSweep(_WindowInventory(F, W, v), p).holds(t, lam)
 
 
 def _sample_thresholds(values: list, t_samples: int) -> list:
@@ -679,12 +683,15 @@ class _LagSweep:
     a value of at least t dies at a value of at least t - lam.  The
     (p+1)-boundary in filtration order (``inv.filtration``: descending
     value, ties in enumeration order) pairs each class with the (p+1)-cell
-    that kills it (``linalg.persistence_lows``); the p-boundary, or the
-    augmentation row in degree 0, tells which p-cells give birth: those
-    whose column reduces to zero, the p-cells just paired being cleared.
-    Without augmentation every 0-cell gives birth; with it the first one in
-    filtration order with a nonzero augmentation does not (its class is the
-    essential one).  ``m[k]`` is the lowest death level (an index into the
+    that kills it, and the p-boundary, or the augmentation row in degree 0,
+    tells which p-cells give birth: those whose column reduces to zero.
+    Both are the persistence lows the inventory computes once per degree
+    (``inv.filtration``), deaths read off degree p + 1 and births off degree
+    p.  A p-cell paired as a death has a column that reduces to zero (the
+    clearing lemma), so it gives birth.  Degree 0 is always reduced: the
+    first 0-cell in filtration order with a nonzero augmentation does not
+    give birth (its class is the essential one, which never dies in the
+    unreduced complex).  ``m[k]`` is the lowest death level (an index into the
     values of degree p + 1) of a class born at level k or above: -1 when one
     never dies, None when none is born.  Levels are compared as integers;
     :meth:`holds` reads the value of one.  So (t, lam) holds iff
@@ -702,7 +709,7 @@ class _LagSweep:
     is confirmed on prefixes of the filtration (``inv.prefix``), which holds
     the cells above any threshold as a prefix of each degree.  As s <= t, a
     basis of the cycle lattice of the p-boundary prefix above t (the
-    augmentation row in degree 0, or no row) is already written on the rows
+    augmentation row in degree 0) is already written on the rows
     of the (p+1)-boundary prefix above s: one Smith kernel per t and one
     Smith ``order`` per basis cycle decide, each filling prefix factored
     once per sweep.  A threshold at which the cells above it are not a
@@ -710,37 +717,26 @@ class _LagSweep:
     truncating there raises.
     """
 
-    def __init__(self, inv: _WindowInventory, p: int, augmented: bool):
-        self.inv, self.p, self.augmented = inv, p, augmented
+    def __init__(self, inv: _WindowInventory, p: int):
+        self.inv, self.p = inv, p
         ring = inv.F.ring
         self.levels = inv.values(p)
-        order, born_level, down, down_edges = inv.filtration(p)
-        _, up_level, up, up_edges = inv.filtration(p + 1)
+        _, born_level, _, lows, _ = inv.filtration(p)
+        _, up_level, up, up_lows, incidence = inv.filtration(p + 1)
         up_values = inv.values(p + 1)
-        death = {}  # filtration slot of a p-cell -> level of the (p+1)-cell killing its class
-        for k, low in enumerate(linalg.persistence_lows(up, up_edges, ring)):
-            if low is not None:
-                death[low] = up_level[k]
-        if p > 0:
-            lows = linalg.persistence_lows(down, down_edges, ring, skip=death)
-            births = [k for k, low in enumerate(lows) if low is None]
-        else:
-            births = list(range(len(order)))
-            if augmented:
-                aug, keys = inv.F.augmentation_table, inv.keys(0)
-                essential = next((k for k, i in enumerate(order) if not ring.is_zero(aug[keys[i][1]])), None)
-                if essential is not None:
-                    del births[essential]
+        # filtration slot of a p-cell -> level of the (p+1)-cell killing its class
+        death = {low: up_level[k] for k, low in enumerate(up_lows) if low is not None}
         m: list = [None] * (len(self.levels) + 1)  # death levels of degree p + 1, -1 for never
-        for k in births:
-            lev, dies = born_level[k], death.get(k, -1)
-            if m[lev] is None or dies < m[lev]:
-                m[lev] = dies
+        for k, low in enumerate(lows):
+            if low is None:  # a birth
+                lev, dies = born_level[k], death.get(k, -1)
+                if m[lev] is None or dies < m[lev]:
+                    m[lev] = dies
         for k in range(len(self.levels) - 1, -1, -1):
             if m[k + 1] is not None and (m[k] is None or m[k + 1] < m[k]):
                 m[k] = m[k + 1]
         self.m, self.up_values = m, up_values
-        self.exact = ring != INTEGERS or up_edges is not None
+        self.exact = ring != INTEGERS or incidence
         self.free_above = None
         if not self.exact:
             failed = linalg.UnitReduction(up).failed
@@ -773,15 +769,8 @@ class _LagSweep:
             return True
         inv, p = self.inv, self.p
         if self._cycles is None or self._cycles[0] != t:
-            n = inv.prefix(p, t)
-            if p > 0:
-                down, nrows = inv.filtration(p)[2][:n], inv.prefix(p - 1, t)
-            elif self.augmented:
-                aug, keys = inv.F.augmentation_table, inv.keys(0)
-                down, nrows = [{0: aug[keys[i][1]]} for i in inv.filtration(0)[0][:n]], 1
-            else:
-                down, nrows = [{}] * n, 0
-            self._cycles = (t, linalg.SmithForm.from_columns(down, nrows).kernel())
+            down = inv.filtration(p)[2][: inv.prefix(p, t)]
+            self._cycles = (t, linalg.SmithForm.from_columns(down, inv.prefix(p - 1, t) if p else 1).kernel())
         cycles = self._cycles[1]
         if not cycles:
             return True
@@ -807,25 +796,24 @@ def ca_probe(
     W: Window,
     lambda_max: int,
     t_samples=None,
-    lambda_grid=None,
-    augmented: bool = True,
 ) -> CAProbeReport:
     """The zero-map condition for all degrees below n, on a (t, lam) grid.
 
-    The thresholds t are every window value (or ``t_samples`` of them, or
-    the given list); the lags are 0..``lambda_max`` (or ``lambda_grid``, in
-    its own order).  For each degree p one persistence sweep of the window's
-    value filtration (:class:`_LagSweep`) answers every pair; the report
-    records, for each (p, t), the verdicts along the lag grid up to the
-    first lag that holds (:func:`inclusion_map_is_zero` reads one pair of
-    the same sweep).  A uniform lag within the grid is a positive window
-    certificate; a grid with no uniform lag is window evidence against (the
-    report says which).  A lag grid longer than
+    Degree 0 is read on the augmented complex (reduced homology).  The
+    thresholds t are every window value (or ``t_samples`` of them, or the
+    given list); the lags are 0..``lambda_max``.  For each degree p one
+    persistence sweep of the window's value filtration (:class:`_LagSweep`),
+    on persistence pairs computed once per window degree, answers every
+    pair; the report records, for each (p, t), the verdicts along the lag
+    grid up to the first lag that holds (:func:`inclusion_map_is_zero`
+    reads one pair of the same sweep).  A uniform lag within the grid is a
+    positive window certificate; a grid with no uniform lag is window
+    evidence against (the report says which).  A lag grid longer than
     ``MAX_PROBE_LAGS`` or an n above ``MAX_PROBE_DEGREE`` is refused.
     """
     if v.character.is_zero:
         raise ValueError("the zero character is not a point of the character sphere")
-    lams = list(lambda_grid) if lambda_grid is not None else range(lambda_max + 1)
+    lams = range(lambda_max + 1)
     if len(lams) > MAX_PROBE_LAGS:
         raise ValueError(f"a lag grid of {len(lams)} lags is above the limit of {MAX_PROBE_LAGS}")
     if n > MAX_PROBE_DEGREE:
@@ -846,8 +834,7 @@ def ca_probe(
         report.note = "vacuous: degree -1 control always holds"
         return report
 
-    lams = list(lams)
-    if not lams or any(lam < 0 for lam in lams):
+    if not lams:
         raise ValueError("the lag grid must be nonempty and nonnegative")
     inv = _WindowInventory(F, W, v)
     values = inv.distinct_values(range(min(n, F.max_degree) + 1))
@@ -857,11 +844,11 @@ def ca_probe(
         ts = _sample_thresholds(values, t_samples)
     else:
         ts = sorted(Fraction(x) for x in t_samples)
-    report.lambda_grid = lams
+    report.lambda_grid = list(lams)
     report.t_samples = ts
 
     for p in range(0, n):
-        sweep = _LagSweep(inv, p, augmented and p == 0)
+        sweep = _LagSweep(inv, p)
         for t in ts:
             found = None
             for lam in lams:

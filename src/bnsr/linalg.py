@@ -339,35 +339,33 @@ class _Reduction:
         return low
 
 
-def persistence_lows(cols, edges, ring: CoefficientRing, skip=frozenset()) -> list:
+def persistence_lows(cols, edges, ring: CoefficientRing) -> list:
     """The standard persistence reduction of columns taken in filtration order.
 
     ``cols`` are sparse columns (dicts from integer rows >= 0 to ring
     elements) whose rows, too, are numbered in filtration order, so the
     largest row of a reduced column is its youngest face.  Returns, for
     each column, the row of the pivot it creates (its "low"), or None when
-    it reduces to zero or its index is in ``skip`` (clearing: the caller
-    knows it reduces to zero).  On a signed incidence system (``edges``,
-    the :func:`_as_edges` reading of ``cols``) the low of an edge is the
+    it reduces to zero.  Every column is reduced: a column that is the low
+    of a column one degree up reduces to zero anyway (the clearing lemma),
+    and a window inventory computes each degree's lows once, for both
+    degrees that read them.  On a signed incidence system (``edges``, the
+    :func:`_as_edges` reading of ``cols``) the low of an edge is the
     younger root that :meth:`_Forest.join` kills, the ground row -1 being
     older than every row.  Otherwise the columns go one by one into a
     :class:`_Reduction`, over Q for integer columns.  References:
     Zomorodian-Carlsson, "Computing persistent homology" (2005);
     Chen-Kerber, "Persistent homology computation with a twist" (2011).
     """
-    lows: list = [None] * len(cols)
     if edges is not None:
+        lows: list = [None] * len(cols)
         join = _Forest().join
         for k, tail, head in edges:
-            if k not in skip:
-                lows[k] = join(tail, head)
+            lows[k] = join(tail, head)
         return lows
     mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
     red = _Reduction(mod)
-    for k, col in enumerate(cols):
-        if k not in skip:
-            lows[k] = red.add(dict(_scaled(col.items(), mod)[0]))
-    return lows
+    return [red.add(dict(_scaled(col.items(), mod)[0])) for col in cols]
 
 
 def _eliminate(items, rhs, ring):

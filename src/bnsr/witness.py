@@ -117,7 +117,6 @@ def extreme_case_transfer(
     z: Chain,
     d: Chain,
     lam,
-    skeleton: int | None = None,
 ) -> TransferReport:
     """Carry a filling bound for i(z) back to the factor through p.
 
@@ -131,8 +130,7 @@ def extreme_case_transfer(
     pd = p_map.apply(d)
     pd_boundary_ok = (F.boundary(pd) == z) if not pd.is_zero else z.is_zero
     vp_val = composite_valuation(T, p_map, v)
-    n = skeleton if skeleton is not None else T.max_degree
-    mu = domination_constant(vp_val, T, n)
+    mu = domination_constant(vp_val, T, T.max_degree)
     value_v_z = v.value(z)
     value_v_pd = v.value(pd)
     inequality_ok = value_v_pd >= value_v_z - lam - mu

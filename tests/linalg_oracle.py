@@ -5,6 +5,9 @@ substitution, and ``_sweep_reduce``, the column reduction behind the
 non-incidence ``first_spanning_batch``, with the helpers they share.  Beside
 them, ``UnionFind`` is a plain union-find for the oracles that read graph
 components, so that none of them reuses the forest of ``bnsr.linalg``.
+``persistence_lows`` is the clearing pass that ``bnsr.linalg`` had before
+each window degree's lows were computed once: it skips the columns it is
+told reduce to zero, on the library's own forest and column reduction.
 """
 
 import heapq
@@ -255,3 +258,25 @@ def _eliminate(items, rhs, ring, want_solution: bool):
     if mod:
         return npivots, {col_keys[c]: val for c, val in y.items()}, False
     return npivots, {col_keys[c]: val * col_scale[c] / rhs_scale for c, val in y.items()}, False
+
+
+def persistence_lows(cols, edges, ring, skip=frozenset()) -> list:
+    """The persistence lows of ``bnsr.linalg.persistence_lows``, None for
+    each column whose index is in ``skip`` (clearing: the caller knows it
+    reduces to zero), whose other columns are reduced as before."""
+    from bnsr.linalg import _Forest, _Reduction
+    from bnsr.rings import INTEGERS, RATIONALS
+
+    lows: list = [None] * len(cols)
+    if edges is not None:
+        join = _Forest().join
+        for k, tail, head in edges:
+            if k not in skip:
+                lows[k] = join(tail, head)
+        return lows
+    mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
+    red = _Reduction(mod)
+    for k, col in enumerate(cols):
+        if k not in skip:
+            lows[k] = red.add(dict(_scaled(col.items(), mod)[0]))
+    return lows

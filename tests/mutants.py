@@ -1,0 +1,177 @@
+"""Re-runnable mutation gates: each mutant is one exact source edit that some
+named tests must catch.
+
+A mutant names a file under ``src``, an exact fragment of it (which must
+occur there exactly once), its replacement, and the test node ids that must
+fail once the edit is made.  A mutant may be marked as a known survivor,
+with the reason no test can see it yet.
+
+Run ``python tests/mutants.py [NAME ...]`` from anywhere (no name runs them
+all).  For each mutant the runner copies ``src`` to a temporary directory,
+applies the edit there, runs the mutant's tests on the copy with pytest, and
+prints whether it was killed (every named test failed) or survived.  It
+exits 1 when a mutant that is not marked survives, or when a run cannot be
+made (a fragment not found once, a test id that pytest cannot run), and 0
+otherwise.  The repository's own ``src`` is never written.  This file is
+not a test module, so pytest does not collect it; ``test_mutants.py``
+checks, reading files only, that every fragment still occurs once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src
+    fragment: str
+    replacement: str
+    tests: tuple  # node ids, relative to the repository root, that must each fail
+    survivor: str | None = None  # why no test catches it yet, for a known survivor
+
+
+_SUPPORT = "tests/test_filling_sweep.py::test_shift_sets_and_window_support_match_the_oracle"
+_CHAINS = tuple(
+    f"tests/test_chain_arithmetic.py::test_{name}_match_the_oracle"
+    for name in ("constructor_and_ring_operations", "structure_maps", "retraction_maps_and_tensor_chains")
+)
+
+MUTANTS = [
+    # one window-admission rule: the support test and the shift sets
+    Mutant(
+        "support-radii-reversed",
+        "bnsr/homology.py",
+        "for f, gi, r, shifts in zip(factors, parts(g), W.radii, _factor_shifts(F, cell))",
+        "for f, gi, r, shifts in zip(factors, parts(g), W.radii[::-1], _factor_shifts(F, cell))",
+        (f"{_SUPPORT}[F2xF2]", f"{_SUPPORT}[F2xF2/(3,2)]", f"{_SUPPORT}[Z2xF2/(3,2)]", f"{_SUPPORT}[Z1xF2xF2]"),
+    ),
+    Mutant(
+        "support-strict-radius",
+        "bnsr/homology.py",
+        "f.distance(f.multiply(gi, q)) <= r",
+        "f.distance(f.multiply(gi, q)) < r",
+        (f"{_SUPPORT}[F2]", f"{_SUPPORT}[Z2]", f"{_SUPPORT}[Z1xF2xF2]"),
+    ),
+    Mutant(
+        "shifts-without-identity",
+        "bnsr/homology.py",
+        "acc = [{f.identity()} for f in factors]",
+        "acc = [set() for f in factors]",
+        (f"{_SUPPORT}[F2]", f"{_SUPPORT}[Z3]", "tests/test_filling_sweep.py::test_inventory_keys_values_and_terms_match_oracles[Z2]"),
+    ),
+    # the chain half in one arithmetic: the Chain constructor sums
+    Mutant(
+        "chain-keeps-zero-terms",
+        "bnsr/resolutions.py",
+        "            if is_zero(coeff):\n                acc.pop(key, None)\n            else:\n                acc[key] = coeff\n",
+        "            acc[key] = coeff\n",
+        _CHAINS,
+    ),
+    Mutant(
+        "chain-overwrites-repeated-keys",
+        "bnsr/resolutions.py",
+        "            if key in acc:\n                coeff = add(acc[key], coeff)\n",
+        "",
+        _CHAINS,
+    ),
+    # one probe configuration: degree 0 reduced, births off degree p
+    Mutant(
+        "degree-0-keeps-its-essential-class",
+        "bnsr/homology.py",
+        "cols = [{0: aug[keys[i][1]]} for i in order]",
+        "cols = [{} for i in order]",
+        (
+            "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[F2]",
+            "tests/test_window_inventory.py::test_sweep_verdict_matches_zero_map_at_every_lag[Z2]",
+        ),
+    ),
+    Mutant(
+        "births-off-the-wrong-degree",
+        "bnsr/homology.py",
+        "for k, low in enumerate(lows):",
+        "for k, low in enumerate(up_lows):",
+        (
+            "tests/test_window_inventory.py::test_sweep_reads_the_pairs_of_a_clearing_pass[Z2]",
+            "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[Z2]",
+        ),
+    ),
+    # the sign convention between the records and the probes
+    Mutant(
+        "cross-validate-reads-the-antipode",
+        "bnsr/catalog.py",
+        "in_complement = member(record.complement, vec)",
+        "in_complement = member(record.complement, [-Fraction(x) for x in vec])",
+        ("tests/test_catalog.py",),
+        survivor="every shipped record is symmetric under chi -> -chi; a group whose Sigma is not "
+        "antipodal (the solvable Baumslag-Solitar groups, ROADMAP item 6) is needed to see it",
+    ),
+]
+
+
+def _failed(output: str) -> set:
+    """The node ids pytest's short summary (``-rfE``) reports as failed or errored."""
+    out = set()
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                out.add(line[len(tag):].split(" - ")[0].strip())
+    return out
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """``(outcome, detail)``, outcome "killed", "survived" or "error"."""
+    text = (SRC / mutant.file).read_text()
+    if text.count(mutant.fragment) != 1:
+        return "error", f"the fragment occurs {text.count(mutant.fragment)} times in src/{mutant.file}"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        (src / mutant.file).write_text(text.replace(mutant.fragment, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests]
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        tail = (proc.stdout + proc.stderr).strip().splitlines()[-3:]
+        return "error", f"pytest exited {proc.returncode}: " + " | ".join(tail)
+    failed = _failed(proc.stdout)
+    # a file or function id is caught when one of its tests or parameters fails
+    passed = [t for t in mutant.tests if not any(f == t or f.startswith((t + "::", t + "[")) for f in failed)]
+    if passed:
+        return "survived", "passed: " + ", ".join(passed)
+    return "killed", f"{len(failed)} failed"
+
+
+def main(argv: list) -> int:
+    names = {m.name for m in MUTANTS}
+    unknown = [n for n in argv if n not in names]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}; known: {', '.join(sorted(names))}", file=sys.stderr)
+        return 2
+    bad = 0
+    for mutant in MUTANTS:
+        if argv and mutant.name not in argv:
+            continue
+        outcome, detail = run(mutant)
+        if outcome == "survived" and mutant.survivor:
+            outcome, detail = "survived (known)", mutant.survivor
+        elif outcome == "killed" and mutant.survivor:
+            detail += "; marked as a known survivor, so the mark can go"
+        elif outcome != "killed":
+            bad += 1
+        print(f"{outcome:16} {mutant.name}: {detail}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

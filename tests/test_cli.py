@@ -391,6 +391,11 @@ def test_witness_run_reports_cycles_outside_the_window(tmp_path, capsys):
     path = write_json(tmp_path / "config.json", _witness_config(window=3, c_prime=c))
     code, out, err = run_cli(["witness", "run", "--config", path], capsys)
     assert code == 3 and out == "" and "target chain is not supported in the window" in err
+    assert "cycle z: " in err and "give its filling as c to run the check" in err
+    path = write_json(tmp_path / "config.json", _witness_config(window=3, c=c))
+    code, out, err = run_cli(["witness", "run", "--config", path], capsys)
+    assert code == 3 and out == "" and "target chain is not supported in the window" in err
+    assert "cycle z_prime: " in err and "give its filling as c_prime to run the check" in err
 
 
 def test_catalog_commands(capsys):

@@ -45,6 +45,7 @@ from bnsr.homology import (
 from bnsr.resolutions import BasisCell, Resolution
 from bnsr.valuations import valuation_from_obj, valuation_to_obj
 
+import linalg_oracle
 from inventory_oracle import filling_columns, window_admits, window_values
 from zero_map_oracle import _zero_map
 
@@ -160,9 +161,10 @@ def oracle_filling_columns(F, v, degree, W):
     return out
 
 
-def oracle_probe(F, v, n, W, lambda_max, t_samples=None, lambda_grid=None, augmented=True):
-    """The ca_probe grid, one fresh truncation per threshold and one zero-map test per pair."""
-    lams = list(lambda_grid) if lambda_grid is not None else list(range(lambda_max + 1))
+def oracle_probe(F, v, n, W, lambda_max, t_samples=None):
+    """The ca_probe grid, one fresh truncation per threshold (augmented in
+    degree 0) and one zero-map test per pair."""
+    lams = list(range(lambda_max + 1))
     ts = oracle_values(F, v, W, range(min(n, F.max_degree) + 1))
     if isinstance(t_samples, int):
         ts = _sample_thresholds(ts, t_samples)
@@ -179,8 +181,7 @@ def oracle_probe(F, v, n, W, lambda_max, t_samples=None, lambda_grid=None, augme
     )
     for p in range(n):
         for t in ts:
-            aug = augmented and p == 0
-            C_t = oracle_truncate(F, v, t, W, augmented=aug, degrees=[p] if p == 0 else [p - 1, p])
+            C_t = oracle_truncate(F, v, t, W, augmented=p == 0, degrees=[p] if p == 0 else [p - 1, p])
             found = None
             for lam in lams:
                 C_tl = oracle_truncate(F, v, t - lam, W, degrees=[p, p + 1])
@@ -243,7 +244,11 @@ def test_truncations_match_fresh_enumeration(name, F, radius, chars):
 # the Z^2, Z^3 and F2 x F2 cases over Z have a non-incidence 2-boundary, so
 # their pairs that hold over Q go on to an integer decision: the unit-pivot
 # certificate or the Smith normal form confirmation; the doubled square has
-# torsion, so there the certificate fails and the Smith form decides
+# torsion, so there the certificate fails and the Smith form decides.  A
+# case's name seeds its characters: the two lag-grid cases once passed a lag
+# grid of their own (now lags 0 up to that grid's largest), and the three
+# unaugmented ones once probed degree 0 unreduced; they keep their names,
+# and so their seeded characters
 PROBE_CASES = [
     ("Z2", K2, 3, 2, 2, {}),
     ("F2", FR2, 4, 1, 3, {}),
@@ -260,11 +265,11 @@ PROBE_CASES = [
     ("Z2-doubled/Z", K2_Z2, 2, 2, 2, {}),
     ("Z2/int-t", K2, 3, 2, 2, {"t_samples": 4}),
     ("Z2/Z/list-t", K2_Z, 2, 2, 2, {"t_samples": ["-3", "1/2", 0, 7]}),
-    ("Z3/lag-grid", K3, 1, 2, 0, {"lambda_grid": [2, 0, 1, 0, 2]}),
-    ("Z2/Z/lag-grid", K2_Z, 2, 2, 0, {"lambda_grid": [1, 1, 0, 3]}),
-    ("F2/unaugmented", FR2, 3, 1, 2, {"augmented": False}),
-    ("Z2/Z/unaugmented", K2_Z, 2, 2, 2, {"augmented": False}),
-    ("F2xF2/unaugmented", FF, (1, 1), 2, 1, {"augmented": False}),
+    ("Z3/lag-grid", K3, 1, 2, 2, {}),
+    ("Z2/Z/lag-grid", K2_Z, 2, 2, 3, {}),
+    ("F2/unaugmented", FR2, 3, 1, 2, {}),
+    ("Z2/Z/unaugmented", K2_Z, 2, 2, 2, {}),
+    ("F2xF2/unaugmented", FF, (1, 1), 2, 1, {}),
 ]
 
 
@@ -355,24 +360,27 @@ def test_integer_confirmation_factors_each_prefix_once(monkeypatch):
         assert factored and len(set(factored)) == len(factored)
 
 
-# small windows for the every-lag comparison: (name, resolution, radius)
+# small windows for the every-lag comparison: (name, resolution, radius,
+# whether some pair of the window fails); on the Z^2 and Z^3 windows every
+# pair holds, as every character of Z^n lies in every Sigma^n (degree 0 is
+# reduced)
 SWEEP_WINDOWS = [
-    ("Z2", K2, 2),
-    ("Z2/Z", K2_Z, 2),
-    ("Z3/F5", K3_P, 1),
-    ("Z3/Z", K3_Z, 1),
-    ("F2", FR2, 3),
-    ("F2/Z", FR2_Z, 3),
-    ("F2xF2", FF, (1, 1)),
-    ("F2xF2/Z", FF_Z, (1, 1)),
-    ("Z2xF2", ZF, (1, 1)),
-    ("Z2-doubled/Z", K2_Z2, 2),
-    ("F2-doubled-diagonal/Z", FR2_Z2D, 2),
+    ("Z2", K2, 2, False),
+    ("Z2/Z", K2_Z, 2, False),
+    ("Z3/F5", K3_P, 1, False),
+    ("Z3/Z", K3_Z, 1, False),
+    ("F2", FR2, 3, True),
+    ("F2/Z", FR2_Z, 3, True),
+    ("F2xF2", FF, (1, 1), True),
+    ("F2xF2/Z", FF_Z, (1, 1), True),
+    ("Z2xF2", ZF, (1, 1), True),
+    ("Z2-doubled/Z", K2_Z2, 2, True),
+    ("F2-doubled-diagonal/Z", FR2_Z2D, 2, True),
 ]
 
 
-@pytest.mark.parametrize("name,F,radius", SWEEP_WINDOWS, ids=[w[0] for w in SWEEP_WINDOWS])
-def test_sweep_verdict_matches_zero_map_at_every_lag(name, F, radius):
+@pytest.mark.parametrize("name,F,radius,refuted", SWEEP_WINDOWS, ids=[w[0] for w in SWEEP_WINDOWS])
+def test_sweep_verdict_matches_zero_map_at_every_lag(name, F, radius, refuted):
     """Every (p, t, lambda) with lambda in 0..span by halves, not only where the grid stops."""
     rng = random.Random(f"sweep:{name}")
     W = window_for(F, radius)
@@ -383,43 +391,98 @@ def test_sweep_verdict_matches_zero_map_at_every_lag(name, F, radius):
         values = window_values(F, v, W, [p])
         lams = [Fraction(k, 2) for k in range(2 * int(values[-1] - values[0]) + 3)]
         lower: dict = {}  # threshold -> fresh truncation in degrees p, p + 1
-        for augmented in (True, False) if p == 0 else (False,):
-            sweep = _LagSweep(inv, p, augmented)
-            for t in values:
-                C_t = oracle_truncate(F, v, t, W, augmented=augmented, degrees=[p] if p == 0 else [p - 1, p])
-                for lam in lams:
-                    s = t - lam
-                    if s not in lower:
-                        lower[s] = oracle_truncate(F, v, s, W, degrees=[p, p + 1])
-                    want = _zero_map(C_t, lower[s], p)
-                    assert sweep.holds(t, lam) == want, (p, t, lam, augmented)
-                    held.add(want)
-    assert held == {False, True}
+        sweep = _LagSweep(inv, p)
+        for t in values:
+            C_t = oracle_truncate(F, v, t, W, augmented=p == 0, degrees=[p] if p == 0 else [p - 1, p])
+            for lam in lams:
+                s = t - lam
+                if s not in lower:
+                    lower[s] = oracle_truncate(F, v, s, W, degrees=[p, p + 1])
+                want = _zero_map(C_t, lower[s], p)
+                assert sweep.holds(t, lam) == want, (p, t, lam)
+                held.add(want)
+    assert held == ({False, True} if refuted else {True})
 
 
-@pytest.mark.parametrize("name,F,radius", SWEEP_WINDOWS, ids=[w[0] for w in SWEEP_WINDOWS])
-def test_inclusion_map_is_zero_matches_the_oracle_pair(name, F, radius):
+@pytest.mark.parametrize("name,F,radius,refuted", SWEEP_WINDOWS, ids=[w[0] for w in SWEEP_WINDOWS])
+def test_inclusion_map_is_zero_matches_the_oracle_pair(name, F, radius, refuted):
     """The one-pair read of the sweep against the rank identity on fresh
-    truncations, at a seeded sample of (p, t, lambda) with and without
-    augmentation (which acts in degree 0 only).  Each call builds its own
-    inventory, so the sample is small."""
+    truncations, at a seeded sample of (p, t, lambda), degree 0 augmented,
+    and at the first pair of each degree that the sweep refutes, as failing
+    pairs are rare.  Each call builds its own inventory, so the sample is
+    small."""
     rng = random.Random(f"one-pair:{name}")
     W = window_for(F, radius)
     v = random_valuation(F, rng)
+    inv = _WindowInventory(F, W, v)
     held = set()
     for p in range(F.max_degree + 1):
         values = window_values(F, v, W, [p])
         span = 2 * int(values[-1] - values[0]) + 2
-        for augmented in (True, False):
-            for _ in range(3):
-                t, lam = rng.choice(values), Fraction(rng.randint(0, span), 2)
-                C_t = oracle_truncate(F, v, t, W, augmented=augmented and p == 0, degrees=[p] if p == 0 else [p - 1, p])
-                want = _zero_map(C_t, oracle_truncate(F, v, t - lam, W, degrees=[p, p + 1]), p)
-                assert inclusion_map_is_zero(F, v, t, lam, p, W, augmented=augmented) == want, (p, t, lam, augmented)
-                held.add(want)
-    assert held == {False, True}
+        pairs = [(rng.choice(values), Fraction(rng.randint(0, span), 2)) for _ in range(6)]
+        sweep = _LagSweep(inv, p)
+        lags = [Fraction(k, 2) for k in range(span + 1)]
+        first = next(((t, lam) for t in values for lam in lags if not sweep.holds(t, lam)), None)
+        pairs += [first] if first else []
+        for t, lam in pairs:
+            C_t = oracle_truncate(F, v, t, W, augmented=p == 0, degrees=[p] if p == 0 else [p - 1, p])
+            want = _zero_map(C_t, oracle_truncate(F, v, t - lam, W, degrees=[p, p + 1]), p)
+            assert inclusion_map_is_zero(F, v, t, lam, p, W) == want, (p, t, lam)
+            held.add(want)
+    assert held == ({False, True} if refuted else {True})
     with pytest.raises(ValueError, match="lag must be nonnegative"):
         inclusion_map_is_zero(F, v, values[0], Fraction(-1, 2), 0, W)
+
+
+# each WINDOWS entry rebuilt over a given ring
+WINDOW_BUILDERS = {
+    "Z2": lambda ring: koszul_resolution(2, ring),
+    "Z3": lambda ring: koszul_resolution(3, ring),
+    "F2": lambda ring: free_group_resolution(2, ring),
+    "F2/F5": lambda ring: free_group_resolution(2, ring),
+    "F2xF2": lambda ring: tensor_resolution(free_group_resolution(2, ring), free_group_resolution(2, ring)),
+    "Z2xF2": lambda ring: tensor_resolution(koszul_resolution(2, ring), free_group_resolution(2, ring)),
+}
+
+
+@pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
+def test_sweep_reads_the_pairs_of_a_clearing_pass(name, F, radius, chars):
+    """The lows each window degree computes once, against a clearing pass
+    (``linalg_oracle.persistence_lows``) from the top degree down, which
+    skips the columns paired one degree up: for every p >= 1 the births
+    and deaths the sweep of degree p reads, and the lowest death levels it
+    derives from them, are those of the clearing pass, over Q, F5 and Z."""
+    cleared_any = False
+    for ring in (RATIONALS, GF5, INTEGERS):
+        rng = random.Random(f"clearing:{name}")
+        R = WINDOW_BUILDERS[name](ring)
+        W = window_for(R, radius)
+        for _ in range(chars):
+            inv = _WindowInventory(R, W, random_valuation(R, rng))
+            cleared, want = frozenset(), {}  # degree -> lows of the clearing pass
+            for d in range(R.max_degree + 1, 0, -1):
+                _, _, cols, _, incidence = inv.filtration(d)
+                edges = linalg._as_edges(list(enumerate(cols)), ring)
+                assert incidence == (edges is not None)
+                want[d] = linalg_oracle.persistence_lows(cols, edges, ring, cleared)
+                cleared_any |= bool(cleared)
+                cleared = frozenset(low for low in want[d] if low is not None)
+            for p in range(1, R.max_degree + 1):
+                born_level, lows = inv.filtration(p)[1], inv.filtration(p)[3]
+                up_level, up_lows = inv.filtration(p + 1)[1], inv.filtration(p + 1)[3]
+                births = [k for k, low in enumerate(lows) if low is None]
+                assert births == [k for k, low in enumerate(want[p]) if low is None], (ring, p)
+                death = {low: up_level[k] for k, low in enumerate(up_lows) if low is not None}
+                assert death == {low: up_level[k] for k, low in enumerate(want[p + 1]) if low is not None}, (ring, p)
+                m: list = [None] * (len(inv.values(p)) + 1)
+                for k in births:
+                    lev, dies = born_level[k], death.get(k, -1)
+                    m[lev] = dies if m[lev] is None else min(m[lev], dies)
+                for k in range(len(m) - 2, -1, -1):
+                    if m[k + 1] is not None:
+                        m[k] = m[k + 1] if m[k] is None else min(m[k], m[k + 1])
+                assert _LagSweep(inv, p).m == m, (ring, p)
+    assert cleared_any or F.max_degree < 2  # F2 has no 2-cells to pair
 
 
 @pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
@@ -514,9 +577,10 @@ def test_non_basic_valuation_probe_matches_oracle():
             raise_by = {label: rng.choice(("1/2", "2", "inf")) for label in rng.sample(labels, rng.randint(1, 2))}
             w = _raised(F, v, raise_by)
             n = rng.randint(1, min(2, F.max_degree))
-            kwargs = rng.choice(({}, {"t_samples": 2}, {"t_samples": ["-1", "0", "3/2"]}, {"lambda_grid": [0, 3, 1]}))
-            got = _probe_or_error(ca_probe, F, w, n, W, 2, **kwargs)
-            want = _probe_or_error(oracle_probe, F, w, n, W, 2, **kwargs)
+            kwargs = rng.choice(({}, {"t_samples": 2}, {"t_samples": ["-1", "0", "3/2"]}, {"lambda_max": 3}))
+            kwargs = {"lambda_max": 2, **kwargs}
+            got = _probe_or_error(ca_probe, F, w, n, W, **kwargs)
+            want = _probe_or_error(oracle_probe, F, w, n, W, **kwargs)
             assert got == want, (name, raise_by, n, kwargs)
             outcomes.append(got == "not a subcomplex")
     # both outcomes occur
@@ -538,15 +602,16 @@ def test_inclusion_map_is_zero_escapes_where_the_oracle_truncation_does():
             for _ in range(4):
                 p = rng.randint(0, F.max_degree - 1)
                 t = rng.choice([x for x in window_values(F, w, W, [p]) if x != INF])
-                lam, augmented = rng.randint(0, 2), rng.random() < 0.5
+                lam = rng.randint(0, 2)
+                rng.random()  # the draw that once chose the augmentation, kept for the seeded sequence
                 degs_t = [p] if p == 0 else [p - 1, p]
-                got = _or_escape(lambda: inclusion_map_is_zero(F, w, t, lam, p, W, augmented=augmented))
+                got = _or_escape(lambda: inclusion_map_is_zero(F, w, t, lam, p, W))
                 want = _or_escape(lambda: _zero_map(
-                    oracle_truncate(F, w, t, W, augmented=augmented and p == 0, degrees=degs_t),
+                    oracle_truncate(F, w, t, W, augmented=p == 0, degrees=degs_t),
                     oracle_truncate(F, w, t - lam, W, degrees=[p, p + 1]),
                     p,
                 ))
-                assert got == want, (name, raise_by, p, t, lam, augmented)
+                assert got == want, (name, raise_by, p, t, lam)
                 outcomes.add(got)
     assert outcomes == {True, False, "not a subcomplex"}
 
@@ -554,10 +619,10 @@ def test_inclusion_map_is_zero_escapes_where_the_oracle_truncation_does():
 def test_lag_grid_above_the_limit_is_refused():
     from bnsr.homology import MAX_PROBE_LAGS
 
+    # lags 0..69 are 70 lags, at the limit; lags 0..70 are one more
+    assert MAX_PROBE_LAGS == 70
     v = basic_valuation(K2, Character(K2.group, [1, 0]))
     W = window_for(K2, 2)
-    assert ca_probe(K2, v, 1, W, 0, lambda_grid=[0] * MAX_PROBE_LAGS).passed
-    with pytest.raises(ValueError, match=f"above the limit of {MAX_PROBE_LAGS}"):
-        ca_probe(K2, v, 1, W, 0, lambda_grid=[0] * (MAX_PROBE_LAGS + 1))
-    with pytest.raises(ValueError, match=f"above the limit of {MAX_PROBE_LAGS}"):
-        ca_probe(K2, v, 1, W, MAX_PROBE_LAGS)
+    assert ca_probe(K2, v, 1, W, 69).passed
+    with pytest.raises(ValueError, match="a lag grid of 71 lags is above the limit of 70"):
+        ca_probe(K2, v, 1, W, 70)
