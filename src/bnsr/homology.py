@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from operator import mul, neg
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .groups import Group, Product
@@ -105,6 +105,40 @@ def _factor_shifts(F: Resolution, cell: BasisCell) -> tuple:
                 for f, shifts, hi, sub in zip(factors, acc, F.group.element_parts(h), _factor_shifts(F, y)):
                     shifts.update(f.multiply(hi, q) for q in sub)
         got = memo[cell] = tuple(map(frozenset, acc))
+    return got
+
+
+class _CellColumn(NamedTuple):
+    """How window columns read one cell's boundary (:func:`_cell_column`)."""
+
+    faces: list  # per boundary term, its face (h, y); None for the augmentation row
+    coeffs: list  # per term, its coefficient
+    scaled: list  # the coefficients scaled for the field elimination
+    scale: int  # the factor that scaled them
+    ends: tuple | None  # the terms (tail, head) of a signed incidence column, -1 for ground; None for any other
+
+
+def _cell_column(F: Resolution, cell: BasisCell) -> _CellColumn:
+    """A cell's boundary as every window column of it reads it, memoized on F.
+
+    The terms are those of ``F.boundary_table``, in its order; in degree 0
+    the column is the augmentation, one term on the augmentation row (none
+    when the augmentation is zero).  Whether the column is a signed
+    incidence column, which term is its tail and which its head, and its
+    coefficients scaled for the field elimination are read once here
+    (``linalg.column_reading``), not per window key.
+    """
+    memo = F.__dict__.setdefault("_cell_columns", {})
+    got = memo.get(cell)
+    if got is None:
+        if cell.degree > 0:
+            terms = list(F.boundary_table[cell].items())
+        else:
+            aug = F.augmentation_table[cell]
+            terms = [] if F.ring.is_zero(aug) else [(None, aug)]
+        coeffs = [c for _, c in terms]
+        scaled, scale, ends = linalg.column_reading(coeffs, F.ring)
+        got = memo[cell] = _CellColumn([face for face, _ in terms], coeffs, scaled, scale, ends)
     return got
 
 
@@ -258,14 +292,18 @@ class _WindowInventory:
     (l_1, ..., l_k) in the cell's admitted lists sits at the cell's offset
     plus the sum of l_i * stride_i.  Each degree is built on first use, and
     every list of it is in this order: the admitted keys, the keys grouped
-    by value, and the boundary columns.  Nothing is hashed per key: a key's
+    by value, and the boundary rows, held per cell (one row array per
+    boundary term) and, on a degree whose cells all have incidence columns,
+    as flat tail and head arrays.  Nothing is hashed per key: a key's
     value, an integer over the valuation's denominator ``v.scale``, is its
     cell's scaled value (``v.scaled_cells``) plus, per factor, the scaled
     character value of its ball position, and a boundary term's row is the
     face cell's offset plus, per factor, the local position of the shifted
     ball position (read off the factor's shift table) times its stride.
     The filtration reads the value levels from the highest down, ties in
-    enumeration order, and every threshold truncation is a prefix of it.
+    enumeration order, and every threshold truncation is a prefix of it; a
+    degree's order and its persistence lows are computed apart, so the
+    lows of a degree are reduced only when a sweep reads them.
     An inventory, with the tables it reads, lives only as long as the call
     that builds it.
     """
@@ -280,7 +318,9 @@ class _WindowInventory:
         self._keys: dict = {}
         self._levels: dict = {}
         self._cols: dict = {}
+        self._orders: dict = {}
         self._filtered: dict = {}
+        self._dicts: dict = {}
         self._unclosed: dict = {}
 
     def _cell_positions(self, d: int) -> list:
@@ -387,10 +427,18 @@ class _WindowInventory:
         """Sorted distinct values of the admitted keys in the given degrees."""
         return sorted({val for d in degrees for val, _ in self.levels(d)})
 
-    def _columns(self, d: int) -> list:
-        """Boundary columns ``[(row, c), ...]`` of the keys of degree d, with
-        rows the enumeration positions of degree d - 1.  They depend on
-        (F, W) only, not on the character.
+    def _columns(self, d: int):
+        """Degree d's boundary columns, cell by cell: ``(cells, offsets,
+        edges)``.  They depend on (F, W) only, not on the character.
+
+        ``cells`` holds, per cell, its column reading (:func:`_cell_column`),
+        its number of keys and, per boundary term, the row of that term for
+        each key of the cell in enumeration order, the rows being enumeration
+        positions of degree d - 1 (in degree 0, the augmentation row 0).
+        ``offsets`` holds each cell's offset.  ``edges`` reads the degree as
+        a signed incidence system: the rows of each key's tail and of its
+        head (ground -1), as two flat lists in enumeration order; None when
+        a cell with keys has a column that is not an incidence column.
 
         The rows of one boundary term are read for all keys of a cell at
         once: per factor, the shift table of the term's factor shift takes
@@ -401,70 +449,138 @@ class _WindowInventory:
         """
         got = self._cols.get(d)
         if got is None:
-            place, parts = self._place(d - 1), self.F.group.element_parts
-            got = []
-            for cell, _, lists in self._cell_positions(d):
-                boundary = list(self.F.boundary_table[cell].items())
-                pers = []  # per term and factor, the face's local position times stride at each admitted position
-                for (h, y), _ in boundary:
-                    tabs = [ball.table(q) for ball, q in zip(self._balls, parts(h))]
-                    pers.append([[loc[tab[j]] for j in pos] for loc, tab, pos in zip(place[y][1], tabs, lists)])
-                if any(None in xs for per in pers for xs in per):
-                    raise self._escape(lists, boundary, pers)
-                rows = [_outer_sum(place[y][0], per) for ((_, y), _), per in zip(boundary, pers)]
-                coeffs = [c for _, c in boundary]
-                got += [list(zip(rs, coeffs)) for rs in zip(*rows)] if rows else [[] for _ in range(prod(map(len, lists)))]
-            self._cols[d] = got
+            parts = self.F.group.element_parts
+            place = self._place(d - 1) if d > 0 else None
+            cells, offsets = [], []
+            for cell, offset, lists in self._cell_positions(d):
+                col, n = _cell_column(self.F, cell), prod(map(len, lists))
+                if d == 0:
+                    rows = [[0] * n for _ in col.faces]
+                else:
+                    pers = []  # per term and factor, the face's local position times stride at each admitted position
+                    for h, y in col.faces:
+                        tabs = [ball.table(q) for ball, q in zip(self._balls, parts(h))]
+                        pers.append([[loc[tab[j]] for j in pos] for loc, tab, pos in zip(place[y][1], tabs, lists)])
+                    if any(None in xs for per in pers for xs in per):
+                        raise self._escape(lists, col.faces, pers)
+                    rows = [_outer_sum(place[y][0], per) for (_, y), per in zip(col.faces, pers)]
+                cells.append((col, n, rows))
+                offsets.append(offset)
+            tails: list | None = []
+            heads: list = []
+            for col, n, rows in cells:
+                if n:
+                    if col.ends is None:
+                        tails = None
+                        break
+                    tail, head = col.ends
+                    tails += rows[tail] if tail >= 0 else [-1] * n
+                    heads += rows[head] if head >= 0 else [-1] * n
+            got = self._cols[d] = (cells, offsets, None if tails is None else (tails, heads))
         return got
 
-    def _escape(self, lists: list, boundary: list, pers: list) -> ValueError:
+    def _locate(self, d: int, i: int):
+        """``(column reading, rows, local position)`` of the key at
+        enumeration position i of degree d: its cell's entry of
+        :meth:`_columns`, and where the key sits among the cell's keys."""
+        cells, offsets, _ = self._columns(d)
+        k = bisect_right(offsets, i) - 1  # a cell with no keys shares its offset with the next
+        col, _, rows = cells[k]
+        return col, rows, i - offsets[k]
+
+    def batch(self, d: int, positions) -> tuple:
+        """The keys of degree d at these enumeration positions as one batch
+        of ``linalg.first_spanning_batch``: on an incidence degree, the edges
+        ``(position, tail, head)`` off the flat tail and head rows, and no
+        column dict; otherwise ``(position, column)`` pairs, each column
+        holding its cell's coefficients scaled for the field elimination."""
+        edges = self._columns(d)[2]
+        if edges is not None:
+            tails, heads = edges
+            return [(i, tails[i], heads[i]) for i in positions], None
+        cols = []
+        for i in positions:
+            col, rows, local = self._locate(d, i)
+            cols.append((i, dict(zip([rs[local] for rs in rows], col.scaled))))
+        return None, cols
+
+    def _escape(self, lists: list, faces: list, pers: list) -> ValueError:
         """The error for the first key of a cell, in enumeration order, with a
         boundary term outside the window."""
         group = self.F.group
         for local in itertools.product(*(range(len(pos)) for pos in lists)):
-            for ((h, y), _), per in zip(boundary, pers):
+            for (h, y), per in zip(faces, pers):
                 if any(xs[k] is None for xs, k in zip(per, local)):
                     parts = [ball.elements[pos[k]] for ball, pos, k in zip(self._balls, lists, local)]
                     key = (group.multiply(tuple(parts) if isinstance(group, Product) else parts[0], h), y)
                     return ValueError(f"boundary term {key} escapes the window; window is not boundary-closed")
         raise AssertionError("no boundary term escapes")
 
-    def filtration(self, d: int):
+    def order(self, d: int):
         """Degree d in filtration order: the levels from the highest value
         down, ties in enumeration order.
 
         Returns the enumeration position of each filtration slot, the level
-        of each slot, the boundary columns as dicts keyed by the slots of
-        degree d - 1 (in degree 0, the augmentation row, slot 0), their
-        persistence lows (``linalg.persistence_lows``) and whether they form
-        a signed incidence system; computed once.  Every superlevel
-        truncation is a prefix of this order (:meth:`prefix`).
+        of each slot, and the slot of each enumeration position with -1
+        appended, so that the ground row -1 reads as slot -1; in degree -1,
+        the augmentation row alone.  Every superlevel truncation is a prefix
+        of this order (:meth:`prefix`); computed once.
+        """
+        got = self._orders.get(d)
+        if got is None:
+            levels = self.levels(d) if d >= 0 else [(None, [0])]
+            order = [i for _, positions in reversed(levels) for i in positions]
+            level = [k for k in range(len(levels) - 1, -1, -1) for _ in levels[k][1]]
+            slot = [0] * len(order) + [-1]
+            for k, i in enumerate(order):
+                slot[i] = k
+            got = self._orders[d] = (order, level, slot)
+        return got
+
+    def filtration(self, d: int):
+        """Degree d's persistence lows (``linalg.persistence_lows``), in the
+        filtration order of :meth:`order`, with rows the filtration slots of
+        degree d - 1 (in degree 0, the augmentation row, slot 0), and whether
+        its columns form a signed incidence system; computed once.
+
+        An incidence degree is read off its flat tail and head rows through
+        degree d - 1's slot map, and no column dict is made; any other
+        degree reduces :meth:`columns`.  Only degree d - 1's order is read,
+        not its lows.
         """
         got = self._filtered.get(d)
         if got is None:
-            levels = self.levels(d)
-            order = [i for _, positions in reversed(levels) for i in positions]
-            level = [k for k in range(len(levels) - 1, -1, -1) for _ in levels[k][1]]
-            if d > 0:
-                below = self.filtration(d - 1)[0]
-                slot = [0] * len(below)
-                for k, i in enumerate(below):
-                    slot[i] = k
-                by_key = self._columns(d)
-                cols = [{slot[r]: c for r, c in by_key[i]} for i in order]
+            ring, edges = self.F.ring, self._columns(d)[2]
+            if edges is None:
+                lows = linalg.persistence_lows(None, self.columns(d), ring)
             else:
-                aug, keys = self.F.augmentation_table, self.keys(0)
-                cols = [{0: aug[keys[i][1]]} for i in order]
-            ring = self.F.ring
-            edges = linalg._as_edges(list(enumerate(cols)), ring)
-            got = self._filtered[d] = (order, level, cols, linalg.persistence_lows(cols, edges, ring), edges is not None)
+                (tails, heads), slot = edges, self.order(d - 1)[2]
+                lows = linalg.persistence_lows([(slot[tails[i]], slot[heads[i]]) for i in self.order(d)[0]], None, ring)
+            got = self._filtered[d] = (lows, edges is not None)
+        return got
+
+    def columns(self, d: int) -> list:
+        """Degree d's boundary columns in filtration order, as dicts from the
+        filtration slots of degree d - 1 to the coefficients scaled for the
+        field elimination (over Z, the integer coefficients themselves);
+        built once, for a degree that a reduction reads."""
+        got = self._dicts.get(d)
+        if got is None:
+            slot = self.order(d - 1)[2]
+            flat: list = []  # the columns in enumeration order
+            for col, n, rows in self._columns(d)[0]:
+                if rows:
+                    flat += [dict(zip(key_rows, col.scaled)) for key_rows in zip(*[[slot[r] for r in rs] for rs in rows])]
+                else:
+                    flat += [{} for _ in range(n)]
+            got = self._dicts[d] = [flat[i] for i in self.order(d)[0]]
         return got
 
     def prefix(self, d: int, x) -> int:
         """How many cells of degree d have value at least x: the length of
-        that prefix of :meth:`filtration`, whose levels descend."""
+        that prefix of :meth:`order`, whose levels descend."""
         k = bisect_left(self.values(d), x)
-        return bisect_right(self.filtration(d)[1], -k, key=neg)
+        return bisect_right(self.order(d)[1], -k, key=neg)
 
     def unclosed(self, d: int) -> list:
         """Intervals (lo, hi] of the thresholds whose truncation in degrees
@@ -474,15 +590,20 @@ class _WindowInventory:
         if got is None:
             got = self._unclosed[d] = []
             if d > 0:
-                _, level, cols, _, _ = self.filtration(d)
-                row_level = self.filtration(d - 1)[1]
+                order, level, _ = self.order(d)
+                _, row_level, slot = self.order(d - 1)
+                # per key in enumeration order, the largest filtration slot of
+                # its faces, the face of lowest value (-1 when it has none)
+                face: list = []
+                for _, n, rows in self._columns(d)[0]:
+                    slots = [[slot[r] for r in rs] for rs in rows]
+                    face += (slots[0] if len(slots) == 1 else list(map(max, *slots))) if slots else [-1] * n
                 values, row_values = self.values(d), self.values(d - 1)
                 # per row level, the first level of degree d above its value
                 above = [bisect_right(values, x) for x in row_values]
-                for col, lev in zip(cols, level):
-                    if col:
-                        # the largest filtration slot is the face of lowest value
-                        k = row_level[max(col)]
+                for i, lev in zip(order, level):
+                    if face[i] >= 0:
+                        k = row_level[face[i]]
                         if above[k] <= lev:
                             got.append((row_values[k], values[lev]))
         return got
@@ -502,13 +623,13 @@ class _WindowInventory:
         for d in degs:
             if d - 1 not in basis:
                 continue
-            cols_all = self._columns(d)
             row_keys = self.keys(d - 1)
             remap = {j: i for i, j in enumerate(picked[d - 1])}
             cols = []
             for j in picked[d]:
+                reading, rows, local = self._locate(d, j)
                 col = {}
-                for r, c in cols_all[j]:
+                for r, c in zip([rs[local] for rs in rows], reading.coeffs):
                     i = remap.get(r)
                     if i is None:
                         raise ValueError(
@@ -681,14 +802,15 @@ class _LagSweep:
     Superlevel truncations of the window form a filtration, and every
     p-cycle above t bounds above t - lam exactly when every p-class born at
     a value of at least t dies at a value of at least t - lam.  The
-    (p+1)-boundary in filtration order (``inv.filtration``: descending
-    value, ties in enumeration order) pairs each class with the (p+1)-cell
-    that kills it, and the p-boundary, or the augmentation row in degree 0,
+    (p+1)-boundary in filtration order (``inv.order``: descending value,
+    ties in enumeration order) pairs each class with the (p+1)-cell that
+    kills it, and the p-boundary, or the augmentation row in degree 0,
     tells which p-cells give birth: those whose column reduces to zero.
     Both are the persistence lows the inventory computes once per degree
     (``inv.filtration``), deaths read off degree p + 1 and births off degree
-    p.  A p-cell paired as a death has a column that reduces to zero (the
-    clearing lemma), so it gives birth.  Degree 0 is always reduced: the
+    p; of degree p - 1 only the order is read.  A p-cell paired as a death
+    has a column that reduces to zero (the clearing lemma), so it gives
+    birth.  Degree 0 is always reduced: the
     first 0-cell in filtration order with a nonzero augmentation does not
     give birth (its class is the essential one, which never dies in the
     unreduced complex).  ``m[k]`` is the lowest death level (an index into the
@@ -700,9 +822,10 @@ class _LagSweep:
     Over Z the sweep runs over Q on the same integer columns.  A cycle that
     does not bound over Q does not bound over Z, and an incidence
     (p+1)-boundary is totally unimodular, so there the Q verdict is the Z
-    verdict.  Any other (p+1)-boundary goes once, in filtration order,
-    through ``linalg.UnitReduction``; ``free_above`` is the value of the
-    first column it cannot reduce with ±1 pivots (-inf when there is none).
+    verdict.  Any other (p+1)-boundary goes once, in filtration order
+    (``inv.columns``), through ``linalg.UnitReduction``; ``free_above`` is
+    the value of the first column it cannot reduce with ±1 pivots (-inf
+    when there is none).
     For s above it the boundary of C_s is a prefix with free cokernel, so
     H_p(C_s; Z) is torsion-free and a cycle that bounds over Q bounds over
     Z: the Q verdict stands.  A pair that holds over Q with s at or below it
@@ -721,8 +844,9 @@ class _LagSweep:
         self.inv, self.p = inv, p
         ring = inv.F.ring
         self.levels = inv.values(p)
-        _, born_level, _, lows, _ = inv.filtration(p)
-        _, up_level, up, up_lows, incidence = inv.filtration(p + 1)
+        born_level, up_level = inv.order(p)[1], inv.order(p + 1)[1]
+        lows, _ = inv.filtration(p)
+        up_lows, incidence = inv.filtration(p + 1)
         up_values = inv.values(p + 1)
         # filtration slot of a p-cell -> level of the (p+1)-cell killing its class
         death = {low: up_level[k] for k, low in enumerate(up_lows) if low is not None}
@@ -739,7 +863,7 @@ class _LagSweep:
         self.exact = ring != INTEGERS or incidence
         self.free_above = None
         if not self.exact:
-            failed = linalg.UnitReduction(up).failed
+            failed = linalg.UnitReduction(inv.columns(p + 1)).failed
             self.free_above = NEG_INF if failed is None else up_values[up_level[failed]]
         self.unclosed = {d: inv.unclosed(d) for d in (p, p + 1)}
         self._cycles = None  # (t, a basis of the cycle lattice above t) for the integral confirmation
@@ -769,7 +893,7 @@ class _LagSweep:
             return True
         inv, p = self.inv, self.p
         if self._cycles is None or self._cycles[0] != t:
-            down = inv.filtration(p)[2][: inv.prefix(p, t)]
+            down = inv.columns(p)[: inv.prefix(p, t)]
             self._cycles = (t, linalg.SmithForm.from_columns(down, inv.prefix(p - 1, t) if p else 1).kernel())
         cycles = self._cycles[1]
         if not cycles:
@@ -777,7 +901,7 @@ class _LagSweep:
         ncols, rows = inv.prefix(p + 1, s), inv.prefix(p, s)
         fill = self._fills.get((ncols, rows))
         if fill is None:
-            fill = self._fills[ncols, rows] = linalg.SmithForm.from_columns(inv.filtration(p + 1)[2][:ncols], rows)
+            fill = self._fills[ncols, rows] = linalg.SmithForm.from_columns(inv.columns(p + 1)[:ncols], rows)
         return all(fill.order(z + [0] * (rows - len(z)))[0] == "zero" for z in cycles)
 
 
@@ -897,13 +1021,18 @@ def max_filling_value(
     inventory's boundary columns of degree p + 1, whose rows are the
     enumeration positions of degree p, read off per-factor ball-position
     tables; the target's rows are its terms' enumeration positions, and a
-    term the window does not admit is refused.  A level's column dicts are
-    made only when the sweep reads it.  Over Z any other filling is swept
-    over Q, and that level stands when the columns of value at least that
-    level pass the unit-pivot certificate; otherwise it is refused.  A
-    chain, when asked for, is one ``solve_columns`` at that level, on the
-    columns read for the levels read, in enumeration order (over Z on
-    incidence columns only).
+    term the window does not admit is refused.  Whether a column is a
+    signed incidence column is a property of its cell: on a degree whose
+    cells all have incidence columns the sweep reads each level as edges
+    off the inventory's flat tail and head rows, and no column dict is
+    made; on any other degree a level's column dicts are made only when the
+    sweep reads it.  Over Z such a filling is swept over Q, and that level
+    stands when the columns of value at least that level pass the
+    unit-pivot certificate; otherwise it is refused.  A chain, when asked
+    for, is ``solve_columns`` on the columns of value at least that level,
+    in sweep order (value descending, ties in enumeration order): on
+    incidence columns the flows on the spanning forest the sweep built
+    (over Z too), otherwise one ``solve_columns`` call.
     """
     if target.is_zero:
         return (INF, Chain(F.ring)) if return_chain else INF
@@ -917,27 +1046,17 @@ def max_filling_value(
         if i is None:
             raise ValueError("target chain is not supported in the window")
         rhs[i] = c
-    keys, cols = inv.keys(p + 1), inv._columns(p + 1)
     levels = inv.levels(p + 1)[::-1]
-    built: dict = {}  # enumeration position -> column, for each key read
-
-    def batches():
-        for _, positions in levels:
-            batch = []
-            for i in positions:
-                col = built[i] = dict(cols[i])
-                batch.append(col)
-            yield batch
-
-    k = linalg.first_spanning_batch(batches(), rhs, F.ring)
-    if k is None:
+    got = linalg.first_spanning_batch((inv.batch(p + 1, positions) for _, positions in levels), rhs, F.ring)
+    if got is None:
         return (NEG_INF, None) if return_chain else NEG_INF
+    k, filling = got
     best = levels[k][0]
     if not return_chain:
         return best
-    # the sweep read no level below the answer, so the columns built are those of value at least best
-    usable = [(keys[i], built[i]) for i in sorted(built)]
-    return best, Chain(F.ring, dict(linalg.solve_columns(usable, rhs, F.ring)))
+    keys = inv.keys(p + 1)
+    # the sweep solved each column scaled by its cell's scale (1 for integer coefficients)
+    return best, Chain(F.ring, [(keys[i], c * inv._locate(p + 1, i)[0].scale) for i, c in filling().items()])
 
 
 def _check_cycle(F: Resolution, z: Chain) -> None:

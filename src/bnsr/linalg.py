@@ -7,7 +7,13 @@ the rows already are integers >= 0); below them every row is an integer.
 Boundary maps of group-ring resolutions are signed incidence matrices in
 low degrees, so rank, solvability and the filtration sweeps read those off
 one union-find with the elder rule (:class:`_Forest`), whose ground
-vertex, the far end of a single-entry column, is row -1.
+vertex, the far end of a single-entry column, is row -1.  One rule,
+:func:`_incidence`, says whether a column is an incidence column and which
+entry is its tail and which its head.  :func:`_as_edges` applies it to the
+columns a caller passes to :func:`solve_columns` and :func:`rank_columns`;
+the filtration sweeps (:func:`persistence_lows`, :func:`first_spanning_batch`)
+take edges, or columns already scaled for the field elimination, from a
+caller that read each column's cell once (:func:`column_reading`).
 Everything else goes through one sparse fraction-free column reduction
 (:class:`_Reduction`), with the largest row of each column as its pivot, on
 denominator-cleared integers over Q and on residues over F_p.  The rank of
@@ -23,7 +29,6 @@ Factorizations above ``MAX_SMITH_ENTRIES`` are refused.
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -31,39 +36,59 @@ from typing import Sequence
 from .rings import INTEGERS, RATIONALS, CoefficientRing
 
 
-def _as_edges(cols, ring):
-    """Interpret (key, column) pairs on integer rows >= 0 as signed graph
-    edges ``(key, tail, head)``, or return None.
+def _incidence(values, ring):
+    """How a column with these entries, in this order, reads as a signed
+    incidence column: the indices ``(tail, head)`` of its entries, -1
+    standing for the ground vertex, or None when it is not one.
 
-    A usable column has one entry +1/-1 (an edge from or to the ground
-    vertex, row -1) or two entries +1 and -1 (edge tail -> head).  Such
-    systems are solvable over Z exactly when solvable over Q, so the fast
-    path also serves ring Z.
+    An incidence column has one entry +1/-1 (an edge from or to ground) or
+    two entries +1 and -1 (edge tail -> head; F2's 1 = -1 included); an
+    empty column is ``(-1, -1)``, an edge that joins nothing.  Such systems
+    are solvable over Z exactly when solvable over Q, so the fast path also
+    serves ring Z.
     """
     # every ring's one and minus one are integral; plain ints compare fastest
     one = 1
     minus = int(ring.neg(ring.one()))
+    if len(values) == 2:
+        v1, v2 = values
+        if v1 == one and v2 == minus:
+            return 1, 0
+        if v1 == minus and v2 == one:
+            return 0, 1
+    elif len(values) == 1:
+        if values[0] == one:
+            return -1, 0
+        if values[0] == minus:
+            return 0, -1
+    elif not values:
+        return -1, -1
+    return None
+
+
+def column_reading(values, ring: CoefficientRing):
+    """How the eliminations read a column with these nonzero entries, in
+    this order: ``(scaled, scale, ends)``, the entries scaled for the field
+    elimination (integers over Q and Z, residues over F_p), the one factor
+    that scaled them all (the lcm of their denominators over Q, else 1), and
+    their :func:`_incidence` reading."""
+    scaled, scale = _scaled(enumerate(values), _elimination_modulus(ring))
+    return [c for _, c in scaled], scale, _incidence(values, ring)
+
+
+def _as_edges(cols, ring):
+    """Interpret (key, column) pairs on integer rows >= 0 as signed graph
+    edges ``(key, tail, head)``, the ground vertex being row -1, or return
+    None when some column is not an incidence column (:func:`_incidence`).
+    An empty column gives no edge."""
     edges = []
     for key, col in cols:
-        items = list(col.items())
-        if len(items) == 1:
-            r, v = items[0]
-            if v == one:
-                edges.append((key, -1, r))
-            elif v == minus:
-                edges.append((key, r, -1))
-            else:
-                return None
-        elif len(items) == 2:
-            (r1, v1), (r2, v2) = items
-            if v1 == one and v2 == minus:
-                edges.append((key, r2, r1))
-            elif v1 == minus and v2 == one:
-                edges.append((key, r1, r2))
-            else:
-                return None
-        elif items:
+        ends = _incidence(list(col.values()), ring)
+        if ends is None:
             return None
+        if col:
+            rows = (*col, -1)
+            edges.append((key, rows[ends[0]], rows[ends[1]]))
     return edges
 
 
@@ -112,35 +137,39 @@ class _Forest:
         return b
 
 
-def _solve_edges(edges, rhs, ring):
-    """Solve an incidence system via spanning-forest flows, or return None.
+def _flows(tree, rhs, forest, ring):
+    """The solution of an incidence system on its spanning forest, once
+    ``forest`` (a :class:`_Forest` carrying ``rhs``) has an empty ``total``.
 
-    A column with tail u and head v is the vector e_head - e_tail (the
-    ground row -1 has no equation).  The system is solvable exactly when no
-    component that misses ground has a nonzero rhs sum (``_Forest.total``).
-    Setting non-tree flows to zero, the flow on each tree edge is forced by
-    the rhs sum over the subtree it separates, so only the components that
-    hold rhs rows are walked, each from its root.
+    ``tree`` holds the edges ``(key, tail, head)`` that joined two
+    components, in the order they were joined; a column is the vector
+    e_head - e_tail (the ground row -1 has no equation).  Setting non-tree
+    flows to zero, the flow on each tree edge is forced by the rhs sum over
+    the subtree it separates, so only the components that hold rhs rows are
+    walked: from ground when they reach it, otherwise from their first rhs
+    row.  On rows numbered with the rhs's first, that row is the
+    component's root, so the walk does not depend on the numbering.
     """
-    forest = _Forest(rhs, ring)
     adj: dict = {}  # row -> list of (key, neighbor, sign of column at row)
-    for key, tail, head in edges:
-        if forest.join(tail, head) is not None:
-            adj.setdefault(tail, []).append((key, head, -1))
-            adj.setdefault(head, []).append((key, tail, 1))
-    if forest.total:
-        return None
+    for key, tail, head in tree:
+        adj.setdefault(tail, []).append((key, head, -1))
+        adj.setdefault(head, []).append((key, tail, 1))
+    starts: dict = {}  # component root -> the row its walk starts from
+    for r in rhs:
+        root = forest.find(r)
+        if root not in starts:
+            starts[root] = -1 if root == -1 else r
     zero = ring.zero()
     solution = {}
-    for root in dict.fromkeys(forest.find(r) for r in rhs):
-        subtree = {root: rhs.get(root, zero)}  # row -> rhs sum over its subtree, once its children are added
-        tree = [(root, None, None, None)]  # (row, key of its tree edge, parent, sign of that column at row), parents first
-        for node, *_ in tree:
+    for start in starts.values():
+        subtree = {start: rhs.get(start, zero)}  # row -> rhs sum over its subtree, once its children are added
+        walk = [(start, None, None, None)]  # (row, key of its tree edge, parent, sign of that column at row), parents first
+        for node, *_ in walk:
             for key, other, sign in adj.get(node, ()):
                 if other not in subtree:
                     subtree[other] = rhs.get(other, zero)
-                    tree.append((other, key, node, -sign))
-        for node, key, parent, sign_at_node in reversed(tree[1:]):
+                    walk.append((other, key, node, -sign))
+        for node, key, parent, sign_at_node in reversed(walk[1:]):
             flow = subtree[node] if sign_at_node == 1 else ring.neg(subtree[node])
             if flow != zero:
                 solution[key] = flow
@@ -167,9 +196,11 @@ def solve_columns(cols, rhs: dict, ring: CoefficientRing):
     """
     items, b = _numbered(cols, {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)})
     edges = _as_edges(items, ring)
-    if edges is not None:
-        return _solve_edges(edges, b, ring)
-    return _eliminate(items, b, ring)
+    if edges is None:
+        return _eliminate(items, b, ring)
+    forest = _Forest(b, ring)
+    tree = [edge for edge in edges if forest.join(edge[1], edge[2]) is not None]
+    return None if forest.total else _flows(tree, b, forest, ring)
 
 
 def rank_columns(cols, ring: CoefficientRing) -> int:
@@ -180,57 +211,91 @@ def rank_columns(cols, ring: CoefficientRing) -> int:
     vecs = [col for _, col in (cols.items() if isinstance(cols, dict) else cols)]
     if not all(type(r) is int and r >= 0 for col in vecs for r in col):
         vecs = [col for _, col in _numbered(enumerate(vecs), {})[0]]
-    lows = persistence_lows(vecs, _as_edges(enumerate(vecs), ring), ring)
+    edges = _as_edges(enumerate(vecs), ring)
+    if edges is None:
+        mod = _elimination_modulus(ring)
+        lows = persistence_lows(None, [dict(_scaled(col.items(), mod)[0]) for col in vecs], ring)
+    else:
+        lows = persistence_lows([(tail, head) for _, tail, head in edges], None, ring)
     return len(lows) - lows.count(None)
 
 
 def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     """One sweep of a column filtration: the index of the first batch whose
-    columns, with those of every earlier batch, span ``rhs``; None if none does.
+    columns, with those of every earlier batch, span ``rhs``, and a function
+    that solves for the filling there; None if no batch spans it.
 
-    ``batches`` is any iterable of lists of sparse columns (dicts from
-    integer rows >= 0 to ring elements), in the order the filtration adds
-    them.  It is read lazily: no batch past the one returned is taken from
-    it, so a generator that builds each batch on demand builds only those
-    the sweep needs.  While the batches are signed incidence columns the
-    sweep is Kruskal's, on a :class:`_Forest` that carries ``rhs``: it is
+    ``batches`` is any iterable of batches in the order the filtration adds
+    them.  A batch is a pair ``(edges, cols)``: ``edges``, the batch's
+    signed incidence reading as :func:`_as_edges` gives it (a list of
+    ``(key, tail, head)`` on integer rows >= 0, ground -1), or None, and then
+    ``cols``, its ``(key, column)`` pairs, sparse dicts from integer rows >= 0
+    to the entries scaled for the field elimination (:func:`column_reading`),
+    which are not modified.  It is read lazily: no batch past the one returned is
+    taken from it, so a generator that builds each batch on demand builds
+    only those the sweep needs.  While the batches are incidence batches
+    the sweep is Kruskal's, on a :class:`_Forest` that carries ``rhs``: it is
     spanned after the first batch that leaves ``total`` empty.  Those
     systems span over Z exactly when they span over Q.  At the first batch
     that is not, the batches read so far are replayed into a
-    :class:`_Reduction` whose target is ``rhs``, over Q for integer columns,
-    and the sweep goes on there column by column.  Over Z the batch found
-    there stands when :class:`UnitReduction` reduces every column read: the
-    cokernel is then free, so a target in the Q-span is in the Z-span (and
-    no earlier batch spans it even over Q).  Otherwise the field error is
-    raised, as elimination over Z is not attempted.
+    :class:`_Reduction` whose target is ``rhs``, over Q for integer columns
+    (an edge as the column e_head - e_tail), and the sweep goes on there
+    column by column.  Over Z the batch found there stands when
+    :class:`UnitReduction` reduces every column read: the cokernel is then
+    free, so a target in the Q-span is in the Z-span (and no earlier batch
+    spans it even over Q).  Otherwise the field error is raised, as
+    elimination over Z is not attempted.
+
+    The filling is solved only when the returned function is called, and it
+    is exactly :func:`solve_columns` on the columns read, in sweep order
+    (edges as scaled columns).  On the forest that is the flows on the tree
+    edges the sweep joined (:func:`_flows`); after a reduction, one
+    :func:`solve_columns` call.  A column given scaled by s gets 1/s times
+    the coefficient the unscaled column would get in the same solve.
     """
     b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
     if not b:
-        return 0 if next(iter(batches), None) is not None else None
-    read: list = []
+        return None if next(iter(batches), None) is None else (0, lambda: {})
     forest = _Forest(b, ring)
+    tree: list = []  # the edges that joined two components, in sweep order
+    read: list = []  # the edges read; once the sweep has left the forest, the (key, column) pairs read
     red = None
-    for k, batch in enumerate(batches):
-        read.append(batch)
+    for k, (edges, cols) in enumerate(batches):
+        if red is None and edges is not None:
+            join = forest.join
+            tree += [edge for edge in edges if join(edge[1], edge[2]) is not None]
+            read += edges
+            if not forest.total:
+                return k, lambda: _flows(tree, b, forest, ring)
+            continue
         if red is None:
-            edges = _as_edges(enumerate(batch), ring)
-            if edges is not None:
-                for _, tail, head in edges:
-                    forest.join(tail, head)
-                if not forest.total:
-                    return k
-                continue
-            mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
+            mod = _elimination_modulus(ring)
             red = _Reduction(mod, dict(_scaled(b.items(), mod)[0]))
-            for col in itertools.chain.from_iterable(read[:-1]):  # the incidence batches, which do not span rhs
-                red.add(dict(_scaled(col.items(), mod)[0]))
-        for col in batch:
-            red.add(dict(_scaled(col.items(), mod)[0]))
+            read = _edge_columns(read, mod)  # the incidence batches, which do not span rhs
+            for _, col in read:
+                red.add(dict(col))
+        batch = cols if edges is None else _edge_columns(edges, mod)
+        read += batch
+        for _, col in batch:
+            red.add(dict(col))
             if red.spanned:
-                if ring == INTEGERS and UnitReduction(itertools.chain.from_iterable(read)).failed is not None:
+                if ring == INTEGERS and UnitReduction(col for _, col in read).failed is not None:
                     raise ValueError(f"generic elimination needs a field, got {ring}")
-                return k
+                return k, lambda: solve_columns(read, rhs, ring)
     return None
+
+
+def _edge_columns(edges, mod: int) -> list:
+    """``(key, column)`` pairs of incidence edges, scaled for the field
+    elimination of modulus ``mod``: e_head - e_tail, the ground row -1 left out."""
+    minus = mod - 1 if mod else -1
+    return [(key, {r: c for r, c in ((head, 1), (tail, minus)) if r != -1}) for key, tail, head in edges]
+
+
+def _elimination_modulus(ring) -> int:
+    """The modulus of the field elimination of a ring's columns: 0 over Q
+    and Z (integer columns are eliminated over Q), p over F_p."""
+    return _field_modulus(RATIONALS if ring == INTEGERS else ring)
 
 
 def _field_modulus(ring) -> int:
@@ -339,33 +404,31 @@ class _Reduction:
         return low
 
 
-def persistence_lows(cols, edges, ring: CoefficientRing) -> list:
+def persistence_lows(edges, cols, ring: CoefficientRing) -> list:
     """The standard persistence reduction of columns taken in filtration order.
 
-    ``cols`` are sparse columns (dicts from integer rows >= 0 to ring
-    elements) whose rows, too, are numbered in filtration order, so the
+    The columns' rows, too, are numbered in filtration order, so the
     largest row of a reduced column is its youngest face.  Returns, for
     each column, the row of the pivot it creates (its "low"), or None when
     it reduces to zero.  Every column is reduced: a column that is the low
     of a column one degree up reduces to zero anyway (the clearing lemma),
     and a window inventory computes each degree's lows once, for both
-    degrees that read them.  On a signed incidence system (``edges``, the
-    :func:`_as_edges` reading of ``cols``) the low of an edge is the
-    younger root that :meth:`_Forest.join` kills, the ground row -1 being
-    older than every row.  Otherwise the columns go one by one into a
-    :class:`_Reduction`, over Q for integer columns.  References:
-    Zomorodian-Carlsson, "Computing persistent homology" (2005);
-    Chen-Kerber, "Persistent homology computation with a twist" (2011).
+    degrees that read them.  On a signed incidence system ``edges`` gives
+    each column's ``(tail, head)`` rows (ground -1, ``(-1, -1)`` for an empty
+    column), and the low of an edge is the younger root that
+    :meth:`_Forest.join` kills, the ground row -1 being older than every
+    row.  Otherwise ``edges`` is None and ``cols`` are the columns as
+    integer dicts scaled for the field elimination (:func:`column_reading`),
+    which go one by one, copied, into a :class:`_Reduction`, over Q for
+    integer columns.  References: Zomorodian-Carlsson, "Computing
+    persistent homology" (2005); Chen-Kerber, "Persistent homology
+    computation with a twist" (2011).
     """
     if edges is not None:
-        lows: list = [None] * len(cols)
         join = _Forest().join
-        for k, tail, head in edges:
-            lows[k] = join(tail, head)
-        return lows
-    mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
-    red = _Reduction(mod)
-    return [red.add(dict(_scaled(col.items(), mod)[0])) for col in cols]
+        return [join(tail, head) for tail, head in edges]
+    red = _Reduction(_elimination_modulus(ring))
+    return [red.add(dict(col)) for col in cols]
 
 
 def _eliminate(items, rhs, ring):

@@ -1,7 +1,7 @@
 """Readings of a window inventory (``_WindowInventory``) key by key, in
 enumeration order, for the tests that compare it with a fresh enumeration:
 each key's value from ``levels`` and each key's translated boundary from
-``_columns``; and the inventory's admitted elements of one cell and
+the per-cell row arrays of ``_columns``; and the inventory's admitted elements of one cell and
 distinct values of some degrees.
 
 Also the direct window admission the tests compare the library with: a
@@ -82,10 +82,14 @@ def inventory_values(inv: _WindowInventory, d: int) -> list:
 
 def inventory_terms(inv: _WindowInventory, d: int) -> list:
     """The translated boundary terms ``[((g*h, y), c), ...]`` of each key of
-    ``inv.keys(d)``, read off ``inv._columns(d)`` through the keys of degree
-    d - 1."""
+    ``inv.keys(d)``, rebuilt from the per-cell row arrays of
+    ``inv._columns(d)`` through the keys of degree d - 1."""
     rows = inv.keys(d - 1)
-    return [[(rows[r], c) for r, c in col] for col in inv._columns(d)]
+    out: list = []
+    for col, n, per_term in inv._columns(d)[0]:
+        key_rows = zip(*per_term) if per_term else [()] * n
+        out += [[(rows[r], c) for r, c in zip(rs, col.coeffs)] for rs in key_rows]
+    return out
 
 
 def filling_columns(F, v, degree: int, W) -> list:

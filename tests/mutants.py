@@ -89,8 +89,8 @@ MUTANTS = [
     Mutant(
         "degree-0-keeps-its-essential-class",
         "bnsr/homology.py",
-        "cols = [{0: aug[keys[i][1]]} for i in order]",
-        "cols = [{} for i in order]",
+        "terms = [] if F.ring.is_zero(aug) else [(None, aug)]",
+        "terms = []",
         (
             "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[F2]",
             "tests/test_window_inventory.py::test_sweep_verdict_matches_zero_map_at_every_lag[Z2]",
@@ -104,6 +104,63 @@ MUTANTS = [
         (
             "tests/test_window_inventory.py::test_sweep_reads_the_pairs_of_a_clearing_pass[Z2]",
             "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[Z2]",
+        ),
+    ),
+    # incidence as a property of a cell, and the filling chain off the sweep's forest
+    Mutant(
+        "cell-marked-incidence",
+        "bnsr/homology.py",
+        "got = memo[cell] = _CellColumn([face for face, _ in terms], coeffs, scaled, scale, ends)",
+        "got = memo[cell] = _CellColumn([face for face, _ in terms], coeffs, scaled, scale, ends or (-1, -1))",
+        (
+            "tests/test_filling_sweep.py::test_cell_columns_match_the_oracle_columns[Z2]",
+            "tests/test_filling_sweep.py::test_sweep_matches_binary_search[Z2/deg1/Q]",
+            "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[Z2]",
+        ),
+    ),
+    Mutant(
+        "walk-starts-at-the-elder-root",
+        "bnsr/linalg.py",
+        "starts[root] = -1 if root == -1 else r",
+        "starts[root] = root",
+        (
+            "tests/test_filling_sweep.py::test_sweep_matches_binary_search[F2/deg0/Q]",
+            "tests/test_filling_sweep.py::test_lazy_sweep_matches_eager_columns_on_retraction_fillings",
+            "tests/test_window_inventory.py::test_filling_columns_keep_enumeration_order[F2]",
+        ),
+    ),
+    # the one elder-rule forest
+    Mutant(
+        "forest-without-the-elder-rule",
+        "bnsr/linalg.py",
+        "        if b < a:\n            a, b = b, a\n",
+        "",
+        (
+            "tests/test_linalg_differential.py::test_persistence_lows_on_incidence_columns_match_the_reduction",
+            "tests/test_linalg.py::test_incidence_fast_path_matches_generic",
+            "tests/test_filling_sweep.py::test_first_spanning_batch_matches_prefix_solves[Z/incidence]",
+        ),
+    ),
+    Mutant(
+        "join-returns-the-older-root",
+        "bnsr/linalg.py",
+        "        return b\n",
+        "        return a\n",
+        (
+            "tests/test_linalg_differential.py::test_persistence_lows_on_incidence_columns_match_the_reduction",
+            "tests/test_window_inventory.py::test_sweep_verdict_matches_zero_map_at_every_lag[F2]",
+            "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[F2]",
+        ),
+    ),
+    Mutant(
+        "grounded-totals-kept",
+        "bnsr/linalg.py",
+        "if s is not None and a != -1:",
+        "if s is not None:",
+        (
+            "tests/test_linalg.py::test_incidence_fast_path_matches_generic",
+            "tests/test_linalg_differential.py::test_incidence_fast_path_agrees_with_elimination",
+            "tests/test_filling_sweep.py::test_first_spanning_batch_over_z_answers_where_the_certificate_holds",
         ),
     ),
     # the sign convention between the records and the probes

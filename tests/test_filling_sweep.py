@@ -10,7 +10,7 @@ key with ``Valuation.of_key``.  ``eager_max_filling_value`` is the sweep as
 it ran before its columns were built lazily: every filling column of the
 window translated up front, one ``first_spanning_batch`` over all levels and,
 for a chain, ``solve_columns`` on the columns of value at least the answer,
-in enumeration order.  ``oracle_zero_map`` is the per-pair rank identity
+in sweep order (value descending, ties in enumeration order).  ``oracle_zero_map`` is the per-pair rank identity
 that ``inclusion_map_is_zero`` computed before it became one read of the
 persistence sweep.
 """
@@ -100,8 +100,27 @@ def oracle_filling_columns(F, v, degree, W):
     return [(key, dict(oracle_terms(F, key)), v.of_key(*key)) for key in oracle_keys(F, W, degree)]
 
 
+def swept(cols):
+    """Filling columns ``(key, column, value)`` in sweep order: value descending, ties in key order."""
+    return sorted(cols, key=lambda col: -col[2])
+
+
+def first_batch(batches, rhs, ring):
+    """``first_spanning_batch`` on batches of dict columns, each batch read
+    through ``_as_edges`` and each column scaled through ``column_reading``:
+    the index of the batch it returns, or None."""
+
+    def read(batch):
+        scaled = [dict(zip(col, linalg.column_reading(list(col.values()), ring)[0])) for col in batch]
+        return linalg._as_edges(enumerate(batch), ring), list(enumerate(scaled))
+
+    got = linalg.first_spanning_batch(map(read, batches), rhs, ring)
+    return None if got is None else got[0]
+
+
 def oracle_max_filling_value(F, v, target, W, return_chain=False):
-    """Binary search of solves over the descending threshold list."""
+    """Binary search of solves over the descending threshold list, each on
+    the columns above the threshold in sweep order."""
     if target.is_zero:
         return (INF, Chain(F.ring)) if return_chain else INF
     p = target.degree
@@ -109,7 +128,7 @@ def oracle_max_filling_value(F, v, target, W, return_chain=False):
         return (NEG_INF, None) if return_chain else NEG_INF
     if not window_chain_supported(F, W, target):
         raise ValueError("target chain is not supported in the window")
-    cols = oracle_filling_columns(F, v, p + 1, W)
+    cols = swept(oracle_filling_columns(F, v, p + 1, W))
     values = sorted({val for (_, _, val) in cols})
     rhs = dict(target.terms)
 
@@ -153,13 +172,13 @@ def eager_max_filling_value(F, v, target, W, return_chain=False):
         batches[levels.index(val)].append(col)
     for batch in batches:
         batch[:] = [{rows.setdefault((g, cell.index), len(rows)): c for (g, cell), c in col.items()} for col in batch]
-    k = linalg.first_spanning_batch(batches, rhs, F.ring)
+    k = first_batch(batches, rhs, F.ring)
     if k is None:
         return (NEG_INF, None) if return_chain else NEG_INF
     best = levels[k]
     if not return_chain:
         return best
-    usable = [(key, col) for (key, col, val) in cols if val >= best]
+    usable = [(key, col) for (key, col, val) in swept(cols) if val >= best]
     return best, Chain(F.ring, dict(linalg.solve_columns(usable, dict(target.terms), F.ring)))
 
 
@@ -349,7 +368,7 @@ def test_non_incidence_filling_over_z_raises():
         max_filling_value(F, v, z, W, return_chain=True)
     # e1 is half the sum of e1 + e2 and e1 - e2: in their Q-span, not their Z-span
     with pytest.raises(ValueError, match="needs a field"):
-        linalg.first_spanning_batch([[{0: 1, 1: 1}], [{0: 1, 1: -1}]], {0: 1}, INTEGERS)
+        first_batch([[{0: 1, 1: 1}], [{0: 1, 1: -1}]], {0: 1}, INTEGERS)
 
 
 # the systems whose fillings are not incidence columns, over Z
@@ -570,7 +589,7 @@ def test_first_spanning_batch_matches_prefix_solves(tag, incidence):
         want, over_q = prefix_answers(batches, rhs, ring)
         for given in (batches, iter(batches)):
             try:
-                got = linalg.first_spanning_batch(given, rhs, ring)
+                got = first_batch(given, rhs, ring)
             except ValueError as exc:
                 # over Z, refused only where the certificate fails on the Q answer's prefix
                 assert ring == INTEGERS and "needs a field" in str(exc)
@@ -601,7 +620,7 @@ def test_first_spanning_batch_reads_no_batch_past_its_answer(tag):
             rhs = {r: ring.from_int(rng.randint(-2, 2)) for r in rng.sample(range(nrows), rng.randint(1, nrows))}
             pulled: list = []
             try:
-                got = linalg.first_spanning_batch(counted(batches, pulled), rhs, ring)
+                got = first_batch(counted(batches, pulled), rhs, ring)
             except ValueError:
                 continue  # over Z, refused where the certificate fails
             if got is None:
@@ -634,7 +653,7 @@ def test_first_spanning_batch_over_z_answers_where_the_certificate_holds():
                 over_z = k
                 break
         try:
-            got = linalg.first_spanning_batch(batches, rhs, INTEGERS)
+            got = first_batch(batches, rhs, INTEGERS)
         except ValueError as exc:
             assert "needs a field" in str(exc)
             # refused only where the certificate fails on the Q answer's prefix
@@ -675,6 +694,43 @@ def test_inventory_keys_values_and_terms_match_oracles(name, kind, radius):
         assert inventory_values(inv, d) == [v.of_key(g, cell) for g, cell in want]
         if d > 0:
             assert inventory_terms(inv, d) == [oracle_terms(F, key) for key in want]
+
+
+@pytest.mark.parametrize("name,kind,radius", INVENTORY_WINDOWS, ids=[w[0] for w in INVENTORY_WINDOWS])
+def test_cell_columns_match_the_oracle_columns(name, kind, radius):
+    """Incidence is a property of a cell: over Q, F2, F5 and Z, in every
+    degree, each cell's incidence reading is ``_as_edges`` on the oracle's
+    columns of that cell's keys (rows numbered by the oracle keys of one
+    degree down; in degree 0, the augmentation row 0), with the same tail
+    and head rows in the inventory's flat arrays, and the cell's row arrays
+    rebuild those columns exactly, term by term."""
+    WQ = window_for(resolution(kind, "Q"), radius)
+    for tag, ring in RINGS.items():
+        F = resolution(kind, tag)
+        W = window_for(F, radius)
+        inv = _WindowInventory(F, W, random_valuation(F, random.Random(f"cell-columns:{name}")))
+        for d in F.degrees():
+            keys = oracle_keys(resolution(kind, "Q"), WQ, d)  # the admitted keys do not depend on the ring
+            rows = {key: i for i, key in enumerate(oracle_keys(resolution(kind, "Q"), WQ, d - 1))} if d else {}
+            cells, offsets, edges = inv._columns(d)
+            assert len(cells) == len(F.cells(d))
+            incidence = True
+            for cell, (col, n, per_term), offset in zip(F.cells(d), cells, offsets):
+                mine = keys[offset : offset + n]
+                assert n and all(c == cell for _, c in mine) and not any(c == cell for _, c in keys[offset + n :])
+                if d:
+                    want = [{rows[face]: c for face, c in oracle_terms(F, key)} for key in mine]
+                else:
+                    want = [{0: F.augmentation_table[cell]}] * n
+                rebuilt = [dict(zip(rs, col.coeffs)) for rs in zip(*per_term)] if per_term else [{}] * n
+                assert [list(c.items()) for c in rebuilt] == [list(c.items()) for c in want], (tag, d, cell)
+                oracle_edges = linalg._as_edges(list(enumerate(want)), ring)
+                assert (col.ends is not None) == (oracle_edges is not None), (tag, d, cell)
+                incidence &= oracle_edges is not None
+                if edges is not None:
+                    got = list(zip(edges[0][offset : offset + n], edges[1][offset : offset + n]))
+                    assert got == [(tail, head) for _, tail, head in oracle_edges], (tag, d, cell)
+            assert incidence == (edges is not None), (tag, d)
 
 
 @pytest.mark.parametrize("name,kind,radius", INVENTORY_WINDOWS, ids=[w[0] for w in INVENTORY_WINDOWS])

@@ -413,8 +413,9 @@ def test_persistence_lows_on_incidence_columns_match_the_reduction():
                 rng.random()  # the draws that once picked skip sets, kept for the seeded sequence
             edges = linalg._as_edges(enumerate(cols), ring)
             assert edges is not None
-            lows = linalg.persistence_lows(cols, edges, ring)
-            assert lows == linalg.persistence_lows(cols, None, ring)
+            lows = linalg.persistence_lows([(tail, head) for _, tail, head in edges], None, ring)
+            scaled = [dict(zip(col, linalg.column_reading(list(col.values()), ring)[0])) for col in cols]
+            assert lows == linalg.persistence_lows(None, scaled, ring)
             paired += len(lows) - lows.count(None)
         assert paired > 600
 

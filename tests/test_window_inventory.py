@@ -434,6 +434,33 @@ def test_inclusion_map_is_zero_matches_the_oracle_pair(name, F, radius, refuted)
         inclusion_map_is_zero(F, v, values[0], Fraction(-1, 2), 0, W)
 
 
+def test_one_pair_reduces_only_the_degrees_its_sweep_reads(monkeypatch):
+    """A pair at p = 2 on Z^3 at radius 2 reads the persistence lows of
+    degrees 2 and 3 (240 and 64 columns), and of degrees 0 and 1 (125 and
+    300) only their filtration order; the verdict is the oracle's."""
+    reduced = []
+    persistence_lows = linalg.persistence_lows
+
+    def spy(edges, cols, ring):
+        lows = persistence_lows(edges, cols, ring)
+        reduced.append(len(lows))
+        return lows
+
+    monkeypatch.setattr(linalg, "persistence_lows", spy)
+    rng = random.Random("lows-where-read")
+    W = window_for(K3, 2)
+    v = random_valuation(K3, rng)
+    inv = _WindowInventory(K3, W, v)
+    assert [len(inv.keys(d)) for d in range(4)] == [125, 300, 240, 64]
+    values = window_values(K3, v, W, [2])
+    for t, lam in [(rng.choice(values), rng.randint(0, 2)) for _ in range(3)]:
+        reduced.clear()
+        got = inclusion_map_is_zero(K3, v, t, lam, 2, W)
+        assert reduced == [240, 64]
+        want = _zero_map(oracle_truncate(K3, v, t, W, degrees=[1, 2]), oracle_truncate(K3, v, t - lam, W, degrees=[2, 3]), 2)
+        assert got == want, (t, lam)
+
+
 # each WINDOWS entry rebuilt over a given ring
 WINDOW_BUILDERS = {
     "Z2": lambda ring: koszul_resolution(2, ring),
@@ -461,15 +488,15 @@ def test_sweep_reads_the_pairs_of_a_clearing_pass(name, F, radius, chars):
             inv = _WindowInventory(R, W, random_valuation(R, rng))
             cleared, want = frozenset(), {}  # degree -> lows of the clearing pass
             for d in range(R.max_degree + 1, 0, -1):
-                _, _, cols, _, incidence = inv.filtration(d)
+                cols, incidence = inv.columns(d), inv.filtration(d)[1]
                 edges = linalg._as_edges(list(enumerate(cols)), ring)
                 assert incidence == (edges is not None)
                 want[d] = linalg_oracle.persistence_lows(cols, edges, ring, cleared)
                 cleared_any |= bool(cleared)
                 cleared = frozenset(low for low in want[d] if low is not None)
             for p in range(1, R.max_degree + 1):
-                born_level, lows = inv.filtration(p)[1], inv.filtration(p)[3]
-                up_level, up_lows = inv.filtration(p + 1)[1], inv.filtration(p + 1)[3]
+                born_level, lows = inv.order(p)[1], inv.filtration(p)[0]
+                up_level, up_lows = inv.order(p + 1)[1], inv.filtration(p + 1)[0]
                 births = [k for k, low in enumerate(lows) if low is None]
                 assert births == [k for k, low in enumerate(want[p]) if low is None], (ring, p)
                 death = {low: up_level[k] for k, low in enumerate(up_lows) if low is not None}
@@ -487,9 +514,12 @@ def test_sweep_reads_the_pairs_of_a_clearing_pass(name, F, radius, chars):
 
 @pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
 def test_filling_columns_keep_enumeration_order(name, F, radius, chars, monkeypatch):
-    # the eager columns of the inventory match the oracle's, and the chain
-    # solve of max_filling_value gets the columns of value at least the best
-    # one in that order, on integer rows that relabel the same boundaries
+    # the eager columns of the inventory match the oracle's; an incidence
+    # filling makes no solve_columns call, and its chain is solve_columns on
+    # the columns of value at least the best one in sweep order (value
+    # descending, ties in enumeration order); any other filling makes one
+    # call, on those columns in that order, on integer rows that relabel the
+    # same boundaries
     rng = random.Random(f"filling:{name}")
     W = window_for(F, radius)
     v = random_valuation(F, rng)
@@ -510,15 +540,21 @@ def test_filling_columns_keep_enumeration_order(name, F, radius, chars, monkeypa
         assert [key for key, _, _ in got] == [key for key, _, _ in want]
         assert [(list(col.items()), val) for _, col, val in got] == [(list(col.items()), val) for _, col, val in want]
         keys = [key for key, _, _ in got]
+        incidence = linalg._as_edges(linalg._numbered([(key, col) for key, col, _ in want], {})[0], F.ring) is not None
         for _ in range(3):
             z = F.boundary(Chain(F.ring, [(rng.choice(keys), F.ring.one()) for _ in range(rng.randint(1, 3))]))
             if z.is_zero:
                 continue
             solves.clear()
-            best, _ = max_filling_value(F, v, z, W, return_chain=True)
+            best, chain = max_filling_value(F, v, z, W, return_chain=True)
+            usable = [(key, col) for key, col, val in sorted(got, key=lambda kcv: -kcv[2]) if val >= best]
+            if incidence:
+                assert not solves
+                assert list(chain.terms.items()) == list(Chain(F.ring, solve(usable, dict(z.terms), F.ring)).terms.items())
+                checked += 1
+                continue
             (cols, rhs), = solves
-            usable = [(key, col) for key, col, val in got if val >= best]
-            assert [key for key, _ in cols] == [key for key, _ in usable]
+            assert [keys[i] for i, _ in cols] == [key for key, _ in usable]  # the sweep's keys are enumeration positions
             label: dict = {}  # integer row -> the (g, cell) key it stands for
             for vec, want_vec in [(rhs, dict(z.terms))] + [(col, w) for (_, col), (_, w) in zip(cols, usable)]:
                 assert list(vec.values()) == list(want_vec.values())
