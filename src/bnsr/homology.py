@@ -466,17 +466,16 @@ class _WindowInventory:
                     rows = [_outer_sum(place[y][0], per) for (_, y), per in zip(col.faces, pers)]
                 cells.append((col, n, rows))
                 offsets.append(offset)
-            tails: list | None = []
-            heads: list = []
-            for col, n, rows in cells:
-                if n:
-                    if col.ends is None:
-                        tails = None
-                        break
-                    tail, head = col.ends
-                    tails += rows[tail] if tail >= 0 else [-1] * n
-                    heads += rows[head] if head >= 0 else [-1] * n
-            got = self._cols[d] = (cells, offsets, None if tails is None else (tails, heads))
+            edges = None
+            if all(col.ends is not None for col, n, _ in cells if n):
+                tails, heads = [], []
+                for col, n, rows in cells:
+                    if n:
+                        tail, head = col.ends
+                        tails += rows[tail] if tail >= 0 else [-1] * n
+                        heads += rows[head] if head >= 0 else [-1] * n
+                edges = (tails, heads)
+            got = self._cols[d] = (cells, offsets, edges)
         return got
 
     def _locate(self, d: int, i: int):
@@ -488,20 +487,22 @@ class _WindowInventory:
         col, _, rows = cells[k]
         return col, rows, i - offsets[k]
 
-    def batch(self, d: int, positions) -> tuple:
-        """The keys of degree d at these enumeration positions as one batch
-        of ``linalg.first_spanning_batch``: on an incidence degree, the edges
-        ``(position, tail, head)`` off the flat tail and head rows, and no
-        column dict; otherwise ``(position, column)`` pairs, each column
-        holding its cell's coefficients scaled for the field elimination."""
-        edges = self._columns(d)[2]
+    def batch(self, d: int, positions: list) -> tuple:
+        """The keys of degree d at these ascending enumeration positions as
+        one batch of ``linalg.first_spanning_batch``: on an incidence degree,
+        the edges ``(position, tail, head)`` off the flat tail and head rows,
+        and no column dict; otherwise ``(position, column)`` pairs, each
+        column holding its cell's coefficients scaled for the field
+        elimination, read cell by cell off the row arrays."""
+        cells, offsets, edges = self._columns(d)
         if edges is not None:
             tails, heads = edges
             return [(i, tails[i], heads[i]) for i in positions], None
         cols = []
-        for i in positions:
-            col, rows, local = self._locate(d, i)
-            cols.append((i, dict(zip([rs[local] for rs in rows], col.scaled))))
+        for (col, n, rows), offset in zip(cells, offsets):
+            mine = positions[bisect_left(positions, offset) : bisect_left(positions, offset + n)]
+            key_rows = zip(*[[rs[i - offset] for i in mine] for rs in rows]) if rows else [()] * len(mine)
+            cols += [(i, dict(zip(rs, col.scaled))) for i, rs in zip(mine, key_rows)]
         return None, cols
 
     def _escape(self, lists: list, faces: list, pers: list) -> ValueError:
