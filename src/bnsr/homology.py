@@ -164,10 +164,14 @@ class _FactorBall:
     """One group factor's ball of a window, read by position.
 
     ``elements`` is the ball in ball order, and a position is an index into
-    it.  :meth:`table` gives, for a shift q of this factor, the position of
+    it; ``exponents`` holds each position's exponent vector, read once, so
+    that a character values the ball without calling the group.
+    :meth:`table` gives, for a shift q of this factor, the position of
     ``elements[j] * q`` for each position j (-1 outside the ball), each
     table multiplied once, on first use.  :meth:`admitted` reads these
-    tables for the positions a set of shifts keeps inside the ball.
+    tables for the positions a set of shifts keeps inside the ball.  A ball
+    belongs to its window complex (:class:`_WindowComplex`), so its tables
+    and admitted lists live as long as the resolution.
     """
 
     def __init__(self, factor: Group, radius: int):
@@ -175,6 +179,7 @@ class _FactorBall:
         self.radius = radius
         self.elements = factor.ball(radius)
         self.dist = [factor.distance(g) for g in self.elements]
+        self.exponents = [factor.exponents(g) for g in self.elements]
         self.position = {g: j for j, g in enumerate(self.elements)}
         self._tables: dict = {}
         self._admitted: dict = {}
@@ -282,48 +287,39 @@ def _outer_sum(base, lists: list) -> list:
     return acc
 
 
-class _WindowInventory:
-    """Admitted window keys of one (F, W, v), enumerated once per call.
+class _WindowComplex:
+    """The half of a window inventory that does not depend on the character:
+    the admitted ball positions of one (F, W) and their boundary rows, built
+    once per resolution and window radii (:func:`_window_complex`) and kept
+    on F.
 
     The window is a product of per-factor balls (:class:`_FactorBall`), and
     each admitted key is held as its cell and its per-factor ball positions.
     The keys of a degree are in one order, the enumeration order: cell by
     cell, each cell's keys in ball order, so the key with local positions
     (l_1, ..., l_k) in the cell's admitted lists sits at the cell's offset
-    plus the sum of l_i * stride_i.  Each degree is built on first use, and
-    every list of it is in this order: the admitted keys, the keys grouped
-    by value, and the boundary rows, held per cell (one row array per
-    boundary term) and, on a degree whose cells all have incidence columns,
-    as flat tail and head arrays.  Nothing is hashed per key: a key's
-    value, an integer over the valuation's denominator ``v.scale``, is its
-    cell's scaled value (``v.scaled_cells``) plus, per factor, the scaled
-    character value of its ball position, and a boundary term's row is the
-    face cell's offset plus, per factor, the local position of the shifted
-    ball position (read off the factor's shift table) times its stride.
-    The filtration reads the value levels from the highest down, ties in
-    enumeration order, and every threshold truncation is a prefix of it; a
-    degree's order and its persistence lows are computed apart, so the
-    lows of a degree are reduced only when a sweep reads them.
-    An inventory, with the tables it reads, lives only as long as the call
-    that builds it.
+    plus the sum of l_i * stride_i, where stride_i is the product of the
+    lengths of the lists after the i-th.  Each degree is built on first use:
+    its cells with their offsets and admitted lists (:meth:`cells`), the
+    place of each admitted ball position (:meth:`place`), and the boundary
+    rows (:meth:`columns`), held per cell (one row array per boundary term)
+    and, on a degree whose cells all have incidence columns, as flat tail
+    and head arrays.  Nothing is hashed per key: a boundary term's row is
+    the face cell's offset plus, per factor, the local position of the
+    shifted ball position (read off the factor's shift table) times its
+    stride.  The complex, with its balls and their shift tables, lives as
+    long as F; it holds no valuation or character, nor anything read off
+    one, so the inventories that read it under many characters share it.
     """
 
-    def __init__(self, F: Resolution, W: Window, v: Valuation):
+    def __init__(self, F: Resolution, W: Window):
         self.F = F
-        self.v = v
-        self._balls = _factor_balls(F.group, W)
+        self.balls = _factor_balls(F.group, W)
         self._cells: dict = {}
         self._places: dict = {}
-        self._weights = None  # per factor, each ball position's character value times v.scale
-        self._keys: dict = {}
-        self._levels: dict = {}
         self._cols: dict = {}
-        self._orders: dict = {}
-        self._filtered: dict = {}
-        self._dicts: dict = {}
-        self._unclosed: dict = {}
 
-    def _cell_positions(self, d: int) -> list:
+    def cells(self, d: int) -> list:
         """``(cell, offset, admitted ball positions per factor)`` for each cell
         of degree d, the offset being the enumeration position of the cell's
         first key."""
@@ -331,13 +327,13 @@ class _WindowInventory:
         if got is None:
             got, offset = [], 0
             for cell in self.F.cells(d):
-                lists = _admitted_positions(self.F, self._balls, cell)
+                lists = _admitted_positions(self.F, self.balls, cell)
                 got.append((cell, offset, lists))
                 offset += prod(map(len, lists))
             self._cells[d] = got
         return got
 
-    def _place(self, d: int) -> dict:
+    def place(self, d: int) -> dict:
         """For each cell of degree d, its offset and, per factor, a list from
         ball position to local position times the factor's stride (None where
         the window does not admit the position), with one more None at the
@@ -345,52 +341,180 @@ class _WindowInventory:
         got = self._places.get(d)
         if got is None:
             got = {}
-            for cell, offset, lists in self._cell_positions(d):
-                locs, stride = [], 1
-                for ball, pos in zip(reversed(self._balls), reversed(lists)):
+            for cell, offset, lists in self.cells(d):
+                locs = []
+                for i, (ball, pos) in enumerate(zip(self.balls, lists)):
+                    stride = prod(map(len, lists[i + 1 :]))
                     loc = [None] * (len(ball.elements) + 1)
                     for local, j in enumerate(pos):
                         loc[j] = local * stride
                     locs.append(loc)
-                    stride *= len(pos)
-                got[cell] = (offset, locs[::-1])
+                got[cell] = (offset, locs)
             self._places[d] = got
         return got
 
     def position(self, d: int, g, cell: BasisCell):
         """The enumeration position of the key (g, cell) of degree d, or None
         when the window does not admit it."""
-        offset, locs = self._place(d)[cell]
-        for ball, loc, part in zip(self._balls, locs, self.F.group.element_parts(g)):
+        offset, locs = self.place(d)[cell]
+        for ball, loc, part in zip(self.balls, locs, self.F.group.element_parts(g)):
             x = loc[ball.position.get(part, -1)]
             if x is None:
                 return None
             offset += x
         return offset
 
+    def columns(self, d: int):
+        """Degree d's boundary columns, cell by cell: ``(cells, offsets,
+        edges)``.
+
+        ``cells`` holds, per cell, its column reading (:func:`_cell_column`),
+        its number of keys and, per boundary term, the row of that term for
+        each key of the cell in enumeration order, the rows being enumeration
+        positions of degree d - 1 (in degree 0, the augmentation row 0).
+        ``offsets`` holds each cell's offset.  ``edges`` reads the degree as
+        a signed incidence system: the rows of each key's tail and of its
+        head (ground -1), as two flat lists in enumeration order; None when
+        a cell with keys has a column that is not an incidence column.
+
+        The rows of one boundary term are read for all keys of a cell at
+        once: per factor, the shift table of the term's factor shift takes
+        each admitted ball position to the shifted one, and the face cell's
+        place (:meth:`place`) to its local position times stride.  A
+        boundary chain's terms are nonzero and distinct, and translating them
+        by one element keeps them distinct, so each row occurs once.
+        """
+        got = self._cols.get(d)
+        if got is None:
+            parts = self.F.group.element_parts
+            place = self.place(d - 1) if d > 0 else None
+            cells, offsets = [], []
+            for cell, offset, lists in self.cells(d):
+                col, n = _cell_column(self.F, cell), prod(map(len, lists))
+                if d == 0:
+                    rows = [[0] * n for _ in col.faces]
+                else:
+                    pers = []  # per term and factor, the face's local position times stride at each admitted position
+                    for h, y in col.faces:
+                        tabs = [ball.table(q) for ball, q in zip(self.balls, parts(h))]
+                        pers.append([[loc[tab[j]] for j in pos] for loc, tab, pos in zip(place[y][1], tabs, lists)])
+                    if any(None in xs for per in pers for xs in per):
+                        raise self._escape(lists, col.faces, pers)
+                    rows = [_outer_sum(place[y][0], per) for (_, y), per in zip(col.faces, pers)]
+                cells.append((col, n, rows))
+                offsets.append(offset)
+            edges = None
+            if all(col.ends is not None for col, n, _ in cells if n):
+                tails, heads = [], []
+                for col, n, rows in cells:
+                    if n:
+                        tail, head = col.ends
+                        tails += rows[tail] if tail >= 0 else [-1] * n
+                        heads += rows[head] if head >= 0 else [-1] * n
+                edges = (tails, heads)
+            got = self._cols[d] = (cells, offsets, edges)
+        return got
+
+    def locate(self, d: int, i: int):
+        """``(column reading, rows, local position)`` of the key at
+        enumeration position i of degree d: its cell's entry of
+        :meth:`columns`, and where the key sits among the cell's keys."""
+        cells, offsets, _ = self.columns(d)
+        k = bisect_right(offsets, i) - 1  # a cell with no keys shares its offset with the next
+        col, _, rows = cells[k]
+        return col, rows, i - offsets[k]
+
+    def batch(self, d: int, positions: list) -> tuple:
+        """The keys of degree d at these ascending enumeration positions as
+        one batch of ``linalg.first_spanning_batch``: on an incidence degree,
+        the edges ``(position, tail, head)`` off the flat tail and head rows,
+        and no column dict; otherwise ``(position, column)`` pairs, each
+        column holding its cell's coefficients scaled for the field
+        elimination, read cell by cell off the row arrays."""
+        cells, offsets, edges = self.columns(d)
+        if edges is not None:
+            tails, heads = edges
+            return [(i, tails[i], heads[i]) for i in positions], None
+        cols = []
+        for (col, n, rows), offset in zip(cells, offsets):
+            mine = positions[bisect_left(positions, offset) : bisect_left(positions, offset + n)]
+            key_rows = zip(*[[rs[i - offset] for i in mine] for rs in rows]) if rows else [()] * len(mine)
+            cols += [(i, dict(zip(rs, col.scaled))) for i, rs in zip(mine, key_rows)]
+        return None, cols
+
+    def _escape(self, lists: list, faces: list, pers: list) -> ValueError:
+        """The error for the first key of a cell, in enumeration order, with a
+        boundary term outside the window."""
+        group = self.F.group
+        for local in itertools.product(*(range(len(pos)) for pos in lists)):
+            for (h, y), per in zip(faces, pers):
+                if any(xs[k] is None for xs, k in zip(per, local)):
+                    parts = [ball.elements[pos[k]] for ball, pos, k in zip(self.balls, lists, local)]
+                    key = (group.multiply(tuple(parts) if isinstance(group, Product) else parts[0], h), y)
+                    return ValueError(f"boundary term {key} escapes the window; window is not boundary-closed")
+        raise AssertionError("no boundary term escapes")
+
+
+def _window_complex(F: Resolution, W: Window) -> _WindowComplex:
+    """The window complex of (F, W), memoized on F by the window's radii."""
+    memo = F.__dict__.setdefault("_windows", {})
+    got = memo.get(W.radii)
+    if got is None:
+        got = memo[W.radii] = _WindowComplex(F, W)
+    return got
+
+
+class _WindowInventory:
+    """The admitted window keys of one (F, W, v), read under the valuation.
+
+    The keys, their order and their boundary rows come from the window
+    complex of (F, W) (:class:`_WindowComplex`), shared by every inventory
+    on that window; this half holds only what the valuation gives, built
+    per degree on first use and living as long as the call that builds it.
+    A key's value, an integer over the valuation's denominator ``v.scale``,
+    is its cell's scaled value (``v.scaled_cells``) plus, per factor, the
+    scaled character value of its ball position, so no key is hashed.  The
+    filtration reads the value levels from the highest down, ties in
+    enumeration order, and every threshold truncation is a prefix of it; a
+    degree's order and its persistence lows are computed apart, so the
+    lows of a degree are reduced only when a sweep reads them.
+    """
+
+    def __init__(self, F: Resolution, W: Window, v: Valuation):
+        self.F = F
+        self.v = v
+        self.window = _window_complex(F, W)
+        self._weights = None  # per factor, each ball position's character value times v.scale
+        self._keys: dict = {}
+        self._levels: dict = {}
+        self._orders: dict = {}
+        self._filtered: dict = {}
+        self._dicts: dict = {}
+        self._unclosed: dict = {}
+
     def keys(self, d: int) -> list:
         """Admitted keys ``(g, cell)`` of degree d in enumeration order."""
         got = self._keys.get(d)
         if got is None:
             product = isinstance(self.F.group, Product)
-            got = []
-            for cell, _, lists in self._cell_positions(d):
-                elems = [[ball.elements[j] for j in pos] for ball, pos in zip(self._balls, lists)]
+            balls, got = self.window.balls, []
+            for cell, _, lists in self.window.cells(d):
+                elems = [[ball.elements[j] for j in pos] for ball, pos in zip(balls, lists)]
                 got += [(g, cell) for g in (itertools.product(*elems) if product else elems[0])]
             self._keys[d] = got
         return got
 
     def _factor_values(self) -> list:
         """Per factor, the character value of each ball position, in integers
-        over the valuation's denominator ``v.scale`` (read off ``v.weights``)."""
+        over the valuation's denominator ``v.scale`` (read off ``v.weights``
+        and the ball's exponent vectors)."""
         if self._weights is None:
             weights, start = self.v.weights, 0
             self._weights = []
-            for ball in self._balls:
+            for ball in self.window.balls:
                 ws = weights[start : start + ball.factor.char_dim]
                 start += len(ws)
-                exponents = ball.factor.exponents
-                self._weights.append([sum(map(mul, ws, exponents(g))) for g in ball.elements])
+                self._weights.append([sum(map(mul, ws, e)) for e in ball.exponents])
         return self._weights
 
     def levels(self, d: int) -> list:
@@ -406,7 +530,7 @@ class _WindowInventory:
             weights = self._factor_values()
             scale, cell_values = self.v.scale, self.v.scaled_cells
             flat: list = []  # the scaled value of each key, in enumeration order
-            for cell, _, lists in self._cell_positions(d):
+            for cell, _, lists in self.window.cells(d):
                 cv = cell_values[cell]
                 if cv == INF:
                     flat += [INF] * prod(map(len, lists))
@@ -426,96 +550,6 @@ class _WindowInventory:
     def distinct_values(self, degrees: Sequence[int]) -> list:
         """Sorted distinct values of the admitted keys in the given degrees."""
         return sorted({val for d in degrees for val, _ in self.levels(d)})
-
-    def _columns(self, d: int):
-        """Degree d's boundary columns, cell by cell: ``(cells, offsets,
-        edges)``.  They depend on (F, W) only, not on the character.
-
-        ``cells`` holds, per cell, its column reading (:func:`_cell_column`),
-        its number of keys and, per boundary term, the row of that term for
-        each key of the cell in enumeration order, the rows being enumeration
-        positions of degree d - 1 (in degree 0, the augmentation row 0).
-        ``offsets`` holds each cell's offset.  ``edges`` reads the degree as
-        a signed incidence system: the rows of each key's tail and of its
-        head (ground -1), as two flat lists in enumeration order; None when
-        a cell with keys has a column that is not an incidence column.
-
-        The rows of one boundary term are read for all keys of a cell at
-        once: per factor, the shift table of the term's factor shift takes
-        each admitted ball position to the shifted one, and the face cell's
-        place (:meth:`_place`) to its local position times stride.  A
-        boundary chain's terms are nonzero and distinct, and translating them
-        by one element keeps them distinct, so each row occurs once.
-        """
-        got = self._cols.get(d)
-        if got is None:
-            parts = self.F.group.element_parts
-            place = self._place(d - 1) if d > 0 else None
-            cells, offsets = [], []
-            for cell, offset, lists in self._cell_positions(d):
-                col, n = _cell_column(self.F, cell), prod(map(len, lists))
-                if d == 0:
-                    rows = [[0] * n for _ in col.faces]
-                else:
-                    pers = []  # per term and factor, the face's local position times stride at each admitted position
-                    for h, y in col.faces:
-                        tabs = [ball.table(q) for ball, q in zip(self._balls, parts(h))]
-                        pers.append([[loc[tab[j]] for j in pos] for loc, tab, pos in zip(place[y][1], tabs, lists)])
-                    if any(None in xs for per in pers for xs in per):
-                        raise self._escape(lists, col.faces, pers)
-                    rows = [_outer_sum(place[y][0], per) for (_, y), per in zip(col.faces, pers)]
-                cells.append((col, n, rows))
-                offsets.append(offset)
-            edges = None
-            if all(col.ends is not None for col, n, _ in cells if n):
-                tails, heads = [], []
-                for col, n, rows in cells:
-                    if n:
-                        tail, head = col.ends
-                        tails += rows[tail] if tail >= 0 else [-1] * n
-                        heads += rows[head] if head >= 0 else [-1] * n
-                edges = (tails, heads)
-            got = self._cols[d] = (cells, offsets, edges)
-        return got
-
-    def _locate(self, d: int, i: int):
-        """``(column reading, rows, local position)`` of the key at
-        enumeration position i of degree d: its cell's entry of
-        :meth:`_columns`, and where the key sits among the cell's keys."""
-        cells, offsets, _ = self._columns(d)
-        k = bisect_right(offsets, i) - 1  # a cell with no keys shares its offset with the next
-        col, _, rows = cells[k]
-        return col, rows, i - offsets[k]
-
-    def batch(self, d: int, positions: list) -> tuple:
-        """The keys of degree d at these ascending enumeration positions as
-        one batch of ``linalg.first_spanning_batch``: on an incidence degree,
-        the edges ``(position, tail, head)`` off the flat tail and head rows,
-        and no column dict; otherwise ``(position, column)`` pairs, each
-        column holding its cell's coefficients scaled for the field
-        elimination, read cell by cell off the row arrays."""
-        cells, offsets, edges = self._columns(d)
-        if edges is not None:
-            tails, heads = edges
-            return [(i, tails[i], heads[i]) for i in positions], None
-        cols = []
-        for (col, n, rows), offset in zip(cells, offsets):
-            mine = positions[bisect_left(positions, offset) : bisect_left(positions, offset + n)]
-            key_rows = zip(*[[rs[i - offset] for i in mine] for rs in rows]) if rows else [()] * len(mine)
-            cols += [(i, dict(zip(rs, col.scaled))) for i, rs in zip(mine, key_rows)]
-        return None, cols
-
-    def _escape(self, lists: list, faces: list, pers: list) -> ValueError:
-        """The error for the first key of a cell, in enumeration order, with a
-        boundary term outside the window."""
-        group = self.F.group
-        for local in itertools.product(*(range(len(pos)) for pos in lists)):
-            for (h, y), per in zip(faces, pers):
-                if any(xs[k] is None for xs, k in zip(per, local)):
-                    parts = [ball.elements[pos[k]] for ball, pos, k in zip(self._balls, lists, local)]
-                    key = (group.multiply(tuple(parts) if isinstance(group, Product) else parts[0], h), y)
-                    return ValueError(f"boundary term {key} escapes the window; window is not boundary-closed")
-        raise AssertionError("no boundary term escapes")
 
     def order(self, d: int):
         """Degree d in filtration order: the levels from the highest value
@@ -551,7 +585,7 @@ class _WindowInventory:
         """
         got = self._filtered.get(d)
         if got is None:
-            ring, edges = self.F.ring, self._columns(d)[2]
+            ring, edges = self.F.ring, self.window.columns(d)[2]
             if edges is None:
                 lows = linalg.persistence_lows(None, self.columns(d), ring)
             else:
@@ -569,7 +603,7 @@ class _WindowInventory:
         if got is None:
             slot = self.order(d - 1)[2]
             flat: list = []  # the columns in enumeration order
-            for col, n, rows in self._columns(d)[0]:
+            for col, n, rows in self.window.columns(d)[0]:
                 if rows:
                     flat += [dict(zip(key_rows, col.scaled)) for key_rows in zip(*[[slot[r] for r in rs] for rs in rows])]
                 else:
@@ -586,27 +620,43 @@ class _WindowInventory:
     def unclosed(self, d: int) -> list:
         """Intervals (lo, hi] of the thresholds whose truncation in degrees
         d - 1 and d is not a subcomplex: a d-cell of value hi has a face of
-        value lo < hi.  Empty for basic valuations; computed once."""
+        value lo < hi, in the filtration order of the d-cells; computed once.
+
+        A key (g, x) has a face (g h, y) of lower value exactly when
+        chi(h) + v(y) < v(x), as chi(g) cancels: so each cell is screened
+        once, by its lowest boundary term, and keys are walked only in the
+        cells that fail it.  None fails for a basic valuation.
+        """
         got = self._unclosed.get(d)
         if got is None:
             got = self._unclosed[d] = []
-            if d > 0:
-                order, level, _ = self.order(d)
+            v, exponents = self.v, self.F.group.exponents
+            cell_values = v.scaled_cells
+            failing = [
+                k
+                for k, cell in enumerate(self.F.cells(d) if d > 0 else ())
+                if any(
+                    sum(map(mul, v.weights, exponents(h))) + cell_values[y] < cell_values[cell]
+                    for h, y in _cell_column(self.F, cell).faces
+                )
+            ]
+            if failing:
+                level, slot_d = self.order(d)[1:]
                 _, row_level, slot = self.order(d - 1)
-                # per key in enumeration order, the largest filtration slot of
-                # its faces, the face of lowest value (-1 when it has none)
-                face: list = []
-                for _, n, rows in self._columns(d)[0]:
-                    slots = [[slot[r] for r in rs] for rs in rows]
-                    face += (slots[0] if len(slots) == 1 else list(map(max, *slots))) if slots else [-1] * n
                 values, row_values = self.values(d), self.values(d - 1)
                 # per row level, the first level of degree d above its value
                 above = [bisect_right(values, x) for x in row_values]
-                for i, lev in zip(order, level):
-                    if face[i] >= 0:
-                        k = row_level[face[i]]
-                        if above[k] <= lev:
-                            got.append((row_values[k], values[lev]))
+                cells, offsets, _ = self.window.columns(d)
+                found = []  # (filtration slot of the key, its interval)
+                for k in failing:
+                    rows = cells[k][2]
+                    # per key of the cell, the largest filtration slot of its
+                    # faces: the face of lowest value
+                    for i, face in enumerate(map(max, zip(*[[slot[r] for r in rs] for rs in rows])), offsets[k]):
+                        s, f = slot_d[i], row_level[face]
+                        if above[f] <= level[s]:
+                            found.append((s, (row_values[f], values[level[s]])))
+                got += [interval for _, interval in sorted(found)]
         return got
 
     def truncate(self, t, degrees: Sequence[int], augmented: bool = False) -> FiniteComplex:
@@ -628,7 +678,7 @@ class _WindowInventory:
             remap = {j: i for i, j in enumerate(picked[d - 1])}
             cols = []
             for j in picked[d]:
-                reading, rows, local = self._locate(d, j)
+                reading, rows, local = self.window.locate(d, j)
                 col = {}
                 for r, c in zip([rs[local] for rs in rows], reading.coeffs):
                     i = remap.get(r)
@@ -1043,12 +1093,12 @@ def max_filling_value(
     inv = _WindowInventory(F, W, v)
     rhs = {}
     for (g, cell), c in target.items():
-        i = inv.position(p, g, cell)
+        i = inv.window.position(p, g, cell)
         if i is None:
             raise ValueError("target chain is not supported in the window")
         rhs[i] = c
     levels = inv.levels(p + 1)[::-1]
-    got = linalg.first_spanning_batch((inv.batch(p + 1, positions) for _, positions in levels), rhs, F.ring)
+    got = linalg.first_spanning_batch((inv.window.batch(p + 1, positions) for _, positions in levels), rhs, F.ring)
     if got is None:
         return (NEG_INF, None) if return_chain else NEG_INF
     k, filling = got
@@ -1057,7 +1107,7 @@ def max_filling_value(
         return best
     keys = inv.keys(p + 1)
     # the sweep solved each column scaled by its cell's scale (1 for integer coefficients)
-    return best, Chain(F.ring, [(keys[i], c * inv._locate(p + 1, i)[0].scale) for i, c in filling().items()])
+    return best, Chain(F.ring, [(keys[i], c * inv.window.locate(p + 1, i)[0].scale) for i, c in filling().items()])
 
 
 def _check_cycle(F: Resolution, z: Chain) -> None:

@@ -1,8 +1,10 @@
 """Readings of a window inventory (``_WindowInventory``) key by key, in
 enumeration order, for the tests that compare it with a fresh enumeration:
 each key's value from ``levels`` and each key's translated boundary from
-the per-cell row arrays of ``_columns``; and the inventory's admitted elements of one cell and
-distinct values of some degrees.
+the per-cell row arrays of its window complex; and the inventory's
+admitted elements of one cell and distinct values of some degrees; the comparison of an inventory with one
+built on a fresh copy of its resolution; and the old key-by-key walk for
+the thresholds at which a truncation is not a subcomplex.
 
 Also the direct window admission the tests compare the library with: a
 translated cell is admitted when every element of its footprint (the
@@ -14,8 +16,10 @@ squares to zero.
 
 import functools
 import itertools
+from bisect import bisect_right
 
 from bnsr.groups import Product
+from bnsr.resolutions import Resolution
 from bnsr.homology import _WindowInventory, _admitted_positions, _factor_balls
 
 
@@ -83,10 +87,10 @@ def inventory_values(inv: _WindowInventory, d: int) -> list:
 def inventory_terms(inv: _WindowInventory, d: int) -> list:
     """The translated boundary terms ``[((g*h, y), c), ...]`` of each key of
     ``inv.keys(d)``, rebuilt from the per-cell row arrays of
-    ``inv._columns(d)`` through the keys of degree d - 1."""
+    ``inv.window.columns(d)`` through the keys of degree d - 1."""
     rows = inv.keys(d - 1)
     out: list = []
-    for col, n, per_term in inv._columns(d)[0]:
+    for col, n, per_term in inv.window.columns(d)[0]:
         key_rows = zip(*per_term) if per_term else [()] * n
         out += [[(rows[r], c) for r, c in zip(rs, col.coeffs)] for rs in key_rows]
     return out
@@ -99,3 +103,44 @@ def filling_columns(F, v, degree: int, W) -> list:
         (key, dict(terms), val)
         for key, terms, val in zip(inv.keys(degree), inventory_terms(inv, degree), inventory_values(inv, degree))
     ]
+
+
+def fresh_copy(F) -> Resolution:
+    """A resolution with F's tables, built anew: it holds none of F's memos
+    (shift sets, cell columns, window complexes)."""
+    return Resolution(
+        F.group, F.ring, F.kind, F.cells_by_degree, F.boundary_table, F.augmentation_table, F.left, F.right, F.cell_pairs
+    )
+
+
+def assert_same_inventories(inv: _WindowInventory, fresh: _WindowInventory) -> None:
+    """Equal keys, levels, boundary columns, filtration orders, persistence
+    lows and slot-keyed columns in every degree, and one degree up."""
+    for d in range(inv.F.max_degree + 2):
+        assert inv.keys(d) == fresh.keys(d), d
+        assert inv.levels(d) == fresh.levels(d), d
+        assert inv.window.columns(d) == fresh.window.columns(d), d
+        assert inv.order(d) == fresh.order(d), d
+        assert inv.filtration(d) == fresh.filtration(d), d
+        assert inv.columns(d) == fresh.columns(d), d
+
+
+def unclosed(inv: _WindowInventory, d: int) -> list:
+    """The intervals (lo, hi] of ``inv.unclosed(d)`` read key by key: for
+    each d-key in filtration order, its face of lowest value, and the
+    interval when that value is below the key's."""
+    if d == 0:
+        return []
+    order, level, _ = inv.order(d)
+    _, row_level, slot = inv.order(d - 1)
+    face: list = []  # per key in enumeration order, the largest filtration slot of its faces
+    for _, n, rows in inv.window.columns(d)[0]:
+        face += [max(slots) for slots in zip(*[[slot[r] for r in rs] for rs in rows])] if rows else [-1] * n
+    values, row_values = inv.values(d), inv.values(d - 1)
+    out = []
+    for i, lev in zip(order, level):
+        if face[i] >= 0:
+            k = row_level[face[i]]
+            if bisect_right(values, row_values[k]) <= lev:
+                out.append((row_values[k], values[lev]))
+    return out

@@ -129,6 +129,40 @@ MUTANTS = [
             "tests/test_window_inventory.py::test_filling_columns_keep_enumeration_order[F2]",
         ),
     ),
+    # one window complex per (F, W), and the unclosed thresholds screened per cell
+    Mutant(
+        "window-memo-ignores-radii",
+        "bnsr/homology.py",
+        "got = memo.get(W.radii)",
+        "got = next(iter(memo.values()), None)",
+        (
+            "tests/test_window_inventory.py::test_window_complexes_live_on_the_resolution_and_keep_no_character",
+            "tests/test_window_inventory.py::test_a_window_complex_that_served_other_calls_reads_like_a_fresh_one[F2]",
+            "tests/test_window_inventory.py::test_a_window_complex_that_served_other_calls_reads_like_a_fresh_one[F2xF2]",
+        ),
+    ),
+    Mutant(
+        "place-strides-swapped",
+        "bnsr/homology.py",
+        "stride = prod(map(len, lists[i + 1 :]))",
+        "stride = prod(map(len, lists[:i]))",
+        (
+            "tests/test_filling_sweep.py::test_inventory_values_and_positions_match_oracles[F2xF2/(3,2)]",
+            "tests/test_filling_sweep.py::test_inventory_keys_values_and_terms_match_oracles[Z2xF2/(3,2)]",
+            "tests/test_window_inventory.py::test_truncations_match_fresh_enumeration[F2xF2]",
+        ),
+    ),
+    Mutant(
+        "unclosed-screen-drops-the-shift",
+        "bnsr/homology.py",
+        "sum(map(mul, v.weights, exponents(h))) + cell_values[y] < cell_values[cell]",
+        "cell_values[y] < cell_values[cell]",
+        (
+            "tests/test_window_inventory.py::test_unclosed_screens_cells_like_the_key_walk",
+            "tests/test_window_inventory.py::test_non_basic_valuation_probe_matches_oracle",
+            "tests/test_window_inventory.py::test_inclusion_map_is_zero_escapes_where_the_oracle_truncation_does",
+        ),
+    ),
     # the one elder-rule forest
     Mutant(
         "forest-without-the-elder-rule",

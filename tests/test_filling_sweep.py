@@ -48,7 +48,15 @@ from bnsr import (
 import bnsr.linalg as linalg
 from bnsr.homology import NEG_INF, _WindowInventory, _factor_shifts, inclusion_map_is_zero, window_supported
 
-from inventory_oracle import fits, inventory_terms, inventory_values, window_admits, window_chain_supported
+from inventory_oracle import (
+    assert_same_inventories,
+    fits,
+    fresh_copy,
+    inventory_terms,
+    inventory_values,
+    window_admits,
+    window_chain_supported,
+)
 
 RINGS = {"Q": RATIONALS, "F2": PrimeField(2), "F5": PrimeField(5), "Z": INTEGERS}
 
@@ -712,7 +720,7 @@ def test_cell_columns_match_the_oracle_columns(name, kind, radius):
         for d in F.degrees():
             keys = oracle_keys(resolution(kind, "Q"), WQ, d)  # the admitted keys do not depend on the ring
             rows = {key: i for i, key in enumerate(oracle_keys(resolution(kind, "Q"), WQ, d - 1))} if d else {}
-            cells, offsets, edges = inv._columns(d)
+            cells, offsets, edges = inv.window.columns(d)
             assert len(cells) == len(F.cells(d))
             incidence = True
             for cell, (col, n, per_term), offset in zip(F.cells(d), cells, offsets):
@@ -747,10 +755,10 @@ def test_inventory_values_and_positions_match_oracles(name, kind, radius):
     for d in F.degrees():
         keys = oracle_keys(F, W, d)
         assert inv.values(d) == sorted({v.of_key(g, cell) for g, cell in keys})
-        assert [inv.position(d, g, cell) for g, cell in keys] == list(range(len(keys)))
+        assert [inv.window.position(d, g, cell) for g, cell in keys] == list(range(len(keys)))
         admitted = set(keys)
         outside = [(g, cell) for cell in F.cells(d) for g in wider if (g, cell) not in admitted]
-        assert outside and all(inv.position(d, g, cell) is None for g, cell in outside)
+        assert outside and all(inv.window.position(d, g, cell) is None for g, cell in outside)
 
 
 @pytest.mark.parametrize("name,kind,radius", INVENTORY_WINDOWS, ids=[w[0] for w in INVENTORY_WINDOWS])
@@ -770,6 +778,40 @@ def test_shift_sets_and_window_support_match_the_oracle(name, kind, radius):
             got = [window_supported(F, W, Chain(F.ring, [((g, cell), one)])) for g in wider]
             assert got == [window_admits(F, W, g, cell) for g in wider]
             assert set(got) == {False, True}
+
+
+@pytest.mark.parametrize("name,kind,radius", INVENTORY_WINDOWS, ids=[w[0] for w in INVENTORY_WINDOWS])
+def test_a_shared_window_complex_fills_like_a_fresh_one(name, kind, radius):
+    """The window complex of (F, W) is kept on F: after filling searches
+    under other characters, at this window and one a step smaller (down to
+    radius 1) in every factor, an inventory reads like one on a fresh copy of F (keys, levels,
+    columns, lows), and filling values and chains agree, term by term."""
+    F = resolution(kind, "Q")
+    W = window_for(F, radius)
+    smaller = window_for(F, tuple(max(r - 1, 1) for r in W.radii))
+    rng = random.Random(f"shared:{name}")
+    for Wx in (smaller, W):
+        keys = _WindowInventory(F, Wx, random_valuation(F, rng)).keys(F.max_degree)
+        for _ in range(2):
+            z = F.boundary(random_window_chain(F, rng, keys, 2))
+            max_filling_value(F, random_valuation(F, rng), z, Wx, return_chain=True)
+    assert {W.radii, smaller.radii} <= set(F._windows)
+    fresh = fresh_copy(F)
+    v = random_valuation(F, rng)
+    inv = _WindowInventory(F, W, v)
+    assert_same_inventories(inv, _WindowInventory(fresh, W, v))
+    checked = 0
+    for d in range(1, F.max_degree + 1):
+        for _ in range(2):
+            z = F.boundary(random_window_chain(F, rng, inv.keys(d), 2))
+            if z.is_zero:
+                continue
+            best, chain = max_filling_value(F, v, z, W, return_chain=True)
+            fresh_best, fresh_chain = max_filling_value(fresh, v, z, W, return_chain=True)
+            assert best == fresh_best
+            assert list(chain.terms.items()) == list(fresh_chain.terms.items())
+            checked += 1
+    assert checked
 
 
 def _without_first_factor_shifts(kind):

@@ -11,6 +11,7 @@ two such truncations.
 
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from bnsr import (
     PrimeField,
     basic_valuation,
     ca_probe,
+    eta,
     free_group_resolution,
     inclusion_map_is_zero,
     koszul_resolution,
@@ -46,7 +48,14 @@ from bnsr.resolutions import BasisCell, Resolution
 from bnsr.valuations import valuation_from_obj, valuation_to_obj
 
 import linalg_oracle
-from inventory_oracle import filling_columns, window_admits, window_values
+from inventory_oracle import (
+    assert_same_inventories,
+    filling_columns,
+    fresh_copy,
+    unclosed,
+    window_admits,
+    window_values,
+)
 from zero_map_oracle import _zero_map
 
 GF5 = PrimeField(5)
@@ -662,3 +671,89 @@ def test_lag_grid_above_the_limit_is_refused():
     assert ca_probe(K2, v, 1, W, 69).passed
     with pytest.raises(ValueError, match="a lag grid of 71 lags is above the limit of 70"):
         ca_probe(K2, v, 1, W, 70)
+
+
+def test_unclosed_screens_cells_like_the_key_walk():
+    """Non-basic valuations: the intervals of the thresholds at which a
+    truncation is not a subcomplex, from the per-cell screen and a walk of
+    the failing cells' keys, are those of a walk of every key, in order."""
+    nonempty = 0
+    for name, F, radius in [("Z2", K2, 2), ("Z2/Z", K2_Z, 2), ("F2", FR2, 3), ("Z3/F5", K3_P, 1), ("F2xF2", FF, (1, 1))]:
+        rng = random.Random(f"unclosed:{name}")
+        W = window_for(F, radius)
+        labels = [cell.label for d in F.degrees() if d > 0 for cell in F.cells(d)]
+        for _ in range(6):
+            raise_by = {label: rng.choice(("-1", "1/2", "2", "inf")) for label in rng.sample(labels, rng.randint(1, 2))}
+            inv = _WindowInventory(F, W, _raised(F, random_valuation(F, rng), raise_by))
+            for d in range(F.max_degree + 2):
+                assert inv.unclosed(d) == unclosed(inv, d), (name, raise_by, d)
+                nonempty += bool(inv.unclosed(d))
+        basic = _WindowInventory(F, W, random_valuation(F, rng))
+        assert all(basic.unclosed(d) == [] == unclosed(basic, d) for d in range(F.max_degree + 2))
+    assert nonempty
+
+
+# ---------------------------------------------------------------------------
+# the window complex of (F, W): one per resolution and radii, shared by every character
+
+
+@pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
+def test_a_window_complex_that_served_other_calls_reads_like_a_fresh_one(name, F, radius, chars):
+    """An inventory on a resolution whose window complexes have already
+    served other characters, at this radius and one larger, against one on
+    a fresh copy of the resolution: equal keys, levels, columns and lows,
+    equal probe reports, and equal filling values and chains, term by term."""
+    rng = random.Random(f"served:{name}")
+    W = window_for(F, radius)
+    wider = window_for(F, tuple(r + 1 for r in W.radii))
+    n = min(2, F.max_degree)
+    for Wx in (wider, W):
+        for _ in range(2):
+            ca_probe(F, random_valuation(F, rng), n, Wx, 1)
+    assert {W.radii, wider.radii} <= set(F._windows)
+    fresh = fresh_copy(F)
+    for _ in range(chars):
+        v = random_valuation(F, rng)
+        assert_same_inventories(_WindowInventory(F, W, v), _WindowInventory(fresh, W, v))
+        assert ca_probe(F, v, n, W, 2).to_dict() == ca_probe(fresh, v, n, W, 2).to_dict()
+        for d in range(1, F.max_degree + 1):
+            keys = _WindowInventory(F, W, v).keys(d)
+            for _ in range(2):
+                z = F.boundary(Chain(F.ring, [(rng.choice(keys), F.ring.one()) for _ in range(rng.randint(1, 3))]))
+                if z.is_zero:
+                    continue
+                best, chain = max_filling_value(F, v, z, W, return_chain=True)
+                fresh_best, fresh_chain = max_filling_value(fresh, v, z, W, return_chain=True)
+                assert best == fresh_best
+                assert list(chain.terms.items()) == list(fresh_chain.terms.items())
+
+
+def test_window_complexes_live_on_the_resolution_and_keep_no_character():
+    """Each radii tuple on one resolution gets its own window complex, kept
+    on the resolution and shared by the next inventory at those radii; no
+    valuation outlives the probe, zero-map, filling or truncation call that
+    used it."""
+    F = fresh_copy(FF)
+    rng = random.Random("lifetime")
+    W12, W21 = window_for(F, (1, 2)), window_for(F, (2, 1))
+    first = _WindowInventory(F, W12, random_valuation(F, rng)).window
+    other = _WindowInventory(F, W21, random_valuation(F, rng)).window
+    assert set(F._windows) == {(1, 2), (2, 1)} and first is not other
+    assert [ball.radius for ball in first.balls] == [1, 2] and [ball.radius for ball in other.balls] == [2, 1]
+    assert _WindowInventory(F, W12, random_valuation(F, rng)).window is first
+    key = _WindowInventory(F, W12, random_valuation(F, rng)).keys(2)[-1]
+    z = F.boundary(Chain(F.ring, [(key, F.ring.one())]))
+    calls = [
+        lambda v: ca_probe(F, v, 2, W12, 2),
+        lambda v: inclusion_map_is_zero(F, v, 0, 1, 1, W21),
+        lambda v: max_filling_value(F, v, z, W12, return_chain=True),
+        lambda v: eta(F, v, z, W12),
+        lambda v: truncate(F, v, 0, W21),
+    ]
+    for call in calls:
+        v = random_valuation(F, rng)
+        ref = weakref.ref(v)
+        call(v)
+        del v
+        assert ref() is None
+    assert set(F._windows) == {(1, 2), (2, 1)}
