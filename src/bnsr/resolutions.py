@@ -9,6 +9,7 @@ coefficient with exact entries.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -374,8 +375,18 @@ def split_tensor_element(T: Resolution, gh):
     return split_element(T.left.group, T.right.group, gh)
 
 
+@functools.cache
 def resolution_for(group: Group, ring: CoefficientRing) -> Resolution:
-    """The shipped admissible resolution for a supported group."""
+    """The shipped admissible resolution for a supported group.
+
+    The result is shared: equal (group, ring) inputs, even when built as
+    separate objects, get one resolution for the life of the process, so
+    its memos (shift sets, cell columns and window complexes) serve every
+    later caller, and a window asked for through it lives until the process
+    ends.  It must not be mutated.  A group that is refused is not cached.
+    ``koszul_resolution``, ``free_group_resolution`` and
+    ``tensor_resolution`` build a private resolution on every call.
+    """
     if isinstance(group, FreeAbelian):
         return koszul_resolution(group.rank, ring, group)
     if isinstance(group, Free):

@@ -149,8 +149,10 @@ def domination_constant(v: Valuation, F: Resolution, n: int) -> Fraction:
 def product_valuation(T: Resolution, v: Valuation, vp: Valuation) -> Valuation:
     """Basic valuation on a tensor resolution extending the sum character.
 
-    Only basic inputs are accepted; for those the value of an elementary
-    tensor is the sum of the factor values (verified property, exact).
+    Only basic inputs are accepted; for those each tensor cell x ⊗ y has
+    the value v(x) + v'(y), so the cell values are read off the factors'
+    (the same values ``basic_valuation(T, chi + chi')`` computes degree by
+    degree, exactly).
     """
     if T.kind != "tensor":
         raise ValueError("product_valuation needs a tensor resolution")
@@ -158,7 +160,11 @@ def product_valuation(T: Resolution, v: Valuation, vp: Valuation) -> Valuation:
         raise ValueError("product_valuation is defined for basic valuations only")
     if T.left.group != v.resolution.group or T.right.group != vp.resolution.group:
         raise ValueError("factor valuations do not match the tensor resolution")
-    return basic_valuation(T, sum_character(v.character, vp.character))
+    chi = sum_character(v.character, vp.character)
+    if chi.group != T.group:
+        raise ValueError("character group does not match the resolution")
+    left, right = v.cell_values, vp.cell_values
+    return Valuation(T, chi, {cell: left[x] + right[y] for cell, (x, y) in T.cell_pairs.items()}, basic=True)
 
 
 def _split(T: Resolution, y: Chain, u, v: Valuation, side: int, name: str) -> tuple[Chain, Chain]:

@@ -163,6 +163,29 @@ MUTANTS = [
             "tests/test_window_inventory.py::test_inclusion_map_is_zero_escapes_where_the_oracle_truncation_does",
         ),
     ),
+    # one resolution per (group, ring), and product valuations off the factor values
+    Mutant(
+        "resolution-for-not-shared",
+        "bnsr/resolutions.py",
+        "@functools.cache\ndef resolution_for(",
+        "def resolution_for(",
+        (
+            "tests/test_resolutions.py::test_resolution_for_is_shared_per_group_and_ring",
+            "tests/test_catalog.py::test_cross_validate_reuses_the_window_complexes_of_the_shared_resolution",
+            "tests/test_cli.py::test_in_process_probes_in_a_row_share_the_window_and_keep_their_pinned_bytes",
+        ),
+    ),
+    Mutant(
+        "product-valuation-reads-left-twice",
+        "bnsr/valuations.py",
+        "{cell: left[x] + right[y] for",
+        "{cell: left[x] + left[x] for",
+        (
+            "tests/test_valuations.py::test_product_valuation_is_the_basic_valuation_of_the_sum_character",
+            "tests/test_valuations.py::test_product_valuation_identity_random",
+            "tests/test_acceptance.py::test_criterion_01_product_valuation_identity",
+        ),
+    ),
     # the one elder-rule forest
     Mutant(
         "forest-without-the-elder-rule",

@@ -1,10 +1,15 @@
+from fractions import Fraction
+
 import pytest
 
 from bnsr import (
+    Character,
     Free,
     FreeAbelian,
     SigmaRecord,
+    basic_valuation,
     builtin_catalog,
+    ca_probe,
     catalog_violations,
     cross_validate,
     embed,
@@ -12,13 +17,19 @@ from bnsr import (
     equals,
     full_sphere,
     meinert_report,
+    member,
+    resolution_for,
+    ring_from_tag,
     theorem2_applicability,
     theorem3_check,
     union,
     verify_product_formula,
+    window_for,
 )
 from bnsr.catalog import HOMOLOGICAL_TAGS, MAX_DEGREE, PRODUCT_PAIRS
 from bnsr.groups import product
+
+from inventory_oracle import fresh_copy
 
 CAT = builtin_catalog()
 Z1 = FreeAbelian(1)
@@ -161,3 +172,36 @@ def test_cross_validate_product_embedded_vs_generic():
     rep = cross_validate(rec, [(1, 0, 1, 0)], radius=(3, 3), lambda_max=2)
     assert rep.consistent, rep.to_dict()
     assert not rep.entries[0]["in_complement"] and rep.entries[0]["probe_passed"]
+
+
+def test_cross_validate_reuses_the_window_complexes_of_the_shared_resolution():
+    """Every call reads the one resolution of its (group, ring), so a window
+    built by one call serves the next at those radii; each report equals a
+    ``ca_probe`` loop on a fresh copy of that resolution."""
+    rec = CAT.lookup(product(F2, F2), 1, "Q")
+    directions = [(1, 0, 0, 0), (1, 0, 1, 0), (0, -1, 2, 1)]
+    radii = [(1, 2), (2, 1)]
+    reports = [cross_validate(rec, directions, radius=r, lambda_max=2) for r in radii]
+    F = resolution_for(rec.group, ring_from_tag("Q"))
+    assert set(radii) <= set(F._windows)
+    first = F._windows[radii[0]]
+    again = cross_validate(rec, directions, radius=radii[0], lambda_max=2)
+    assert F._windows[radii[0]] is first
+    assert again.to_dict() == reports[0].to_dict()
+    fresh = fresh_copy(F)
+    for r, rep in zip(radii, reports):
+        W = window_for(fresh, r)
+        entries = []
+        for vec in directions:
+            v = basic_valuation(fresh, Character(rec.group, [Fraction(x) for x in vec]))
+            passed = ca_probe(fresh, v, rec.degree, W, 2).passed
+            in_complement = member(rec.complement, vec)
+            entries.append(
+                {
+                    "direction": [str(x) for x in vec],
+                    "in_complement": in_complement,
+                    "probe_passed": passed,
+                    "consistent": passed == (not in_complement),
+                }
+            )
+        assert rep.entries == entries

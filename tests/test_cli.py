@@ -173,6 +173,26 @@ def test_probe_and_witness_structured_output_is_pinned(name, argv, want_code, tm
     assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
+def test_in_process_probes_in_a_row_share_the_window_and_keep_their_pinned_bytes(capsys):
+    """``probe ca`` reads the one resolution of its (group, ring), so a
+    second run in the same process reads the window complex the first one
+    built, and both runs write the pinned bytes."""
+    from bnsr import INTEGERS, RATIONALS, resolution_for
+    from bnsr.groups import parse_group
+
+    runs = [("probe-ca-f2", "free:2", RATIONALS, 4), ("probe-ca-z2-integral", "abelian:2", INTEGERS, 3)]
+    for name, group, ring, radius in runs:
+        _, argv, want_code = next(g for g in PROBE_GOLDEN if g[0] == name)
+        expected = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+        windows = []
+        for _ in range(2):
+            code, out, _ = run_cli(argv + ["--format", "structured"], capsys)
+            assert code == want_code
+            assert out == expected
+            windows.append(resolution_for(parse_group(group), ring)._windows[(radius,)])
+        assert windows[0] is windows[1]
+
+
 MALFORMED_CONE_SETS = {
     "form-is-a-string": {"dim": 2, "cells": [{"eq": [], "gt": ["10"]}]},
     "negative-dim": {"dim": -1, "cells": []},
@@ -924,12 +944,16 @@ OVERSIZED_PROBES = {
 @pytest.mark.parametrize("name", sorted(OVERSIZED_PROBES))
 def test_oversized_probe_grid_is_refused_before_the_window_is_enumerated(name, capsys, monkeypatch):
     import bnsr.homology as homology
+    from bnsr import resolution_for
 
     def balls(group, W):
         raise AssertionError("enumerated the window")
 
-    # every window enumeration starts with the factor balls
+    # every window enumeration starts with the factor balls; an earlier
+    # probe in this process may have left this window on the shared
+    # resolution, so the resolutions start afresh
     monkeypatch.setattr(homology, "_factor_balls", balls)
+    resolution_for.cache_clear()
     flags, limit = OVERSIZED_PROBES[name]
     start = time.perf_counter()
     code, out, err = run_cli(["probe", "ca", "--group", "free:2", "--char=1,2", "--window", "2", *flags], capsys)

@@ -9,6 +9,7 @@ from bnsr import (
     FreeAbelian,
     INTEGERS,
     RATIONALS,
+    PrimeField,
     check_admissible,
     fox_filling,
     free_group_resolution,
@@ -17,7 +18,7 @@ from bnsr import (
     tensor_chain,
     tensor_resolution,
 )
-from bnsr.groups import product
+from bnsr.groups import parse_group, product
 from bnsr.resolutions import BasisCell, Resolution, chain_from_obj, chain_to_obj, parse_resolution
 
 from conftest import random_chain
@@ -237,6 +238,21 @@ def test_resolution_for_products():
     F = resolution_for(G, RATIONALS)
     assert F.kind == "tensor" and F.group == G
     assert check_admissible(F).ok
+
+
+def test_resolution_for_is_shared_per_group_and_ring():
+    """Equal (group, ring) inputs built as separate objects get one
+    resolution; each ring gets its own, and the constructors build a
+    private one."""
+    parsed = resolution_for(parse_group("product:abelian:2,free:2"), PrimeField(5))
+    assert resolution_for(product(FreeAbelian(2), Free(2)), PrimeField(5)) is parsed
+    assert resolution_for(parse_group("free:2"), RATIONALS) is resolution_for(Free(2), RATIONALS)
+    # the tensor's factors are the shared resolutions of the factor groups
+    assert parsed.right is resolution_for(parsed.right.group, PrimeField(5))
+    by_ring = [resolution_for(FreeAbelian(2), ring) for ring in (RATIONALS, PrimeField(5), INTEGERS)]
+    assert [F.ring.tag for F in by_ring] == ["Q", "F5", "Z"]
+    assert len({id(F) for F in by_ring}) == 3
+    assert koszul_resolution(2, RATIONALS) is not by_ring[0]
 
 
 def test_chain_serialization_roundtrip(rng):

@@ -16,6 +16,7 @@ from bnsr import (
     product_valuation,
     split_bottom,
     split_left,
+    sum_character,
     tensor_chain,
     tensor_resolution,
     zero_character,
@@ -165,6 +166,21 @@ def test_product_valuation_rejects_non_basic():
         product_valuation(T, fake, v)
 
 
+def test_product_valuation_refuses_a_non_tensor_and_mismatched_factors():
+    T = tensor_resolution(K1, koszul_resolution(1, RATIONALS))
+    v = basic_valuation(K1, Character(K1.group, [1]))
+    with pytest.raises(ValueError, match="needs a tensor resolution"):
+        product_valuation(K1, v, v)
+    w = basic_valuation(FR2, Character(FR2.group, [1, 0]))
+    for left, right in ((w, v), (v, w)):
+        with pytest.raises(ValueError, match="do not match the tensor resolution"):
+            product_valuation(T, left, right)
+    # a valuation read from a file carries its character's own group
+    stray = Valuation(K1, Character(FR2.group, [1, 0]), dict(v.cell_values), basic=True)
+    with pytest.raises(ValueError, match="character group does not match"):
+        product_valuation(T, stray, v)
+
+
 def test_product_valuation_identity_random(rng):
     pairs = [(K1, K2), (K2, FR2), (FR2, FR2)]
     for left, right in pairs:
@@ -178,6 +194,24 @@ def test_product_valuation_identity_random(rng):
             a = random_chain(left, rng, rng.choice(left.degrees()))
             b = random_chain(right, rng, rng.choice(right.degrees()))
             assert w.value(tensor_chain(T, a, b)) == v.value(a) + vp.value(b)
+
+
+def test_product_valuation_is_the_basic_valuation_of_the_sum_character():
+    """Cell by cell, the factor-sum values equal the basic valuation of the
+    tensor resolution under the sum character, computed degree by degree."""
+    rng = random.Random("product-valuation")
+    pairs = [(FR2, FR2), (K2, FR2), (koszul_resolution(3, RATIONALS), K1), (free_group_resolution(1, RATIONALS), K2)]
+    for left, right in pairs:
+        T = tensor_resolution(left, right)
+        for _ in range(20):
+            chi, psi = (
+                Character(F.group, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(F.group.char_dim)])
+                for F in (left, right)
+            )
+            w = product_valuation(T, basic_valuation(left, chi), basic_valuation(right, psi))
+            oracle = basic_valuation(T, sum_character(chi, psi))
+            assert w.basic and w.character == oracle.character
+            assert w.cell_values == oracle.cell_values
 
 
 def test_basic_valuation_inequality_under_boundary(rng):

@@ -16,7 +16,6 @@ elements, so the whole test runs in a few seconds.
 """
 
 import contextlib
-import functools
 import io
 import json
 import os
@@ -33,9 +32,8 @@ from bnsr.rings import RATIONALS
 GROUPS = ("free:1", "free:2", "abelian:1", "abelian:2")
 
 
-@functools.cache
 def resolution(spec):
-    """The resolution of a group spec over Q, built once; configs do not depend on the ring."""
+    """The shared resolution of a group spec over Q; configs do not depend on the ring."""
     return resolution_for(parse_group(spec), RATIONALS)
 
 
