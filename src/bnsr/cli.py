@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import catalog as catalog_mod
-from .groups import Character, group_from_dict, parse_group
+from .groups import Character, group_from_dict, parse_group, sum_character
 from .homology import (
     ca_probe,
     eta,
@@ -50,7 +50,6 @@ from .valuations import (
     INF,
     basic_valuation,
     check_axioms,
-    product_valuation,
     split_bottom,
     split_left,
     valuation_to_obj,
@@ -257,7 +256,8 @@ def _cmd_valuation(args) -> int:
         T = tensor_resolution(left, right)
         v = basic_valuation(left, _parse_char(left.group, args.char_left, "--char-left"))
         vprime = basic_valuation(right, _parse_char(right.group, args.char_right, "--char-right"))
-        w = product_valuation(T, v, vprime)
+        # the tensor side is valued independently of the factors, so the identity is tested
+        w = basic_valuation(T, sum_character(v.character, vprime.character))
         rng = random.Random(args.seed)
         failures = 0
         for _ in range(args.samples):

@@ -394,6 +394,12 @@ def resolution_for(group: Group, ring: CoefficientRing) -> Resolution:
     if isinstance(group, Product):
         # products are flattened, so every part is a free or free abelian factor
         parts = group.parts
+        # refused from the parts' cell counts before any factor is built (and cached)
+        count = 1
+        for p in parts:
+            count *= 2**p.rank if isinstance(p, FreeAbelian) else p.rank + 1
+        if count > MAX_TENSOR_CELLS:
+            raise ValueError(f"a tensor product of {count} cells is above the limit of {MAX_TENSOR_CELLS}")
         res = resolution_for(parts[0], ring)
         for p in parts[1:]:
             res = tensor_resolution(res, resolution_for(p, ring))

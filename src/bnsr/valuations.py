@@ -150,9 +150,11 @@ def product_valuation(T: Resolution, v: Valuation, vp: Valuation) -> Valuation:
     """Basic valuation on a tensor resolution extending the sum character.
 
     Only basic inputs are accepted; for those each tensor cell x ⊗ y has
-    the value v(x) + v'(y), so the cell values are read off the factors'
-    (the same values ``basic_valuation(T, chi + chi')`` computes degree by
-    degree, exactly).
+    the value v(x) + v'(y) (the same values ``basic_valuation(T, chi + chi')``
+    computes degree by degree, exactly).  The factor values are recomputed
+    from the two characters on ``T.left`` and ``T.right``, so the stored cell
+    values of an input marked basic (one read from a file, say) are never
+    trusted.
     """
     if T.kind != "tensor":
         raise ValueError("product_valuation needs a tensor resolution")
@@ -163,7 +165,8 @@ def product_valuation(T: Resolution, v: Valuation, vp: Valuation) -> Valuation:
     chi = sum_character(v.character, vp.character)
     if chi.group != T.group:
         raise ValueError("character group does not match the resolution")
-    left, right = v.cell_values, vp.cell_values
+    left = basic_valuation(T.left, v.character).cell_values
+    right = basic_valuation(T.right, vp.character).cell_values
     return Valuation(T, chi, {cell: left[x] + right[y] for cell, (x, y) in T.cell_pairs.items()}, basic=True)
 
 

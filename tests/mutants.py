@@ -186,6 +186,13 @@ MUTANTS = [
             "tests/test_acceptance.py::test_criterion_01_product_valuation_identity",
         ),
     ),
+    Mutant(
+        "product-valuation-trusts-stored-values",
+        "bnsr/valuations.py",
+        "    left = basic_valuation(T.left, v.character).cell_values\n    right = basic_valuation(T.right, vp.character).cell_values\n",
+        "    left, right = v.cell_values, vp.cell_values\n",
+        ("tests/test_valuations.py::test_product_valuation_does_not_trust_stored_cell_values",),
+    ),
     # the one elder-rule forest
     Mutant(
         "forest-without-the-elder-rule",

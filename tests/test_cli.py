@@ -910,7 +910,7 @@ def test_oversized_tensor_product_is_refused_before_its_cells_are_built(name, ca
     monkeypatch.setattr(resolutions, "_tensor_cells", cells)
     start = time.perf_counter()
     code, out, err = run_cli(OVERSIZED_TENSORS[name], capsys)
-    # both rank-12 factors (4096 cells each) are built before the guard runs
+    # a resolution spec builds both rank-12 factors (4096 cells each) before the guard runs
     assert time.perf_counter() - start < 3.0
     assert code == 3 and out == "" and f"limit of {resolutions.MAX_TENSOR_CELLS}" in err
 

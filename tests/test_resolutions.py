@@ -255,6 +255,23 @@ def test_resolution_for_is_shared_per_group_and_ring():
     assert koszul_resolution(2, RATIONALS) is not by_ring[0]
 
 
+def test_an_oversized_product_is_refused_before_its_factors_are_built(monkeypatch):
+    """The product's cell count is read off the factor groups, so a refused
+    product builds no factor resolution and leaves nothing in the memo."""
+    import bnsr.resolutions as resolutions
+
+    def build(*args):
+        raise AssertionError("built a factor resolution")
+
+    monkeypatch.setattr(resolutions, "koszul_resolution", build)
+    monkeypatch.setattr(resolutions, "free_group_resolution", build)
+    before = resolution_for.cache_info().currsize
+    for spec, count in (("product:abelian:12,abelian:12", 2**24), ("product:abelian:6,free:3,abelian:1", 512)):
+        with pytest.raises(ValueError, match=f"a tensor product of {count} cells is above the limit"):
+            resolution_for(parse_group(spec), RATIONALS)
+    assert resolution_for.cache_info().currsize == before
+
+
 def test_chain_serialization_roundtrip(rng):
     T = tensor_resolution(K2, FR2)
     for F in (K2, FR2, T):

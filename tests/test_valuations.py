@@ -21,7 +21,9 @@ from bnsr import (
     tensor_resolution,
     zero_character,
 )
-from bnsr.valuations import Valuation
+from bnsr.resolutions import parse_resolution
+from bnsr.rings import INTEGERS, PrimeField
+from bnsr.valuations import Valuation, valuation_from_obj, valuation_to_obj
 from bnsr.witness import composite_valuation, retraction_maps
 
 from conftest import random_chain
@@ -29,6 +31,8 @@ from conftest import random_chain
 K1 = koszul_resolution(1, RATIONALS)
 K2 = koszul_resolution(2, RATIONALS)
 FR2 = free_group_resolution(2, RATIONALS)
+# the factor specs of `bnsr valuation prop41`: every shipped kind at small ranks
+PROP41_SPECS = ("koszul:1", "koszul:2", "free:1", "free:2", "koszul:3")
 
 
 def test_basic_valuation_koszul_positive_character():
@@ -189,7 +193,8 @@ def test_product_valuation_identity_random(rng):
         psi = Character(right.group, [Fraction(rng.randint(-3, 3)) for _ in range(right.group.char_dim)])
         v = basic_valuation(left, chi)
         vp = basic_valuation(right, psi)
-        w = product_valuation(T, v, vp)
+        w = basic_valuation(T, sum_character(chi, psi))
+        assert product_valuation(T, v, vp).cell_values == w.cell_values
         for _ in range(60):
             a = random_chain(left, rng, rng.choice(left.degrees()))
             b = random_chain(right, rng, rng.choice(right.degrees()))
@@ -200,10 +205,15 @@ def test_product_valuation_is_the_basic_valuation_of_the_sum_character():
     """Cell by cell, the factor-sum values equal the basic valuation of the
     tensor resolution under the sum character, computed degree by degree."""
     rng = random.Random("product-valuation")
-    pairs = [(FR2, FR2), (K2, FR2), (koszul_resolution(3, RATIONALS), K1), (free_group_resolution(1, RATIONALS), K2)]
+    pairs = []
+    for ring in (RATIONALS, PrimeField(5), INTEGERS):
+        factors = [parse_resolution(spec, ring) for spec in PROP41_SPECS]
+        pairs += [(left, right) for left in factors for right in factors]
+        # a tensor factor: Z x F2, tensored with F1
+        pairs.append((tensor_resolution(factors[1], factors[3]), factors[2]))
     for left, right in pairs:
         T = tensor_resolution(left, right)
-        for _ in range(20):
+        for _ in range(6):
             chi, psi = (
                 Character(F.group, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(F.group.char_dim)])
                 for F in (left, right)
@@ -212,6 +222,19 @@ def test_product_valuation_is_the_basic_valuation_of_the_sum_character():
             oracle = basic_valuation(T, sum_character(chi, psi))
             assert w.basic and w.character == oracle.character
             assert w.cell_values == oracle.cell_values
+
+
+def test_product_valuation_does_not_trust_stored_cell_values():
+    """An input marked basic whose stored cell values are not basic (as a file
+    can carry) still gives the basic valuation of the sum character."""
+    T = tensor_resolution(K2, FR2)
+    chi, psi = Character(K2.group, [1, -2]), Character(FR2.group, [Fraction(1, 2), 3])
+    v, vp = basic_valuation(K2, chi), basic_valuation(FR2, psi)
+    raised = {cell: val + 5 * cell.degree for cell, val in v.cell_values.items()}
+    stored = valuation_from_obj(K2, valuation_to_obj(Valuation(K2, chi, raised, basic=True)))
+    assert stored.basic and stored.cell_values != v.cell_values
+    w = product_valuation(T, stored, vp)
+    assert w.cell_values == basic_valuation(T, sum_character(chi, psi)).cell_values
 
 
 def test_basic_valuation_inequality_under_boundary(rng):
