@@ -8,8 +8,20 @@ equality, inclusion) are exact: strict feasibility goes through
 Fourier-Motzkin elimination with witness reconstruction, and set equality
 refines both operands over the common hyperplane arrangement and reads each
 operand's membership off the sign vector (covector) of every arrangement
-cell: an operand cell contains an arrangement cell exactly when its eqs and
-gts are among the arrangement cell's.
+cell: an operand cell contains an arrangement cell exactly when the two
+give the operand cell's hyperplanes the same signs, one set lookup per
+hyperplane support of the operand.
+
+The arrangement is built one hyperplane h at a time, and each split of a
+cell C with witness w makes one exact decision at most.  Two facts about a
+relatively open convex cone C carry it: if C has points on one open side of
+h, then C meets {h = 0} exactly when it meets the other open side; and if w
+lies on {h = 0}, C meets one open side exactly when it meets the other.
+When C has no strict forms it is a subspace minus the origin, and a line
+does not meet {h = 0}; there the zero side gets its own decision.  One
+arrangement is kept per (dim, forms) for the life of the process, in a
+least-recently-used memo of 8 entries, so the several comparisons of one
+law or one catalog check refine over it once.
 
 Forms and witness points are primitive integer tuples.  Equations are
 solved on an integer kernel basis from ``linalg``'s Smith normal form,
@@ -284,9 +296,30 @@ def union(A: ConeSet, B: ConeSet) -> ConeSet:
     return ConeSet(A.dim, tuple(dict.fromkeys(A.cells + B.cells)))
 
 
+def _signs(cell: Cell):
+    """The cell's sign vector on its own hyperplanes, {canonical form: 0, 1 or -1},
+    or None when two of its forms ask one hyperplane for different signs."""
+    out = {f: 0 for f in cell.eqs}
+    for g in cell.gts:
+        h = _hyperplane_form(g)
+        out[h] = 1 if h is g else -1
+    return out if len(out) == len(cell.eqs) + len(cell.gts) else None
+
+
 def intersect(A: ConeSet, B: ConeSet) -> ConeSet:
+    """Pairwise cell intersections; a pair whose signs conflict on a shared
+    hyperplane is empty and is dropped before its cell is built."""
     _check_same_dim(A, B)
-    cells = dict.fromkeys(_cell(a.eqs + b.eqs, a.gts + b.gts) for a in A.cells for b in B.cells)
+    signs_b = [(b, _signs(b)) for b in B.cells]
+    cells = {}
+    for a in A.cells:
+        sa = _signs(a)
+        if sa is None:
+            continue
+        for b, sb in signs_b:
+            if sb is None or any(sb.get(f, s) != s for f, s in sa.items()):
+                continue
+            cells.setdefault(_cell(a.eqs + b.eqs, a.gts + b.gts))
     return ConeSet(A.dim, tuple(cell for cell in cells if cell_witness(A.dim, cell) is not None))
 
 
@@ -299,50 +332,135 @@ def _forms_of(sets: Iterable[ConeSet]) -> tuple[Form, ...]:
     return tuple(sorted(forms))
 
 
+# Largest number of nonempty cells an arrangement may reach.  The tests reach
+# at most 6,560 (the dimension-8 coordinate arrangement, 3^8 - 1 cells); the
+# limit is ten times that, which keeps the dimension-10 coordinate
+# arrangement (3^10 - 1 = 59,048 cells) within reach.
+MAX_ARRANGEMENT_CELLS = 65_600
+
+
 def arrangement_cells(dim: int, forms: Sequence[Form]):
     """All nonempty sign cells of the arrangement of sign-canonical primitive
-    forms, with witnesses.
+    forms, with witnesses: a tuple of (cell, primitive integer point of it).
 
-    Cells are built incrementally, one hyperplane at a time; the side
-    containing the previous witness is free, the other two sides cost one
-    exact feasibility decision each.
+    Cells are built one hyperplane h at a time.  Two facts about a
+    relatively open convex cone C decide each split of C, with witness w,
+    from one feasibility decision: if C has points on one open side of h, it
+    meets {h = 0} exactly when it meets the other open side; and if w lies
+    on {h = 0}, C meets one open side exactly when it meets the other.  So
+    when h . w != 0, Fourier-Motzkin decides the far side only, and the
+    positive combination |h.w| w2 + |h.w2| w of w and the far witness w2
+    witnesses the zero side.  When h . w = 0, w witnesses the zero side,
+    Fourier-Motzkin decides the plus side only, and w - t (w2 - w), for a
+    small rational t > 0 read off C's strict forms, witnesses the minus side.
+    A C with no strict forms is a subspace minus the origin, not convex: the
+    combination can vanish there, and then the zero side gets its own
+    decision.  A build past ``MAX_ARRANGEMENT_CELLS`` cells raises
+    ValueError.
+
+    The answer is memoized per (dim, forms) for the life of the process, in
+    a least-recently-used memo of 8 entries (see ``_arrangement``).
     """
+    return _arrangement(dim, tuple(forms))
+
+
+# On 77 ``sphere`` benchmark jobs (seed 1), 298 of the 429 arrangement
+# requests repeat an earlier (dim, forms).  A memo of 1, 4, 8 and 64 entries
+# keeps 209, 278, 279 and 296 of those hits; past 8 each entry buys little.
+# The memo lives for the process, like ``resolutions.resolution_for``, and
+# holds at most 8 x MAX_ARRANGEMENT_CELLS cells.
+@lru_cache(maxsize=8)
+def _arrangement(dim: int, forms: tuple[Form, ...]) -> tuple:
     if dim == 0:
-        return []
+        return ()
     base = Cell((), ())
     cells = [(base, cell_witness(dim, base))]
     for h in forms:
         nxt = []
         for cell, w in cells:
-            s = _dot(h, w)
-            zero_cell = _cell(cell.eqs + (h,), cell.gts)
-            plus_cell = _cell(cell.eqs, cell.gts + (h,))
-            minus_cell = _cell(cell.eqs, cell.gts + (_neg(h),))
-            for cand, has_w in ((zero_cell, s == 0), (plus_cell, s > 0), (minus_cell, s < 0)):
-                if has_w:
-                    nxt.append((cand, w))
-                else:
-                    w2 = cell_witness(dim, cand)
-                    if w2 is not None:
-                        nxt.append((cand, w2))
+            nxt.extend(_split(dim, cell, w, h))
+            if len(nxt) > MAX_ARRANGEMENT_CELLS:
+                raise ValueError(
+                    f"an arrangement of {len(forms)} hyperplanes in dimension {dim} has at least "
+                    f"{len(nxt)} cells, above the limit of {MAX_ARRANGEMENT_CELLS}"
+                )
         cells = nxt
-    return cells
+    return tuple(cells)
+
+
+def _split(dim: int, cell: Cell, w: Form, h: Form) -> list:
+    """The nonempty sides of ``cell`` across {h = 0}, in the order zero, plus,
+    minus, with witnesses, from one call of ``cell_witness``; a second only
+    for the zero side of a cell without strict forms, where the two
+    witnesses cancel (see ``arrangement_cells``).  ``w`` is a point of the
+    cell.
+    """
+    zero = _cell(cell.eqs + (h,), cell.gts)
+    plus = _cell(cell.eqs, cell.gts + (h,))
+    minus = _cell(cell.eqs, cell.gts + (_neg(h),))
+    s = _dot(h, w)
+    if s == 0:
+        w2 = cell_witness(dim, plus)
+        if w2 is None:
+            return [(zero, w)]
+        return [(zero, w), (plus, w2), (minus, _past(cell.gts, w, w2))]
+    near, far = (plus, minus) if s > 0 else (minus, plus)
+    w2 = cell_witness(dim, far)
+    if w2 is None:
+        return [(near, w)]
+    s, s2 = abs(s), abs(_dot(h, w2))
+    mid = [s * b + s2 * a for a, b in zip(w, w2)]
+    sides = [(plus, w), (minus, w2)] if near is plus else [(plus, w2), (minus, w)]
+    if any(mid):
+        return [(zero, primitive_vector(mid))] + sides
+    # with no strict forms the cell is a subspace minus the origin, w2 may be
+    # a negative multiple of w, and a line meets {h = 0} only at the origin
+    wz = cell_witness(dim, zero)
+    return sides if wz is None else [(zero, wz)] + sides
+
+
+def _past(gts: tuple[Form, ...], w: Form, w2: Form) -> Form:
+    """The primitive point w - t (w2 - w), with a rational t > 0 small enough
+    that every strict form g keeps g > 0: t <= g . w / (2 g . (w2 - w))."""
+    d = [b - a for a, b in zip(w, w2)]
+    num, den = 1, 1
+    for g in gts:
+        gd = _dot(g, d)
+        if gd > 0:
+            gw = _dot(g, w)
+            if gw * den < 2 * gd * num:
+                num, den = gw, 2 * gd
+    return primitive_vector([den * a - num * x for a, x in zip(w, d)])
 
 
 def _refine(A: ConeSet, B: ConeSet):
     """(cell, in A, in B) for every cell of the common arrangement of A and B.
 
-    An arrangement cell gives every form h of the arrangement one sign: h is
-    among its eqs, or h or -h among its gts.  Each eq of an operand cell is
-    such an h and each gt is h or -h, so the operand cell contains the
-    arrangement cell exactly when its eqs and gts are subsets of the
-    arrangement cell's.
+    An arrangement cell gives every form h of the arrangement one sign: 0
+    when h is among its eqs, + or - when h or -h is among its gts.  An
+    operand cell contains it exactly when the two agree on every hyperplane
+    of the operand cell, so each operand keeps, per hyperplane support, the
+    set of its cells' sign tuples there, and membership is one lookup per
+    (arrangement cell, support).  A cell whose own forms conflict is empty
+    and contains nothing.
     """
     _check_same_dim(A, B)
-    sides = [[(frozenset(c.eqs), frozenset(c.gts)) for c in S.cells] for S in (A, B)]
+    sides = []
+    for S in (A, B):
+        by_support = {}
+        for c in S.cells:
+            signs = _signs(c)
+            if signs is not None:
+                support = tuple(sorted(signs))
+                by_support.setdefault(support, set()).add(tuple(signs[f] for f in support))
+        sides.append(by_support.items())
     for cell, _ in arrangement_cells(A.dim, _forms_of([A, B])):
         eqs, gts = frozenset(cell.eqs), frozenset(cell.gts)
-        yield cell, *(any(e <= eqs and g <= gts for e, g in side) for side in sides)
+        yield cell, *(
+            any(tuple(0 if f in eqs else 1 if f in gts else -1 for f in support) in covectors
+                for support, covectors in side)
+            for side in sides
+        )
 
 
 def complement(A: ConeSet) -> ConeSet:

@@ -47,6 +47,14 @@ _CHAINS = tuple(
     for name in ("constructor_and_ring_operations", "structure_maps", "retraction_maps_and_tensor_chains")
 )
 
+_FM = (
+    "tests/test_spheres_differential.py::test_integer_back_substitution_matches_fraction_oracle",
+    "tests/test_spheres_differential.py::test_integer_witness_agrees_with_rational_oracle",
+)
+_SPLIT = "tests/test_arrangement_split.py::test_split_cells_and_witnesses_match_the_oracle"
+_CANONICAL = "tests/test_spheres_canonical.py::test_set_operations_match_the_renormalizing_oracle"
+_MEMBERSHIP = "tests/test_spheres_covector.py::test_refinement_membership_matches_the_witness_oracle"
+
 MUTANTS = [
     # one window-admission rule: the support test and the shift sets
     Mutant(
@@ -226,6 +234,64 @@ MUTANTS = [
             "tests/test_linalg_differential.py::test_incidence_fast_path_agrees_with_elimination",
             "tests/test_filling_sweep.py::test_first_spanning_batch_over_z_answers_where_the_certificate_holds",
         ),
+    ),
+    # the integer Fourier-Motzkin back substitution
+    Mutant(
+        "fm-lone-lower-bound-drops-den",
+        "bnsr/spheres.py",
+        "top, scale = lo[0] + lo[1] * den, lo[1]",
+        "top, scale = lo[0] + lo[1], lo[1]",
+        _FM,
+    ),
+    Mutant(
+        "fm-lone-upper-bound-drops-den",
+        "bnsr/spheres.py",
+        "top, scale = hi[0] - hi[1] * den, hi[1]",
+        "top, scale = hi[0] - hi[1], hi[1]",
+        _FM,
+    ),
+    Mutant(
+        "fm-upper-bound-comparison-flipped",
+        "bnsr/spheres.py",
+        "if hi is None or a * hi[1] < hi[0] * b:",
+        "if hi is None or a * hi[1] > hi[0] * b:",
+        (*_FM, _SPLIT),
+    ),
+    Mutant(
+        "fm-midpoint-drops-the-2",
+        "bnsr/spheres.py",
+        "2 * lo[1] * hi[1]",
+        "lo[1] * hi[1]",
+        (*_FM, _SPLIT),
+    ),
+    # one feasibility decision per split, covector lookup, the intersect pre-check
+    Mutant(
+        "split-keeps-the-zero-side-past-an-empty-far-side",
+        "bnsr/spheres.py",
+        "        return [(near, w)]\n",
+        "        return [(zero, w), (near, w)]\n",
+        (_SPLIT, _CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws"),
+    ),
+    Mutant(
+        "zero-side-combination-wrong-sign",
+        "bnsr/spheres.py",
+        "mid = [s * b + s2 * a for a, b in zip(w, w2)]",
+        "mid = [s * b - s2 * a for a, b in zip(w, w2)]",
+        (_SPLIT, "tests/test_arrangement_split.py::test_a_line_has_no_zero_side", _MEMBERSHIP),
+    ),
+    Mutant(
+        "covector-lookup-ignores-direction",
+        "bnsr/spheres.py",
+        "0 if f in eqs else 1 if f in gts else -1",
+        "0 if f in eqs else 1",
+        (_MEMBERSHIP, _CANONICAL),
+    ),
+    Mutant(
+        "intersect-drops-agreeing-pairs",
+        "bnsr/spheres.py",
+        "any(sb.get(f, s) != s for f, s in sa.items())",
+        "any(f in sb for f in sa)",
+        (_CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws"),
     ),
     # the sign convention between the records and the probes
     Mutant(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from bnsr import spheres
 from bnsr.cli import main
 from bnsr.spheres import cone_set_to_obj, full_sphere_dim, empty_set
 
@@ -217,6 +218,18 @@ def test_malformed_cone_set_is_an_input_error(name, tmp_path, capsys):
     path = write_json(tmp_path / "set.json", MALFORMED_CONE_SETS[name])
     code, out, err = run_cli(["sphere", "complement", "--set", path], capsys)
     assert code == 3 and out == "" and err.startswith("error:")
+
+
+def test_oversized_arrangement_is_refused_with_exit_3(tmp_path, capsys, monkeypatch):
+    # the three coordinate half-spaces of dimension 3 refine over 26 cells
+    monkeypatch.setattr(spheres, "MAX_ARRANGEMENT_CELLS", 10)
+    spheres._arrangement.cache_clear()
+    cells = [{"eq": [], "gt": [[str(int(i == j)) for j in range(3)]]} for i in range(3)]
+    path = write_json(tmp_path / "set.json", {"dim": 3, "cells": cells})
+    code, out, err = run_cli(["sphere", "complement", "--set", path], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: an arrangement of 3 hyperplanes in dimension 3 has at least")
+    assert "cells, above the limit of 10" in err
 
 
 def test_resolution_build_and_check(capsys):

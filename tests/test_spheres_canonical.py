@@ -8,6 +8,7 @@ booleans.  The last test pins the policy itself: with ``make_cell`` made to
 fail, no operation on prebuilt sets may reach it.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -71,7 +72,10 @@ def test_set_operations_match_the_renormalizing_oracle(dim):
             assert spheres.complement(X) == oracle.complement(X)
             assert spheres.complement(spheres.complement(X)) == oracle.complement(oracle.complement(X))
         forms = oracle._forms_of([A, B])
-        assert spheres.arrangement_cells(dim, forms) == oracle.arrangement_cells(dim, forms)
+        got = spheres.arrangement_cells(dim, forms)
+        assert [cell for cell, _ in got] == [cell for cell, _ in oracle.arrangement_cells(dim, forms)]
+        for cell, w in got:
+            assert all(isinstance(x, int) for x in w) and math.gcd(*w) == 1 and cell.contains(w)
         assert spheres.join(A, C) == oracle.join(A, C)
         assert spheres.join(C, B) == oracle.join(C, B)
     # both answers of both predicates occur, so the comparison is not vacuous

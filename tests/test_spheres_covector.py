@@ -110,12 +110,14 @@ def test_each_equation_set_is_factored_once(monkeypatch):
     assert len(set(queried)) > 2 * len(equation_sets)
 
 
-def test_double_complement_of_three_coordinate_subspheres_in_dimension_6():
-    dim = 6
+@pytest.mark.parametrize("dim,cells", [(6, 512), (8, 4096)])
+def test_double_complement_of_the_coordinate_subspheres(dim, cells):
+    # the dim / 2 subspheres {x_2i = x_2i+1 = 0}: outside each, (x_2i, x_2i+1)
+    # lies in one of the 8 nonzero sign cells of the plane
     unit = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    C = ConeSet(dim, tuple(_cell([unit[2 * i], unit[2 * i + 1]], []) for i in range(3)))
+    C = ConeSet(dim, tuple(_cell([unit[2 * i], unit[2 * i + 1]], []) for i in range(dim // 2)))
     comp = complement(C)
-    assert len(comp.cells) == 512
+    assert len(comp.cells) == cells
     cc = complement(comp)
     assert equals(cc, C)
     assert subset(C, cc)
