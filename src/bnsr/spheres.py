@@ -454,13 +454,15 @@ def _refine(A: ConeSet, B: ConeSet):
                 support = tuple(sorted(signs))
                 by_support.setdefault(support, set()).add(tuple(signs[f] for f in support))
         sides.append(by_support.items())
-    for cell, _ in arrangement_cells(A.dim, _forms_of([A, B])):
-        eqs, gts = frozenset(cell.eqs), frozenset(cell.gts)
-        yield cell, *(
-            any(tuple(0 if f in eqs else 1 if f in gts else -1 for f in support) in covectors
-                for support, covectors in side)
-            for side in sides
-        )
+    forms = _forms_of([A, B])
+    # each arrangement gt is h or -h for an arrangement form h
+    sign_of = {h: (h, 1) for h in forms}
+    sign_of.update((_neg(h), (h, -1)) for h in forms)
+    for cell, _ in arrangement_cells(A.dim, forms):
+        signs = dict.fromkeys(cell.eqs, 0)
+        signs.update(map(sign_of.__getitem__, cell.gts))
+        sign = signs.__getitem__
+        yield cell, *(any(tuple(map(sign, support)) in covectors for support, covectors in side) for side in sides)
 
 
 def complement(A: ConeSet) -> ConeSet:

@@ -282,8 +282,8 @@ MUTANTS = [
     Mutant(
         "covector-lookup-ignores-direction",
         "bnsr/spheres.py",
-        "0 if f in eqs else 1 if f in gts else -1",
-        "0 if f in eqs else 1",
+        "sign_of.update((_neg(h), (h, -1)) for h in forms)",
+        "sign_of.update((_neg(h), (h, 1)) for h in forms)",
         (_MEMBERSHIP, _CANONICAL),
     ),
     Mutant(
