@@ -12,16 +12,20 @@ cell: an operand cell contains an arrangement cell exactly when the two
 give the operand cell's hyperplanes the same signs, one set lookup per
 hyperplane support of the operand.
 
-The arrangement is built one hyperplane h at a time, and each split of a
-cell C with witness w makes one exact decision at most.  Two facts about a
-relatively open convex cone C carry it: if C has points on one open side of
-h, then C meets {h = 0} exactly when it meets the other open side; and if w
-lies on {h = 0}, C meets one open side exactly when it meets the other.
-When C has no strict forms it is a subspace minus the origin, and a line
-does not meet {h = 0}; there the zero side gets its own decision.  One
-arrangement is kept per (dim, forms) for the life of the process, in a
-least-recently-used memo of 8 entries, so the several comparisons of one
-law or one catalog check refine over it once.
+The arrangement is built one hyperplane h at a time, with an integer basis
+of the common kernel of the forms added so far.  When h is independent of
+them (nonzero on some kernel vector u), every cell holds the lines parallel
+to u through its points and so meets all three sides of h: the split makes
+no decision, and the new witnesses are integer combinations of the cell's
+witness and u.  When h depends on them, a split of a cell C with witness w
+makes one exact decision, from two facts about a relatively open convex
+cone: if C has points on one open side of h, it meets {h = 0} exactly when
+it meets the other open side; and if w lies on {h = 0}, C meets one open
+side exactly when it meets the other.  Each cell's covector is recorded as
+the cell is split and stored beside it.  One arrangement is kept per (dim,
+forms) for the life of the process, in a least-recently-used memo of 8
+entries, so the several comparisons of one law or one catalog check refine
+over it once.
 
 Forms and witness points are primitive integer tuples.  Equations are
 solved on an integer kernel basis from ``linalg``'s Smith normal form,
@@ -41,8 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -343,81 +348,134 @@ def arrangement_cells(dim: int, forms: Sequence[Form]):
     """All nonempty sign cells of the arrangement of sign-canonical primitive
     forms, with witnesses: a tuple of (cell, primitive integer point of it).
 
-    Cells are built one hyperplane h at a time.  Two facts about a
-    relatively open convex cone C decide each split of C, with witness w,
-    from one feasibility decision: if C has points on one open side of h, it
-    meets {h = 0} exactly when it meets the other open side; and if w lies
-    on {h = 0}, C meets one open side exactly when it meets the other.  So
-    when h . w != 0, Fourier-Motzkin decides the far side only, and the
-    positive combination |h.w| w2 + |h.w2| w of w and the far witness w2
-    witnesses the zero side.  When h . w = 0, w witnesses the zero side,
-    Fourier-Motzkin decides the plus side only, and w - t (w2 - w), for a
-    small rational t > 0 read off C's strict forms, witnesses the minus side.
-    A C with no strict forms is a subspace minus the origin, not convex: the
-    combination can vanish there, and then the zero side gets its own
-    decision.  A build past ``MAX_ARRANGEMENT_CELLS`` cells raises
-    ValueError.
+    Cells are built one hyperplane h at a time, keeping an integer basis of
+    the common kernel of the forms added so far.  When h is independent of
+    them, some kernel vector u has h . u != 0, every cell holds the lines
+    parallel to u through its points, and so meets all three sides of h: the
+    split makes no decision (``_split_free``).  When h depends on them, one
+    Fourier-Motzkin decision splits a cell (``_split``).  A build past
+    ``MAX_ARRANGEMENT_CELLS`` cells raises ValueError.
 
-    The answer is memoized per (dim, forms) for the life of the process, in
-    a least-recently-used memo of 8 entries (see ``_arrangement``).
+    The returned tuple also carries ``covectors``: per cell, in the same
+    order, its signs on ``forms`` (0, 1 or -1), recorded as the cell was
+    split.  The answer is memoized per (dim, forms) for the life of the
+    process, in a least-recently-used memo of 8 entries (see
+    ``_arrangement``), so a repeated request returns the same object.
     """
     return _arrangement(dim, tuple(forms))
+
+
+class _Arrangement(tuple):
+    """(cell, witness) pairs, with the cells' covectors in ``covectors``."""
+
+    def __new__(cls, cells: list):
+        out = super().__new__(cls, ((cell, w) for cell, w, _ in cells))
+        out.covectors = tuple(cov for _, _, cov in cells)
+        return out
 
 
 # On 77 ``sphere`` benchmark jobs (seed 1), 298 of the 429 arrangement
 # requests repeat an earlier (dim, forms).  A memo of 1, 4, 8 and 64 entries
 # keeps 209, 278, 279 and 296 of those hits; past 8 each entry buys little.
 # The memo lives for the process, like ``resolutions.resolution_for``, and
-# holds at most 8 x MAX_ARRANGEMENT_CELLS cells; a cell of the dimension-10
-# coordinate arrangement takes about 360 bytes, so that is about 190 MB.
+# holds at most 8 x MAX_ARRANGEMENT_CELLS cells.  Under tracemalloc the
+# dimension-10 coordinate arrangement holds about 560 bytes per cell (cell,
+# witness and covector; the covector is 120 of them), so that is about 290 MB.
 @lru_cache(maxsize=8)
-def _arrangement(dim: int, forms: tuple[Form, ...]) -> tuple:
+def _arrangement(dim: int, forms: tuple[Form, ...]) -> _Arrangement:
     if dim == 0:
-        return ()
+        return _Arrangement([])
     base = Cell((), ())
-    cells = [(base, cell_witness(dim, base))]
+    cells = [(base, cell_witness(dim, base), ())]
+    kernel = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     for h in forms:
+        neg = _neg(h)  # shared by every minus side
+        products = [_dot(h, k) for k in kernel]
+        pivot = next((i for i, p in enumerate(products) if p), None)
+        if pivot is None:
+            split = partial(_split, dim, h, neg)
+        else:
+            u, a = kernel[pivot], products[pivot]
+            if a < 0:
+                u, a = _neg(u), -a
+            kernel = [
+                primitive_vector([a * x - p * y for x, y in zip(k, u)])
+                for i, (k, p) in enumerate(zip(kernel, products))
+                if i != pivot
+            ]
+            split = partial(_split_free, h, neg, u, a, kernel[0] if kernel else None)
         nxt = []
-        for cell, w in cells:
-            nxt.extend(_split(dim, cell, w, h))
+        for cell, w, cov in cells:
+            nxt.extend((side, v, cov + (sign,)) for side, v, sign in split(cell, w))
             if len(nxt) > MAX_ARRANGEMENT_CELLS:
                 raise ValueError(
                     f"an arrangement of {len(forms)} hyperplanes in dimension {dim} has at least "
                     f"{len(nxt)} cells, above the limit of {MAX_ARRANGEMENT_CELLS}"
                 )
         cells = nxt
-    return tuple(cells)
+    return _Arrangement(cells)
 
 
-def _split(dim: int, cell: Cell, w: Form, h: Form) -> list:
-    """The nonempty sides of ``cell`` across {h = 0}, in the order zero, plus,
-    minus, with witnesses, from one call of ``cell_witness``; a second only
-    for the zero side of a cell without strict forms, where the two
-    witnesses cancel (see ``arrangement_cells``).  ``w`` is a point of the
-    cell.
+def _split_free(h: Form, neg: Form, u: Form, a: int, line, cell: Cell, w: Form) -> list:
+    """The three sides of ``cell`` across {h = 0}, for h independent of the
+    forms already split, as (side, witness, sign of h) in the order zero,
+    plus, minus, with no decision.  u is a vector of those forms' common
+    kernel with a = h . u > 0, and ``line`` the first vector of the kernel's
+    basis once h joins them (None when that kernel is 0).
+
+    The line w + t u stays in the cell, so with s = h . w the zero side holds
+    a w - s u, the plus side w or a w + (a - s) u (where h is a^2), and the
+    minus side w or a w - (a + s) u (where h is -a^2).  The zero witness
+    vanishes only when w is +-u; the cell is then the kernel minus the
+    origin, and its zero side the new kernel minus the origin.
+    """
+    s = _dot(h, w)
+    wz = [a * x - s * y for x, y in zip(w, u)]
+    sides = []
+    if any(wz):
+        sides.append((_cell(cell.eqs + (h,), cell.gts), primitive_vector(wz), 0))
+    elif line is not None:
+        sides.append((_cell(cell.eqs + (h,), cell.gts), line, 0))
+    wp = w if s > 0 else primitive_vector([a * x + (a - s) * y for x, y in zip(w, u)])
+    wm = w if s < 0 else primitive_vector([a * x - (a + s) * y for x, y in zip(w, u)])
+    sides.append((_cell(cell.eqs, cell.gts + (h,)), wp, 1))
+    sides.append((_cell(cell.eqs, cell.gts + (neg,)), wm, -1))
+    return sides
+
+
+def _split(dim: int, h: Form, neg: Form, cell: Cell, w: Form) -> list:
+    """The nonempty sides of ``cell`` across {h = 0}, for h dependent on the
+    forms already split, as in ``_split_free``, from one call of
+    ``cell_witness``.  ``w`` is a point of the cell.
+
+    Two facts about a relatively open convex cone C decide the split: if C
+    has points on one open side of h, it meets {h = 0} exactly when it meets
+    the other open side; and if w lies on {h = 0}, C meets one open side
+    exactly when it meets the other.  So when h . w != 0 only the far side
+    is decided, and the positive combination |h.w| w2 + |h.w2| w of w and
+    the far witness w2 witnesses the zero side; a strict form of C is
+    positive at both, so it does not vanish.  When h . w = 0 only the plus
+    side is decided, and ``_past`` witnesses the minus side.  The one cell
+    without strict forms is the common kernel of the earlier forms minus the
+    origin, where a dependent h vanishes, so it takes the second branch.
     """
     zero = _cell(cell.eqs + (h,), cell.gts)
     plus = _cell(cell.eqs, cell.gts + (h,))
-    minus = _cell(cell.eqs, cell.gts + (_neg(h),))
+    minus = _cell(cell.eqs, cell.gts + (neg,))
     s = _dot(h, w)
     if s == 0:
         w2 = cell_witness(dim, plus)
         if w2 is None:
-            return [(zero, w)]
-        return [(zero, w), (plus, w2), (minus, _past(cell.gts, w, w2))]
-    near, far = (plus, minus) if s > 0 else (minus, plus)
+            return [(zero, w, 0)]
+        return [(zero, w, 0), (plus, w2, 1), (minus, _past(cell.gts, w, w2), -1)]
+    near, far, sign = (plus, minus, 1) if s > 0 else (minus, plus, -1)
     w2 = cell_witness(dim, far)
     if w2 is None:
-        return [(near, w)]
+        return [(near, w, sign)]
     s, s2 = abs(s), abs(_dot(h, w2))
     mid = [s * b + s2 * a for a, b in zip(w, w2)]
-    sides = [(plus, w), (minus, w2)] if near is plus else [(plus, w2), (minus, w)]
-    if any(mid):
-        return [(zero, primitive_vector(mid))] + sides
-    # with no strict forms the cell is a subspace minus the origin, w2 may be
-    # a negative multiple of w, and a line meets {h = 0} only at the origin
-    wz = cell_witness(dim, zero)
-    return sides if wz is None else [(zero, wz)] + sides
+    zero_side = (zero, primitive_vector(mid), 0)
+    return [zero_side, (plus, w, 1), (minus, w2, -1)] if sign > 0 else [zero_side, (plus, w2, 1), (minus, w, -1)]
 
 
 def _past(gts: tuple[Form, ...], w: Form, w2: Form) -> Form:
@@ -434,18 +492,29 @@ def _past(gts: tuple[Form, ...], w: Form, w2: Form) -> Form:
     return primitive_vector([den * a - num * x for a, x in zip(w, d)])
 
 
+def _tuple_getter(indices: tuple[int, ...]):
+    """cov -> tuple(cov[i] for i in indices), in one C call (``itemgetter`` of
+    one index returns the bare item, and of none cannot be made)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
 def _refine(A: ConeSet, B: ConeSet):
     """(cell, in A, in B) for every cell of the common arrangement of A and B.
 
-    An arrangement cell gives every form h of the arrangement one sign: 0
-    when h is among its eqs, + or - when h or -h is among its gts.  An
-    operand cell contains it exactly when the two agree on every hyperplane
-    of the operand cell, so each operand keeps, per hyperplane support, the
-    set of its cells' sign tuples there, and membership is one lookup per
-    (arrangement cell, support).  A cell whose own forms conflict is empty
-    and contains nothing.
+    The arrangement stores each cell's covector, its signs on the forms of
+    the arrangement.  An operand cell contains an arrangement cell exactly
+    when the two agree on every hyperplane of the operand cell, so each
+    operand keeps, per hyperplane support, the positions of the support in
+    the covector and the set of its cells' sign tuples there: membership is
+    one ``itemgetter`` call and one set lookup per (arrangement cell,
+    support).  A cell whose own forms conflict is empty and contains
+    nothing.
     """
     _check_same_dim(A, B)
+    forms = _forms_of([A, B])
+    position = {h: i for i, h in enumerate(forms)}
     sides = []
     for S in (A, B):
         by_support = {}
@@ -454,16 +523,10 @@ def _refine(A: ConeSet, B: ConeSet):
             if signs is not None:
                 support = tuple(sorted(signs))
                 by_support.setdefault(support, set()).add(tuple(signs[f] for f in support))
-        sides.append(by_support.items())
-    forms = _forms_of([A, B])
-    # each arrangement gt is h or -h for an arrangement form h
-    sign_of = {h: (h, 1) for h in forms}
-    sign_of.update((_neg(h), (h, -1)) for h in forms)
-    for cell, _ in arrangement_cells(A.dim, forms):
-        signs = dict.fromkeys(cell.eqs, 0)
-        signs.update(map(sign_of.__getitem__, cell.gts))
-        sign = signs.__getitem__
-        yield cell, *(any(tuple(map(sign, support)) in covectors for support, covectors in side) for side in sides)
+        sides.append([(_tuple_getter(tuple(map(position.__getitem__, s))), keys) for s, keys in by_support.items()])
+    arrangement = arrangement_cells(A.dim, forms)
+    for (cell, _), cov in zip(arrangement, arrangement.covectors):
+        yield cell, *(any(get(cov) in keys for get, keys in side) for side in sides)
 
 
 def complement(A: ConeSet) -> ConeSet:
@@ -558,6 +621,21 @@ def join(P: ConeSet, Q: ConeSet) -> ConeSet:
     return ConeSet(total, tuple(dict.fromkeys(cells + embedded)))
 
 
+def join_member(P: ConeSet, Q: ConeSet, u) -> bool:
+    """Whether the point u = (x1, x2) lies in ``join(P, Q)``, read off the
+    cells of P and Q without building the join: x1 in P when x2 = 0, x2 in Q
+    when x1 = 0, and both when neither half vanishes."""
+    point = _as_point(u)
+    if len(point) != P.dim + Q.dim:
+        raise ValueError(f"direction has dimension {len(point)}, join has {P.dim + Q.dim}")
+    x1, x2 = point[: P.dim], point[P.dim :]
+    if not any(x2):
+        return member(P, x1)
+    if not any(x1):
+        return member(Q, x2)
+    return member(P, x1) and member(Q, x2)
+
+
 @dataclass
 class SigmaFormulaInput:
     """Labeled complements for both factors in all degrees 0..n."""
@@ -583,6 +661,14 @@ def product_formula_rhs(inputs: SigmaFormulaInput, n: int) -> ConeSet:
     for p in range(n + 1):
         out = union(out, join(inputs.g_complements[p], inputs.h_complements[n - p]))
     return out
+
+
+def formula_member(inputs: SigmaFormulaInput, n: int, u) -> bool:
+    """Whether u lies in ``product_formula_rhs(inputs, n)``: in the join of
+    the degree-p and degree-(n - p) complements for some p, one
+    ``join_member`` per p, with no arrangement and no Fourier-Motzkin."""
+    inputs.validate(n)
+    return any(join_member(inputs.g_complements[p], inputs.h_complements[n - p], u) for p in range(n + 1))
 
 
 def homotopical_combine(

@@ -52,6 +52,7 @@ _FM = (
     "tests/test_spheres_differential.py::test_integer_witness_agrees_with_rational_oracle",
 )
 _SPLIT = "tests/test_arrangement_split.py::test_split_cells_and_witnesses_match_the_oracle"
+_FREE = "tests/test_arrangement_split.py::test_independent_forms_need_no_decision"
 _CANONICAL = "tests/test_spheres_canonical.py::test_set_operations_match_the_renormalizing_oracle"
 _MEMBERSHIP = "tests/test_spheres_covector.py::test_refinement_membership_matches_the_witness_oracle"
 
@@ -264,12 +265,12 @@ MUTANTS = [
         "lo[1] * hi[1]",
         (*_FM, _SPLIT),
     ),
-    # one feasibility decision per split, covector lookup, the intersect pre-check
+    # the two split paths, stored covectors, the intersect pre-check
     Mutant(
         "split-keeps-the-zero-side-past-an-empty-far-side",
         "bnsr/spheres.py",
-        "        return [(near, w)]\n",
-        "        return [(zero, w), (near, w)]\n",
+        "        return [(near, w, sign)]\n",
+        "        return [(zero, w, 0), (near, w, sign)]\n",
         (_SPLIT, _CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws"),
     ),
     Mutant(
@@ -277,14 +278,35 @@ MUTANTS = [
         "bnsr/spheres.py",
         "mid = [s * b + s2 * a for a, b in zip(w, w2)]",
         "mid = [s * b - s2 * a for a, b in zip(w, w2)]",
-        (_SPLIT, "tests/test_arrangement_split.py::test_a_line_has_no_zero_side", _MEMBERSHIP),
+        (_SPLIT, _MEMBERSHIP, _CANONICAL),
     ),
     Mutant(
         "covector-lookup-ignores-direction",
         "bnsr/spheres.py",
-        "sign_of.update((_neg(h), (h, -1)) for h in forms)",
-        "sign_of.update((_neg(h), (h, 1)) for h in forms)",
-        (_MEMBERSHIP, _CANONICAL),
+        "sides.append((_cell(cell.eqs, cell.gts + (neg,)), wm, -1))",
+        "sides.append((_cell(cell.eqs, cell.gts + (neg,)), wm, 1))",
+        (_SPLIT, _FREE, _MEMBERSHIP, _CANONICAL),
+    ),
+    Mutant(
+        "kernel-not-projected-after-an-independent-form",
+        "bnsr/spheres.py",
+        "primitive_vector([a * x - p * y for x, y in zip(k, u)])",
+        "k",
+        (_SPLIT, _FREE, _CANONICAL),
+    ),
+    Mutant(
+        "plus-side-witness-coefficient-wrong-sign",
+        "bnsr/spheres.py",
+        "a * x + (a - s) * y",
+        "a * x - (a - s) * y",
+        (_SPLIT, _FREE, _CANONICAL),
+    ),
+    Mutant(
+        "kernel-factored-per-feasibility-question",
+        "bnsr/spheres.py",
+        "        kernel = _kernel(dim, eqs)\n",
+        "        kernel = tuple(map(tuple, linalg.SmithForm(eqs, dim).kernel()))\n",
+        ("tests/test_spheres_covector.py::test_each_equation_set_is_factored_once",),
     ),
     Mutant(
         "intersect-drops-agreeing-pairs",

@@ -1,24 +1,27 @@
-"""One feasibility decision per split, and one arrangement per (dim, forms).
+"""Two split paths, stored covectors, and one arrangement per (dim, forms).
 
 ``spheres.arrangement_cells`` splits each cell C with witness w across a new
-hyperplane h with at most one ``cell_witness`` call, and builds the witnesses
-of the other sides from w and the one it gets.  ``spheres_oracle`` keeps the
-builder that decided every side without w on its own.  On seeded form sets
-in dimensions 1-6, with unit forms, hyperplanes through an earlier witness,
-cells with no strict forms and empty far sides, the cells must be the
-oracle's in the oracle's order, every witness a nonzero primitive integer
-point of its cell, and a repeated request must come from the memo.
+hyperplane h.  When h is independent of the forms before it, the split makes
+no ``cell_witness`` call (``_split_free``); when h depends on them it makes
+one at most (``_split``).  ``spheres_oracle`` keeps the builder that decided
+every side without w on its own.  On seeded form sets in dimensions 1-6,
+with unit forms, hyperplanes through an earlier witness, sums of earlier
+forms (dependent, and with empty far sides) and random forms, the cells must
+be the oracle's in the oracle's order, every witness a nonzero primitive
+integer point of its cell, every stored covector the signs of the forms at
+that witness, and a repeated request must come from the memo.
 """
 
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import spheres_oracle as oracle
 from bnsr import spheres
-from bnsr.spheres import _dot, _hyperplane_form, arrangement_cells, primitive_vector
+from bnsr.spheres import _cell, _dot, _hyperplane_form, _neg, arrangement_cells, primitive_vector
 
 
 def _unit(dim, i):
@@ -57,31 +60,74 @@ def _forms(rng, dim):
     return tuple(forms)
 
 
+def _rank(rows):
+    """Rank over Q by Gaussian elimination on Fractions."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _check_covectors(dim, forms, got):
+    """Each stored covector is the sign of every form at the cell's witness,
+    and names the cell itself."""
+    assert len(got.covectors) == len(got)
+    for (cell, w), cov in zip(got, got.covectors):
+        assert cov == tuple((_dot(h, w) > 0) - (_dot(h, w) < 0) for h in forms), (cell, w, cov)
+        eqs = [h for h, s in zip(forms, cov) if s == 0]
+        gts = [h if s > 0 else _neg(h) for h, s in zip(forms, cov) if s != 0]
+        assert _cell(eqs, gts) == cell, (cell, cov)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_split_cells_and_witnesses_match_the_oracle(dim, monkeypatch):
     rng = random.Random(2600 + dim)
     seen = Counter()
-    split, witness = spheres._split, spheres.cell_witness
+    split, split_free, witness = spheres._split, spheres._split_free, spheres.cell_witness
     calls = []
 
     def counting(dim_, cell):
         calls.append(cell)
         return witness(dim_, cell)
 
-    def recording(dim_, cell, w, h):
+    def dependent(dim_, h, neg, cell, w):
         calls.clear()
-        out = split(dim_, cell, w, h)
+        out = split(dim_, h, neg, cell, w)
         s = _dot(h, w)
-        # a second decision only where a subspace's two witnesses cancel
-        assert len(calls) <= (1 if cell.gts else 2), (cell, w, h)
-        seen["through the witness"] += s == 0
-        seen["no strict forms"] += not cell.gts
-        seen["far side empty"] += s != 0 and len(out) == 1
-        seen["witnesses cancel"] += len(calls) == 2
+        assert len(calls) <= 1, (cell, w, h)
+        seen["dependent, through the witness"] += s == 0
+        seen["dependent, far side empty"] += s != 0 and len(out) == 1
+        if not cell.gts:
+            # the kernel of the earlier forms, on which a dependent h vanishes
+            assert s == 0 and [sign for _, _, sign in out] == [0], (cell, w, h)
+            seen["dependent, no strict forms"] += 1
+        return out
+
+    def independent(h, neg, u, a, line, cell, w):
+        calls.clear()
+        out = split_free(h, neg, u, a, line, cell, w)
+        assert not calls and a == _dot(h, u) > 0, (cell, w, h)
+        assert [sign for _, _, sign in out] == ([0, 1, -1] if len(out) == 3 else [1, -1]), (cell, w, h)
+        if w in (u, _neg(u)):
+            seen["independent, w on the line of u, zero side" if line else "independent, w on the line of u, no zero side"] += 1
+            assert len(out) == (3 if line else 2), (cell, w, h)
+        else:
+            seen["independent, general cell"] += 1
+            assert len(out) == 3, (cell, w, h)
         return out
 
     monkeypatch.setattr(spheres, "cell_witness", counting)
-    monkeypatch.setattr(spheres, "_split", recording)
+    monkeypatch.setattr(spheres, "_split", dependent)
+    monkeypatch.setattr(spheres, "_split_free", independent)
     spheres._arrangement.cache_clear()
     for _ in range(40):
         forms = _forms(rng, dim)
@@ -90,13 +136,63 @@ def test_split_cells_and_witnesses_match_the_oracle(dim, monkeypatch):
         for cell, w in got:
             assert len(w) == dim and all(isinstance(x, int) for x in w), (cell, w)
             assert math.gcd(*w) == 1 and cell.contains(w), (cell, w)
+        _check_covectors(dim, forms, got)
         hits = spheres._arrangement.cache_info().hits
         assert arrangement_cells(dim, list(forms)) is got
         assert spheres._arrangement.cache_info().hits == hits + 1
-    # every kind of split occurs, so the comparison is not vacuous
+    # every kind of split the dimension allows occurs, so the comparison is
+    # not vacuous: the line has one cell, a dependent form that is new meets
+    # the cell without strict forms only when dim > 2, and a split with no
+    # zero side needs dim independent forms (at most 4 are drawn)
+    kinds = ["independent, w on the line of u, no zero side"] if dim < 5 else []
     if dim > 1:
-        assert all(seen[k] > 0 for k in ("through the witness", "no strict forms", "far side empty")), seen
-    assert seen["witnesses cancel"] > 0, seen
+        kinds += [
+            "independent, general cell",
+            "independent, w on the line of u, zero side",
+            "dependent, through the witness",
+            "dependent, far side empty",
+        ]
+    if dim > 2:
+        kinds.append("dependent, no strict forms")
+    assert all(seen[k] > 0 for k in kinds), seen
+
+
+def _independent_forms(rng, dim):
+    """Up to dim seeded canonical forms, each independent of those before it."""
+    forms = []
+    for _ in range(rng.randint(1, dim)):
+        vec = [rng.randint(-3, 3) for _ in range(dim)]
+        if any(vec) and _rank(forms + [vec]) == len(forms) + 1:
+            forms.append(_hyperplane_form(primitive_vector(vec)))
+    return tuple(forms)
+
+
+def test_independent_forms_need_no_decision(monkeypatch):
+    witness = spheres.cell_witness
+    calls = []
+
+    def counting(dim_, cell):
+        calls.append(cell)
+        return witness(dim_, cell)
+
+    cases = [(dim, tuple(_unit(dim, i) for i in range(dim))) for dim in range(1, 9)]
+    rng = random.Random(2700)
+    cases += [(dim, _independent_forms(rng, dim)) for dim in range(1, 6) for _ in range(8)]
+    for dim, forms in cases:
+        expected = oracle.arrangement_cells(dim, forms)
+        monkeypatch.setattr(spheres, "cell_witness", counting)
+        spheres._arrangement.cache_clear()
+        calls.clear()
+        got = arrangement_cells(dim, forms)
+        monkeypatch.setattr(spheres, "cell_witness", witness)
+        # only the base cell is decided
+        assert calls == [spheres.Cell((), ())], (dim, forms, len(calls))
+        assert [cell for cell, _ in got] == [cell for cell, _ in expected], forms
+        for cell, w in got:
+            assert math.gcd(*w) == 1 and cell.contains(w), (cell, w)
+        _check_covectors(dim, forms, got)
+        # every sign vector but zero is a cell of an independent arrangement
+        assert len(got) == 3 ** len(forms) - (len(forms) == dim)
 
 
 def test_a_line_has_no_zero_side():
