@@ -431,11 +431,8 @@ def _split_free(h: Form, neg: Form, u: Form, a: int, line, cell: Cell, w: Form) 
     """
     s = _dot(h, w)
     wz = [a * x - s * y for x, y in zip(w, u)]
-    sides = []
-    if any(wz):
-        sides.append((_cell(cell.eqs + (h,), cell.gts), primitive_vector(wz), 0))
-    elif line is not None:
-        sides.append((_cell(cell.eqs + (h,), cell.gts), line, 0))
+    wz = primitive_vector(wz) if any(wz) else line
+    sides = [] if wz is None else [(_cell(cell.eqs + (h,), cell.gts), wz, 0)]
     wp = w if s > 0 else primitive_vector([a * x + (a - s) * y for x, y in zip(w, u)])
     wm = w if s < 0 else primitive_vector([a * x - (a + s) * y for x, y in zip(w, u)])
     sides.append((_cell(cell.eqs, cell.gts + (h,)), wp, 1))

@@ -315,6 +315,17 @@ MUTANTS = [
         "any(f in sb for f in sa)",
         (_CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws"),
     ),
+    # pointwise membership in a join
+    Mutant(
+        "join-member-takes-either-half",
+        "bnsr/spheres.py",
+        "return member(P, x1) and member(Q, x2)",
+        "return member(P, x1) or member(Q, x2)",
+        (
+            "tests/test_formula_member.py::test_join_member_matches_the_built_join",
+            "tests/test_formula_member.py::test_formula_member_matches_the_built_right_side",
+        ),
+    ),
     # the sign convention between the records and the probes
     Mutant(
         "cross-validate-reads-the-antipode",

@@ -1,9 +1,9 @@
 """Refinement membership read off sign vectors, and one Smith factorization
 per equation set.
 
-``spheres._refine`` decides whether an operand contains an arrangement cell
-by comparing that cell's eqs and gts with the operand cells' as sets.  The
-oracle is the earlier test: evaluate every operand cell's forms at the
+``spheres._refine`` reads whether an operand contains an arrangement cell
+off the cell's stored covector, at the positions of each operand support.
+The oracle is the earlier test: evaluate every operand cell's forms at the
 arrangement cell's witness point (``spheres_oracle._contains_point``).
 """
 
