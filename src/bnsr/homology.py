@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from operator import mul, neg
+from operator import itemgetter, mul, neg
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -474,7 +474,10 @@ class _WindowInventory:
     A key's value, an integer over the valuation's denominator ``v.scale``,
     is its cell's scaled value (``v.scaled_cells``) plus, per factor, the
     scaled character value of its ball position, so no key is hashed.  The
-    filtration reads the value levels from the highest down, ties in
+    value levels and every threshold compared with them stay integers
+    (``Valuation.threshold``); a Fraction is made only for a value handed
+    out of the inventory (``values``, ``distinct_values``).  The filtration
+    reads the value levels from the highest down, ties in
     enumeration order, and every threshold truncation is a prefix of it; a
     degree's order and its persistence lows are computed apart, so the
     lows of a degree are reduced only when a sweep reads them.
@@ -518,17 +521,16 @@ class _WindowInventory:
         return self._weights
 
     def levels(self, d: int) -> list:
-        """The distinct values of degree d in ascending order, each with the
-        enumeration positions of its keys, ascending.
-
-        Keys are grouped on their scaled integer values, which sort far
-        faster than Fractions, and one Fraction is made per distinct value;
-        computed once.
+        """The distinct values of degree d in ascending order, as integers
+        over the valuation's denominator ``v.scale`` (INF stays INF), each
+        with the enumeration positions of its keys, ascending; computed
+        once.  Keys are grouped on these integers, which sort far faster
+        than Fractions.
         """
         got = self._levels.get(d)
         if got is None:
             weights = self._factor_values()
-            scale, cell_values = self.v.scale, self.v.scaled_cells
+            cell_values = self.v.scaled_cells
             flat: list = []  # the scaled value of each key, in enumeration order
             for cell, _, lists in self.window.cells(d):
                 cv = cell_values[cell]
@@ -538,18 +540,24 @@ class _WindowInventory:
                     flat += _outer_sum(cv, [[w[j] for j in pos] for w, pos in zip(weights, lists)])
             value = flat.__getitem__
             got = self._levels[d] = [
-                (n if n == INF else Fraction(n, scale), list(pos))
-                for n, pos in itertools.groupby(sorted(range(len(flat)), key=value), key=value)
+                (n, list(pos)) for n, pos in itertools.groupby(sorted(range(len(flat)), key=value), key=value)
             ]
         return got
 
     def values(self, d: int) -> list:
-        """The distinct values of degree d in ascending order."""
-        return [val for val, _ in self.levels(d)]
+        """The distinct values of degree d in ascending order, as Fractions
+        (INF stays INF), one made per level."""
+        return [self.v.fraction(n) for n, _ in self.levels(d)]
+
+    def distinct_levels(self, degrees: Sequence[int]) -> list:
+        """Sorted distinct values of the admitted keys in the given degrees,
+        as integers over ``v.scale``."""
+        return sorted({n for d in degrees for n, _ in self.levels(d)})
 
     def distinct_values(self, degrees: Sequence[int]) -> list:
-        """Sorted distinct values of the admitted keys in the given degrees."""
-        return sorted({val for d in degrees for val, _ in self.levels(d)})
+        """Sorted distinct values of the admitted keys in the given degrees,
+        as Fractions, one made per distinct value."""
+        return [self.v.fraction(n) for n in self.distinct_levels(degrees)]
 
     def order(self, d: int):
         """Degree d in filtration order: the levels from the highest value
@@ -612,15 +620,17 @@ class _WindowInventory:
         return got
 
     def prefix(self, d: int, x) -> int:
-        """How many cells of degree d have value at least x: the length of
-        that prefix of :meth:`order`, whose levels descend."""
-        k = bisect_left(self.values(d), x)
+        """How many cells of degree d have a scaled value of at least the
+        integer threshold x (``Valuation.threshold``): the length of that
+        prefix of :meth:`order`, whose levels descend."""
+        k = bisect_left(self.levels(d), x, key=itemgetter(0))
         return bisect_right(self.order(d)[1], -k, key=neg)
 
     def unclosed(self, d: int) -> list:
         """Intervals (lo, hi] of the thresholds whose truncation in degrees
         d - 1 and d is not a subcomplex: a d-cell of value hi has a face of
         value lo < hi, in the filtration order of the d-cells; computed once.
+        The ends are scaled values, integers over ``v.scale`` (INF stays INF).
 
         A key (g, x) has a face (g h, y) of lower value exactly when
         chi(h) + v(y) < v(x), as chi(g) cancels: so each cell is screened
@@ -643,7 +653,8 @@ class _WindowInventory:
             if failing:
                 level, slot_d = self.order(d)[1:]
                 _, row_level, slot = self.order(d - 1)
-                values, row_values = self.values(d), self.values(d - 1)
+                values = [n for n, _ in self.levels(d)]
+                row_values = [n for n, _ in self.levels(d - 1)]
                 # per row level, the first level of degree d above its value
                 above = [bisect_right(values, x) for x in row_values]
                 cells, offsets, _ = self.window.columns(d)
@@ -667,7 +678,9 @@ class _WindowInventory:
         picked: dict = {}
         for d in degs:
             keys = self.keys(d)
-            above = [i for _, positions in self.levels(d)[bisect_left(self.values(d), t):] for i in positions]
+            levels = self.levels(d)
+            first = bisect_left(levels, self.v.threshold(t), key=itemgetter(0))
+            above = [i for _, positions in levels[first:] for i in positions]
             picked[d] = pos = sorted(above, key=lambda i: (keys[i][1], keys[i][0]))
             basis[d] = [keys[i] for i in pos]
         columns: dict = {}
@@ -784,11 +797,12 @@ def inclusion_map_is_zero(
     (in degree 0, every reduced cycle: one of augmentation zero).
 
     One pair read off the persistence sweep of :class:`_LagSweep`, on a
-    window inventory built for this call.
+    window inventory built for this call, at the integer thresholds of t
+    and t - lam: off-grid thresholds and fractional lags are read exactly.
     """
     if lam < 0:
         raise ValueError("lag must be nonnegative")
-    return _LagSweep(_WindowInventory(F, W, v), p).holds(t, lam)
+    return _LagSweep(_WindowInventory(F, W, v), p).holds(v.threshold(t), v.threshold(t - lam), t, lam)
 
 
 def _sample_thresholds(values: list, t_samples: int) -> list:
@@ -866,8 +880,10 @@ class _LagSweep:
     give birth (its class is the essential one, which never dies in the
     unreduced complex).  ``m[k]`` is the lowest death level (an index into the
     values of degree p + 1) of a class born at level k or above: -1 when one
-    never dies, None when none is born.  Levels are compared as integers;
-    :meth:`holds` reads the value of one.  So (t, lam) holds iff
+    never dies, None when none is born.  Level indices are compared as
+    integers, and level values are the inventory's integers over the
+    valuation's denominator (``inv.levels``), which :meth:`holds` compares
+    with the integer thresholds of t and t - lam.  So (t, lam) holds iff
     t - lam <= m(t), whatever the order of ties.
 
     Over Z the sweep runs over Q on the same integer columns.  A cycle that
@@ -894,11 +910,11 @@ class _LagSweep:
     def __init__(self, inv: _WindowInventory, p: int):
         self.inv, self.p = inv, p
         ring = inv.F.ring
-        self.levels = inv.values(p)
+        self.levels = [n for n, _ in inv.levels(p)]
         born_level, up_level = inv.order(p)[1], inv.order(p + 1)[1]
         lows, _ = inv.filtration(p)
         up_lows, incidence = inv.filtration(p + 1)
-        up_values = inv.values(p + 1)
+        up_values = [n for n, _ in inv.levels(p + 1)]
         # filtration slot of a p-cell -> level of the (p+1)-cell killing its class
         death = {low: up_level[k] for k, low in enumerate(up_lows) if low is not None}
         m: list = [None] * (len(self.levels) + 1)  # death levels of degree p + 1, -1 for never
@@ -917,39 +933,44 @@ class _LagSweep:
             failed = linalg.UnitReduction(inv.columns(p + 1)).failed
             self.free_above = NEG_INF if failed is None else up_values[up_level[failed]]
         self.unclosed = {d: inv.unclosed(d) for d in (p, p + 1)}
-        self._cycles = None  # (t, a basis of the cycle lattice above t) for the integral confirmation
+        self._cycles = None  # (T, a basis of the cycle lattice above threshold T) for the integral confirmation
         self._fills: dict = {}  # (column prefix, row prefix) -> Smith form of that (p+1)-boundary prefix
 
-    def holds(self, t, lam) -> bool:
-        """Whether every degree-p cycle above t bounds above t - lam."""
+    def holds(self, T, S, t, lam) -> bool:
+        """Whether every degree-p cycle above t bounds above t - lam, read at
+        the integer thresholds T and S of t and t - lam
+        (``Valuation.threshold``); t and lam only name the threshold of an
+        escape error."""
         p = self.p
-        s = t - lam
-        for d, x in ((p, t), (p + 1, s)):
+        for d, x in ((p, T), (p + 1, S)):
             for lo, hi in self.unclosed[d]:
                 if lo < x <= hi:
+                    fraction = self.inv.v.fraction
                     raise ValueError(
-                        f"a degree-{d} cell of value {hi} has a boundary term of value {lo}, which escapes "
-                        f"the window/threshold at {x}; window is not boundary-closed for this valuation"
+                        f"a degree-{d} cell of value {fraction(hi)} has a boundary term of value {fraction(lo)}, "
+                        f"which escapes the window/threshold at {t if d == p else t - lam}; "
+                        "window is not boundary-closed for this valuation"
                     )
-        m = self.m[bisect_left(self.levels, t)]
+        m = self.m[bisect_left(self.levels, T)]
         if m is None:
             return True
-        if not s <= (NEG_INF if m < 0 else self.up_values[m]):
+        if not S <= (NEG_INF if m < 0 else self.up_values[m]):
             return False
-        return self.exact or self._integral_holds(t, s)
+        return self.exact or self._integral_holds(T, S)
 
-    def _integral_holds(self, t, s) -> bool:
-        """The Z verdict of a pair that holds over Q on a non-incidence boundary."""
-        if s > self.free_above:
+    def _integral_holds(self, T, S) -> bool:
+        """The Z verdict of a pair that holds over Q on a non-incidence
+        boundary, at the integer thresholds T and S."""
+        if S > self.free_above:
             return True
         inv, p = self.inv, self.p
-        if self._cycles is None or self._cycles[0] != t:
-            down = inv.columns(p)[: inv.prefix(p, t)]
-            self._cycles = (t, linalg.SmithForm.from_columns(down, inv.prefix(p - 1, t) if p else 1).kernel())
+        if self._cycles is None or self._cycles[0] != T:
+            down = inv.columns(p)[: inv.prefix(p, T)]
+            self._cycles = (T, linalg.SmithForm.from_columns(down, inv.prefix(p - 1, T) if p else 1).kernel())
         cycles = self._cycles[1]
         if not cycles:
             return True
-        ncols, rows = inv.prefix(p + 1, s), inv.prefix(p, s)
+        ncols, rows = inv.prefix(p + 1, S), inv.prefix(p, S)
         fill = self._fills.get((ncols, rows))
         if fill is None:
             fill = self._fills[ncols, rows] = linalg.SmithForm.from_columns(inv.columns(p + 1)[:ncols], rows)
@@ -976,7 +997,10 @@ def ca_probe(
 
     Degree 0 is read on the augmented complex (reduced homology).  The
     thresholds t are every window value (or ``t_samples`` of them, or the
-    given list); the lags are 0..``lambda_max``.  For each degree p one
+    given list); the lags are 0..``lambda_max``.  Thresholds are swept as
+    integers over the valuation's denominator, t - lam at t's integer
+    threshold less lam times that denominator, and one Fraction is made per
+    threshold for the report.  For each degree p one
     persistence sweep of the window's value filtration (:class:`_LagSweep`),
     on persistence pairs computed once per window degree, answers every
     pair; the report records, for each (p, t), the verdicts along the lag
@@ -1012,22 +1036,22 @@ def ca_probe(
     if not lams:
         raise ValueError("the lag grid must be nonempty and nonnegative")
     inv = _WindowInventory(F, W, v)
-    values = inv.distinct_values(range(min(n, F.max_degree) + 1))
-    if t_samples is None:
-        ts = values
-    elif isinstance(t_samples, int):
-        ts = _sample_thresholds(values, t_samples)
+    levels = inv.distinct_levels(range(min(n, F.max_degree) + 1))
+    if t_samples is None or isinstance(t_samples, int):
+        scaled = levels if t_samples is None else _sample_thresholds(levels, t_samples)
+        ts = [v.fraction(T) for T in scaled]
     else:
         ts = sorted(Fraction(x) for x in t_samples)
+        scaled = [v.threshold(t) for t in ts]
     report.lambda_grid = list(lams)
     report.t_samples = ts
 
     for p in range(0, n):
         sweep = _LagSweep(inv, p)
-        for t in ts:
+        for t, T in zip(ts, scaled):
             found = None
             for lam in lams:
-                ok = sweep.holds(t, lam)
+                ok = sweep.holds(T, T - lam * v.scale, t, lam)
                 report.verdicts.append((p, t, lam, ok))
                 if ok:
                     found = lam
@@ -1102,7 +1126,7 @@ def max_filling_value(
     if got is None:
         return (NEG_INF, None) if return_chain else NEG_INF
     k, filling = got
-    best = levels[k][0]
+    best = v.fraction(levels[k][0])
     if not return_chain:
         return best
     keys = inv.keys(p + 1)

@@ -72,6 +72,14 @@ def _dot(form: Form, point):
     return sum(a * b for a, b in zip(form, point))
 
 
+def _primitive(vec) -> Form:
+    """The primitive multiple of a nonzero vector of ints, which every form and
+    witness built inside this module is; ``primitive_vector`` checks and
+    converts the rational entries that arrive from outside (``make_cell``)."""
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
+
+
 @dataclass(frozen=True)
 class Cell:
     """Relatively open cone {f = 0 for eqs, f > 0 for gts} minus the origin."""
@@ -195,24 +203,24 @@ def _feasible_cached(dim: int, eqs: tuple[Form, ...], gts: tuple[Form, ...]):
         if not kernel:
             return None
         if not gts:
-            return primitive_vector(kernel[0])
+            return _primitive(kernel[0])
         projected = []
         for f in gts:
             row = tuple(_dot(f, vec) for vec in kernel)
             if all(x == 0 for x in row):
                 return None
-            projected.append(primitive_vector(row))
+            projected.append(_primitive(row))
         y = _fm_witness(projected, len(kernel))
         if y is None:
             return None
-        y = primitive_vector(y)
-        return primitive_vector([sum(vec[i] * yi for vec, yi in zip(kernel, y)) for i in range(dim)])
+        y = _primitive(y)
+        return _primitive([sum(vec[i] * yi for vec, yi in zip(kernel, y)) for i in range(dim)])
     if not gts:
         if dim == 0:
             return None
         return tuple(1 if i == 0 else 0 for i in range(dim))
     y = _fm_witness(list(gts), dim)
-    return None if y is None else primitive_vector(y)
+    return None if y is None else _primitive(y)
 
 
 def cell_witness(dim: int, cell: Cell):
@@ -399,7 +407,7 @@ def _arrangement(dim: int, forms: tuple[Form, ...]) -> _Arrangement:
             if a < 0:
                 u, a = _neg(u), -a
             kernel = [
-                primitive_vector([a * x - p * y for x, y in zip(k, u)])
+                _primitive([a * x - p * y for x, y in zip(k, u)])
                 for i, (k, p) in enumerate(zip(kernel, products))
                 if i != pivot
             ]
@@ -431,10 +439,10 @@ def _split_free(h: Form, neg: Form, u: Form, a: int, line, cell: Cell, w: Form) 
     """
     s = _dot(h, w)
     wz = [a * x - s * y for x, y in zip(w, u)]
-    wz = primitive_vector(wz) if any(wz) else line
+    wz = _primitive(wz) if any(wz) else line
     sides = [] if wz is None else [(_cell(cell.eqs + (h,), cell.gts), wz, 0)]
-    wp = w if s > 0 else primitive_vector([a * x + (a - s) * y for x, y in zip(w, u)])
-    wm = w if s < 0 else primitive_vector([a * x - (a + s) * y for x, y in zip(w, u)])
+    wp = w if s > 0 else _primitive([a * x + (a - s) * y for x, y in zip(w, u)])
+    wm = w if s < 0 else _primitive([a * x - (a + s) * y for x, y in zip(w, u)])
     sides.append((_cell(cell.eqs, cell.gts + (h,)), wp, 1))
     sides.append((_cell(cell.eqs, cell.gts + (neg,)), wm, -1))
     return sides
@@ -471,7 +479,7 @@ def _split(dim: int, h: Form, neg: Form, cell: Cell, w: Form) -> list:
         return [(near, w, sign)]
     s, s2 = abs(s), abs(_dot(h, w2))
     mid = [s * b + s2 * a for a, b in zip(w, w2)]
-    zero_side = (zero, primitive_vector(mid), 0)
+    zero_side = (zero, _primitive(mid), 0)
     return [zero_side, (plus, w, 1), (minus, w2, -1)] if sign > 0 else [zero_side, (plus, w2, 1), (minus, w, -1)]
 
 
@@ -486,7 +494,7 @@ def _past(gts: tuple[Form, ...], w: Form, w2: Form) -> Form:
             gw = _dot(g, w)
             if gw * den < 2 * gd * num:
                 num, den = gw, 2 * gd
-    return primitive_vector([den * a - num * x for a, x in zip(w, d)])
+    return _primitive([den * a - num * x for a, x in zip(w, d)])
 
 
 def _tuple_getter(indices: tuple[int, ...]):

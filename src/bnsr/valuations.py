@@ -3,15 +3,17 @@
 A valuation assigns to each basis cell a value; on a translated cell the
 character value of the translation is added, and on a chain the minimum
 over the support is taken.  The zero chain gets +infinity (represented by
-float("inf"), the only float in the package; all finite values are exact
-Fractions).
+float("inf"), the only float in the package).  Inside the engine a finite
+value is an integer n over the valuation's denominator ``scale``, meaning
+n/scale, exactly; a value leaves the engine (a returned value, a report
+field, an error message) as an exact Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from operator import mul
 from typing import Iterable
 
@@ -19,6 +21,12 @@ from .groups import Character, sum_character
 from .resolutions import BasisCell, Chain, Resolution, split_tensor_element
 
 INF = float("inf")
+
+
+def _infinite(x) -> bool:
+    """Whether a cell value is INF: its type is read first, since comparing a
+    Fraction with a float costs about a microsecond."""
+    return type(x) is float and x == INF
 
 
 @dataclass
@@ -29,7 +37,10 @@ class Valuation:
     of the denominators of the character's coefficients and of the finite
     cell values.  ``weights`` are the coefficients times ``scale`` and
     ``scaled_cells`` the cell values times ``scale`` (INF stays INF); both
-    are fixed when the valuation is built.
+    are fixed when the valuation is built.  Every key is read through
+    :meth:`scaled_of_key`, and a value is compared with a threshold x as
+    n >= :meth:`threshold` (x), which holds exactly when n/scale >= x; a
+    Fraction is made only for a value that is returned (:meth:`fraction`).
     """
 
     resolution: Resolution
@@ -42,27 +53,40 @@ class Valuation:
 
     def __post_init__(self):
         coeffs, values = self.character.coeffs, self.cell_values
-        self.scale = scale = lcm(*(x.denominator for x in (*coeffs, *values.values()) if x != INF))
+        self.scale = scale = lcm(*(x.denominator for x in (*coeffs, *values.values()) if not _infinite(x)))
         self.weights = [c.numerator * (scale // c.denominator) for c in coeffs]
         self.scaled_cells = {
-            cell: x if x == INF else x.numerator * (scale // x.denominator) for cell, x in values.items()
+            cell: x if _infinite(x) else x.numerator * (scale // x.denominator) for cell, x in values.items()
         }
 
-    def of_key(self, g, cell: BasisCell):
+    def scaled_of_key(self, g, cell: BasisCell):
+        """The value of the key (g, cell) times ``scale``: an int, or INF."""
         n = self.scaled_cells[cell]
         if n == INF:
             return INF
-        return Fraction(sum(map(mul, self.weights, self.character.group.exponents(g)), n), self.scale)
+        return sum(map(mul, self.weights, self.character.group.exponents(g)), n)
+
+    def fraction(self, n):
+        """The value n/scale of a scaled value n, as a Fraction; INF stays INF."""
+        return n if n == INF else Fraction(n, self.scale)
+
+    def threshold(self, x):
+        """The least scaled value at or above x, ceil(x * scale): for an int
+        n, n >= threshold(x) exactly when n/scale >= x, and n < threshold(x)
+        exactly when n/scale < x.  An infinite x stays as it is."""
+        if isinstance(x, float):
+            if x in (INF, -INF):
+                return x
+            x = Fraction(x)
+        return ceil(x * self.scale)
+
+    def of_key(self, g, cell: BasisCell):
+        return self.fraction(self.scaled_of_key(g, cell))
 
     def value(self, chain: Chain):
         if chain.is_zero:
             return INF
-        best = INF
-        for (g, cell) in chain.terms:
-            v = self.of_key(g, cell)
-            if v < best:
-                best = v
-        return best
+        return self.fraction(min(self.scaled_of_key(g, cell) for (g, cell) in chain.terms))
 
     def __call__(self, chain: Chain):
         return self.value(chain)
@@ -70,23 +94,25 @@ class Valuation:
 
 def basic_valuation(F: Resolution, chi: Character) -> Valuation:
     """Cell values 0 in degree 0 and the boundary value inductively above:
-    each degree is valued by the valuation of the degrees below it."""
+    each degree is valued by the cell values of the degrees below it, in
+    integers over the character's denominator."""
     if chi.group != F.group:
         raise ValueError("character group does not match the resolution")
-    v = Valuation(F, chi, {cell: Fraction(0) for cell in F.cells(0)}, basic=True)
+    scale = lcm(*(c.denominator for c in chi.coeffs))
+    weights = [c.numerator * (scale // c.denominator) for c in chi.coeffs]
+    exponents = F.group.exponents
+    scaled = {cell: 0 for cell in F.cells(0)}
     for d in F.degrees():
         if d == 0:
             continue
-        cell_values = dict(v.cell_values)
         for cell in F.cells(d):
             bd = F.boundary_table.get(cell)
             if bd is None or bd.is_zero:
                 raise ValueError(
                     f"cell {cell.label} has zero boundary; basic valuation undefined"
                 )
-            cell_values[cell] = v.value(bd)
-        v = Valuation(F, chi, cell_values, basic=True)
-    return v
+            scaled[cell] = min(sum(map(mul, weights, exponents(g)), scaled[x]) for g, x in bd.terms)
+    return Valuation(F, chi, {cell: Fraction(n, scale) for cell, n in scaled.items()}, basic=True)
 
 
 @dataclass
@@ -175,10 +201,11 @@ def _split(T: Resolution, y: Chain, u, v: Valuation, side: int, name: str) -> tu
     if T.kind != "tensor":
         raise ValueError(f"{name} needs a chain in a tensor resolution")
     low, high = [], []
+    at_least = v.threshold(u)
     for (gh, cell), c in y.items():
         g = split_tensor_element(T, gh)[side]
         x = T.cell_pairs[cell][side]
-        (high if v.of_key(g, x) >= u else low).append(((gh, cell), c))
+        (high if v.scaled_of_key(g, x) >= at_least else low).append(((gh, cell), c))
     return Chain(y.ring, low), Chain(y.ring, high)
 
 

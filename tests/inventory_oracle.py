@@ -1,6 +1,7 @@
 """Readings of a window inventory (``_WindowInventory``) key by key, in
 enumeration order, for the tests that compare it with a fresh enumeration:
-each key's value from ``levels`` and each key's translated boundary from
+each key's value from ``levels`` (its integer levels read back as
+Fractions over the valuation's ``scale``) and each key's translated boundary from
 the per-cell row arrays of its window complex; and the inventory's
 admitted elements of one cell and distinct values of some degrees; the comparison of an inventory with one
 built on a fresh copy of its resolution; and the old key-by-key walk for
@@ -17,10 +18,13 @@ squares to zero.
 import functools
 import itertools
 from bisect import bisect_right
+from fractions import Fraction
+from math import ceil
 
 from bnsr.groups import Product
 from bnsr.resolutions import Resolution
 from bnsr.homology import _WindowInventory, _admitted_positions, _factor_balls
+from bnsr.valuations import INF
 
 
 def fits(group, W, g) -> bool:
@@ -75,13 +79,25 @@ def compose_is_zero(C) -> bool:
     return True
 
 
+def as_fraction(inv: _WindowInventory, n):
+    """The value n / scale of an integer level of ``inv``, as a Fraction; INF stays INF."""
+    return n if n == INF else Fraction(n, inv.v.scale)
+
+
 def inventory_values(inv: _WindowInventory, d: int) -> list:
     """The value of each key of ``inv.keys(d)``, read off ``inv.levels(d)``."""
     out = [None] * len(inv.keys(d))
-    for val, positions in inv.levels(d):
+    for n, positions in inv.levels(d):
         for i in positions:
-            out[i] = val
+            out[i] = as_fraction(inv, n)
     return out
+
+
+def sweep_holds(sweep, t, lam) -> bool:
+    """``sweep.holds`` at the pair (t, lam), its integer thresholds the
+    ceilings of t and t - lam times the valuation's ``scale``."""
+    scale = sweep.inv.v.scale
+    return sweep.holds(ceil(t * scale), ceil((t - lam) * scale), t, lam)
 
 
 def inventory_terms(inv: _WindowInventory, d: int) -> list:

@@ -55,6 +55,7 @@ _SPLIT = "tests/test_arrangement_split.py::test_split_cells_and_witnesses_match_
 _FREE = "tests/test_arrangement_split.py::test_independent_forms_need_no_decision"
 _CANONICAL = "tests/test_spheres_canonical.py::test_set_operations_match_the_renormalizing_oracle"
 _MEMBERSHIP = "tests/test_spheres_covector.py::test_refinement_membership_matches_the_witness_oracle"
+_SCALED = "tests/test_scaled_values.py"
 
 MUTANTS = [
     # one window-admission rule: the support test and the shift sets
@@ -290,7 +291,7 @@ MUTANTS = [
     Mutant(
         "kernel-not-projected-after-an-independent-form",
         "bnsr/spheres.py",
-        "primitive_vector([a * x - p * y for x, y in zip(k, u)])",
+        "_primitive([a * x - p * y for x, y in zip(k, u)])",
         "k",
         (_SPLIT, _FREE, _CANONICAL),
     ),
@@ -325,6 +326,43 @@ MUTANTS = [
             "tests/test_formula_member.py::test_join_member_matches_the_built_join",
             "tests/test_formula_member.py::test_formula_member_matches_the_built_right_side",
         ),
+    ),
+    # values as integers over one denominator: basic values, splitters, lags
+    Mutant(
+        "basic-valuation-drops-the-character-shift",
+        "bnsr/valuations.py",
+        "min(sum(map(mul, weights, exponents(g)), scaled[x]) for g, x in bd.terms)",
+        "min(scaled[x] for g, x in bd.terms)",
+        (
+            "tests/test_valuations.py::test_basic_valuation_negative_character",
+            f"{_SCALED}::test_basic_cell_values_and_chain_values_match_the_fraction_oracle",
+        ),
+    ),
+    Mutant(
+        "splitter-ceiling-taken-as-floor",
+        "bnsr/valuations.py",
+        "return ceil(x * self.scale)",
+        "return x * self.scale // 1",
+        (f"{_SCALED}::test_splits_match_the_fraction_oracle",),
+    ),
+    Mutant(
+        "probe-lag-not-scaled",
+        "bnsr/homology.py",
+        "sweep.holds(T, T - lam * v.scale, t, lam)",
+        "sweep.holds(T, T - lam, t, lam)",
+        (
+            f"{_SCALED}::test_probe_grid_matches_the_fraction_oracle",
+            "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[Z2xF2]",
+            "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[F2xF2/Z]",
+        ),
+    ),
+    # the rank of columns on any hashable rows
+    Mutant(
+        "rank-keeps-negative-integer-rows",
+        "bnsr/linalg.py",
+        "if not all(type(r) is int and r >= 0 for col in vecs for r in col):",
+        "if not all(type(r) is int for col in vecs for r in col):",
+        ("tests/test_linalg_differential.py::test_rank_reads_integer_rows_as_they_are_and_renumbers_the_rest",),
     ),
     # the sign convention between the records and the probes
     Mutant(

@@ -81,12 +81,14 @@ def test_check_axioms_pass(rng):
 
 
 class _BrokenTranslationValuation(Valuation):
-    """Violates the extension rule on translated cells, not just cell values."""
+    """Violates the extension rule on translated cells, not just cell values:
+    every translated key reads one more than it should (``scale`` in the
+    scaled reading that ``of_key`` and ``value`` share)."""
 
-    def of_key(self, g, cell):
-        base = super().of_key(g, cell)
+    def scaled_of_key(self, g, cell):
+        base = super().scaled_of_key(g, cell)
         if g != self.resolution.group.identity():
-            return base + 1
+            return base + self.scale
         return base
 
 

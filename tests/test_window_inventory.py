@@ -49,9 +49,11 @@ from bnsr.valuations import valuation_from_obj, valuation_to_obj
 
 import linalg_oracle
 from inventory_oracle import (
+    as_fraction,
     assert_same_inventories,
     filling_columns,
     fresh_copy,
+    sweep_holds,
     unclosed,
     window_admits,
     window_values,
@@ -408,7 +410,7 @@ def test_sweep_verdict_matches_zero_map_at_every_lag(name, F, radius, refuted):
                 if s not in lower:
                     lower[s] = oracle_truncate(F, v, s, W, degrees=[p, p + 1])
                 want = _zero_map(C_t, lower[s], p)
-                assert sweep.holds(t, lam) == want, (p, t, lam)
+                assert sweep_holds(sweep, t, lam) == want, (p, t, lam)
                 held.add(want)
     assert held == ({False, True} if refuted else {True})
 
@@ -431,7 +433,7 @@ def test_inclusion_map_is_zero_matches_the_oracle_pair(name, F, radius, refuted)
         pairs = [(rng.choice(values), Fraction(rng.randint(0, span), 2)) for _ in range(6)]
         sweep = _LagSweep(inv, p)
         lags = [Fraction(k, 2) for k in range(span + 1)]
-        first = next(((t, lam) for t in values for lam in lags if not sweep.holds(t, lam)), None)
+        first = next(((t, lam) for t in values for lam in lags if not sweep_holds(sweep, t, lam)), None)
         pairs += [first] if first else []
         for t, lam in pairs:
             C_t = oracle_truncate(F, v, t, W, augmented=p == 0, degrees=[p] if p == 0 else [p - 1, p])
@@ -686,7 +688,8 @@ def test_unclosed_screens_cells_like_the_key_walk():
             raise_by = {label: rng.choice(("-1", "1/2", "2", "inf")) for label in rng.sample(labels, rng.randint(1, 2))}
             inv = _WindowInventory(F, W, _raised(F, random_valuation(F, rng), raise_by))
             for d in range(F.max_degree + 2):
-                assert inv.unclosed(d) == unclosed(inv, d), (name, raise_by, d)
+                got = [(as_fraction(inv, lo), as_fraction(inv, hi)) for lo, hi in inv.unclosed(d)]
+                assert got == unclosed(inv, d), (name, raise_by, d)
                 nonempty += bool(inv.unclosed(d))
         basic = _WindowInventory(F, W, random_valuation(F, rng))
         assert all(basic.unclosed(d) == [] == unclosed(basic, d) for d in range(F.max_degree + 2))
