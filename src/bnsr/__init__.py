@@ -43,6 +43,7 @@ from .resolutions import (
     ChainMap,
     Resolution,
     check_admissible,
+    clique_resolution,
     fox_filling,
     free_group_resolution,
     koszul_resolution,

@@ -1,8 +1,8 @@
 """Admissible free resolutions over group rings, with based sparse chains.
 
-Shipped constructions: the exterior-algebra resolution for free abelian
-groups, the length-1 resolution for free groups (with the standard free
-differential calculus for fillings), and tensor products of the two for
+Shipped constructions: one clique (Salvetti) resolution, exterior-algebra
+for free abelian and length-1 for free groups (with the standard free
+differential calculus for fillings), and tensor products of these for
 direct products.  Chains are sparse maps (group element, basis cell) ->
 coefficient with exact entries.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -194,71 +195,59 @@ class Resolution:
 # constructions
 
 
-def koszul_resolution(n: int, ring: CoefficientRing, group: FreeAbelian | None = None) -> Resolution:
-    """Exterior-algebra resolution for a free abelian group of rank n."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if group is None:
-        group = FreeAbelian(n)
-    elif not isinstance(group, FreeAbelian) or group.rank != n:
-        raise ValueError("group does not match the requested rank")
-    cells_by_degree: dict[int, list[BasisCell]] = {d: [] for d in range(n + 1)}
+def _cliques(group: Group) -> tuple[str, list[tuple[int, ...]], Callable[[tuple[int, ...]], str]]:
+    """What differs by kind in a clique resolution: the kind string, the
+    cliques (sets of generator indices, by size and then in lexicographic
+    order) and the label of the cell of a clique."""
+    if isinstance(group, FreeAbelian):
+        cliques = [S for size in range(group.rank + 1) for S in itertools.combinations(range(group.rank), size)]
+        return "koszul", cliques, lambda S: "e_{" + ",".join(str(i + 1) for i in S) + "}" if S else "e"
+    if isinstance(group, Free):
+        if group.rank < 1:
+            raise ValueError("free rank must be at least 1")
+        return "free", [(), *((i,) for i in range(group.rank))], lambda S: f"x_{group.generators[S[0]]}" if S else "x0"
+    raise ValueError(f"unsupported group kind: {group!r}")
+
+
+def clique_resolution(group: Group, ring: CoefficientRing) -> Resolution:
+    """The Salvetti complex of a right-angled Artin group (Z^n: complete
+    graph, F_k: edgeless graph), one cell e_S per clique S in degree |S|,
+    with augmentation 1 on e_∅ and the Koszul boundary
+    ∂e_S = Σ_k (−1)^k (x_{S_k} − 1)·e_{S∖S_k} (Charney, "An introduction to
+    right-angled Artin groups", Geom. Dedicata 125, 2007)."""
+    kind, cliques, label = _cliques(group)
+    cells_by_degree: dict[int, list[BasisCell]] = {}
     cell_of: dict[tuple[int, ...], BasisCell] = {}
-    for size in range(n + 1):
-        for S in itertools.combinations(range(1, n + 1), size):
-            label = "e" if not S else "e_{" + ",".join(map(str, S)) + "}"
-            cell = BasisCell(size, len(cells_by_degree[size]), label)
-            cells_by_degree[size].append(cell)
-            cell_of[S] = cell
+    for S in cliques:
+        bucket = cells_by_degree.setdefault(len(S), [])
+        cell_of[S] = BasisCell(len(S), len(bucket), label(S))
+        bucket.append(cell_of[S])
     boundary_table: dict[BasisCell, Chain] = {}
     ident = group.identity()
     for S, cell in cell_of.items():
         if not S:
             continue
         terms = []
-        for pos, j in enumerate(S):
-            rest = tuple(x for x in S if x != j)
-            sign = ring.from_int(1 if pos % 2 == 0 else -1)
-            tj = group.generator_element(j - 1)
-            terms.append(((tj, cell_of[rest]), sign))
-            terms.append(((ident, cell_of[rest]), ring.neg(sign)))
+        for k, v in enumerate(S):
+            face = cell_of[S[:k] + S[k + 1 :]]
+            sign = ring.from_int(1 if k % 2 == 0 else -1)
+            terms.append(((group.generator_element(v), face), sign))
+            terms.append(((ident, face), ring.neg(sign)))
         boundary_table[cell] = Chain(ring, terms)
-    augmentation = {cell_of[()]: ring.one()}
-    return Resolution(
-        group,
-        ring,
-        "koszul",
-        {d: tuple(cs) for d, cs in cells_by_degree.items()},
-        boundary_table,
-        augmentation,
-    )
+    cells = {d: tuple(cs) for d, cs in cells_by_degree.items()}
+    return Resolution(group, ring, kind, cells, boundary_table, {cell_of[()]: ring.one()})
 
 
-def free_group_resolution(k: int, ring: CoefficientRing, group: Free | None = None) -> Resolution:
+def koszul_resolution(n: int, ring: CoefficientRing) -> Resolution:
+    """Exterior-algebra resolution for a free abelian group of rank n."""
+    return clique_resolution(FreeAbelian(n), ring)
+
+
+def free_group_resolution(k: int, ring: CoefficientRing) -> Resolution:
     """Length-1 resolution for a free group: one 0-cell, one 1-cell per generator."""
-    if k < 1:
+    if k < 1:  # before Free(k), which words a negative rank differently
         raise ValueError("free rank must be at least 1")
-    if group is None:
-        group = Free(k)
-    elif not isinstance(group, Free) or group.rank != k:
-        raise ValueError("group does not match the requested rank")
-    x0 = BasisCell(0, 0, "x0")
-    ident = group.identity()
-    ones = []
-    boundary_table = {}
-    for i, lab in enumerate(group.generators):
-        cell = BasisCell(1, i, f"x_{lab}")
-        ones.append(cell)
-        gi = group.generator_element(i)
-        boundary_table[cell] = Chain(ring, [((gi, x0), ring.one()), ((ident, x0), ring.neg(ring.one()))])
-    return Resolution(
-        group,
-        ring,
-        "free",
-        {0: (x0,), 1: tuple(ones)},
-        boundary_table,
-        {x0: ring.one()},
-    )
+    return clique_resolution(Free(k), ring)
 
 
 def fox_filling(w, F: Resolution) -> Chain:
@@ -286,6 +275,14 @@ def fox_filling(w, F: Resolution) -> Chain:
 # at most 16 (koszul:2 with koszul:2) and the benchmark workloads 12; the limit
 # is ten times the larger.
 MAX_TENSOR_CELLS = 160
+
+
+def _check_tensor_size(groups) -> None:
+    """Refuse the tensor product of the groups' clique resolutions by its cell
+    count, read off the cliques before any factor is built (or cached)."""
+    count = math.prod(len(_cliques(g)[1]) for g in groups)
+    if count > MAX_TENSOR_CELLS:
+        raise ValueError(f"a tensor product of {count} cells is above the limit of {MAX_TENSOR_CELLS}")
 
 
 def _tensor_cells(F: Resolution, G: Resolution):
@@ -384,29 +381,17 @@ def resolution_for(group: Group, ring: CoefficientRing) -> Resolution:
     its memos (shift sets, cell columns and window complexes) serve every
     later caller, and a window asked for through it lives until the process
     ends.  It must not be mutated.  A group that is refused is not cached.
-    ``koszul_resolution``, ``free_group_resolution`` and
-    ``tensor_resolution`` build a private resolution on every call.
+    ``clique_resolution`` and ``tensor_resolution`` build a private
+    resolution on every call.
     """
-    if isinstance(group, FreeAbelian):
-        return koszul_resolution(group.rank, ring, group)
-    if isinstance(group, Free):
-        return free_group_resolution(group.rank, ring, group)
-    if isinstance(group, Product):
-        # products are flattened, so every part is a free or free abelian factor
-        parts = group.parts
-        # refused from the parts' cell counts before any factor is built (and cached)
-        count = 1
-        for p in parts:
-            count *= 2**p.rank if isinstance(p, FreeAbelian) else p.rank + 1
-        if count > MAX_TENSOR_CELLS:
-            raise ValueError(f"a tensor product of {count} cells is above the limit of {MAX_TENSOR_CELLS}")
-        res = resolution_for(parts[0], ring)
-        for p in parts[1:]:
-            res = tensor_resolution(res, resolution_for(p, ring))
-        if res.group != group:
-            raise ValueError("resolution group does not match the given product")
-        return res
-    raise ValueError(f"unsupported group kind: {group!r}")
+    if not isinstance(group, Product):
+        return clique_resolution(group, ring)
+    # products are flattened, so every part is a free or free abelian factor
+    _check_tensor_size(group.parts)
+    res = functools.reduce(tensor_resolution, [resolution_for(p, ring) for p in group.parts])
+    if res.group != group:
+        raise ValueError("resolution group does not match the given product")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +503,30 @@ def chain_from_obj(F: Resolution, data: list) -> Chain:
     return Chain(F.ring, terms)
 
 
-def parse_resolution(spec: str, ring: CoefficientRing) -> Resolution:
-    """Parse "koszul:2", "free:2" or "tensor:koszul:2,free:2"."""
+def _spec_groups(spec: str) -> list[Group]:
+    """The factor groups of a resolution spec, left to right, each tensor
+    prefix refused by its size as building it factor by factor would be."""
     if spec.startswith("tensor:"):
         parts = spec[len("tensor:") :].split(",")
         if len(parts) < 2:
             raise ValueError("tensor spec needs at least two factors")
-        res = parse_resolution(parts[0], ring)
+        # a factor holds no comma, so a nested tensor spec is refused above
+        groups = _spec_groups(parts[0])
         for p in parts[1:]:
-            res = tensor_resolution(res, parse_resolution(p, ring))
-        return res
+            groups += _spec_groups(p)
+            _check_tensor_size(groups)
+        return groups
     kind, _, arg = spec.partition(":")
     if not arg.isdigit():
         raise ValueError(f"bad resolution spec {spec!r}")
     if kind == "koszul":
-        return koszul_resolution(int(arg), ring)
+        return [FreeAbelian(int(arg))]
     if kind == "free":
-        return free_group_resolution(int(arg), ring)
+        return [Free(int(arg))]
     raise ValueError(f"unknown resolution kind {kind!r}")
+
+
+def parse_resolution(spec: str, ring: CoefficientRing) -> Resolution:
+    """Parse "koszul:2", "free:2" or "tensor:koszul:2,free:2"; each factor is
+    built on its own unprimed group, so "tensor:free:2,free:2" has x_a⊗x_a."""
+    return functools.reduce(tensor_resolution, [clique_resolution(g, ring) for g in _spec_groups(spec)])

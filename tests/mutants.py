@@ -56,6 +56,7 @@ _FREE = "tests/test_arrangement_split.py::test_independent_forms_need_no_decisio
 _CANONICAL = "tests/test_spheres_canonical.py::test_set_operations_match_the_renormalizing_oracle"
 _MEMBERSHIP = "tests/test_spheres_covector.py::test_refinement_membership_matches_the_witness_oracle"
 _SCALED = "tests/test_scaled_values.py"
+_CLIQUES = "tests/test_clique_resolution.py::test_clique_builder_matches_the_two_old_builders"
 
 MUTANTS = [
     # one window-admission rule: the support test and the shift sets
@@ -363,6 +364,42 @@ MUTANTS = [
         "if not all(type(r) is int and r >= 0 for col in vecs for r in col):",
         "if not all(type(r) is int for col in vecs for r in col):",
         ("tests/test_linalg_differential.py::test_rank_reads_integer_rows_as_they_are_and_renumbers_the_rest",),
+    ),
+    # the one clique resolution and the size check read off its cliques
+    Mutant(
+        "clique-boundary-sign-not-alternating",
+        "bnsr/resolutions.py",
+        "sign = ring.from_int(1 if k % 2 == 0 else -1)",
+        "sign = ring.from_int(1)",
+        (
+            f"{_CLIQUES}[Z2-Q]",
+            f"{_CLIQUES}[Z3/custom-Z]",
+            f"{_CLIQUES}[Z6-F5]",
+            "tests/test_resolutions.py::test_koszul_rank2_boundary_of_top_cell",
+            "tests/test_cli.py::test_resolution_build_structured_output_is_pinned[koszul:3]",
+        ),
+    ),
+    Mutant(
+        "clique-identity-term-not-negated",
+        "bnsr/resolutions.py",
+        "terms.append(((ident, face), ring.neg(sign)))",
+        "terms.append(((ident, face), sign))",
+        (
+            f"{_CLIQUES}[Z1-Q]",
+            f"{_CLIQUES}[F2/custom-F5]",
+            "tests/test_resolutions.py::test_koszul_rank1_structure",
+            "tests/test_cli.py::test_resolution_build_structured_output_is_pinned[free:2]",
+        ),
+    ),
+    Mutant(
+        "parse-resolution-sizes-after-building",
+        "bnsr/resolutions.py",
+        "            groups += _spec_groups(p)\n            _check_tensor_size(groups)\n",
+        "            groups += _spec_groups(p)\n",
+        (
+            "tests/test_resolutions.py::test_an_oversized_product_is_refused_before_its_factors_are_built",
+            "tests/test_cli.py::test_oversized_tensor_product_is_refused_before_its_cells_are_built[resolution-spec]",
+        ),
     ),
     # the sign convention between the records and the probes
     Mutant(

@@ -158,6 +158,13 @@ def test_record_serialization_roundtrip():
     assert equals(back.complement, rec.complement)
 
 
+def test_a_record_whose_complement_has_the_wrong_dimension_is_refused():
+    data = CAT.lookup(FreeAbelian(2), 1, "Q").to_dict()
+    data["complement"] = {"dim": 3, "cells": []}
+    with pytest.raises(ValueError, match="complement has dimension 3, but its group has character dimension 2"):
+        SigmaRecord.from_dict(data)
+
+
 def test_cross_validate_product_embedded_vs_generic():
     P = product(F2, F2)
     rec = CAT.lookup(P, 1, "Q")

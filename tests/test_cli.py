@@ -174,6 +174,19 @@ def test_probe_and_witness_structured_output_is_pinned(name, argv, want_code, tm
     assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
+# resolution specs whose `resolution build` structured output must stay
+# byte-identical, each in tests/golden/resolution-build-<spec>.json
+RESOLUTION_GOLDEN = ["koszul:3", "free:2", "tensor:koszul:2,free:2"]
+
+
+@pytest.mark.parametrize("spec", RESOLUTION_GOLDEN)
+def test_resolution_build_structured_output_is_pinned(spec, capsys):
+    code, out, _ = run_cli(["resolution", "build", "--resolution", spec, "--format", "structured"], capsys)
+    assert code == 0
+    name = "resolution-build-" + spec.replace(":", "-").replace(",", "-")
+    assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+
+
 def test_in_process_probes_in_a_row_share_the_window_and_keep_their_pinned_bytes(capsys):
     """``probe ca`` reads the one resolution of its (group, ring), so a
     second run in the same process reads the window complex the first one
@@ -681,6 +694,21 @@ def test_catalog_commands_accept_records_and_shadow(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    CATALOG_COMMANDS + [["lookup", "--group", "abelian:2", "--degree", "1"]],
+    ids=[c[0] for c in CATALOG_COMMANDS] + ["lookup-the-record"],
+)
+def test_a_record_of_the_wrong_dimension_is_refused_at_load(command, tmp_path, capsys):
+    # an abelian:2 record (character dimension 2) whose complement lives in dimension 3
+    record = {"group": {"kind": "free_abelian", "rank": 2, "generators": ["t1", "t2"]}, "degree": 1, "ring": "Q",
+              "complement": {"dim": 3, "cells": []}}
+    records = write_json(tmp_path / "records.json", [record])
+    code, out, err = run_cli(["catalog"] + command + ["--records", records, "--shadow"], capsys)
+    assert code == 3 and out == ""
+    assert "complement has dimension 3" in err and "character dimension 2" in err
+
+
+@pytest.mark.parametrize(
     "resolution,g",
     [
         ("koszul:1", [1.5]),
@@ -919,12 +947,16 @@ def test_oversized_tensor_product_is_refused_before_its_cells_are_built(name, ca
     def cells(F, G):
         raise AssertionError(f"built the cells of a {len(F.cell_by_label)} x {len(G.cell_by_label)} tensor product")
 
+    def build(group, ring):
+        raise AssertionError("built a factor resolution")
+
     # without the guard the command fails here, before it can allocate 2^24 cells
     monkeypatch.setattr(resolutions, "_tensor_cells", cells)
+    # both routes read the size off the factor groups, so neither builds a rank-12 factor (4096 cells)
+    monkeypatch.setattr(resolutions, "clique_resolution", build)
     start = time.perf_counter()
     code, out, err = run_cli(OVERSIZED_TENSORS[name], capsys)
-    # a resolution spec builds both rank-12 factors (4096 cells each) before the guard runs
-    assert time.perf_counter() - start < 3.0
+    assert time.perf_counter() - start < 1.0
     assert code == 3 and out == "" and f"limit of {resolutions.MAX_TENSOR_CELLS}" in err
 
 

@@ -256,19 +256,22 @@ def test_resolution_for_is_shared_per_group_and_ring():
 
 
 def test_an_oversized_product_is_refused_before_its_factors_are_built(monkeypatch):
-    """The product's cell count is read off the factor groups, so a refused
-    product builds no factor resolution and leaves nothing in the memo."""
+    """The product's cell count is read off the factor groups' cliques, so a
+    refused product, asked for as a group or as a resolution spec, builds no
+    factor resolution and leaves nothing in the memo."""
     import bnsr.resolutions as resolutions
 
     def build(*args):
         raise AssertionError("built a factor resolution")
 
-    monkeypatch.setattr(resolutions, "koszul_resolution", build)
-    monkeypatch.setattr(resolutions, "free_group_resolution", build)
+    monkeypatch.setattr(resolutions, "clique_resolution", build)
     before = resolution_for.cache_info().currsize
-    for spec, count in (("product:abelian:12,abelian:12", 2**24), ("product:abelian:6,free:3,abelian:1", 512)):
+    # a spec is refused at its first oversized prefix, as building it factor by factor would be
+    for spec, count, prefix in (("abelian:12,abelian:12", 2**24, 2**24), ("abelian:6,free:3,abelian:1", 512, 256)):
         with pytest.raises(ValueError, match=f"a tensor product of {count} cells is above the limit"):
-            resolution_for(parse_group(spec), RATIONALS)
+            resolution_for(parse_group("product:" + spec), RATIONALS)
+        with pytest.raises(ValueError, match=f"a tensor product of {prefix} cells is above the limit"):
+            parse_resolution("tensor:" + spec.replace("abelian", "koszul"), RATIONALS)
     assert resolution_for.cache_info().currsize == before
 
 
