@@ -76,6 +76,11 @@ class SigmaRecord:
         degree, ring_tag, provenance = data["degree"], data["ring"], data.get("provenance", "user supplied")
         if type(degree) is not int or degree < 0 or not isinstance(ring_tag, str) or not isinstance(provenance, str):
             raise ValueError("a catalog record needs a nonnegative integer degree and a string ring and provenance")
+        if ring_tag != "homotopical":
+            try:
+                ring_from_tag(ring_tag)
+            except ValueError as exc:
+                raise ValueError(f"a catalog record's ring {ring_tag!r} is neither homotopical nor a ring: {exc}") from None
         group, complement = group_from_dict(data["group"]), cone_set_from_obj(data["complement"])
         if complement.dim != group.char_dim:
             raise ValueError(f"a catalog record's complement has dimension {complement.dim}, but its group has "

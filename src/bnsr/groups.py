@@ -201,6 +201,8 @@ class Free(Group):
         return tuple(out)
 
     def multiply(self, g, h):
+        if not h:  # every term of a tensor boundary has the identity in one factor
+            return g
         # both words are reduced, so only letters at the junction cancel
         k, n = 0, min(len(g), len(h))
         while k < n and g[-1 - k] == -h[k]:
@@ -424,6 +426,8 @@ def group_from_dict(data: dict) -> Group:
     if kind == "product":
         if not isinstance(data.get("factors"), list):
             raise ValueError("a product group needs a list of factors")
+        if len(data["factors"]) < 2:  # as parse_group refuses a one-factor product spec
+            raise ValueError("a product group needs at least two factors")
         return Product([group_from_dict(f) for f in data["factors"]])
     if kind not in ("free_abelian", "free"):
         raise ValueError(f"unknown group kind {kind!r}")

@@ -149,6 +149,11 @@ def _flows(tree, rhs, forest, ring):
     walked: from ground when they reach it, otherwise from their first rhs
     row.  On rows numbered with the rhs's first, that row is the
     component's root, so the walk does not depend on the numbering.
+
+    The rhs is read once as integers over one denominator (:func:`_scaled`:
+    over Q the lcm of its denominators, residues over F_p), the subtree sums
+    are plain integers, and a ring element is made only for a nonzero flow
+    n: n/den over Q, n mod p over F_p, n over Z.
     """
     adj: dict = {}  # row -> list of (key, neighbor, sign of column at row)
     for key, tail, head in tree:
@@ -159,21 +164,24 @@ def _flows(tree, rhs, forest, ring):
         root = forest.find(r)
         if root not in starts:
             starts[root] = -1 if root == -1 else r
-    zero = ring.zero()
+    mod = _elimination_modulus(ring)
+    scaled, den = _scaled(rhs.items(), mod)
+    rhs = dict(scaled)
+    make = ring.normalize if den == 1 else (lambda n: Fraction(n, den))
     solution = {}
     for start in starts.values():
-        subtree = {start: rhs.get(start, zero)}  # row -> rhs sum over its subtree, once its children are added
+        subtree = {start: rhs.get(start, 0)}  # row -> rhs sum over its subtree, once its children are added
         walk = [(start, None, None, None)]  # (row, key of its tree edge, parent, sign of that column at row), parents first
-        for node, *_ in walk:
+        for node, _, _, _ in walk:
             for key, other, sign in adj.get(node, ()):
                 if other not in subtree:
-                    subtree[other] = rhs.get(other, zero)
+                    subtree[other] = rhs.get(other, 0)
                     walk.append((other, key, node, -sign))
         for node, key, parent, sign_at_node in reversed(walk[1:]):
-            flow = subtree[node] if sign_at_node == 1 else ring.neg(subtree[node])
-            if flow != zero:
-                solution[key] = flow
-            subtree[parent] = ring.add(subtree[parent], subtree[node])
+            n = subtree[node]
+            if n % mod if mod else n:
+                solution[key] = make(n if sign_at_node == 1 else -n)
+            subtree[parent] += n
     return solution
 
 

@@ -13,14 +13,17 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .groups import Free, FreeAbelian, Group, Product, pair_element, product, split_element
+from .groups import Free, FreeAbelian, Group, Product, pair_element, product
 from .rings import CoefficientRing
 
 
-@dataclass(frozen=True, order=True)
-class BasisCell:
+class BasisCell(NamedTuple):
+    """A basis cell of a resolution.  As a tuple it hashes, compares and
+    sorts by (degree, index, label) in C, which every (g, cell) key of a
+    chain or a window relies on."""
+
     degree: int
     index: int
     label: str
@@ -39,10 +42,12 @@ class Chain:
         """
         normalize, add, is_zero = ring.normalize, ring.add, ring.is_zero
         acc: dict = {}
+        get = acc.get
         for key, coeff in terms.items() if isinstance(terms, dict) else terms:
             coeff = normalize(coeff)
-            if key in acc:
-                coeff = add(acc[key], coeff)
+            prev = get(key)
+            if prev is not None:
+                coeff = add(prev, coeff)
             if is_zero(coeff):
                 acc.pop(key, None)
             else:
@@ -52,6 +57,16 @@ class Chain:
             raise ValueError(f"chain mixes degrees {sorted(degrees)}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", acc)
+
+    @classmethod
+    def _of(cls, ring: CoefficientRing, terms: dict) -> "Chain":
+        """The chain that holds ``terms`` as they are: a dict of normalized,
+        nonzero coefficients on keys of one degree, such as a part of an
+        existing chain's terms, which need no summing."""
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "ring", ring)
+        object.__setattr__(chain, "terms", terms)
+        return chain
 
     def __setattr__(self, name, value):
         raise AttributeError("Chain is immutable")
@@ -79,8 +94,8 @@ class Chain:
         return Chain(self.ring, [*self.terms.items(), *other.terms.items()])
 
     def neg(self) -> "Chain":
-        ring = self.ring
-        return Chain(ring, {key: ring.neg(c) for key, c in self.terms.items()})
+        neg = self.ring.neg
+        return Chain._of(self.ring, {key: neg(c) for key, c in self.terms.items()})
 
     def sub(self, other: "Chain") -> "Chain":
         return self.add(other.neg())
@@ -365,11 +380,6 @@ def tensor_chain(T: Resolution, c: Chain, cp: Chain) -> Chain:
             key = (pair_element(T.left.group, T.right.group, g, h), T.pair_index[(x, y)])
             terms.append((key, ring.mul(a, b)))
     return Chain(ring, terms)
-
-
-def split_tensor_element(T: Resolution, gh):
-    """Factor a product group element of a tensor resolution into its halves."""
-    return split_element(T.left.group, T.right.group, gh)
 
 
 @functools.cache

@@ -17,8 +17,8 @@ from math import ceil, lcm
 from operator import mul
 from typing import Iterable
 
-from .groups import Character, sum_character
-from .resolutions import BasisCell, Chain, Resolution, split_tensor_element
+from .groups import Character, Product, sum_character
+from .resolutions import BasisCell, Chain, Resolution
 
 INF = float("inf")
 
@@ -197,16 +197,25 @@ def product_valuation(T: Resolution, v: Valuation, vp: Valuation) -> Valuation:
 
 
 def _split(T: Resolution, y: Chain, u, v: Valuation, side: int, name: str) -> tuple[Chain, Chain]:
-    """The terms of y whose ``side`` factor (0 left, 1 right) has v-value below u, then the rest."""
+    """The terms of y whose ``side`` factor (0 left, 1 right) has v-value below u, then the rest.
+
+    A product element of T is the tuple of its flat parts, so each term's
+    factor element is one subscript at the left factor count: a slice for a
+    product factor, the part itself otherwise.  The two halves keep y's terms
+    as they are (:meth:`Chain._of`)."""
     if T.kind != "tensor":
         raise ValueError(f"{name} needs a chain in a tensor resolution")
-    low, high = [], []
-    at_least = v.threshold(u)
-    for (gh, cell), c in y.items():
-        g = split_tensor_element(T, gh)[side]
-        x = T.cell_pairs[cell][side]
-        (high if v.scaled_of_key(g, x) >= at_least else low).append(((gh, cell), c))
-    return Chain(y.ring, low), Chain(y.ring, high)
+    nl = len(T.left.group.factors())
+    if isinstance((T.left, T.right)[side].group, Product):
+        at = slice(None, nl) if side == 0 else slice(nl, None)
+    else:
+        at = 0 if side == 0 else nl
+    low, high = {}, {}
+    at_least, pairs, scaled_of_key = v.threshold(u), T.cell_pairs, v.scaled_of_key
+    for key, c in y.terms.items():
+        gh, cell = key
+        (high if scaled_of_key(gh[at], pairs[cell][side]) >= at_least else low)[key] = c
+    return Chain._of(y.ring, low), Chain._of(y.ring, high)
 
 
 def split_left(T: Resolution, y: Chain, u, v: Valuation) -> tuple[Chain, Chain]:

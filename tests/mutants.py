@@ -92,7 +92,7 @@ MUTANTS = [
     Mutant(
         "chain-overwrites-repeated-keys",
         "bnsr/resolutions.py",
-        "            if key in acc:\n                coeff = add(acc[key], coeff)\n",
+        "            if prev is not None:\n                coeff = add(prev, coeff)\n",
         "",
         _CHAINS,
     ),
@@ -400,6 +400,28 @@ MUTANTS = [
             "tests/test_resolutions.py::test_an_oversized_product_is_refused_before_its_factors_are_built",
             "tests/test_cli.py::test_oversized_tensor_product_is_refused_before_its_cells_are_built[resolution-spec]",
         ),
+    ),
+    # integer tree flows and splits that keep their terms
+    Mutant(
+        "flows-drop-the-rhs-denominator",
+        "bnsr/linalg.py",
+        "make = ring.normalize if den == 1 else (lambda n: Fraction(n, den))",
+        "make = ring.normalize",
+        ("tests/test_linalg_differential.py::test_incidence_fast_path_agrees_with_elimination",),
+    ),
+    Mutant(
+        "flows-not-reduced-mod-p",
+        "bnsr/linalg.py",
+        "if n % mod if mod else n:",
+        "if n:",
+        ("tests/test_linalg_differential.py::test_incidence_fast_path_agrees_with_elimination",),
+    ),
+    Mutant(
+        "split-slices-the-other-factor",
+        "bnsr/valuations.py",
+        "at = slice(None, nl) if side == 0 else slice(nl, None)",
+        "at = slice(nl, None) if side == 0 else slice(None, nl)",
+        (f"{_SCALED}::test_splits_match_the_fraction_oracle[(Z1xF2)xF2]", f"{_SCALED}::test_splits_match_the_fraction_oracle[F2x(Z1xF2)]"),
     ),
     # the sign convention between the records and the probes
     Mutant(

@@ -16,8 +16,22 @@ from fractions import Fraction
 
 import pytest
 
-from bnsr import Chain, INTEGERS, RATIONALS, free_group_resolution, koszul_resolution, tensor_chain, tensor_resolution
+from bnsr import (
+    INF,
+    INTEGERS,
+    RATIONALS,
+    Chain,
+    Character,
+    basic_valuation,
+    free_group_resolution,
+    koszul_resolution,
+    split_bottom,
+    split_left,
+    tensor_chain,
+    tensor_resolution,
+)
 from bnsr.groups import pair_element
+from bnsr.resolutions import chain_from_obj, chain_to_obj
 from bnsr.rings import PrimeField
 from bnsr.witness import retraction_maps
 
@@ -130,3 +144,57 @@ def test_retraction_maps_and_tensor_chains_match_the_oracle(ring):
         ]
         assert tensor_chain(T, c, cp).terms == oracle(ring, expect)
     assert stats["cancelled"] > ROUNDS // 2, stats
+
+
+def tensors(ring):
+    """Tensor resolutions with free and free abelian factors, and with a
+    factor that is itself a product on either side."""
+    K1, FR2 = koszul_resolution(1, ring), free_group_resolution(2, ring)
+    KF = tensor_resolution(K1, FR2)
+    return tensor_resolution(K1, FR2), tensor_resolution(FR2, FR2), tensor_resolution(KF, FR2), tensor_resolution(FR2, KF)
+
+
+def draw_character(rng, group):
+    return Character(group, [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(group.char_dim)])
+
+
+@pytest.mark.parametrize("ring", [RATIONALS, INTEGERS, PrimeField(5)], ids=lambda r: r.tag)
+def test_split_halves_partition_the_chain_and_are_summed_chains(ring):
+    """The two halves of a split keep y's terms as they are: they are
+    disjoint, their union is y, and each is the chain the summing
+    constructor makes of its own terms."""
+    rng = random.Random(23)
+    stats = {"repeated": 0, "cancelled": 0}
+    both = 0  # splits with terms on each side
+    for T in tensors(ring):
+        v, vp = basic_valuation(T.left, draw_character(rng, T.left.group)), basic_valuation(
+            T.right, draw_character(rng, T.right.group)
+        )
+        for _ in range(ROUNDS):
+            y = Chain(ring, draw_terms(rng, T, ring, rng.choice(T.degrees()), stats))
+            for split, w in ((split_left, v), (split_bottom, vp)):
+                for u in (-INF, INF, Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))):
+                    low, high = split(T, y, u, w)
+                    assert not low.terms.keys() & high.terms.keys()
+                    assert {**low.terms, **high.terms} == y.terms
+                    for half in (low, high):
+                        assert half == Chain(ring, list(half.items()))
+                    both += bool(low.terms and high.terms)
+    assert both > ROUNDS // 2, both
+
+
+def test_basis_cells_hash_and_sort_as_their_fields():
+    """A cell is the tuple (degree, index, label): it sorts and hashes as that
+    tuple, and a cell read back from a serialized chain is the resolution's."""
+    rng = random.Random(24)
+    for F in (*resolutions(RATIONALS), *tensors(RATIONALS)):
+        cells = [cell for d in F.degrees() for cell in F.cells(d)]
+        shuffled = rng.sample(cells, len(cells))
+        assert sorted(shuffled) == sorted(shuffled, key=lambda c: (c.degree, c.index, c.label)) == cells
+        assert all(hash(c) == hash((c.degree, c.index, c.label)) for c in cells)
+        ident = F.group.identity()
+        for d in F.degrees():
+            chain = Chain(RATIONALS, [((ident, cell), 1) for cell in F.cells(d)])
+            back = chain_from_obj(F, chain_to_obj(F, chain))
+            assert back == chain
+            assert all(cell == F.cell_by_label[cell.label] for (_, cell) in back.terms)

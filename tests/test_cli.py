@@ -709,6 +709,21 @@ def test_a_record_of_the_wrong_dimension_is_refused_at_load(command, tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "command",
+    CATALOG_COMMANDS + [["lookup", "--group", "abelian:2", "--degree", "1", "--ring", "bogus"]],
+    ids=[c[0] for c in CATALOG_COMMANDS] + ["lookup-the-record"],
+)
+def test_a_record_of_an_unknown_ring_is_refused_at_load(command, tmp_path, capsys):
+    # no probe or formula reads a ring tag that is neither "homotopical" nor a ring
+    record = {"group": {"kind": "free_abelian", "rank": 2, "generators": ["t1", "t2"]}, "degree": 1, "ring": "bogus",
+              "complement": {"dim": 2, "cells": []}}
+    records = write_json(tmp_path / "records.json", [record])
+    code, out, err = run_cli(["catalog"] + command + ["--records", records, "--shadow"], capsys)
+    assert code == 3 and out == ""
+    assert "ring 'bogus'" in err
+
+
+@pytest.mark.parametrize(
     "resolution,g",
     [
         ("koszul:1", [1.5]),

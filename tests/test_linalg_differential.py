@@ -21,6 +21,7 @@ import linalg_oracle
 from bnsr.rings import INTEGERS, PrimeField, RATIONALS
 
 from conftest import _field_ops
+from test_linalg import apply_columns
 
 FIELDS = (RATIONALS, PrimeField(2), PrimeField(5), PrimeField(7))
 
@@ -369,8 +370,24 @@ def test_sparse_rank_equals_smith_rank_and_bounds_prime_field_ranks():
             assert linalg.rank_columns(columns_of(M, ring), ring) <= q_rank
 
 
+def wide_rhs(rng, ring, nverts):
+    """An rhs the integer draw misses: over Q fractions with denominators 2,
+    3 and 6; over F_p every row a nonzero residue, so that subtree sums pass
+    p; over Z entries up to 9 in size."""
+    if ring == RATIONALS:
+        rhs = {i: Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 6])) for i in range(nverts)}
+    elif ring.is_field:
+        rhs = {i: rng.randint(1, ring.p - 1) for i in range(nverts)}
+    else:
+        rhs = {i: rng.randint(-9, 9) for i in range(nverts)}
+    return {i: v for i, v in rhs.items() if not ring.is_zero(v)}
+
+
 def test_incidence_fast_path_agrees_with_elimination():
     rng = random.Random(11)
+    wide = random.Random(12)  # a second stream, so the systems and integer draws stay the seeded ones
+    kinds = {ring.tag: type(ring.one()) for ring in FIELDS + (INTEGERS,)}
+    wrapped = 0  # solved F_p draws whose residues sum past p
     for ring in FIELDS + (INTEGERS,):
         one, minus = ring.one(), ring.neg(ring.one())
         field = RATIONALS if ring == INTEGERS else ring
@@ -385,15 +402,19 @@ def test_incidence_fast_path_agrees_with_elimination():
             assert linalg.rank_columns(items, ring) == linalg_oracle._eliminate(items, None, field, False)[0]
             rhs = {i: ring.from_int(rng.randint(-2, 2)) for i in range(nverts)}
             rhs = {i: v for i, v in rhs.items() if not ring.is_zero(v)}
-            fast = linalg.solve_columns(items, rhs, ring)
-            general = linalg._eliminate(items, rhs, field)
-            assert (fast is None) == (general is None)
-            if fast is not None:
-                acc = {}
-                for key, col in items:
-                    for i, v in col.items():
-                        acc[i] = ring.add(acc.get(i, ring.zero()), ring.mul(fast.get(key, ring.zero()), v))
-                assert {i: v for i, v in acc.items() if not ring.is_zero(v)} == rhs
+            b2 = wide_rhs(wide, ring, nverts)
+            for b in (rhs, b2):
+                fast = linalg.solve_columns(items, b, ring)
+                general = linalg._eliminate(items, b, field)
+                assert (fast is None) == (general is None)
+                if fast is not None:
+                    assert apply_columns(items, fast, ring) == b
+                    # each entry is a nonzero ring element in its normal form: an
+                    # int over Z and F_p (a residue there), a Fraction over Q
+                    assert all(type(v) is kinds[ring.tag] and v == ring.normalize(v) for v in fast.values())
+                    assert not any(ring.is_zero(v) for v in fast.values())
+                    wrapped += b is b2 and ring.tag.startswith("F") and sum(b.values()) >= ring.p
+    assert wrapped > 100
 
 
 def test_persistence_lows_on_incidence_columns_match_the_reduction():

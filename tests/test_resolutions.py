@@ -18,7 +18,7 @@ from bnsr import (
     tensor_chain,
     tensor_resolution,
 )
-from bnsr.groups import parse_group, product
+from bnsr.groups import group_from_dict, parse_group, product
 from bnsr.resolutions import BasisCell, Resolution, chain_from_obj, chain_to_obj, parse_resolution
 
 from conftest import random_chain
@@ -273,6 +273,19 @@ def test_an_oversized_product_is_refused_before_its_factors_are_built(monkeypatc
         with pytest.raises(ValueError, match=f"a tensor product of {prefix} cells is above the limit"):
             parse_resolution("tensor:" + spec.replace("abelian", "koszul"), RATIONALS)
     assert resolution_for.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("factor", [{"kind": "free_abelian", "rank": 8}, {"kind": "free", "rank": 2}], ids=["abelian:8", "free:2"])
+def test_a_one_factor_product_is_refused_when_parsed(factor):
+    """As ``parse_group`` refuses a one-factor product spec, ``group_from_dict``
+    refuses a one-factor product, before any resolution is built or cached."""
+    before = resolution_for.cache_info()
+    with pytest.raises(ValueError, match="a product group needs at least two factors"):
+        resolution_for(group_from_dict({"kind": "product", "factors": [factor]}), RATIONALS)
+    after = resolution_for.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    with pytest.raises(ValueError, match="product spec needs at least two factors"):
+        parse_group("product:" + {"free_abelian": "abelian", "free": "free"}[factor["kind"]] + f":{factor['rank']}")
 
 
 def test_chain_serialization_roundtrip(rng):

@@ -29,7 +29,7 @@ from bnsr import (
     tensor_resolution,
     window_for,
 )
-from bnsr.resolutions import split_tensor_element
+from bnsr.groups import split_element
 
 from conftest import random_chain
 from inventory_oracle import window_admits
@@ -43,7 +43,18 @@ ZF = tensor_resolution(K2, FR2)
 PAIRS = [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(2, 3), Fraction(5, 7))]
 # (name, resolution, window radius for the zero-map checks)
 RESOLUTIONS = [("K1", K1, 4), ("K2", K2, 2), ("F2", FR2, 3), ("F2xF2", FF, (1, 1)), ("Z2xF2", ZF, (1, 1))]
-TENSORS = [("F2xF2", FF), ("Z2xF2", ZF)]
+# a factor that is itself a product, on either side
+TENSORS = [
+    ("F2xF2", FF),
+    ("Z2xF2", ZF),
+    ("(Z1xF2)xF2", tensor_resolution(tensor_resolution(K1, FR2), FR2)),
+    ("F2x(Z1xF2)", tensor_resolution(FR2, tensor_resolution(K1, FR2))),
+]
+
+
+def split_tensor_element(T, gh):
+    """Factor a product group element of a tensor resolution into its halves."""
+    return split_element(T.left.group, T.right.group, gh)
 
 
 def character(group, coeffs) -> Character:
