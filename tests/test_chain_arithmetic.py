@@ -167,9 +167,8 @@ def test_split_halves_partition_the_chain_and_are_summed_chains(ring):
     stats = {"repeated": 0, "cancelled": 0}
     both = 0  # splits with terms on each side
     for T in tensors(ring):
-        v, vp = basic_valuation(T.left, draw_character(rng, T.left.group)), basic_valuation(
-            T.right, draw_character(rng, T.right.group)
-        )
+        v = basic_valuation(T.left, draw_character(rng, T.left.group))
+        vp = basic_valuation(T.right, draw_character(rng, T.right.group))
         for _ in range(ROUNDS):
             y = Chain(ring, draw_terms(rng, T, ring, rng.choice(T.degrees()), stats))
             for split, w in ((split_left, v), (split_bottom, vp)):
