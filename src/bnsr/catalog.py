@@ -78,7 +78,7 @@ class SigmaRecord:
             raise ValueError("a catalog record needs a nonnegative integer degree and a string ring and provenance")
         if ring_tag != "homotopical":
             try:
-                ring_from_tag(ring_tag)
+                ring_tag = ring_from_tag(ring_tag).tag  # one key per ring: "F05" is F5
             except ValueError as exc:
                 raise ValueError(f"a catalog record's ring {ring_tag!r} is neither homotopical nor a ring: {exc}") from None
         group, complement = group_from_dict(data["group"]), cone_set_from_obj(data["complement"])
@@ -218,7 +218,13 @@ PRODUCT_PAIRS = (
 
 def catalog_violations(cat: Catalog) -> list[str]:
     """Structural invariants: complements inside the sphere, monotone in
-    degree, empty in degree 0."""
+    degree, empty in degree 0; and two laws across rings, one line per
+    broken pair of records (Bieri-Renz 1988).  A controlled resolution over
+    ZG stays controlled after tensoring with any nonzero ring A, so
+    Sigma^m(G; Z) lies inside Sigma^m(G; A): the complement over any other
+    ring lies inside the Z complement.  The homotopical Sigma^m(G) lies
+    inside Sigma^m(G; Z), and equals it for m <= 1: the Z complement lies
+    inside the homotopical one, and equals it in degrees 0 and 1."""
     out = []
     by_group_tag: dict = {}
     for rec in cat.records:
@@ -234,6 +240,18 @@ def catalog_violations(cat: Catalog) -> list[str]:
                 out.append(
                     f"{group.to_dict()} {tag}: complement in degree {n} is not inside degree {n + 1}"
                 )
+    for (group, tag), by_deg in by_group_tag.items():
+        if tag == "homotopical":
+            continue
+        wider = "homotopical" if tag == "Z" else "Z"  # the records whose complements hold this ring's
+        above = by_group_tag.get((group, wider), {})
+        for n, rec in sorted(by_deg.items()):
+            if n not in above:
+                continue
+            if not subset(rec.complement, above[n].complement):
+                out.append(f"{group.to_dict()} degree {n}: the {tag} complement is not inside the {wider} complement")
+            elif wider == "homotopical" and n <= 1 and not equals(rec.complement, above[n].complement):
+                out.append(f"{group.to_dict()} degree {n}: the Z and homotopical complements differ")
     return out
 
 

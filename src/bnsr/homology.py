@@ -480,7 +480,8 @@ class _WindowInventory:
     reads the value levels from the highest down, ties in
     enumeration order, and every threshold truncation is a prefix of it; a
     degree's order and its persistence lows are computed apart, so the
-    lows of a degree are reduced only when a sweep reads them.
+    lows of a degree are reduced only when a sweep reads them, or when the
+    degree below clears its columns with them (:meth:`filtration`).
     """
 
     def __init__(self, F: Resolution, W: Window, v: Valuation):
@@ -524,8 +525,8 @@ class _WindowInventory:
         """The distinct values of degree d in ascending order, as integers
         over the valuation's denominator ``v.scale`` (INF stays INF), each
         with the enumeration positions of its keys, ascending; computed
-        once.  Keys are grouped on these integers, which sort far faster
-        than Fractions.
+        once.  Keys are grouped on these integers in one pass, and only the
+        distinct values are sorted.
         """
         got = self._levels.get(d)
         if got is None:
@@ -538,10 +539,14 @@ class _WindowInventory:
                     flat += [INF] * prod(map(len, lists))
                 else:
                     flat += _outer_sum(cv, [[w[j] for j in pos] for w, pos in zip(weights, lists)])
-            value = flat.__getitem__
-            got = self._levels[d] = [
-                (n, list(pos)) for n, pos in itertools.groupby(sorted(range(len(flat)), key=value), key=value)
-            ]
+            groups: dict = {}  # scaled value -> its enumeration positions, ascending
+            for i, n in enumerate(flat):
+                pos = groups.get(n)
+                if pos is None:
+                    groups[n] = [i]
+                else:
+                    pos.append(i)
+            got = self._levels[d] = sorted(groups.items())
         return got
 
     def values(self, d: int) -> list:
@@ -587,15 +592,24 @@ class _WindowInventory:
         its columns form a signed incidence system; computed once.
 
         An incidence degree is read off its flat tail and head rows through
-        degree d - 1's slot map, and no column dict is made; any other
-        degree reduces :meth:`columns`.  Only degree d - 1's order is read,
-        not its lows.
+        degree d - 1's slot map, and no column dict is made; it reads
+        nothing of the degrees around it but degree d - 1's order.  Any
+        other degree reduces :meth:`columns`, cleared top-down (the twist of
+        Chen-Kerber): when F has degree d + 1, that degree's lows are taken
+        first, and each degree-d column that is one of them is None with no
+        reduction, since its column reduces to zero (the clearing lemma,
+        which needs only that a boundary has no boundary, so it holds for
+        any valuation and over Z, reduced over Q).  The chain of degrees
+        read so runs down from the first incidence degree above d, or from
+        ``F.max_degree``.
         """
         got = self._filtered.get(d)
         if got is None:
             ring, edges = self.F.ring, self.window.columns(d)[2]
             if edges is None:
-                lows = linalg.persistence_lows(None, self.columns(d), ring)
+                above = self.filtration(d + 1)[0] if d < self.F.max_degree else ()
+                cleared = {low for low in above if low is not None}
+                lows = linalg.persistence_lows(None, self.columns(d), ring, cleared)
             else:
                 (tails, heads), slot = edges, self.order(d - 1)[2]
                 lows = linalg.persistence_lows([(slot[tails[i]], slot[heads[i]]) for i in self.order(d)[0]], None, ring)
@@ -875,7 +889,9 @@ class _LagSweep:
     (``inv.filtration``), deaths read off degree p + 1 and births off degree
     p; of degree p - 1 only the order is read.  A p-cell paired as a death
     has a column that reduces to zero (the clearing lemma), so it gives
-    birth.  Degree 0 is always reduced: the
+    birth: a degree p that goes through the column reduction is cleared
+    from degree p + 1's lows, and its paired cells are births with no
+    reduction.  Degree 0 is always reduced: the
     first 0-cell in filtration order with a nonzero augmentation does not
     give birth (its class is the essential one, which never dies in the
     unreduced complex).  ``m[k]`` is the lowest death level (an index into the
@@ -1002,13 +1018,17 @@ def ca_probe(
     threshold less lam times that denominator, and one Fraction is made per
     threshold for the report.  For each degree p one
     persistence sweep of the window's value filtration (:class:`_LagSweep`),
-    on persistence pairs computed once per window degree, answers every
+    on persistence pairs computed once per window degree (cleared from the
+    degree above where the column reduction runs), answers every
     pair; the report records, for each (p, t), the verdicts along the lag
     grid up to the first lag that holds (:func:`inclusion_map_is_zero`
     reads one pair of the same sweep).  A uniform lag within the grid is a
-    positive window certificate; a grid with no uniform lag is window
-    evidence against (the report says which).  A lag grid longer than
-    ``MAX_PROBE_LAGS`` or an n above ``MAX_PROBE_DEGREE`` is refused.
+    positive window certificate when the thresholds checked include every
+    window value; on fewer, sampled thresholds it is only sampled-threshold
+    evidence, since a dropped threshold can only drop a failure.  A grid
+    with no uniform lag is window evidence against (the note says which).
+    A lag grid longer than ``MAX_PROBE_LAGS`` or an n above
+    ``MAX_PROBE_DEGREE`` is refused.
     """
     if v.character.is_zero:
         raise ValueError("the zero character is not a point of the character sphere")
@@ -1062,10 +1082,16 @@ def ca_probe(
     if all(m is not None for m in minima) and minima:
         report.uniform_lambda = max(minima)
         report.passed = True
-        report.note = (
-            f"window certificate: uniform lag {report.uniform_lambda} works for all "
-            f"sampled thresholds (radii {W.radii})"
-        )
+        if set(levels) <= set(scaled):
+            report.note = (
+                f"window certificate: uniform lag {report.uniform_lambda} works for all "
+                f"sampled thresholds (radii {W.radii})"
+            )
+        else:
+            report.note = (
+                f"sampled-threshold evidence: uniform lag {report.uniform_lambda} works for the "
+                f"{len(ts)} sampled thresholds of {len(levels)} (radii {W.radii})"
+            )
     else:
         report.passed = False
         report.note = (

@@ -7,7 +7,8 @@ the rows already are integers >= 0); below them every row is an integer.
 Boundary maps of group-ring resolutions are signed incidence matrices in
 low degrees, so rank, solvability and the filtration sweeps read those off
 one union-find with the elder rule (:class:`_Forest`), whose ground
-vertex, the far end of a single-entry column, is row -1.  One rule,
+vertex, the far end of a single-entry column, is row -1, and which every
+caller feeds by one batch join (:meth:`_Forest.join_batch`).  One rule,
 :func:`_incidence`, says whether a column is an incidence column and which
 entry is its tail and which its head.  :func:`_as_edges` applies it to the
 columns a caller passes to :func:`solve_columns` and :func:`rank_columns`;
@@ -16,7 +17,9 @@ take edges, or columns already scaled for the field elimination, from a
 caller that read each column's cell once (:func:`column_reading`).
 Everything else goes through one sparse fraction-free column reduction
 (:class:`_Reduction`), with the largest row of each column as its pivot, on
-denominator-cleared integers over Q and on residues over F_p.  The rank of
+denominator-cleared integers over Q and on residues over F_p; a
+persistence reduction skips the columns its caller clears, those known to
+reduce to zero (:func:`persistence_lows`).  The rank of
 integer columns is read over Q, where it is the same.  Integer questions on
 a column span first try the sparse :class:`UnitReduction`, which uses only
 ±1 pivots: where it reduces every column, the cokernel is free and the
@@ -97,10 +100,13 @@ class _Forest:
     the elder rule: a component's root is its oldest (smallest) row, so a
     component reaches ground exactly when its root is -1.
 
-    Given an ``rhs`` (a dict from rows to nonzero ring elements), ``total``
-    holds the nonzero rhs sum of each component that does not reach ground,
-    keyed by its root: the rhs is in the span of the edges joined so far
-    exactly when ``total`` is empty.  References: Tarjan, "Efficiency of a
+    Edges go in by :meth:`join_batch`, one loop over a batch of (tail,
+    head) pairs that returns the root each pair kills; :meth:`find` serves
+    the flow walk (:func:`_flows`).  Given an ``rhs`` (a dict from rows to
+    nonzero ring elements), ``total`` holds the nonzero rhs sum of each
+    component that does not reach ground, keyed by its root: the rhs is in
+    the span of the edges joined so far exactly when ``total`` is empty.
+    References: Tarjan, "Efficiency of a
     good but not linear set union algorithm" (J. ACM 22, 1975);
     Zomorodian-Carlsson, "Computing persistent homology" (2005).
     """
@@ -119,22 +125,37 @@ class _Forest:
             parent[x], x = root, parent[x]
         return root
 
-    def join(self, tail, head):
-        """Join the components of two rows; return the younger root, or None
-        when the rows are already joined."""
-        a, b = self.find(tail), self.find(head)
-        if a == b:
-            return None
-        if b < a:
-            a, b = b, a
-        self.parent[b] = a
-        total = self.total
-        s = total.pop(b, None)
-        if s is not None and a != -1:
-            s = self.ring.add(total.pop(a), s) if a in total else s
-            if not self.ring.is_zero(s):
-                total[a] = s
-        return b
+    def join_batch(self, pairs) -> list:
+        """Join the components of each ``(tail, head)`` pair in turn; return,
+        per pair, the younger root it kills, or None when its rows were
+        already joined.  One loop, with :meth:`find` inlined."""
+        parent, total, ring = self.parent, self.total, self.ring
+        killed = []
+        for x, y in pairs:
+            a = x
+            while a in parent:
+                a = parent[a]
+            while x != a:
+                parent[x], x = a, parent[x]
+            b = y
+            while b in parent:
+                b = parent[b]
+            while y != b:
+                parent[y], y = b, parent[y]
+            if a == b:
+                killed.append(None)
+                continue
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            if total:
+                s = total.pop(b, None)
+                if s is not None and a != -1:
+                    s = ring.add(total.pop(a), s) if a in total else s
+                    if not ring.is_zero(s):
+                        total[a] = s
+            killed.append(b)
+        return killed
 
 
 def _flows(tree, rhs, forest, ring):
@@ -207,7 +228,8 @@ def solve_columns(cols, rhs: dict, ring: CoefficientRing):
     if edges is None:
         return _eliminate(items, b, ring)
     forest = _Forest(b, ring)
-    tree = [edge for edge in edges if forest.join(edge[1], edge[2]) is not None]
+    killed = forest.join_batch((t, h) for _, t, h in edges)
+    tree = [edge for edge, root in zip(edges, killed) if root is not None]
     return None if forest.total else _flows(tree, b, forest, ring)
 
 
@@ -270,8 +292,8 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     red = None
     for k, (edges, cols) in enumerate(batches):
         if red is None and edges is not None:
-            join = forest.join
-            tree += [edge for edge in edges if join(edge[1], edge[2]) is not None]
+            killed = forest.join_batch((t, h) for _, t, h in edges)
+            tree += [edge for edge, root in zip(edges, killed) if root is not None]
             read += edges
             if not forest.total:
                 return k, lambda: _flows(tree, b, forest, ring)
@@ -412,31 +434,31 @@ class _Reduction:
         return low
 
 
-def persistence_lows(edges, cols, ring: CoefficientRing) -> list:
+def persistence_lows(edges, cols, ring: CoefficientRing, cleared=frozenset()) -> list:
     """The standard persistence reduction of columns taken in filtration order.
 
     The columns' rows, too, are numbered in filtration order, so the
     largest row of a reduced column is its youngest face.  Returns, for
     each column, the row of the pivot it creates (its "low"), or None when
-    it reduces to zero.  Every column is reduced: a column that is the low
-    of a column one degree up reduces to zero anyway (the clearing lemma),
-    and a window inventory computes each degree's lows once, for both
-    degrees that read them.  On a signed incidence system ``edges`` gives
-    each column's ``(tail, head)`` rows (ground -1, ``(-1, -1)`` for an empty
+    it reduces to zero.  On a signed incidence system ``edges`` gives each
+    column's ``(tail, head)`` rows (ground -1, ``(-1, -1)`` for an empty
     column), and the low of an edge is the younger root that
-    :meth:`_Forest.join` kills, the ground row -1 being older than every
-    row.  Otherwise ``edges`` is None and ``cols`` are the columns as
+    :meth:`_Forest.join_batch` kills, the ground row -1 being older than
+    every row.  Otherwise ``edges`` is None and ``cols`` are the columns as
     integer dicts scaled for the field elimination (:func:`column_reading`),
     which go one by one, copied, into a :class:`_Reduction`, over Q for
-    integer columns.  References: Zomorodian-Carlsson, "Computing
-    persistent homology" (2005); Chen-Kerber, "Persistent homology
-    computation with a twist" (2011).
+    integer columns.  The indices in ``cleared`` are columns the caller
+    knows reduce to zero, the lows of the degree above (the clearing
+    lemma, from the boundary of a boundary being zero): they are None
+    without a reduction, and as a column that reduces to zero makes no
+    pivot, the other lows stay those of the full reduction.  References:
+    Zomorodian-Carlsson, "Computing persistent homology" (2005);
+    Chen-Kerber, "Persistent homology computation with a twist" (2011).
     """
     if edges is not None:
-        join = _Forest().join
-        return [join(tail, head) for tail, head in edges]
-    red = _Reduction(_elimination_modulus(ring))
-    return [red.add(dict(col)) for col in cols]
+        return _Forest().join_batch(edges)
+    add = _Reduction(_elimination_modulus(ring)).add
+    return [None if k in cleared else add(dict(col)) for k, col in enumerate(cols)]
 
 
 def _eliminate(items, rhs, ring):

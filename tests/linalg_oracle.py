@@ -5,9 +5,13 @@ substitution, and ``_sweep_reduce``, the column reduction behind the
 non-incidence ``first_spanning_batch``, with the helpers they share.  Beside
 them, ``UnionFind`` is a plain union-find for the oracles that read graph
 components, so that none of them reuses the forest of ``bnsr.linalg``.
-``persistence_lows`` is the clearing pass that ``bnsr.linalg`` had before
-each window degree's lows were computed once: it skips the columns it is
-told reduce to zero, on the library's own forest and column reduction.
+``persistence_lows`` reduces every column it is not told to skip, on the
+library's own batch join and column reduction: with nothing skipped it is
+the plain reduction that the library's clearing must agree with, and with
+the lows of the degree above skipped it is a clearing pass run top-down
+through every degree.  The library clears again, top-down, but only on
+the degrees that go through the column reduction, and reaches past the
+degrees a sweep reads only as far as the chain of such degrees runs.
 """
 
 import heapq
@@ -269,10 +273,9 @@ def persistence_lows(cols, edges, ring, skip=frozenset()) -> list:
 
     lows: list = [None] * len(cols)
     if edges is not None:
-        join = _Forest().join
-        for k, tail, head in edges:
-            if k not in skip:
-                lows[k] = join(tail, head)
+        kept = [(k, tail, head) for k, tail, head in edges if k not in skip]
+        for (k, _, _), low in zip(kept, _Forest().join_batch((tail, head) for _, tail, head in kept)):
+            lows[k] = low
         return lows
     mod = _field_modulus(RATIONALS if ring == INTEGERS else ring)
     red = _Reduction(mod)

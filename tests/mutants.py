@@ -208,7 +208,7 @@ MUTANTS = [
     Mutant(
         "forest-without-the-elder-rule",
         "bnsr/linalg.py",
-        "        if b < a:\n            a, b = b, a\n",
+        "            if b < a:\n                a, b = b, a\n",
         "",
         (
             "tests/test_linalg_differential.py::test_persistence_lows_on_incidence_columns_match_the_reduction",
@@ -219,8 +219,8 @@ MUTANTS = [
     Mutant(
         "join-returns-the-older-root",
         "bnsr/linalg.py",
-        "        return b\n",
-        "        return a\n",
+        "            killed.append(b)\n",
+        "            killed.append(a)\n",
         (
             "tests/test_linalg_differential.py::test_persistence_lows_on_incidence_columns_match_the_reduction",
             "tests/test_window_inventory.py::test_sweep_verdict_matches_zero_map_at_every_lag[F2]",
@@ -422,6 +422,40 @@ MUTANTS = [
         "at = slice(None, nl) if side == 0 else slice(nl, None)",
         "at = slice(nl, None) if side == 0 else slice(None, nl)",
         (f"{_SCALED}::test_splits_match_the_fraction_oracle[(Z1xF2)xF2]", f"{_SCALED}::test_splits_match_the_fraction_oracle[F2x(Z1xF2)]"),
+    ),
+    # clearing each window degree from the degree above
+    Mutant(
+        "clearing-reads-the-degree-below",
+        "bnsr/homology.py",
+        "above = self.filtration(d + 1)[0] if d < self.F.max_degree else ()",
+        "above = self.filtration(d - 1)[0] if d > 0 else ()",
+        (
+            "tests/test_window_inventory.py::test_cleared_lows_equal_a_plain_reduction_of_every_column[Z3]",
+            "tests/test_window_inventory.py::test_one_pair_reduces_only_the_degrees_its_sweep_reads",
+            "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[Z3]",
+        ),
+    ),
+    Mutant(
+        "clearing-an-unpaired-column",
+        "bnsr/homology.py",
+        "cleared = {low for low in above if low is not None}",
+        "cleared = {k for k, low in enumerate(above) if low is not None}",
+        (
+            "tests/test_window_inventory.py::test_cleared_lows_equal_a_plain_reduction_of_every_column[Z3]",
+            "tests/test_window_inventory.py::test_cleared_lows_equal_a_plain_reduction_of_every_column[Z2xF2]",
+            "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[Z3]",
+        ),
+    ),
+    # laws across coefficient rings in the catalog
+    Mutant(
+        "catalog-drops-the-cross-ring-laws",
+        "bnsr/catalog.py",
+        "            if n not in above:\n",
+        "            if True:\n",
+        (
+            "tests/test_catalog.py::test_cross_ring_laws_name_both_records_of_each_broken_pair",
+            "tests/test_cli.py::test_a_q_record_outside_the_z_record_breaks_the_cross_ring_law",
+        ),
     ),
     # the sign convention between the records and the probes
     Mutant(

@@ -62,6 +62,28 @@ def test_catalog_monotone_and_inside_sphere():
     assert catalog_violations(CAT) == []
 
 
+def _shadowed(tag, degrees, complement):
+    """The builtin catalog with the Z^2 records of one ring tag replaced."""
+    return CAT.merge([SigmaRecord(Z2, n, tag, complement, "shadow") for n in degrees], shadow=True)
+
+
+def test_cross_ring_laws_name_both_records_of_each_broken_pair():
+    """The complement over Q or F5 lies inside the Z complement, and the Z
+    complement inside the homotopical one, equal to it in degree <= 1; a
+    strictly larger homotopical complement from degree 2 on is allowed."""
+    circle, name = full_sphere(Z2), Z2.to_dict()
+    assert catalog_violations(_shadowed("F5", (2, 3), circle)) == [
+        f"{name} degree {n}: the F5 complement is not inside the Z complement" for n in (2, 3)
+    ]
+    assert catalog_violations(_shadowed("Z", (1, 2, 3), circle)) == [
+        f"{name} degree {n}: the Z complement is not inside the homotopical complement" for n in (1, 2, 3)
+    ]
+    assert catalog_violations(_shadowed("homotopical", (2, 3), circle)) == []
+    assert catalog_violations(_shadowed("homotopical", (1, 2, 3), circle)) == [
+        f"{name} degree 1: the Z and homotopical complements differ"
+    ]
+
+
 def test_product_formula_zxz():
     rep = verify_product_formula(CAT, Z1, Z1, 1, "Q")
     assert rep.equal

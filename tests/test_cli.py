@@ -338,6 +338,23 @@ def test_probe_ca_exit_codes(capsys):
     assert code == 1 and not json.loads(out)["passed"]
 
 
+def test_a_sampled_pass_is_evidence_not_a_certificate(capsys):
+    """Sigma^1(F2) is empty, yet two sampled thresholds of this window find
+    a uniform lag: such a pass keeps its exit code but is worded as
+    sampled-threshold evidence; the full grid fails."""
+    argv = ["probe", "ca", "--group", "free:2", "--char", "2,-1", "--n", "1", "--window", "3", "--lambda-max", "4",
+            "--format", "structured"]
+    code, out, _ = run_cli(argv + ["--t-samples", "2"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert "certificate" not in report["note"]
+    assert report["note"].startswith(f"sampled-threshold evidence: uniform lag {report['uniform_lambda']} works for the 2 ")
+    code, out, _ = run_cli(argv, capsys)
+    report = json.loads(out)
+    assert code == 1 and not report["passed"]
+    assert report["note"].startswith("window evidence against")
+
+
 def test_probe_eta(tmp_path, capsys):
     cycle = [
         {"g": ["b", "a", "a"], "cell": "x0", "coeff": "1"},
@@ -721,6 +738,41 @@ def test_a_record_of_an_unknown_ring_is_refused_at_load(command, tmp_path, capsy
     code, out, err = run_cli(["catalog"] + command + ["--records", records, "--shadow"], capsys)
     assert code == 3 and out == ""
     assert "ring 'bogus'" in err
+
+
+def test_a_q_record_outside_the_z_record_breaks_the_cross_ring_law(tmp_path, capsys):
+    """Sigma^n(G; Z) lies inside Sigma^n(G; Q): shadowing the Q records of
+    abelian:2 in degrees 1-3 with the full circle, while the Z records keep
+    an empty complement, is one violation per degree, naming both records;
+    the builtin catalog alone validates."""
+    assert run_cli(["catalog", "validate"], capsys)[:2] == (0, "catalog ok\n")
+    code, out, _ = run_cli(["catalog", "lookup", "--group", "free:2", "--degree", "1", "--format", "structured"], capsys)
+    circle = json.loads(out)["complement"]  # the full sphere of a character dimension 2 group
+    group = {"kind": "free_abelian", "rank": 2, "generators": ["t1", "t2"]}
+    records = write_json(tmp_path / "records.json", [
+        {"group": group, "degree": n, "ring": "Q", "complement": circle, "provenance": "shadow"} for n in (1, 2, 3)
+    ])
+    code, out, _ = run_cli(["catalog", "validate", "--records", records, "--shadow", "--format", "structured"], capsys)
+    assert code == 1
+    violations = json.loads(out)["violations"]
+    assert violations == [f"{group} degree {n}: the Q complement is not inside the Z complement" for n in (1, 2, 3)]
+
+
+def test_a_record_keys_its_ring_by_the_canonical_tag(tmp_path, capsys):
+    """"F05" names the ring F5, so a record with that tag clashes with the
+    builtin F5 record at load, and with --shadow replaces it."""
+    record = {"group": {"kind": "free_abelian", "rank": 2, "generators": ["t1", "t2"]}, "degree": 1, "ring": "F05",
+              "complement": {"dim": 2, "cells": []}, "provenance": "F05 copy"}
+    records = write_json(tmp_path / "records.json", [record])
+    code, out, err = run_cli(["catalog", "validate", "--records", records], capsys)
+    assert code == 3 and out == "" and "ring F5 already exists" in err
+    lookup = ["catalog", "lookup", "--group", "abelian:2", "--degree", "1", "--ring", "F5", "--format", "structured"]
+    code, out, _ = run_cli(lookup + ["--records", records, "--shadow"], capsys)
+    assert code == 0 and json.loads(out)["provenance"] == "F05 copy" and json.loads(out)["ring"] == "F5"
+    code, out, _ = run_cli(["catalog", "list", "--records", records, "--shadow", "--format", "structured"], capsys)
+    assert [e["provenance"] for e in json.loads(out) if e["degree"] == 1 and e["ring"] == "F5"
+            and e["group"]["kind"] == "free_abelian" and e["group"]["rank"] == 2] == ["F05 copy"]
+    assert run_cli(["catalog", "validate", "--records", records, "--shadow"], capsys)[:2] == (0, "catalog ok\n")
 
 
 @pytest.mark.parametrize(

@@ -174,9 +174,10 @@ def oracle_filling_columns(F, v, degree, W):
 
 def oracle_probe(F, v, n, W, lambda_max, t_samples=None):
     """The ca_probe grid, one fresh truncation per threshold (augmented in
-    degree 0) and one zero-map test per pair."""
+    degree 0) and one zero-map test per pair.  A pass is a window
+    certificate only when the thresholds include every window value."""
     lams = list(range(lambda_max + 1))
-    ts = oracle_values(F, v, W, range(min(n, F.max_degree) + 1))
+    ts = values = oracle_values(F, v, W, range(min(n, F.max_degree) + 1))
     if isinstance(t_samples, int):
         ts = _sample_thresholds(ts, t_samples)
     elif t_samples is not None:
@@ -206,9 +207,16 @@ def oracle_probe(F, v, n, W, lambda_max, t_samples=None):
     rep.passed = bool(minima) and all(m is not None for m in minima)
     if rep.passed:
         rep.uniform_lambda = max(minima)
+    if rep.passed and set(values) <= set(ts):
         rep.note = (
             f"window certificate: uniform lag {rep.uniform_lambda} works for all "
             f"sampled thresholds (radii {W.radii})"
+        )
+    elif rep.passed:
+        # a sampled grid drops thresholds, and with them possibly failures
+        rep.note = (
+            f"sampled-threshold evidence: uniform lag {rep.uniform_lambda} works for the "
+            f"{len(ts)} sampled thresholds of {len(values)} (radii {W.radii})"
         )
     else:
         rep.note = (
@@ -448,13 +456,15 @@ def test_inclusion_map_is_zero_matches_the_oracle_pair(name, F, radius, refuted)
 def test_one_pair_reduces_only_the_degrees_its_sweep_reads(monkeypatch):
     """A pair at p = 2 on Z^3 at radius 2 reads the persistence lows of
     degrees 2 and 3 (240 and 64 columns), and of degrees 0 and 1 (125 and
-    300) only their filtration order; the verdict is the oracle's."""
-    reduced = []
+    300) only their filtration order.  Degree 3 is reduced first and clears
+    degree 2: its 64 cubes kill 64 degree-2 columns, so the degree-2 pass
+    reduces 176 columns, not 240.  The verdict is the oracle's."""
+    reduced = []  # (columns given, columns reduced) per pass, in call order
     persistence_lows = linalg.persistence_lows
 
-    def spy(edges, cols, ring):
-        lows = persistence_lows(edges, cols, ring)
-        reduced.append(len(lows))
+    def spy(edges, cols, ring, cleared=frozenset()):
+        lows = persistence_lows(edges, cols, ring, cleared)
+        reduced.append((len(lows), len(lows) - len(cleared)))
         return lows
 
     monkeypatch.setattr(linalg, "persistence_lows", spy)
@@ -467,7 +477,7 @@ def test_one_pair_reduces_only_the_degrees_its_sweep_reads(monkeypatch):
     for t, lam in [(rng.choice(values), rng.randint(0, 2)) for _ in range(3)]:
         reduced.clear()
         got = inclusion_map_is_zero(K3, v, t, lam, 2, W)
-        assert reduced == [240, 64]
+        assert reduced == [(64, 64), (240, 176)]
         want = _zero_map(oracle_truncate(K3, v, t, W, degrees=[1, 2]), oracle_truncate(K3, v, t - lam, W, degrees=[2, 3]), 2)
         assert got == want, (t, lam)
 
@@ -521,6 +531,31 @@ def test_sweep_reads_the_pairs_of_a_clearing_pass(name, F, radius, chars):
                         m[k] = m[k + 1] if m[k] is None else min(m[k], m[k + 1])
                 assert _LagSweep(inv, p).m == m, (ring, p)
     assert cleared_any or F.max_degree < 2  # F2 has no 2-cells to pair
+
+
+@pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
+def test_cleared_lows_equal_a_plain_reduction_of_every_column(name, F, radius, chars):
+    """Clearing each non-incidence degree from the degree above changes no
+    low: in every degree, the lows the inventory computes are those of a
+    plain reduction of every column (``linalg_oracle.persistence_lows`` with
+    nothing skipped), over Q, F5 and Z, under random basic valuations and
+    one that is not basic (raised or infinite cells), for which the
+    clearing lemma still holds."""
+    for ring in (RATIONALS, GF5, INTEGERS):
+        rng = random.Random(f"plain-lows:{name}")
+        R = WINDOW_BUILDERS[name](ring)
+        W = window_for(R, radius)
+        vals = [random_valuation(R, rng) for _ in range(chars)]
+        labels = [cell.label for d in R.degrees() if d > 0 for cell in R.cells(d)]
+        vals.append(_raised(R, vals[0], {label: rng.choice(("1/2", "2", "inf")) for label in rng.sample(labels, 2)}))
+        for v in vals:
+            inv = _WindowInventory(R, W, v)
+            for d in range(R.max_degree + 1):
+                lows, incidence = inv.filtration(d)
+                cols = inv.columns(d)
+                edges = linalg._as_edges(list(enumerate(cols)), ring)
+                assert incidence == (edges is not None)
+                assert lows == linalg_oracle.persistence_lows(cols, edges, ring), (ring, d, v.basic)
 
 
 @pytest.mark.parametrize("name,F,radius,chars", WINDOWS, ids=[w[0] for w in WINDOWS])
