@@ -446,6 +446,13 @@ MUTANTS = [
             "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[Z3]",
         ),
     ),
+    Mutant(
+        "incidence-degree-clears-from-above",
+        "bnsr/homology.py",
+        "            if edges is None:\n                above = self.filtration(d + 1)[0] if d < self.F.max_degree else ()\n",
+        "            above = self.filtration(d + 1)[0] if d < self.F.max_degree else ()\n            if edges is None:\n",
+        ("tests/test_window_inventory.py::test_an_incidence_degree_reads_nothing_from_above",),
+    ),
     # laws across coefficient rings in the catalog
     Mutant(
         "catalog-drops-the-cross-ring-laws",

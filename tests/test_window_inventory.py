@@ -482,6 +482,23 @@ def test_one_pair_reduces_only_the_degrees_its_sweep_reads(monkeypatch):
         assert got == want, (t, lam)
 
 
+def test_an_incidence_degree_reads_nothing_from_above(monkeypatch):
+    """A probe of F2 x F2 at n = 1 reads degrees 0 and 1, both incidence
+    systems: each keeps its forest pass and pulls no lows from the degree
+    above, so the 4-term boundary of degree 2 is never reduced."""
+    passes = []  # whether each persistence pass ran on the forest
+    persistence_lows = linalg.persistence_lows
+
+    def spy(edges, cols, ring, cleared=frozenset()):
+        passes.append(edges is not None)
+        return persistence_lows(edges, cols, ring, cleared)
+
+    monkeypatch.setattr(linalg, "persistence_lows", spy)
+    v = random_valuation(FF, random.Random("incidence-reads-nothing-above"))
+    ca_probe(FF, v, 1, window_for(FF, (1, 1)), 2)
+    assert passes == [True, True]
+
+
 # each WINDOWS entry rebuilt over a given ring
 WINDOW_BUILDERS = {
     "Z2": lambda ring: koszul_resolution(2, ring),
