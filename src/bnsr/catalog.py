@@ -98,7 +98,14 @@ class Catalog:
             self._by_key[rec.key] = rec
 
     def lookup(self, group: Group, degree: int, ring_tag: str) -> SigmaRecord:
+        """The record of (group, degree, ring); a ring tag that is not the
+        canonical one ("F05") is canonicalized on a miss, as records are keyed."""
         rec = self._by_key.get((group, degree, ring_tag))
+        if rec is None and ring_tag != "homotopical":
+            try:
+                rec = self._by_key.get((group, degree, ring_from_tag(ring_tag).tag))
+            except ValueError:
+                pass
         if rec is None:
             raise KeyError(f"no catalog record for {group.to_dict()}, degree {degree}, ring {ring_tag}")
         return rec

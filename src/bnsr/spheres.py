@@ -22,9 +22,18 @@ makes one exact decision, from two facts about a relatively open convex
 cone: if C has points on one open side of h, it meets {h = 0} exactly when
 it meets the other open side; and if w lies on {h = 0}, C meets one open
 side exactly when it meets the other.  Each cell's covector is recorded as
-the cell is split and stored beside it.  One arrangement is kept per (dim,
-forms) for the life of the process, in a least-recently-used memo of 8
-entries, so the several comparisons of one law or one catalog check refine
+the cell is split and stored beside it.
+
+Forms that split into coordinate blocks (the joins, embeddings and product
+formula sides of a direct product G x H have a G block and an H block) are
+a direct sum, whose covectors are the concatenations of the blocks'
+covectors.  When some block holds more forms than coordinates, so that its
+splits need decisions, each block's arrangement is built alone in its own
+coordinates and the product's cells are the products of the blocks' cells
+and origins, sorted into the order the one-at-a-time build makes.  One
+arrangement is kept per (dim, forms) for the life of the process, in a
+least-recently-used memo of at most 8 entries and ``MAX_ARRANGEMENT_CELLS``
+cells, so the several comparisons of one law or one catalog check refine
 over it once.
 
 Forms and witness points are primitive integer tuples.  Equations are
@@ -46,9 +55,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import gcd
-from operator import itemgetter
-from typing import Iterable, Sequence
+from math import gcd, prod
+from operator import add, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .groups import Direction, Group, primitive_vector
@@ -361,14 +370,25 @@ def arrangement_cells(dim: int, forms: Sequence[Form]):
     them, some kernel vector u has h . u != 0, every cell holds the lines
     parallel to u through its points, and so meets all three sides of h: the
     split makes no decision (``_split_free``).  When h depends on them, one
-    Fourier-Motzkin decision splits a cell (``_split``).  A build past
-    ``MAX_ARRANGEMENT_CELLS`` cells raises ValueError.
+    Fourier-Motzkin decision splits a cell (``_split``).
+
+    Forms that split into coordinate blocks, two forms sharing a block when
+    a chain of forms links their supports, are a direct sum, and the
+    covectors of a direct sum are the concatenations of the blocks'
+    covectors (Bjorner-Las Vergnas-Sturmfels-White-Ziegler, *Oriented
+    Matroids*).  So when there are two blocks or more and some block holds
+    more forms than coordinates (its splits need decisions), each block is
+    built alone in its own coordinates and the cells are their products
+    (``_product``): the decisions are made in the blocks' dimensions, once
+    per block cell rather than once per product cell.  Either way a build
+    past ``MAX_ARRANGEMENT_CELLS`` cells raises ValueError, and the cells
+    come in the same order: by covector, lexicographic with 0 < + < -.
 
     The returned tuple also carries ``covectors``: per cell, in the same
-    order, its signs on ``forms`` (0, 1 or -1), recorded as the cell was
-    split.  The answer is memoized per (dim, forms) for the life of the
-    process, in a least-recently-used memo of 8 entries (see
-    ``_arrangement``), so a repeated request returns the same object.
+    order, its signs on ``forms`` (0, 1 or -1).  The answer is memoized per
+    (dim, forms) for the life of the process, in a least-recently-used memo
+    bounded in entries and in cells (see ``_arrangement``), so a repeated
+    request returns the same object.
     """
     return _arrangement(dim, tuple(forms))
 
@@ -382,15 +402,154 @@ class _Arrangement(tuple):
         return out
 
 
-# On 77 ``sphere`` benchmark jobs (seed 1), 298 of the 429 arrangement
-# requests repeat an earlier (dim, forms).  A memo of 1, 4, 8 and 64 entries
-# keeps 209, 278, 279 and 296 of those hits; past 8 each entry buys little.
-# The memo lives for the process, like ``resolutions.resolution_for``, and
-# holds at most 8 x MAX_ARRANGEMENT_CELLS cells.  Under tracemalloc the
-# dimension-10 coordinate arrangement holds about 560 bytes per cell (cell,
-# witness and covector; the covector is 120 of them), so that is about 290 MB.
-@lru_cache(maxsize=8)
-def _arrangement(dim: int, forms: tuple[Form, ...]) -> _Arrangement:
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _Memo:
+    """A least-recently-used memo of arrangements per (dim, forms), with
+    ``lru_cache``'s ``cache_info`` and ``cache_clear``.  It keeps at most
+    ``maxsize`` entries and at most ``MAX_ARRANGEMENT_CELLS`` cells in all,
+    evicting the least recently used first, and always keeps the newest
+    entry.  A build that raises stores nothing."""
+
+    def __init__(self, build, maxsize: int):
+        self._build = build
+        self._maxsize = maxsize
+        self.cache_clear()
+
+    def __call__(self, dim: int, forms: tuple[Form, ...]) -> _Arrangement:
+        key = (dim, forms)
+        got = self._entries.pop(key, None)
+        if got is not None:
+            self._hits += 1
+            self._entries[key] = got  # last in insertion order is the most recent
+            return got
+        self._misses += 1
+        got = self._entries[key] = self._build(dim, forms)
+        self._cells += len(got)
+        while len(self._entries) > 1 and (len(self._entries) > self._maxsize or self._cells > MAX_ARRANGEMENT_CELLS):
+            self._cells -= len(self._entries.pop(next(iter(self._entries))))
+        return got
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self._maxsize, len(self._entries))
+
+    def cache_clear(self):
+        self._entries, self._cells, self._hits, self._misses = {}, 0, 0, 0
+
+
+def _too_many(hyperplanes: int, dim: int, cells: int) -> ValueError:
+    return ValueError(
+        f"an arrangement of {hyperplanes} hyperplanes in dimension {dim} has at least "
+        f"{cells} cells, above the limit of {MAX_ARRANGEMENT_CELLS}"
+    )
+
+
+def _build(dim: int, forms: tuple[Form, ...]) -> _Arrangement:
+    """The arrangement of ``forms``: the product of its coordinate blocks'
+    arrangements when some block's splits need decisions, else one
+    incremental build (which makes none on independent forms)."""
+    blocks, free = _blocks(dim, forms)
+    if len(blocks) > 1 and any(len(positions) > len(coords) for coords, positions in blocks):
+        return _product(dim, forms, blocks, free)
+    return _incremental(dim, forms)
+
+
+def _blocks(dim: int, forms: tuple[Form, ...]):
+    """The coordinate blocks of the forms, from a union-find over each form's
+    support: a list of (coordinates, positions of the forms on them), in
+    order of first coordinate, and the coordinates that no form reads."""
+    parent = list(range(dim))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    supports = [[i for i, x in enumerate(h) if x] for h in forms]
+    for support in supports:
+        root = find(support[0])
+        for i in support[1:]:
+            parent[find(i)] = root
+    read = {i for support in supports for i in support}
+    blocks = {}
+    for i in sorted(read):
+        blocks.setdefault(find(i), ([], []))[0].append(i)
+    for p, support in enumerate(supports):
+        blocks[find(support[0])][1].append(p)
+    return list(blocks.values()), [i for i in range(dim) if i not in read]
+
+
+def _product(dim: int, forms: tuple[Form, ...], blocks: list, free: list) -> _Arrangement:
+    """The arrangement as the product of its blocks' arrangements.
+
+    Each block is built alone in its own coordinates (uncached), and offers
+    each of its cells and also its origin, with the all-zero covector and
+    the zero witness, unless a cell of its own already has that covector
+    (its forms then share a nonzero kernel, which holds the origin).  A
+    product cell is one option per block, its witness the blocks' witnesses
+    put in place, with 0 on every coordinate that no form reads.  The
+    combination of all the zero witnesses is the origin, which is no cell,
+    unless some coordinate lies in no form's support: its unit vector is
+    then the witness.  The exact cell count is checked against
+    ``MAX_ARRANGEMENT_CELLS`` before any product cell is built, and the
+    cells are sorted by covector, lexicographic with 0 < + < -, which is the
+    order ``_incremental`` makes.
+    """
+    negs = [_neg(h) for h in forms]
+    options, origins = [], 0
+    for coords, positions in blocks:
+        part = _incremental(len(coords), tuple(tuple(forms[p][i] for i in coords) for p in positions), (len(forms), dim))
+        opts = [(cov, w) for (_, w), cov in zip(part, part.covectors)]
+        zero = (0,) * len(positions)
+        if zero not in part.covectors:
+            origins += 1
+            opts.append((zero, (0,) * len(coords)))
+        # per option: covector, its sort key, witness, equations, strict forms
+        options.append([
+            (
+                cov,
+                tuple(s % 3 for s in cov),
+                w,
+                tuple(forms[p] for p, s in zip(positions, cov) if s == 0),
+                tuple(forms[p] if s > 0 else negs[p] for p, s in zip(positions, cov) if s != 0),
+            )
+            for cov, w in opts
+        ])
+    count = prod(map(len, options)) - (origins == len(blocks) and not free)
+    if count > MAX_ARRANGEMENT_CELLS:
+        raise _too_many(len(forms), dim, count)
+    # the options concatenate in block order; these put covectors in form order
+    # and witnesses in coordinate order
+    form_order = [p for _, positions in blocks for p in positions]
+    coord_order = [i for coords, _ in blocks for i in coords] + free
+    by_form = _tuple_getter(tuple(sorted(range(len(forms)), key=form_order.__getitem__)))
+    by_coord = _tuple_getter(tuple(sorted(range(dim), key=coord_order.__getitem__)))
+    rest = (0,) * len(free)
+    acc = [((), (), (), (), ())]
+    for opts in options:
+        acc = [tuple(map(add, a, o)) for a in acc for o in opts]
+    cells = []
+    for cov, key, w, eqs, gts in acc:
+        w = by_coord(w + rest)
+        if not any(w):  # every block at its origin
+            if not free:
+                continue
+            w = tuple(int(i == free[0]) for i in range(dim))
+        cells.append((by_form(key), _cell(eqs, gts), w, by_form(cov)))
+    cells.sort(key=itemgetter(0))
+    return _Arrangement([(cell, w, cov) for _, cell, w, cov in cells])
+
+
+def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | None = None) -> _Arrangement:
+    """The arrangement built one hyperplane at a time (see
+    ``arrangement_cells``).  ``whole`` is the (hyperplanes, dimension) that a
+    refusal names, when this is one block of a larger arrangement."""
     if dim == 0:
         return _Arrangement([])
     base = Cell((), ())
@@ -416,12 +575,20 @@ def _arrangement(dim: int, forms: tuple[Form, ...]) -> _Arrangement:
         for cell, w, cov in cells:
             nxt.extend((side, v, cov + (sign,)) for side, v, sign in split(cell, w))
             if len(nxt) > MAX_ARRANGEMENT_CELLS:
-                raise ValueError(
-                    f"an arrangement of {len(forms)} hyperplanes in dimension {dim} has at least "
-                    f"{len(nxt)} cells, above the limit of {MAX_ARRANGEMENT_CELLS}"
-                )
+                raise _too_many(*(whole or (len(forms), dim)), len(nxt))
         cells = nxt
     return _Arrangement(cells)
+
+
+# On 77 ``sphere`` benchmark jobs (seed 1), 298 of the 429 arrangement
+# requests repeat an earlier (dim, forms).  A memo of 1, 4, 8 and 64 entries
+# keeps 209, 278, 279 and 296 of those hits; past 8 each entry buys little.
+# The memo lives for the process, like ``resolutions.resolution_for``, and
+# holds at most MAX_ARRANGEMENT_CELLS cells in all.  Under tracemalloc a cell
+# (cell, witness and covector) takes 561 bytes in the dimension-10 coordinate
+# arrangement and 725 in a 13-form product arrangement of dimension 6, so the
+# memo holds about 37-48 MB (8 unbounded entries could hold about 290 MB).
+_arrangement = _Memo(_build, 8)
 
 
 def _split_free(h: Form, neg: Form, u: Form, a: int, line, cell: Cell, w: Form) -> list:

@@ -56,6 +56,7 @@ _FREE = "tests/test_arrangement_split.py::test_independent_forms_need_no_decisio
 _CANONICAL = "tests/test_spheres_canonical.py::test_set_operations_match_the_renormalizing_oracle"
 _MEMBERSHIP = "tests/test_spheres_covector.py::test_refinement_membership_matches_the_witness_oracle"
 _SCALED = "tests/test_scaled_values.py"
+_PRODUCT = "tests/test_arrangement_product.py::test_product_cells_match_the_oracle"
 _CLIQUES = "tests/test_clique_resolution.py::test_clique_builder_matches_the_two_old_builders"
 
 MUTANTS = [
@@ -316,6 +317,28 @@ MUTANTS = [
         "any(sb.get(f, s) != s for f, s in sa.items())",
         "any(f in sb for f in sa)",
         (_CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws"),
+    ),
+    # the arrangement of block-separable forms as a product of block arrangements
+    Mutant(
+        "product-drops-the-free-coordinate-origin-cell",
+        "bnsr/spheres.py",
+        "            w = tuple(int(i == free[0]) for i in range(dim))\n",
+        "            continue\n",
+        (f"{_PRODUCT}[free]",),
+    ),
+    Mutant(
+        "product-drops-a-block-origin",
+        "bnsr/spheres.py",
+        "opts.append((zero, (0,) * len(coords)))",
+        "pass",
+        (f"{_PRODUCT}[dependent]", f"{_PRODUCT}[free]", f"{_PRODUCT}[kernel]"),
+    ),
+    Mutant(
+        "product-orders-minus-before-plus",
+        "bnsr/spheres.py",
+        "tuple(s % 3 for s in cov)",
+        "tuple(-s % 3 for s in cov)",
+        (f"{_PRODUCT}[dependent]", f"{_PRODUCT}[free]", f"{_PRODUCT}[kernel]"),
     ),
     # pointwise membership in a join
     Mutant(

@@ -776,6 +776,36 @@ def test_a_record_keys_its_ring_by_the_canonical_tag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["lookup", "--group", "abelian:2", "--degree", "1"],
+        ["product-check", "--left", "abelian:1", "--right", "abelian:1", "--n", "2"],
+        ["cross-validate", "--group", "abelian:2", "--degree", "1", "--directions", "1,0;1,-1", "--window", "3",
+         "--lambda-max", "2"],
+    ],
+    ids=["lookup", "product-check", "cross-validate"],
+)
+def test_a_ring_tag_is_looked_up_as_its_canonical_tag(command, capsys):
+    """--ring F05 names F5: each command finds the F5 records and answers as
+    with --ring F5 (a report may echo the tag as given); a tag of no record
+    (F7) or of no ring (bogus) exits 3."""
+    base = ["catalog", *command, "--format", "structured"]
+    code, expected, _ = run_cli(base + ["--ring", "F5"], capsys)
+    assert code == 0
+    code, out, err = run_cli(base + ["--ring", "F05"], capsys)
+    assert code == 0 and err == ""
+    got, want = json.loads(out), json.loads(expected)
+    if command[0] == "lookup":
+        assert got["ring"] == "F5"
+    else:
+        assert got.pop("ring") in ("F5", "F05") and want.pop("ring") == "F5"
+    assert got == want
+    for tag in ("F7", "bogus"):
+        code, out, err = run_cli(base + ["--ring", tag], capsys)
+        assert code == 3 and out == "" and f"ring {tag}" in err, (tag, err)
+
+
+@pytest.mark.parametrize(
     "resolution,g",
     [
         ("koszul:1", [1.5]),
