@@ -305,9 +305,8 @@ def verify_product_formula(cat: Catalog, G: Group, H: Group, n: int, ring_tag: s
     """Exact cone-set equality of the stored product complement against the
     union of joins of the factor complements."""
     lhs, rhs = _formula_sides(cat, G, H, n, ring_tag)
-    return FormulaReport(
-        G.to_dict(), H.to_dict(), n, ring_tag, equals(lhs, rhs), len(lhs.cells), len(rhs.cells)
-    )
+    tag = ring_tag if ring_tag == "homotopical" else ring_from_tag(ring_tag).tag  # "F05" is reported as F5
+    return FormulaReport(G.to_dict(), H.to_dict(), n, tag, equals(lhs, rhs), len(lhs.cells), len(rhs.cells))
 
 
 def meinert_report(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> bool:

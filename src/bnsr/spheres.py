@@ -5,12 +5,16 @@ finite unions of relatively open rational polyhedral cones ("cells"): each
 cell is a list of homogeneous integer linear forms with relation = or >,
 the origin being excluded implicitly.  All decisions (nonemptiness, set
 equality, inclusion) are exact: strict feasibility goes through
-Fourier-Motzkin elimination with witness reconstruction, and set equality
-refines both operands over the common hyperplane arrangement and reads each
-operand's membership off the sign vector (covector) of every arrangement
-cell: an operand cell contains an arrangement cell exactly when the two
-give the operand cell's hyperplanes the same signs, one set lookup per
-hyperplane support of the operand.
+Fourier-Motzkin elimination with witness reconstruction, and the binary set
+operations are read off integer bit masks over the cells of the operands'
+common hyperplane arrangement.  The arrangement keeps, per form and sign,
+the mask of its cells where the form has that sign, read once off the
+cells' sign vectors (covectors).  An operand cell contains an arrangement
+cell exactly when the two give the operand cell's hyperplanes the same
+signs, so its mask is the AND of its forms' masks, and an operand's mask
+the OR of its cells'.  Equality is then mask equality, inclusion
+``a & ~b == 0``, complement and difference the cells at the set bits, and
+intersection keeps a pair of cells when their masks share a bit.
 
 The arrangement is built one hyperplane h at a time, with an integer basis
 of the common kernel of the forms added so far.  When h is independent of
@@ -34,7 +38,9 @@ and origins, sorted into the order the one-at-a-time build makes.  One
 arrangement is kept per (dim, forms) for the life of the process, in a
 least-recently-used memo of at most 8 entries and ``MAX_ARRANGEMENT_CELLS``
 cells, so the several comparisons of one law or one catalog check refine
-over it once.
+over it once.  A request for forms that a held arrangement of the same
+dimension all has is projected from it with no decision: its covectors
+restricted to those forms, deduped and sorted into the order of a build.
 
 Forms and witness points are primitive integer tuples.  Equations are
 solved on an integer kernel basis from ``linalg``'s Smith normal form,
@@ -54,9 +60,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from itertools import compress
 from math import gcd, prod
-from operator import add, itemgetter
+from operator import add, and_, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -318,39 +325,29 @@ def union(A: ConeSet, B: ConeSet) -> ConeSet:
     return ConeSet(A.dim, tuple(dict.fromkeys(A.cells + B.cells)))
 
 
-def _signs(cell: Cell):
-    """The cell's sign vector on its own hyperplanes, {canonical form: 0, 1 or -1},
-    or None when two of its forms ask one hyperplane for different signs."""
-    out = {f: 0 for f in cell.eqs}
-    for g in cell.gts:
-        h = _hyperplane_form(g)  # g itself when g is canonical
-        out[h] = 1 if h is g else -1
-    return out if len(out) == len(cell.eqs) + len(cell.gts) else None
-
-
 def intersect(A: ConeSet, B: ConeSet) -> ConeSet:
-    """Pairwise cell intersections; a pair whose signs conflict on a shared
-    hyperplane is empty and is dropped before its cell is built."""
+    """Pairwise cell intersections, in pair order: a pair is kept when some
+    cell of the common arrangement lies in both, that is when its two cell
+    masks (see ``_cell_masks``) share a bit."""
     _check_same_dim(A, B)
-    signs_b = [(b, _signs(b)) for b in B.cells]
+    arrangement = arrangement_cells(A.dim, _forms_of([A, B]))
+    masks_b = _cell_masks(arrangement, B)
     cells = {}
-    for a in A.cells:
-        sa = _signs(a)
-        if sa is None:
-            continue
-        for b, sb in signs_b:
-            if sb is None or any(sb.get(f, s) != s for f, s in sa.items()):
-                continue
-            cells.setdefault(_cell(a.eqs + b.eqs, a.gts + b.gts))
-    return ConeSet(A.dim, tuple(cell for cell in cells if cell_witness(A.dim, cell) is not None))
+    for a, ma in zip(A.cells, _cell_masks(arrangement, A)):
+        if ma:
+            for b, mb in zip(B.cells, masks_b):
+                if ma & mb:
+                    cells.setdefault(_cell(a.eqs + b.eqs, a.gts + b.gts))
+    return ConeSet(A.dim, tuple(cells))
 
 
 def _forms_of(sets: Iterable[ConeSet]) -> tuple[Form, ...]:
-    forms = set()
+    forms, gts = set(), set()
     for s in sets:
         for cell in s.cells:
             forms.update(cell.eqs)
-            forms.update(_hyperplane_form(f) for f in cell.gts)
+            gts.update(cell.gts)
+    forms.update(map(_hyperplane_form, gts))  # once per distinct strict form
     return tuple(sorted(forms))
 
 
@@ -388,18 +385,47 @@ def arrangement_cells(dim: int, forms: Sequence[Form]):
     order, its signs on ``forms`` (0, 1 or -1).  The answer is memoized per
     (dim, forms) for the life of the process, in a least-recently-used memo
     bounded in entries and in cells (see ``_arrangement``), so a repeated
-    request returns the same object.
+    request returns the same object; a request for some of the forms of a
+    held arrangement is projected from it (``_project``), with the same
+    cells and covectors in the same order, and witnesses that may differ.
     """
     return _arrangement(dim, tuple(forms))
 
 
-class _Arrangement(tuple):
-    """(cell, witness) pairs, with the cells' covectors in ``covectors``."""
+# s -> s % 3, which is 0, 1 and 2 for the signs 0, + and -
+_MOD3 = (3).__rmod__
+# per sign 0, + and -: the digit s % 3 -> b"1" where it is that sign, else b"0"
+_SIGN_DIGITS = tuple(bytes.maketrans(b"\x00\x01\x02", ones) for ones in (b"100", b"010", b"001"))
+# a binary digit b"0" or b"1" -> the byte 0 or 1
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
-    def __new__(cls, cells: list):
+
+class _Arrangement(tuple):
+    """(cell, witness) pairs, with the cells' covectors in ``covectors`` and
+    the forms they are the signs on in ``forms``."""
+
+    def __new__(cls, cells: list, forms: tuple[Form, ...]):
         out = super().__new__(cls, ((cell, w) for cell, w, _ in cells))
         out.covectors = tuple(cov for _, _, cov in cells)
+        out.forms = forms
+        out.position = {h: i for i, h in enumerate(forms)}
+        out._masks = None
         return out
+
+    def sign_masks(self):
+        """(full, eq, gt): the int with a bit per cell, bit i for cell i;
+        per form h, the cells where h = 0 in ``eq[h]``; and the cells where
+        h > 0 in ``gt[h]`` and where h < 0 in ``gt[-h]``.  Built on first use
+        from the covector columns, each read as a string of binary digits, and
+        kept."""
+        if self._masks is None:
+            full = (1 << len(self)) - 1
+            eq, gt = {}, {}
+            for h, column in zip(self.forms, zip(*self.covectors)):
+                digits = bytes(map(_MOD3, reversed(column)))  # cell 0 is the lowest bit
+                eq[h], gt[h], gt[_neg(h)] = (int(digits.translate(t), 2) for t in _SIGN_DIGITS)
+            self._masks = full, eq, gt
+        return self._masks
 
 
 class _CacheInfo(NamedTuple):
@@ -414,7 +440,9 @@ class _Memo:
     ``lru_cache``'s ``cache_info`` and ``cache_clear``.  It keeps at most
     ``maxsize`` entries and at most ``MAX_ARRANGEMENT_CELLS`` cells in all,
     evicting the least recently used first, and always keeps the newest
-    entry.  A build that raises stores nothing."""
+    entry.  A build that raises stores nothing.  On a miss, when an entry of
+    the same dimension holds every requested form, the arrangement is
+    projected from the smallest such entry (``_project``) instead of built."""
 
     def __init__(self, build, maxsize: int):
         self._build = build
@@ -429,7 +457,12 @@ class _Memo:
             self._entries[key] = got  # last in insertion order is the most recent
             return got
         self._misses += 1
-        got = self._entries[key] = self._build(dim, forms)
+        source = min(
+            (a for (d, _), a in self._entries.items() if d == dim and all(map(a.position.__contains__, forms))),
+            key=len,
+            default=None,
+        )
+        got = self._entries[key] = self._build(dim, forms) if source is None else _project(source, forms)
         self._cells += len(got)
         while len(self._entries) > 1 and (len(self._entries) > self._maxsize or self._cells > MAX_ARRANGEMENT_CELLS):
             self._cells -= len(self._entries.pop(next(iter(self._entries))))
@@ -543,7 +576,7 @@ def _product(dim: int, forms: tuple[Form, ...], blocks: list, free: list) -> _Ar
             w = tuple(int(i == free[0]) for i in range(dim))
         cells.append((by_form(key), _cell(eqs, gts), w, by_form(cov)))
     cells.sort(key=itemgetter(0))
-    return _Arrangement([(cell, w, cov) for _, cell, w, cov in cells])
+    return _Arrangement([(cell, w, cov) for _, cell, w, cov in cells], forms)
 
 
 def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | None = None) -> _Arrangement:
@@ -551,7 +584,7 @@ def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | Non
     ``arrangement_cells``).  ``whole`` is the (hyperplanes, dimension) that a
     refusal names, when this is one block of a larger arrangement."""
     if dim == 0:
-        return _Arrangement([])
+        return _Arrangement([], forms)
     base = Cell((), ())
     cells = [(base, cell_witness(dim, base), ())]
     kernel = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
@@ -577,7 +610,40 @@ def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | Non
             if len(nxt) > MAX_ARRANGEMENT_CELLS:
                 raise _too_many(*(whole or (len(forms), dim)), len(nxt))
         cells = nxt
-    return _Arrangement(cells)
+    return _Arrangement(cells, forms)
+
+
+def _project(source: _Arrangement, forms: tuple[Form, ...]) -> _Arrangement:
+    """The arrangement of ``forms``, all of them forms of ``source``, read
+    off ``source``'s covectors with no decision.  Each cell of ``source``
+    lies in the cell of ``forms`` with its signs at their positions, so the
+    distinct restricted covectors are the cells, each witnessed by the
+    witness of the first ``source`` cell that restricts to it.  Sorted by
+    covector, lexicographic with 0 < + < -, they come in the order, and with
+    the cells and covectors, of a build (``_build``)."""
+    get = _tuple_getter(tuple(map(source.position.__getitem__, forms)))
+    # reversed, so that the first cell's witness is the one a key keeps
+    first = dict(zip(map(get, reversed(source.covectors)), map(itemgetter(1), reversed(source))))
+    negs = [_neg(h) for h in forms]
+    return _Arrangement(
+        [
+            (
+                _cell(
+                    [h for h, s in zip(forms, cov) if not s],
+                    [h if s > 0 else neg for h, neg, s in zip(forms, negs, cov) if s],
+                ),
+                first[cov],
+                cov,
+            )
+            for cov in sorted(first, key=_covector_order)
+        ],
+        forms,
+    )
+
+
+def _covector_order(cov: tuple[int, ...]) -> bytes:
+    """The sort key of a covector, lexicographic with 0 < + < -."""
+    return bytes(map(_MOD3, cov))
 
 
 # On 77 ``sphere`` benchmark jobs (seed 1), 298 of the 429 arrangement
@@ -672,50 +738,53 @@ def _tuple_getter(indices: tuple[int, ...]):
     return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
-def _refine(A: ConeSet, B: ConeSet):
-    """(cell, in A, in B) for every cell of the common arrangement of A and B.
+def _cell_masks(arrangement: _Arrangement, S: ConeSet) -> list[int]:
+    """Per cell of S, the mask of the arrangement cells it contains: the AND
+    of its forms' sign masks (``_Arrangement.sign_masks``).  The arrangement
+    holds every form of S, and an operand cell contains an arrangement cell
+    exactly when the two agree in sign on every form of the operand cell.  A
+    cell whose own forms ask one hyperplane for two signs gives 0, and a cell
+    with no forms (the whole sphere) every bit."""
+    full, eq, gt = arrangement.sign_masks()
+    return [
+        reduce(and_, map(gt.__getitem__, cell.gts), reduce(and_, map(eq.__getitem__, cell.eqs), full))
+        for cell in S.cells
+    ]
 
-    The arrangement stores each cell's covector, its signs on the forms of
-    the arrangement.  An operand cell contains an arrangement cell exactly
-    when the two agree on every hyperplane of the operand cell, so each
-    operand keeps, per hyperplane support, the positions of the support in
-    the covector and the set of its cells' sign tuples there: membership is
-    one ``itemgetter`` call and one set lookup per (arrangement cell,
-    support).  A cell whose own forms conflict is empty and contains
-    nothing.
-    """
+
+def _masks(A: ConeSet, B: ConeSet):
+    """The common arrangement of A and B, and the masks of its cells that A
+    and B contain."""
     _check_same_dim(A, B)
-    forms = _forms_of([A, B])
-    position = {h: i for i, h in enumerate(forms)}
-    sides = []
-    for S in (A, B):
-        by_support = {}
-        for c in S.cells:
-            signs = _signs(c)
-            if signs is not None:
-                support = tuple(sorted(signs))
-                by_support.setdefault(support, set()).add(tuple(signs[f] for f in support))
-        sides.append([(_tuple_getter(tuple(map(position.__getitem__, s))), keys) for s, keys in by_support.items()])
-    arrangement = arrangement_cells(A.dim, forms)
-    for (cell, _), cov in zip(arrangement, arrangement.covectors):
-        yield cell, *(any(get(cov) in keys for get, keys in side) for side in sides)
+    arrangement = arrangement_cells(A.dim, _forms_of([A, B]))
+    return arrangement, reduce(or_, _cell_masks(arrangement, A), 0), reduce(or_, _cell_masks(arrangement, B), 0)
+
+
+def _cells_at(arrangement: _Arrangement, mask: int) -> tuple[Cell, ...]:
+    """The arrangement's cells at the set bits of ``mask``, in its order."""
+    bits = format(mask, "b").encode()[::-1].translate(_BIT_VALUES)  # one byte 0 or 1 per cell
+    return tuple(cell for cell, _ in compress(arrangement, bits))
 
 
 def complement(A: ConeSet) -> ConeSet:
     """Complement within the sphere, refined over A's own arrangement."""
-    return ConeSet(A.dim, tuple(cell for cell, in_a, _ in _refine(A, empty_set(A.dim)) if not in_a))
+    arrangement, a, _ = _masks(A, empty_set(A.dim))
+    return ConeSet(A.dim, _cells_at(arrangement, arrangement.sign_masks()[0] & ~a))
 
 
 def subset(A: ConeSet, B: ConeSet) -> bool:
-    return all(in_b for _, in_a, in_b in _refine(A, B) if in_a)
+    _, a, b = _masks(A, B)
+    return not a & ~b
 
 
 def equals(A: ConeSet, B: ConeSet) -> bool:
-    return all(in_a == in_b for _, in_a, in_b in _refine(A, B))
+    _, a, b = _masks(A, B)
+    return a == b
 
 
 def difference(A: ConeSet, B: ConeSet) -> ConeSet:
-    return ConeSet(A.dim, tuple(cell for cell, in_a, in_b in _refine(A, B) if in_a and not in_b))
+    arrangement, a, b = _masks(A, B)
+    return ConeSet(A.dim, _cells_at(arrangement, a & ~b))
 
 
 # ---------------------------------------------------------------------------

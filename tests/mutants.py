@@ -57,6 +57,8 @@ _CANONICAL = "tests/test_spheres_canonical.py::test_set_operations_match_the_ren
 _MEMBERSHIP = "tests/test_spheres_covector.py::test_refinement_membership_matches_the_witness_oracle"
 _SCALED = "tests/test_scaled_values.py"
 _PRODUCT = "tests/test_arrangement_product.py::test_product_cells_match_the_oracle"
+_PROJECTED = "tests/test_spheres_masks.py::test_a_projected_arrangement_equals_a_fresh_build"
+_HELD = "tests/test_spheres_masks.py::test_set_operations_make_no_decision_once_the_arrangement_is_held"
 _CLIQUES = "tests/test_clique_resolution.py::test_clique_builder_matches_the_two_old_builders"
 
 MUTANTS = [
@@ -268,7 +270,7 @@ MUTANTS = [
         "lo[1] * hi[1]",
         (*_FM, _SPLIT),
     ),
-    # the two split paths, stored covectors, the intersect pre-check
+    # the two split paths, stored covectors, the intersect mask test
     Mutant(
         "split-keeps-the-zero-side-past-an-empty-far-side",
         "bnsr/spheres.py",
@@ -314,9 +316,31 @@ MUTANTS = [
     Mutant(
         "intersect-drops-agreeing-pairs",
         "bnsr/spheres.py",
-        "any(sb.get(f, s) != s for f, s in sa.items())",
-        "any(f in sb for f in sa)",
-        (_CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws"),
+        "if ma & mb:",
+        "if ma == mb:",
+        (_CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws", f"{_HELD}[3]"),
+    ),
+    # set operations as bit masks over the common arrangement, and projection
+    Mutant(
+        "sign-masks-swap-plus-and-minus",
+        "bnsr/spheres.py",
+        '(b"100", b"010", b"001")',
+        '(b"100", b"001", b"010")',
+        (_MEMBERSHIP, _CANONICAL, f"{_HELD}[2]"),
+    ),
+    Mutant(
+        "projection-skips-the-covector-sort",
+        "bnsr/spheres.py",
+        "for cov in sorted(first, key=_covector_order)",
+        "for cov in first",
+        (f"{_PROJECTED}[2]", f"{_PROJECTED}[5]", "tests/test_spheres_masks.py::test_a_projection_takes_a_product_arrangement_apart"),
+    ),
+    Mutant(
+        "subset-reads-a-and-b",
+        "bnsr/spheres.py",
+        "return not a & ~b",
+        "return not a & b",
+        (_CANONICAL, "tests/test_spheres_masks.py::test_edge_operands[2]", f"{_HELD}[4]"),
     ),
     # the arrangement of block-separable forms as a product of block arrangements
     Mutant(

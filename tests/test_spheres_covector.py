@@ -1,19 +1,23 @@
-"""Refinement membership read off sign vectors, and one Smith factorization
+"""Refinement membership read off sign masks, and one Smith factorization
 per equation set.
 
-``spheres._refine`` reads whether an operand contains an arrangement cell
-off the cell's stored covector, at the positions of each operand support.
-The oracle is the earlier test: evaluate every operand cell's forms at the
-arrangement cell's witness point (``spheres_oracle._contains_point``).
+A memoized arrangement keeps, per form and sign, a mask with bit i set when
+cell i has that sign (``_Arrangement.sign_masks``), and an operand cell's
+mask, the arrangement cells it contains, is the AND of its forms' masks
+(``spheres._cell_masks``).  The oracle is the earlier test: evaluate every
+operand cell's forms at the arrangement cell's witness point
+(``spheres_oracle._contains_point``).
 """
 
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
 import spheres_oracle as oracle
 from bnsr import complement, equals, intersect, linalg, spheres, subset, union
-from bnsr.spheres import ConeSet, _cell, _forms_of, _hyperplane_form, _neg, _refine, arrangement_cells, empty_set
+from bnsr.spheres import ConeSet, _cell, _cell_masks, _forms_of, _hyperplane_form, _neg, arrangement_cells, empty_set
 
 
 def _canonical_pool(rng, dim, size):
@@ -55,12 +59,21 @@ def test_refinement_membership_matches_the_witness_oracle(dim):
         for cell in A.cells + B.cells:
             negative_gts += any(g not in pool for g in cell.gts)
             eq_only += bool(cell.eqs) and not cell.gts
-        refined = list(_refine(A, B))
         cells = arrangement_cells(dim, _forms_of([A, B]))
-        assert [cell for cell, _, _ in refined] == [cell for cell, _ in cells]
-        for (cell, in_a, in_b), (_, w) in zip(refined, cells):
-            assert (in_a, in_b) == (oracle._contains_point(A, w), oracle._contains_point(B, w)), (A, B, cell)
-            seen.add((in_a, in_b))
+        full, eq, gt = cells.sign_masks()
+        assert full == (1 << len(cells)) - 1
+        for p, h in enumerate(cells.forms):
+            for mask, sign in ((eq[h], 0), (gt[h], 1), (gt[_neg(h)], -1)):
+                assert mask == sum(1 << i for i, cov in enumerate(cells.covectors) if cov[p] == sign), (h, sign)
+        masks = [_cell_masks(cells, S) for S in (A, B)]
+        for S, per_cell in zip((A, B), masks):
+            for c, mask in zip(S.cells, per_cell):
+                assert mask == sum(1 << i for i, (_, w) in enumerate(cells) if c.contains(w)), (c, cells.forms)
+        in_a, in_b = (reduce(or_, per_cell, 0) for per_cell in masks)
+        for i, (cell, w) in enumerate(cells):
+            got = (bool(in_a >> i & 1), bool(in_b >> i & 1))
+            assert got == (oracle._contains_point(A, w), oracle._contains_point(B, w)), (A, B, cell)
+            seen.add(got)
     # every membership pattern and every kind of operand cell occurs, so the comparison is not vacuous
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
     assert negative_gts > 0 and eq_only > 0
