@@ -330,7 +330,13 @@ class EqualCoefficientReport:
 
 def theorem2_applicability(cat: Catalog, G: Group, H: Group, n: int) -> EqualCoefficientReport:
     """If the Z and Q records agree for both factors up to degree n, the
-    integral product formula follows; the report also asserts it."""
+    integral product formula follows; the report also asserts it.
+
+    With the cross-ring law Sigma^p(G; Z) <= Sigma^p(G; Q), the rule reads
+    Sigma^p(G; Z) = Sigma^p(G; Q) for p <= n.  It is this package's stand-in
+    for the hypothesis of the paper's Z version, not that hypothesis checked
+    against the paper: PAPER.md holds only the abstract, and ROADMAP item 5
+    must check it."""
     for p in range(n + 1):
         for g in (G, H):
             if not equals(cat.lookup(g, p, "Z").complement, cat.lookup(g, p, "Q").complement):

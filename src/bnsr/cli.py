@@ -636,7 +636,9 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and escapes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 3
 
 

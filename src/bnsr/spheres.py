@@ -16,31 +16,33 @@ the OR of its cells'.  Equality is then mask equality, inclusion
 ``a & ~b == 0``, complement and difference the cells at the set bits, and
 intersection keeps a pair of cells when their masks share a bit.
 
-The arrangement is built one hyperplane h at a time, with an integer basis
-of the common kernel of the forms added so far.  When h is independent of
-them (nonzero on some kernel vector u), every cell holds the lines parallel
-to u through its points and so meets all three sides of h: the split makes
-no decision, and the new witnesses are integer combinations of the cell's
-witness and u.  When h depends on them, a split of a cell C with witness w
-makes one exact decision, from two facts about a relatively open convex
-cone: if C has points on one open side of h, it meets {h = 0} exactly when
-it meets the other open side; and if w lies on {h = 0}, C meets one open
-side exactly when it meets the other.  Each cell's covector is recorded as
-the cell is split and stored beside it.
+A cell of the arrangement is its covector, its signs on the forms.  So
+every builder returns rows, (covector, witness) pairs, and one constructor
+sorts the rows by covector, lexicographic with 0 < + < -, and makes each
+row's cell from its covector.  The rows are built one hyperplane h at a
+time, with an integer basis of the common kernel of the forms added so far.
+When h is independent of them (nonzero on some kernel vector u), every cell
+holds the lines parallel to u through its points and so meets all three
+sides of h: the split makes no decision, and the new witnesses are integer
+combinations of the cell's witness and u.  When h depends on them, a split
+of a cell C with witness w makes one exact decision on the one side of C it
+builds, from two facts about a relatively open convex cone: if C has points
+on one open side of h, it meets {h = 0} exactly when it meets the other open
+side; and if w lies on {h = 0}, C meets one open side exactly when it meets
+the other.
 
 Forms that split into coordinate blocks (the joins, embeddings and product
 formula sides of a direct product G x H have a G block and an H block) are
 a direct sum, whose covectors are the concatenations of the blocks'
 covectors.  When some block holds more forms than coordinates, so that its
-splits need decisions, each block's arrangement is built alone in its own
-coordinates and the product's cells are the products of the blocks' cells
-and origins, sorted into the order the one-at-a-time build makes.  One
-arrangement is kept per (dim, forms) for the life of the process, in a
-least-recently-used memo of at most 8 entries and ``MAX_ARRANGEMENT_CELLS``
-cells, so the several comparisons of one law or one catalog check refine
-over it once.  A request for forms that a held arrangement of the same
-dimension all has is projected from it with no decision: its covectors
-restricted to those forms, deduped and sorted into the order of a build.
+splits need decisions, each block's rows are built alone in its own
+coordinates and the product's rows are the products of the blocks' rows and
+origins.  One arrangement is kept per (dim, forms) for the life of the
+process, in a least-recently-used memo of at most 8 entries and
+``MAX_ARRANGEMENT_CELLS`` cells, so the several comparisons of one law or
+one catalog check refine over it once.  A request for forms that a held
+arrangement of the same dimension all has is projected from it with no
+decision: its rows are the held covectors restricted to those forms, deduped.
 
 Forms and witness points are primitive integer tuples.  Equations are
 solved on an integer kernel basis from ``linalg``'s Smith normal form,
@@ -61,9 +63,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import compress
+from itertools import compress, starmap
 from math import gcd, prod
-from operator import add, and_, itemgetter, or_
+from operator import and_, itemgetter, or_
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -80,6 +82,8 @@ def _hyperplane_form(form: Form) -> Form:
     raise ValueError("zero linear form")
 
 
+# cached: ``_cell_of`` negates a form once per cell where it is negative
+@lru_cache(maxsize=1 << 12)
 def _neg(form: Form) -> Form:
     return tuple(-x for x in form)
 
@@ -359,35 +363,41 @@ MAX_ARRANGEMENT_CELLS = 65_600
 
 
 def arrangement_cells(dim: int, forms: Sequence[Form]):
-    """All nonempty sign cells of the arrangement of sign-canonical primitive
-    forms, with witnesses: a tuple of (cell, primitive integer point of it).
+    """All nonempty sign cells of the arrangement of distinct sign-canonical
+    primitive forms, with witnesses: a tuple of (cell, primitive integer point
+    of it).
 
-    Cells are built one hyperplane h at a time, keeping an integer basis of
-    the common kernel of the forms added so far.  When h is independent of
-    them, some kernel vector u has h . u != 0, every cell holds the lines
-    parallel to u through its points, and so meets all three sides of h: the
-    split makes no decision (``_split_free``).  When h depends on them, one
+    A cell is its covector, its signs on ``forms`` (0, 1 or -1), as in the
+    oriented-matroid view (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
+    *Oriented Matroids*).  So every builder below returns rows, (covector,
+    witness) pairs, and one constructor (``_Arrangement``) sorts them by
+    covector, lexicographic with 0 < + < -, and makes each row's cell from its
+    covector (``_cell_of``).
+
+    Rows are built one hyperplane h at a time, keeping an integer basis of the
+    common kernel of the forms added so far.  When h is independent of them,
+    some kernel vector u has h . u != 0, every cell holds the lines parallel
+    to u through its points, and so meets all three sides of h: the split
+    makes no decision (``_split_free``).  When h depends on them, one
     Fourier-Motzkin decision splits a cell (``_split``).
 
-    Forms that split into coordinate blocks, two forms sharing a block when
-    a chain of forms links their supports, are a direct sum, and the
-    covectors of a direct sum are the concatenations of the blocks'
-    covectors (Bjorner-Las Vergnas-Sturmfels-White-Ziegler, *Oriented
-    Matroids*).  So when there are two blocks or more and some block holds
-    more forms than coordinates (its splits need decisions), each block is
-    built alone in its own coordinates and the cells are their products
-    (``_product``): the decisions are made in the blocks' dimensions, once
-    per block cell rather than once per product cell.  Either way a build
-    past ``MAX_ARRANGEMENT_CELLS`` cells raises ValueError, and the cells
-    come in the same order: by covector, lexicographic with 0 < + < -.
+    Forms that split into coordinate blocks, two forms sharing a block when a
+    chain of forms links their supports, are a direct sum, and the covectors
+    of a direct sum are the concatenations of the blocks' covectors.  So when
+    there are two blocks or more and some block holds more forms than
+    coordinates (its splits need decisions), each block's rows are built
+    alone in its own coordinates and the rows are their products
+    (``_product``): the decisions are made in the blocks' dimensions, once per
+    block cell rather than once per product cell.  Either way a build past
+    ``MAX_ARRANGEMENT_CELLS`` cells raises ValueError.
 
     The returned tuple also carries ``covectors``: per cell, in the same
-    order, its signs on ``forms`` (0, 1 or -1).  The answer is memoized per
-    (dim, forms) for the life of the process, in a least-recently-used memo
-    bounded in entries and in cells (see ``_arrangement``), so a repeated
-    request returns the same object; a request for some of the forms of a
-    held arrangement is projected from it (``_project``), with the same
-    cells and covectors in the same order, and witnesses that may differ.
+    order, its covector.  The answer is memoized per (dim, forms) for the life
+    of the process, in a least-recently-used memo bounded in entries and in
+    cells (see ``_arrangement``), so a repeated request returns the same
+    object; a request for some of the forms of a held arrangement is
+    projected from it (``_project``), with the same cells and covectors in the
+    same order, and witnesses that may differ.
     """
     return _arrangement(dim, tuple(forms))
 
@@ -400,13 +410,30 @@ _SIGN_DIGITS = tuple(bytes.maketrans(b"\x00\x01\x02", ones) for ones in (b"100",
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _covector_order(cov: tuple[int, ...]) -> bytes:
+    """The sort key of a covector, lexicographic with 0 < + < -."""
+    return bytes(map(_MOD3, cov))
+
+
+def _cell_of(forms: tuple[Form, ...], cov: tuple[int, ...]) -> Cell:
+    """The cell that a covector on ``forms`` names: h = 0 where its sign is 0,
+    h > 0 where it is + and -h > 0 where it is -."""
+    return Cell(
+        tuple(sorted(h for h, s in zip(forms, cov) if not s)),
+        tuple(sorted(h if s > 0 else _neg(h) for h, s in zip(forms, cov) if s)),
+    )
+
+
 class _Arrangement(tuple):
     """(cell, witness) pairs, with the cells' covectors in ``covectors`` and
-    the forms they are the signs on in ``forms``."""
+    the forms they are the signs on in ``forms``.  Made from rows, (covector,
+    witness) pairs in any order: the rows are sorted by covector and each
+    cell is made from its covector."""
 
-    def __new__(cls, cells: list, forms: tuple[Form, ...]):
-        out = super().__new__(cls, ((cell, w) for cell, w, _ in cells))
-        out.covectors = tuple(cov for _, _, cov in cells)
+    def __new__(cls, rows: Iterable, forms: tuple[Form, ...]):
+        rows = sorted(rows, key=lambda row: _covector_order(row[0]))
+        out = super().__new__(cls, [(_cell_of(forms, cov), w) for cov, w in rows])
+        out.covectors = tuple(map(itemgetter(0), rows))
         out.forms = forms
         out.position = {h: i for i, h in enumerate(forms)}
         out._masks = None
@@ -462,7 +489,9 @@ class _Memo:
             key=len,
             default=None,
         )
-        got = self._entries[key] = self._build(dim, forms) if source is None else _project(source, forms)
+        got = self._entries[key] = (
+            self._build(dim, forms) if source is None else _Arrangement(_project(source, forms), forms)
+        )
         self._cells += len(got)
         while len(self._entries) > 1 and (len(self._entries) > self._maxsize or self._cells > MAX_ARRANGEMENT_CELLS):
             self._cells -= len(self._entries.pop(next(iter(self._entries))))
@@ -484,12 +513,12 @@ def _too_many(hyperplanes: int, dim: int, cells: int) -> ValueError:
 
 def _build(dim: int, forms: tuple[Form, ...]) -> _Arrangement:
     """The arrangement of ``forms``: the product of its coordinate blocks'
-    arrangements when some block's splits need decisions, else one
-    incremental build (which makes none on independent forms)."""
+    rows when some block's splits need decisions, else one incremental build
+    (which makes none on independent forms)."""
     blocks, free = _blocks(dim, forms)
     if len(blocks) > 1 and any(len(positions) > len(coords) for coords, positions in blocks):
-        return _product(dim, forms, blocks, free)
-    return _incremental(dim, forms)
+        return _Arrangement(_product(dim, forms, blocks, free), forms)
+    return _Arrangement(_incremental(dim, forms), forms)
 
 
 def _blocks(dim: int, forms: tuple[Form, ...]):
@@ -518,42 +547,28 @@ def _blocks(dim: int, forms: tuple[Form, ...]):
     return list(blocks.values()), [i for i in range(dim) if i not in read]
 
 
-def _product(dim: int, forms: tuple[Form, ...], blocks: list, free: list) -> _Arrangement:
-    """The arrangement as the product of its blocks' arrangements.
+def _product(dim: int, forms: tuple[Form, ...], blocks: list, free: list) -> list:
+    """The rows of the arrangement as the product of its blocks' rows.
 
-    Each block is built alone in its own coordinates (uncached), and offers
-    each of its cells and also its origin, with the all-zero covector and
-    the zero witness, unless a cell of its own already has that covector
-    (its forms then share a nonzero kernel, which holds the origin).  A
-    product cell is one option per block, its witness the blocks' witnesses
-    put in place, with 0 on every coordinate that no form reads.  The
-    combination of all the zero witnesses is the origin, which is no cell,
-    unless some coordinate lies in no form's support: its unit vector is
-    then the witness.  The exact cell count is checked against
-    ``MAX_ARRANGEMENT_CELLS`` before any product cell is built, and the
-    cells are sorted by covector, lexicographic with 0 < + < -, which is the
-    order ``_incremental`` makes.
+    Each block's rows are built alone in its own coordinates (uncached), and
+    the block offers each of them and also its origin, with the all-zero
+    covector and the zero witness, unless a row of its own already has that
+    covector (its forms then share a nonzero kernel, which holds the origin).
+    A product row is one option per block: the blocks' covectors put in form
+    order, and their witnesses put in place, with 0 on every coordinate that
+    no form reads.  The combination of all the zero witnesses is the origin,
+    which is no cell, unless some coordinate lies in no form's support: its
+    unit vector is then the witness.  The exact row count is checked against
+    ``MAX_ARRANGEMENT_CELLS`` before any product row is built.
     """
-    negs = [_neg(h) for h in forms]
     options, origins = [], 0
     for coords, positions in blocks:
-        part = _incremental(len(coords), tuple(tuple(forms[p][i] for i in coords) for p in positions), (len(forms), dim))
-        opts = [(cov, w) for (_, w), cov in zip(part, part.covectors)]
+        opts = _incremental(len(coords), tuple(tuple(forms[p][i] for i in coords) for p in positions), (len(forms), dim))
         zero = (0,) * len(positions)
-        if zero not in part.covectors:
+        if zero not in map(itemgetter(0), opts):
             origins += 1
             opts.append((zero, (0,) * len(coords)))
-        # per option: covector, its sort key, witness, equations, strict forms
-        options.append([
-            (
-                cov,
-                tuple(s % 3 for s in cov),
-                w,
-                tuple(forms[p] for p, s in zip(positions, cov) if s == 0),
-                tuple(forms[p] if s > 0 else negs[p] for p, s in zip(positions, cov) if s != 0),
-            )
-            for cov, w in opts
-        ])
+        options.append(opts)
     count = prod(map(len, options)) - (origins == len(blocks) and not free)
     if count > MAX_ARRANGEMENT_CELLS:
         raise _too_many(len(forms), dim, count)
@@ -564,36 +579,33 @@ def _product(dim: int, forms: tuple[Form, ...], blocks: list, free: list) -> _Ar
     by_form = _tuple_getter(tuple(sorted(range(len(forms)), key=form_order.__getitem__)))
     by_coord = _tuple_getter(tuple(sorted(range(dim), key=coord_order.__getitem__)))
     rest = (0,) * len(free)
-    acc = [((), (), (), (), ())]
+    acc = [((), ())]
     for opts in options:
-        acc = [tuple(map(add, a, o)) for a in acc for o in opts]
-    cells = []
-    for cov, key, w, eqs, gts in acc:
+        acc = [(cov + c, w + v) for cov, w in acc for c, v in opts]
+    rows = []
+    for cov, w in acc:
         w = by_coord(w + rest)
         if not any(w):  # every block at its origin
             if not free:
                 continue
             w = tuple(int(i == free[0]) for i in range(dim))
-        cells.append((by_form(key), _cell(eqs, gts), w, by_form(cov)))
-    cells.sort(key=itemgetter(0))
-    return _Arrangement([(cell, w, cov) for _, cell, w, cov in cells], forms)
+        rows.append((by_form(cov), w))
+    return rows
 
 
-def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | None = None) -> _Arrangement:
-    """The arrangement built one hyperplane at a time (see
+def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | None = None) -> list:
+    """The rows of the arrangement built one hyperplane at a time (see
     ``arrangement_cells``).  ``whole`` is the (hyperplanes, dimension) that a
     refusal names, when this is one block of a larger arrangement."""
     if dim == 0:
-        return _Arrangement([], forms)
-    base = Cell((), ())
-    cells = [(base, cell_witness(dim, base), ())]
+        return []
+    rows = [((), cell_witness(dim, Cell((), ())))]
     kernel = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    for h in forms:
-        neg = _neg(h)  # shared by every minus side
+    for n, h in enumerate(forms, 1):
         products = [_dot(h, k) for k in kernel]
         pivot = next((i for i, p in enumerate(products) if p), None)
         if pivot is None:
-            split = partial(_split, dim, h, neg)
+            sides = starmap(partial(_split, dim, forms[:n]), rows)
         else:
             u, a = kernel[pivot], products[pivot]
             if a < 0:
@@ -603,52 +615,33 @@ def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | Non
                 for i, (k, p) in enumerate(zip(kernel, products))
                 if i != pivot
             ]
-            split = partial(_split_free, h, neg, u, a, kernel[0] if kernel else None)
+            sides = map(partial(_split_free, h, u, a, kernel[0] if kernel else None), map(itemgetter(1), rows))
         nxt = []
-        for cell, w, cov in cells:
-            nxt.extend((side, v, cov + (sign,)) for side, v, sign in split(cell, w))
+        for (cov, _), out in zip(rows, sides):
+            nxt.extend((cov + (sign,), v) for v, sign in out)
             if len(nxt) > MAX_ARRANGEMENT_CELLS:
                 raise _too_many(*(whole or (len(forms), dim)), len(nxt))
-        cells = nxt
-    return _Arrangement(cells, forms)
+        rows = nxt
+    return rows
 
 
-def _project(source: _Arrangement, forms: tuple[Form, ...]) -> _Arrangement:
-    """The arrangement of ``forms``, all of them forms of ``source``, read
-    off ``source``'s covectors with no decision.  Each cell of ``source``
-    lies in the cell of ``forms`` with its signs at their positions, so the
-    distinct restricted covectors are the cells, each witnessed by the
-    witness of the first ``source`` cell that restricts to it.  Sorted by
-    covector, lexicographic with 0 < + < -, they come in the order, and with
-    the cells and covectors, of a build (``_build``)."""
+def _project(source: _Arrangement, forms: tuple[Form, ...]):
+    """The rows of the arrangement of ``forms``, all of them forms of
+    ``source``, read off ``source``'s covectors with no decision.  Each cell
+    of ``source`` lies in the cell of ``forms`` with its signs at their
+    positions, so the distinct restricted covectors are the cells, each
+    witnessed by the witness of the first ``source`` cell that restricts to
+    it; made into an ``_Arrangement``, they give the cells, covectors and
+    order of a build (``_build``)."""
     get = _tuple_getter(tuple(map(source.position.__getitem__, forms)))
     # reversed, so that the first cell's witness is the one a key keeps
-    first = dict(zip(map(get, reversed(source.covectors)), map(itemgetter(1), reversed(source))))
-    negs = [_neg(h) for h in forms]
-    return _Arrangement(
-        [
-            (
-                _cell(
-                    [h for h, s in zip(forms, cov) if not s],
-                    [h if s > 0 else neg for h, neg, s in zip(forms, negs, cov) if s],
-                ),
-                first[cov],
-                cov,
-            )
-            for cov in sorted(first, key=_covector_order)
-        ],
-        forms,
-    )
+    return dict(zip(map(get, reversed(source.covectors)), map(itemgetter(1), reversed(source)))).items()
 
 
-def _covector_order(cov: tuple[int, ...]) -> bytes:
-    """The sort key of a covector, lexicographic with 0 < + < -."""
-    return bytes(map(_MOD3, cov))
-
-
-# On 77 ``sphere`` benchmark jobs (seed 1), 298 of the 429 arrangement
-# requests repeat an earlier (dim, forms).  A memo of 1, 4, 8 and 64 entries
-# keeps 209, 278, 279 and 296 of those hits; past 8 each entry buys little.
+# On 77 ``sphere`` benchmark jobs (seed 1) the set operations make 605
+# arrangement requests.  A memo of 1, 4, 8 and 64 entries answers 331, 443,
+# 444 and 460 of them; past 8 each entry buys little.  Of the 161 misses at 8
+# entries, 83 are projected from a held arrangement and 78 are built.
 # The memo lives for the process, like ``resolutions.resolution_for``, and
 # holds at most MAX_ARRANGEMENT_CELLS cells in all.  Under tracemalloc a cell
 # (cell, witness and covector) takes 561 bytes in the dimension-10 coordinate
@@ -657,12 +650,12 @@ def _covector_order(cov: tuple[int, ...]) -> bytes:
 _arrangement = _Memo(_build, 8)
 
 
-def _split_free(h: Form, neg: Form, u: Form, a: int, line, cell: Cell, w: Form) -> list:
-    """The three sides of ``cell`` across {h = 0}, for h independent of the
-    forms already split, as (side, witness, sign of h) in the order zero,
-    plus, minus, with no decision.  u is a vector of those forms' common
-    kernel with a = h . u > 0, and ``line`` the first vector of the kernel's
-    basis once h joins them (None when that kernel is 0).
+def _split_free(h: Form, u: Form, a: int, line, w: Form) -> list:
+    """The three sides across {h = 0} of the cell with witness ``w``, for h
+    independent of the forms already split, as (witness, sign of h) in the
+    order zero, plus, minus, with no decision.  u is a vector of those forms'
+    common kernel with a = h . u > 0, and ``line`` the first vector of the
+    kernel's basis once h joins them (None when that kernel is 0).
 
     The line w + t u stays in the cell, so with s = h . w the zero side holds
     a w - s u, the plus side w or a w + (a - s) u (where h is a^2), and the
@@ -673,18 +666,17 @@ def _split_free(h: Form, neg: Form, u: Form, a: int, line, cell: Cell, w: Form) 
     s = _dot(h, w)
     wz = [a * x - s * y for x, y in zip(w, u)]
     wz = _primitive(wz) if any(wz) else line
-    sides = [] if wz is None else [(_cell(cell.eqs + (h,), cell.gts), wz, 0)]
     wp = w if s > 0 else _primitive([a * x + (a - s) * y for x, y in zip(w, u)])
     wm = w if s < 0 else _primitive([a * x - (a + s) * y for x, y in zip(w, u)])
-    sides.append((_cell(cell.eqs, cell.gts + (h,)), wp, 1))
-    sides.append((_cell(cell.eqs, cell.gts + (neg,)), wm, -1))
-    return sides
+    sides = [(wp, 1), (wm, -1)]
+    return sides if wz is None else [(wz, 0), *sides]
 
 
-def _split(dim: int, h: Form, neg: Form, cell: Cell, w: Form) -> list:
-    """The nonempty sides of ``cell`` across {h = 0}, for h dependent on the
-    forms already split, as in ``_split_free``, from one call of
-    ``cell_witness``.  ``w`` is a point of the cell.
+def _split(dim: int, forms: tuple[Form, ...], cov: tuple[int, ...], w: Form) -> list:
+    """The nonempty sides across {h = 0}, h the last of ``forms``, of the
+    cell with covector ``cov`` on the forms before it and with point ``w``,
+    for h dependent on those forms, as (witness, sign of h), from one call of
+    ``cell_witness`` on the one side that is decided.
 
     Two facts about a relatively open convex cone C decide the split: if C
     has points on one open side of h, it meets {h = 0} exactly when it meets
@@ -694,29 +686,28 @@ def _split(dim: int, h: Form, neg: Form, cell: Cell, w: Form) -> list:
     the far witness w2 witnesses the zero side; a strict form of C is
     positive at both, so it does not vanish.  When h . w = 0 only the plus
     side is decided, and ``_past`` witnesses the minus side.  The one cell
-    without strict forms is the common kernel of the earlier forms minus the
-    origin, where a dependent h vanishes, so it takes the second branch.
+    without strict forms (its covector all zero) is the common kernel of the
+    earlier forms minus the origin, where a dependent h vanishes, so it takes
+    the second branch.
     """
-    zero = _cell(cell.eqs + (h,), cell.gts)
-    plus = _cell(cell.eqs, cell.gts + (h,))
-    minus = _cell(cell.eqs, cell.gts + (neg,))
+    h = forms[-1]
     s = _dot(h, w)
     if s == 0:
+        plus = _cell_of(forms, cov + (1,))
         w2 = cell_witness(dim, plus)
         if w2 is None:
-            return [(zero, w, 0)]
-        return [(zero, w, 0), (plus, w2, 1), (minus, _past(cell.gts, w, w2), -1)]
-    near, far, sign = (plus, minus, 1) if s > 0 else (minus, plus, -1)
-    w2 = cell_witness(dim, far)
+            return [(w, 0)]
+        return [(w, 0), (w2, 1), (_past([g for g in plus.gts if g != h], w, w2), -1)]
+    sign = 1 if s > 0 else -1
+    w2 = cell_witness(dim, _cell_of(forms, cov + (-sign,)))
     if w2 is None:
-        return [(near, w, sign)]
+        return [(w, sign)]
     s, s2 = abs(s), abs(_dot(h, w2))
     mid = [s * b + s2 * a for a, b in zip(w, w2)]
-    zero_side = (zero, _primitive(mid), 0)
-    return [zero_side, (plus, w, 1), (minus, w2, -1)] if sign > 0 else [zero_side, (plus, w2, 1), (minus, w, -1)]
+    return [(_primitive(mid), 0), (w, sign), (w2, -sign)]
 
 
-def _past(gts: tuple[Form, ...], w: Form, w2: Form) -> Form:
+def _past(gts: Iterable[Form], w: Form, w2: Form) -> Form:
     """The primitive point w - t (w2 - w), with a rational t > 0 small enough
     that every strict form g keeps g > 0: t <= g . w / (2 g . (w2 - w))."""
     d = [b - a for a, b in zip(w, w2)]

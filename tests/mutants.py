@@ -274,8 +274,8 @@ MUTANTS = [
     Mutant(
         "split-keeps-the-zero-side-past-an-empty-far-side",
         "bnsr/spheres.py",
-        "        return [(near, w, sign)]\n",
-        "        return [(zero, w, 0), (near, w, sign)]\n",
+        "        return [(w, sign)]\n",
+        "        return [(w, 0), (w, sign)]\n",
         (_SPLIT, _CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws"),
     ),
     Mutant(
@@ -288,9 +288,16 @@ MUTANTS = [
     Mutant(
         "covector-lookup-ignores-direction",
         "bnsr/spheres.py",
-        "sides.append((_cell(cell.eqs, cell.gts + (neg,)), wm, -1))",
-        "sides.append((_cell(cell.eqs, cell.gts + (neg,)), wm, 1))",
+        "sides = [(wp, 1), (wm, -1)]",
+        "sides = [(wp, 1), (wm, 1)]",
         (_SPLIT, _FREE, _MEMBERSHIP, _CANONICAL),
+    ),
+    Mutant(
+        "cell-of-takes-h-for-a-minus-sign",
+        "bnsr/spheres.py",
+        "h if s > 0 else _neg(h) for h, s in zip(forms, cov) if s",
+        "h for h, s in zip(forms, cov) if s",
+        (_SPLIT, _FREE, f"{_PRODUCT}[dependent]", f"{_PRODUCT}[free]"),
     ),
     Mutant(
         "kernel-not-projected-after-an-independent-form",
@@ -331,8 +338,8 @@ MUTANTS = [
     Mutant(
         "projection-skips-the-covector-sort",
         "bnsr/spheres.py",
-        "for cov in sorted(first, key=_covector_order)",
-        "for cov in first",
+        "rows = sorted(rows, key=lambda row: _covector_order(row[0]))",
+        "rows = list(rows)",
         (f"{_PROJECTED}[2]", f"{_PROJECTED}[5]", "tests/test_spheres_masks.py::test_a_projection_takes_a_product_arrangement_apart"),
     ),
     Mutant(
@@ -360,8 +367,8 @@ MUTANTS = [
     Mutant(
         "product-orders-minus-before-plus",
         "bnsr/spheres.py",
-        "tuple(s % 3 for s in cov)",
-        "tuple(-s % 3 for s in cov)",
+        "return bytes(map(_MOD3, cov))",
+        "return bytes(-s % 3 for s in cov)",
         (f"{_PRODUCT}[dependent]", f"{_PRODUCT}[free]", f"{_PRODUCT}[kernel]"),
     ),
     # pointwise membership in a join

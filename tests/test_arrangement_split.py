@@ -3,13 +3,15 @@
 ``spheres.arrangement_cells`` splits each cell C with witness w across a new
 hyperplane h.  When h is independent of the forms before it, the split makes
 no ``cell_witness`` call (``_split_free``); when h depends on them it makes
-one at most (``_split``).  ``spheres_oracle`` keeps the builder that decided
-every side without w on its own.  On seeded form sets in dimensions 1-6,
-with unit forms, hyperplanes through an earlier witness, sums of earlier
-forms (dependent, and with empty far sides) and random forms, the cells must
-be the oracle's in the oracle's order, every witness a nonzero primitive
-integer point of its cell, every stored covector the signs of the forms at
-that witness, and a repeated request must come from the memo.
+one at most (``_split``).  Both return (witness, sign) pairs: a split
+carries no cell, and a dependent one makes only the cell it decides on.
+``spheres_oracle`` keeps the builder that decided every side without w on
+its own.  On seeded form sets in dimensions 1-6, with unit forms,
+hyperplanes through an earlier witness, sums of earlier forms (dependent,
+and with empty far sides) and random forms, the cells must be the oracle's
+in the oracle's order, every witness a nonzero primitive integer point of
+its cell, every stored covector the signs of the forms at that witness, and
+a repeated request must come from the memo.
 """
 
 import math
@@ -77,15 +79,19 @@ def _rank(rows):
     return rank
 
 
+def _named(forms, cov):
+    """The cell where each form has its sign in the covector."""
+    eqs = [h for h, s in zip(forms, cov) if s == 0]
+    return _cell(eqs, [h if s > 0 else _neg(h) for h, s in zip(forms, cov) if s != 0])
+
+
 def _check_covectors(dim, forms, got):
     """Each stored covector is the sign of every form at the cell's witness,
     and names the cell itself."""
     assert len(got.covectors) == len(got)
     for (cell, w), cov in zip(got, got.covectors):
         assert cov == tuple((_dot(h, w) > 0) - (_dot(h, w) < 0) for h in forms), (cell, w, cov)
-        eqs = [h for h, s in zip(forms, cov) if s == 0]
-        gts = [h if s > 0 else _neg(h) for h, s in zip(forms, cov) if s != 0]
-        assert _cell(eqs, gts) == cell, (cell, cov)
+        assert _named(forms, cov) == cell, (cell, cov)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
@@ -99,30 +105,32 @@ def test_split_cells_and_witnesses_match_the_oracle(dim, monkeypatch):
         calls.append(cell)
         return witness(dim_, cell)
 
-    def dependent(dim_, h, neg, cell, w):
+    def dependent(dim_, forms, cov, w):
+        # the cell being split: the signs cov on the forms before h
+        h, cell = forms[-1], _named(forms, cov)
         calls.clear()
-        out = split(dim_, h, neg, cell, w)
+        out = split(dim_, forms, cov, w)
         s = _dot(h, w)
         assert len(calls) <= 1, (cell, w, h)
         seen["dependent, through the witness"] += s == 0
         seen["dependent, far side empty"] += s != 0 and len(out) == 1
         if not cell.gts:
             # the kernel of the earlier forms, on which a dependent h vanishes
-            assert s == 0 and [sign for _, _, sign in out] == [0], (cell, w, h)
+            assert s == 0 and [sign for _, sign in out] == [0], (cell, w, h)
             seen["dependent, no strict forms"] += 1
         return out
 
-    def independent(h, neg, u, a, line, cell, w):
+    def independent(h, u, a, line, w):
         calls.clear()
-        out = split_free(h, neg, u, a, line, cell, w)
-        assert not calls and a == _dot(h, u) > 0, (cell, w, h)
-        assert [sign for _, _, sign in out] == ([0, 1, -1] if len(out) == 3 else [1, -1]), (cell, w, h)
+        out = split_free(h, u, a, line, w)
+        assert not calls and a == _dot(h, u) > 0, (w, h)
+        assert [sign for _, sign in out] == ([0, 1, -1] if len(out) == 3 else [1, -1]), (w, h)
         if w in (u, _neg(u)):
             seen["independent, w on the line of u, zero side" if line else "independent, w on the line of u, no zero side"] += 1
-            assert len(out) == (3 if line else 2), (cell, w, h)
+            assert len(out) == (3 if line else 2), (w, h)
         else:
             seen["independent, general cell"] += 1
-            assert len(out) == 3, (cell, w, h)
+            assert len(out) == 3, (w, h)
         return out
 
     monkeypatch.setattr(spheres, "cell_witness", counting)
@@ -193,6 +201,29 @@ def test_independent_forms_need_no_decision(monkeypatch):
         _check_covectors(dim, forms, got)
         # every sign vector but zero is a cell of an independent arrangement
         assert len(got) == 3 ** len(forms) - (len(forms) == dim)
+
+
+def test_a_coordinate_build_makes_each_cell_once_from_its_covector(monkeypatch):
+    """The splits carry covectors, not cells: a build of the six coordinate
+    forms makes no cell while it splits, and one per final cell, from its
+    covector, when the rows become the arrangement."""
+    cell, cell_of = spheres._cell, spheres._cell_of
+    made = Counter()
+
+    def counting_cell(eqs, gts):
+        made["_cell"] += 1
+        return cell(eqs, gts)
+
+    def counting_cell_of(forms, cov):
+        made["_cell_of"] += 1
+        return cell_of(forms, cov)
+
+    monkeypatch.setattr(spheres, "_cell", counting_cell)
+    monkeypatch.setattr(spheres, "_cell_of", counting_cell_of)
+    spheres._arrangement.cache_clear()
+    got = arrangement_cells(6, tuple(_unit(6, i) for i in range(6)))
+    assert len(got) == 3**6 - 1
+    assert made == Counter({"_cell_of": len(got)})
 
 
 def test_a_line_has_no_zero_side():

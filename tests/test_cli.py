@@ -8,6 +8,7 @@ import pytest
 
 from bnsr import spheres
 from bnsr.cli import main
+from bnsr.groups import parse_group
 from bnsr.spheres import cone_set_to_obj, full_sphere_dim, empty_set
 
 
@@ -773,6 +774,23 @@ def test_a_record_keys_its_ring_by_the_canonical_tag(tmp_path, capsys):
     assert [e["provenance"] for e in json.loads(out) if e["degree"] == 1 and e["ring"] == "F5"
             and e["group"]["kind"] == "free_abelian" and e["group"]["rank"] == 2] == ["F05 copy"]
     assert run_cli(["catalog", "validate", "--records", records, "--shadow"], capsys)[:2] == (0, "catalog ok\n")
+
+
+@pytest.mark.parametrize(
+    "command,group,ring",
+    [
+        (["lookup", "--group", "free:2", "--degree", "4"], "free:2", "Q"),
+        (["product-check", "--left", "free:2", "--right", "free:2", "--n", "4"], "product:free:2,free:2", "Q"),
+        (["theorem2", "--left", "free:2", "--right", "free:2", "--n", "4"], "free:2", "Z"),
+    ],
+    ids=["lookup", "product-check", "theorem2"],
+)
+def test_a_missing_record_is_named_without_quotes_or_escapes(command, group, ring, capsys):
+    """The refusal prints the lookup's message itself, not the repr that
+    str() of a KeyError gives (outer quotes, escaped inner quotes)."""
+    code, out, err = run_cli(["catalog", *command], capsys)
+    assert code == 3 and out == ""
+    assert err == f"error: no catalog record for {parse_group(group).to_dict()}, degree 4, ring {ring}\n"
 
 
 @pytest.mark.parametrize(
