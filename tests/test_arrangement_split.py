@@ -112,6 +112,8 @@ def test_split_cells_and_witnesses_match_the_oracle(dim, monkeypatch):
         out = split(dim_, forms, cov, w)
         s = _dot(h, w)
         assert len(calls) <= 1, (cell, w, h)
+        # the decision is on the plus side through w, else on the far side
+        assert calls == [_named(forms, cov + (1 if s <= 0 else -1,))], (cell, w, h)
         seen["dependent, through the witness"] += s == 0
         seen["dependent, far side empty"] += s != 0 and len(out) == 1
         if not cell.gts:
