@@ -11,7 +11,7 @@ cross-validation never compares the formula against itself.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .groups import (
@@ -47,6 +47,13 @@ HOMOLOGICAL_TAGS = ("Z", "Q", "F5")
 MAX_DEGREE = 3
 
 
+def _ring_key(tag: str) -> str:
+    """The tag that records of the ring ``tag`` are keyed by: "homotopical" as
+    it is, else the ring's canonical tag (one key per ring: "F05" is F5).  A
+    tag that names no ring raises ValueError."""
+    return tag if tag == "homotopical" else ring_from_tag(tag).tag
+
+
 @dataclass(frozen=True)
 class SigmaRecord:
     group: Group
@@ -76,11 +83,10 @@ class SigmaRecord:
         degree, ring_tag, provenance = data["degree"], data["ring"], data.get("provenance", "user supplied")
         if type(degree) is not int or degree < 0 or not isinstance(ring_tag, str) or not isinstance(provenance, str):
             raise ValueError("a catalog record needs a nonnegative integer degree and a string ring and provenance")
-        if ring_tag != "homotopical":
-            try:
-                ring_tag = ring_from_tag(ring_tag).tag  # one key per ring: "F05" is F5
-            except ValueError as exc:
-                raise ValueError(f"a catalog record's ring {ring_tag!r} is neither homotopical nor a ring: {exc}") from None
+        try:
+            ring_tag = _ring_key(ring_tag)
+        except ValueError as exc:
+            raise ValueError(f"a catalog record's ring {ring_tag!r} is neither homotopical nor a ring: {exc}") from None
         group, complement = group_from_dict(data["group"]), cone_set_from_obj(data["complement"])
         if complement.dim != group.char_dim:
             raise ValueError(f"a catalog record's complement has dimension {complement.dim}, but its group has "
@@ -101,9 +107,9 @@ class Catalog:
         """The record of (group, degree, ring); a ring tag that is not the
         canonical one ("F05") is canonicalized on a miss, as records are keyed."""
         rec = self._by_key.get((group, degree, ring_tag))
-        if rec is None and ring_tag != "homotopical":
+        if rec is None:
             try:
-                rec = self._by_key.get((group, degree, ring_from_tag(ring_tag).tag))
+                rec = self._by_key.get((group, degree, _ring_key(ring_tag)))
             except ValueError:
                 pass
         if rec is None:
@@ -266,26 +272,22 @@ def catalog_violations(cat: Catalog) -> list[str]:
 # theorem-level checkers
 
 
+class _Report:
+    """A report whose structured form is its fields by name (``asdict``)."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 @dataclass
-class FormulaReport:
-    group_left: dict
-    group_right: dict
+class FormulaReport(_Report):
+    left: dict
+    right: dict
     degree: int
     ring: str
     equal: bool
     lhs_cells: int
     rhs_cells: int
-
-    def to_dict(self):
-        return {
-            "left": self.group_left,
-            "right": self.group_right,
-            "degree": self.degree,
-            "ring": self.ring,
-            "equal": self.equal,
-            "lhs_cells": self.lhs_cells,
-            "rhs_cells": self.rhs_cells,
-        }
 
 
 def formula_inputs(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> SigmaFormulaInput:
@@ -305,8 +307,7 @@ def verify_product_formula(cat: Catalog, G: Group, H: Group, n: int, ring_tag: s
     """Exact cone-set equality of the stored product complement against the
     union of joins of the factor complements."""
     lhs, rhs = _formula_sides(cat, G, H, n, ring_tag)
-    tag = ring_tag if ring_tag == "homotopical" else ring_from_tag(ring_tag).tag  # "F05" is reported as F5
-    return FormulaReport(G.to_dict(), H.to_dict(), n, tag, equals(lhs, rhs), len(lhs.cells), len(rhs.cells))
+    return FormulaReport(G.to_dict(), H.to_dict(), n, _ring_key(ring_tag), equals(lhs, rhs), len(lhs.cells), len(rhs.cells))
 
 
 def meinert_report(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> bool:
@@ -315,17 +316,10 @@ def meinert_report(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> b
 
 
 @dataclass
-class EqualCoefficientReport:
+class EqualCoefficientReport(_Report):
     applicable: bool
     degrees_checked: int
     z_formula_equal: bool | None = None
-
-    def to_dict(self):
-        return {
-            "applicable": self.applicable,
-            "degrees_checked": self.degrees_checked,
-            "z_formula_equal": self.z_formula_equal,
-        }
 
 
 def theorem2_applicability(cat: Catalog, G: Group, H: Group, n: int) -> EqualCoefficientReport:
@@ -364,23 +358,13 @@ def theorem3_check(cat: Catalog, G: Group, H: Group, n: int) -> FormulaReport:
 
 
 @dataclass
-class CrossValidationReport:
+class CrossValidationReport(_Report):
     group: dict
     degree: int
     ring: str
     window_radius: object
     entries: list = field(default_factory=list)
     consistent: bool = True
-
-    def to_dict(self):
-        return {
-            "group": self.group,
-            "degree": self.degree,
-            "ring": self.ring,
-            "window_radius": self.window_radius,
-            "entries": self.entries,
-            "consistent": self.consistent,
-        }
 
 
 def cross_validate(

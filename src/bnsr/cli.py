@@ -1,5 +1,9 @@
 """Command-line entry point with file-based IO and deterministic output.
 
+Each subcommand is declared once, in ``build_parser``: its name, the option
+groups it shares with other subcommands, its own options and its handler,
+which ``main`` runs.
+
 Exit codes: 0 success / check verified, 1 check ran and evaluated false,
 2 usage error, 3 precondition or input failure.  Structured output is
 byte-stable for identical inputs.
@@ -151,49 +155,62 @@ def _complements_from_obj(data, key: str) -> dict:
     return {int(k): cone_set_from_obj(v) for k, v in table.items()}
 
 
-def _cmd_sphere(args) -> int:
-    if args.sphere_cmd in ("join", "union", "equals", "subset"):
-        A = cone_set_from_obj(_load_json(args.left))
-        B = cone_set_from_obj(_load_json(args.right))
-        if args.sphere_cmd == "join":
-            out = join(A, B)
-            _emit(args, cone_set_to_obj(out), [f"join: {len(out.cells)} cells in dimension {out.dim}"])
-            return 0
-        if args.sphere_cmd == "union":
-            out = union(A, B)
-            _emit(args, cone_set_to_obj(out), [f"union: {len(out.cells)} cells"])
-            return 0
-        if args.sphere_cmd == "equals":
-            ok = equals(A, B)
-            _emit(args, {"equal": ok}, [f"equal: {ok}"])
-            return 0 if ok else 1
-        ok = subset(A, B)
-        _emit(args, {"subset": ok}, [f"subset: {ok}"])
-        return 0 if ok else 1
-    if args.sphere_cmd == "complement":
-        A = cone_set_from_obj(_load_json(args.set))
-        out = complement(A)
-        _emit(args, cone_set_to_obj(out), [f"complement: {len(out.cells)} cells"])
-        return 0
-    if args.sphere_cmd == "product-rhs":
-        data = _load_json(args.inputs)
-        inputs = SigmaFormulaInput(_complements_from_obj(data, "g_complements"), _complements_from_obj(data, "h_complements"))
-        out = product_formula_rhs(inputs, args.n)
-        _emit(args, cone_set_to_obj(out), [f"formula rhs: {len(out.cells)} cells"])
-        return 0
-    if args.sphere_cmd == "homotopical":
-        left = _group_arg(args.left_group)
-        right = _group_arg(args.right_group)
-        out = homotopical_combine(
-            cone_set_from_obj(_load_json(args.sigma_gh)),
-            cone_set_from_obj(_load_json(args.sigma_g)),
-            cone_set_from_obj(_load_json(args.sigma_h)),
-            left,
-            right,
-        )
-        _emit(args, cone_set_to_obj(out), [f"homotopical set: {len(out.cells)} cells"])
-        return 0
-    raise ValueError(f"unknown sphere subcommand {args.sphere_cmd}")
+def _set_pair(args):
+    """The cone sets in the files ``--left`` and ``--right``, read in that order."""
+    A = cone_set_from_obj(_load_json(args.left))
+    return A, cone_set_from_obj(_load_json(args.right))
+
+
+def _sphere_join(args) -> int:
+    out = join(*_set_pair(args))
+    _emit(args, cone_set_to_obj(out), [f"join: {len(out.cells)} cells in dimension {out.dim}"])
+    return 0
+
+
+def _sphere_union(args) -> int:
+    out = union(*_set_pair(args))
+    _emit(args, cone_set_to_obj(out), [f"union: {len(out.cells)} cells"])
+    return 0
+
+
+def _sphere_equals(args) -> int:
+    ok = equals(*_set_pair(args))
+    _emit(args, {"equal": ok}, [f"equal: {ok}"])
+    return 0 if ok else 1
+
+
+def _sphere_subset(args) -> int:
+    ok = subset(*_set_pair(args))
+    _emit(args, {"subset": ok}, [f"subset: {ok}"])
+    return 0 if ok else 1
+
+
+def _sphere_complement(args) -> int:
+    out = complement(cone_set_from_obj(_load_json(args.set)))
+    _emit(args, cone_set_to_obj(out), [f"complement: {len(out.cells)} cells"])
+    return 0
+
+
+def _sphere_product_rhs(args) -> int:
+    data = _load_json(args.inputs)
+    inputs = SigmaFormulaInput(_complements_from_obj(data, "g_complements"), _complements_from_obj(data, "h_complements"))
+    out = product_formula_rhs(inputs, args.n)
+    _emit(args, cone_set_to_obj(out), [f"formula rhs: {len(out.cells)} cells"])
+    return 0
+
+
+def _sphere_homotopical(args) -> int:
+    left = _group_arg(args.left_group)
+    right = _group_arg(args.right_group)
+    out = homotopical_combine(
+        cone_set_from_obj(_load_json(args.sigma_gh)),
+        cone_set_from_obj(_load_json(args.sigma_g)),
+        cone_set_from_obj(_load_json(args.sigma_h)),
+        left,
+        right,
+    )
+    _emit(args, cone_set_to_obj(out), [f"homotopical set: {len(out.cells)} cells"])
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -213,32 +230,43 @@ def _resolution_payload(F) -> dict:
     return {"group": F.group.to_dict(), "ring": F.ring.tag, "kind": F.kind, "cells": cells}
 
 
-def _cmd_resolution(args) -> int:
-    ring = ring_from_tag(args.ring)
-    F = parse_resolution(args.resolution, ring)
-    if args.resolution_cmd == "build":
-        _emit(args, _resolution_payload(F), [repr(F)])
-        return 0
-    if args.resolution_cmd == "boundary":
-        chain = chain_from_obj(F, _load_json(args.chain))
-        out = F.boundary(chain)
-        _emit(args, chain_to_obj(F, out), [f"boundary with {len(out.terms)} terms"])
-        return 0
-    if args.resolution_cmd == "check":
-        rep = check_admissible(F)
-        _emit(args, {"ok": rep.ok, "violations": rep.violations}, [f"admissible: {rep.ok}"] + rep.violations)
-        return 0 if rep.ok else 1
-    raise ValueError(f"unknown resolution subcommand {args.resolution_cmd}")
+def _resolution(args):
+    """The resolution ``--resolution`` over the ring ``--ring``."""
+    return parse_resolution(args.resolution, ring_from_tag(args.ring))
+
+
+def _resolution_build(args) -> int:
+    F = _resolution(args)
+    _emit(args, _resolution_payload(F), [repr(F)])
+    return 0
+
+
+def _resolution_boundary(args) -> int:
+    F = _resolution(args)
+    out = F.boundary(chain_from_obj(F, _load_json(args.chain)))
+    _emit(args, chain_to_obj(F, out), [f"boundary with {len(out.terms)} terms"])
+    return 0
+
+
+def _resolution_check(args) -> int:
+    rep = check_admissible(_resolution(args))
+    _emit(args, {"ok": rep.ok, "violations": rep.violations}, [f"admissible: {rep.ok}"] + rep.violations)
+    return 0 if rep.ok else 1
 
 
 # ---------------------------------------------------------------------------
 # valuation commands
 
 
+def _valuation(args, F):
+    """The basic valuation on ``F`` of the character ``--char``."""
+    return basic_valuation(F, _parse_char(F.group, args.char, "--char"))
+
+
 def _random_chain(F, rng, degree, radius=2, nterms=3):
     ring = F.ring
     terms = []
-    ball = F.group.ball(radius if len(F.group.factors()) == 1 else (radius,) * len(F.group.factors()))
+    ball = F.group.ball(radius)
     cells = F.cells(degree)
     for _ in range(nterms):
         g = rng.choice(ball)
@@ -248,113 +276,121 @@ def _random_chain(F, rng, degree, radius=2, nterms=3):
     return F.chain(terms)
 
 
-def _cmd_valuation(args) -> int:
+def _valuation_prop41(args) -> int:
     ring = ring_from_tag(args.ring)
-    if args.valuation_cmd == "prop41":
-        left = parse_resolution(args.left, ring)
-        right = parse_resolution(args.right, ring)
-        T = tensor_resolution(left, right)
-        v = basic_valuation(left, _parse_char(left.group, args.char_left, "--char-left"))
-        vprime = basic_valuation(right, _parse_char(right.group, args.char_right, "--char-right"))
-        # the tensor side is valued independently of the factors, so the identity is tested
-        w = basic_valuation(T, sum_character(v.character, vprime.character))
-        rng = random.Random(args.seed)
-        failures = 0
-        for _ in range(args.samples):
-            dl = rng.choice(left.degrees())
-            dr = rng.choice(right.degrees())
-            a = _random_chain(left, rng, dl)
-            b = _random_chain(right, rng, dr)
-            lhs = w.value(tensor_chain(T, a, b))
-            rhs = v.value(a) + vprime.value(b)
-            if lhs != rhs:
-                failures += 1
-        _emit(
-            args,
-            {"samples": args.samples, "failures": failures},
-            [f"product-value identity: {args.samples - failures}/{args.samples} samples agree"],
-        )
-        return 0 if failures == 0 else 1
+    left = parse_resolution(args.left, ring)
+    right = parse_resolution(args.right, ring)
+    T = tensor_resolution(left, right)
+    v = basic_valuation(left, _parse_char(left.group, args.char_left, "--char-left"))
+    vprime = basic_valuation(right, _parse_char(right.group, args.char_right, "--char-right"))
+    # the tensor side is valued independently of the factors, so the identity is tested
+    w = basic_valuation(T, sum_character(v.character, vprime.character))
+    rng = random.Random(args.seed)
+    failures = 0
+    for _ in range(args.samples):
+        dl = rng.choice(left.degrees())
+        dr = rng.choice(right.degrees())
+        a = _random_chain(left, rng, dl)
+        b = _random_chain(right, rng, dr)
+        lhs = w.value(tensor_chain(T, a, b))
+        rhs = v.value(a) + vprime.value(b)
+        if lhs != rhs:
+            failures += 1
+    _emit(
+        args,
+        {"samples": args.samples, "failures": failures},
+        [f"product-value identity: {args.samples - failures}/{args.samples} samples agree"],
+    )
+    return 0 if failures == 0 else 1
 
-    F = parse_resolution(args.resolution, ring)
-    if args.valuation_cmd == "basic":
-        v = basic_valuation(F, _parse_char(F.group, args.char, "--char"))
-        _emit(args, valuation_to_obj(v), [f"{cell}: {val}" for cell, val in sorted(valuation_to_obj(v)["cells"].items())])
-        return 0
-    if args.valuation_cmd == "value":
-        v = basic_valuation(F, _parse_char(F.group, args.char, "--char"))
-        chain = chain_from_obj(F, _load_json(args.chain))
-        val = v.value(chain)
-        _emit(args, {"value": _fmt_val(val)}, [f"value: {_fmt_val(val)}"])
-        return 0
-    if args.valuation_cmd == "split":
-        if F.kind != "tensor":
-            raise ValueError("split needs a tensor resolution")
-        chain = chain_from_obj(F, _load_json(args.chain))
-        with _source("--u"):
-            u = _fraction(args.u)
-        if args.side == "left":
-            v = basic_valuation(F.left, _parse_char(F.left.group, args.char, "--char"))
-            low, high = split_left(F, chain, u, v)
-            names = ("lambda", "rho")
-        else:
-            v = basic_valuation(F.right, _parse_char(F.right.group, args.char, "--char"))
-            low, high = split_bottom(F, chain, u, v)
-            names = ("beta", "tau")
-        _emit(
-            args,
-            {names[0]: chain_to_obj(F, low), names[1]: chain_to_obj(F, high)},
-            [f"{names[0]}: {len(low.terms)} terms, {names[1]}: {len(high.terms)} terms"],
+
+def _valuation_basic(args) -> int:
+    obj = valuation_to_obj(_valuation(args, _resolution(args)))
+    _emit(args, obj, [f"{cell}: {val}" for cell, val in sorted(obj["cells"].items())])
+    return 0
+
+
+def _valuation_value(args) -> int:
+    F = _resolution(args)
+    v = _valuation(args, F)
+    val = v.value(chain_from_obj(F, _load_json(args.chain)))
+    _emit(args, {"value": _fmt_val(val)}, [f"value: {_fmt_val(val)}"])
+    return 0
+
+
+def _valuation_split(args) -> int:
+    F = _resolution(args)
+    if F.kind != "tensor":
+        raise ValueError("split needs a tensor resolution")
+    chain = chain_from_obj(F, _load_json(args.chain))
+    with _source("--u"):
+        u = _fraction(args.u)
+    if args.side == "left":
+        low, high = split_left(F, chain, u, _valuation(args, F.left))
+        names = ("lambda", "rho")
+    else:
+        low, high = split_bottom(F, chain, u, _valuation(args, F.right))
+        names = ("beta", "tau")
+    _emit(
+        args,
+        {names[0]: chain_to_obj(F, low), names[1]: chain_to_obj(F, high)},
+        [f"{names[0]}: {len(low.terms)} terms, {names[1]}: {len(high.terms)} terms"],
+    )
+    return 0
+
+
+def _valuation_check_axioms(args) -> int:
+    F = _resolution(args)
+    v = _valuation(args, F)
+    rng = random.Random(args.seed)
+    samples = []
+    degs = F.degrees()
+    ball = F.group.ball(2)
+    for _ in range(args.samples):
+        d = rng.choice(degs)
+        samples.append(
+            (_random_chain(F, rng, d), _random_chain(F, rng, d), rng.choice(ball), F.ring.one())
         )
-        return 0
-    if args.valuation_cmd == "check-axioms":
-        v = basic_valuation(F, _parse_char(F.group, args.char, "--char"))
-        rng = random.Random(args.seed)
-        samples = []
-        degs = F.degrees()
-        ball = F.group.ball(2 if len(F.group.factors()) == 1 else (2,) * len(F.group.factors()))
-        for _ in range(args.samples):
-            d = rng.choice(degs)
-            samples.append(
-                (_random_chain(F, rng, d), _random_chain(F, rng, d), rng.choice(ball), F.ring.one())
-            )
-        rep = check_axioms(v, samples)
-        _emit(
-            args,
-            {"ok": rep.ok, "checked": rep.checked, "failures": rep.failures},
-            [f"axioms on {rep.checked} samples: {'ok' if rep.ok else 'FAILED'}"] + rep.failures,
-        )
-        return 0 if rep.ok else 1
-    raise ValueError(f"unknown valuation subcommand {args.valuation_cmd}")
+    rep = check_axioms(v, samples)
+    _emit(
+        args,
+        {"ok": rep.ok, "checked": rep.checked, "failures": rep.failures},
+        [f"axioms on {rep.checked} samples: {'ok' if rep.ok else 'FAILED'}"] + rep.failures,
+    )
+    return 0 if rep.ok else 1
 
 
 # ---------------------------------------------------------------------------
 # probe and witness commands
 
 
-def _cmd_probe(args) -> int:
+def _probe_setup(args):
+    """(F, v, W): the resolution of ``--group`` over ``--ring``, the basic
+    valuation of ``--char`` on it and its window of radius ``--window``."""
     ring = ring_from_tag(args.ring)
-    group = _group_arg(args.group)
-    F = resolution_for(group, ring)
-    chi = _parse_char(F.group, args.char, "--char")
-    v = basic_valuation(F, chi)
-    W = window_for(F, args.window)
-    if args.probe_cmd == "ca":
-        t_samples = args.t_samples if args.t_samples else None
-        report = ca_probe(F, v, args.n, W, args.lambda_max, t_samples=t_samples)
-        _emit(args, report.to_dict(), [report.note])
-        return 0 if report.passed else 1
-    if args.probe_cmd == "eta":
-        z = chain_from_obj(F, _load_json(args.cycle))
-        val = eta(F, v, z, W)
-        _emit(args, {"eta": _fmt_val(val)}, [f"eta: {_fmt_val(val)}"])
-        return 0
-    if args.probe_cmd == "gap":
-        target = chain_from_obj(F, _load_json(args.target))
-        val = gap_lower_bound(F, v, target, W)
-        _emit(args, {"gap_lower_bound": _fmt_val(val)}, [f"gap over the window: {_fmt_val(val)}"])
-        return 0
-    raise ValueError(f"unknown probe subcommand {args.probe_cmd}")
+    F = resolution_for(_group_arg(args.group), ring)
+    return F, _valuation(args, F), window_for(F, args.window)
+
+
+def _probe_ca(args) -> int:
+    F, v, W = _probe_setup(args)
+    report = ca_probe(F, v, args.n, W, args.lambda_max, t_samples=args.t_samples or None)
+    _emit(args, report.to_dict(), [report.note])
+    return 0 if report.passed else 1
+
+
+def _probe_eta(args) -> int:
+    F, v, W = _probe_setup(args)
+    val = eta(F, v, chain_from_obj(F, _load_json(args.cycle)), W)
+    _emit(args, {"eta": _fmt_val(val)}, [f"eta: {_fmt_val(val)}"])
+    return 0
+
+
+def _probe_gap(args) -> int:
+    F, v, W = _probe_setup(args)
+    val = gap_lower_bound(F, v, chain_from_obj(F, _load_json(args.target)), W)
+    _emit(args, {"gap_lower_bound": _fmt_val(val)}, [f"gap over the window: {_fmt_val(val)}"])
+    return 0
 
 
 _WITNESS_KEYS = ("left_group", "right_group", "char_left", "char_right", "z", "z_prime", "mu", "mu_prime", "window")
@@ -391,7 +427,7 @@ def _check_witness_config(cfg) -> None:
         raise ValueError(f"window {window!r} is not a nonnegative integer")
 
 
-def _cmd_witness(args) -> int:
+def _witness_run(args) -> int:
     cfg = _load_json(args.config)
     _check_witness_config(cfg)
     ring = ring_from_tag(cfg.get("ring", "Q"))
@@ -444,47 +480,59 @@ def _catalog_from_args(args):
     return cat
 
 
-def _cmd_catalog(args) -> int:
+def _catalog_list(args) -> int:
+    entries = [
+        {
+            "group": rec.group.to_dict(),
+            "degree": rec.degree,
+            "ring": rec.ring_tag,
+            "cells": len(rec.complement.cells),
+            "provenance": rec.provenance,
+        }
+        for rec in _catalog_from_args(args).records
+    ]
+    _emit(args, entries, [f"{len(entries)} records"])
+    return 0
+
+
+def _catalog_lookup(args) -> int:
+    rec = _catalog_from_args(args).lookup(_group_arg(args.group), args.degree, args.ring)
+    _emit(args, rec.to_dict(), [f"complement with {len(rec.complement.cells)} cells: {rec.provenance}"])
+    return 0
+
+
+def _catalog_validate(args) -> int:
+    violations = catalog_mod.catalog_violations(_catalog_from_args(args))
+    _emit(args, {"ok": not violations, "violations": violations}, ["catalog ok" if not violations else "violations:"] + violations)
+    return 0 if not violations else 1
+
+
+def _catalog_product_check(args) -> int:
     cat = _catalog_from_args(args)
-    if args.catalog_cmd == "list":
-        entries = [
-            {
-                "group": rec.group.to_dict(),
-                "degree": rec.degree,
-                "ring": rec.ring_tag,
-                "cells": len(rec.complement.cells),
-                "provenance": rec.provenance,
-            }
-            for rec in cat.records
-        ]
-        _emit(args, entries, [f"{len(entries)} records"])
-        return 0
-    if args.catalog_cmd == "lookup":
-        rec = cat.lookup(_group_arg(args.group), args.degree, args.ring)
-        _emit(args, rec.to_dict(), [f"complement with {len(rec.complement.cells)} cells: {rec.provenance}"])
-        return 0
-    if args.catalog_cmd == "validate":
-        violations = catalog_mod.catalog_violations(cat)
-        _emit(args, {"ok": not violations, "violations": violations}, ["catalog ok" if not violations else "violations:"] + violations)
-        return 0 if not violations else 1
-    if args.catalog_cmd == "product-check":
-        rep = catalog_mod.verify_product_formula(cat, _group_arg(args.left), _group_arg(args.right), args.n, args.ring)
-        _emit(args, rep.to_dict(), [f"formula equality: {rep.equal}"])
-        return 0 if rep.equal else 1
-    if args.catalog_cmd == "theorem2":
-        rep = catalog_mod.theorem2_applicability(cat, _group_arg(args.left), _group_arg(args.right), args.n)
-        _emit(args, rep.to_dict(), [f"applicable: {rep.applicable}, integral formula: {rep.z_formula_equal}"])
-        return 0 if rep.applicable and rep.z_formula_equal else 1
-    if args.catalog_cmd == "theorem3":
-        rep = catalog_mod.theorem3_check(cat, _group_arg(args.left), _group_arg(args.right), args.n)
-        _emit(args, rep.to_dict(), [f"integral formula equality at degree {args.n}: {rep.equal}"])
-        return 0 if rep.equal else 1
-    if args.catalog_cmd == "cross-validate":
-        rec = cat.lookup(_group_arg(args.group), args.degree, args.ring)
-        rep = catalog_mod.cross_validate(rec, args.directions, args.window, args.lambda_max)
-        _emit(args, rep.to_dict(), [f"consistent: {rep.consistent}"])
-        return 0 if rep.consistent else 1
-    raise ValueError(f"unknown catalog subcommand {args.catalog_cmd}")
+    rep = catalog_mod.verify_product_formula(cat, _group_arg(args.left), _group_arg(args.right), args.n, args.ring)
+    _emit(args, rep.to_dict(), [f"formula equality: {rep.equal}"])
+    return 0 if rep.equal else 1
+
+
+def _catalog_theorem2(args) -> int:
+    cat = _catalog_from_args(args)
+    rep = catalog_mod.theorem2_applicability(cat, _group_arg(args.left), _group_arg(args.right), args.n)
+    _emit(args, rep.to_dict(), [f"applicable: {rep.applicable}, integral formula: {rep.z_formula_equal}"])
+    return 0 if rep.applicable and rep.z_formula_equal else 1
+
+
+def _catalog_theorem3(args) -> int:
+    cat = _catalog_from_args(args)
+    rep = catalog_mod.theorem3_check(cat, _group_arg(args.left), _group_arg(args.right), args.n)
+    _emit(args, rep.to_dict(), [f"integral formula equality at degree {args.n}: {rep.equal}"])
+    return 0 if rep.equal else 1
+
+
+def _catalog_cross_validate(args) -> int:
+    rec = _catalog_from_args(args).lookup(_group_arg(args.group), args.degree, args.ring)
+    rep = catalog_mod.cross_validate(rec, args.directions, args.window, args.lambda_max)
+    _emit(args, rep.to_dict(), [f"consistent: {rep.consistent}"])
+    return 0 if rep.consistent else 1
 
 
 # ---------------------------------------------------------------------------
@@ -493,122 +541,110 @@ def _cmd_catalog(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+    """The argument parser, built once per process: parsing leaves it unchanged.
+    A parsed subcommand's handler is ``args.run``."""
     parser = argparse.ArgumentParser(prog="bnsr", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    shared = functools.partial(argparse.ArgumentParser, add_help=False)
+
+    common = shared()
     common.add_argument("--format", choices=("human", "structured"), default="human")
     common.add_argument("--out", "-o", default=None, help="write output to a file")
     common.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    sub = parser.add_subparsers(dest="command", required=True)
+    pair = shared()
+    pair.add_argument("--left", required=True)
+    pair.add_argument("--right", required=True)
+    resolution = shared()
+    resolution.add_argument("--resolution", required=True)
+    resolution.add_argument("--ring", default="Q")
+    char = shared()
+    char.add_argument("--char", required=True)
+    probe = shared()
+    probe.add_argument("--group", required=True)
+    probe.add_argument("--ring", default="Q")
+    probe.add_argument("--char", required=True)
+    probe.add_argument("--window", type=_nonnegative_int, required=True)
+    records = shared()
+    records.add_argument("--records", default=None, help="JSON list of extra catalog records")
+    records.add_argument("--shadow", action="store_true", help="let the extra records replace built-in ones")
 
-    sphere = sub.add_parser("sphere", help="cone-set algebra on character spheres")
-    ssub = sphere.add_subparsers(dest="sphere_cmd", required=True)
-    for name in ("join", "union", "equals", "subset"):
-        p = ssub.add_parser(name, parents=[common])
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-    p = ssub.add_parser("complement", parents=[common])
+    def group(name, summary):
+        return sub.add_parser(name, help=summary).add_subparsers(dest=f"{name}_cmd", required=True)
+
+    def command(commands, name, run, *parents):
+        p = commands.add_parser(name, parents=[common, *parents])
+        p.set_defaults(run=run)
+        return p
+
+    sphere = group("sphere", "cone-set algebra on character spheres")
+    command(sphere, "join", _sphere_join, pair)
+    command(sphere, "union", _sphere_union, pair)
+    command(sphere, "equals", _sphere_equals, pair)
+    command(sphere, "subset", _sphere_subset, pair)
+    p = command(sphere, "complement", _sphere_complement)
     p.add_argument("--set", required=True)
-    p = ssub.add_parser("product-rhs", parents=[common])
+    p = command(sphere, "product-rhs", _sphere_product_rhs)
     p.add_argument("--inputs", required=True)
     p.add_argument("--n", type=_nonnegative_int, required=True)
-    p = ssub.add_parser("homotopical", parents=[common])
+    p = command(sphere, "homotopical", _sphere_homotopical)
     p.add_argument("--sigma-gh", required=True)
     p.add_argument("--sigma-g", required=True)
     p.add_argument("--sigma-h", required=True)
     p.add_argument("--left-group", required=True)
     p.add_argument("--right-group", required=True)
 
-    resolution = sub.add_parser("resolution", help="build and check resolutions")
-    rsub = resolution.add_subparsers(dest="resolution_cmd", required=True)
-    for name in ("build", "boundary", "check"):
-        p = rsub.add_parser(name, parents=[common])
-        p.add_argument("--resolution", required=True)
-        p.add_argument("--ring", default="Q")
-        if name == "boundary":
-            p.add_argument("--chain", required=True)
-
-    valuation = sub.add_parser("valuation", help="valuations and splitters")
-    vsub = valuation.add_subparsers(dest="valuation_cmd", required=True)
-    p = vsub.add_parser("basic", parents=[common])
-    p.add_argument("--resolution", required=True)
-    p.add_argument("--ring", default="Q")
-    p.add_argument("--char", required=True)
-    p = vsub.add_parser("value", parents=[common])
-    p.add_argument("--resolution", required=True)
-    p.add_argument("--ring", default="Q")
-    p.add_argument("--char", required=True)
+    res = group("resolution", "build and check resolutions")
+    command(res, "build", _resolution_build, resolution)
+    p = command(res, "boundary", _resolution_boundary, resolution)
     p.add_argument("--chain", required=True)
-    p = vsub.add_parser("split", parents=[common])
-    p.add_argument("--resolution", required=True)
-    p.add_argument("--ring", default="Q")
+    command(res, "check", _resolution_check, resolution)
+
+    val = group("valuation", "valuations and splitters")
+    command(val, "basic", _valuation_basic, resolution, char)
+    p = command(val, "value", _valuation_value, resolution, char)
+    p.add_argument("--chain", required=True)
+    p = command(val, "split", _valuation_split, resolution)
     p.add_argument("--char", required=True, help="character of the split side factor")
     p.add_argument("--u", required=True)
     p.add_argument("--side", choices=("left", "bottom"), default="left")
     p.add_argument("--chain", required=True)
-    p = vsub.add_parser("check-axioms", parents=[common])
-    p.add_argument("--resolution", required=True)
-    p.add_argument("--ring", default="Q")
-    p.add_argument("--char", required=True)
+    p = command(val, "check-axioms", _valuation_check_axioms, resolution, char)
     p.add_argument("--samples", type=_nonnegative_int, default=100)
-    p = vsub.add_parser("prop41", parents=[common])
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    p = command(val, "prop41", _valuation_prop41, pair)
     p.add_argument("--ring", default="Q")
     p.add_argument("--char-left", required=True)
     p.add_argument("--char-right", required=True)
     p.add_argument("--samples", type=_nonnegative_int, default=200)
 
-    probe = sub.add_parser("probe", help="window probes for controlled acyclicity")
-    psub = probe.add_subparsers(dest="probe_cmd", required=True)
-    p = psub.add_parser("ca", parents=[common])
-    p.add_argument("--group", required=True)
-    p.add_argument("--ring", default="Q")
-    p.add_argument("--char", required=True)
+    prb = group("probe", "window probes for controlled acyclicity")
+    p = command(prb, "ca", _probe_ca, probe)
     p.add_argument("--n", type=_nonnegative_int, required=True)
-    p.add_argument("--window", type=_nonnegative_int, required=True)
     p.add_argument("--lambda-max", type=_nonnegative_int, required=True)
     p.add_argument("--t-samples", type=_nonnegative_int, default=0, help="thresholds to sample; 0 takes every window value")
-    p = psub.add_parser("eta", parents=[common])
-    p.add_argument("--group", required=True)
-    p.add_argument("--ring", default="Q")
-    p.add_argument("--char", required=True)
+    p = command(prb, "eta", _probe_eta, probe)
     p.add_argument("--cycle", required=True)
-    p.add_argument("--window", type=_nonnegative_int, required=True)
-    p = psub.add_parser("gap", parents=[common])
-    p.add_argument("--group", required=True)
-    p.add_argument("--ring", default="Q")
-    p.add_argument("--char", required=True)
+    p = command(prb, "gap", _probe_gap, probe)
     p.add_argument("--target", required=True)
-    p.add_argument("--window", type=_nonnegative_int, required=True)
 
-    witness = sub.add_parser("witness", help="splitter decomposition pipeline")
-    wsub = witness.add_subparsers(dest="witness_cmd", required=True)
-    p = wsub.add_parser("run", parents=[common])
+    wit = group("witness", "splitter decomposition pipeline")
+    p = command(wit, "run", _witness_run)
     p.add_argument("--config", required=True)
 
-    cat = sub.add_parser("catalog", help="curated invariant data and theorem checks")
-    csub = cat.add_subparsers(dest="catalog_cmd", required=True)
-    records = argparse.ArgumentParser(add_help=False, parents=[common])
-    records.add_argument("--records", default=None, help="JSON list of extra catalog records")
-    records.add_argument("--shadow", action="store_true", help="let the extra records replace built-in ones")
-    csub.add_parser("list", parents=[records])
-    p = csub.add_parser("lookup", parents=[records])
+    cat = group("catalog", "curated invariant data and theorem checks")
+    command(cat, "list", _catalog_list, records)
+    p = command(cat, "lookup", _catalog_lookup, records)
     p.add_argument("--group", required=True)
     p.add_argument("--degree", type=_nonnegative_int, required=True)
     p.add_argument("--ring", default="Q")
-    csub.add_parser("validate", parents=[records])
-    p = csub.add_parser("product-check", parents=[records])
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
+    command(cat, "validate", _catalog_validate, records)
+    p = command(cat, "product-check", _catalog_product_check, records, pair)
     p.add_argument("--n", type=_nonnegative_int, required=True)
     p.add_argument("--ring", default="Q")
-    for name in ("theorem2", "theorem3"):
-        p = csub.add_parser(name, parents=[records])
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-        p.add_argument("--n", type=_nonnegative_int, required=True)
-    p = csub.add_parser("cross-validate", parents=[records])
+    p = command(cat, "theorem2", _catalog_theorem2, records, pair)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p = command(cat, "theorem3", _catalog_theorem3, records, pair)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
+    p = command(cat, "cross-validate", _catalog_cross_validate, records)
     p.add_argument("--group", required=True)
     p.add_argument("--degree", type=_nonnegative_int, required=True)
     p.add_argument("--ring", default="Q")
@@ -619,22 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "sphere": _cmd_sphere,
-    "resolution": _cmd_resolution,
-    "valuation": _cmd_valuation,
-    "probe": _cmd_probe,
-    "witness": _cmd_witness,
-    "catalog": _cmd_catalog,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
+        return args.run(args)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         # str() of a KeyError is the repr of its message, quotes and escapes included
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

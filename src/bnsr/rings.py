@@ -46,20 +46,11 @@ class CoefficientRing:
     def add(self, a, b):
         return self.normalize(a + b)
 
-    def sub(self, a, b):
-        return self.normalize(a - b)
-
     def neg(self, a):
         return self.normalize(-a)
 
     def mul(self, a, b):
         return self.normalize(a * b)
-
-    def invert(self, a):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
@@ -99,11 +90,6 @@ class RationalField(CoefficientRing):
     def from_int(self, n):
         return Fraction(n)
 
-    def invert(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
-
     def is_zero(self, a):
         return a == 0
 
@@ -129,11 +115,6 @@ class IntegerRing(CoefficientRing):
 
     def from_int(self, n):
         return int(n)
-
-    def invert(self, a):
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not a unit in Z")
 
     def is_unit(self, a):
         return a in (1, -1)

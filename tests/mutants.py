@@ -518,6 +518,17 @@ MUTANTS = [
             "tests/test_cli.py::test_a_q_record_outside_the_z_record_breaks_the_cross_ring_law",
         ),
     ),
+    # the CLI: each subcommand is declared once, with the handler it runs
+    Mutant(
+        "join-runs-the-union-handler",
+        "bnsr/cli.py",
+        'command(sphere, "join", _sphere_join, pair)',
+        'command(sphere, "join", _sphere_union, pair)',
+        (
+            "tests/test_cli.py::test_sphere_structured_output_is_pinned[join]",
+            "tests/test_cli.py::test_oversized_join_embedding_is_refused_before_its_cells_are_built",
+        ),
+    ),
     # the sign convention between the records and the probes
     Mutant(
         "cross-validate-reads-the-antipode",

@@ -150,9 +150,12 @@ def test_an_oversized_product_is_refused_before_its_cells_are_built(limit, count
     """Above the limit, the product is refused from its exact count once the
     blocks are built, and a block past the limit stops its own build; either
     way the refusal names the whole arrangement, no product cell is built and
-    the memo stays empty."""
+    the memo stays empty.  Cells are made from covectors only by
+    ``_cell_of``, which the splits inside a block's build call too; a call
+    outside every block's build makes a product cell, as an accepted build
+    shows."""
     monkeypatch.setattr(spheres, "MAX_ARRANGEMENT_CELLS", limit)
-    incremental, cell = spheres._incremental, spheres._cell
+    incremental, cell_of = spheres._incremental, spheres._cell_of
     depth, blocks, outside = [0], [], []
 
     def building(*args):
@@ -164,13 +167,13 @@ def test_an_oversized_product_is_refused_before_its_cells_are_built(limit, count
         blocks.append(len(out))
         return out
 
-    def counting(eqs, gts):
+    def counting(forms, cov):
         if not depth[0]:
-            outside.append((eqs, gts))
-        return cell(eqs, gts)
+            outside.append(cov)
+        return cell_of(forms, cov)
 
     monkeypatch.setattr(spheres, "_incremental", building)
-    monkeypatch.setattr(spheres, "_cell", counting)
+    monkeypatch.setattr(spheres, "_cell_of", counting)
     spheres._arrangement.cache_clear()
     with pytest.raises(ValueError, match=rf"^an arrangement of 6 hyperplanes in dimension 4 has at least {count} "
                                          rf"cells, above the limit of {limit}$"):
@@ -178,6 +181,12 @@ def test_an_oversized_product_is_refused_before_its_cells_are_built(limit, count
     assert blocks == ([12, 12] if limit == 100 else [])
     assert outside == []
     assert spheres._arrangement.cache_info().currsize == 0
+    # the spy is not blind: at the limit of 168 the same product is built,
+    # and each of its cells is made outside the blocks' builds
+    monkeypatch.setattr(spheres, "MAX_ARRANGEMENT_CELLS", 168)
+    cells = arrangement_cells(4, _two_blocks())
+    assert len(outside) == len(cells) == 168
+    spheres._arrangement.cache_clear()
 
 
 def _units(dim):
