@@ -3,15 +3,22 @@ theorem-level checkers that combine them through the sphere algebra.
 
 Complements are stored rather than the invariants themselves: for every
 shipped family the complement is empty or a union of embedded subspheres,
-so the cone-set data stays small.  Every record carries a provenance note;
-records derived through the product structure are marked as such so that
+so the cone-set data stays small.  The records of one (group, ring) form a
+chain sorted by degree.  A record holds for its own degree and every higher
+one up to the next record of its chain; the top record holds for every
+higher degree only when it is marked ``stable`` (Sigma^infinity), and a
+chain without the mark answers no degree above its top.  So a chain stores
+one record per change of complement or provenance, and a stable chain
+answers in any degree.  Every record carries a provenance note; records
+derived through the product structure are marked as such so that
 cross-validation never compares the formula against itself.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .groups import (
@@ -20,7 +27,6 @@ from .groups import (
     Free,
     FreeAbelian,
     Group,
-    Product,
     group_from_dict,
     product,
 )
@@ -44,7 +50,6 @@ from .spheres import (
 from .valuations import basic_valuation
 
 HOMOLOGICAL_TAGS = ("Z", "Q", "F5")
-MAX_DEGREE = 3
 
 
 def _ring_key(tag: str) -> str:
@@ -61,19 +66,23 @@ class SigmaRecord:
     ring_tag: str
     complement: ConeSet
     provenance: str
+    stable: bool = False  # the top of its chain, holding in every higher degree
 
     @property
     def key(self):
         return (self.group, self.degree, self.ring_tag)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "group": self.group.to_dict(),
             "degree": self.degree,
             "ring": self.ring_tag,
             "complement": cone_set_to_obj(self.complement),
             "provenance": self.provenance,
         }
+        if self.stable:
+            out["stable"] = True
+        return out
 
     @staticmethod
     def from_dict(data: dict) -> "SigmaRecord":
@@ -83,6 +92,9 @@ class SigmaRecord:
         degree, ring_tag, provenance = data["degree"], data["ring"], data.get("provenance", "user supplied")
         if type(degree) is not int or degree < 0 or not isinstance(ring_tag, str) or not isinstance(provenance, str):
             raise ValueError("a catalog record needs a nonnegative integer degree and a string ring and provenance")
+        stable = data.get("stable", False)
+        if type(stable) is not bool:
+            raise ValueError(f"a catalog record's stable mark {stable!r} is neither true nor false")
         try:
             ring_tag = _ring_key(ring_tag)
         except ValueError as exc:
@@ -91,36 +103,63 @@ class SigmaRecord:
         if complement.dim != group.char_dim:
             raise ValueError(f"a catalog record's complement has dimension {complement.dim}, but its group has "
                              f"character dimension {group.char_dim}")
-        return SigmaRecord(group, degree, ring_tag, complement, provenance)
+        return SigmaRecord(group, degree, ring_tag, complement, provenance, stable)
 
 
 class Catalog:
+    """Records as chains: ``chains`` maps each (group, ring tag) to its
+    records sorted by degree, and a degree is answered by the record of its
+    chain that covers it (see the module docstring)."""
+
     def __init__(self, records):
         self.records = list(records)
-        self._by_key = {}
+        self.chains: dict = {}
         for rec in self.records:
-            if rec.key in self._by_key:
-                raise ValueError(f"duplicate record for {rec.key}")
-            self._by_key[rec.key] = rec
+            self.chains.setdefault((rec.group, rec.ring_tag), []).append(rec)
+        for key, chain in self.chains.items():
+            chain.sort(key=lambda rec: rec.degree)
+            if len({rec.degree for rec in chain}) < len(chain):
+                raise ValueError(f"duplicate record in one degree of {key}")
 
-    def lookup(self, group: Group, degree: int, ring_tag: str) -> SigmaRecord:
-        """The record of (group, degree, ring); a ring tag that is not the
-        canonical one ("F05") is canonicalized on a miss, as records are keyed."""
-        rec = self._by_key.get((group, degree, ring_tag))
-        if rec is None:
+    def _chain(self, group: Group, ring_tag: str) -> list:
+        """The chain of (group, ring); a ring tag that is not the canonical one
+        ("F05") is canonicalized on a miss, as records are keyed."""
+        chain = self.chains.get((group, ring_tag))
+        if chain is None:
             try:
-                rec = self._by_key.get((group, degree, _ring_key(ring_tag)))
+                chain = self.chains.get((group, _ring_key(ring_tag)))
             except ValueError:
                 pass
+        return chain or []
+
+    def covering(self, group: Group, degree: int, ring_tag: str) -> SigmaRecord | None:
+        """The record that holds in ``degree``: the last one of its chain at or
+        below it, unless that is an unstable top below ``degree``."""
+        chain = self._chain(group, ring_tag)
+        i = bisect.bisect_right(chain, degree, key=lambda rec: rec.degree)
+        if i == 0 or (i == len(chain) and chain[-1].degree < degree and not chain[-1].stable):
+            return None
+        return chain[i - 1]
+
+    def lookup(self, group: Group, degree: int, ring_tag: str) -> SigmaRecord:
+        """The record that holds for (group, degree, ring), reported at ``degree``."""
+        rec = self.covering(group, degree, ring_tag)
         if rec is None:
             raise KeyError(f"no catalog record for {group.to_dict()}, degree {degree}, ring {ring_tag}")
-        return rec
+        return replace(rec, degree=degree)
+
+    def stable_from(self, group: Group, ring_tag: str) -> int | None:
+        """The degree from which the chain of (group, ring) holds in every
+        degree, or None when it is not stable."""
+        chain = self._chain(group, ring_tag)
+        return chain[-1].degree if chain and chain[-1].stable else None
 
     def merge(self, extra, shadow: bool = False) -> "Catalog":
-        """Add user records; replacing a builtin needs the explicit flag."""
+        """Add user records; one in a degree that the catalog already answers
+        (a stable top answers every degree above it) needs the explicit flag."""
         merged = {rec.key: rec for rec in self.records}
         for rec in extra:
-            if rec.key in merged and not shadow:
+            if not shadow and (rec.key in merged or self.covering(rec.group, rec.degree, rec.ring_tag) is not None):
                 raise ValueError(
                     f"a record for group {json.dumps(rec.group.to_dict(), sort_keys=True)}, degree {rec.degree}, ring "
                     f"{rec.ring_tag} already exists; to replace it, pass --shadow on the command line "
@@ -130,23 +169,19 @@ class Catalog:
         return Catalog(merged.values())
 
 
-def _anchor_note() -> str:
-    return "degree-0 invariant is the whole sphere, so the complement is empty"
-
-
-def _records_for_group(group: Group, complements: dict[int, ConeSet], note: str, homotopical=True):
-    recs = []
-    for n, comp in complements.items():
-        prov = _anchor_note() if n == 0 else note
-        for tag in HOMOLOGICAL_TAGS:
-            recs.append(SigmaRecord(group, n, tag, comp, prov))
-        if homotopical:
-            recs.append(SigmaRecord(group, n, "homotopical", comp, prov))
-    return recs
+def _chain_records(group: Group, steps, homotopical=True) -> list[SigmaRecord]:
+    """The chain of ``group`` over each ring tag: the degree-0 anchor, then one
+    record per (degree, complement, provenance) step, the last one stable."""
+    tags = HOMOLOGICAL_TAGS + ("homotopical",) * homotopical
+    anchor = (0, empty_set(group.char_dim), "degree-0 invariant is the whole sphere, so the complement is empty")
+    steps = [anchor, *steps]
+    top = steps[-1][0]
+    return [SigmaRecord(group, n, tag, comp, note, n == top) for n, comp, note in steps for tag in tags]
 
 
 def builtin_records() -> list[SigmaRecord]:
-    """Shipped records: free abelian groups, free groups, and products.
+    """Shipped records: free abelian groups, free groups, and products, one
+    chain per group and ring, stable from its last step.
 
     Free abelian: empty complements in all degrees (window probes find a
     uniform lag for every sampled direction).  Free of rank >= 2: empty in
@@ -155,62 +190,21 @@ def builtin_records() -> list[SigmaRecord]:
     unions of embedded subspheres, checked against the formula evaluator by
     the validation suite.
     """
+    probed = ("window probe certificates over sampled directions (uniform lag at radius 6), "
+              "extended across degrees by monotonicity")
+    failed = "window probe failures with linearly growing filling defect at radius 8; monotone in degree"
+    derived = "hand-derived union of embedded subspheres from the factor data; validated against the formula evaluator"
     recs: list[SigmaRecord] = []
-    degrees = range(MAX_DEGREE + 1)
-
     for rank in (1, 2, 3):
-        g = FreeAbelian(rank)
-        comps = {n: empty_set(rank) for n in degrees}
-        recs.extend(
-            _records_for_group(
-                g,
-                comps,
-                "window probe certificates over sampled directions (uniform lag at radius 6), "
-                "extended across degrees by monotonicity",
-            )
-        )
-
+        recs += _chain_records(FreeAbelian(rank), [(1, empty_set(rank), probed)])
     for rank in (2, 3):
-        g = Free(rank)
-        comps = {n: (empty_set(rank) if n == 0 else full_sphere(g)) for n in degrees}
-        recs.extend(
-            _records_for_group(
-                g,
-                comps,
-                "window probe failures with linearly growing filling defect at radius 8; "
-                "monotone in degree",
-            )
-        )
-
-    prod_note = "hand-derived union of embedded subspheres from the factor data; validated against the formula evaluator"
-
-    za, zb = FreeAbelian(1), FreeAbelian(1)
-    zz = product(za, zb)
-    recs.extend(
-        _records_for_group(zz, {n: empty_set(2) for n in degrees}, prod_note, homotopical=False)
-    )
-
-    z2, f2 = FreeAbelian(2), Free(2)
-    z2f2 = product(z2, f2)
-    comp_hi = embed(full_sphere(f2), "right", z2, f2)
-    recs.extend(
-        _records_for_group(
-            z2f2,
-            {n: (empty_set(4) if n == 0 else comp_hi) for n in degrees},
-            prod_note,
-            homotopical=False,
-        )
-    )
-
-    f2l, f2r = Free(2), Free(2)
-    f2f2 = product(f2l, f2r)
-    emb_left = embed(full_sphere(f2l), "left", f2l, f2r)
-    emb_right = embed(full_sphere(f2r), "right", f2l, f2r)
-    comps_ff: dict[int, ConeSet] = {0: empty_set(4), 1: union(emb_left, emb_right)}
-    for n in range(2, MAX_DEGREE + 1):
-        comps_ff[n] = full_sphere(f2f2)
-    recs.extend(_records_for_group(f2f2, comps_ff, prod_note, homotopical=False))
-
+        recs += _chain_records(Free(rank), [(1, full_sphere(Free(rank)), failed)])
+    z1, z2, f2 = FreeAbelian(1), FreeAbelian(2), Free(2)
+    ff = product(f2, f2)
+    sides = union(embed(full_sphere(f2), "left", f2, f2), embed(full_sphere(f2), "right", f2, f2))
+    recs += _chain_records(product(z1, z1), [(1, empty_set(2), derived)], homotopical=False)
+    recs += _chain_records(product(z2, f2), [(1, embed(full_sphere(f2), "right", z2, f2), derived)], homotopical=False)
+    recs += _chain_records(ff, [(1, sides, derived), (2, full_sphere(ff), derived)], homotopical=False)
     return recs
 
 
@@ -230,40 +224,40 @@ PRODUCT_PAIRS = (
 
 
 def catalog_violations(cat: Catalog) -> list[str]:
-    """Structural invariants: complements inside the sphere, monotone in
-    degree, empty in degree 0; and two laws across rings, one line per
-    broken pair of records (Bieri-Renz 1988).  A controlled resolution over
-    ZG stays controlled after tensoring with any nonzero ring A, so
-    Sigma^m(G; Z) lies inside Sigma^m(G; A): the complement over any other
-    ring lies inside the Z complement.  The homotopical Sigma^m(G) lies
-    inside Sigma^m(G; Z), and equals it for m <= 1: the Z complement lies
-    inside the homotopical one, and equals it in degrees 0 and 1."""
+    """Structural invariants: complements inside the sphere, growing from
+    each record of a chain to the next, empty in degree 0; and two laws
+    across rings, one line per broken pair of records (Bieri-Renz 1988),
+    checked in every degree where either chain has a record, against the
+    records that cover that degree.  A controlled resolution over ZG stays
+    controlled after tensoring with any nonzero ring A, so Sigma^m(G; Z)
+    lies inside Sigma^m(G; A): the complement over any other ring lies
+    inside the Z complement.  The homotopical Sigma^m(G) lies inside
+    Sigma^m(G; Z), and equals it for m <= 1: the Z complement lies inside
+    the homotopical one, and equals it in degrees 0 and 1."""
     out = []
-    by_group_tag: dict = {}
-    for rec in cat.records:
-        by_group_tag.setdefault((rec.group, rec.ring_tag), {})[rec.degree] = rec
-    for (group, tag), by_deg in by_group_tag.items():
+    for (group, tag), chain in cat.chains.items():
         sphere = full_sphere(group)
-        for n, rec in sorted(by_deg.items()):
+        for rec, above in zip(chain, chain[1:] + [None]):
+            n = rec.degree
             if not subset(rec.complement, sphere):
                 out.append(f"{group.to_dict()} {tag} degree {n}: complement leaves the sphere")
             if n == 0 and rec.complement.cells:
                 out.append(f"{group.to_dict()} {tag}: degree-0 complement is not empty")
-            if n + 1 in by_deg and not subset(rec.complement, by_deg[n + 1].complement):
+            if above is not None and not subset(rec.complement, above.complement):
                 out.append(
-                    f"{group.to_dict()} {tag}: complement in degree {n} is not inside degree {n + 1}"
+                    f"{group.to_dict()} {tag}: complement in degree {n} is not inside degree {above.degree}"
                 )
-    for (group, tag), by_deg in by_group_tag.items():
+    for (group, tag), chain in cat.chains.items():
         if tag == "homotopical":
             continue
         wider = "homotopical" if tag == "Z" else "Z"  # the records whose complements hold this ring's
-        above = by_group_tag.get((group, wider), {})
-        for n, rec in sorted(by_deg.items()):
-            if n not in above:
+        for n in sorted({rec.degree for rec in chain + cat.chains.get((group, wider), [])}):
+            rec, above = cat.covering(group, n, tag), cat.covering(group, n, wider)
+            if rec is None or above is None:
                 continue
-            if not subset(rec.complement, above[n].complement):
+            if not subset(rec.complement, above.complement):
                 out.append(f"{group.to_dict()} degree {n}: the {tag} complement is not inside the {wider} complement")
-            elif wider == "homotopical" and n <= 1 and not equals(rec.complement, above[n].complement):
+            elif wider == "homotopical" and n <= 1 and not equals(rec.complement, above.complement):
                 out.append(f"{group.to_dict()} degree {n}: the Z and homotopical complements differ")
     return out
 
@@ -297,10 +291,25 @@ def formula_inputs(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> S
     )
 
 
+def _formula_degree(cat: Catalog, G: Group, H: Group, n: int, tags) -> int:
+    """The highest degree the formula in degree n reads the factors in.  When
+    G's chains over ``tags`` are stable from degree a and H's from b, the
+    union of joins in any degree n >= a + b is the one in degree a + b: for
+    p <= a its term is (p, b), and for p >= a it is (a, q) with q <= b.  So
+    the factors are read up to min(n, a + b), or up to n with a chain that is
+    not stable."""
+    a, b = ([cat.stable_from(g, tag) for tag in tags] for g in (G, H))
+    if None in a + b:
+        return n
+    return min(n, max(a) + max(b))
+
+
 def _formula_sides(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> tuple[ConeSet, ConeSet]:
-    """The stored product complement and the union of joins of the factor complements."""
+    """The stored product complement in degree n and the union of joins of the
+    factor complements, read up to ``_formula_degree``."""
     lhs = cat.lookup(product(G, H), n, ring_tag).complement
-    return lhs, product_formula_rhs(formula_inputs(cat, G, H, n, ring_tag), n)
+    top = _formula_degree(cat, G, H, n, (ring_tag,))
+    return lhs, product_formula_rhs(formula_inputs(cat, G, H, top, ring_tag), top)
 
 
 def verify_product_formula(cat: Catalog, G: Group, H: Group, n: int, ring_tag: str) -> FormulaReport:
@@ -330,8 +339,8 @@ def theorem2_applicability(cat: Catalog, G: Group, H: Group, n: int) -> EqualCoe
     Sigma^p(G; Z) = Sigma^p(G; Q) for p <= n.  It is this package's stand-in
     for the hypothesis of the paper's Z version, not that hypothesis checked
     against the paper: PAPER.md holds only the abstract, and ROADMAP item 5
-    must check it."""
-    for p in range(n + 1):
+    must check it.  The factors are read up to ``_formula_degree``."""
+    for p in range(_formula_degree(cat, G, H, n, ("Z", "Q")) + 1):
         for g in (G, H):
             if not equals(cat.lookup(g, p, "Z").complement, cat.lookup(g, p, "Q").complement):
                 return EqualCoefficientReport(False, p + 1)

