@@ -389,7 +389,10 @@ def cross_validate(
     grid is every distinct window value (sparse grids can miss
     the informative region near the top of the window and report a false
     pass).  Records whose provenance is the product formula are still
-    probed against the resolution, never against the formula again.
+    probed against the resolution, never against the formula again.  A
+    degree above the resolution's top cell degree + 1 is probed at that
+    bound: its further degrees have no cells, so every threshold holds
+    there at lag 0, and the verdict is the same.
     """
     if record.ring_tag == "homotopical":
         raise ValueError("homotopical records are input-only and cannot be probed")
@@ -403,7 +406,7 @@ def cross_validate(
         vec = direction.vector if isinstance(direction, Direction) else tuple(direction)
         chi = Character(record.group, [Fraction(x) for x in vec])
         v = basic_valuation(F, chi)
-        probe = ca_probe(F, v, record.degree, W, lambda_max)
+        probe = ca_probe(F, v, min(record.degree, F.max_degree + 1), W, lambda_max)
         in_complement = member(record.complement, vec)
         consistent = probe.passed == (not in_complement)
         report.entries.append(

@@ -51,7 +51,6 @@ from .spheres import (
     union,
 )
 from .valuations import (
-    INF,
     basic_valuation,
     check_axioms,
     split_bottom,
@@ -133,14 +132,6 @@ def _group_arg(spec: str):
     if spec.endswith(".json"):
         return group_from_dict(_load_json(spec))
     return parse_group(spec)
-
-
-def _fmt_val(x) -> str:
-    if x == INF:
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +305,7 @@ def _valuation_value(args) -> int:
     F = _resolution(args)
     v = _valuation(args, F)
     val = v.value(chain_from_obj(F, _load_json(args.chain)))
-    _emit(args, {"value": _fmt_val(val)}, [f"value: {_fmt_val(val)}"])
+    _emit(args, {"value": str(val)}, [f"value: {val}"])
     return 0
 
 
@@ -382,14 +373,14 @@ def _probe_ca(args) -> int:
 def _probe_eta(args) -> int:
     F, v, W = _probe_setup(args)
     val = eta(F, v, chain_from_obj(F, _load_json(args.cycle)), W)
-    _emit(args, {"eta": _fmt_val(val)}, [f"eta: {_fmt_val(val)}"])
+    _emit(args, {"eta": str(val)}, [f"eta: {val}"])
     return 0
 
 
 def _probe_gap(args) -> int:
     F, v, W = _probe_setup(args)
     val = gap_lower_bound(F, v, chain_from_obj(F, _load_json(args.target)), W)
-    _emit(args, {"gap_lower_bound": _fmt_val(val)}, [f"gap over the window: {_fmt_val(val)}"])
+    _emit(args, {"gap_lower_bound": str(val)}, [f"gap over the window: {val}"])
     return 0
 
 

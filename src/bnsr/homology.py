@@ -1012,8 +1012,9 @@ def ca_probe(
     """The zero-map condition for all degrees below n, on a (t, lam) grid.
 
     Degree 0 is read on the augmented complex (reduced homology).  The
-    thresholds t are every window value (or ``t_samples`` of them, or the
-    given list); the lags are 0..``lambda_max``.  Thresholds are swept as
+    thresholds t are every window value, or ``t_samples`` of them spread
+    evenly over the window's values (:func:`_sample_thresholds`); the lags
+    are 0..``lambda_max``.  Thresholds are swept as
     integers over the valuation's denominator, t - lam at t's integer
     threshold less lam times that denominator, and one Fraction is made per
     threshold for the report.  For each degree p one
@@ -1027,8 +1028,8 @@ def ca_probe(
     window value; on fewer, sampled thresholds it is only sampled-threshold
     evidence, since a dropped threshold can only drop a failure.  A grid
     with no uniform lag is window evidence against (the note says which).
-    A lag grid longer than ``MAX_PROBE_LAGS`` or an n above
-    ``MAX_PROBE_DEGREE`` is refused.
+    An empty lag grid, one longer than ``MAX_PROBE_LAGS`` or an n above
+    ``MAX_PROBE_DEGREE`` is refused, in degree 0 too.
     """
     if v.character.is_zero:
         raise ValueError("the zero character is not a point of the character sphere")
@@ -1037,6 +1038,8 @@ def ca_probe(
         raise ValueError(f"a lag grid of {len(lams)} lags is above the limit of {MAX_PROBE_LAGS}")
     if n > MAX_PROBE_DEGREE:
         raise ValueError(f"probe degree bound {n} is above the limit of {MAX_PROBE_DEGREE}")
+    if not lams:
+        raise ValueError("the lag grid must be nonempty and nonnegative")
     window_info = {"radii": list(W.radii)}
     report = CAProbeReport(
         group=F.group.to_dict(),
@@ -1053,16 +1056,10 @@ def ca_probe(
         report.note = "vacuous: degree -1 control always holds"
         return report
 
-    if not lams:
-        raise ValueError("the lag grid must be nonempty and nonnegative")
     inv = _WindowInventory(F, W, v)
     levels = inv.distinct_levels(range(min(n, F.max_degree) + 1))
-    if t_samples is None or isinstance(t_samples, int):
-        scaled = levels if t_samples is None else _sample_thresholds(levels, t_samples)
-        ts = [v.fraction(T) for T in scaled]
-    else:
-        ts = sorted(Fraction(x) for x in t_samples)
-        scaled = [v.threshold(t) for t in ts]
+    scaled = levels if t_samples is None else _sample_thresholds(levels, t_samples)
+    ts = [v.fraction(T) for T in scaled]
     report.lambda_grid = list(lams)
     report.t_samples = ts
 
@@ -1082,7 +1079,7 @@ def ca_probe(
     if all(m is not None for m in minima) and minima:
         report.uniform_lambda = max(minima)
         report.passed = True
-        if set(levels) <= set(scaled):
+        if len(scaled) == len(levels):
             report.note = (
                 f"window certificate: uniform lag {report.uniform_lambda} works for all "
                 f"sampled thresholds (radii {W.radii})"

@@ -32,6 +32,7 @@ Factorizations above ``MAX_SMITH_ENTRIES`` are refused.
 from __future__ import annotations
 
 import heapq
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -255,71 +256,56 @@ def first_spanning_batch(batches, rhs: dict, ring: CoefficientRing):
     columns, with those of every earlier batch, span ``rhs``, and a function
     that solves for the filling there; None if no batch spans it.
 
-    ``batches`` is any iterable of batches in the order the filtration adds
-    them.  A batch is a pair ``(edges, cols)``: ``edges``, the batch's
-    signed incidence reading as :func:`_as_edges` gives it (a list of
-    ``(key, tail, head)`` on integer rows >= 0, ground -1), or None, and then
-    ``cols``, its ``(key, column)`` pairs, sparse dicts from integer rows >= 0
+    ``rhs`` is nonzero, its entries nonzero and normalized, on integer rows
+    >= 0.  ``batches`` is any iterable of batches in the order the filtration
+    adds them, all of one kind: every batch is ``(edges, None)``, its signed
+    incidence reading as :func:`_as_edges` gives it (a list of ``(key, tail,
+    head)`` on integer rows >= 0, ground -1), or every batch is ``(None,
+    cols)``, its ``(key, column)`` pairs, sparse dicts from integer rows >= 0
     to the entries scaled for the field elimination (:func:`column_reading`),
-    which are not modified.  It is read lazily: no batch past the one returned is
-    taken from it, so a generator that builds each batch on demand builds
-    only those the sweep needs.  While the batches are incidence batches
-    the sweep is Kruskal's, on a :class:`_Forest` that carries ``rhs``: it is
-    spanned after the first batch that leaves ``total`` empty.  Those
-    systems span over Z exactly when they span over Q.  At the first batch
-    that is not, the batches read so far are replayed into a
-    :class:`_Reduction` whose target is ``rhs``, over Q for integer columns
-    (an edge as the column e_head - e_tail), and the sweep goes on there
-    column by column.  Over Z the batch found there stands when
-    :class:`UnitReduction` reduces every column read: the cokernel is then
-    free, so a target in the Q-span is in the Z-span (and no earlier batch
-    spans it even over Q).  Otherwise the field error is raised, as
-    elimination over Z is not attempted.
+    which are not modified.  It is read lazily: no batch past the one
+    returned is taken from it, so a generator that builds each batch on
+    demand builds only those the sweep needs.
 
-    The filling is solved only when the returned function is called, and it
-    is exactly :func:`solve_columns` on the columns read, in sweep order
-    (edges as scaled columns).  On the forest that is the flows on the tree
-    edges the sweep joined (:func:`_flows`); after a reduction, one
-    :func:`solve_columns` call.  A column given scaled by s gets 1/s times
-    the coefficient the unscaled column would get in the same solve.
+    Incidence batches are swept by Kruskal's algorithm on a :class:`_Forest`
+    that carries ``rhs``: it is spanned after the first batch that leaves
+    ``total`` empty, and the filling is the flows on the tree edges the sweep
+    joined (:func:`_flows`).  Those systems span over Z exactly when they
+    span over Q.  Column batches go column by column into one
+    :class:`_Reduction` whose target is ``rhs``, over Q for integer columns,
+    and the filling is one :func:`solve_columns` call on the columns read, in
+    sweep order; a column given scaled by s gets 1/s times the coefficient
+    the unscaled column would get in the same solve.  Over Z the batch found
+    there stands when :class:`UnitReduction` reduces every column read: the
+    cokernel is then free, so a target in the Q-span is in the Z-span (and no
+    earlier batch spans it even over Q).  Otherwise the field error is
+    raised, as elimination over Z is not attempted.  The filling is solved
+    only when the returned function is called.
     """
-    b = {r: ring.normalize(v) for r, v in rhs.items() if not ring.is_zero(v)}
-    if not b:
-        return None if next(iter(batches), None) is None else (0, lambda: {})
-    forest = _Forest(b, ring)
-    tree: list = []  # the edges that joined two components, in sweep order
-    read: list = []  # the edges read; once the sweep has left the forest, the (key, column) pairs read
-    red = None
-    for k, (edges, cols) in enumerate(batches):
-        if red is None and edges is not None:
+    batches = iter(batches)
+    first = next(batches, None)
+    if first is None:
+        return None
+    batches = itertools.chain([first], batches)
+    if first[0] is not None:
+        forest, tree = _Forest(rhs, ring), []  # tree: the edges that joined two components, in sweep order
+        for k, (edges, _) in enumerate(batches):
             killed = forest.join_batch((t, h) for _, t, h in edges)
             tree += [edge for edge, root in zip(edges, killed) if root is not None]
-            read += edges
             if not forest.total:
-                return k, lambda: _flows(tree, b, forest, ring)
-            continue
-        if red is None:
-            mod = _elimination_modulus(ring)
-            red = _Reduction(mod, dict(_scaled(b.items(), mod)[0]))
-            read = _edge_columns(read, mod)  # the incidence batches, which do not span rhs
-            for _, col in read:
-                red.add(dict(col))
-        batch = cols if edges is None else _edge_columns(edges, mod)
-        read += batch
-        for _, col in batch:
+                return k, lambda: _flows(tree, rhs, forest, ring)
+        return None
+    mod = _elimination_modulus(ring)
+    red, read = _Reduction(mod, dict(_scaled(rhs.items(), mod)[0])), []
+    for k, (_, cols) in enumerate(batches):
+        read += cols
+        for _, col in cols:
             red.add(dict(col))
             if red.spanned:
                 if ring == INTEGERS and UnitReduction(col for _, col in read).failed is not None:
                     raise ValueError(f"generic elimination needs a field, got {ring}")
                 return k, lambda: solve_columns(read, rhs, ring)
     return None
-
-
-def _edge_columns(edges, mod: int) -> list:
-    """``(key, column)`` pairs of incidence edges, scaled for the field
-    elimination of modulus ``mod``: e_head - e_tail, the ground row -1 left out."""
-    minus = mod - 1 if mod else -1
-    return [(key, {r: c for r, c in ((head, 1), (tail, minus)) if r != -1}) for key, tail, head in edges]
 
 
 def _elimination_modulus(ring) -> int:

@@ -411,6 +411,13 @@ MUTANTS = [
             "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[F2xF2/Z]",
         ),
     ),
+    Mutant(
+        "lag-grid-checked-after-the-vacuous-degree",
+        "bnsr/homology.py",
+        "    if not lams:\n",
+        "    if n and not lams:\n",
+        ("tests/test_homology.py::test_ca_probe_rejects_zero_character_and_bad_grids",),
+    ),
     # the rank of columns on any hashable rows
     Mutant(
         "rank-keeps-negative-integer-rows",

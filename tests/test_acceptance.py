@@ -236,7 +236,7 @@ def test_criterion_07_ca_probe_negative_evidence():
         F2 = FR.group
         v = basic_valuation(FR, Character(F2, [1, 0]))
         W = window_for(FR, 8)
-        rep = ca_probe(FR, v, 1, W, 6, t_samples=[1, 2, 3, 4, 5, 6, 7])
+        rep = ca_probe(FR, v, 1, W, 6)
         assert not rep.passed
         for lam in range(7):
             assert rep.verdict(0, Fraction(lam + 1), lam) is False, lam

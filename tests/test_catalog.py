@@ -29,6 +29,7 @@ from bnsr import (
 )
 from bnsr.catalog import HOMOLOGICAL_TAGS, PRODUCT_PAIRS, Catalog, formula_inputs
 from bnsr.groups import product
+from bnsr.homology import MAX_PROBE_DEGREE
 from bnsr.spheres import product_formula_rhs
 
 from conftest import random_cone_set
@@ -159,6 +160,27 @@ def test_cross_validate_f2():
     rec = CAT.lookup(F2, 1, "Q")
     rep = cross_validate(rec, [(1, 0), (-1, 2)], radius=5, lambda_max=3)
     assert rep.consistent, rep.to_dict()
+
+
+@pytest.mark.parametrize(
+    "group,directions,radius",
+    [(F2, [(1, 0), (-1, 2)], 4), (product(F2, F2), [(1, 0, 0, 0), (1, 0, 1, 0)], (4, 2))],
+    ids=["F2", "F2xF2"],
+)
+def test_cross_validate_answers_every_degree_a_stable_chain_answers(group, directions, radius):
+    # degree 21 is above the probe's degree limit, but the resolution has no
+    # cells past its top degree, so the probe there reads as in top degree + 1
+    # and as in the highest degree the probe takes
+    F = resolution_for(group, ring_from_tag("Q"))
+    assert F.max_degree + 1 in (2, 3)
+    reports = {d: cross_validate(CAT.lookup(group, d, "Q"), directions, radius, lambda_max=2) for d in (2, 3, 21)}
+    assert reports[21].degree == 21
+    assert reports[21].entries == reports[2].entries == reports[3].entries
+    assert reports[21].consistent and not any(e["probe_passed"] for e in reports[21].entries)
+    W = window_for(F, radius)
+    for entry, vec in zip(reports[21].entries, directions):
+        v = basic_valuation(F, Character(group, [Fraction(x) for x in vec]))
+        assert entry["probe_passed"] == ca_probe(F, v, MAX_PROBE_DEGREE, W, 2).passed
 
 
 def test_cross_validate_rejects_homotopical():

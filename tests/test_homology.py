@@ -343,7 +343,7 @@ def test_ca_probe_positive_z2():
 
 def test_ca_probe_negative_f2():
     W = window_for(FR2, 6)
-    rep = ca_probe(FR2, V_F2_10, 1, W, 4, t_samples=[1, 2, 3, 4, 5])
+    rep = ca_probe(FR2, V_F2_10, 1, W, 4)
     assert not rep.passed
     for lam in range(5):
         assert rep.verdict(0, Fraction(lam + 1), lam) is False
@@ -540,8 +540,9 @@ def test_ca_probe_rejects_zero_character_and_bad_grids():
     for t_samples in (0, -3):
         with pytest.raises(ValueError, match="t_samples"):
             ca_probe(K2, V_K2_10, 1, W, 2, t_samples=t_samples)
-    with pytest.raises(ValueError, match="lag grid"):
-        ca_probe(K2, V_K2_10, 1, W, -1)
+    for n in (0, 1):  # degree 0, vacuous as it is, refuses the grid too
+        with pytest.raises(ValueError, match="the lag grid must be nonempty and nonnegative"):
+            ca_probe(K2, V_K2_10, n, W, -5)
 
 
 def test_threshold_samples_are_picked_exactly():
