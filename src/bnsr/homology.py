@@ -821,8 +821,6 @@ def inclusion_map_is_zero(
 
 def _sample_thresholds(values: list, t_samples: int) -> list:
     """``t_samples`` thresholds spread evenly over the sorted ``values``, picked exactly."""
-    if t_samples < 1:
-        raise ValueError("t_samples must be at least 1")
     if t_samples >= len(values):
         return values
     if t_samples == 1:
@@ -1028,8 +1026,9 @@ def ca_probe(
     window value; on fewer, sampled thresholds it is only sampled-threshold
     evidence, since a dropped threshold can only drop a failure.  A grid
     with no uniform lag is window evidence against (the note says which).
-    An empty lag grid, one longer than ``MAX_PROBE_LAGS`` or an n above
-    ``MAX_PROBE_DEGREE`` is refused, in degree 0 too.
+    An empty lag grid, one longer than ``MAX_PROBE_LAGS``, an n above
+    ``MAX_PROBE_DEGREE`` or a ``t_samples`` below 1 is refused, in degree 0
+    too.
     """
     if v.character.is_zero:
         raise ValueError("the zero character is not a point of the character sphere")
@@ -1040,6 +1039,8 @@ def ca_probe(
         raise ValueError(f"probe degree bound {n} is above the limit of {MAX_PROBE_DEGREE}")
     if not lams:
         raise ValueError("the lag grid must be nonempty and nonnegative")
+    if t_samples is not None and t_samples < 1:
+        raise ValueError("t_samples must be at least 1")
     window_info = {"radii": list(W.radii)}
     report = CAProbeReport(
         group=F.group.to_dict(),

@@ -31,16 +31,17 @@ on one open side of h, it meets {h = 0} exactly when it meets the other open
 side; and if w lies on {h = 0}, C meets one open side exactly when it meets
 the other.
 
-Forms that split into coordinate blocks (the joins, embeddings and product
-formula sides of a direct product G x H have a G block and an H block) are
-a direct sum, whose covectors are the concatenations of the blocks'
-covectors.  When some block holds more forms than coordinates, so that its
-splits need decisions, each block's rows are built alone in its own
-coordinates and the product's rows are the products of the blocks' rows and
-origins.  One arrangement is kept per (dim, forms) for the life of the
-process, in a least-recently-used memo of at most 8 entries and
-``MAX_ARRANGEMENT_CELLS`` cells, so the several comparisons of one law or
-one catalog check refine over it once.  A request for forms that a held
+Forms split into coordinate blocks (the joins, embeddings and product
+formula sides of a direct product G x H have a G block and an H block), and
+the coordinates that no form reads make one more block, with no forms.  The
+arrangement is their direct sum, whose covectors are the concatenations of
+the blocks' covectors: each block's rows are built alone in its own
+coordinates, and the arrangement's rows are the products of the blocks'
+rows and origins, counted exactly before any of them is built.  One
+arrangement is kept per (dim, forms) for the life of the process, in a
+least-recently-used memo of at most 8 entries and ``MAX_ARRANGEMENT_CELLS``
+cells, so the several comparisons of one law or one catalog check refine
+over it once.  A request for forms that a held
 arrangement of the same dimension all has is projected from it with no
 decision: its rows are the held covectors restricted to those forms, deduped.
 
@@ -381,15 +382,17 @@ def arrangement_cells(dim: int, forms: Sequence[Form]):
     makes no decision (``_split_free``).  When h depends on them, one
     Fourier-Motzkin decision splits a cell (``_split``).
 
-    Forms that split into coordinate blocks, two forms sharing a block when a
-    chain of forms links their supports, are a direct sum, and the covectors
-    of a direct sum are the concatenations of the blocks' covectors.  So when
-    there are two blocks or more and some block holds more forms than
-    coordinates (its splits need decisions), each block's rows are built
-    alone in its own coordinates and the rows are their products
+    The forms split into coordinate blocks, two forms sharing a block when a
+    chain of forms links their supports, and the coordinates that no form
+    reads make one more block, with no forms (``_blocks``).  The arrangement
+    is their direct sum, and the covectors of a direct sum are the
+    concatenations of the blocks' covectors.  So each block's rows are built
+    alone in its own coordinates, and the rows are their products
     (``_product``): the decisions are made in the blocks' dimensions, once per
-    block cell rather than once per product cell.  Either way a build past
-    ``MAX_ARRANGEMENT_CELLS`` cells raises ValueError.
+    block cell rather than once per product cell.  A block's build is refused
+    as it grows past ``MAX_ARRANGEMENT_CELLS`` cells, and the product from
+    its exact count before any product row is built; either raises
+    ValueError.
 
     The returned tuple also carries ``covectors``: per cell, in the same
     order, its covector.  The answer is memoized per (dim, forms) for the life
@@ -513,18 +516,15 @@ def _too_many(hyperplanes: int, dim: int, cells: int) -> ValueError:
 
 def _build(dim: int, forms: tuple[Form, ...]) -> _Arrangement:
     """The arrangement of ``forms``: the product of its coordinate blocks'
-    rows when some block's splits need decisions, else one incremental build
-    (which makes none on independent forms)."""
-    blocks, free = _blocks(dim, forms)
-    if len(blocks) > 1 and any(len(positions) > len(coords) for coords, positions in blocks):
-        return _Arrangement(_product(dim, forms, blocks, free), forms)
-    return _Arrangement(_incremental(dim, forms), forms)
+    rows (``_product``)."""
+    return _Arrangement(_product(dim, forms, _blocks(dim, forms)), forms)
 
 
-def _blocks(dim: int, forms: tuple[Form, ...]):
+def _blocks(dim: int, forms: tuple[Form, ...]) -> list:
     """The coordinate blocks of the forms, from a union-find over each form's
     support: a list of (coordinates, positions of the forms on them), in
-    order of first coordinate, and the coordinates that no form reads."""
+    order of first coordinate, and last, when some coordinate lies in no
+    form's support, (those coordinates, []), a block with no forms."""
     parent = list(range(dim))
 
     def find(i):
@@ -544,22 +544,23 @@ def _blocks(dim: int, forms: tuple[Form, ...]):
         blocks.setdefault(find(i), ([], []))[0].append(i)
     for p, support in enumerate(supports):
         blocks[find(support[0])][1].append(p)
-    return list(blocks.values()), [i for i in range(dim) if i not in read]
+    free = [i for i in range(dim) if i not in read]
+    return list(blocks.values()) + ([(free, [])] if free else [])
 
 
-def _product(dim: int, forms: tuple[Form, ...], blocks: list, free: list) -> list:
+def _product(dim: int, forms: tuple[Form, ...], blocks: list) -> list:
     """The rows of the arrangement as the product of its blocks' rows.
 
     Each block's rows are built alone in its own coordinates (uncached), and
     the block offers each of them and also its origin, with the all-zero
     covector and the zero witness, unless a row of its own already has that
     covector (its forms then share a nonzero kernel, which holds the origin).
-    A product row is one option per block: the blocks' covectors put in form
-    order, and their witnesses put in place, with 0 on every coordinate that
-    no form reads.  The combination of all the zero witnesses is the origin,
-    which is no cell, unless some coordinate lies in no form's support: its
-    unit vector is then the witness.  The exact row count is checked against
-    ``MAX_ARRANGEMENT_CELLS`` before any product row is built.
+    A block with no forms has that one row, the empty covector with its
+    first unit vector, and so offers no origin.  A product row is one option
+    per block: the blocks' covectors put in form order, and their witnesses
+    put in coordinate order.  Its witness is zero only when every block is
+    at its added origin, which is no cell.  The exact row count is checked
+    against ``MAX_ARRANGEMENT_CELLS`` before any product row is built.
     """
     options, origins = [], 0
     for coords, positions in blocks:
@@ -569,36 +570,25 @@ def _product(dim: int, forms: tuple[Form, ...], blocks: list, free: list) -> lis
             origins += 1
             opts.append((zero, (0,) * len(coords)))
         options.append(opts)
-    count = prod(map(len, options)) - (origins == len(blocks) and not free)
+    count = prod(map(len, options)) - (origins == len(blocks))
     if count > MAX_ARRANGEMENT_CELLS:
         raise _too_many(len(forms), dim, count)
     # the options concatenate in block order; these put covectors in form order
     # and witnesses in coordinate order
     form_order = [p for _, positions in blocks for p in positions]
-    coord_order = [i for coords, _ in blocks for i in coords] + free
+    coord_order = [i for coords, _ in blocks for i in coords]
     by_form = _tuple_getter(tuple(sorted(range(len(forms)), key=form_order.__getitem__)))
     by_coord = _tuple_getter(tuple(sorted(range(dim), key=coord_order.__getitem__)))
-    rest = (0,) * len(free)
     acc = [((), ())]
     for opts in options:
         acc = [(cov + c, w + v) for cov, w in acc for c, v in opts]
-    rows = []
-    for cov, w in acc:
-        w = by_coord(w + rest)
-        if not any(w):  # every block at its origin
-            if not free:
-                continue
-            w = tuple(int(i == free[0]) for i in range(dim))
-        rows.append((by_form(cov), w))
-    return rows
+    return [(by_form(cov), by_coord(w)) for cov, w in acc if any(w)]
 
 
-def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | None = None) -> list:
-    """The rows of the arrangement built one hyperplane at a time (see
-    ``arrangement_cells``).  ``whole`` is the (hyperplanes, dimension) that a
-    refusal names, when this is one block of a larger arrangement."""
-    if dim == 0:
-        return []
+def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int]) -> list:
+    """The rows of one block's arrangement, in its own ``dim`` coordinates,
+    built one hyperplane at a time (see ``arrangement_cells``).  ``whole`` is
+    the (hyperplanes, dimension) of the arrangement that a refusal names."""
     rows = [((), cell_witness(dim, Cell((), ())))]
     kernel = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     for n, h in enumerate(forms, 1):
@@ -620,7 +610,7 @@ def _incremental(dim: int, forms: tuple[Form, ...], whole: tuple[int, int] | Non
         for (cov, _), out in zip(rows, sides):
             nxt.extend((cov + (sign,), v) for v, sign in out)
             if len(nxt) > MAX_ARRANGEMENT_CELLS:
-                raise _too_many(*(whole or (len(forms), dim)), len(nxt))
+                raise _too_many(*whole, len(nxt))
         rows = nxt
     return rows
 

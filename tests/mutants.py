@@ -349,13 +349,20 @@ MUTANTS = [
         "return not a & b",
         (_CANONICAL, "tests/test_spheres_masks.py::test_edge_operands[2]", f"{_HELD}[4]"),
     ),
-    # the arrangement of block-separable forms as a product of block arrangements
+    # every arrangement as the product of its coordinate blocks
     Mutant(
-        "product-drops-the-free-coordinate-origin-cell",
+        "product-drops-the-formless-block",
         "bnsr/spheres.py",
-        "            w = tuple(int(i == free[0]) for i in range(dim))\n",
-        "            continue\n",
+        "return list(blocks.values()) + ([(free, [])] if free else [])",
+        "return list(blocks.values())",
         (f"{_PRODUCT}[free]",),
+    ),
+    Mutant(
+        "product-keeps-the-origin-of-the-whole",
+        "bnsr/spheres.py",
+        "for cov, w in acc if any(w)]",
+        "for cov, w in acc]",
+        (f"{_SPLIT}[2]", f"{_SPLIT}[3]", "tests/test_arrangement_split.py::test_a_line_has_no_zero_side"),
     ),
     Mutant(
         "product-drops-a-block-origin",
@@ -417,6 +424,13 @@ MUTANTS = [
         "    if not lams:\n",
         "    if n and not lams:\n",
         ("tests/test_homology.py::test_ca_probe_rejects_zero_character_and_bad_grids",),
+    ),
+    Mutant(
+        "t-samples-checked-after-the-vacuous-degree",
+        "bnsr/homology.py",
+        "    if t_samples is not None and t_samples < 1:\n",
+        "    if n and t_samples is not None and t_samples < 1:\n",
+        ("tests/test_homology.py::test_ca_probe_refuses_t_samples_below_one_in_degree_0_too",),
     ),
     # the rank of columns on any hashable rows
     Mutant(
@@ -523,6 +537,17 @@ MUTANTS = [
         (
             "tests/test_catalog.py::test_cross_ring_laws_name_both_records_of_each_broken_pair",
             "tests/test_cli.py::test_a_q_record_outside_the_z_record_breaks_the_cross_ring_law",
+        ),
+    ),
+    # a record's dimension is checked where the record is made
+    Mutant(
+        "record-dimension-checked-only-when-parsed",
+        "bnsr/catalog.py",
+        "if self.complement.dim != self.group.char_dim:",
+        "if False:",
+        (
+            "tests/test_catalog.py::test_a_record_made_in_python_with_the_wrong_dimension_is_refused",
+            "tests/test_catalog.py::test_a_record_whose_complement_has_the_wrong_dimension_is_refused",
         ),
     ),
     # records as chains: a top holds above itself only when stable, a covered

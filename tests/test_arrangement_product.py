@@ -1,9 +1,9 @@
-"""The arrangement of block-separable forms as the product of its blocks'.
+"""Every arrangement as the product of its coordinate blocks.
 
-When the forms split into two coordinate blocks or more and some block
-holds more forms than coordinates, ``spheres.arrangement_cells`` builds
-each block alone and multiplies the blocks' cells and origins out
-(``spheres._product``).  On seeded separable form sets (2-4 blocks of
+``spheres.arrangement_cells`` builds each coordinate block alone, the
+coordinates that no form reads as one more block with no forms, and
+multiplies the blocks' cells and origins out (``spheres._product``).  On
+seeded separable form sets (2-4 blocks of
 dimension 1-3 with dependent forms inside blocks, coordinates shuffled so
 that the blocks interleave in sorted form order, coordinates outside every
 form's support, and a block whose forms share a nonzero kernel) the cells
@@ -191,6 +191,32 @@ def test_an_oversized_product_is_refused_before_its_cells_are_built(limit, count
 
 def _units(dim):
     return tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+
+
+def test_the_dimension_12_coordinate_arrangement_is_refused_from_its_exact_count(monkeypatch):
+    """Each coordinate form is a block of its own, with two cells and the
+    origin, so the count 3^12 - 1 is known once the twelve one-coordinate
+    blocks are built, and the refusal comes before any cell is made."""
+    incremental, cell_of = spheres._incremental, spheres._cell_of
+    block_dims, made = [], []
+
+    def building(dim, forms, whole):
+        block_dims.append(dim)
+        return incremental(dim, forms, whole)
+
+    def counting(forms, cov):
+        made.append(cov)
+        return cell_of(forms, cov)
+
+    monkeypatch.setattr(spheres, "_incremental", building)
+    monkeypatch.setattr(spheres, "_cell_of", counting)
+    spheres._arrangement.cache_clear()
+    with pytest.raises(ValueError, match=r"^an arrangement of 12 hyperplanes in dimension 12 has at least 531440 "
+                                         r"cells, above the limit of 65600$"):
+        arrangement_cells(12, _units(12))
+    assert block_dims == [1] * 12
+    assert made == []
+    assert spheres._arrangement.cache_info().currsize == 0
 
 
 def test_the_memo_is_bounded_in_entries_and_cells(monkeypatch):

@@ -177,13 +177,28 @@ def _independent_forms(rng, dim):
     return tuple(forms)
 
 
+def _block_count(dim, forms):
+    """The coordinate blocks of the forms (two forms share one when a chain
+    of forms links their supports), and one more when some coordinate lies
+    in no form's support."""
+    blocks = []
+    for support in ({i for i, x in enumerate(f) if x} for f in forms):
+        linked = [b for b in blocks if b & support]
+        blocks = [b for b in blocks if not b & support] + [support.union(*linked)]
+    return len(blocks) + (len(set().union(*blocks)) < dim)
+
+
 def test_independent_forms_need_no_decision(monkeypatch):
-    witness = spheres.cell_witness
-    calls = []
+    witness, fm = spheres.cell_witness, spheres._fm_witness
+    calls, decisions = [], []
 
     def counting(dim_, cell):
         calls.append(cell)
         return witness(dim_, cell)
+
+    def deciding(constraints, nvars):
+        decisions.append(constraints)
+        return fm(constraints, nvars)
 
     cases = [(dim, tuple(_unit(dim, i) for i in range(dim))) for dim in range(1, 9)]
     rng = random.Random(2700)
@@ -191,12 +206,17 @@ def test_independent_forms_need_no_decision(monkeypatch):
     for dim, forms in cases:
         expected = oracle.arrangement_cells(dim, forms)
         monkeypatch.setattr(spheres, "cell_witness", counting)
+        monkeypatch.setattr(spheres, "_fm_witness", deciding)
         spheres._arrangement.cache_clear()
+        spheres._feasible_cached.cache_clear()
         calls.clear()
+        decisions.clear()
         got = arrangement_cells(dim, forms)
         monkeypatch.setattr(spheres, "cell_witness", witness)
-        # only the base cell is decided
-        assert calls == [spheres.Cell((), ())], (dim, forms, len(calls))
+        monkeypatch.setattr(spheres, "_fm_witness", fm)
+        # no decision: each block asks only for a point of its own empty cell
+        assert decisions == [], (dim, forms, len(decisions))
+        assert calls == [spheres.Cell((), ())] * _block_count(dim, forms), (dim, forms, len(calls))
         assert [cell for cell, _ in got] == [cell for cell, _ in expected], forms
         for cell, w in got:
             assert math.gcd(*w) == 1 and cell.contains(w), (cell, w)
@@ -237,6 +257,6 @@ def test_an_oversized_arrangement_is_refused(monkeypatch):
     monkeypatch.setattr(spheres, "MAX_ARRANGEMENT_CELLS", 20)
     forms = tuple(_unit(4, i) for i in range(4))
     spheres._arrangement.cache_clear()
-    with pytest.raises(ValueError, match=r"at least 2[1-3] cells, above the limit of 20"):
+    with pytest.raises(ValueError, match=r"at least 80 cells, above the limit of 20"):
         arrangement_cells(4, forms)
     assert spheres._arrangement.cache_info().currsize == 0

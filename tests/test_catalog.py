@@ -212,6 +212,11 @@ def test_a_record_whose_complement_has_the_wrong_dimension_is_refused():
         SigmaRecord.from_dict(data)
 
 
+def test_a_record_made_in_python_with_the_wrong_dimension_is_refused():
+    with pytest.raises(ValueError, match="complement has dimension 3, but its group has character dimension 2"):
+        SigmaRecord(FreeAbelian(2), 1, "Q", empty_set(3), "wrong dimension")
+
+
 def test_cross_validate_product_embedded_vs_generic():
     P = product(F2, F2)
     rec = CAT.lookup(P, 1, "Q")

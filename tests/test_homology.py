@@ -545,6 +545,15 @@ def test_ca_probe_rejects_zero_character_and_bad_grids():
             ca_probe(K2, V_K2_10, n, W, -5)
 
 
+def test_ca_probe_refuses_t_samples_below_one_in_degree_0_too():
+    # degree 0, vacuous as it is, refuses the sample count as degree 1 does
+    W = window_for(K1, 3)
+    v = basic_valuation(K1, Character(K1.group, [1]))
+    for t_samples in (0, -3):
+        with pytest.raises(ValueError, match="t_samples must be at least 1"):
+            ca_probe(K1, v, 0, W, 2, t_samples=t_samples)
+
+
 def test_threshold_samples_are_picked_exactly():
     # 26 values, 23 samples: sample 11 sits at exactly 11 * 25 / 22 = 12.5,
     # which rounds to even (12); a float step lands just above 12.5 and picks 13

@@ -195,5 +195,5 @@ def test_intersect_is_refused_where_equals_is(monkeypatch):
         assert messages[0] == messages[1], (dim, messages)
         refused += messages[0] is not None
         kept += messages[0] is None
-    assert messages[0] == "an arrangement of 4 hyperplanes in dimension 4 has at least 32 cells, above the limit of 30"
+    assert messages[0] == "an arrangement of 4 hyperplanes in dimension 4 has at least 80 cells, above the limit of 30"
     assert refused == 1 and kept == 2
