@@ -18,18 +18,21 @@ intersection keeps a pair of cells when their masks share a bit.
 
 A cell of the arrangement is its covector, its signs on the forms.  So
 every builder returns rows, (covector, witness) pairs, and one constructor
-sorts the rows by covector, lexicographic with 0 < + < -, and makes each
-row's cell from its covector.  The rows are built one hyperplane h at a
-time, with an integer basis of the common kernel of the forms added so far.
-When h is independent of them (nonzero on some kernel vector u), every cell
-holds the lines parallel to u through its points and so meets all three
-sides of h: the split makes no decision, and the new witnesses are integer
-combinations of the cell's witness and u.  When h depends on them, a split
-of a cell C with witness w makes one exact decision on the one side of C it
-builds, from two facts about a relatively open convex cone: if C has points
-on one open side of h, it meets {h = 0} exactly when it meets the other open
-side; and if w lies on {h = 0}, C meets one open side exactly when it meets
-the other.
+sorts the rows by covector, lexicographic with 0 < + < -, and holds only
+the covectors and witnesses.  A cell is made from its covector the first
+time something reads it (the cells that ``complement`` and ``difference``
+return, or an item of :func:`arrangement_cells`) and then kept, so
+``equals``, ``subset`` and ``intersect``, which read only masks, make none.
+The rows are built one hyperplane h at a time, with an integer basis of the
+common kernel of the forms added so far.  When h is independent of them
+(nonzero on some kernel vector u), every cell holds the lines parallel to u
+through its points and so meets all three sides of h: the split makes no
+decision, and the new witnesses are integer combinations of the cell's
+witness and u.  When h depends on them, a split of a cell C with witness w
+makes one exact decision on the one side of C it builds, from two facts
+about a relatively open convex cone: if C has points on one open side of h,
+it meets {h = 0} exactly when it meets the other open side; and if w lies on
+{h = 0}, C meets one open side exactly when it meets the other.
 
 Forms split into coordinate blocks (the joins, embeddings and product
 formula sides of a direct product G x H have a G block and an H block), and
@@ -61,13 +64,14 @@ constructor: it trusts its caller to keep the invariant.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress, starmap
 from math import gcd, prod
 from operator import and_, itemgetter, or_
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import linalg
 from .groups import Direction, Group, primitive_vector
@@ -372,8 +376,9 @@ def arrangement_cells(dim: int, forms: Sequence[Form]):
     oriented-matroid view (Bjorner-Las Vergnas-Sturmfels-White-Ziegler,
     *Oriented Matroids*).  So every builder below returns rows, (covector,
     witness) pairs, and one constructor (``_Arrangement``) sorts them by
-    covector, lexicographic with 0 < + < -, and makes each row's cell from its
-    covector (``_cell_of``).
+    covector, lexicographic with 0 < + < -, and holds their covectors and
+    witnesses.  A cell is made from its covector (``_cell_of``) the first time
+    it is read, as an item here or by ``_cells_at``, and then kept.
 
     Rows are built one hyperplane h at a time, keeping an integer basis of the
     common kernel of the forms added so far.  When h is independent of them,
@@ -394,13 +399,14 @@ def arrangement_cells(dim: int, forms: Sequence[Form]):
     its exact count before any product row is built; either raises
     ValueError.
 
-    The returned tuple also carries ``covectors``: per cell, in the same
-    order, its covector.  The answer is memoized per (dim, forms) for the life
-    of the process, in a least-recently-used memo bounded in entries and in
-    cells (see ``_arrangement``), so a repeated request returns the same
-    object; a request for some of the forms of a held arrangement is
-    projected from it (``_project``), with the same cells and covectors in the
-    same order, and witnesses that may differ.
+    The returned sequence also carries ``covectors`` and ``witnesses``: per
+    cell, in the same order, its covector and its witness.  The answer is
+    memoized per (dim, forms) for the life of the process, in a
+    least-recently-used memo bounded in entries and in cells (see
+    ``_arrangement``), so a repeated request returns the same object; a
+    request for some of the forms of a held arrangement is projected from it
+    (``_project``), with the same cells and covectors in the same order, and
+    witnesses that may differ.
     """
     return _arrangement(dim, tuple(forms))
 
@@ -427,20 +433,44 @@ def _cell_of(forms: tuple[Form, ...], cov: tuple[int, ...]) -> Cell:
     )
 
 
-class _Arrangement(tuple):
-    """(cell, witness) pairs, with the cells' covectors in ``covectors`` and
-    the forms they are the signs on in ``forms``.  Made from rows, (covector,
-    witness) pairs in any order: the rows are sorted by covector and each
-    cell is made from its covector."""
+class _Made(dict):
+    """The cells of an arrangement read so far, by index: a missing one is
+    made from its covector (``_cell_of``) and kept."""
 
-    def __new__(cls, rows: Iterable, forms: tuple[Form, ...]):
+    __slots__ = ("forms", "covectors")
+
+    def __init__(self, forms: tuple[Form, ...], covectors: tuple):
+        super().__init__()
+        self.forms, self.covectors = forms, covectors
+
+    def __missing__(self, i: int) -> Cell:
+        cell = self[i] = _cell_of(self.forms, self.covectors[i])
+        return cell
+
+
+class _Arrangement(Sequence):
+    """The sequence of (cell, witness) pairs of an arrangement, held as the
+    cells' covectors in ``covectors``, their witnesses in ``witnesses`` and
+    the forms they are the signs on in ``forms``.  Made from rows, (covector,
+    witness) pairs in any order, sorted by covector.  A cell is made from its
+    covector the first time it is read (``_cells_at`` or an item) and then
+    kept in ``_made``; the set operations that read only masks make none."""
+
+    def __init__(self, rows: Iterable, forms: tuple[Form, ...]):
         rows = sorted(rows, key=lambda row: _covector_order(row[0]))
-        out = super().__new__(cls, [(_cell_of(forms, cov), w) for cov, w in rows])
-        out.covectors = tuple(map(itemgetter(0), rows))
-        out.forms = forms
-        out.position = {h: i for i, h in enumerate(forms)}
-        out._masks = None
-        return out
+        self.covectors = tuple(map(itemgetter(0), rows))
+        self.witnesses = tuple(map(itemgetter(1), rows))
+        self.forms = forms
+        self.position = {h: i for i, h in enumerate(forms)}
+        self._made = _Made(forms, self.covectors)
+        self._masks = None
+
+    def __len__(self) -> int:
+        return len(self.covectors)
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]  # a negative index counts from the end, one past it raises IndexError
+        return self._made[i], self.witnesses[i]
 
     def sign_masks(self):
         """(full, eq, gt): the int with a bit per cell, bit i for cell i;
@@ -625,7 +655,7 @@ def _project(source: _Arrangement, forms: tuple[Form, ...]):
     order of a build (``_build``)."""
     get = _tuple_getter(tuple(map(source.position.__getitem__, forms)))
     # reversed, so that the first cell's witness is the one a key keeps
-    return dict(zip(map(get, reversed(source.covectors)), map(itemgetter(1), reversed(source)))).items()
+    return dict(zip(map(get, reversed(source.covectors)), reversed(source.witnesses))).items()
 
 
 # On 77 ``sphere`` benchmark jobs (seed 1) the set operations make 605
@@ -633,10 +663,12 @@ def _project(source: _Arrangement, forms: tuple[Form, ...]):
 # 444 and 460 of them; past 8 each entry buys little.  Of the 161 misses at 8
 # entries, 83 are projected from a held arrangement and 78 are built.
 # The memo lives for the process, like ``resolutions.resolution_for``, and
-# holds at most MAX_ARRANGEMENT_CELLS cells in all.  Under tracemalloc a cell
-# (cell, witness and covector) takes 561 bytes in the dimension-10 coordinate
-# arrangement and 725 in a 13-form product arrangement of dimension 6, so the
-# memo holds about 37-48 MB (8 unbounded entries could hold about 290 MB).
+# holds at most MAX_ARRANGEMENT_CELLS cells in all.  Under tracemalloc a held
+# row (covector and witness) takes 262 bytes in the dimension-10 coordinate
+# arrangement and 299 in a 13-form product arrangement of dimension 6 (6 forms
+# on one 3-coordinate block, 7 on the other), and 580 and 622 once every cell
+# has been read, so the memo holds about 17-20 MB of rows and at most about
+# 41 MB (8 unbounded entries of read cells could hold about 290 MB).
 _arrangement = _Memo(_build, 8)
 
 
@@ -744,7 +776,7 @@ def _masks(A: ConeSet, B: ConeSet):
 def _cells_at(arrangement: _Arrangement, mask: int) -> tuple[Cell, ...]:
     """The arrangement's cells at the set bits of ``mask``, in its order."""
     bits = format(mask, "b").encode()[::-1].translate(_BIT_VALUES)  # one byte 0 or 1 per cell
-    return tuple(cell for cell, _ in compress(arrangement, bits))
+    return tuple(map(arrangement._made.__getitem__, compress(range(len(arrangement)), bits)))
 
 
 def complement(A: ConeSet) -> ConeSet:
@@ -928,6 +960,8 @@ def _parse_entry(v):
         x = Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"form entry {v!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"form entry {v!r} is not a rational number") from None
     # an integral entry stays an int, so that its form takes primitive_vector's integer path
     return x.numerator if x.denominator == 1 else x
 

@@ -59,6 +59,10 @@ _SCALED = "tests/test_scaled_values.py"
 _PRODUCT = "tests/test_arrangement_product.py::test_product_cells_match_the_oracle"
 _PROJECTED = "tests/test_spheres_masks.py::test_a_projected_arrangement_equals_a_fresh_build"
 _HELD = "tests/test_spheres_masks.py::test_set_operations_make_no_decision_once_the_arrangement_is_held"
+_NO_CELL = (
+    "tests/test_spheres_masks.py::test_equals_subset_and_intersect_make_no_cell_of_the_held_arrangement",
+    "tests/test_spheres_masks.py::test_the_dimension_10_coordinate_comparisons_make_no_cell",
+)
 _CLIQUES = "tests/test_clique_resolution.py::test_clique_builder_matches_the_two_old_builders"
 
 MUTANTS = [
@@ -348,6 +352,21 @@ MUTANTS = [
         "return not a & ~b",
         "return not a & b",
         (_CANONICAL, "tests/test_spheres_masks.py::test_edge_operands[2]", f"{_HELD}[4]"),
+    ),
+    # an arrangement holds covectors; a cell is made where an answer reads it
+    Mutant(
+        "arrangement-makes-every-cell",
+        "bnsr/spheres.py",
+        "        self._made = _Made(forms, self.covectors)\n",
+        "        self._made = _Made(forms, self.covectors)\n        self._made.update(enumerate(map(partial(_cell_of, forms), self.covectors)))\n",
+        _NO_CELL,
+    ),
+    Mutant(
+        "cells-at-reads-the-cell-beside-each-bit",
+        "bnsr/spheres.py",
+        "compress(range(len(arrangement)), bits)",
+        "compress(range(1, len(arrangement) + 1), bits)",
+        (_CANONICAL, "tests/test_spheres.py::test_boolean_algebra_laws", f"{_HELD}[3]"),
     ),
     # every arrangement as the product of its coordinate blocks
     Mutant(

@@ -149,43 +149,38 @@ def _two_blocks():
 def test_an_oversized_product_is_refused_before_its_cells_are_built(limit, count, monkeypatch):
     """Above the limit, the product is refused from its exact count once the
     blocks are built, and a block past the limit stops its own build; either
-    way the refusal names the whole arrangement, no product cell is built and
-    the memo stays empty.  Cells are made from covectors only by
-    ``_cell_of``, which the splits inside a block's build call too; a call
-    outside every block's build makes a product cell, as an accepted build
-    shows."""
+    way the refusal names the whole arrangement, no product row reaches the
+    arrangement and the memo stays empty.  An arrangement makes no cell when
+    it is built, so the spy counts the rows that reach its constructor
+    (``_Arrangement``); an accepted build shows that it is not blind."""
     monkeypatch.setattr(spheres, "MAX_ARRANGEMENT_CELLS", limit)
-    incremental, cell_of = spheres._incremental, spheres._cell_of
-    depth, blocks, outside = [0], [], []
+    incremental, arrangement = spheres._incremental, spheres._Arrangement
+    blocks, arranged = [], []
 
     def building(*args):
-        depth[0] += 1
-        try:
-            out = incremental(*args)
-        finally:
-            depth[0] -= 1
+        out = incremental(*args)
         blocks.append(len(out))
         return out
 
-    def counting(forms, cov):
-        if not depth[0]:
-            outside.append(cov)
-        return cell_of(forms, cov)
+    def arranging(rows, forms):
+        rows = list(rows)
+        arranged.append(len(rows))
+        return arrangement(rows, forms)
 
     monkeypatch.setattr(spheres, "_incremental", building)
-    monkeypatch.setattr(spheres, "_cell_of", counting)
+    monkeypatch.setattr(spheres, "_Arrangement", arranging)
     spheres._arrangement.cache_clear()
     with pytest.raises(ValueError, match=rf"^an arrangement of 6 hyperplanes in dimension 4 has at least {count} "
                                          rf"cells, above the limit of {limit}$"):
         arrangement_cells(4, _two_blocks())
     assert blocks == ([12, 12] if limit == 100 else [])
-    assert outside == []
+    assert arranged == []
     assert spheres._arrangement.cache_info().currsize == 0
     # the spy is not blind: at the limit of 168 the same product is built,
-    # and each of its cells is made outside the blocks' builds
+    # and its 168 rows reach the arrangement at once
     monkeypatch.setattr(spheres, "MAX_ARRANGEMENT_CELLS", 168)
     cells = arrangement_cells(4, _two_blocks())
-    assert len(outside) == len(cells) == 168
+    assert arranged == [len(cells)] == [168]
     spheres._arrangement.cache_clear()
 
 

@@ -227,8 +227,8 @@ def test_independent_forms_need_no_decision(monkeypatch):
 
 def test_a_coordinate_build_makes_each_cell_once_from_its_covector(monkeypatch):
     """The splits carry covectors, not cells: a build of the six coordinate
-    forms makes no cell while it splits, and one per final cell, from its
-    covector, when the rows become the arrangement."""
+    forms makes no cell, and reading the arrangement makes one per cell, from
+    its covector, the first time the cell is read."""
     cell, cell_of = spheres._cell, spheres._cell_of
     made = Counter()
 
@@ -245,6 +245,9 @@ def test_a_coordinate_build_makes_each_cell_once_from_its_covector(monkeypatch):
     spheres._arrangement.cache_clear()
     got = arrangement_cells(6, tuple(_unit(6, i) for i in range(6)))
     assert len(got) == 3**6 - 1
+    assert made == Counter()
+    cells = [cell for cell, _ in got]
+    assert [cell for cell, _ in got] == cells
     assert made == Counter({"_cell_of": len(got)})
 
 

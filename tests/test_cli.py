@@ -657,6 +657,21 @@ def test_malformed_character_entry_names_its_option(argv, files, message, tmp_pa
     assert code == 3 and out == "" and err == message + "\n"
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "x", ""])
+@pytest.mark.parametrize("source", ["set", "records"])
+def test_a_form_entry_that_is_no_rational_is_named(source, entry, tmp_path, capsys):
+    # a cone-set entry that Fraction rejects is named as a form entry, in a
+    # --set file and in a record's complement alike
+    cone = {"dim": 2, "cells": [{"eq": [], "gt": [[entry, "1"]]}]}
+    if source == "set":
+        argv = ["sphere", "complement", "--set", write_json(tmp_path / "set.json", cone)]
+    else:
+        record = {"group": {"kind": "free", "rank": 2}, "degree": 1, "ring": "Q", "complement": cone}
+        argv = ["catalog", "list", "--records", write_json(tmp_path / "records.json", [record])]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == "" and err == f"error: form entry {entry!r} is not a rational number\n"
+
+
 @pytest.mark.parametrize("resolution", ["koszul:2", "free:2"])
 @pytest.mark.parametrize(
     "chain,message",

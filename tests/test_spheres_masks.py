@@ -129,6 +129,91 @@ def test_set_operations_make_no_decision_once_the_arrangement_is_held(dim, monke
     assert outcomes == {True, False}
 
 
+def _spy_cells(m):
+    """The covectors of the arrangement cells made from now on, in order: one
+    per ``_cell_of`` call outside a block's build, where the splits make the
+    cells they decide on."""
+    incremental, cell_of = spheres._incremental, spheres._cell_of
+    depth, made = [0], []
+
+    def building(*args):
+        depth[0] += 1
+        try:
+            return incremental(*args)
+        finally:
+            depth[0] -= 1
+
+    def counting(forms, cov):
+        if not depth[0]:
+            made.append(cov)
+        return cell_of(forms, cov)
+
+    m.setattr(spheres, "_incremental", building)
+    m.setattr(spheres, "_cell_of", counting)
+    return made
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_equals_subset_and_intersect_make_no_cell_of_the_held_arrangement(dim, monkeypatch):
+    """The common arrangement makes no cell when it is built, and ``equals``,
+    ``subset`` and ``intersect`` over it read only its masks, so they make
+    none either; their answers are the oracle's."""
+    rng = random.Random(3900 + dim)
+    for _ in range(10):
+        pool = _pool(rng, dim, 4)
+        A, B = _set(rng, dim, pool), _set(rng, dim, pool)
+        expected = (oracle.equals(A, B), oracle.subset(A, B), oracle.subset(B, A), oracle.intersect(A, B))
+        spheres._arrangement.cache_clear()
+        with monkeypatch.context() as m:
+            made = _spy_cells(m)
+            held = arrangement_cells(dim, spheres._forms_of([A, B]))
+            got = (spheres.equals(A, B), spheres.subset(A, B), spheres.subset(B, A), spheres.intersect(A, B))
+        assert made == [] and len(held) > 0, (A, B)
+        assert got == expected, (A, B)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_complement_makes_exactly_the_cells_it_returns_once(dim, monkeypatch):
+    """``complement`` makes the arrangement cells it returns and no other, in
+    its order, each once: the same complement again, over the held
+    arrangement, reads the kept cells and makes none."""
+    rng = random.Random(4000 + dim)
+    partial = 0
+    for _ in range(10):
+        A = _set(rng, dim, _pool(rng, dim, 4))
+        spheres._arrangement.cache_clear()
+        with monkeypatch.context() as m:
+            made = _spy_cells(m)
+            first = spheres.complement(A)
+            once = list(made)
+            again = spheres.complement(A)
+        held = arrangement_cells(dim, spheres._forms_of([A]))
+        assert first == again == oracle.complement(A), A
+        assert made == once, A
+        assert [spheres._cell_of(held.forms, cov) for cov in once] == list(first.cells), A
+        partial += 0 < len(first.cells) < len(held)
+    assert partial > 0
+
+
+def test_the_dimension_10_coordinate_comparisons_make_no_cell(monkeypatch):
+    """On a fresh memo, ``equals`` and ``subset`` of the union of the
+    coordinate subspheres {x_2i = x_2i+1 = 0} and the whole sphere of
+    dimension 10 build the coordinate arrangement, 3^10 - 1 = 59,048 cells,
+    and make none of them."""
+    dim = 10
+    units = [_unit(dim, i) for i in range(dim)]
+    A = ConeSet(dim, tuple(_cell(units[i : i + 2], []) for i in range(0, dim, 2)))
+    sphere = full_sphere_dim(dim)
+    spheres._arrangement.cache_clear()
+    with monkeypatch.context() as m:
+        made = _spy_cells(m)
+        got = (spheres.equals(A, sphere), spheres.subset(A, sphere), spheres.subset(sphere, A), spheres.equals(A, A))
+    assert got == (False, True, False, True)
+    assert made == []
+    assert len(arrangement_cells(dim, spheres._forms_of([A, sphere]))) == 3**dim - 1
+    spheres._arrangement.cache_clear()
+
+
 def _sets(dim):
     """Empty, the whole sphere as one cell with no forms, a cell whose forms
     conflict, and a half-space with a conflicting cell beside it."""
@@ -165,7 +250,7 @@ def test_edge_operands(dim):
 def test_dimension_zero():
     empty = empty_set(0)
     spheres._arrangement.cache_clear()
-    assert arrangement_cells(0, ()) == ()
+    assert tuple(arrangement_cells(0, ())) == ()
     assert spheres.complement(empty) == empty
     assert spheres.intersect(empty, empty) == empty and spheres.difference(empty, empty) == empty
     assert spheres.equals(empty, empty) and spheres.subset(empty, empty)
