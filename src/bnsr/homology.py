@@ -1109,8 +1109,17 @@ def max_filling_value(
     target: Chain,
     W: Window,
     return_chain: bool = False,
+    known_filling: Chain | None = None,
 ):
     """Highest value of a window filling of ``target`` (-inf when none exists).
+
+    A caller's ``known_filling`` answers the search when the filling degree
+    p + 1 is the resolution's top degree, its boundary is ``target`` and the
+    window supports it: a resolution is exact at its top, so the boundary
+    there is injective and the target has no other filling.  The answer is
+    its value (and the chain itself, when asked for), over Z too, and no
+    window is swept.  Otherwise the sweep below runs as if no filling had
+    been given.
 
     One descending sweep of the value filtration: the filling keys are
     grouped by value, and ``linalg.first_spanning_batch`` (union-find on
@@ -1138,6 +1147,14 @@ def max_filling_value(
     p = target.degree
     if p + 1 not in F.cells_by_degree:
         return (NEG_INF, None) if return_chain else NEG_INF
+    if (
+        known_filling is not None
+        and known_filling.degree == p + 1 == F.max_degree
+        and F.boundary(known_filling) == target
+        and window_supported(F, W, known_filling)
+    ):
+        best = v.value(known_filling)
+        return (best, known_filling) if return_chain else best
     inv = _WindowInventory(F, W, v)
     rhs = {}
     for (g, cell), c in target.items():
@@ -1185,12 +1202,14 @@ def _defect(v: Valuation, z: Chain, best):
 def gap_lower_bound(F: Resolution, w: Valuation, target: Chain, W: Window, known_filling: Chain | None = None):
     """Exact minimal boundary-value gap over every window filling of target.
 
-    ``known_filling`` is accepted and not used: the filling sweep finds the
-    best value on its own.
+    ``known_filling`` is handed to :func:`max_filling_value`: a verified
+    filling in the resolution's top degree is the target's only filling, and
+    its value answers with no window sweep; any other filling, or none,
+    leaves the sweep to find the best value.
     """
     if target.is_zero:
         return INF
-    mv = max_filling_value(F, w, target, W)
+    mv = max_filling_value(F, w, target, W, known_filling=known_filling)
     if mv == NEG_INF:
         raise ValueError("target does not bound inside the window")
     return w.value(target) - mv

@@ -221,7 +221,10 @@ def witness_pipeline(
     gap.  One filling search per factor cycle decides its class: the class
     vanishes above the splitter exactly when the best filling value reaches
     it, over a field and over Z alike (:func:`_class_nonvanishing`), so
-    no truncated complex is built.  A factor cycle the window does not
+    no truncated complex is built.  Each search is handed that factor's
+    filling, c or c'; in the factor's top degree, verified and supported by
+    the window, it is the cycle's only filling, and its value answers the
+    search with no window sweep.  A factor cycle the window does not
     support is not searched: its eta fails and its class is not found
     nonvanishing.  Each boundary and split is computed once.
     """
@@ -248,8 +251,8 @@ def witness_pipeline(
     pre["mup_positive"] = mup > 0
     # one filling search per supported factor cycle serves eta and the class tests below
     sup_l, sup_r = window_supported(F, Wl, z), window_supported(G, Wr, zp)
-    best_l = max_filling_value(F, v, z, Wl) if sup_l else None
-    best_r = max_filling_value(G, vp, zp, Wr) if sup_r else None
+    best_l = max_filling_value(F, v, z, Wl, known_filling=c) if sup_l else None
+    best_r = max_filling_value(G, vp, zp, Wr, known_filling=cp) if sup_r else None
     for tag, key, is_cycle, vx, zx, best, m in (
         ("z", "mu_below_eta", pre["z_cycle"], v, z, best_l, mu),
         ("z'", "mup_below_eta", pre["zp_cycle"], vp, zp, best_r, mup),
@@ -360,10 +363,11 @@ def _class_nonvanishing(report: WitnessReport, tag: str, side: str, best, thresh
 
     The class vanishes exactly when ``best`` reaches the threshold.  Over Z
     this holds too, and the class is never torsion: :func:`max_filling_value`
-    is exact there or raises (incidence columns are totally unimodular, and
-    on any other columns a level is returned only when the unit-pivot
-    certificate frees the cokernel of the columns of value at least that
-    level), so the class order recorded is "zero" or "infinite".  Over a
+    is exact there or raises (a verified top-degree filling is the only
+    filling, incidence columns are totally unimodular, and on any other
+    columns a level is returned only when the unit-pivot certificate frees
+    the cokernel of the columns of value at least that level), so the class
+    order recorded is "zero" or "infinite".  Over a
     field the best value is recorded instead.  ``best`` is None for a cycle
     the window does not support, which was not searched: nothing is
     recorded, and the class is not found nonvanishing.

@@ -124,6 +124,37 @@ MUTANTS = [
             "tests/test_window_inventory.py::test_ca_probe_matches_oracle_grid[Z2]",
         ),
     ),
+    # a caller's filling answers a search only in the top degree, verified and inside the window
+    Mutant(
+        "known-filling-below-the-top",
+        "bnsr/homology.py",
+        "and known_filling.degree == p + 1 == F.max_degree",
+        "and known_filling.degree == p + 1",
+        (
+            "tests/test_filling_sweep.py::test_a_worse_filling_below_the_top_leaves_the_sweeps_answer",
+            "tests/test_filling_sweep.py::test_a_filling_below_the_top_of_a_product_leaves_the_sweeps_answer[Q]",
+        ),
+    ),
+    Mutant(
+        "known-filling-unverified",
+        "bnsr/homology.py",
+        "and F.boundary(known_filling) == target\n",
+        "",
+        (
+            "tests/test_filling_sweep.py::test_a_top_chain_that_does_not_fill_the_target_leaves_the_sweeps_answer[Q]",
+            "tests/test_filling_sweep.py::test_a_top_chain_that_does_not_fill_the_target_leaves_the_sweeps_answer[Z]",
+        ),
+    ),
+    Mutant(
+        "known-filling-outside-the-window",
+        "bnsr/homology.py",
+        "and window_supported(F, W, known_filling)\n",
+        "",
+        (
+            "tests/test_filling_sweep.py::test_a_verified_top_filling_gives_the_sweeps_answer[F2/Q]",
+            "tests/test_filling_sweep.py::test_a_verified_top_filling_gives_the_sweeps_answer[Z2/Z]",
+        ),
+    ),
     # incidence as a property of a cell, and the filling chain off the sweep's forest
     Mutant(
         "cell-marked-incidence",

@@ -191,27 +191,34 @@ def _units(dim):
 def test_the_dimension_12_coordinate_arrangement_is_refused_from_its_exact_count(monkeypatch):
     """Each coordinate form is a block of its own, with two cells and the
     origin, so the count 3^12 - 1 is known once the twelve one-coordinate
-    blocks are built, and the refusal comes before any cell is made."""
-    incremental, cell_of = spheres._incremental, spheres._cell_of
-    block_dims, made = [], []
+    blocks are built, and the refusal comes before any product row reaches
+    the arrangement (``_Arrangement``); an accepted build of the same kind
+    shows that the spy is not blind."""
+    incremental, arrangement = spheres._incremental, spheres._Arrangement
+    block_dims, arranged = [], []
 
     def building(dim, forms, whole):
         block_dims.append(dim)
         return incremental(dim, forms, whole)
 
-    def counting(forms, cov):
-        made.append(cov)
-        return cell_of(forms, cov)
+    def arranging(rows, forms):
+        rows = list(rows)
+        arranged.append(len(rows))
+        return arrangement(rows, forms)
 
     monkeypatch.setattr(spheres, "_incremental", building)
-    monkeypatch.setattr(spheres, "_cell_of", counting)
+    monkeypatch.setattr(spheres, "_Arrangement", arranging)
     spheres._arrangement.cache_clear()
     with pytest.raises(ValueError, match=r"^an arrangement of 12 hyperplanes in dimension 12 has at least 531440 "
                                          r"cells, above the limit of 65600$"):
         arrangement_cells(12, _units(12))
     assert block_dims == [1] * 12
-    assert made == []
+    assert arranged == []
     assert spheres._arrangement.cache_info().currsize == 0
+    # the dimension-3 coordinate arrangement is accepted, and its 3^3 - 1 rows reach the arrangement
+    assert len(arrangement_cells(3, _units(3))) == 26
+    assert arranged == [26]
+    spheres._arrangement.cache_clear()
 
 
 def test_the_memo_is_bounded_in_entries_and_cells(monkeypatch):

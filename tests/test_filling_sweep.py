@@ -230,6 +230,7 @@ def resolution(kind, tag):
             "Z2": lambda: koszul_resolution(2, ring),
             "Z3": lambda: koszul_resolution(3, ring),
             "F2xF2": lambda: tensor_resolution(free2(), free2()),
+            "Z1xF2": lambda: tensor_resolution(koszul_resolution(1, ring), free2()),
             "Z2xF2": lambda: tensor_resolution(koszul_resolution(2, ring), free2()),
             "Z1xF2xF2": lambda: tensor_resolution(tensor_resolution(koszul_resolution(1, ring), free2()), free2()),
         }[kind]()
@@ -379,6 +380,9 @@ def test_non_incidence_filling_over_z_raises():
         oracle_max_filling_value(F, v, z, W)
     with pytest.raises(ValueError, match="needs a field"):
         max_filling_value(F, v, z, W, return_chain=True)
+    # e_{1,2} is in the top degree, so it is the only filling of z, over Z too
+    e12 = F.basis_chain(F.cells(2)[0])
+    assert max_filling_value(F, v, z, W, return_chain=True, known_filling=e12) == (0, e12)
     # e1 is half the sum of e1 + e2 and e1 - e2: in their Q-span, not their Z-span
     with pytest.raises(ValueError, match="needs a field"):
         first_batch([[{0: 1, 1: 1}], [{0: 1, 1: -1}]], {0: 1}, INTEGERS)
@@ -421,6 +425,145 @@ def test_non_incidence_filling_values_over_z_match_q(name, kind, p, radius):
                         zvec[rows[key]] = coeff
                     assert linalg.SmithForm(M, len(usable)).solve(zvec) is not None
     assert NEG_INF in seen and len(seen) > 1
+
+
+# ---------------------------------------------------------------------------
+# a caller's filling against the sweep
+
+
+def answer(*args):
+    """``max_filling_value``'s answer with its chain as a dict, or the message it is refused with."""
+    got = outcome(max_filling_value, *args)
+    return got if not isinstance(got, tuple) or got[0] == "refused" or got[1] is None else (got[0], dict(got[1]))
+
+
+# (resolution kind, window radius): every filling here lies in the top degree
+TOP_SYSTEMS = [("F2", 3), ("Z2", 2), ("Z3", 1), ("F2xF2", (2, 1)), ("Z1xF2", (2, 2))]
+TOP_CASES = [(kind, radius, tag) for kind, radius in TOP_SYSTEMS for tag in ("Q", "F5", "Z")]
+
+
+@pytest.mark.parametrize("kind,radius,tag", TOP_CASES, ids=[f"{c[0]}/{c[2]}" for c in TOP_CASES])
+def test_a_verified_top_filling_gives_the_sweeps_answer(kind, radius, tag):
+    """A top-degree filling the window supports is the target's only filling:
+    its value and the chain itself are the answer, and the sweep over a field
+    (over Q for Z, where the sweep alone refuses a non-incidence chain) finds
+    the same.  A filling outside the window leaves the sweep to answer, or to
+    refuse, as it does with no filling given."""
+    rng = random.Random(f"known:{kind}:{tag}")
+    F = resolution(kind, tag)
+    FQ = resolution(kind, "Q") if tag == "Z" else F
+    W = window_for(F, radius)
+    top = F.max_degree
+    inside = oracle_keys(F, W, top)
+    near = oracle_keys(F, window_for(F, tuple(r + 1 for r in W.radii)), top)
+    kinds = set()
+    for _ in range(2):
+        v = random_valuation(F, rng)
+        vq = basic_valuation(FQ, Character(FQ.group, v.character.coeffs))
+        for _ in range(4):
+            for keys in (inside, near):
+                c = random_window_chain(F, rng, keys, rng.randint(1, 3))
+                if c.is_zero:
+                    continue
+                z = F.boundary(c)
+                assert not z.is_zero  # the top boundary is injective
+                supported = window_chain_supported(F, W, c)
+                kinds.add(supported)
+                for return_chain in (False, True):
+                    got = answer(F, v, z, W, return_chain, c)
+                    if not supported:
+                        assert got == answer(F, v, z, W, return_chain)
+                        continue
+                    assert got == ((v.value(c), dict(c.terms)) if return_chain else v.value(c))
+                    zq = Chain(RATIONALS, dict(z.terms)) if tag == "Z" else z
+                    assert got == answer(FQ, vq, zq, W, return_chain)
+    assert kinds == {True, False}
+
+
+def test_a_verified_top_filling_builds_no_window_inventory(monkeypatch):
+    import bnsr.homology as homology_mod
+
+    F = resolution("F2xF2", "Q")
+    W = window_for(F, (2, 1))
+    v = random_valuation(F, random.Random("known:no-inventory"))
+    c = random_window_chain(F, random.Random(2), oracle_keys(F, W, F.max_degree), 2)
+    built = []
+    real = homology_mod._WindowInventory
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(homology_mod, "_WindowInventory", counting)
+    assert max_filling_value(F, v, F.boundary(c), W, known_filling=c) == v.value(c)
+    assert built == []
+    # the spy is not blind: with no filling given, the sweep builds one
+    max_filling_value(F, v, F.boundary(c), W)
+    assert len(built) == 1
+
+
+def test_a_worse_filling_below_the_top_leaves_the_sweeps_answer():
+    # on Z^2 with chi = (1, 1), the edge from e to (1, 0) e has value 0 and the
+    # detour through (0, -1) and (1, -1) has value -1; degree 1 is not the top,
+    # so the edge is not the only filling and the sweep still finds it
+    F = resolution("Z2", "Q")
+    v = basic_valuation(F, Character(F.group, [1, 1]))
+    W = window_for(F, 2)
+    e1, e2 = F.cells(1)
+    edge = F.basis_chain(e1)
+    detour = F.basis_chain(e2, (0, -1)).neg().add(F.basis_chain(e1, (0, -1))).add(F.basis_chain(e2, (1, -1)))
+    z = F.boundary(edge)
+    assert F.boundary(detour) == z and v.value(detour) == -1 and v.value(edge) == 0
+    for return_chain in (False, True):
+        assert answer(F, v, z, W, return_chain, detour) == answer(F, v, z, W, return_chain)
+    assert max_filling_value(F, v, z, W, True, detour) == (0, edge)
+
+
+@pytest.mark.parametrize("tag", ["Q", "F5"])
+def test_a_filling_below_the_top_of_a_product_leaves_the_sweeps_answer(tag):
+    # Z^2 (x) F2 has top degree 3: a degree-2 filling c is one of many, and
+    # c plus the boundary of a degree-3 chain fills the same target
+    rng = random.Random(f"known:Z2xF2:{tag}")
+    F = resolution("Z2xF2", tag)
+    W = window_for(F, (1, 1))
+    keys, tops = oracle_keys(F, W, 2), oracle_keys(F, W, 3)
+    worse = 0
+    for _ in range(4):
+        v = random_valuation(F, rng)
+        c = random_window_chain(F, rng, keys, rng.randint(1, 3))
+        z = F.boundary(c)
+        if z.is_zero:
+            continue
+        best = max_filling_value(F, v, z, W)
+        for known in (c, c.add(F.boundary(random_window_chain(F, rng, tops, 1)))):
+            assert F.boundary(known) == z
+            assert answer(F, v, z, W, True, known) == answer(F, v, z, W, True)
+            assert max_filling_value(F, v, z, W, False, known) == best >= v.value(known)
+            worse += best > v.value(known)
+    assert worse
+
+
+@pytest.mark.parametrize("tag", ["Q", "F5", "Z"])
+def test_a_top_chain_that_does_not_fill_the_target_leaves_the_sweeps_answer(tag):
+    # 2c and c plus another top cell bound something else: the search is the sweep's
+    rng = random.Random(f"known:wrong:{tag}")
+    F = resolution("F2", tag)
+    W = window_for(F, 3)
+    keys = oracle_keys(F, W, 1)
+    checked = 0
+    for _ in range(6):
+        v = random_valuation(F, rng)
+        c = random_window_chain(F, rng, keys, rng.randint(1, 3))
+        if c.is_zero:
+            continue
+        z = F.boundary(c)
+        for wrong in (c.scale(F.ring.from_int(2)), c.add(random_window_chain(F, rng, keys, 1))):
+            if wrong.is_zero or F.boundary(wrong) == z:
+                continue
+            for return_chain in (False, True):
+                assert answer(F, v, z, W, return_chain, wrong) == answer(F, v, z, W, return_chain)
+            checked += 1
+    assert checked
 
 
 # ---------------------------------------------------------------------------
